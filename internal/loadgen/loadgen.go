@@ -67,11 +67,11 @@ type Config struct {
 	ScanLimit int
 	// DialTimeout bounds each connection attempt. Default 5s.
 	DialTimeout time.Duration
-	// TraceSample is the fraction of request frames ([0, 1]) sent as
-	// traced frames with the Sampled bit set, forcing server-side span
+	// TraceSample is the fraction of request frames ([0, 1]) sent with a
+	// trace context whose Sampled bit is set, forcing server-side span
 	// recording for those requests regardless of the server's own
 	// sample rate. Trace IDs are minted per frame from the seeded
-	// per-connection stream. Zero sends only plain frames.
+	// per-connection stream. Zero sends only untraced frames.
 	TraceSample float64
 	// SLOP99 is the p99 latency budget. When set, the result carries
 	// an SLO verdict: whether the observed p99 met the budget, and the
@@ -261,7 +261,6 @@ func (r *Result) Report() *benchfmt.Report {
 // from the connection's seed.
 type opStream struct {
 	structure string
-	v2        bool // encode frames as V2 (required once the mix has ordered ops)
 	gen       *harness.Generator
 	nextID    uint64
 	trng      uint64 // trace-sampling xorshift64 state
@@ -271,7 +270,6 @@ type opStream struct {
 func newOpStream(cfg Config, conn int) *opStream {
 	st := &opStream{
 		structure: cfg.Structure,
-		v2:        cfg.Structure == StructSet && cfg.Mix.OrderedPct() > 0,
 		gen:       harness.NewGenerator(cfg.Seed+int64(conn)*7919, cfg.Dist, cfg.Mix),
 	}
 	if cfg.ScanSpan > 0 {
@@ -364,10 +362,8 @@ func (st *opStream) next() wire.Op {
 	return op
 }
 
-// appendRequest encodes one request frame for this stream: the V2
-// encoding once the mix carries ordered ops (their Hi/Limit need the
-// wider records), the fixed encodings otherwise. The trace context
-// rides in either encoding. Pinned with the loops that call it: the
+// appendRequest encodes one request frame for this stream, carrying the
+// frame's trace-sampling draw. Pinned with the loops that call it: the
 // encode path runs once per frame of every measured run.
 //
 //pimvet:allocfree //pimvet:nonblocking
@@ -376,13 +372,7 @@ func (st *opStream) appendRequest(out []byte, batch []wire.Op, ctr *counters) ([
 	if traced {
 		ctr.traced.Add(1)
 	}
-	if st.v2 {
-		return wire.AppendRequestV2(out, batch, tc)
-	}
-	if traced {
-		return wire.AppendRequestTraced(out, batch, tc)
-	}
-	return wire.AppendRequest(out, batch)
+	return wire.AppendRequestV2(out, batch, tc)
 }
 
 // Run executes the configured load and blocks until every connection
@@ -534,7 +524,7 @@ func closedLoop(cfg Config, st *opStream, nc net.Conn, stop <-chan struct{}, ctr
 				ctr.observe(lat, d, budget, r.Status)
 				// IDs in a closed-loop batch are consecutive from base, so
 				// the echoed ID indexes the op that produced this response.
-				if idx := r.ID - base; st.v2 && idx < uint64(len(batch)) && batch[idx].Kind == wire.RangeScan {
+				if idx := r.ID - base; idx < uint64(len(batch)) && batch[idx].Kind == wire.RangeScan {
 					ctr.observeScan(len(r.Values))
 				}
 			}
@@ -701,7 +691,7 @@ func Preload(cfg Config) error {
 			id++
 		}
 		keys = keys[n:]
-		out, err = wire.AppendRequest(out[:0], batch)
+		out, err = wire.AppendRequestV2(out[:0], batch, wire.TraceContext{})
 		if err != nil {
 			return err
 		}

@@ -137,9 +137,8 @@ func TestQueueAndStackLoads(t *testing.T) {
 }
 
 func TestOrderedMixAgainstServer(t *testing.T) {
-	// A mix with ordered kinds flips the injector to the V2 encoding;
-	// scans come back in variable-size frames and their cardinality is
-	// tallied. Single shard so the global kinds (popmin/succ) are legal.
+	// A mix with ordered kinds: scans come back in variable-size frames
+	// and their cardinality is tallied. Single shard so the global kinds (popmin/succ) are legal.
 	const keySpace = 1 << 12
 	_, addr, _ := startServer(t, server.Config{
 		Structure: server.StructSkip, KeySpace: keySpace,

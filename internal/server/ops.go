@@ -14,7 +14,7 @@ import (
 // cmd/pimserve on the -ops-addr listener:
 //
 //	/metrics          Prometheus text exposition of the registry
-//	/metrics.json     the JSON snapshot (same document as -metrics)
+//	/metrics.json     the JSON snapshot (same document as pimsim -metrics)
 //	/metrics/history  windowed per-interval deltas (see Config.WindowTick)
 //	/healthz          rule-driven health verdict; 503 when not ready
 //	/buildinfo        version, git revision and toolchain of this binary
@@ -73,6 +73,18 @@ func (s *Server) OpsHandler() http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// MetricsHandler serves the registry's JSON snapshot — the same
+// document pimsim -metrics writes — at any path. OpsHandler mounts it
+// at /metrics.json; tests hit it in-process.
+func MetricsHandler(reg *obs.Registry) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if err := reg.WriteJSON(w); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	})
 }
 
 // ShardPromNamer maps the registry's slash-separated names onto

@@ -10,22 +10,6 @@ import (
 	"pimds/internal/wire"
 )
 
-// sendV2 ships ops in a V2 request frame — the encoding that carries
-// Hi/Limit, required for range scans.
-func (c *client) sendV2(t *testing.T, ops ...wire.Op) {
-	t.Helper()
-	buf, err := wire.AppendRequestV2(nil, ops, wire.TraceContext{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.bw.Write(buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // recvAny reads results until n have arrived, accepting fixed and
 // variable response frames. Each decode gets a fresh values arena, so
 // the returned results' Values stay valid together.
@@ -50,11 +34,12 @@ func (c *client) recvAny(t *testing.T, n int) map[uint64]wire.Result {
 	return out
 }
 
-// doV2 runs one op synchronously over the V2 encoding.
+// doV2 runs one full op (Hi/Limit included) synchronously, accepting
+// either response encoding.
 func (c *client) doV2(t *testing.T, op wire.Op) wire.Result {
 	t.Helper()
 	op.ID = 1
-	c.sendV2(t, op)
+	c.send(t, op)
 	return c.recvAny(t, 1)[1]
 }
 
@@ -267,7 +252,7 @@ func TestServerHistoryLinearizableOrdered(t *testing.T) {
 					}
 				}
 				op.ID = uint64(i)
-				c.sendV2(t, op)
+				c.send(t, op)
 				if res := c.recvAny(t, 1); len(res) != 1 {
 					t.Errorf("client %d op %d: %d results", cl, i, len(res))
 					return

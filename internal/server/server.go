@@ -87,7 +87,7 @@ type Config struct {
 	// TraceSample is the fraction of request frames ([0, 1]) the server
 	// samples for span recording on its own initiative. Zero traces
 	// nothing locally, but clients can still force individual frames
-	// into the sample via the traced-frame Sampled bit. Sampling is
+	// into the sample via their trace context's Sampled bit. Sampling is
 	// decided per frame in the reader with a per-connection generator,
 	// so the unsampled fast path costs one comparison.
 	TraceSample float64
@@ -538,7 +538,7 @@ func (s *Server) readLoop(c *conn) {
 			}
 			if s.caps.SerialOnly(op.Kind) && len(s.shards) > 1 {
 				// Global queries (Pred/Succ/PopMin/PopMax) would need a
-				// cross-shard merge; until that lands (ROADMAP item 5)
+				// cross-shard merge, which is parked (not on the roadmap):
 				// they are served only by single-shard servers.
 				s.reject(c, wire.Result{ID: op.ID, Status: wire.StatusBadKind})
 				continue
@@ -696,15 +696,24 @@ func (s *Server) combineLoop(sh *shard) {
 			s.commit(sh, cm, end)
 			continue
 		}
-		for i := range sh.batch {
-			p := &sh.batch[i]
-			s.opLatency.Observe(end - p.start)
-			if p.sp != nil {
-				p.sp.applied = end
-			}
-			p.conn.deliver(delivery{res: sh.results[i], sp: p.sp})
-			p.conn.inflight.Done()
+		s.release(sh.batch, sh.results, end, end)
+	}
+}
+
+// release acknowledges one executed batch: each op's result goes to its
+// connection's writer and leaves the connection's inflight count. end is
+// the batch's apply-completion stamp and tAck the instant the acks are
+// released — the same instant in memory, after the fsync wait in
+// durable mode, where the WAL writer calls this instead of the combiner.
+func (s *Server) release(batch []pendingOp, results []wire.Result, end, tAck int64) {
+	for i := range batch {
+		p := &batch[i]
+		s.opLatency.Observe(tAck - p.start)
+		if p.sp != nil {
+			p.sp.applied = end
 		}
+		p.conn.deliver(delivery{res: results[i], sp: p.sp})
+		p.conn.inflight.Done()
 	}
 }
 

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -62,7 +63,13 @@ func dial(t *testing.T, addr string) *client {
 
 func (c *client) send(t *testing.T, ops ...wire.Op) {
 	t.Helper()
-	buf, err := wire.AppendRequest(nil, ops)
+	c.sendTraced(t, wire.TraceContext{}, ops...)
+}
+
+// sendTraced sends one request frame carrying tc.
+func (c *client) sendTraced(t *testing.T, tc wire.TraceContext, ops ...wire.Op) {
+	t.Helper()
+	buf, err := wire.AppendRequestV2(nil, ops, tc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,6 +187,72 @@ func TestRejectsBadKindAndBadKey(t *testing.T) {
 	}
 }
 
+// TestMalformedFrameClosesOnlyThatConn: a connection whose frame the
+// wire layer rejects is closed unanswered with no op applied, other
+// connections keep being served, and the drain still completes — the
+// rejected connection's reader and writer have exited, or Shutdown
+// (which waits on both) would hang.
+func TestMalformedFrameClosesOnlyThatConn(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv, addr := startServer(t, server.Config{Structure: server.StructHash, Shards: 2, KeySpace: 1 << 10, Reg: reg})
+	good := dial(t, addr)
+	if r := good.do(t, wire.Add, 1); !r.OK {
+		t.Fatalf("add: %+v", r)
+	}
+
+	// Every bad frame tries to add key 2. The retired frame is
+	// well-formed under the old type-1 layout (17-byte records).
+	retired := []byte{20, 0, 0, 0, 1, 1, 0}
+	retired = binary.LittleEndian.AppendUint64(retired, 1)
+	retired = append(retired, byte(wire.Add))
+	retired = binary.LittleEndian.AppendUint64(retired, 2)
+	mismatch, err := wire.AppendRequestV2(nil, []wire.Op{{ID: 1, Kind: wire.Add, Key: 2}}, wire.TraceContext{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(mismatch[5:], 2) // declares two records, carries one
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"retired type", retired},
+		{"oversized length", binary.LittleEndian.AppendUint32(nil, wire.MaxPayload+1)},
+		{"count/size mismatch", mismatch},
+	} {
+		before := reg.Snapshot().Counters["server/ops/total"]
+		bad := dial(t, addr)
+		if _, err := bad.nc.Write(tc.frame); err != nil {
+			t.Fatal(err)
+		}
+		bad.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := wire.ReadFrame(bad.br, nil); err != io.EOF {
+			t.Errorf("%s: got %v, want the connection closed unanswered (io.EOF)", tc.name, err)
+		}
+		bad.nc.Close()
+		if after := reg.Snapshot().Counters["server/ops/total"]; after != before {
+			t.Errorf("%s: server/ops/total moved %d → %d", tc.name, before, after)
+		}
+		if r := good.do(t, wire.Contains, 1); !r.OK {
+			t.Errorf("%s: healthy connection no longer served: %+v", tc.name, r)
+		}
+	}
+	if r := good.do(t, wire.Contains, 2); r.OK {
+		t.Error("an op from a rejected frame was applied")
+	}
+
+	good.nc.Close()
+	drained := make(chan struct{})
+	go func() { srv.Shutdown(); close(drained) }()
+	select {
+	case <-drained:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Shutdown hung: a reader or writer goroutine leaked")
+	}
+	if open := reg.Snapshot().Gauges["server/conns/open"]; open != 0 {
+		t.Errorf("server/conns/open = %d after drain, want 0", open)
+	}
+}
+
 func TestQueueRefusesShards(t *testing.T) {
 	if _, err := server.New(server.Config{Structure: server.StructQueue, Shards: 4}); err == nil {
 		t.Fatal("queue with 4 shards must be rejected")
@@ -260,11 +333,13 @@ func TestManyClientsRace(t *testing.T) {
 	final := make(map[int64]bool)
 	// Replay in End order: combiner passes are serial per shard and
 	// keys are shard-disjoint, so End order is a legal serialization.
+	// The sort is stable because one pass's ops share an End and were
+	// logged in the order the pass applied them.
 	ordered := make([]int, len(ops))
 	for i := range ordered {
 		ordered[i] = i
 	}
-	sort.Slice(ordered, func(a, b int) bool { return ops[ordered[a]].End < ops[ordered[b]].End })
+	sort.SliceStable(ordered, func(a, b int) bool { return ops[ordered[a]].End < ops[ordered[b]].End })
 	for _, i := range ordered {
 		op := ops[i]
 		switch op.Action {
@@ -366,7 +441,7 @@ func TestGracefulDrainLosesNoAckedOps(t *testing.T) {
 						ops[i] = wire.Op{ID: id, Kind: wire.Add, Key: int64(id % keySpace)}
 						id++
 					}
-					buf, _ = wire.AppendRequest(buf[:0], ops)
+					buf, _ = wire.AppendRequestV2(buf[:0], ops, wire.TraceContext{})
 					if _, err := bw.Write(buf); err != nil {
 						return
 					}

@@ -12,7 +12,7 @@ package server
 //
 // Sampling is decided per frame in the reader goroutine with a
 // per-connection xorshift64 generator (no shared state, no locks), or
-// forced by the client via a traced frame's Sampled bit. Unsampled
+// forced by the client via the frame's trace-context Sampled bit. Unsampled
 // requests touch no tracing state at all beyond one nil check per
 // stage; only the sampled path allocates (pimvet's obssafety analyzer
 // enforces that discipline in this package's hot loops).

@@ -19,21 +19,6 @@ import (
 	"pimds/internal/wire"
 )
 
-// sendTraced sends one traced request frame carrying tc.
-func (c *client) sendTraced(t *testing.T, tc wire.TraceContext, ops ...wire.Op) {
-	t.Helper()
-	buf, err := wire.AppendRequestTraced(nil, ops, tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.bw.Write(buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSpanComponentsSumToE2E is the acceptance test for the span
 // recorder's telescoping stamps: for every sampled request, the six
 // components must sum EXACTLY to the measured end-to-end latency — no
@@ -317,7 +302,7 @@ func TestMetricsScrapeDuringDrain(t *testing.T) {
 					return
 				default:
 				}
-				out, _ = wire.AppendRequest(out[:0], []wire.Op{{ID: uint64(i + 1), Kind: wire.Add, Key: (id*1000 + i) % 4096}})
+				out, _ = wire.AppendRequestV2(out[:0], []wire.Op{{ID: uint64(i + 1), Kind: wire.Add, Key: (id*1000 + i) % 4096}}, wire.TraceContext{})
 				if _, err := nc.Write(out); err != nil {
 					return
 				}

@@ -234,15 +234,7 @@ func (s *Server) walRelease() {
 	}
 	tAck := s.now()
 	for _, cm := range w.ackq {
-		for i := range cm.batch {
-			p := &cm.batch[i]
-			s.opLatency.Observe(tAck - p.start)
-			if p.sp != nil {
-				p.sp.applied = cm.end
-			}
-			p.conn.deliver(delivery{res: cm.results[i], sp: p.sp})
-			p.conn.inflight.Done()
-		}
+		s.release(cm.batch, cm.results, cm.end, tAck)
 		w.lag.Observe(tAck - cm.end)
 		cm.sh.walFree <- cm
 	}

@@ -460,7 +460,7 @@ func TestCrashRecoveryKill9(t *testing.T) {
 				op := linearize.Op{
 					Client: cc.id, Action: linearize.ActAdd, Input: key, Start: now(),
 				}
-				buf, err = wire.AppendRequest(buf[:0], []wire.Op{{ID: uint64(i + 1), Kind: wire.Add, Key: key}})
+				buf, err = wire.AppendRequestV2(buf[:0], []wire.Op{{ID: uint64(i + 1), Kind: wire.Add, Key: key}}, wire.TraceContext{})
 				if err != nil {
 					t.Error(err)
 					return

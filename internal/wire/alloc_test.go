@@ -44,7 +44,7 @@ func TestRequestRoundTripAllocs(t *testing.T) {
 	dst := make([]wire.Op, 0, 64)
 	var err error
 	avg := testing.AllocsPerRun(200, func() {
-		buf, err = wire.AppendRequest(buf[:0], ops)
+		buf, err = wire.AppendRequestV2(buf[:0], ops, wire.TraceContext{})
 		if err != nil {
 			return
 		}
@@ -55,28 +55,6 @@ func TestRequestRoundTripAllocs(t *testing.T) {
 	}
 	if avg != 0 {
 		t.Errorf("request encode+decode: %.1f allocs/op, want 0", avg)
-	}
-}
-
-func TestTracedRequestRoundTripAllocs(t *testing.T) {
-	skipIfRace(t)
-	ops := benchOps(64)
-	tc := wire.TraceContext{TraceID: 0xfeed, Sampled: true}
-	buf := make([]byte, 0, 1<<14)
-	dst := make([]wire.Op, 0, 64)
-	var err error
-	avg := testing.AllocsPerRun(200, func() {
-		buf, err = wire.AppendRequestTraced(buf[:0], ops, tc)
-		if err != nil {
-			return
-		}
-		dst, _, err = wire.DecodeRequestAny(buf[4:], dst[:0])
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if avg != 0 {
-		t.Errorf("traced request encode+decode: %.1f allocs/op, want 0", avg)
 	}
 }
 
@@ -126,7 +104,7 @@ func TestRequestV2RoundTripAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if avg != 0 {
-		t.Errorf("V2 request encode+decode: %.1f allocs/op, want 0", avg)
+		t.Errorf("traced scan request encode+decode: %.1f allocs/op, want 0", avg)
 	}
 }
 
@@ -163,7 +141,7 @@ func TestResponseVarRoundTripAllocs(t *testing.T) {
 
 func TestReadFrameSteadyStateAllocs(t *testing.T) {
 	skipIfRace(t)
-	frame, err := wire.AppendRequest(nil, benchOps(64))
+	frame, err := wire.AppendRequestV2(nil, benchOps(64), wire.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,15 +7,17 @@ import (
 )
 
 // FuzzDecodeFrame feeds arbitrary byte streams through the full read
-// path (ReadFrame, then both decoders). The decoders must never panic
+// path (ReadFrame, then every decoder). The decoders must never panic
 // or hand back more records than the payload can hold; whatever they
-// accept must re-encode to the identical payload.
+// accept must re-encode to the identical payload. Seeds 1 and 3-5 are
+// well-formed frames of the retired request encodings (type bytes 1
+// and 3), which must now be rejected.
 func FuzzDecodeFrame(f *testing.F) {
-	seed1, _ := AppendRequest(nil, []Op{{ID: 1, Kind: Add, Key: 7}, {ID: 2, Kind: Remove, Key: -7}})
+	seed1 := retiredRequest(1, []Op{{ID: 1, Kind: Add, Key: 7}, {ID: 2, Kind: Remove, Key: -7}})
 	seed2, _ := AppendResponse(nil, []Result{{ID: 3, Status: StatusOK, OK: true, Value: 9}})
-	seed3, _ := AppendRequest(nil, nil)
-	seed4, _ := AppendRequestTraced(nil, []Op{{ID: 4, Kind: Contains, Key: 11}}, TraceContext{TraceID: 0xfeedface, Sampled: true})
-	seed5, _ := AppendRequestTraced(nil, nil, TraceContext{TraceID: 1})
+	seed3 := retiredRequest(1, nil)
+	seed4 := retiredRequest(3, []Op{{ID: 4, Kind: Contains, Key: 11}})
+	seed5 := retiredRequest(3, nil)
 	seed6, _ := AppendRequestV2(nil, []Op{
 		{ID: 5, Kind: RangeScan, Key: 3, Hi: 900, Limit: 32},
 		{ID: 6, Kind: PopMin},
@@ -36,9 +38,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(seed8)
 	f.Add(seed9)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte{3, 0, 0, 0, FrameRequest, 0, 0})
-	// Traced frame with zero trace id: well-framed but non-canonical.
-	f.Add([]byte{12, 0, 0, 0, FrameRequestTraced, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{3, 0, 0, 0, 1, 0, 0})
+	// Sampled flag on a zero trace id: well-framed but non-canonical.
+	f.Add([]byte{12, 0, 0, 0, FrameRequestV2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1})
 	// Var response declaring one record but carrying no body: truncated.
 	f.Add([]byte{3, 0, 0, 0, FrameResponseVar, 1, 0})
 
@@ -47,30 +49,13 @@ func FuzzDecodeFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if ops, err := DecodeRequest(payload, nil); err == nil {
-			re, err := AppendRequest(nil, ops)
+		if ops, tc, err := DecodeRequestAny(payload, nil); err == nil {
+			re, err := AppendRequestV2(nil, ops, tc)
 			if err != nil {
 				t.Fatalf("accepted frame fails to re-encode: %v", err)
 			}
 			if !bytes.Equal(re[4:], payload) {
 				t.Fatalf("request round-trip mismatch:\n in: %x\nout: %x", payload, re[4:])
-			}
-		}
-		if ops, tc, err := DecodeRequestAny(payload, nil); err == nil {
-			var re []byte
-			switch payload[0] {
-			case FrameRequestV2:
-				re, err = AppendRequestV2(nil, ops, tc)
-			case FrameRequestTraced:
-				re, err = AppendRequestTraced(nil, ops, tc)
-			default:
-				re, err = AppendRequest(nil, ops)
-			}
-			if err != nil {
-				t.Fatalf("accepted frame fails to re-encode: %v", err)
-			}
-			if !bytes.Equal(re[4:], payload) {
-				t.Fatalf("request-any round-trip mismatch:\n in: %x\nout: %x", payload, re[4:])
 			}
 		}
 		if results, err := DecodeResponse(payload, nil); err == nil {
@@ -110,7 +95,7 @@ func FuzzRequestRoundTrip(f *testing.F) {
 			{ID: id1, Kind: OpKind(k1), Key: key1},
 			{ID: id2, Kind: OpKind(k2), Key: key2},
 		}
-		buf, err := AppendRequest(nil, ops)
+		buf, err := AppendRequestV2(nil, ops, TraceContext{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +103,7 @@ func FuzzRequestRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeRequest(payload, nil)
+		got, _, err := DecodeRequestAny(payload, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,23 +12,21 @@
 //	uint32  payload length (bytes that follow; ≤ MaxPayload)
 //	uint8   frame type
 //	uint16  record count (≤ MaxOpsPerFrame)
-//	...     trace context (FrameRequestTraced, FrameRequestV2): trace id uint64 | flags uint8
+//	...     trace context (requests only): trace id uint64 | flags uint8
 //	...     count records
 //
-// Request record (17 bytes):     id uint64 | kind uint8 | key int64
-// Request V2 record (27 bytes):  id uint64 | kind uint8 | key int64 | hi int64 | limit uint16
+// Request record (27 bytes):     id uint64 | kind uint8 | key int64 | hi int64 | limit uint16
 // Response record (18 bytes):    id uint64 | status uint8 | ok uint8 | value int64
 // Var response record (20+8n):   id uint64 | status uint8 | ok uint8 | value int64 |
 //
 //	nvals uint16 | nvals × int64
 //
-// The fixed-size frames (FrameRequest/FrameRequestTraced/FrameResponse)
-// are the point-op fast path and carry only Kind+Key per op. Ordered
-// operations (RangeScan/Pred/Succ/PopMin/PopMax) need the extra lo..hi
-// bound and result cardinality, so batches containing them travel in
-// FrameRequestV2 (which always carries a trace-context slot; the zero
-// trace id means untraced) and come back in FrameResponseVar, whose
-// records are count-prefixed and variable-length.
+// There is one request frame (FrameRequestV2): every request carries a
+// trace-context slot (the zero trace id means untraced) and every op
+// record carries the Hi bound and result Limit, which point ops leave
+// zero. Results that carry values (range scans) come back in
+// FrameResponseVar, whose records are count-prefixed and
+// variable-length; all others travel in the fixed-size FrameResponse.
 //
 // Request ids are chosen by the client and echoed verbatim; the server
 // never interprets them beyond matching a result to its op. Decoding
@@ -92,8 +90,7 @@ const NumKinds = int(numKinds)
 func (k OpKind) Valid() bool { return k < numKinds }
 
 // Ordered reports whether k is an ordered-structure operation: one
-// that needs the V2 request encoding (Hi/Limit) or returns
-// variable-length results.
+// served only by structures that keep their keys sorted.
 func (k OpKind) Ordered() bool { return k >= RangeScan && k < numKinds }
 
 // Mutating reports whether k can change structure state. Only mutating
@@ -166,22 +163,14 @@ func (s Status) String() string {
 	return fmt.Sprintf("Status(%d)", uint8(s))
 }
 
-// Frame types.
+// Frame types. Values 1 and 3 named two retired request encodings and
+// decode as ErrMalformed.
 const (
-	FrameRequest  uint8 = 1
 	FrameResponse uint8 = 2
-	// FrameRequestTraced is a request frame carrying a trace context
-	// (trace ID + flags) between the record count and the records, so
-	// clients can originate distributed traces that the server's span
-	// recorder picks up. Encoding is canonical: a traced frame with a
-	// zero trace ID or undefined flag bits is rejected — trace-less
-	// requests must use FrameRequest.
-	FrameRequestTraced uint8 = 3
-	// FrameRequestV2 is the extended request frame for batches carrying
-	// ordered ops: 27-byte records with the Hi bound and result Limit,
-	// plus an always-present trace-context slot (trace id 0 = untraced;
-	// a set sampled bit with a zero id is rejected, so every accepted
-	// payload re-encodes byte-identically).
+	// FrameRequestV2 is the request frame: a trace-context slot (trace
+	// id 0 = untraced; a set sampled bit with a zero id is rejected, so
+	// every accepted payload re-encodes byte-identically) followed by
+	// 27-byte op records.
 	FrameRequestV2 uint8 = 4
 	// FrameResponseVar is the variable-length response frame: each
 	// record carries a uint16 value count followed by that many int64
@@ -192,19 +181,17 @@ const (
 )
 
 // TraceContext is the per-frame trace context a client attaches to a
-// traced request frame. The zero TraceContext means "no trace".
+// request frame, so clients can originate distributed traces that the
+// server's span recorder picks up. The zero TraceContext means "no
+// trace".
 type TraceContext struct {
-	// TraceID identifies the trace. Zero is reserved for "no trace"
-	// and is not encodable.
+	// TraceID identifies the trace. Zero is reserved for "no trace".
 	TraceID uint64
 	// Sampled asks the server to record a span breakdown for every
 	// operation in the frame. An unsampled context still propagates
 	// the ID (for log correlation) without span cost.
 	Sampled bool
 }
-
-// Valid reports whether tc can be carried on the wire.
-func (tc TraceContext) Valid() bool { return tc.TraceID != 0 }
 
 // flags encodes the context's flag byte (bit 0 = sampled; the rest
 // must be zero).
@@ -218,8 +205,8 @@ func (tc TraceContext) flags() byte {
 // Op is one client operation. For Enqueue/Push, Key is the value; for
 // Dequeue/Pop it is ignored. For RangeScan, Key is the inclusive lower
 // bound, Hi the exclusive upper bound, and Limit caps the result
-// cardinality (0 = server default). Hi and Limit travel only in
-// FrameRequestV2; the fixed-size encoders reject ops that set them.
+// cardinality (0 = server default); every other kind leaves Hi and
+// Limit zero.
 type Op struct {
 	ID    uint64
 	Kind  OpKind
@@ -244,12 +231,10 @@ type Result struct {
 
 // Record and frame size constants.
 const (
-	opSize      = 8 + 1 + 8         // id, kind, key
-	opV2Size    = 8 + 1 + 8 + 8 + 2 // id, kind, key, hi, limit
-	resultSize  = 8 + 1 + 1 + 8     // id, status, ok, value
-	varBaseSize = resultSize + 2    // fixed prefix of a var record (before the values)
-	headerSize  = 1 + 2             // type, count
-	traceSize   = 8 + 1             // trace id, flags (traced and V2 requests)
+	resultSize  = 8 + 1 + 1 + 8  // id, status, ok, value
+	varBaseSize = resultSize + 2 // fixed prefix of a var record (before the values)
+	headerSize  = 1 + 2          // type, count
+	traceSize   = 8 + 1          // trace id, flags (every request frame)
 
 	// maxValsPerRecord is what the uint16 count prefix can express.
 	maxValsPerRecord = 1<<16 - 1
@@ -262,7 +247,7 @@ const (
 	// AppendOp — the same 27-byte layout FrameRequestV2 carries.
 	// Exported so other framings (the WAL's batch records) can size
 	// buffers and index records without re-deriving the layout.
-	OpRecordSize = opV2Size
+	OpRecordSize = 8 + 1 + 8 + 8 + 2 // id, kind, key, hi, limit
 
 	// MaxScanLimit is the largest result cardinality the server will
 	// serve for one RangeScan; a request Limit of 0 (or anything
@@ -295,12 +280,9 @@ var (
 	// ErrTooManyOps: an encoder was handed more than MaxOpsPerFrame
 	// records.
 	ErrTooManyOps = errors.New("wire: too many records for one frame")
-	// ErrBadTrace: an encoder was handed an invalid (zero-ID) trace
-	// context for a traced frame.
-	ErrBadTrace = errors.New("wire: traced frame requires a nonzero trace id")
-	// ErrNeedsV2: a fixed-size request encoder was handed an op with
-	// ordered fields (Hi/Limit) that the 17-byte record cannot carry.
-	ErrNeedsV2 = errors.New("wire: op carries ordered fields; use AppendRequestV2")
+	// ErrBadTrace: the request encoder was handed a sampled trace
+	// context with a zero trace ID.
+	ErrBadTrace = errors.New("wire: sampled trace context requires a nonzero trace id")
 	// ErrNeedsVar: the fixed-size response encoder was handed a result
 	// carrying Values; use AppendResponseVar.
 	ErrNeedsVar = errors.New("wire: result carries values; use AppendResponseVar")
@@ -322,7 +304,7 @@ var (
 	errCountRange      = fmt.Errorf("%w: record count exceeds MaxOpsPerFrame", ErrMalformed)
 	errSizeMismatch    = fmt.Errorf("%w: payload size does not match the declared record count", ErrMalformed)
 	errBadTraceFlags   = fmt.Errorf("%w: trace flags byte must be 0 or 1", ErrMalformed)
-	errZeroTraceID     = fmt.Errorf("%w: traced frame with zero trace id", ErrMalformed)
+	errZeroTraceID     = fmt.Errorf("%w: sampled frame with zero trace id", ErrMalformed)
 	errBadStatus       = fmt.Errorf("%w: undefined status byte", ErrMalformed)
 	errBadOKByte       = fmt.Errorf("%w: ok byte must be 0 or 1", ErrMalformed)
 	errVarTruncated    = fmt.Errorf("%w: variable record truncated", ErrMalformed)
@@ -368,66 +350,12 @@ func DecodeOp(b []byte) (Op, error) {
 	return op, nil
 }
 
-// AppendRequest appends one request frame carrying ops to buf and
-// returns the extended slice. len(ops) must be in [0, MaxOpsPerFrame].
-// Zero-alloc when buf has capacity: clients reuse one buffer per
-// connection.
-//
-//pimvet:allocfree //pimvet:nonblocking
-func AppendRequest(buf []byte, ops []Op) ([]byte, error) {
-	if len(ops) > MaxOpsPerFrame {
-		return buf, ErrTooManyOps
-	}
-	for _, op := range ops {
-		if op.Hi != 0 || op.Limit != 0 {
-			return buf, ErrNeedsV2
-		}
-	}
-	payload := headerSize + len(ops)*opSize
-	buf = appendFrameHeader(buf, payload, FrameRequest, len(ops))
-	for _, op := range ops {
-		buf = binary.LittleEndian.AppendUint64(buf, op.ID)
-		buf = append(buf, byte(op.Kind))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(op.Key))
-	}
-	return buf, nil
-}
-
-// AppendRequestTraced appends one traced request frame carrying ops and
-// the trace context tc to buf. tc must be Valid (nonzero trace ID);
-// callers without a trace use AppendRequest.
-//
-//pimvet:allocfree //pimvet:nonblocking
-func AppendRequestTraced(buf []byte, ops []Op, tc TraceContext) ([]byte, error) {
-	if len(ops) > MaxOpsPerFrame {
-		return buf, ErrTooManyOps
-	}
-	if !tc.Valid() {
-		return buf, ErrBadTrace
-	}
-	for _, op := range ops {
-		if op.Hi != 0 || op.Limit != 0 {
-			return buf, ErrNeedsV2
-		}
-	}
-	payload := headerSize + traceSize + len(ops)*opSize
-	buf = appendFrameHeader(buf, payload, FrameRequestTraced, len(ops))
-	buf = binary.LittleEndian.AppendUint64(buf, tc.TraceID)
-	buf = append(buf, tc.flags())
-	for _, op := range ops {
-		buf = binary.LittleEndian.AppendUint64(buf, op.ID)
-		buf = append(buf, byte(op.Kind))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(op.Key))
-	}
-	return buf, nil
-}
-
-// AppendRequestV2 appends one extended request frame carrying ops and
-// the (possibly zero) trace context tc. The V2 record carries the
-// ordered fields (Hi, Limit) every fixed record drops, so batches
-// containing ordered ops must travel here. A zero tc encodes as trace
-// id 0 ("untraced"); a sampled context with a zero id is rejected so
-// decode/re-encode stays canonical. Zero-alloc when buf has capacity.
+// AppendRequestV2 appends one request frame carrying ops and the
+// (possibly zero) trace context tc to buf and returns the extended
+// slice. len(ops) must be in [0, MaxOpsPerFrame]. A zero tc encodes as
+// trace id 0 ("untraced"); a sampled context with a zero id is rejected
+// so decode/re-encode stays canonical. Zero-alloc when buf has
+// capacity: clients reuse one buffer per connection.
 //
 //pimvet:allocfree //pimvet:nonblocking
 func AppendRequestV2(buf []byte, ops []Op, tc TraceContext) ([]byte, error) {
@@ -437,7 +365,7 @@ func AppendRequestV2(buf []byte, ops []Op, tc TraceContext) ([]byte, error) {
 	if tc.TraceID == 0 && tc.Sampled {
 		return buf, ErrBadTrace
 	}
-	payload := headerSize + traceSize + len(ops)*opV2Size
+	payload := headerSize + traceSize + len(ops)*OpRecordSize
 	buf = appendFrameHeader(buf, payload, FrameRequestV2, len(ops))
 	buf = binary.LittleEndian.AppendUint64(buf, tc.TraceID)
 	buf = append(buf, tc.flags())
@@ -625,81 +553,20 @@ func unexpectedEOF(err error) error {
 	return err
 }
 
-// DecodeRequest decodes a request-frame payload (as returned by
-// ReadFrame), appending the ops to dst. Kinds are not validated here —
-// the server answers undefined kinds with StatusBadKind rather than
-// tearing down the connection. Zero-alloc when dst has capacity.
-//
-//pimvet:allocfree //pimvet:nonblocking
-func DecodeRequest(payload []byte, dst []Op) ([]Op, error) {
-	body, count, err := checkHeader(payload, FrameRequest, opSize)
-	if err != nil {
-		return dst, err
-	}
-	for i := 0; i < count; i++ {
-		rec := body[i*opSize:]
-		dst = append(dst, Op{
-			ID:   binary.LittleEndian.Uint64(rec),
-			Kind: OpKind(rec[8]),
-			Key:  int64(binary.LittleEndian.Uint64(rec[9:])),
-		})
-	}
-	return dst, nil
-}
-
-// DecodeRequestAny decodes a request-frame payload of any request
-// type, returning the ops and the frame's trace context (the zero
-// TraceContext for plain FrameRequest). Traced frames are validated
-// strictly: a zero trace ID or undefined flag bits is ErrMalformed, so
+// DecodeRequestAny decodes a request-frame payload (as returned by
+// ReadFrame), appending the ops to dst and returning the frame's trace
+// context (trace id 0 with a zero flags byte means untraced). Kinds are
+// not validated here — the server answers undefined kinds with
+// StatusBadKind rather than tearing down the connection. Everything
+// else is strict: any frame type but FrameRequestV2, undefined flag
+// bits, or a sampled flag with a zero trace id is ErrMalformed, so
 // every accepted payload re-encodes byte-identically. Zero-alloc when
 // dst has capacity: this is the server reader goroutine's per-frame
 // fast path.
 //
 //pimvet:allocfree //pimvet:nonblocking
 func DecodeRequestAny(payload []byte, dst []Op) ([]Op, TraceContext, error) {
-	if len(payload) >= 1 && payload[0] == FrameRequest {
-		ops, err := DecodeRequest(payload, dst)
-		return ops, TraceContext{}, err
-	}
-	if len(payload) >= 1 && payload[0] == FrameRequestV2 {
-		return DecodeRequestV2(payload, dst)
-	}
-	body, count, err := checkHeaderSized(payload, FrameRequestTraced, opSize, traceSize)
-	if err != nil {
-		return dst, TraceContext{}, err
-	}
-	tc := TraceContext{TraceID: binary.LittleEndian.Uint64(body)}
-	switch body[8] {
-	case 0:
-	case 1:
-		tc.Sampled = true
-	default:
-		return dst, TraceContext{}, errBadTraceFlags
-	}
-	if tc.TraceID == 0 {
-		return dst, TraceContext{}, errZeroTraceID
-	}
-	body = body[traceSize:]
-	for i := 0; i < count; i++ {
-		rec := body[i*opSize:]
-		dst = append(dst, Op{
-			ID:   binary.LittleEndian.Uint64(rec),
-			Kind: OpKind(rec[8]),
-			Key:  int64(binary.LittleEndian.Uint64(rec[9:])),
-		})
-	}
-	return dst, tc, nil
-}
-
-// DecodeRequestV2 decodes an extended request-frame payload, appending
-// the ops (with their Hi/Limit fields) to dst. The trace-context slot
-// is always present: trace id 0 with a zero flags byte means untraced;
-// a sampled flag with a zero id is ErrMalformed, keeping accepted
-// payloads canonical. Zero-alloc when dst has capacity.
-//
-//pimvet:allocfree //pimvet:nonblocking
-func DecodeRequestV2(payload []byte, dst []Op) ([]Op, TraceContext, error) {
-	body, count, err := checkHeaderSized(payload, FrameRequestV2, opV2Size, traceSize)
+	body, count, err := checkHeader(payload, FrameRequestV2, OpRecordSize, traceSize)
 	if err != nil {
 		return dst, TraceContext{}, err
 	}
@@ -716,7 +583,7 @@ func DecodeRequestV2(payload []byte, dst []Op) ([]Op, TraceContext, error) {
 	}
 	body = body[traceSize:]
 	for i := 0; i < count; i++ {
-		rec := body[i*opV2Size:]
+		rec := body[i*OpRecordSize:]
 		dst = append(dst, Op{
 			ID:    binary.LittleEndian.Uint64(rec),
 			Kind:  OpKind(rec[8]),
@@ -736,7 +603,7 @@ func DecodeRequestV2(payload []byte, dst []Op) ([]Op, TraceContext, error) {
 //
 //pimvet:allocfree //pimvet:nonblocking
 func DecodeResponse(payload []byte, dst []Result) ([]Result, error) {
-	body, count, err := checkHeader(payload, FrameResponse, resultSize)
+	body, count, err := checkHeader(payload, FrameResponse, resultSize, 0)
 	if err != nil {
 		return dst, err
 	}
@@ -838,19 +705,12 @@ func DecodeResponseAny(payload []byte, dst []Result, vals []int64) ([]Result, []
 }
 
 // checkHeader validates the frame type and that the payload length
-// matches the declared record count exactly.
-//
-//pimvet:allocfree //pimvet:nonblocking
-func checkHeader(payload []byte, wantType uint8, recSize int) (body []byte, count int, err error) {
-	return checkHeaderSized(payload, wantType, recSize, 0)
-}
-
-// checkHeaderSized is checkHeader for frame types carrying extra bytes
-// of fixed-size per-frame state (the trace context) before the records;
+// matches the declared record count exactly. extra is the size of the
+// fixed per-frame state (the request trace context) before the records;
 // the returned body starts at that state.
 //
 //pimvet:allocfree //pimvet:nonblocking
-func checkHeaderSized(payload []byte, wantType uint8, recSize, extra int) (body []byte, count int, err error) {
+func checkHeader(payload []byte, wantType uint8, recSize, extra int) (body []byte, count int, err error) {
 	if len(payload) < headerSize {
 		return nil, 0, errTruncatedHeader
 	}

@@ -16,7 +16,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		{ID: math.MaxUint64, Kind: Pop, Key: math.MaxInt64},
 		{ID: 42, Kind: Enqueue, Key: math.MinInt64},
 	}
-	buf, err := AppendRequest(nil, ops)
+	buf, err := AppendRequestV2(nil, ops, TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,9 +24,12 @@ func TestRequestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeRequest(payload, nil)
+	got, tc, err := DecodeRequestAny(payload, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if tc != (TraceContext{}) {
+		t.Errorf("untraced frame produced trace context %+v", tc)
 	}
 	if len(got) != len(ops) {
 		t.Fatalf("decoded %d ops, want %d", len(got), len(ops))
@@ -96,6 +99,7 @@ func TestRequestV2RoundTrip(t *testing.T) {
 		{},
 		{TraceID: 99},
 		{TraceID: 0xfeed, Sampled: true},
+		{TraceID: math.MaxUint64, Sampled: true},
 	} {
 		buf, err := AppendRequestV2(nil, ops, tc)
 		if err != nil {
@@ -132,17 +136,6 @@ func TestRequestV2RoundTrip(t *testing.T) {
 }
 
 func TestFixedEncodersRejectOrderedFields(t *testing.T) {
-	ops := []Op{{ID: 1, Kind: RangeScan, Key: 1, Hi: 10}}
-	if _, err := AppendRequest(nil, ops); !errors.Is(err, ErrNeedsV2) {
-		t.Errorf("AppendRequest with Hi: got %v, want ErrNeedsV2", err)
-	}
-	if _, err := AppendRequestTraced(nil, ops, TraceContext{TraceID: 1}); !errors.Is(err, ErrNeedsV2) {
-		t.Errorf("AppendRequestTraced with Hi: got %v, want ErrNeedsV2", err)
-	}
-	limited := []Op{{ID: 1, Kind: RangeScan, Key: 1, Limit: 5}}
-	if _, err := AppendRequest(nil, limited); !errors.Is(err, ErrNeedsV2) {
-		t.Errorf("AppendRequest with Limit: got %v, want ErrNeedsV2", err)
-	}
 	if _, err := AppendResponse(nil, []Result{{ID: 1, Values: []int64{}}}); !errors.Is(err, ErrNeedsVar) {
 		t.Errorf("AppendResponse with Values: got %v, want ErrNeedsVar", err)
 	}
@@ -168,7 +161,7 @@ func TestRequestV2CanonicalTraceSlot(t *testing.T) {
 		t.Fatalf("sampled zero-id V2 frame: got %v, want ErrMalformed", err)
 	}
 	// Undefined flag bits are rejected.
-	for _, flags := range []byte{2, 0x80, 0xff} {
+	for _, flags := range []byte{2, 3, 0x80, 0xff} {
 		bad := append([]byte(nil), payload...)
 		bad[11] = flags
 		if _, _, err := DecodeRequestAny(bad, nil); !errors.Is(err, ErrMalformed) {
@@ -341,113 +334,8 @@ func TestArenaReuseAcrossDecodes(t *testing.T) {
 	}
 }
 
-func TestTracedRequestRoundTrip(t *testing.T) {
-	ops := []Op{
-		{ID: 1, Kind: Add, Key: 5},
-		{ID: 2, Kind: Contains, Key: -9},
-	}
-	for _, tc := range []TraceContext{
-		{TraceID: 1, Sampled: false},
-		{TraceID: math.MaxUint64, Sampled: true},
-		{TraceID: 0xdeadbeefcafe, Sampled: true},
-	} {
-		buf, err := AppendRequestTraced(nil, ops, tc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload, err := ReadFrame(bytes.NewReader(buf), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, gotTC, err := DecodeRequestAny(payload, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotTC != tc {
-			t.Errorf("trace context: got %+v, want %+v", gotTC, tc)
-		}
-		if len(got) != len(ops) {
-			t.Fatalf("decoded %d ops, want %d", len(got), len(ops))
-		}
-		for i := range ops {
-			if got[i] != ops[i] {
-				t.Errorf("op %d: got %+v, want %+v", i, got[i], ops[i])
-			}
-		}
-		// A traced frame must not decode through the plain path.
-		if _, err := DecodeRequest(payload, nil); !errors.Is(err, ErrMalformed) {
-			t.Errorf("plain DecodeRequest accepted a traced frame: %v", err)
-		}
-	}
-}
-
-func TestDecodeRequestAnyAcceptsPlainFrames(t *testing.T) {
-	buf, err := AppendRequest(nil, []Op{{ID: 3, Kind: Remove, Key: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := ReadFrame(bytes.NewReader(buf), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops, tc, err := DecodeRequestAny(payload, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tc.Valid() {
-		t.Errorf("plain frame produced trace context %+v", tc)
-	}
-	if len(ops) != 1 || ops[0].ID != 3 {
-		t.Fatalf("got %+v", ops)
-	}
-}
-
-func TestTracedRequestCanonicalEncoding(t *testing.T) {
-	// Zero trace id is not encodable.
-	if _, err := AppendRequestTraced(nil, nil, TraceContext{}); !errors.Is(err, ErrBadTrace) {
-		t.Fatalf("zero trace id: got %v, want ErrBadTrace", err)
-	}
-	// Zero trace id on the wire is rejected.
-	buf, err := AppendRequestTraced(nil, nil, TraceContext{TraceID: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := ReadFrame(bytes.NewReader(buf), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zeroed := append([]byte(nil), payload...)
-	for i := 3; i < 11; i++ {
-		zeroed[i] = 0
-	}
-	if _, _, err := DecodeRequestAny(zeroed, nil); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("zero trace id on the wire: got %v, want ErrMalformed", err)
-	}
-	// Undefined flag bits are rejected.
-	for _, flags := range []byte{2, 3, 0x80, 0xff} {
-		bad := append([]byte(nil), payload...)
-		bad[11] = flags
-		if _, _, err := DecodeRequestAny(bad, nil); !errors.Is(err, ErrMalformed) {
-			t.Fatalf("flags %#x: got %v, want ErrMalformed", flags, err)
-		}
-	}
-	// Too many ops is rejected at encode time.
-	ops := make([]Op, MaxOpsPerFrame+1)
-	if _, err := AppendRequestTraced(nil, ops, TraceContext{TraceID: 1}); !errors.Is(err, ErrTooManyOps) {
-		t.Fatalf("got %v, want ErrTooManyOps", err)
-	}
-	// A max-size traced frame stays within MaxPayload.
-	full, err := AppendRequestTraced(nil, make([]Op, MaxOpsPerFrame), TraceContext{TraceID: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFrame(bytes.NewReader(full), nil); err != nil {
-		t.Fatalf("max traced frame: %v", err)
-	}
-}
-
 func TestEmptyFrames(t *testing.T) {
-	buf, err := AppendRequest(nil, nil)
+	buf, err := AppendRequestV2(nil, nil, TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +343,7 @@ func TestEmptyFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops, err := DecodeRequest(payload, nil)
+	ops, _, err := DecodeRequestAny(payload, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +356,7 @@ func TestMultipleFramesOneStream(t *testing.T) {
 	var stream []byte
 	var err error
 	for i := 0; i < 10; i++ {
-		stream, err = AppendRequest(stream, []Op{{ID: uint64(i), Kind: Add, Key: int64(i)}})
+		stream, err = AppendRequestV2(stream, []Op{{ID: uint64(i), Kind: Add, Key: int64(i)}}, TraceContext{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -481,7 +369,7 @@ func TestMultipleFramesOneStream(t *testing.T) {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		buf = payload[:0]
-		ops, err := DecodeRequest(payload, nil)
+		ops, _, err := DecodeRequestAny(payload, nil)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -495,7 +383,7 @@ func TestMultipleFramesOneStream(t *testing.T) {
 }
 
 func TestReadFrameTruncated(t *testing.T) {
-	full, err := AppendRequest(nil, []Op{{ID: 1, Kind: Add, Key: 2}})
+	full, err := AppendRequestV2(nil, []Op{{ID: 1, Kind: Add, Key: 2}}, TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +421,7 @@ func TestReadFrameRejectsUndersizedLength(t *testing.T) {
 }
 
 func TestDecodeRejectsCountMismatch(t *testing.T) {
-	buf, err := AppendRequest(nil, []Op{{ID: 1, Kind: Add, Key: 2}})
+	buf, err := AppendRequestV2(nil, []Op{{ID: 1, Kind: Add, Key: 2}}, TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,9 +431,26 @@ func TestDecodeRejectsCountMismatch(t *testing.T) {
 	}
 	// Inflate the declared count without adding bytes.
 	binary.LittleEndian.PutUint16(payload[1:], 2)
-	if _, err := DecodeRequest(payload, nil); !errors.Is(err, ErrMalformed) {
+	if _, _, err := DecodeRequestAny(payload, nil); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("got %v, want ErrMalformed", err)
 	}
+}
+
+// retiredRequest frames ops the way the two retired request encodings
+// did — 17-byte records (id | kind | key), preceded by a trace context
+// for type 3 — so tests can show well-formed old traffic is rejected.
+func retiredRequest(typ uint8, ops []Op) []byte {
+	var body []byte
+	if typ == 3 {
+		body = binary.LittleEndian.AppendUint64(body, 0xfeedface)
+		body = append(body, 1)
+	}
+	for _, op := range ops {
+		body = binary.LittleEndian.AppendUint64(body, op.ID)
+		body = append(body, byte(op.Kind))
+		body = binary.LittleEndian.AppendUint64(body, uint64(op.Key))
+	}
+	return append(appendFrameHeader(nil, headerSize+len(body), typ, len(ops)), body...)
 }
 
 func TestDecodeRejectsWrongFrameType(t *testing.T) {
@@ -557,14 +462,27 @@ func TestDecodeRejectsWrongFrameType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeRequest(payload, nil); !errors.Is(err, ErrMalformed) {
+	if _, _, err := DecodeRequestAny(payload, nil); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("decoding a response as a request: got %v, want ErrMalformed", err)
+	}
+	// Type bytes 1 and 3 are retired: frames well-formed under the old
+	// layouts are rejected, whatever their record count.
+	for _, typ := range []uint8{1, 3} {
+		for _, ops := range [][]Op{nil, {{ID: 1, Kind: Add, Key: 2}}, {{ID: 1, Kind: Add, Key: 2}, {ID: 2, Kind: Remove, Key: -7}}} {
+			payload, err := ReadFrame(bytes.NewReader(retiredRequest(typ, ops)), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _, err := DecodeRequestAny(payload, nil); !errors.Is(err, ErrMalformed) || len(got) != 0 {
+				t.Errorf("retired type %d, %d ops: got %d ops, err %v; want ErrMalformed", typ, len(ops), len(got), err)
+			}
+		}
 	}
 }
 
 func TestEncodeRejectsTooManyOps(t *testing.T) {
 	ops := make([]Op, MaxOpsPerFrame+1)
-	if _, err := AppendRequest(nil, ops); !errors.Is(err, ErrTooManyOps) {
+	if _, err := AppendRequestV2(nil, ops, TraceContext{TraceID: 1}); !errors.Is(err, ErrTooManyOps) {
 		t.Fatalf("got %v, want ErrTooManyOps", err)
 	}
 	results := make([]Result, MaxOpsPerFrame+1)
@@ -578,7 +496,7 @@ func TestMaxOpsFrameRoundTrips(t *testing.T) {
 	for i := range ops {
 		ops[i] = Op{ID: uint64(i), Kind: OpKind(i % int(numKinds)), Key: int64(i * 31)}
 	}
-	buf, err := AppendRequest(nil, ops)
+	buf, err := AppendRequestV2(nil, ops, TraceContext{TraceID: 7, Sampled: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,7 +504,7 @@ func TestMaxOpsFrameRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeRequest(payload, nil)
+	got, _, err := DecodeRequestAny(payload, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
