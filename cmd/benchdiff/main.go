@@ -24,7 +24,7 @@ import (
 )
 
 func main() {
-	threshold := flag.Float64("threshold", 10, "relative change (percent) beyond which a cell is flagged")
+	threshold := flag.Float64("threshold", 10, "relative change (percent) beyond which a cell is flagged (0 = any change)")
 	allocThreshold := flag.Float64("alloc-threshold", 0, "tighter threshold (percent) for allocs/op and B/op columns (0 = same as -threshold)")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: benchdiff [-threshold pct] [-alloc-threshold pct] old.json new.json\n")

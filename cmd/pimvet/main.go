@@ -1,7 +1,7 @@
 // Command pimvet is the repo's custom static analyzer: it enforces the
 // invariants the Go compiler cannot see — simulator determinism,
-// cost-model accounting, atomics hygiene, observability safety, and
-// the allocation-free/non-blocking contracts on annotated hot paths —
+// cost-model accounting, observability safety, and the
+// allocation-free/non-blocking contracts on annotated hot paths —
 // using only the standard library's go/parser, go/types and
 // go/importer.
 //

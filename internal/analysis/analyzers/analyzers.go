@@ -6,9 +6,6 @@
 //     goroutine-schedule dependence in simulated code).
 //   - costcharge: algorithm code cannot touch vault-resident state
 //     without charging the paper's latency model.
-//   - atomichygiene: the host-side concurrent structures use sync and
-//     sync/atomic coherently (no mixed atomic/plain access, no
-//     by-value lock copies).
 //   - obssafety: observability is write-only from simulated code, so
 //     enabling metrics changes results by exactly zero.
 //   - allocfree: functions marked //pimvet:allocfree (server combiner
@@ -32,7 +29,6 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Determinism,
 		CostCharge,
-		AtomicHygiene,
 		ObsSafety,
 		AllocFree,
 		CombinerPurity,

@@ -175,7 +175,8 @@ func ParseCell(s string) (float64, bool) {
 // CompareOptions tunes Compare.
 type CompareOptions struct {
 	// ThresholdPct is the relative change (percent) beyond which a
-	// numeric cell is reported. Default 10.
+	// numeric cell is reported. Zero reports every change: the exact
+	// gate for seeded virtual-time tables that reproduce byte-for-byte.
 	ThresholdPct float64
 	// AllocThresholdPct overrides ThresholdPct for allocation columns
 	// (allocs/op, B/op). Allocation counts are far less noisy than
@@ -191,9 +192,6 @@ type CompareOptions struct {
 // checked, which is sound because the harness emits rows in a fixed
 // deterministic order.
 func Compare(old, new *Report, opt CompareOptions) []Finding {
-	if opt.ThresholdPct <= 0 {
-		opt.ThresholdPct = 10
-	}
 	var out []Finding
 	if old.Params != new.Params {
 		out = append(out, Finding{

@@ -67,6 +67,19 @@ func TestCompareCleanWithinThreshold(t *testing.T) {
 	}
 }
 
+// TestCompareZeroThresholdIsExact: threshold 0 is the exact gate CI
+// holds the seeded simulator tables to, not a request for a default.
+func TestCompareZeroThresholdIsExact(t *testing.T) {
+	old := report("10.0M", "1µs")
+	if fs := Compare(old, report("10.0M", "1µs"), CompareOptions{}); len(fs) != 0 {
+		t.Fatalf("identical reports: expected no findings, got %v", fs)
+	}
+	fs := Compare(old, report("9.9M", "1µs"), CompareOptions{}) // -1%
+	if len(fs) != 1 || fs[0].Severity != SevRegression {
+		t.Fatalf("expected one regression at threshold 0, got %v", fs)
+	}
+}
+
 func TestCompareFlagsRegressions(t *testing.T) {
 	old := report("10.0M", "1µs")
 	new := report("8.0M", "1.5µs") // -20% throughput, +50% p99

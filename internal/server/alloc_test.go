@@ -1,16 +1,18 @@
 package server
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"pimds/internal/testenv"
+	"pimds/internal/wal"
 	"pimds/internal/wire"
 )
 
 // These tests pin the //pimvet:allocfree annotations on the server's
 // combining window with the runtime's allocation counter: once the
-// shard scratch and structure free lists are warm, a combine pass over
+// pass record and structure free lists are warm, a combine pass over
 // a size-stable batch must not touch the heap — a GC pause inside
 // applyBatch stalls every published op on the shard.
 
@@ -24,72 +26,125 @@ func skipIfRace(t *testing.T) {
 // steadyBatch builds Remove→Add pairs over even keys: size-stable
 // against a list preloaded with the same keys, so node free lists
 // recycle perfectly.
-func steadyBatch(n int) []pendingOp {
-	batch := make([]pendingOp, 0, 2*n)
+func steadyBatch(n int) []wire.Op {
+	ops := make([]wire.Op, 0, 2*n)
 	for i := 0; i < n; i++ {
 		k := int64(2 * i)
-		batch = append(batch,
-			pendingOp{op: wire.Op{ID: uint64(2 * i), Kind: wire.Remove, Key: k}},
-			pendingOp{op: wire.Op{ID: uint64(2*i + 1), Kind: wire.Add, Key: k}},
+		ops = append(ops,
+			wire.Op{ID: uint64(2 * i), Kind: wire.Remove, Key: k},
+			wire.Op{ID: uint64(2*i + 1), Kind: wire.Add, Key: k},
 		)
 	}
-	return batch
+	return ops
+}
+
+// pinRig is a one-shard server around a fresh backend, with the pass
+// record New would have preallocated for it already gathered with ops.
+func pinRig(t *testing.T, structure string, durable bool, ops []wire.Op) (*Server, *pass) {
+	t.Helper()
+	be, err := newBackend(structure, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &Server{cfg: Config{}.withDefaults(), epoch: time.Now()}
+	ps := newPass(&shard{be: be}, durable)
+	ps.ops = append(ps.ops, ops...)
+	ps.from = ps.from[:len(ops)]
+	return s, ps
+}
+
+// preloadEven adds the even keys below 2n, so removals in a steady
+// batch always find their node.
+func preloadEven(be backend, n int) {
+	pre := make([]wire.Op, n)
+	for i := range pre {
+		pre[i] = wire.Op{Kind: wire.Add, Key: int64(2 * i)}
+	}
+	be.ApplyBatch(pre, make([]wire.Result, n), nil)
+}
+
+// pinApply warms the pass and the structure's free lists, then pins
+// applyBatch on the same pass at 0 allocs/op and checks every status.
+func pinApply(t *testing.T, s *Server, ps *pass) {
+	t.Helper()
+	s.applyBatch(ps)
+	avg := testing.AllocsPerRun(100, func() {
+		s.applyBatch(ps)
+	})
+	if avg != 0 {
+		t.Errorf("applyBatch steady state: %.1f allocs/op, want 0", avg)
+	}
+	for i := range ps.ops {
+		if ps.results[i].Status != wire.StatusOK {
+			t.Fatalf("op %d: status %v", i, ps.results[i].Status)
+		}
+	}
 }
 
 func TestApplyBatchAllocs(t *testing.T) {
 	skipIfRace(t)
 	for _, structure := range []string{StructList, StructQueue, StructStack} {
 		t.Run(structure, func(t *testing.T) {
-			be, err := newBackend(structure, 0, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := &Server{cfg: Config{}.withDefaults(), epoch: time.Now()}
-			sh := &shard{
-				be:      be,
-				batch:   make([]pendingOp, 0, wire.MaxOpsPerFrame),
-				ops:     make([]wire.Op, 0, wire.MaxOpsPerFrame),
-				results: make([]wire.Result, wire.MaxOpsPerFrame),
-			}
+			var ops []wire.Op
 			switch structure {
 			case StructList:
-				sh.batch = append(sh.batch, steadyBatch(64)...)
-				// Preload the even keys so removals in the steady batch
-				// always find their node.
-				pre := make([]wire.Op, 64)
-				out := make([]wire.Result, 64)
-				for i := range pre {
-					pre[i] = wire.Op{Kind: wire.Add, Key: int64(2 * i)}
-				}
-				be.ApplyBatch(pre, out, nil)
+				ops = steadyBatch(64)
 			case StructQueue:
 				for i := 0; i < 64; i++ {
-					sh.batch = append(sh.batch,
-						pendingOp{op: wire.Op{Kind: wire.Enqueue, Key: int64(i)}},
-						pendingOp{op: wire.Op{Kind: wire.Dequeue}},
-					)
+					ops = append(ops, wire.Op{Kind: wire.Enqueue, Key: int64(i)}, wire.Op{Kind: wire.Dequeue})
 				}
 			case StructStack:
 				for i := 0; i < 64; i++ {
-					sh.batch = append(sh.batch,
-						pendingOp{op: wire.Op{Kind: wire.Push, Key: int64(i)}},
-						pendingOp{op: wire.Op{Kind: wire.Pop}},
-					)
+					ops = append(ops, wire.Op{Kind: wire.Push, Key: int64(i)}, wire.Op{Kind: wire.Pop})
 				}
 			}
-			s.applyBatch(sh, false) // warm scratch and free lists
-			avg := testing.AllocsPerRun(100, func() {
-				s.applyBatch(sh, false)
-			})
-			if avg != 0 {
-				t.Errorf("applyBatch(%s) steady state: %.1f allocs/op, want 0", structure, avg)
+			s, ps := pinRig(t, structure, false, ops)
+			if structure == StructList {
+				preloadEven(ps.sh.be, 64)
 			}
-			for i := range sh.batch {
-				if sh.results[i].Status != wire.StatusOK {
-					t.Fatalf("op %d: status %v", i, sh.results[i].Status)
-				}
-			}
+			pinApply(t, s, ps)
 		})
+	}
+}
+
+// TestApplyBatchDurableAllocs pins the window with a record being
+// staged: applyBatch + stageRecord into a durable pass must not
+// allocate, and the staged bytes must decode to exactly the pass's
+// mutating ops, in pass order, under the shard's next sequence number.
+func TestApplyBatchDurableAllocs(t *testing.T) {
+	skipIfRace(t)
+	var ops, mutating []wire.Op
+	for i, op := range steadyBatch(32) {
+		ops = append(ops, op, wire.Op{ID: uint64(1000 + i), Kind: wire.Contains, Key: op.Key})
+		mutating = append(mutating, op)
+	}
+	s, ps := pinRig(t, StructList, true, ops)
+	sh := ps.sh
+	sh.idx = 3
+	preloadEven(ps.sh.be, 32)
+	pinApply(t, s, ps)
+
+	seq := sh.walSeq
+	s.applyBatch(ps)
+	rec, n, err := wal.DecodeRecord(ps.rec, nil)
+	if err != nil || n != len(ps.rec) {
+		t.Fatalf("staged record: decoded %d of %d bytes, err %v", n, len(ps.rec), err)
+	}
+	if rec.Shard != 3 || rec.Seq != seq+1 || sh.walSeq != seq+1 {
+		t.Fatalf("staged record is shard %d seq %d, shard now at seq %d; want shard 3, both at %d",
+			rec.Shard, rec.Seq, sh.walSeq, seq+1)
+	}
+	if !reflect.DeepEqual(rec.Ops, mutating) {
+		t.Fatalf("staged ops = %+v\nwant the pass's mutating ops in order: %+v", rec.Ops, mutating)
+	}
+
+	// A read-only pass stages nothing and leaves the sequence alone.
+	ps.ops = append(ps.ops[:0], wire.Op{Kind: wire.Contains, Key: 2})
+	ps.from = ps.from[:1]
+	s.applyBatch(ps)
+	if len(ps.rec) != 0 || sh.walSeq != seq+1 {
+		t.Fatalf("read-only pass staged %d bytes, seq %d; want an empty record, seq still %d",
+			len(ps.rec), sh.walSeq, seq+1)
 	}
 }
 
@@ -100,49 +155,22 @@ func TestApplyBatchAllocs(t *testing.T) {
 // per-delivery copies happen outside the pinned window.
 func TestApplyBatchOrderedAllocs(t *testing.T) {
 	skipIfRace(t)
-	be, err := newBackend(StructList, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &Server{cfg: Config{}.withDefaults(), epoch: time.Now()}
-	sh := &shard{
-		be:      be,
-		batch:   make([]pendingOp, 0, wire.MaxOpsPerFrame),
-		ops:     make([]wire.Op, 0, wire.MaxOpsPerFrame),
-		results: make([]wire.Result, wire.MaxOpsPerFrame),
-	}
-	pre := make([]wire.Op, 128)
-	out := make([]wire.Result, 128)
-	for i := range pre {
-		pre[i] = wire.Op{Kind: wire.Add, Key: int64(2 * i)}
-	}
-	be.ApplyBatch(pre, out, nil)
 	// Size-stable mix: each round pops the extremes and re-adds them,
 	// with scans and neighbor queries interleaved.
-	sh.batch = append(sh.batch,
-		pendingOp{op: wire.Op{ID: 1, Kind: wire.PopMin}},
-		pendingOp{op: wire.Op{ID: 2, Kind: wire.PopMax}},
-		pendingOp{op: wire.Op{ID: 3, Kind: wire.Add, Key: 0}},
-		pendingOp{op: wire.Op{ID: 4, Kind: wire.Add, Key: 254}},
-		pendingOp{op: wire.Op{ID: 5, Kind: wire.RangeScan, Key: 10, Hi: 90, Limit: 16}},
-		pendingOp{op: wire.Op{ID: 6, Kind: wire.Pred, Key: 100}},
-		pendingOp{op: wire.Op{ID: 7, Kind: wire.Succ, Key: 100}},
-		pendingOp{op: wire.Op{ID: 8, Kind: wire.RangeScan, Key: 100, Hi: 200, Limit: 32}},
-		pendingOp{op: wire.Op{ID: 9, Kind: wire.Contains, Key: 50}},
-	)
-	s.applyBatch(sh, false) // warm arena and sort scratch
-	avg := testing.AllocsPerRun(100, func() {
-		s.applyBatch(sh, false)
+	s, ps := pinRig(t, StructList, false, []wire.Op{
+		{ID: 1, Kind: wire.PopMin},
+		{ID: 2, Kind: wire.PopMax},
+		{ID: 3, Kind: wire.Add, Key: 0},
+		{ID: 4, Kind: wire.Add, Key: 254},
+		{ID: 5, Kind: wire.RangeScan, Key: 10, Hi: 90, Limit: 16},
+		{ID: 6, Kind: wire.Pred, Key: 100},
+		{ID: 7, Kind: wire.Succ, Key: 100},
+		{ID: 8, Kind: wire.RangeScan, Key: 100, Hi: 200, Limit: 32},
+		{ID: 9, Kind: wire.Contains, Key: 50},
 	})
-	if avg != 0 {
-		t.Errorf("ordered applyBatch steady state: %.1f allocs/op, want 0", avg)
-	}
-	for i := range sh.batch {
-		if sh.results[i].Status != wire.StatusOK {
-			t.Fatalf("op %d: status %v", i, sh.results[i].Status)
-		}
-	}
-	if n := len(sh.results[4].Values); n != 16 {
+	preloadEven(ps.sh.be, 128)
+	pinApply(t, s, ps)
+	if n := len(ps.results[4].Values); n != 16 {
 		t.Fatalf("scan returned %d values, want 16", n)
 	}
 }

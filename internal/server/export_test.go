@@ -32,3 +32,10 @@ func (s *Server) WALSeqs() []uint64 {
 	}
 	return seqs
 }
+
+// TrackedConns is the size of the live-connection set Shutdown walks.
+func (s *Server) TrackedConns() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.conns)
+}

@@ -26,23 +26,23 @@ type OpLog struct {
 // NewOpLog returns an empty log.
 func NewOpLog() *OpLog { return &OpLog{} }
 
-// record appends one applied batch. A nil log is a no-op.
-func (l *OpLog) record(batch []pendingOp, results []wire.Result, end int64) {
+// record appends one applied pass. A nil log is a no-op.
+func (l *OpLog) record(ps *pass) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for i, p := range batch {
-		res := results[i]
+	for i, in := range ps.ops {
+		res := ps.results[i]
 		op := linearize.Op{
-			Start:  p.start,
-			End:    end,
-			Client: p.conn.id,
-			Input:  p.op.Key,
+			Start:  ps.from[i].start,
+			End:    ps.end,
+			Client: ps.from[i].conn.id,
+			Input:  in.Key,
 			OK:     res.OK,
 		}
-		switch p.op.Kind {
+		switch in.Kind {
 		case wire.Contains:
 			op.Action = linearize.ActContains
 		case wire.Add:
@@ -60,13 +60,13 @@ func (l *OpLog) record(batch []pendingOp, results []wire.Result, end int64) {
 			op.Action = linearize.ActPop
 			op.Output = res.Value
 		case wire.RangeScan:
-			// p.op carries the reader-clamped Hi and Limit — the bounds
+			// in carries the reader-clamped Hi and Limit — the bounds
 			// the scan actually ran with. Outputs aliases the combiner's
 			// per-pass copy of the scan values, which is never mutated
 			// after delivery.
 			op.Action = linearize.ActScan
-			op.Input2 = p.op.Hi
-			op.Limit = int(p.op.Limit)
+			op.Input2 = in.Hi
+			op.Limit = int(in.Limit)
 			op.Output = res.Value
 			op.Outputs = res.Values
 		case wire.Pred:

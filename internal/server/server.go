@@ -59,18 +59,6 @@ type Config struct {
 	// readers (backpressure). Default 1024.
 	QueueDepth int
 
-	// BatchMax caps the operations one combiner pass executes.
-	// Default wire.MaxOpsPerFrame.
-	BatchMax int
-
-	// CombineWait is how long a combiner lingers for more operations
-	// after its greedy drain came up short of BatchMax. Zero (the
-	// default) never waits: a pass serves whatever has accumulated,
-	// which already yields batch sizes ≈ the number of concurrently
-	// publishing connections under load. Setting a small window trades
-	// latency for bigger batches on lightly loaded shards.
-	CombineWait time.Duration
-
 	// IdleTimeout closes connections with no complete frame for this
 	// long. Zero disables the deadline.
 	IdleTimeout time.Duration
@@ -107,15 +95,11 @@ type Config struct {
 
 	// WindowTick enables windowed metrics and the health engine: a
 	// dedicated ticker goroutine rotates Reg's state into tiered delta
-	// rings (obs.DefaultTiers(WindowTick) unless WindowTiers overrides)
-	// every WindowTick and re-evaluates the health rules on each
-	// rotation. Zero disables the window: /metrics/history serves an
-	// empty history and /healthz reports only drain state.
+	// rings (obs.DefaultTiers(WindowTick)) every WindowTick and
+	// re-evaluates the health rules on each rotation. Zero disables the
+	// window: /metrics/history serves an empty history and /healthz
+	// reports only drain state.
 	WindowTick time.Duration
-
-	// WindowTiers overrides the window's retention tiers. Nil selects
-	// obs.DefaultTiers(WindowTick).
-	WindowTiers []obs.Tier
 
 	// HealthRules overrides the rule set evaluated on every rotation.
 	// Nil selects DefaultHealthRules(0).
@@ -125,18 +109,18 @@ type Config struct {
 	// linearizability checking (testing/auditing only).
 	Log *OpLog
 
-	// WALDir enables durability: every combiner batch's mutating ops
+	// WALDir enables durability: every combiner pass's mutating ops
 	// are staged as one write-ahead-log record inside the combining
-	// window, and the batch's acks are released only after the record
+	// window, and the pass's acks are released only after the record
 	// is durable under the Fsync policy. On start the server restores
 	// the newest snapshot in the directory, replays the log tail, and
 	// holds /healthz at "recovering" until done. Empty disables the
 	// WAL entirely.
 	WALDir string
 
-	// Fsync selects when WAL records reach stable storage:
-	// FsyncAlways (per record), FsyncBatch (per writer pass — the
-	// default), or FsyncOff (kernel only). Meaningful only with WALDir.
+	// Fsync selects when WAL records reach stable storage: FsyncBatch
+	// (per writer pass — the default) or FsyncOff (kernel only).
+	// Meaningful only with WALDir.
 	Fsync string
 
 	// SnapshotEvery, when positive, takes a periodic snapshot of every
@@ -156,9 +140,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 1024
 	}
-	if c.BatchMax == 0 || c.BatchMax > wire.MaxOpsPerFrame {
-		c.BatchMax = wire.MaxOpsPerFrame
-	}
 	if c.WriteTimeout == 0 {
 		c.WriteTimeout = 30 * time.Second
 	}
@@ -171,12 +152,38 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// pendingOp is one published operation awaiting its combiner.
-type pendingOp struct {
-	op    wire.Op
+// origin is where one published op came from: everything its ack needs.
+type origin struct {
 	conn  *conn
 	start int64 // ns since server epoch, stamped at decode
 	sp    *span // non-nil only for sampled requests
+}
+
+// pendingOp is one published operation awaiting its combiner.
+type pendingOp struct {
+	op wire.Op
+	origin
+}
+
+// pass is the one record of a combiner pass, from gather to ack: the
+// combiner gathers into it, applies into it and, when durable, stages
+// the WAL record into it, and whoever releases the acks — the combiner
+// in memory, the WAL writer after the covering fsync — is handed this
+// same pointer, so nothing is copied in between. Preallocated by
+// newPass; a pass allocates nothing.
+//
+// A pass carrying only fn is a WAL-writer control item: fn runs on the
+// writer after everything before it is synced and acked (snapshots use
+// this to roll segments at a known point in the commit order).
+type pass struct {
+	sh      *shard        // owner, whose free list the pass returns to
+	ops     []wire.Op     // gathered ops, the slice the backend consumes
+	from    []origin      // from[i] is where ops[i] came from
+	results []wire.Result // results[i] answers ops[i]
+	traced  bool          // some op in the pass carries a span
+	end     int64         // apply-completion stamp
+	rec     []byte        // staged WAL record, empty when nothing mutated; nil in memory
+	fn      func()        // control item body; nothing else is set
 }
 
 // delivery is one result handed from a combiner (or the reject path)
@@ -236,7 +243,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	ln       net.Listener
-	conns    []*conn
+	conns    map[*conn]struct{} // live connections; a conn leaves when its writer exits
 	draining atomic.Bool
 
 	readers   sync.WaitGroup
@@ -270,29 +277,24 @@ type Server struct {
 }
 
 // shard is one combiner: a bounded publication queue plus the
-// sequential structure only its loop touches. batch/ops/results are the
-// combiner's scratch, preallocated at BatchMax in New so a combine pass
-// allocates nothing; only the combiner goroutine touches them. arena is
-// the pass-local store for range-scan values: backends append into it,
-// results reference segments of it, and the combiner copies those
+// sequential structure only its loop touches. free holds the shard's
+// pass records — one in memory, two when durable — between release and
+// the next gather; a combiner whose WAL writer holds both blocks on it,
+// the same structural backpressure the publication queues apply. arena
+// is the pass-local store for range-scan values: backends append into
+// it, results reference segments of it, and the combiner copies those
 // segments out before the next pass truncates it, so its capacity
 // amortizes to the largest scan pass.
 type shard struct {
-	idx int
-	in  chan pendingOp
-	be  backend
+	idx   int
+	in    chan pendingOp
+	be    backend
+	free  chan *pass
+	arena []int64
 
-	batch   []pendingOp
-	ops     []wire.Op
-	results []wire.Result
-	arena   []int64
-
-	// durability (combiner goroutine only, except walFree's recycling
-	// side; all nil/zero when the WAL is off)
-	walSeq  uint64          // sequence of the last staged record
-	stage   *walCommit      // commit being filled by the current pass
-	walFree chan *walCommit // recycled commits, the staging backpressure
-	ctl     chan func()     // combiner-context control (snapshot dumps)
+	// durability (combiner goroutine only; nil/zero when the WAL is off)
+	walSeq uint64      // sequence of the last staged record
+	ctl    chan func() // combiner-context control (snapshot dumps)
 
 	batchSize  *obs.Histogram
 	queueDepth *obs.Gauge
@@ -321,6 +323,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		caps:      caps,
 		epoch:     time.Now(),
+		conns:     make(map[*conn]struct{}),
 		drainDone: make(chan struct{}),
 
 		connsOpen:  cfg.Reg.Gauge("server/conns/open"),
@@ -351,36 +354,23 @@ func New(cfg Config) (*Server, error) {
 			idx:        i,
 			in:         make(chan pendingOp, cfg.QueueDepth),
 			be:         be,
-			batch:      make([]pendingOp, 0, cfg.BatchMax),
-			ops:        make([]wire.Op, 0, cfg.BatchMax),
-			results:    make([]wire.Result, cfg.BatchMax),
 			batchSize:  cfg.Reg.Histogram(fmt.Sprintf("server/shard/%03d/batch_size", i)),
 			queueDepth: cfg.Reg.Gauge(fmt.Sprintf("server/shard/%03d/queue_depth", i)),
 			combines:   cfg.Reg.Counter(fmt.Sprintf("server/shard/%03d/combines", i)),
 			scanBatch:  cfg.Reg.Histogram(fmt.Sprintf("server/shard/%03d/scan_batch", i)),
 		}
+		sh.free = make(chan *pass, walPassesPerShard)
+		sh.free <- newPass(sh, s.wal != nil)
 		if s.wal != nil {
+			sh.free <- newPass(sh, true)
 			sh.ctl = make(chan func())
-			sh.walFree = make(chan *walCommit, walCommitsPerShard)
-			for j := 0; j < walCommitsPerShard; j++ {
-				sh.walFree <- &walCommit{
-					sh:      sh,
-					buf:     make([]byte, 0, wal.RecordCap(cfg.BatchMax)),
-					batch:   make([]pendingOp, 0, cfg.BatchMax),
-					results: make([]wire.Result, 0, cfg.BatchMax),
-				}
-			}
 		}
 		s.shards = append(s.shards, sh)
 		s.shardWG.Add(1)
 		go s.combineLoop(sh)
 	}
 	if cfg.WindowTick > 0 {
-		tiers := cfg.WindowTiers
-		if tiers == nil {
-			tiers = obs.DefaultTiers(cfg.WindowTick)
-		}
-		win, err := obs.NewWindow(cfg.Reg, tiers)
+		win, err := obs.NewWindow(cfg.Reg, obs.DefaultTiers(cfg.WindowTick))
 		if err != nil {
 			return nil, err
 		}
@@ -395,6 +385,21 @@ func New(cfg Config) (*Server, error) {
 		go s.rotateLoop(cfg.WindowTick)
 	}
 	return s, nil
+}
+
+// newPass preallocates one pass record for sh at the largest pass the
+// combiner gathers; durable passes also carry the WAL staging buffer.
+func newPass(sh *shard, durable bool) *pass {
+	ps := &pass{
+		sh:      sh,
+		ops:     make([]wire.Op, 0, wire.MaxOpsPerFrame),
+		from:    make([]origin, 0, wire.MaxOpsPerFrame),
+		results: make([]wire.Result, 0, wire.MaxOpsPerFrame),
+	}
+	if durable {
+		ps.rec = make([]byte, 0, wal.RecordCap(wire.MaxOpsPerFrame))
+	}
+	return ps
 }
 
 // now returns nanoseconds since the server epoch (monotonic).
@@ -461,7 +466,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			nc.Close()
 			continue
 		}
-		s.conns = append(s.conns, c)
+		s.conns[c] = struct{}{}
 		s.readers.Add(1)
 		s.writers.Add(1)
 		s.mu.Unlock()
@@ -574,7 +579,7 @@ func (s *Server) readLoop(c *conn) {
 			if sp != nil {
 				sp.pub = s.now()
 			}
-			sh.in <- pendingOp{op: op, conn: c, start: start, sp: sp}
+			sh.in <- pendingOp{op: op, origin: origin{conn: c, start: start, sp: sp}}
 		}
 	}
 }
@@ -589,82 +594,57 @@ func (s *Server) reject(c *conn, res wire.Result) {
 }
 
 // combineLoop is one shard's combiner: it blocks for the first pending
-// op, greedily drains the rest of the queue (optionally lingering
-// CombineWait), executes the whole batch against the sequential
-// structure in one pass, and delivers the results.
+// op, acquires a pass record, greedily drains the rest of the queue into
+// it, executes the whole pass against the sequential structure, and
+// either releases the acks itself (in memory) or hands the pass to the
+// WAL writer, which releases them once the staged record is durable.
 func (s *Server) combineLoop(sh *shard) {
 	defer s.shardWG.Done()
-	traced := false // any span in the current batch
-	// take admits one op to the batch, stamping sampled ops' pickup
-	// time: everything before this instant is queue wait, everything
-	// until the batch executes is combine wait.
-	take := func(p pendingOp) {
-		if p.sp != nil {
-			p.sp.pick = s.now()
-			traced = true
-		}
-		sh.batch = append(sh.batch, p)
-	}
 	for {
 		var p pendingOp
 		var ok bool
-		if sh.ctl == nil {
-			p, ok = <-sh.in
-		} else {
-			// Durability adds one combiner-context control channel: the
-			// snapshot scheduler borrows the combiner between batches to
-			// dump the shard's state at a consistent point in its serial
-			// order.
-			select {
-			case p, ok = <-sh.in:
-			case f := <-sh.ctl:
-				f()
-				continue
-			}
+		// Durability adds one combiner-context control channel: the
+		// snapshot scheduler borrows the combiner between passes to dump
+		// the shard's state at a consistent point in its serial order.
+		// In memory ctl is nil and that case never fires.
+		select {
+		case p, ok = <-sh.in:
+		case f := <-sh.ctl:
+			f()
+			continue
 		}
 		if !ok {
 			return
 		}
-		sh.batch, traced = sh.batch[:0], false
-		take(p)
+		// In memory the shard's one pass is always free here. Durable,
+		// this blocks while the WAL writer holds both: the WAL's
+		// backpressure, upstream of the pinned window.
+		ps := <-sh.free
+		ps.ops, ps.from, ps.traced = ps.ops[:0], ps.from[:0], false
 	gather:
-		for len(sh.batch) < s.cfg.BatchMax {
+		for {
+			// Admit p, stamping a sampled op's pickup time: everything
+			// before this instant is queue wait, everything until the pass
+			// executes is combine wait.
+			if p.sp != nil {
+				p.sp.pick = s.now()
+				ps.traced = true
+			}
+			ps.ops = append(ps.ops, p.op)
+			ps.from = append(ps.from, p.origin)
+			if len(ps.ops) == wire.MaxOpsPerFrame {
+				break
+			}
 			select {
-			case p, ok := <-sh.in:
+			case p, ok = <-sh.in:
 				if !ok {
 					break gather
 				}
-				take(p)
 			default:
 				break gather
 			}
 		}
-		if w := s.cfg.CombineWait; w > 0 && len(sh.batch) < s.cfg.BatchMax {
-			timer := time.NewTimer(w)
-		linger:
-			for len(sh.batch) < s.cfg.BatchMax {
-				select {
-				case p, ok := <-sh.in:
-					if !ok {
-						break linger
-					}
-					take(p)
-				case <-timer.C:
-					break linger
-				}
-			}
-			timer.Stop()
-		}
-		var cm *walCommit
-		if s.wal != nil {
-			// Acquire the staging commit before the pinned window fills
-			// it. Blocking here — the writer holds both of the shard's
-			// commits — is the WAL's backpressure, upstream of the window.
-			cm = <-sh.walFree
-			sh.stage = cm
-		}
-		end := s.applyBatch(sh, traced)
-		sh.stage = nil
+		s.applyBatch(ps)
 
 		// Scan results reference segments of the shard's arena, which
 		// the next pass truncates and refills; copy them out here — in
@@ -673,9 +653,9 @@ func (s *Server) combineLoop(sh *shard) {
 		// slices the writer (and op log) can hold indefinitely. Point
 		// results carry no values and skip this entirely.
 		scans := int64(0)
-		for i := range sh.results {
-			if sh.results[i].Values != nil {
-				sh.results[i].Values = append([]int64(nil), sh.results[i].Values...)
+		for i := range ps.results {
+			if ps.results[i].Values != nil {
+				ps.results[i].Values = append([]int64(nil), ps.results[i].Values...)
 				scans++
 			}
 		}
@@ -683,73 +663,72 @@ func (s *Server) combineLoop(sh *shard) {
 			sh.scanBatch.Observe(scans)
 		}
 
-		s.cfg.Log.record(sh.batch, sh.results, end)
+		s.cfg.Log.record(ps)
 		sh.combines.Inc()
-		sh.batchSize.Observe(int64(len(sh.batch)))
+		sh.batchSize.Observe(int64(len(ps.ops)))
 		sh.queueDepth.Set(int64(len(sh.in)))
-		s.opsTotal.Add(uint64(len(sh.batch)))
-		if cm != nil {
-			// Durable path: the WAL writer releases the acks once the
-			// staged record is on disk. Every batch rides the pipeline —
-			// even one that staged nothing — so an ack for a read that
-			// observed a write always follows that write's sync.
-			s.commit(sh, cm, end)
+		s.opsTotal.Add(uint64(len(ps.ops)))
+		if s.wal != nil {
+			// Durable: the WAL writer releases the acks once the staged
+			// record is on disk. Every pass rides the writer's FIFO — even
+			// one that staged nothing — so an ack for a read that observed
+			// a write always follows that write's sync.
+			s.wal.commits <- ps
 			continue
 		}
-		s.release(sh.batch, sh.results, end, end)
+		s.release(ps, ps.end)
 	}
 }
 
-// release acknowledges one executed batch: each op's result goes to its
-// connection's writer and leaves the connection's inflight count. end is
-// the batch's apply-completion stamp and tAck the instant the acks are
-// released — the same instant in memory, after the fsync wait in
-// durable mode, where the WAL writer calls this instead of the combiner.
-func (s *Server) release(batch []pendingOp, results []wire.Result, end, tAck int64) {
-	for i := range batch {
-		p := &batch[i]
-		s.opLatency.Observe(tAck - p.start)
-		if p.sp != nil {
-			p.sp.applied = end
+// release acknowledges one executed pass and returns it to its shard:
+// each op's result goes to its connection's writer and leaves the
+// connection's inflight count. tAck is the instant the acks are
+// released — ps.end in memory, where the combiner calls this; after the
+// fsync wait in durable mode, where the WAL writer does.
+func (s *Server) release(ps *pass, tAck int64) {
+	for i := range ps.from {
+		o := &ps.from[i]
+		s.opLatency.Observe(tAck - o.start)
+		if o.sp != nil {
+			o.sp.applied = ps.end
 		}
-		p.conn.deliver(delivery{res: results[i], sp: p.sp})
-		p.conn.inflight.Done()
+		o.conn.deliver(delivery{res: ps.results[i], sp: o.sp})
+		o.conn.inflight.Done()
 	}
+	ps.sh.free <- ps
 }
 
-// applyBatch executes the gathered batch against the shard's sequential
-// structure: it stamps sampled ops' apply-start, packs the ops into the
-// shard's scratch, runs one ApplyBatch pass, and returns the completion
-// stamp. This is the combining window itself — every published op on
-// the shard waits for it — so it must neither allocate (GC pauses here
-// stall the whole shard) nor touch anything that can park the combiner
-// goroutine; channel hand-offs stay in combineLoop on either side.
+// applyBatch executes the gathered pass against the shard's sequential
+// structure: it stamps sampled ops' apply-start, runs one ApplyBatch
+// over the ops exactly as gathered, stages the WAL record when durable,
+// and stamps completion. This is the combining window itself — every
+// published op on the shard waits for it — so it must neither allocate
+// (GC pauses here stall the whole shard) nor touch anything that can
+// park the combiner goroutine; channel hand-offs stay in combineLoop on
+// either side.
 //
 //pimvet:allocfree //pimvet:nonblocking
 //pimvet:window
-func (s *Server) applyBatch(sh *shard, traced bool) int64 {
-	if traced {
+func (s *Server) applyBatch(ps *pass) {
+	sh := ps.sh
+	if ps.traced {
 		tApply := s.now()
-		for i := range sh.batch {
-			if sp := sh.batch[i].sp; sp != nil {
+		for i := range ps.from {
+			if sp := ps.from[i].sp; sp != nil {
 				sp.applyStart = tApply
 			}
 		}
 	}
-	sh.ops = sh.ops[:0]
-	for i := range sh.batch {
-		sh.ops = append(sh.ops, sh.batch[i].op)
-	}
-	sh.results = sh.results[:len(sh.batch)]
-	sh.arena = sh.be.ApplyBatch(sh.ops, sh.results, sh.arena[:0])
-	if sh.stage != nil {
+	ps.results = ps.results[:len(ps.ops)]
+	sh.arena = sh.be.ApplyBatch(ps.ops, ps.results, sh.arena[:0])
+	if ps.rec != nil {
 		// Durability stages here, inside the window, but only as bytes
-		// in a preallocated buffer: the file write and fsync belong to
-		// the WAL writer goroutine (pimvet's window check enforces the
-		// split).
-		sh.stageRecord()
+		// in the pass's preallocated buffer: the file write and fsync
+		// belong to the WAL writer goroutine (pimvet's window check
+		// enforces the split).
+		ps.stageRecord()
 	}
-	return s.now()
+	ps.end = s.now()
 }
 
 // closeGrace bounds how long a closing connection waits for the client
@@ -782,6 +761,11 @@ func (s *Server) writeLoop(c *conn) {
 			}
 		}
 		c.nc.Close()
+		// The writer is the last goroutine to touch the conn: forget it,
+		// or it pins its out queue for the life of the process.
+		s.mu.Lock()
+		delete(s.conns, c)
+		s.mu.Unlock()
 		s.connsOpen.Add(-1)
 		s.writers.Done()
 	}()
@@ -882,7 +866,10 @@ func (s *Server) Shutdown() {
 		s.draining.Store(true)
 		s.mu.Lock()
 		ln := s.ln
-		conns := append([]*conn(nil), s.conns...)
+		conns := make([]*conn, 0, len(s.conns))
+		for c := range s.conns {
+			conns = append(conns, c)
+		}
 		s.mu.Unlock()
 		if ln != nil {
 			ln.Close()
@@ -910,7 +897,7 @@ func (s *Server) Shutdown() {
 			close(sh.in)
 		}
 		s.shardWG.Wait()
-		// The combiners handed their last batches to the WAL writer;
+		// The combiners handed their last passes to the WAL writer;
 		// close the commit pipeline and wait for the final sync — only
 		// then has every op been acked and every conn's inflight count
 		// reached zero.

@@ -562,6 +562,49 @@ func TestShutdownIdempotentAndServeAfterDrain(t *testing.T) {
 	}
 }
 
+// TestClosedConnsAreForgotten: a connection leaves the server's tracked
+// set when its writer exits, so churn pins nothing (each tracked conn
+// holds a QueueDepth-deep response queue) and Shutdown pokes only live
+// sockets; a Shutdown racing the close is clean under -race.
+func TestClosedConnsAreForgotten(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv, addr := startServer(t, server.Config{Structure: server.StructHash, Reg: reg})
+	for i := 0; i < 200; i++ {
+		c := dial(t, addr)
+		if r := c.do(t, wire.Add, int64(i)); !r.OK {
+			t.Fatalf("conn %d: add: %+v", i, r)
+		}
+		c.nc.Close()
+	}
+	// The gauge drops after the writer has left the set, so 0 here
+	// means every teardown ran to completion.
+	for deadline := time.Now().Add(10 * time.Second); reg.Snapshot().Gauges["server/conns/open"] != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("server/conns/open = %d, want 0 after every client closed",
+				reg.Snapshot().Gauges["server/conns/open"])
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := srv.TrackedConns(); n != 0 {
+		t.Fatalf("%d closed connections still tracked, want 0", n)
+	}
+
+	var closers sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		c := dial(t, addr)
+		if r := c.do(t, wire.Contains, int64(i)); !r.OK {
+			t.Fatalf("conn %d: contains: %+v", i, r)
+		}
+		closers.Add(1)
+		go func() { defer closers.Done(); c.nc.Close() }()
+	}
+	srv.Shutdown()
+	closers.Wait()
+	if n, open := srv.TrackedConns(), reg.Snapshot().Gauges["server/conns/open"]; n != 0 || open != 0 {
+		t.Fatalf("after drain: %d connections tracked, server/conns/open = %d, want 0 and 0", n, open)
+	}
+}
+
 func TestBackpressureBoundedQueues(t *testing.T) {
 	// A tiny queue with a slow-to-read client must not panic or grow
 	// unbounded; this exercises the blocking-publish path.

@@ -9,7 +9,7 @@ package server
 // timer.
 //
 // Ordering is the subtle part. Acks are released by a single WAL
-// writer goroutine in combiner order, and *every* batch — including
+// writer goroutine in combiner order, and *every* pass — including
 // read-only ones that produce no record — rides the same FIFO. A read
 // that observed a write therefore cannot be acknowledged before that
 // write is durable; without this, a crash between the read's ack and
@@ -30,11 +30,8 @@ import (
 
 // Fsync policies accepted by Config.Fsync.
 const (
-	// FsyncAlways forces every record to disk before its batch is
-	// acknowledged: one fsync per combiner batch.
-	FsyncAlways = "always"
 	// FsyncBatch (the default) forces once per writer pass: the writer
-	// greedily gathers every commit the combiners have produced, appends
+	// greedily gathers every pass the combiners have produced, appends
 	// their records, and fsyncs the group together — group commit on top
 	// of group commit.
 	FsyncBatch = "batch"
@@ -43,37 +40,19 @@ const (
 	FsyncOff = "off"
 )
 
-// walCommitsPerShard is each shard's staging depth: one commit being
-// filled by the combiner while one drains through the writer. A shard
-// whose writer falls further behind blocks on its free list — the same
-// structural backpressure the publication queues apply.
-const walCommitsPerShard = 2
-
-// walCommit carries one combiner batch through the commit pipeline:
-// the staged record bytes plus everything the writer needs to release
-// the batch's acks once those bytes are durable. A commit with a nil
-// shard is a control item — fn runs on the writer after everything
-// before it is synced and acked (snapshots use this to roll segments
-// at a known point in the commit order).
-type walCommit struct {
-	sh      *shard
-	buf     []byte        // staged record; empty when the batch mutated nothing
-	batch   []pendingOp   // the batch, copied out of the shard's scratch
-	results []wire.Result // matching results (scan values already copied out)
-	end     int64         // apply-completion stamp
-	fn      func()        // control item body (sh == nil)
-}
+// walPassesPerShard is a durable shard's pass depth: one being filled
+// by the combiner while one drains through the writer.
+const walPassesPerShard = 2
 
 // walState is the server's durability pipeline.
 type walState struct {
-	dir    string
-	always bool // fsync per record
-	off    bool // never fsync
+	dir string
+	off bool // never fsync
 
-	log     *wal.Log        // writer goroutine only (after recovery)
-	commits chan *walCommit // combiners → writer, FIFO across shards
-	ackq    []*walCommit    // writer-local: appended but not yet synced+acked
-	pending int             // writer-local: records appended but not yet synced
+	log     *wal.Log   // writer goroutine only (after recovery)
+	commits chan *pass // combiners → writer, FIFO across shards
+	ackq    []*pass    // writer-local: appended but not yet synced+acked
+	pending int        // writer-local: records appended but not yet synced
 
 	started    bool // writer goroutine launched (guarded by Server.mu)
 	writerDone chan struct{}
@@ -95,7 +74,7 @@ type walState struct {
 func newWALState(cfg Config) (*walState, error) {
 	w := &walState{
 		dir:     cfg.WALDir,
-		commits: make(chan *walCommit, walCommitsPerShard*cfg.Shards+4),
+		commits: make(chan *pass, walPassesPerShard*cfg.Shards+4),
 
 		records:  cfg.Reg.Counter("server/wal/records"),
 		bytes:    cfg.Reg.Counter("server/wal/bytes"),
@@ -107,114 +86,83 @@ func newWALState(cfg Config) (*walState, error) {
 		group:    cfg.Reg.Histogram("server/wal/group"),
 	}
 	switch cfg.Fsync {
-	case FsyncAlways:
-		w.always = true
 	case FsyncBatch:
 	case FsyncOff:
 		w.off = true
 	default:
-		return nil, fmt.Errorf("server: unknown fsync policy %q (want %s|%s|%s)",
-			cfg.Fsync, FsyncAlways, FsyncBatch, FsyncOff)
+		return nil, fmt.Errorf("server: unknown fsync policy %q (want %s|%s)",
+			cfg.Fsync, FsyncBatch, FsyncOff)
 	}
 	return w, nil
 }
 
-// stageRecord fills the acquired commit's record inside the combining
-// window: header, then every mutating op in batch order, then the CRC
-// seal. Read-only batches seal to an empty record — nothing to log,
-// but the commit still rides the pipeline so its acks stay ordered
-// after earlier durable writes. Part of the pinned window: stages
-// bytes only, never touches a file.
+// stageRecord fills the pass's WAL record inside the combining window:
+// header, then every mutating op in pass order, then the CRC seal. A
+// read-only pass seals to an empty record — nothing to log, but the
+// pass still rides the writer's FIFO so its acks stay ordered after
+// earlier durable writes. Part of the pinned window: stages bytes only,
+// never touches a file.
 //
 //pimvet:allocfree //pimvet:nonblocking
 //pimvet:window
-func (sh *shard) stageRecord() {
-	cm := sh.stage
-	cm.buf = wal.BeginRecord(cm.buf[:0], uint16(sh.idx), sh.walSeq+1)
+func (ps *pass) stageRecord() {
+	sh := ps.sh
+	ps.rec = wal.BeginRecord(ps.rec[:0], uint16(sh.idx), sh.walSeq+1)
 	n := 0
-	for i := range sh.ops {
-		if sh.ops[i].Kind.Mutating() {
-			cm.buf = wire.AppendOp(cm.buf, sh.ops[i])
+	for i := range ps.ops {
+		if ps.ops[i].Kind.Mutating() {
+			ps.rec = wire.AppendOp(ps.rec, ps.ops[i])
 			n++
 		}
 	}
-	cm.buf = wal.FinishRecord(cm.buf, n)
+	ps.rec = wal.FinishRecord(ps.rec, n)
 	if n > 0 {
 		sh.walSeq++
 	}
 }
 
-// commit hands the finished batch to the WAL writer, which will
-// release the acks once the record is durable. The copies detach the
-// batch from the shard's scratch, which the next combine pass reuses.
-func (s *Server) commit(sh *shard, cm *walCommit, end int64) {
-	cm.end = end
-	cm.batch = append(cm.batch[:0], sh.batch...)
-	cm.results = append(cm.results[:0], sh.results...)
-	s.wal.commits <- cm
-}
-
-// walWriter is the dedicated writer goroutine: it gathers commits
-// greedily (mirroring the combiners' own gather loop), appends their
-// records through one buffered file, makes the group durable according
-// to the fsync policy, and only then releases each batch's acks and
-// recycles the commit to its shard's free list.
+// walWriter is the dedicated writer goroutine: it admits passes for as
+// long as more are queued (mirroring the combiners' own greedy gather),
+// appending their records through one buffered file, then makes the
+// group durable according to the fsync policy, and only then releases
+// each pass's acks, which recycles the pass to its shard's free list.
 func (s *Server) walWriter() {
 	w := s.wal
 	defer close(w.writerDone)
-	for {
-		cm, ok := <-w.commits
-		if !ok {
-			return
+	for ps := range w.commits {
+		s.walAdmit(ps)
+		if len(w.commits) == 0 {
+			s.walRelease()
 		}
-		s.walAdmit(cm)
-	gather:
-		for {
-			select {
-			case cm, ok := <-w.commits:
-				if !ok {
-					s.walRelease()
-					return
-				}
-				s.walAdmit(cm)
-			default:
-				break gather
-			}
-		}
-		s.walRelease()
 	}
 }
 
-// walAdmit appends one commit's record (if any), counting it in
+// walAdmit appends one pass's record (if any), counting it in
 // w.pending, and queues its acks; control items first retire
 // everything pending — including a real sync for any unsynced records
-// appended earlier in this gather pass — then run. In FsyncAlways mode
-// each admit retires immediately.
-func (s *Server) walAdmit(cm *walCommit) {
+// appended earlier in this gather pass — then run.
+func (s *Server) walAdmit(ps *pass) {
 	w := s.wal
-	if cm.fn != nil {
+	if ps.fn != nil {
 		s.walRelease()
-		cm.fn()
+		ps.fn()
 		return
 	}
-	if len(cm.buf) > 0 {
-		if err := w.log.Append(cm.buf); err != nil {
+	if len(ps.rec) > 0 {
+		if err := w.log.Append(ps.rec); err != nil {
 			// Durability is the contract; a log the server cannot append
 			// to means every future ack would be a lie. Fail stop.
 			panic(fmt.Sprintf("server: wal append: %v", err))
 		}
 		w.records.Inc()
-		w.bytes.Add(uint64(len(cm.buf)))
+		w.bytes.Add(uint64(len(ps.rec)))
 		w.pending++
 	}
-	w.ackq = append(w.ackq, cm)
-	if w.always {
-		s.walRelease()
-	}
+	w.ackq = append(w.ackq, ps)
 }
 
 // walRelease makes every unsynced record durable and releases every
-// queued ack. pending == 0 (only read-only batches queued) skips the
+// queued ack. pending == 0 (only read-only passes queued) skips the
 // sync: nothing new was appended, and everything those reads observed
 // was covered by an earlier sync in the FIFO.
 func (s *Server) walRelease() {
@@ -233,10 +181,9 @@ func (s *Server) walRelease() {
 		return
 	}
 	tAck := s.now()
-	for _, cm := range w.ackq {
-		s.release(cm.batch, cm.results, cm.end, tAck)
-		w.lag.Observe(tAck - cm.end)
-		cm.sh.walFree <- cm
+	for _, ps := range w.ackq {
+		w.lag.Observe(tAck - ps.end) // before release: the combiner owns ps again after it
+		s.release(ps, tAck)
 	}
 	w.ackq = w.ackq[:0]
 }
@@ -375,7 +322,7 @@ func (s *Server) snapshotOnce() error {
 	w := s.wal
 
 	rolled := make(chan uint64, 1)
-	w.commits <- &walCommit{fn: func() {
+	w.commits <- &pass{fn: func() {
 		if err := w.log.Roll(); err != nil {
 			panic(fmt.Sprintf("server: wal roll: %v", err))
 		}

