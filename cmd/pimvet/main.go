@@ -1,31 +1,29 @@
 // Command pimvet is the repo's custom static analyzer: it enforces the
-// invariants the Go compiler cannot see — simulator determinism,
-// cost-model accounting, observability safety, and the
-// allocation-free/non-blocking contracts on annotated hot paths —
+// invariants the Go compiler cannot see — simulator determinism, and
+// the allocation-free, non-blocking contract on annotated hot paths —
 // using only the standard library's go/parser, go/types and
-// go/importer.
+// go/importer. The same check runs inside `go test ./...` as
+// TestRepoIsClean (internal/analysis/analyzers); this command prints
+// the findings for a chosen set of packages.
 //
 // Usage:
 //
-//	pimvet [-strict] [-c analyzer1,analyzer2] [packages]
+//	pimvet [-list] [packages]
 //
 // Packages use go-tool patterns relative to the current directory
 // ("./...", "./internal/sim"). With no arguments, ./... is checked.
-// Exit status is 1 if any diagnostic is reported.
+// Every analyzer runs. Exit status is 1 if any diagnostic is reported.
 //
-// Function annotations opt hot paths into transitive contracts,
-// checked through every module call they make:
+// One function annotation opts a hot path into the transitive
+// contract, checked through every module call it makes:
 //
-//	//pimvet:allocfree    // in a doc comment: no heap allocation
-//	//pimvet:nonblocking  // in a doc comment: never parks the goroutine
+//	//pimvet:allocfree    // in a doc comment: no heap allocation, no blocking
 //
-// Suppressions are in-source comments:
+// Suppressions are in-source comments, and each needs a justification
+// after the colon (an allow without one is itself a finding):
 //
 //	//pimvet:allow determinism: host wall-clock timing by design
 //	//pimvet:allow-file determinism: whole file is host-side
-//
-// Under -strict (what CI runs) a suppression without a justification
-// after the colon is itself an error.
 package main
 
 import (
@@ -38,11 +36,7 @@ import (
 )
 
 func main() {
-	var (
-		strict = flag.Bool("strict", false, "fail on suppressions without a justification")
-		checks = flag.String("c", "all", "comma-separated analyzers to run (default: all)")
-		list   = flag.Bool("list", false, "list analyzers and exit")
-	)
+	list := flag.Bool("list", false, "list analyzers and exit")
 	flag.Parse()
 
 	if *list {
@@ -50,12 +44,6 @@ func main() {
 			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-
-	as := analyzers.ByName(*checks)
-	if as == nil {
-		fmt.Fprintf(os.Stderr, "pimvet: unknown analyzer in %q (try -list)\n", *checks)
-		os.Exit(2)
 	}
 
 	patterns := flag.Args()
@@ -77,7 +65,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pimvet:", err)
 		os.Exit(2)
 	}
-	diags, err := analysis.Run(loader, dirs, as, analysis.Options{Strict: *strict})
+	diags, err := analysis.Run(loader, dirs, analyzers.All())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pimvet:", err)
 		os.Exit(2)

@@ -2,12 +2,12 @@
 // standard library's go/parser, go/types and go/importer only (the repo
 // is stdlib-only, so golang.org/x/tools/go/analysis is off limits).
 //
-// It exists for one purpose: the simulator's two load-bearing
-// invariants — bit-for-bit determinism under a seed, and "every memory
-// access is charged through the paper's cost model" — are not checkable
-// by the Go compiler. The analyzers in internal/analysis/analyzers
-// machine-check them on every change; cmd/pimvet is the CLI driver and
-// CI gate.
+// It exists for one purpose: two load-bearing invariants — the
+// simulator's bit-for-bit determinism under a seed, and a flat-combining
+// pass that never allocates or blocks — are not checkable by the Go
+// compiler. The analyzers in internal/analysis/analyzers machine-check
+// them on every change (TestRepoIsClean runs them over the whole tree);
+// cmd/pimvet is the CLI driver.
 //
 // The framework mirrors x/tools' analysis API in miniature: an Analyzer
 // holds a name, a doc string and a Run function; Run receives a Pass
@@ -26,8 +26,8 @@ import (
 
 // Analyzer is one named check.
 type Analyzer struct {
-	// Name is the analyzer's identifier, used on the command line, in
-	// diagnostics and in //pimvet:allow directives.
+	// Name is the analyzer's identifier, used in diagnostics and in
+	// //pimvet:allow directives.
 	Name string
 
 	// Doc is a one-paragraph description of the invariant the analyzer
@@ -53,8 +53,8 @@ type Pass struct {
 	Path string
 
 	// Lookup resolves a module import path to its loaded package, for
-	// analyzers that follow calls across package boundaries (allocfree,
-	// combinerpurity). It returns nil for paths outside the module and
+	// analyzers that follow calls across package boundaries (allocfree).
+	// It returns nil for paths outside the module and
 	// is itself nil when the pass was built without a loader; callers
 	// must treat both as "opaque callee".
 	Lookup func(path string) *Package

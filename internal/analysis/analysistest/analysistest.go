@@ -38,9 +38,9 @@ var quoteRE = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
 
 // Run loads the package in fixtureDir, applies the analyzer and
 // verifies its diagnostics against the fixture's want comments.
-func Run(t *testing.T, fixtureDir string, a *analysis.Analyzer, opts analysis.Options) {
+func Run(t *testing.T, fixtureDir string, a *analysis.Analyzer) {
 	t.Helper()
-	diags := Diagnostics(t, fixtureDir, a, opts)
+	diags := Diagnostics(t, fixtureDir, a)
 
 	var wants []*expectation
 	entries, err := os.ReadDir(fixtureDir)
@@ -85,7 +85,7 @@ func Run(t *testing.T, fixtureDir string, a *analysis.Analyzer, opts analysis.Op
 // Diagnostics loads the fixture package and returns the analyzer's
 // surviving diagnostics (after suppression), failing the test on load
 // or type errors.
-func Diagnostics(t *testing.T, fixtureDir string, a *analysis.Analyzer, opts analysis.Options) []analysis.Diagnostic {
+func Diagnostics(t *testing.T, fixtureDir string, a *analysis.Analyzer) []analysis.Diagnostic {
 	t.Helper()
 	loader, err := analysis.NewLoader(fixtureDir)
 	if err != nil {
@@ -101,7 +101,7 @@ func Diagnostics(t *testing.T, fixtureDir string, a *analysis.Analyzer, opts ana
 	if t.Failed() {
 		t.FailNow()
 	}
-	diags := analysis.RunPackage(pkg, []*analysis.Analyzer{a}, opts)
+	diags := analysis.RunPackage(pkg, []*analysis.Analyzer{a})
 	analysis.SortDiagnostics(diags)
 	return diags
 }

@@ -9,13 +9,15 @@ import (
 	"pimds/internal/analysis"
 )
 
-// AllocFree enforces the zero-allocation contract of functions marked
+// AllocFree enforces the hot-path contract of functions marked
 // //pimvet:allocfree: the marked function — and every module function
-// it transitively calls — must not allocate on the heap. The paper's
-// flat-combining result holds only while the combiner's sequential
-// apply loop and the wire fast paths stay allocation-free; this
-// analyzer turns that performance requirement into a machine-checked
-// invariant (the AllocsPerRun tests pin the same contract at runtime).
+// it transitively calls — must neither allocate on the heap nor block.
+// The paper's flat-combining result holds only while the combiner's
+// sequential apply loop and the wire fast paths stay allocation-free
+// and never park: one stalled combiner parks every connection hashing
+// to its shard. This analyzer turns that performance requirement into a
+// machine-checked invariant (the AllocsPerRun tests pin the allocation
+// half at runtime).
 //
 // Flagged inside marked code and its module-transitive callees:
 //
@@ -28,10 +30,13 @@ import (
 //   - string concatenation and string<->[]byte conversions;
 //   - function literals (closure allocation) and go statements;
 //   - map inserts;
+//   - channel sends, receives, selects and range-over-channel;
 //   - calls to standard-library functions outside a small allowlist of
-//     known non-allocating primitives (sync/atomic, math, math/bits,
-//     encoding/binary accessors, errors.Is/As/Unwrap, io.ReadFull,
-//     time arithmetic, math/rand draws, sort.Search*, strconv.Append*).
+//     known non-allocating, non-parking primitives (sync/atomic, math,
+//     math/bits, encoding/binary accessors, errors.Is/As/Unwrap,
+//     io.ReadFull, time arithmetic, math/rand draws, sort.Search*,
+//     strconv.Append*). Locks, sleeps, fmt printing and file I/O (os,
+//     syscall, bufio) all fall outside it.
 //
 // Exemptions — amortized grow paths, free-list refills — use ordinary
 // //pimvet:allow allocfree directives with justifications, in the file
@@ -45,34 +50,32 @@ import (
 // compiler.
 var AllocFree = &analysis.Analyzer{
 	Name: "allocfree",
-	Doc:  "enforces //pimvet:allocfree: marked hot paths and their module callees must not heap-allocate",
+	Doc:  "enforces //pimvet:allocfree: marked hot paths and their module callees must not heap-allocate or block",
 	Run:  runAllocFree,
 }
 
+// runAllocFree scans each marked function locally, then chases its
+// module callees through the fact checker, reporting chain failures at
+// the call site inside the package under analysis.
 func runAllocFree(pass *analysis.Pass) {
-	runMarked(pass, analysis.KindAllocFree, scanAllocs)
-}
-
-// runMarked is the shared driver for mark-rooted transitive analyzers:
-// scan each marked function locally, then chase its module callees
-// through the fact checker, reporting chain failures at the call site
-// inside the package under analysis.
-func runMarked(pass *analysis.Pass, kind string, scan scanFunc) {
-	marked, stray := markedFuncs(pass, kind)
-	reportStray(pass, kind, stray)
+	marked, stray := markedFuncs(pass)
+	for _, d := range stray {
+		pass.ReportPosf(d.Pos,
+			"//pimvet:allocfree is not attached to a function declaration; write it in the function's doc comment")
+	}
 	if len(marked) == 0 {
 		return
 	}
-	fc := newFactChecker(pass, scan)
+	fc := newFactChecker(pass)
 	for _, m := range marked {
-		viols, callees := scan(pass.TypesInfo, m.funcNode)
+		viols, callees := scanAllocs(pass.TypesInfo, m)
 		for _, v := range viols {
-			pass.Reportf(v.pos, "%s is marked //pimvet:%s but %s", m.name(), kind, v.msg)
+			pass.Reportf(v.pos, "%s is marked //pimvet:allocfree but %s", m.name(), v.msg)
 		}
 		for _, c := range callees {
 			if fact := fc.check(c.fn); !fact.clean {
-				pass.Reportf(c.pos, "%s is marked //pimvet:%s but calls %s, which %s",
-					m.name(), kind, c.fn.FullName(), fact.why)
+				pass.Reportf(c.pos, "%s is marked //pimvet:allocfree but calls %s, which %s",
+					m.name(), c.fn.FullName(), fact.why)
 			}
 		}
 	}
@@ -119,8 +122,9 @@ func allocAllowed(pkgPath, name string) bool {
 	return allocfreeFuncs[pkgPath][name]
 }
 
-// scanAllocs is the allocfree local rule: every allocation site in one
-// function body, plus the module calls to chase.
+// scanAllocs is the allocfree local rule: every allocation site and
+// channel operation in one function body, plus the module calls to
+// chase.
 func scanAllocs(info *types.Info, fn funcNode) ([]violation, []calleeRef) {
 	var viols []violation
 	var callees []calleeRef
@@ -140,6 +144,19 @@ func scanAllocs(info *types.Info, fn funcNode) ([]violation, []calleeRef) {
 				if cl, ok := ast.Unparen(e.X).(*ast.CompositeLit); ok {
 					add(e.Pos(), "heap-allocates a composite literal (&T{...})")
 					covered[cl] = true
+				}
+			}
+			if e.Op == token.ARROW {
+				add(e.Pos(), "receives from a channel (blocks)")
+			}
+		case *ast.SendStmt:
+			add(e.Arrow, "sends on a channel (blocks)")
+		case *ast.SelectStmt:
+			add(e.Pos(), "selects on channels (blocks)")
+		case *ast.RangeStmt:
+			if t := typeOf(info, e.X); t != nil {
+				if _, ok := t.Underlying().(*types.Chan); ok {
+					add(e.Pos(), "ranges over a channel (blocks)")
 				}
 			}
 		case *ast.CompositeLit:

@@ -3,11 +3,10 @@ package analyzers_test
 import (
 	"testing"
 
-	"pimds/internal/analysis"
 	"pimds/internal/analysis/analysistest"
 	"pimds/internal/analysis/analyzers"
 )
 
 func TestAllocFree(t *testing.T) {
-	analysistest.Run(t, "testdata/src/allocfree", analyzers.AllocFree, analysis.Options{Strict: true})
+	analysistest.Run(t, "testdata/src/allocfree", analyzers.AllocFree)
 }

@@ -4,16 +4,9 @@
 //   - determinism: the simulator is bit-for-bit reproducible under a
 //     seed (no wall clocks, no global RNG, no map-iteration-order or
 //     goroutine-schedule dependence in simulated code).
-//   - costcharge: algorithm code cannot touch vault-resident state
-//     without charging the paper's latency model.
-//   - obssafety: observability is write-only from simulated code, so
-//     enabling metrics changes results by exactly zero.
 //   - allocfree: functions marked //pimvet:allocfree (server combiner
 //     apply, wire encode/decode, loadgen inner loop) and their module
-//     callees never heap-allocate.
-//   - combinerpurity: functions marked //pimvet:nonblocking and their
-//     module callees never block (no channel ops, locks, sleeps or
-//     I/O).
+//     callees never heap-allocate and never block on a channel.
 package analyzers
 
 import (
@@ -26,89 +19,19 @@ import (
 
 // All returns every pimvet analyzer in stable order.
 func All() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
-		Determinism,
-		CostCharge,
-		ObsSafety,
-		AllocFree,
-		CombinerPurity,
-	}
-}
-
-// ByName resolves a comma-separated analyzer list ("" or "all" means
-// everything). Unknown names return nil.
-func ByName(names string) []*analysis.Analyzer {
-	if names == "" || names == "all" {
-		return All()
-	}
-	var out []*analysis.Analyzer
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		found := false
-		for _, a := range All() {
-			if a.Name == n {
-				out = append(out, a)
-				found = true
-			}
-		}
-		if !found {
-			return nil
-		}
-	}
-	return out
+	return []*analysis.Analyzer{Determinism, AllocFree}
 }
 
 // Package-path scopes. Analyzers use the pass's logical path (which
 // testdata fixtures override with //pimvet:package) so scope rules are
 // testable.
 const (
-	simPath    = "pimds/internal/sim"
-	corePath   = "pimds/internal/core"
-	cdsPath    = "pimds/internal/cds"
-	obsPath    = "pimds/internal/obs"
-	healthPath = "pimds/internal/obs/health"
-	profPath   = "pimds/internal/prof"
-	serverPath = "pimds/internal/server"
+	simPath  = "pimds/internal/sim"
+	corePath = "pimds/internal/core"
 )
 
 func underPath(path, prefix string) bool {
 	return path == prefix || strings.HasPrefix(path, prefix+"/")
-}
-
-// namedType unwraps pointers and returns the named type of t, or nil.
-func namedType(t types.Type) *types.Named {
-	for {
-		switch u := t.(type) {
-		case *types.Pointer:
-			t = u.Elem()
-		case *types.Named:
-			return u
-		default:
-			return nil
-		}
-	}
-}
-
-// typeFromPkg reports whether t (possibly behind pointers) is a named
-// type declared in a package whose path is pkgPath (or, when
-// underTree is true, any package under that path prefix).
-func typeFromPkg(t types.Type, pkgPath string, underTree bool) bool {
-	n := namedType(t)
-	if n == nil || n.Obj().Pkg() == nil {
-		return false
-	}
-	p := n.Obj().Pkg().Path()
-	if underTree {
-		return underPath(p, pkgPath)
-	}
-	return p == pkgPath
-}
-
-// isSimType reports whether t is sim.<name> (possibly behind pointers).
-func isSimType(t types.Type, name string) bool {
-	n := namedType(t)
-	return n != nil && n.Obj().Pkg() != nil &&
-		n.Obj().Pkg().Path() == simPath && n.Obj().Name() == name
 }
 
 // pkgFunc resolves a call expression to the package-level function or
@@ -135,21 +58,10 @@ func pkgFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// calleePkgPath returns the import path of the package a call resolves
-// into, or "".
-func calleePkgPath(info *types.Info, call *ast.CallExpr) string {
-	f := pkgFunc(info, call)
-	if f == nil || f.Pkg() == nil {
-		return ""
-	}
-	return f.Pkg().Path()
-}
-
-// funcNodes yields every function body in the files: declarations and
-// literals, paired with their parameter list types.
+// funcNode is one function body in the files — a declaration or a
+// literal — paired with its signature.
 type funcNode struct {
 	decl *ast.FuncDecl // nil for literals
-	lit  *ast.FuncLit  // nil for declarations
 	typ  *ast.FuncType
 	body *ast.BlockStmt
 }
@@ -171,30 +83,12 @@ func allFuncs(files []*ast.File) []funcNode {
 					out = append(out, funcNode{decl: fn, typ: fn.Type, body: fn.Body})
 				}
 			case *ast.FuncLit:
-				out = append(out, funcNode{lit: fn, typ: fn.Type, body: fn.Body})
+				out = append(out, funcNode{typ: fn.Type, body: fn.Body})
 			}
 			return true
 		})
 	}
 	return out
-}
-
-// paramOfType returns the identifier of the first parameter whose type
-// matches pred, or nil.
-func paramOfType(info *types.Info, typ *ast.FuncType, pred func(types.Type) bool) *ast.Ident {
-	if typ.Params == nil {
-		return nil
-	}
-	for _, field := range typ.Params.List {
-		t := info.Types[field.Type].Type
-		if t == nil || !pred(t) {
-			continue
-		}
-		if len(field.Names) > 0 {
-			return field.Names[0]
-		}
-	}
-	return nil
 }
 
 // inspectShallow walks body but does not descend into nested function

@@ -3,13 +3,12 @@ package analyzers_test
 import (
 	"testing"
 
-	"pimds/internal/analysis"
 	"pimds/internal/analysis/analysistest"
 	"pimds/internal/analysis/analyzers"
 )
 
 func TestDeterminism(t *testing.T) {
-	analysistest.Run(t, "testdata/src/determinism", analyzers.Determinism, analysis.Options{})
+	analysistest.Run(t, "testdata/src/determinism", analyzers.Determinism)
 }
 
 // TestDeterminismOutOfScope checks that the sim-scoped rules (map-range
@@ -19,7 +18,7 @@ func TestDeterminism(t *testing.T) {
 // wall-clock/RNG checks that fire everywhere. The host harness relies
 // on this split: its goroutines are legitimate.
 func TestDeterminismScopes(t *testing.T) {
-	diags := analysistest.Diagnostics(t, "testdata/src/determinism", analyzers.Determinism, analysis.Options{})
+	diags := analysistest.Diagnostics(t, "testdata/src/determinism", analyzers.Determinism)
 	sawGoroutine := false
 	for _, d := range diags {
 		if d.Analyzer != "determinism" {

@@ -11,64 +11,21 @@ import (
 	"pimds/internal/analysis"
 )
 
-// Shared function-fact machinery. Two propagation schemes live here:
-//
-//   - localFacts/propagate: costcharge's package-local helper
-//     propagation, generalized. A positive property ("charges the cost
-//     model") spreads from functions that establish it directly to the
-//     package-level functions that call them, to a fixpoint.
-//
-//   - factChecker: on-demand transitive checking across package
-//     boundaries for negative properties ("never allocates", "never
-//     blocks"). Starting from a marked root, every module function it
-//     reaches is scanned with an analyzer-supplied rule; the first
-//     unsuppressed violation poisons the whole call chain, and the
-//     chain is reported at the root's call site so the finding lands in
-//     the package under analysis.
+// Transitive checking across package boundaries for allocfree. Starting
+// from a marked root, every module function it reaches is scanned with
+// the local rule; the first unsuppressed violation poisons the whole
+// call chain, and the chain is reported at the root's call site so the
+// finding lands in the package under analysis.
 
 // modulePath is the enclosing module's import-path prefix; calls into
-// it are followed, everything else is judged by per-analyzer policy.
+// it are followed, everything else is judged by the stdlib allowlist.
 const modulePath = "pimds"
 
 func isModulePath(p string) bool {
 	return p == modulePath || strings.HasPrefix(p, modulePath+"/")
 }
 
-// localFact is one function's direct contribution to a package-local
-// positive property plus its package-local call edges.
-type localFact struct {
-	direct  bool
-	callees []*types.Func
-}
-
-// propagate computes the transitive closure of a positive property over
-// package-level functions: a function has it if it establishes it
-// directly or calls a package-local function that has it.
-func propagate(fns map[*types.Func]*localFact) map[*types.Func]bool {
-	has := make(map[*types.Func]bool)
-	for changed := true; changed; {
-		changed = false
-		for obj, lf := range fns {
-			if has[obj] {
-				continue
-			}
-			ok := lf.direct
-			for _, callee := range lf.callees {
-				if has[callee] {
-					ok = true
-					break
-				}
-			}
-			if ok {
-				has[obj] = true
-				changed = true
-			}
-		}
-	}
-	return has
-}
-
-// violation is one breach of a scan rule inside a function body.
+// violation is one breach of the local rule inside a function body.
 type violation struct {
 	pos token.Pos
 	msg string
@@ -80,11 +37,6 @@ type calleeRef struct {
 	fn  *types.Func
 	pos token.Pos
 }
-
-// scanFunc is an analyzer's local rule: scan one function body given
-// its package's type information and return the rule violations plus
-// the resolved calls worth following.
-type scanFunc func(info *types.Info, fn funcNode) ([]violation, []calleeRef)
 
 // funcFact is the memoized verdict for one function: clean, or a
 // human-readable predicate explaining the first failure found.
@@ -98,16 +50,14 @@ type funcFact struct {
 type factChecker struct {
 	analyzer string // analyzer name, for callee-package suppression lookups
 	lookup   func(string) *analysis.Package
-	scan     scanFunc
 	facts    map[*types.Func]*funcFact
 	indexes  map[*analysis.Package]map[*types.Func]funcNode
 }
 
-func newFactChecker(pass *analysis.Pass, scan scanFunc) *factChecker {
+func newFactChecker(pass *analysis.Pass) *factChecker {
 	return &factChecker{
 		analyzer: pass.Analyzer.Name,
 		lookup:   pass.Lookup,
-		scan:     scan,
 		facts:    make(map[*types.Func]*funcFact),
 		indexes:  make(map[*analysis.Package]map[*types.Func]funcNode),
 	}
@@ -116,7 +66,7 @@ func newFactChecker(pass *analysis.Pass, scan scanFunc) *factChecker {
 // check returns the fact for f, computing and memoizing it on first
 // use. Functions outside the module, without available syntax (loader
 // absent, load failure, interface methods) are clean by fiat: the
-// caller's policy layer decides what to do with opaque callees before
+// caller's allowlist decides what to do with opaque callees before
 // asking for facts.
 func (fc *factChecker) check(f *types.Func) *funcFact {
 	if fact, ok := fc.facts[f]; ok {
@@ -140,7 +90,7 @@ func (fc *factChecker) check(f *types.Func) *funcFact {
 	if !ok {
 		return fact // no body here: interface method or external decl
 	}
-	viols, callees := fc.scan(pkg.Info, node)
+	viols, callees := scanAllocs(pkg.Info, node)
 	for _, v := range viols {
 		posn := pkg.Fset.Position(v.pos)
 		if pkg.Suppressed(fc.analyzer, posn) {
@@ -178,22 +128,16 @@ func (fc *factChecker) index(pkg *analysis.Package) map[*types.Func]funcNode {
 	return idx
 }
 
-// markedFn is a function declaration carrying a pimvet annotation.
-type markedFn struct {
-	funcNode
-	mark analysis.Directive
-}
-
 // markedFuncs returns the function declarations annotated with
-// //pimvet:<kind>. The directive must sit inside the declaration's doc
-// comment (a comment block immediately above the func line); marks
+// //pimvet:allocfree. The directive must sit inside the declaration's
+// doc comment (a comment block immediately above the func line); marks
 // attached to nothing are returned separately so the analyzer can
 // surface the typo instead of silently ignoring it.
-func markedFuncs(pass *analysis.Pass, kind string) (marked []markedFn, stray []analysis.Directive) {
+func markedFuncs(pass *analysis.Pass) (marked []funcNode, stray []analysis.Directive) {
 	for _, file := range pass.Files {
 		var marks []analysis.Directive
 		for _, d := range analysis.ParseDirectives(pass.Fset, file) {
-			if d.Kind == kind {
+			if d.Kind == analysis.KindAllocFree {
 				marks = append(marks, d)
 			}
 		}
@@ -211,9 +155,7 @@ func markedFuncs(pass *analysis.Pass, kind string) (marked []markedFn, stray []a
 			for i, d := range marks {
 				if d.Pos.Line >= lo && d.Pos.Line <= hi {
 					used[i] = true
-					marked = append(marked, markedFn{
-						funcNode{decl: fd, typ: fd.Type, body: fd.Body}, d,
-					})
+					marked = append(marked, funcNode{decl: fd, typ: fd.Type, body: fd.Body})
 					break
 				}
 			}
@@ -225,13 +167,4 @@ func markedFuncs(pass *analysis.Pass, kind string) (marked []markedFn, stray []a
 		}
 	}
 	return marked, stray
-}
-
-// reportStray flags mark directives that attach to no function
-// declaration, so a misplaced annotation fails loudly.
-func reportStray(pass *analysis.Pass, kind string, stray []analysis.Directive) {
-	for _, d := range stray {
-		pass.ReportPosf(d.Pos,
-			"//pimvet:%s is not attached to a function declaration; write it in the function's doc comment", kind)
-	}
 }

@@ -1,12 +1,16 @@
 // Fixture for the allocfree analyzer: functions marked
 // //pimvet:allocfree — and everything they transitively call inside the
-// module — must not heap-allocate. Preallocated-scratch idioms (append
-// into caller/receiver storage) pass; every allocation shape is
-// flagged; justified //pimvet:allow exemptions suppress, including from
-// a marked caller's chain.
+// module — must not heap-allocate or block. Preallocated-scratch idioms
+// (append into caller/receiver storage) pass; every allocation shape,
+// channel operation and non-allowlisted stdlib call is flagged;
+// justified //pimvet:allow exemptions suppress, including from a marked
+// caller's chain.
 package fixture
 
-import "fmt"
+import (
+	"fmt"
+	"os"
+)
 
 type item struct{ k, v uint64 }
 
@@ -118,6 +122,41 @@ func nothing() {}
 //pimvet:allocfree
 func badStdlib(n int) string {
 	return fmt.Sprintf("%d", n) // want `boxes a value into an interface argument` `calls fmt\.Sprintf, which is outside the allocation-free allowlist`
+}
+
+// File I/O is outside the allowlist: a marked combining-window function
+// can never fsync inline.
+//
+//pimvet:allocfree
+func badFile(name string) {
+	_ = os.Remove(name) // want `calls os\.Remove, which is outside the allocation-free allowlist`
+}
+
+//pimvet:allocfree
+func badSend(ch chan int) {
+	ch <- 1 // want `sends on a channel`
+}
+
+//pimvet:allocfree
+func badRecv(ch chan int) int {
+	return <-ch // want `receives from a channel`
+}
+
+//pimvet:allocfree
+func badSelect(ch chan int) {
+	select { // want `selects on channels`
+	case ch <- 1: // want `sends on a channel`
+	default:
+	}
+}
+
+//pimvet:allocfree
+func badRange(ch chan int) int {
+	n := 0
+	for v := range ch { // want `ranges over a channel`
+		n += v
+	}
+	return n
 }
 
 // viaHelper reaches an allocation through a package-local helper; the

@@ -11,34 +11,24 @@ import (
 //	//pimvet:allow analyzer1,analyzer2: justification
 //	    Suppresses diagnostics from the listed analyzers on the same
 //	    line or the immediately following line. The justification (text
-//	    after the colon) is required under -strict.
+//	    after the colon) is required: an allow without one is itself a
+//	    finding.
 //
 //	//pimvet:allow-file analyzer1,analyzer2: justification
 //	    Suppresses the listed analyzers for the whole file.
 //
 //	//pimvet:package import/path
 //	    Overrides the package's logical import path. Used by testdata
-//	    fixtures so path-scoped analyzers (which key off
-//	    pimds/internal/sim, pimds/internal/core/...) treat the fixture
-//	    as in-scope code.
+//	    fixtures so the determinism analyzer's simulator scope
+//	    (pimds/internal/sim, pimds/internal/core/...) covers the
+//	    fixture.
 //
 //	//pimvet:allocfree note
-//	//pimvet:nonblocking note
-//	//pimvet:rotator note
-//	//pimvet:window note
-//	    Function annotations, written in the doc comment of a function
-//	    declaration (or on the line directly above it). allocfree and
-//	    nonblocking declare a hot-path contract — no heap allocations /
-//	    no blocking operations, transitively — that the allocfree and
-//	    combinerpurity analyzers enforce. rotator declares the function
-//	    a sanctioned owner of metrics-window rotation and health
-//	    evaluation (a dedicated ticker goroutine); obssafety flags
-//	    rotation anywhere else in the server. window declares the
-//	    function part of the pinned combining window — the stretch
-//	    where a shard's combiner holds every waiter captive — and
-//	    obssafety forbids file I/O and fsync inside it (durability runs
-//	    on the WAL writer goroutine, never inline). The note is
-//	    free-form and optional.
+//	    Function annotation, written in the doc comment of a function
+//	    declaration. It declares the hot-path contract — no heap
+//	    allocation and no blocking, transitively through module calls —
+//	    that the allocfree analyzer enforces. The note is free-form and
+//	    optional.
 //
 // The analyzer list may be "all" to cover every analyzer. A comment
 // recognized as a directive must begin with //pimvet: (no leading
@@ -50,13 +40,10 @@ import (
 
 // Directive kinds.
 const (
-	KindAllow       = "allow"
-	KindAllowFile   = "allow-file"
-	KindPackage     = "package"
-	KindAllocFree   = "allocfree"
-	KindNonBlocking = "nonblocking"
-	KindRotator     = "rotator"
-	KindWindow      = "window"
+	KindAllow     = "allow"
+	KindAllowFile = "allow-file"
+	KindPackage   = "package"
+	KindAllocFree = "allocfree"
 )
 
 // Directive is one parsed //pimvet: comment.
@@ -148,7 +135,7 @@ func parseOne(chunk string, pos token.Position) Directive {
 		if len(d.Analyzers) == 0 {
 			return malformed()
 		}
-	case KindAllocFree, KindNonBlocking, KindRotator, KindWindow:
+	case KindAllocFree:
 		d.Kind = verb
 		d.Arg = rest // optional free-form note
 	default:
@@ -174,23 +161,26 @@ func parseAllow(d *Directive, s string) {
 // fileDirectives groups a file's directives for fast suppression
 // lookups.
 type fileDirectives struct {
-	fileAllows []Directive
-	lineAllows map[int][]Directive // keyed by source line of the comment
-	malformed  []Directive
+	fileAllows  []Directive
+	lineAllows  map[int][]Directive // keyed by source line of the comment
+	malformed   []Directive
+	unjustified []Directive // allows with no text after the colon
 }
 
 func buildFileDirectives(fset *token.FileSet, file *ast.File) fileDirectives {
 	fd := fileDirectives{lineAllows: make(map[int][]Directive)}
 	for _, d := range parseDirectives(fset, file) {
+		if (d.Kind == KindAllow || d.Kind == KindAllowFile) && d.Justification == "" {
+			fd.unjustified = append(fd.unjustified, d)
+		}
 		switch d.Kind {
 		case KindAllow:
 			fd.lineAllows[d.Pos.Line] = append(fd.lineAllows[d.Pos.Line], d)
 		case KindAllowFile:
 			fd.fileAllows = append(fd.fileAllows, d)
-		case KindPackage, KindAllocFree, KindNonBlocking, KindRotator, KindWindow:
-			// package: handled at load time.
-			// allocfree/nonblocking/rotator/window: function
-			// annotations, consumed by the analyzers through
+		case KindPackage, KindAllocFree:
+			// package: handled at load time. allocfree: a function
+			// annotation, consumed by the analyzer through
 			// ParseDirectives.
 		default:
 			fd.malformed = append(fd.malformed, d)

@@ -31,25 +31,25 @@ func TestParseDirectives(t *testing.T) {
 		},
 		{
 			name: "tab between verb and list",
-			src:  "package p\n\n//pimvet:allow\tdeterminism,costcharge: reason\nvar x int\n",
-			want: []Directive{{Kind: "allow", Analyzers: []string{"determinism", "costcharge"}, Justification: "reason"}},
+			src:  "package p\n\n//pimvet:allow\tdeterminism,allocfree: reason\nvar x int\n",
+			want: []Directive{{Kind: "allow", Analyzers: []string{"determinism", "allocfree"}, Justification: "reason"}},
 		},
 		{
 			name: "tabs and spaces inside list",
-			src:  "package p\n\n//pimvet:allow \t determinism ,\tcostcharge : reason text\nvar x int\n",
-			want: []Directive{{Kind: "allow", Analyzers: []string{"determinism", "costcharge"}, Justification: "reason text"}},
+			src:  "package p\n\n//pimvet:allow \t determinism ,\tallocfree : reason text\nvar x int\n",
+			want: []Directive{{Kind: "allow", Analyzers: []string{"determinism", "allocfree"}, Justification: "reason text"}},
 		},
 		{
 			name: "trailing comment stays in justification",
-			src:  "package p\n\n//pimvet:allow obssafety: snapshot path -- see DESIGN.md §4\nvar x int\n",
-			want: []Directive{{Kind: "allow", Analyzers: []string{"obssafety"}, Justification: "snapshot path -- see DESIGN.md §4"}},
+			src:  "package p\n\n//pimvet:allow allocfree: snapshot path -- see DESIGN.md §4\nvar x int\n",
+			want: []Directive{{Kind: "allow", Analyzers: []string{"allocfree"}, Justification: "snapshot path -- see DESIGN.md §4"}},
 		},
 		{
 			name: "multiple directives on one line",
-			src:  "package p\n\n//pimvet:allocfree //pimvet:nonblocking combiner apply\nfunc f() {}\n",
+			src:  "package p\n\n//pimvet:allocfree combiner apply //pimvet:allow determinism: pass timing\nfunc f() {}\n",
 			want: []Directive{
-				{Kind: "allocfree"},
-				{Kind: "nonblocking", Arg: "combiner apply"},
+				{Kind: "allocfree", Arg: "combiner apply"},
+				{Kind: "allow", Analyzers: []string{"determinism"}, Justification: "pass timing"},
 			},
 		},
 		{

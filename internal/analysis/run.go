@@ -2,21 +2,11 @@ package analysis
 
 import "fmt"
 
-// Options controls a Run.
-type Options struct {
-	// Strict additionally reports //pimvet:allow directives that carry
-	// no justification text (the part after the colon). A suppression
-	// without a recorded reason is itself a finding: the whole point of
-	// the allowlist is that every exemption from an invariant is
-	// justified in-tree.
-	Strict bool
-}
-
 // Run type-checks each directory's package and applies every analyzer,
 // returning the surviving (unsuppressed) diagnostics in stable order.
 // A package that fails to parse or type-check aborts the run with an
 // error: analyzers on broken trees produce nonsense.
-func Run(loader *Loader, dirs []string, analyzers []*Analyzer, opts Options) ([]Diagnostic, error) {
+func Run(loader *Loader, dirs []string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, dir := range dirs {
 		pkg, err := loader.LoadDir(dir)
@@ -26,7 +16,7 @@ func Run(loader *Loader, dirs []string, analyzers []*Analyzer, opts Options) ([]
 		if len(pkg.Errors) > 0 {
 			return nil, fmt.Errorf("pimvet: %s: %v", dir, pkg.Errors[0])
 		}
-		diags = append(diags, RunPackage(pkg, analyzers, opts)...)
+		diags = append(diags, RunPackage(pkg, analyzers)...)
 	}
 	SortDiagnostics(diags)
 	return diags, nil
@@ -34,7 +24,10 @@ func Run(loader *Loader, dirs []string, analyzers []*Analyzer, opts Options) ([]
 
 // RunPackage applies the analyzers to one loaded package and filters
 // the results through the package's //pimvet:allow directives.
-func RunPackage(pkg *Package, analyzers []*Analyzer, opts Options) []Diagnostic {
+// Malformed directives and allows without a justification are findings
+// of their own: the point of the allowlist is that every exemption from
+// an invariant is justified in-tree.
+func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	var raw []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -65,16 +58,12 @@ func RunPackage(pkg *Package, analyzers []*Analyzer, opts Options) []Diagnostic 
 				Message:  fmt.Sprintf("malformed //pimvet: directive %q", directivePrefix+m.Arg),
 			})
 		}
-		if opts.Strict {
-			for _, d := range append(append([]Directive(nil), fd.fileAllows...), flatten(fd.lineAllows)...) {
-				if d.Justification == "" {
-					out = append(out, Diagnostic{
-						Analyzer: "pimvet",
-						Pos:      d.Pos,
-						Message:  "suppression without justification (write //pimvet:" + d.Kind + " <analyzers>: <reason>)",
-					})
-				}
-			}
+		for _, d := range fd.unjustified {
+			out = append(out, Diagnostic{
+				Analyzer: "pimvet",
+				Pos:      d.Pos,
+				Message:  "suppression without justification (write //pimvet:" + d.Kind + " <analyzers>: <reason>)",
+			})
 		}
 	}
 	for _, d := range raw {
@@ -83,14 +72,6 @@ func RunPackage(pkg *Package, analyzers []*Analyzer, opts Options) []Diagnostic 
 			continue
 		}
 		out = append(out, d)
-	}
-	return out
-}
-
-func flatten(m map[int][]Directive) []Directive {
-	var out []Directive
-	for _, ds := range m {
-		out = append(out, ds...)
 	}
 	return out
 }

@@ -215,7 +215,7 @@ func (l *List) ApplyBatch(ops []Op) []bool {
 // inside the List, so a batch no larger than any before it, against a
 // list no larger than its high-water mark, allocates nothing.
 //
-//pimvet:allocfree //pimvet:nonblocking
+//pimvet:allocfree
 func (l *List) ApplyBatchInto(ops []Op, results []bool) {
 	if len(ops) == 0 {
 		return
@@ -306,7 +306,7 @@ func (l *List) PopMaxKey() (int64, bool) {
 // When a scan hits its limit, the cursor is the first unreturned key,
 // so paginating clients resume exactly there.
 //
-//pimvet:allocfree //pimvet:nonblocking
+//pimvet:allocfree
 func (l *List) ApplyOrderedBatchInto(ops []Op, res []OpResult, arena []int64) []int64 {
 	if len(ops) == 0 {
 		return arena

@@ -20,7 +20,7 @@ import (
 //
 // The Window never touches the hot path: whoever owns it calls Rotate
 // from a dedicated ticker goroutine (in pimserve, rotation is
-// ticker-only and pimvet's obssafety analyzer enforces that), and a
+// ticker-only by convention), and a
 // rotation reads the registry exactly the way a /metrics scrape does.
 // Nothing here reads a wall clock: samples are identified by rotation
 // sequence number and nominal duration, so the history document is a
@@ -184,8 +184,7 @@ func NewWindow(reg *Registry, tiers []Tier) (*Window, error) {
 // once and, for every tier whose beat has come due, subtracts the
 // tier's previous cumulative snapshot into a delta sample and advances
 // the ring. Called from the owner's ticker goroutine only — never from
-// request-handling or combiner code (obssafety enforces this in the
-// server).
+// request-handling or combiner code.
 func (w *Window) Rotate() {
 	if w == nil {
 		return

@@ -24,12 +24,13 @@ import (
 // delivery.
 //
 // ApplyBatch runs inside the combining window (Server.applyBatch, which
-// is //pimvet:nonblocking), so every implementation must be marked
-// //pimvet:nonblocking — pimvet cannot see through the interface call,
-// so the contract is enforced on each implementation instead. The
-// list/queue/stack backends are additionally //pimvet:allocfree; skip
-// and hash structures allocate on insert by nature (towers, chain
-// entries) and carry only the nonblocking mark.
+// is //pimvet:allocfree), so every implementation must be marked
+// //pimvet:allocfree — pimvet cannot see through the interface call,
+// so the contract is enforced on each implementation instead: no
+// blocking, no file I/O, and no allocation beyond the justified
+// exemptions. The skip and hash structures allocate on insert by
+// nature (towers, chain entries); those sites carry
+// //pimvet:allow allocfree in seqskip and seqhash.
 type backend interface {
 	// ApplyBatch serves one combiner pass. len(out) == len(ops).
 	ApplyBatch(ops []wire.Op, out []wire.Result, arena []int64) []int64
@@ -142,8 +143,7 @@ type listBackend struct {
 	res []seqlist.OpResult // scratch (ordered path)
 }
 
-//pimvet:allocfree //pimvet:nonblocking
-//pimvet:window
+//pimvet:allocfree
 func (b *listBackend) ApplyBatch(ops []wire.Op, out []wire.Result, arena []int64) []int64 {
 	b.ops = b.ops[:0]
 	ordered := false
@@ -184,17 +184,17 @@ func (b *listBackend) RestoreState(vals []int64)       { restoreState(b, wire.Ad
 
 // skipBackend serves set ops on a sequential skip-list, applying the
 // batch in publication order (any serialization of a concurrent batch
-// is linearizable). Adds allocate towers, so this backend is
-// nonblocking but not allocfree. starts/counts park each scan's arena
-// segment until the batch is done and the arena has stopped moving.
+// is linearizable). Adds allocate one tower per inserted key (a
+// justified exemption inside seqskip). starts/counts park each scan's
+// arena segment until the batch is done and the arena has stopped
+// moving.
 type skipBackend struct {
 	l      *seqskip.List
 	starts []int // scratch: scan arena offsets by op index
 	counts []int // scratch: scan cardinalities by op index
 }
 
-//pimvet:nonblocking
-//pimvet:window
+//pimvet:allocfree
 func (b *skipBackend) ApplyBatch(ops []wire.Op, out []wire.Result, arena []int64) []int64 {
 	scans := false
 	for i, op := range ops {
@@ -238,14 +238,13 @@ func (b *skipBackend) AppendState(dst []int64) []int64 { return append(dst, b.l.
 func (b *skipBackend) RestoreState(vals []int64)       { restoreState(b, wire.Add, vals) }
 
 // hashBackend serves set ops on a chained hash table (keys only; the
-// stored value mirrors the key). Puts allocate chain entries, so this
-// backend is nonblocking but not allocfree.
+// stored value mirrors the key). Puts allocate chain entries and the
+// table doubles as it fills (justified exemptions inside seqhash).
 type hashBackend struct {
 	t *seqhash.Table
 }
 
-//pimvet:nonblocking
-//pimvet:window
+//pimvet:allocfree
 func (b *hashBackend) ApplyBatch(ops []wire.Op, out []wire.Result, arena []int64) []int64 {
 	for i, op := range ops {
 		var ok bool
@@ -283,8 +282,7 @@ type queueBackend struct {
 	head, size int
 }
 
-//pimvet:allocfree //pimvet:nonblocking
-//pimvet:window
+//pimvet:allocfree
 func (b *queueBackend) ApplyBatch(ops []wire.Op, out []wire.Result, arena []int64) []int64 {
 	for i, op := range ops {
 		switch op.Kind {
@@ -341,8 +339,7 @@ type stackBackend struct {
 	vals []int64
 }
 
-//pimvet:allocfree //pimvet:nonblocking
-//pimvet:window
+//pimvet:allocfree
 func (b *stackBackend) ApplyBatch(ops []wire.Op, out []wire.Result, arena []int64) []int64 {
 	for i, op := range ops {
 		switch op.Kind {

@@ -3,8 +3,6 @@ package server
 // RotateOnce forces one window rotation and health re-evaluation, so
 // tests can close window intervals deterministically instead of
 // waiting out the ticker.
-//
-//pimvet:rotator test-only deterministic rotation
 func (s *Server) RotateOnce() { s.rotateOnce() }
 
 // RecoverForTest runs WAL recovery (snapshot restore + log replay +

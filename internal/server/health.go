@@ -79,13 +79,12 @@ type HealthStatus struct {
 }
 
 // rotateLoop is the window's dedicated ticker goroutine — the only
-// place rotation and health evaluation ever run. Readers, writers and
-// combiners never rotate or evaluate (pimvet's obssafety analyzer
-// enforces this); they, and the /healthz handler, read the cached
-// verdict instead, so the hot path's allocation-free and non-blocking
-// contracts are untouched by observability cadence.
-//
-//pimvet:rotator
+// place rotation and health evaluation ever run. By convention,
+// readers, writers, combiners and HTTP handlers never call Rotate or
+// Evaluate (a rotation snapshots the whole registry under its mutex);
+// they read the cached verdict instead, so the hot path's
+// allocation-free and non-blocking contracts are untouched by
+// observability cadence.
 func (s *Server) rotateLoop(tick time.Duration) {
 	defer close(s.windowDone)
 	t := time.NewTicker(tick)
@@ -103,8 +102,6 @@ func (s *Server) rotateLoop(tick time.Duration) {
 // rotateOnce closes one window interval and refreshes the cached
 // verdict. Split from rotateLoop so tests can force a rotation without
 // waiting out the ticker.
-//
-//pimvet:rotator
 func (s *Server) rotateOnce() {
 	s.win.Rotate()
 	v := s.eng.Evaluate(s.win.History())

@@ -211,56 +211,39 @@ func TestOrderedRejections(t *testing.T) {
 // queries with adds and removes, and the recorded history must satisfy
 // the ordered-set spec — including every scan's exact key list and
 // cursor.
+//
+// The clients run in rounds of perRound ops with a barrier between
+// rounds, so no op overlaps an op of another round and at most
+// nClients*perRound ops are ever concurrent — below the checker's
+// 64-op window even when one op stalls for a whole round, as it can
+// under -race on a loaded machine.
 func TestServerHistoryLinearizableOrdered(t *testing.T) {
-	const nClients, perClient, keySpace = 4, 50, 64
+	const nClients, perClient, perRound, keySpace = 4, 50, 10, 64
 	log := server.NewOpLog()
 	srv, addr := startServer(t, server.Config{
 		Structure: server.StructSkip, KeySpace: keySpace, Log: log,
 	})
 
-	var wg sync.WaitGroup
-	for cl := 0; cl < nClients; cl++ {
-		wg.Add(1)
-		go func(cl int) {
-			defer wg.Done()
-			c := dialRaw(t, addr)
-			defer c.nc.Close()
-			rng := rand.New(rand.NewSource(int64(cl) + 42))
-			for i := 0; i < perClient; i++ {
-				k := int64(rng.Intn(keySpace))
-				var op wire.Op
-				switch rng.Intn(8) {
-				case 0, 1, 2:
-					op = wire.Op{Kind: wire.Add, Key: k}
-				case 3:
-					op = wire.Op{Kind: wire.Remove, Key: k}
-				case 4:
-					op = wire.Op{Kind: wire.Contains, Key: k}
-				case 5:
-					op = wire.Op{Kind: wire.RangeScan, Key: k, Hi: k + int64(rng.Intn(32)), Limit: uint16(rng.Intn(5))}
-				case 6:
-					if rng.Intn(2) == 0 {
-						op = wire.Op{Kind: wire.Pred, Key: k}
-					} else {
-						op = wire.Op{Kind: wire.Succ, Key: k}
-					}
-				default:
-					if rng.Intn(2) == 0 {
-						op = wire.Op{Kind: wire.PopMin}
-					} else {
-						op = wire.Op{Kind: wire.PopMax}
-					}
-				}
-				op.ID = uint64(i)
-				c.send(t, op)
-				if res := c.recvAny(t, 1); len(res) != 1 {
-					t.Errorf("client %d op %d: %d results", cl, i, len(res))
-					return
-				}
-			}
-		}(cl)
+	clients := make([]*client, nClients)
+	rngs := make([]*rand.Rand, nClients)
+	for cl := range clients {
+		clients[cl] = dialRaw(t, addr)
+		rngs[cl] = rand.New(rand.NewSource(int64(cl) + 42))
 	}
-	wg.Wait()
+	for round := 0; round < perClient/perRound; round++ {
+		var wg sync.WaitGroup
+		for cl := 0; cl < nClients; cl++ {
+			wg.Add(1)
+			go func(cl int) {
+				defer wg.Done()
+				clientRound(t, clients[cl], rngs[cl], cl, round*perRound, perRound, keySpace)
+			}(cl)
+		}
+		wg.Wait()
+	}
+	for _, c := range clients {
+		c.nc.Close()
+	}
 	srv.Shutdown()
 
 	ops := log.Ops()
@@ -278,5 +261,42 @@ func TestServerHistoryLinearizableOrdered(t *testing.T) {
 	}
 	if !linearize.Check(linearize.SetSpec{}, ops) {
 		t.Fatal("ordered server history is not linearizable")
+	}
+}
+
+// clientRound issues ops [first, first+n) of one closed-loop client of
+// TestServerHistoryLinearizableOrdered, drawing the mix from rng.
+func clientRound(t *testing.T, c *client, rng *rand.Rand, cl, first, n, keySpace int) {
+	for i := first; i < first+n; i++ {
+		k := int64(rng.Intn(keySpace))
+		var op wire.Op
+		switch rng.Intn(8) {
+		case 0, 1, 2:
+			op = wire.Op{Kind: wire.Add, Key: k}
+		case 3:
+			op = wire.Op{Kind: wire.Remove, Key: k}
+		case 4:
+			op = wire.Op{Kind: wire.Contains, Key: k}
+		case 5:
+			op = wire.Op{Kind: wire.RangeScan, Key: k, Hi: k + int64(rng.Intn(32)), Limit: uint16(rng.Intn(5))}
+		case 6:
+			if rng.Intn(2) == 0 {
+				op = wire.Op{Kind: wire.Pred, Key: k}
+			} else {
+				op = wire.Op{Kind: wire.Succ, Key: k}
+			}
+		default:
+			if rng.Intn(2) == 0 {
+				op = wire.Op{Kind: wire.PopMin}
+			} else {
+				op = wire.Op{Kind: wire.PopMax}
+			}
+		}
+		op.ID = uint64(i)
+		c.send(t, op)
+		if res := c.recvAny(t, 1); len(res) != 1 {
+			t.Errorf("client %d op %d: %d results", cl, i, len(res))
+			return
+		}
 	}
 }

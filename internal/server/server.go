@@ -222,7 +222,7 @@ func (c *conn) deliver(d delivery) {
 // unsampled path is three shifts and a compare, no allocation — this is
 // the per-frame cost tracing adds to untraced traffic, so it is pinned.
 //
-//pimvet:allocfree //pimvet:nonblocking
+//pimvet:allocfree
 func (c *conn) sampleHit(threshold uint64) bool {
 	x := c.rng
 	x ^= x << 13
@@ -707,8 +707,7 @@ func (s *Server) release(ps *pass, tAck int64) {
 // park the combiner goroutine; channel hand-offs stay in combineLoop on
 // either side.
 //
-//pimvet:allocfree //pimvet:nonblocking
-//pimvet:window
+//pimvet:allocfree
 func (s *Server) applyBatch(ps *pass) {
 	sh := ps.sh
 	if ps.traced {
@@ -724,8 +723,8 @@ func (s *Server) applyBatch(ps *pass) {
 	if ps.rec != nil {
 		// Durability stages here, inside the window, but only as bytes
 		// in the pass's preallocated buffer: the file write and fsync
-		// belong to the WAL writer goroutine (pimvet's window check
-		// enforces the split).
+		// belong to the WAL writer goroutine (allocfree's stdlib
+		// allowlist excludes os and syscall, which enforces the split).
 		ps.stageRecord()
 	}
 	ps.end = s.now()

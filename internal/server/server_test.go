@@ -403,7 +403,7 @@ func TestGracefulDrainLosesNoAckedOps(t *testing.T) {
 		ids map[uint64]bool
 	}
 	tallies := make([]clientTally, nClients)
-	var ackedLive atomic.Int64
+	var clientsAcked atomic.Int64 // clients holding at least one response
 	var wg sync.WaitGroup
 	stopSend := make(chan struct{})
 	for cl := 0; cl < nClients; cl++ {
@@ -467,33 +467,48 @@ func TestGracefulDrainLosesNoAckedOps(t *testing.T) {
 					t.Errorf("client %d decode: %v", cl, err)
 					break
 				}
+				if len(ids) == 0 && len(results) > 0 {
+					clientsAcked.Add(1)
+				}
 				for _, r := range results {
 					if ids[r.ID] {
 						t.Errorf("client %d: duplicate response for id %d", cl, r.ID)
 					}
 					ids[r.ID] = true
-					ackedLive.Add(1)
 				}
 			}
 			<-done
 		}(cl)
 	}
 
-	// Let traffic build — wait for real round trips, not wall time, so
-	// a loaded machine can't drain before anything was acknowledged —
+	// Let traffic build — wait until every client has a round trip
+	// back, not for wall time or a total that a few fast clients can
+	// reach alone: a client the server has not yet accepted when the
+	// drain starts is reset (listener backlog teardown), not drained —
 	// then shut down concurrently with active senders.
-	for deadline := time.Now().Add(5 * time.Second); ackedLive.Load() < nClients*pipeline; {
+	for deadline := time.Now().Add(5 * time.Second); clientsAcked.Load() < nClients; {
 		if time.Now().After(deadline) {
 			break // final acked==0 check will report it
 		}
 		time.Sleep(time.Millisecond)
 	}
 	go srv.Shutdown()
-	time.Sleep(10 * time.Millisecond)
-	// Mid-drain, /healthz must already report draining and not-ready —
-	// the load balancer's cue to stop routing here.
-	rec := httptest.NewRecorder()
-	srv.OpsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	time.Sleep(10 * time.Millisecond) // let the drain run against live senders
+	// Mid-drain, /healthz must report draining and not-ready — the
+	// load balancer's cue to stop routing here. The drain cannot finish
+	// before close(stopSend) below (each server writer waits for its
+	// client's FIN), so every probe here is mid-drain; keep probing
+	// while the Shutdown goroutine has not been scheduled yet.
+	healthz := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.OpsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+		return rec
+	}
+	rec := healthz()
+	for deadline := time.Now().Add(5 * time.Second); rec.Code == 200 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		rec = healthz()
+	}
 	if rec.Code != 503 || !strings.Contains(rec.Body.String(), `"status": "draining"`) {
 		t.Errorf("mid-drain healthz: code %d body %s", rec.Code, rec.Body.String())
 	}

@@ -14,8 +14,9 @@ package server
 // per-connection xorshift64 generator (no shared state, no locks), or
 // forced by the client via the frame's trace-context Sampled bit. Unsampled
 // requests touch no tracing state at all beyond one nil check per
-// stage; only the sampled path allocates (pimvet's obssafety analyzer
-// enforces that discipline in this package's hot loops).
+// stage; only the sampled path allocates. By convention every span
+// allocation in the hot loops sits behind the sampling guard;
+// TestSampleHitAllocs pins the guard itself at zero allocations.
 
 import (
 	"fmt"
@@ -70,7 +71,7 @@ type SpanRecord struct {
 // components returns the telescoped breakdown in taxonomy order. The
 // array return lives in the caller's frame: subtraction only, no heap.
 //
-//pimvet:allocfree //pimvet:nonblocking
+//pimvet:allocfree
 func (sp *span) components() [prof.NumServerComponents]int64 {
 	return [prof.NumServerComponents]int64{
 		prof.SrvReadDecode:  sp.pub - sp.start,

@@ -103,8 +103,7 @@ func newWALState(cfg Config) (*walState, error) {
 // earlier durable writes. Part of the pinned window: stages bytes only,
 // never touches a file.
 //
-//pimvet:allocfree //pimvet:nonblocking
-//pimvet:window
+//pimvet:allocfree
 func (ps *pass) stageRecord() {
 	sh := ps.sh
 	ps.rec = wal.BeginRecord(ps.rec[:0], uint16(sh.idx), sh.walSeq+1)

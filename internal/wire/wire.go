@@ -268,7 +268,7 @@ const (
 // response record, for writers packing results into frames under the
 // MaxPayload budget.
 //
-//pimvet:allocfree //pimvet:nonblocking
+//pimvet:allocfree
 func VarResultSize(r Result) int { return varBaseSize + 8*len(r.Values) }
 
 // Protocol errors.
@@ -318,7 +318,7 @@ var (
 // encoding shared by FrameRequestV2 and the WAL's batch records.
 // Zero-alloc when buf has capacity.
 //
-//pimvet:allocfree //pimvet:nonblocking
+//pimvet:allocfree
 func AppendOp(buf []byte, op Op) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, op.ID)
 	buf = append(buf, byte(op.Kind))
@@ -332,7 +332,7 @@ func AppendOp(buf []byte, op Op) []byte {
 // of b. Strict: the kind byte must name a defined op, so every accepted
 // record re-encodes byte-identically. Zero-alloc.
 //
-//pimvet:allocfree //pimvet:nonblocking
+//pimvet:allocfree
 func DecodeOp(b []byte) (Op, error) {
 	if len(b) < OpRecordSize {
 		return Op{}, errOpTruncated
@@ -357,7 +357,7 @@ func DecodeOp(b []byte) (Op, error) {
 // so decode/re-encode stays canonical. Zero-alloc when buf has
 // capacity: clients reuse one buffer per connection.
 //
-//pimvet:allocfree //pimvet:nonblocking
+//pimvet:allocfree
 func AppendRequestV2(buf []byte, ops []Op, tc TraceContext) ([]byte, error) {
 	if len(ops) > MaxOpsPerFrame {
 		return buf, ErrTooManyOps
@@ -379,7 +379,7 @@ func AppendRequestV2(buf []byte, ops []Op, tc TraceContext) ([]byte, error) {
 // and returns the extended slice. Zero-alloc when buf has capacity: the
 // server's writer goroutines reuse one buffer per connection.
 //
-//pimvet:allocfree //pimvet:nonblocking
+//pimvet:allocfree
 func AppendResponse(buf []byte, results []Result) ([]byte, error) {
 	if len(results) > MaxOpsPerFrame {
 		return buf, ErrTooManyOps
@@ -410,7 +410,7 @@ func AppendResponse(buf []byte, results []Result) ([]byte, error) {
 // MaxPayload; writers split larger batches, tracking size with
 // VarResultSize. Zero-alloc when buf has capacity.
 //
-//pimvet:allocfree //pimvet:nonblocking
+//pimvet:allocfree
 func AppendResponseVar(buf []byte, results []Result) ([]byte, error) {
 	if len(results) > MaxOpsPerFrame {
 		return buf, ErrTooManyOps
@@ -451,7 +451,7 @@ func AppendResponseVar(buf []byte, results []Result) ([]byte, error) {
 // exceeds MaxPayload or MaxOpsPerFrame records. Zero-alloc when buf has
 // capacity.
 //
-//pimvet:allocfree //pimvet:nonblocking
+//pimvet:allocfree
 func AppendResponses(buf []byte, results []Result) ([]byte, int, error) {
 	frames := 0
 	for len(results) > 0 {
@@ -497,7 +497,7 @@ func AppendResponses(buf []byte, results []Result) ([]byte, int, error) {
 	return buf, frames, nil
 }
 
-//pimvet:allocfree //pimvet:nonblocking
+//pimvet:allocfree
 func appendFrameHeader(buf []byte, payload int, typ uint8, count int) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(payload))
 	buf = append(buf, typ)
@@ -509,9 +509,10 @@ func appendFrameHeader(buf []byte, payload int, typ uint8, count int) []byte {
 // it is large enough. It returns io.EOF only on a clean frame
 // boundary; a stream that dies mid-frame yields io.ErrUnexpectedEOF.
 // The returned slice aliases buf (or its replacement) and is valid
-// until the next call with the same buffer. (Not //pimvet:nonblocking:
-// reading from r parks on the socket by design — this is the reader
-// goroutine's blocking point.)
+// until the next call with the same buffer. (Allocation-free but not
+// non-blocking: reading from r parks on the socket by design — this is
+// the reader goroutine's blocking point, reached through io.ReadFull on
+// allocfree's allowlist.)
 //
 //pimvet:allocfree
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
@@ -564,7 +565,7 @@ func unexpectedEOF(err error) error {
 // dst has capacity: this is the server reader goroutine's per-frame
 // fast path.
 //
-//pimvet:allocfree //pimvet:nonblocking
+//pimvet:allocfree
 func DecodeRequestAny(payload []byte, dst []Op) ([]Op, TraceContext, error) {
 	body, count, err := checkHeader(payload, FrameRequestV2, OpRecordSize, traceSize)
 	if err != nil {
@@ -601,7 +602,7 @@ func DecodeRequestAny(payload []byte, dst []Op) ([]Op, TraceContext, error) {
 // every accepted payload re-encodes byte-identically. Zero-alloc when
 // dst has capacity: this is the client reader's per-frame fast path.
 //
-//pimvet:allocfree //pimvet:nonblocking
+//pimvet:allocfree
 func DecodeResponse(payload []byte, dst []Result) ([]Result, error) {
 	body, count, err := checkHeader(payload, FrameResponse, resultSize, 0)
 	if err != nil {
@@ -635,7 +636,7 @@ func DecodeResponse(payload []byte, dst []Result) ([]Result, error) {
 // ErrMalformed — so every accepted payload re-encodes byte-identically.
 // Zero-alloc when dst and vals have capacity.
 //
-//pimvet:allocfree //pimvet:nonblocking
+//pimvet:allocfree
 func DecodeResponseAny(payload []byte, dst []Result, vals []int64) ([]Result, []int64, error) {
 	if len(payload) >= 1 && payload[0] == FrameResponse {
 		dst, err := DecodeResponse(payload, dst)
@@ -709,7 +710,7 @@ func DecodeResponseAny(payload []byte, dst []Result, vals []int64) ([]Result, []
 // fixed per-frame state (the request trace context) before the records;
 // the returned body starts at that state.
 //
-//pimvet:allocfree //pimvet:nonblocking
+//pimvet:allocfree
 func checkHeader(payload []byte, wantType uint8, recSize, extra int) (body []byte, count int, err error) {
 	if len(payload) < headerSize {
 		return nil, 0, errTruncatedHeader
