@@ -104,14 +104,18 @@ func TestMetricsHistoryEndpoint(t *testing.T) {
 
 // healthDoc mirrors the /healthz JSON for assertions.
 type healthDoc struct {
-	Status    string `json:"status"`
-	Ready     bool   `json:"ready"`
-	WindowSeq uint64 `json:"window_seq"`
-	Rules     []struct {
-		Rule   string `json:"rule"`
-		State  string `json:"state"`
-		Reason string `json:"reason"`
-	} `json:"rules"`
+	Status    string       `json:"status"`
+	Ready     bool         `json:"ready"`
+	WindowSeq uint64       `json:"window_seq"`
+	Rules     []healthRule `json:"rules"`
+}
+
+// healthRule mirrors one /healthz rule result.
+type healthRule struct {
+	Rule   string  `json:"rule"`
+	State  string  `json:"state"`
+	Reason string  `json:"reason"`
+	Value  float64 `json:"value"`
 }
 
 func scrapeHealth(t *testing.T, h http.Handler) (healthDoc, int) {
