@@ -47,7 +47,6 @@ func main() {
 		traceRing   = flag.Int("trace-ring", 256, "finished spans retained per shard for /trace")
 		slowThresh  = flag.Duration("slow-threshold", 0, "log sampled requests at least this slow to /slow (0 = off)")
 		windowTick  = flag.Duration("window-tick", time.Second, "windowed-metrics rotation interval for /metrics/history and /healthz (0 = off)")
-		healthP99   = flag.Duration("health-p99", 0, "p99 latency budget for the health rules (0 = default)")
 		walDir      = flag.String("wal-dir", "", "directory for the write-ahead log and snapshots (empty = no durability)")
 		fsync       = flag.String("fsync", server.FsyncBatch, "WAL fsync policy: batch (per writer pass, group commit)|off (OS page cache only)")
 		snapEvery   = flag.Duration("snapshot-every", 10*time.Second, "interval between snapshots that truncate the WAL (0 = only on clean shutdown)")
@@ -78,7 +77,6 @@ func main() {
 		TraceRing:     *traceRing,
 		SlowThreshold: *slowThresh,
 		WindowTick:    *windowTick,
-		HealthRules:   server.DefaultHealthRules(*healthP99),
 		WALDir:        *walDir,
 		Fsync:         *fsync,
 		SnapshotEvery: *snapEvery,

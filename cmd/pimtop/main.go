@@ -32,16 +32,8 @@ import (
 
 	"pimds/internal/buildinfo"
 	"pimds/internal/obs"
-	"pimds/internal/obs/health"
+	"pimds/internal/server"
 )
-
-// healthDoc mirrors the server's /healthz document.
-type healthDoc struct {
-	Status    string              `json:"status"`
-	Ready     bool                `json:"ready"`
-	WindowSeq uint64              `json:"window_seq"`
-	Rules     []health.RuleResult `json:"rules"`
-}
 
 // summary is the -json output: one scrape folded into the numbers a
 // script wants to assert on.
@@ -49,7 +41,6 @@ type summary struct {
 	Status    string              `json:"status"`
 	Ready     bool                `json:"ready"`
 	WindowSeq uint64              `json:"window_seq"`
-	Tiers     int                 `json:"tiers"`
 	Samples   int                 `json:"samples"`
 	OpsPerSec float64             `json:"ops_per_sec"`
 	P50NS     int64               `json:"p50_ns"`
@@ -57,7 +48,7 @@ type summary struct {
 	ConnsOpen int64               `json:"conns_open"`
 	WAL       *walRow             `json:"wal,omitempty"`
 	Shards    []shardRow          `json:"shards"`
-	Alerts    []health.RuleResult `json:"alerts"`
+	Alerts    []server.RuleResult `json:"alerts"`
 }
 
 // walRow summarizes the durability pipeline; present only when the
@@ -134,12 +125,12 @@ func main() {
 // scrape fetches one consistent-enough view: history first, then the
 // health verdict (the verdict may be one rotation newer; both carry
 // their own seq).
-func scrape(client *http.Client, base string) (*obs.History, *healthDoc, error) {
+func scrape(client *http.Client, base string) (*obs.History, *server.HealthStatus, error) {
 	var hist obs.History
 	if err := getJSON(client, base+"/metrics/history", &hist); err != nil {
 		return nil, nil, err
 	}
-	var hd healthDoc
+	var hd server.HealthStatus
 	// /healthz answers 503 while draining or failing; the body is still
 	// the document, so decode regardless of status.
 	if err := getJSON(client, base+"/healthz", &hd); err != nil {
@@ -172,23 +163,13 @@ func rate(delta uint64, durNS int64) float64 {
 	return float64(delta) / (float64(durNS) / 1e9)
 }
 
-// summarize folds the latest finest-tier sample into the -json doc.
-func summarize(hist *obs.History, hd *healthDoc) summary {
+// summarize folds the latest window sample into the -json doc.
+func summarize(hist *obs.History, hd *server.HealthStatus) summary {
 	s := summary{
 		Status: hd.Status, Ready: hd.Ready, WindowSeq: hd.WindowSeq,
-		Tiers: len(hist.Tiers), Shards: []shardRow{}, Alerts: []health.RuleResult{},
+		Samples: len(hist.Samples), Shards: []shardRow{}, Alerts: alerts(hd),
 	}
-	for _, r := range hd.Rules {
-		if r.State != health.Ok {
-			s.Alerts = append(s.Alerts, r)
-		}
-	}
-	fine := hist.Tier("")
-	if fine == nil {
-		return s
-	}
-	s.Samples = len(fine.Samples)
-	latest := fine.Latest()
+	latest := hist.Latest()
 	if latest == nil {
 		return s
 	}
@@ -201,7 +182,7 @@ func summarize(hist *obs.History, hd *healthDoc) summary {
 		s.WAL = w
 	}
 	for _, name := range sortedKeys(latest.Histograms) {
-		shard, ok := shardOf(name, "batch_size")
+		shard, ok := server.ShardOf(name, "batch_size")
 		if !ok {
 			continue
 		}
@@ -236,17 +217,15 @@ func walSummary(latest *obs.WindowSample) *walRow {
 	return w
 }
 
-// shardOf extracts NNN from server/shard/NNN/<metric>.
-func shardOf(name, metric string) (string, bool) {
-	rest, ok := strings.CutPrefix(name, "server/shard/")
-	if !ok {
-		return "", false
+// alerts returns the rules that are not ok.
+func alerts(hd *server.HealthStatus) []server.RuleResult {
+	out := []server.RuleResult{}
+	for _, r := range hd.Rules {
+		if r.State != "ok" {
+			out = append(out, r)
+		}
 	}
-	shard, m, ok := strings.Cut(rest, "/")
-	if !ok || m != metric {
-		return "", false
-	}
-	return shard, true
+	return out
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -286,7 +265,7 @@ func ns(v int64) string {
 
 // render draws one dashboard frame. live prepends the ANSI
 // clear-screen so the frame repaints in place.
-func render(hist *obs.History, hd *healthDoc, base string, live bool) string {
+func render(hist *obs.History, hd *server.HealthStatus, base string, live bool) string {
 	var b strings.Builder
 	if live {
 		b.WriteString("\x1b[2J\x1b[H")
@@ -294,16 +273,15 @@ func render(hist *obs.History, hd *healthDoc, base string, live bool) string {
 	fmt.Fprintf(&b, "pimtop — %s   status: %s   ready: %v   window seq: %d\n",
 		base, hd.Status, hd.Ready, hd.WindowSeq)
 
-	fine := hist.Tier("")
-	latest := fine.Latest()
+	latest := hist.Latest()
 	if latest == nil {
 		b.WriteString("\n  no window samples yet (is -window-tick enabled on the server?)\n")
 		return b.String()
 	}
 
 	var opsRates, p99s []float64
-	for i := range fine.Samples {
-		s := &fine.Samples[i]
+	for i := range hist.Samples {
+		s := &hist.Samples[i]
 		opsRates = append(opsRates, rate(s.Counters["server/ops/total"], s.DurNS))
 		p99s = append(p99s, float64(s.Histograms["server/op_latency_ns"].P99))
 	}
@@ -322,7 +300,7 @@ func render(hist *obs.History, hd *healthDoc, base string, live bool) string {
 
 	b.WriteString("\n  shard     ops/s   batch   queue\n")
 	for _, name := range sortedKeys(latest.Histograms) {
-		shard, ok := shardOf(name, "batch_size")
+		shard, ok := server.ShardOf(name, "batch_size")
 		if !ok {
 			continue
 		}
@@ -334,18 +312,12 @@ func render(hist *obs.History, hd *healthDoc, base string, live bool) string {
 			latest.Gauges["server/shard/"+shard+"/queue_depth"])
 	}
 
-	var alerts []health.RuleResult
-	for _, r := range hd.Rules {
-		if r.State != health.Ok {
-			alerts = append(alerts, r)
-		}
-	}
-	if len(alerts) == 0 {
+	if active := alerts(hd); len(active) == 0 {
 		fmt.Fprintf(&b, "\n  alerts: none (%d rules ok)\n", len(hd.Rules))
 	} else {
 		b.WriteString("\n  alerts:\n")
-		for _, r := range alerts {
-			fmt.Fprintf(&b, "   [%s] %s: %s\n", strings.ToUpper(r.State.String()), r.Rule, r.Reason)
+		for _, r := range active {
+			fmt.Fprintf(&b, "   [%s] %s: %s\n", strings.ToUpper(r.State), r.Rule, r.Reason)
 		}
 	}
 	return b.String()

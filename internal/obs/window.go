@@ -2,21 +2,20 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sync"
 	"time"
 )
 
 // Windowed time-series collection. A Window rotates Registry snapshots
-// on a fixed cadence into tiered fixed-size rings and keeps, for every
+// on a fixed cadence into one fixed-size ring and keeps, for every
 // interval, the *delta* each metric moved by: counter increments,
 // histogram observations recorded within the interval (exact bucket
 // subtraction via HistogramSnapshot.Sub), and instantaneous gauge
 // values at the interval's close. Cumulative-since-start telemetry
 // answers "how much"; the window answers "how fast, right now, and
-// trending which way" — the substrate the health engine and pimtop
-// read.
+// trending which way" — the substrate the server's health verdict and
+// pimtop read.
 //
 // The Window never touches the hot path: whoever owns it calls Rotate
 // from a dedicated ticker goroutine (in pimserve, rotation is
@@ -27,34 +26,12 @@ import (
 // pure function of the registry states the window was shown —
 // byte-identical JSON for identical rotations.
 
-// Tier describes one retention ring: Size samples of Interval each.
-// Interval is nominal — the Window trusts its caller's ticker cadence —
-// and every tier's Interval must be a whole multiple of the first
-// (finest) tier's, because coarser tiers close on the finest tier's
-// rotation beat.
-type Tier struct {
-	Name     string        // label in the history document ("1s", "1m")
-	Interval time.Duration // nominal width of one sample
-	Size     int           // ring capacity (samples retained)
-}
-
-// DefaultTiers is the standard two-tier retention — a minute of
-// per-second deltas and an hour of per-minute deltas — scaled so that
-// tick is the finest interval.
-func DefaultTiers(tick time.Duration) []Tier {
-	return []Tier{
-		{Name: tick.String(), Interval: tick, Size: 60},
-		{Name: (60 * tick).String(), Interval: 60 * tick, Size: 60},
-	}
-}
-
-// WindowSample is one closed interval of one tier. Counters hold the
-// per-interval increments, Histograms the per-interval observation
-// deltas (summary only; quantiles were computed from exact bucket
-// differences before compaction), and Gauges/Floats the instantaneous
-// values at the close. Seq is the finest-tier rotation count at the
-// close, so rates derive as delta/DurNS without any wall-clock in the
-// document.
+// WindowSample is one closed interval. Counters hold the per-interval
+// increments, Histograms the per-interval observation deltas (summary
+// only; quantiles were computed from exact bucket differences before
+// compaction), and Gauges/Floats the instantaneous values at the close.
+// Seq is the rotation count at the close, so rates derive as
+// delta/DurNS without any wall-clock in the document.
 type WindowSample struct {
 	Seq        uint64                       `json:"seq"`
 	DurNS      int64                        `json:"dur_ns"`
@@ -64,127 +41,55 @@ type WindowSample struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 }
 
-// TierHistory is one tier's retained samples, oldest first.
-type TierHistory struct {
-	Name       string         `json:"name"`
-	IntervalNS int64          `json:"interval_ns"`
-	Size       int            `json:"size"`
+// History is the windowed document served at /metrics/history: the
+// retained samples, oldest first.
+type History struct {
+	Seq        uint64         `json:"seq"`         // rotations completed
+	IntervalNS int64          `json:"interval_ns"` // nominal width of one sample
 	Samples    []WindowSample `json:"samples"`
 }
 
-// History is the full windowed document served at /metrics/history.
-type History struct {
-	Seq   uint64        `json:"seq"` // rotations completed
-	Tiers []TierHistory `json:"tiers"`
-}
-
-// Tier returns the named tier, or the finest when name is "" and nil
-// when absent.
-func (h *History) Tier(name string) *TierHistory {
-	if h == nil || len(h.Tiers) == 0 {
+// Latest returns the most recent sample, or nil when none has closed
+// yet.
+func (h *History) Latest() *WindowSample {
+	if len(h.Samples) == 0 {
 		return nil
 	}
-	if name == "" {
-		return &h.Tiers[0]
-	}
-	for i := range h.Tiers {
-		if h.Tiers[i].Name == name {
-			return &h.Tiers[i]
-		}
-	}
-	return nil
+	return &h.Samples[len(h.Samples)-1]
 }
 
-// Latest returns the most recent sample of the tier, or nil when none
-// has closed yet.
-func (t *TierHistory) Latest() *WindowSample {
-	if t == nil || len(t.Samples) == 0 {
-		return nil
-	}
-	return &t.Samples[len(t.Samples)-1]
-}
-
-// tierState is one tier's ring plus the cumulative snapshot its next
-// delta will subtract from.
-type tierState struct {
-	cfg   Tier
-	every uint64 // finest-tier rotations per sample
-	prev  *Snapshot
-	ring  []WindowSample
-	next  int
-	full  bool
-}
-
-func (t *tierState) push(s WindowSample) {
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, s)
-		return
-	}
-	t.ring[t.next] = s
-	t.next++
-	if t.next == len(t.ring) {
-		t.next = 0
-	}
-	t.full = true
-}
-
-// samples returns the ring contents oldest first.
-func (t *tierState) samples() []WindowSample {
-	if !t.full {
-		return append([]WindowSample(nil), t.ring...)
-	}
-	out := make([]WindowSample, 0, len(t.ring))
-	out = append(out, t.ring[t.next:]...)
-	return append(out, t.ring[:t.next]...)
-}
-
-// Window rotates registry snapshots into tiered delta rings. Safe for
-// concurrent use: Rotate and History serialize on one mutex (rotation
-// is expected from a single ticker goroutine; readers are scrapes).
+// Window rotates registry snapshots into a ring of delta samples. Safe
+// for concurrent use: Rotate and History serialize on one mutex
+// (rotation is expected from a single ticker goroutine; readers are
+// scrapes).
 type Window struct {
-	reg *Registry
+	reg      *Registry
+	interval time.Duration
 
-	mu    sync.Mutex
-	seq   uint64
-	tiers []*tierState
+	mu   sync.Mutex
+	seq  uint64
+	prev *Snapshot      // cumulative state the next delta subtracts
+	ring []WindowSample // capacity = retained samples
+	next int            // oldest sample once the ring is full
 }
 
-// NewWindow builds a window over reg with the given tiers (nil tiers
-// means DefaultTiers(time.Second)). The registry's state at creation
-// is the baseline every first sample subtracts from.
-func NewWindow(reg *Registry, tiers []Tier) (*Window, error) {
-	if len(tiers) == 0 {
-		tiers = DefaultTiers(time.Second)
+// NewWindow builds a window over reg that retains size samples (size >
+// 0) of the nominal width interval; the Window trusts its caller's
+// ticker cadence. The registry's state at creation is the baseline the
+// first sample subtracts from.
+func NewWindow(reg *Registry, interval time.Duration, size int) *Window {
+	return &Window{
+		reg:      reg,
+		interval: interval,
+		prev:     reg.Snapshot(),
+		ring:     make([]WindowSample, 0, size),
 	}
-	base := tiers[0].Interval
-	if base <= 0 {
-		return nil, fmt.Errorf("obs: window tier %q has non-positive interval", tiers[0].Name)
-	}
-	w := &Window{reg: reg}
-	first := reg.Snapshot()
-	for _, tc := range tiers {
-		if tc.Size <= 0 {
-			return nil, fmt.Errorf("obs: window tier %q has non-positive size %d", tc.Name, tc.Size)
-		}
-		if tc.Interval <= 0 || tc.Interval%base != 0 {
-			return nil, fmt.Errorf("obs: window tier %q interval %v is not a multiple of the finest tier's %v",
-				tc.Name, tc.Interval, base)
-		}
-		w.tiers = append(w.tiers, &tierState{
-			cfg:   tc,
-			every: uint64(tc.Interval / base),
-			prev:  first,
-			ring:  make([]WindowSample, 0, tc.Size),
-		})
-	}
-	return w, nil
 }
 
-// Rotate closes one finest-tier interval: it snapshots the registry
-// once and, for every tier whose beat has come due, subtracts the
-// tier's previous cumulative snapshot into a delta sample and advances
-// the ring. Called from the owner's ticker goroutine only — never from
-// request-handling or combiner code.
+// Rotate closes one interval: it snapshots the registry, subtracts the
+// previous snapshot into a delta sample and advances the ring. Called
+// from the owner's ticker goroutine only — never from request-handling
+// or combiner code.
 func (w *Window) Rotate() {
 	if w == nil {
 		return
@@ -193,13 +98,14 @@ func (w *Window) Rotate() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.seq++
-	for _, t := range w.tiers {
-		if w.seq%t.every != 0 {
-			continue
-		}
-		t.push(deltaSample(t.prev, snap, w.seq, t.cfg.Interval))
-		t.prev = snap
+	s := deltaSample(w.prev, snap, w.seq, w.interval)
+	w.prev = snap
+	if len(w.ring) < cap(w.ring) {
+		w.ring = append(w.ring, s)
+		return
 	}
+	w.ring[w.next] = s
+	w.next = (w.next + 1) % len(w.ring)
 }
 
 // deltaSample subtracts prev from cur into one closed sample.
@@ -243,9 +149,9 @@ func (w *Window) Seq() uint64 {
 	return w.seq
 }
 
-// History copies the current state of every tier, oldest samples
-// first. Samples are shared immutable values; callers must not mutate
-// their maps. A nil window yields an empty history.
+// History copies the ring, oldest sample first. Samples are shared
+// immutable values; callers must not mutate their maps. A nil window
+// yields an empty history.
 func (w *Window) History() *History {
 	h := &History{}
 	if w == nil {
@@ -254,14 +160,8 @@ func (w *Window) History() *History {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	h.Seq = w.seq
-	for _, t := range w.tiers {
-		h.Tiers = append(h.Tiers, TierHistory{
-			Name:       t.cfg.Name,
-			IntervalNS: t.cfg.Interval.Nanoseconds(),
-			Size:       t.cfg.Size,
-			Samples:    t.samples(),
-		})
-	}
+	h.IntervalNS = w.interval.Nanoseconds()
+	h.Samples = append(append(h.Samples, w.ring[w.next:]...), w.ring[:w.next]...)
 	return h
 }
 

@@ -124,19 +124,13 @@ func TestSubWithoutBucketsSubtractsSummariesOnly(t *testing.T) {
 
 // --- Window rotation ---
 
-func TestWindowTiersAndDeltas(t *testing.T) {
+func TestWindowRingAndDeltas(t *testing.T) {
 	reg := NewRegistry()
 	ops := reg.Counter("ops")
 	depth := reg.Gauge("depth")
 	lat := reg.Histogram("lat")
 
-	w, err := NewWindow(reg, []Tier{
-		{Name: "fine", Interval: time.Second, Size: 4},
-		{Name: "coarse", Interval: 3 * time.Second, Size: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := NewWindow(reg, time.Second, 4)
 
 	// Six rotations with 10 ops and one 100ns observation each.
 	for r := 1; r <= 6; r++ {
@@ -150,50 +144,33 @@ func TestWindowTiersAndDeltas(t *testing.T) {
 	if h.Seq != 6 {
 		t.Fatalf("seq = %d, want 6", h.Seq)
 	}
-	if len(h.Tiers) != 2 {
-		t.Fatalf("tiers = %d, want 2", len(h.Tiers))
+	if h.IntervalNS != time.Second.Nanoseconds() {
+		t.Fatalf("interval = %d", h.IntervalNS)
 	}
-	fine := h.Tier("fine")
-	if len(fine.Samples) != 4 {
-		t.Fatalf("fine ring holds %d samples, want 4 (size-bounded)", len(fine.Samples))
+	if len(h.Samples) != 4 {
+		t.Fatalf("ring holds %d samples, want 4 (size-bounded)", len(h.Samples))
 	}
-	for i, s := range fine.Samples {
+	for i, s := range h.Samples {
 		if s.Counters["ops"] != 10 {
-			t.Errorf("fine sample %d ops delta = %d, want 10", i, s.Counters["ops"])
+			t.Errorf("sample %d ops delta = %d, want 10", i, s.Counters["ops"])
 		}
 		if hs := s.Histograms["lat"]; hs.Count != 1 || hs.P50 != bucketLow(bucketIndex(100)) {
-			t.Errorf("fine sample %d lat delta: %+v", i, hs)
+			t.Errorf("sample %d lat delta: %+v", i, hs)
 		}
 		if s.DurNS != time.Second.Nanoseconds() {
-			t.Errorf("fine sample %d dur = %d", i, s.DurNS)
+			t.Errorf("sample %d dur = %d", i, s.DurNS)
 		}
 	}
-	// Oldest retained fine sample closed at seq 3 (seqs 1, 2 evicted).
-	if got := fine.Samples[0].Seq; got != 3 {
-		t.Errorf("oldest fine seq = %d, want 3", got)
+	// Oldest retained sample closed at seq 3 (seqs 1, 2 evicted).
+	if got := h.Samples[0].Seq; got != 3 {
+		t.Errorf("oldest seq = %d, want 3", got)
 	}
-	if got := fine.Latest().Seq; got != 6 {
-		t.Errorf("latest fine seq = %d, want 6", got)
+	if got := h.Latest().Seq; got != 6 {
+		t.Errorf("latest seq = %d, want 6", got)
 	}
-	// Gauges are instantaneous: the latest fine sample saw depth=6.
-	if got := fine.Latest().Gauges["depth"]; got != 6 {
+	// Gauges are instantaneous: the latest sample saw depth=6.
+	if got := h.Latest().Gauges["depth"]; got != 6 {
 		t.Errorf("latest depth = %d, want 6", got)
-	}
-
-	coarse := h.Tier("coarse")
-	if len(coarse.Samples) != 2 {
-		t.Fatalf("coarse ring holds %d samples, want 2", len(coarse.Samples))
-	}
-	for i, s := range coarse.Samples {
-		if s.Counters["ops"] != 30 {
-			t.Errorf("coarse sample %d ops delta = %d, want 30 (3 rotations)", i, s.Counters["ops"])
-		}
-		if hs := s.Histograms["lat"]; hs.Count != 3 {
-			t.Errorf("coarse sample %d lat count = %d, want 3", i, hs.Count)
-		}
-	}
-	if got := coarse.Latest().Seq; got != 6 {
-		t.Errorf("latest coarse seq = %d, want 6", got)
 	}
 }
 
@@ -203,10 +180,7 @@ func TestWindowJSONDeterministic(t *testing.T) {
 	// jitter.
 	run := func() []byte {
 		reg := NewRegistry()
-		w, err := NewWindow(reg, nil) // default tiers
-		if err != nil {
-			t.Fatal(err)
-		}
+		w := NewWindow(reg, time.Second, 60)
 		for r := 0; r < 90; r++ {
 			reg.Counter("server/ops/total").Add(uint64(7 + r%3))
 			reg.Gauge("server/shard/000/queue_depth").Set(int64(r % 5))
@@ -226,22 +200,6 @@ func TestWindowJSONDeterministic(t *testing.T) {
 	}
 }
 
-func TestWindowValidation(t *testing.T) {
-	reg := NewRegistry()
-	if _, err := NewWindow(reg, []Tier{{Name: "x", Interval: time.Second, Size: 0}}); err == nil {
-		t.Error("zero size accepted")
-	}
-	if _, err := NewWindow(reg, []Tier{
-		{Name: "a", Interval: 2 * time.Second, Size: 4},
-		{Name: "b", Interval: 3 * time.Second, Size: 4},
-	}); err == nil {
-		t.Error("non-multiple tier interval accepted")
-	}
-	if _, err := NewWindow(reg, []Tier{{Name: "x", Interval: 0, Size: 1}}); err == nil {
-		t.Error("zero interval accepted")
-	}
-}
-
 func TestWindowNilSafety(t *testing.T) {
 	var w *Window
 	w.Rotate()
@@ -249,14 +207,10 @@ func TestWindowNilSafety(t *testing.T) {
 		t.Error("nil window seq")
 	}
 	h := w.History()
-	if len(h.Tiers) != 0 {
-		t.Error("nil window has tiers")
+	if len(h.Samples) != 0 {
+		t.Error("nil window has samples")
 	}
-	if h.Tier("") != nil {
-		t.Error("empty history hands out a tier")
-	}
-	var th *TierHistory
-	if th.Latest() != nil {
-		t.Error("nil tier has a latest sample")
+	if h.Latest() != nil {
+		t.Error("empty history hands out a latest sample")
 	}
 }

@@ -16,7 +16,7 @@ import (
 //	/metrics          Prometheus text exposition of the registry
 //	/metrics.json     the JSON snapshot (same document as pimsim -metrics)
 //	/metrics/history  windowed per-interval deltas (see Config.WindowTick)
-//	/healthz          rule-driven health verdict; 503 when not ready
+//	/healthz          health verdict (see HealthStatus); 503 when not ready
 //	/buildinfo        version, git revision and toolchain of this binary
 //	/slow             slow-request log as JSON (see Config.SlowThreshold)
 //	/trace            finished spans as Chrome trace-event JSON

@@ -51,9 +51,9 @@ func TestOpsContentTypes(t *testing.T) {
 }
 
 // TestMetricsHistoryEndpoint drives real traffic, forces rotations,
-// and asserts the history document: at least two tiers, per-interval
-// counter deltas in the finest tier, and byte-identical JSON across
-// scrapes of the same window state.
+// and asserts the history document: one ring at the window tick,
+// per-interval counter deltas in every sample, and byte-identical JSON
+// across scrapes of the same window state.
 func TestMetricsHistoryEndpoint(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv, addr := startServer(t, server.Config{
@@ -85,14 +85,13 @@ func TestMetricsHistoryEndpoint(t *testing.T) {
 	if doc.Seq != 3 {
 		t.Errorf("history seq %d, want 3", doc.Seq)
 	}
-	if len(doc.Tiers) < 2 {
-		t.Fatalf("history has %d tiers, want ≥ 2", len(doc.Tiers))
+	if doc.IntervalNS != time.Hour.Nanoseconds() {
+		t.Errorf("history interval %d ns, want the window tick", doc.IntervalNS)
 	}
-	fine := doc.Tiers[0]
-	if len(fine.Samples) != 3 {
-		t.Fatalf("finest tier holds %d samples, want 3", len(fine.Samples))
+	if len(doc.Samples) != 3 {
+		t.Fatalf("history holds %d samples, want 3", len(doc.Samples))
 	}
-	for i, s := range fine.Samples {
+	for i, s := range doc.Samples {
 		if got := s.Counters["server/ops/total"]; got != perRound {
 			t.Errorf("sample %d: ops delta %d, want %d", i, got, perRound)
 		}
@@ -129,8 +128,8 @@ func scrapeHealth(t *testing.T, h http.Handler) (healthDoc, int) {
 }
 
 // TestHealthzVerdictAndDrainFlip asserts the /healthz lifecycle: ok
-// with the full default rule set while serving, and flipped to
-// draining with 503 once Shutdown begins.
+// with all six rules while serving, and flipped to draining with 503
+// once Shutdown begins.
 func TestHealthzVerdictAndDrainFlip(t *testing.T) {
 	srv, addr := startServer(t, server.Config{
 		Structure: server.StructSkip, Reg: obs.NewRegistry(),
@@ -151,8 +150,8 @@ func TestHealthzVerdictAndDrainFlip(t *testing.T) {
 	if doc.WindowSeq != 1 {
 		t.Errorf("window seq %d, want 1", doc.WindowSeq)
 	}
-	if len(doc.Rules) != len(server.DefaultHealthRules(0)) {
-		t.Fatalf("healthz carries %d rules, want %d", len(doc.Rules), len(server.DefaultHealthRules(0)))
+	if len(doc.Rules) != 6 {
+		t.Fatalf("healthz carries %d rules, want 6", len(doc.Rules))
 	}
 	for _, r := range doc.Rules {
 		if r.State != "ok" {
@@ -182,7 +181,7 @@ func TestHealthzWithoutWindow(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &hist); err != nil {
 		t.Fatalf("invalid history JSON: %v", err)
 	}
-	if hist.Seq != 0 || len(hist.Tiers) != 0 {
+	if hist.Seq != 0 || len(hist.Samples) != 0 {
 		t.Errorf("windowless history = %+v, want empty", hist)
 	}
 }

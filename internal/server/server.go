@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"pimds/internal/obs"
-	"pimds/internal/obs/health"
 	"pimds/internal/wal"
 	"pimds/internal/wire"
 )
@@ -93,17 +92,13 @@ type Config struct {
 	// Reg receives server metrics (nil disables instrumentation).
 	Reg *obs.Registry
 
-	// WindowTick enables windowed metrics and the health engine: a
-	// dedicated ticker goroutine rotates Reg's state into tiered delta
-	// rings (obs.DefaultTiers(WindowTick)) every WindowTick and
-	// re-evaluates the health rules on each rotation. Zero disables the
-	// window: /metrics/history serves an empty history and /healthz
-	// reports only drain state.
+	// WindowTick enables windowed metrics and the health verdict: a
+	// dedicated ticker goroutine rotates Reg's state into a ring of the
+	// last 60 delta samples every WindowTick and re-grades the health
+	// rules on each rotation. Zero disables the window: /metrics/history
+	// serves an empty history and /healthz reports only recovery and
+	// drain state.
 	WindowTick time.Duration
-
-	// HealthRules overrides the rule set evaluated on every rotation.
-	// Nil selects DefaultHealthRules(0).
-	HealthRules []health.Rule
 
 	// Log, when non-nil, records every applied operation for
 	// linearizability checking (testing/auditing only).
@@ -260,9 +255,8 @@ type Server struct {
 
 	// windowed metrics + health (nil/idle when Config.WindowTick is 0)
 	win        *obs.Window
-	eng        *health.Engine
 	healthMu   sync.Mutex
-	verdict    health.Verdict
+	rules      []RuleResult // graded at the last rotation
 	windowStop chan struct{}
 	windowDone chan struct{}
 
@@ -370,16 +364,7 @@ func New(cfg Config) (*Server, error) {
 		go s.combineLoop(sh)
 	}
 	if cfg.WindowTick > 0 {
-		win, err := obs.NewWindow(cfg.Reg, obs.DefaultTiers(cfg.WindowTick))
-		if err != nil {
-			return nil, err
-		}
-		rules := cfg.HealthRules
-		if rules == nil {
-			rules = DefaultHealthRules(0)
-		}
-		s.win = win
-		s.eng = health.NewEngine(rules...)
+		s.win = obs.NewWindow(cfg.Reg, cfg.WindowTick, windowSamples)
 		s.windowStop = make(chan struct{})
 		s.windowDone = make(chan struct{})
 		go s.rotateLoop(cfg.WindowTick)
