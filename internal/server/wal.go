@@ -218,6 +218,15 @@ func (s *Server) doRecover() error {
 				w.dir, len(doc.Shards), len(s.shards))
 		}
 		for i, sh := range s.shards {
+			// Set dumps are keys, each owned by one shard; queue and
+			// stack dumps are values.
+			if s.caps.Keyed(wire.Add) {
+				for _, key := range doc.Shards[i].State {
+					if err := s.checkLayout(i, wire.Op{Kind: wire.Add, Key: key}); err != nil {
+						return fmt.Errorf("server: snapshot in %s: %w", w.dir, err)
+					}
+				}
+			}
 			sh.be.RestoreState(doc.Shards[i].State)
 			sh.walSeq = doc.Shards[i].Seq
 			snapSeqs[i] = doc.Shards[i].Seq
@@ -244,6 +253,11 @@ func (s *Server) doRecover() error {
 		if rec.Seq != sh.walSeq+1 {
 			return fmt.Errorf("server: wal shard %d sequence gap: have %d, next record is %d",
 				rec.Shard, sh.walSeq, rec.Seq)
+		}
+		for _, op := range rec.Ops {
+			if err := s.checkLayout(int(rec.Shard), op); err != nil {
+				return fmt.Errorf("server: wal in %s: %w", w.dir, err)
+			}
 		}
 		if cap(out) < len(rec.Ops) {
 			out = make([]wire.Result, len(rec.Ops))
@@ -279,6 +293,28 @@ func (s *Server) doRecover() error {
 		go s.snapLoop(s.cfg.SnapshotEvery)
 	}
 	s.recovering.Store(false)
+	return nil
+}
+
+// checkLayout reports a recovered op that the configured structure and
+// range partition would not have routed to shard: the data was written
+// under another structure, shard count or key space. Recovery refuses
+// such data rather than re-partitioning it, because serving it would
+// leave keys in shards that lookups never reach.
+func (s *Server) checkLayout(shard int, op wire.Op) error {
+	n := len(s.shards)
+	switch {
+	case !s.caps.Supports(op.Kind) || (s.caps.SerialOnly(op.Kind) && n > 1):
+		return fmt.Errorf("shard %d holds a %s op, which a %d-shard %s server does not serve",
+			shard, op.Kind, n, s.cfg.Structure)
+	case !s.caps.Keyed(op.Kind):
+		return nil
+	case op.Key < 0 || op.Key >= s.cfg.KeySpace:
+		return fmt.Errorf("shard %d holds key %d, outside key space %d", shard, op.Key, s.cfg.KeySpace)
+	case s.shardFor(op.Key).idx != shard:
+		return fmt.Errorf("shard %d holds key %d, which %d shards over key space %d place in shard %d",
+			shard, op.Key, n, s.cfg.KeySpace, s.shardFor(op.Key).idx)
+	}
 	return nil
 }
 

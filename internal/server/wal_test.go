@@ -283,6 +283,94 @@ func TestReplayDeterminism(t *testing.T) {
 	}
 }
 
+// TestWALRefusesLayoutDrift: recovery refuses data written under a
+// different structure, shard count or key space instead of serving it
+// from shards that lookups never reach, and leaves the directory intact
+// for a restart under the original layout.
+func TestWALRefusesLayoutDrift(t *testing.T) {
+	// logOnly writes one record for shard 0 of a server that never took
+	// a snapshot, as a kill -9 leaves it.
+	logOnly := func(ops ...wire.Op) func(t *testing.T, dir string) {
+		return func(t *testing.T, dir string) {
+			l, err := wal.Open(dir, 0, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Append(wal.AppendRecord(nil, 0, 1, ops)); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// snapshotted adds keys through a server under cfg and drains it,
+	// which leaves a final snapshot and an empty log.
+	snapshotted := func(cfg server.Config, keys ...int64) func(t *testing.T, dir string) {
+		return func(t *testing.T, dir string) {
+			cfg.WALDir = dir
+			srv, addr := startServer(t, cfg)
+			c := dial(t, addr)
+			for _, k := range keys {
+				if r := c.do(t, wire.Add, k); !r.OK {
+					t.Fatalf("add %d: %+v", k, r)
+				}
+			}
+			c.nc.Close()
+			srv.Shutdown()
+		}
+	}
+	hash := func(shards int, keySpace int64) server.Config {
+		return server.Config{Structure: server.StructHash, Shards: shards, KeySpace: keySpace}
+	}
+	add300 := wire.Op{ID: 1, Kind: wire.Add, Key: 300}
+	cases := []struct {
+		name          string
+		write         func(t *testing.T, dir string)
+		written, next server.Config
+		probe         wire.Op // answered OK under the written layout
+		wantErr       []string
+	}{
+		{"log shard count", logOnly(add300), hash(2, 1024), hash(4, 1024),
+			wire.Op{Kind: wire.Contains, Key: 300}, []string{"shard 0", "key 300", "in shard 1"}},
+		{"snapshot key space", snapshotted(hash(2, 1024), 300), hash(2, 1024), hash(2, 512),
+			wire.Op{Kind: wire.Contains, Key: 300}, []string{"shard 0", "key 300", "in shard 1"}},
+		{"snapshot key outside key space", snapshotted(hash(1, 1024), 700), hash(1, 1024), hash(1, 512),
+			wire.Op{Kind: wire.Contains, Key: 700}, []string{"shard 0", "key 700", "outside key space 512"}},
+		{"log structure", logOnly(wire.Op{ID: 1, Kind: wire.Enqueue, Key: 7}),
+			server.Config{Structure: server.StructQueue}, server.Config{Structure: server.StructStack},
+			wire.Op{Kind: wire.Dequeue}, []string{"shard 0", "enqueue"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tc.write(t, dir)
+
+			tc.next.WALDir = dir
+			srv, err := server.New(tc.next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = srv.RecoverForTest()
+			srv.Shutdown()
+			if err == nil {
+				t.Fatal("recovery accepted data written under another layout")
+			}
+			for _, want := range tc.wantErr {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("recovery error %q does not name %q", err, want)
+				}
+			}
+
+			tc.written.WALDir = dir
+			_, addr := startServer(t, tc.written)
+			if r := dial(t, addr).do(t, tc.probe.Kind, tc.probe.Key); !r.OK {
+				t.Fatalf("%s(%d) after the refused start = %+v, want the written data intact", tc.probe.Kind, tc.probe.Key, r)
+			}
+		})
+	}
+}
+
 // TestSnapshotTruncatesLog: periodic snapshots prune the segments they
 // supersede, and a restart from snapshot + tail reproduces the state.
 func TestSnapshotTruncatesLog(t *testing.T) {
