@@ -533,6 +533,10 @@ func closedLoop(cfg Config, st *opStream, nc net.Conn, stop <-chan struct{}, ctr
 	}
 }
 
+// drainWait bounds how long an open-loop connection waits, after its
+// half-close, for the responses still outstanding.
+const drainWait = 10 * time.Second
+
 // openLoop injects one op every interval (the per-connection share of
 // cfg.Rate), capping outstanding ops at Pipeline × 64 so a stalled
 // server degrades to closed-loop instead of unbounded queueing
@@ -640,16 +644,20 @@ send:
 	}
 	select {
 	case <-done:
-	case <-time.After(10 * time.Second):
+	case <-time.After(drainWait):
 	}
-	if err, _ := wErr.Load().(error); err != nil {
-		// EOF after half-close is the expected clean end.
-		mu.Lock()
-		pending := len(sent)
-		mu.Unlock()
-		if pending > 0 {
-			return fmt.Errorf("loadgen: %d responses lost: %w", pending, err)
+	// EOF after half-close with nothing outstanding is the clean end. A
+	// peer that stops answering without closing leaves ops outstanding
+	// and no reader error.
+	mu.Lock()
+	pending := len(sent)
+	mu.Unlock()
+	if pending > 0 {
+		err, _ := wErr.Load().(error)
+		if err == nil {
+			err = fmt.Errorf("no response within %v of half-close", drainWait)
 		}
+		return fmt.Errorf("loadgen: %d responses lost: %w", pending, err)
 	}
 	return nil
 }

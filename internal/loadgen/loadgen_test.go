@@ -1,6 +1,7 @@
 package loadgen_test
 
 import (
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -108,6 +109,46 @@ func TestOpenLoopAgainstServer(t *testing.T) {
 	// catch a runaway injector (closed-loop would do far more).
 	if res.Ops > 2000 {
 		t.Errorf("open loop completed %d ops, expected ≈500 (pacing broken?)", res.Ops)
+	}
+}
+
+// TestOpenLoopCountsUnansweredOps: a peer that reads every request and
+// never answers, without closing, must fail the run with the lost ops
+// counted rather than end it cleanly with a short Ops.
+func TestOpenLoopCountsUnansweredOps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out the open loop's drain bound")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		io.Copy(io.Discard, c) // read every request, answer none
+		<-stop                 // and hold the connection open past the half-close
+	}()
+
+	res, err := loadgen.Run(loadgen.Config{
+		Addr:     ln.Addr().String(),
+		Conns:    1,
+		Rate:     1000,
+		Duration: 50 * time.Millisecond,
+		Dist:     harness.Uniform{N: 1 << 12},
+		Seed:     3,
+	})
+	if err == nil || !strings.Contains(err.Error(), "responses lost") {
+		t.Fatalf("run against a silent peer: err = %v, want lost responses", err)
+	}
+	if res.Ops != 0 {
+		t.Errorf("silent peer answered %d ops", res.Ops)
 	}
 }
 
