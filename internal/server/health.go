@@ -94,10 +94,10 @@ func grade(v, warn, fail float64) string {
 	return stateOK
 }
 
-// idle is the ok answer for a window with fewer than min events.
-func idle(rule string, n uint64, events string, min uint64) RuleResult {
+// idle is the ok answer for a window with fewer than need events.
+func idle(rule string, n uint64, events string, need uint64) RuleResult {
 	return RuleResult{Rule: rule, State: stateOK,
-		Reason: fmt.Sprintf("idle: %d %s in window (min %d)", n, events, min)}
+		Reason: fmt.Sprintf("idle: %d %s in window (min %d)", n, events, need)}
 }
 
 // p99Ceiling grades a histogram's p99 over the last window.
