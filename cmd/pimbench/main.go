@@ -34,37 +34,51 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command with its arguments and output streams
+// passed in, so TestSimulatorBaseline checks exactly what pimbench
+// prints. It returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pimbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		expID    = flag.String("exp", "", "experiment id(s) to run, comma-separated, or 'all' (see -list)")
-		list     = flag.Bool("list", false, "list available experiments")
-		format   = flag.String("format", "table", "output format: table or csv")
-		quick    = flag.Bool("quick", false, "smaller sweeps and shorter windows")
-		r1       = flag.Float64("r1", model.DefaultR1, "Lcpu/Lpim ratio")
-		r2       = flag.Float64("r2", model.DefaultR2, "Lcpu/Lllc ratio")
-		r3       = flag.Float64("r3", model.DefaultR3, "Latomic/Lcpu ratio")
-		lcpu     = flag.Duration("lcpu", model.DefaultLcpu, "absolute CPU memory latency")
-		threads  = flag.Int("host-threads", runtime.GOMAXPROCS(0)*4, "max threads for host experiments")
-		hostDur  = flag.Duration("host-measure", 300*time.Millisecond, "host measurement window per point")
-		seed     = flag.Int64("seed", 0, "workload seed for simulator experiments (0 = historical streams)")
-		dist     = flag.String("dist", "uniform", "key distribution for host set experiments: uniform | zipf[:S] | hot[:H/F]")
-		jsonPath = flag.String("json", "", "also write results as machine-readable JSON to this file ('-' = stdout)")
-		version  = flag.Bool("version", false, "print version and exit")
+		expID    = fs.String("exp", "", "experiment id(s) to run, comma-separated, or 'all' (see -list)")
+		list     = fs.Bool("list", false, "list available experiments")
+		format   = fs.String("format", "table", "output format: table or csv")
+		quick    = fs.Bool("quick", false, "smaller sweeps and shorter windows")
+		r1       = fs.Float64("r1", model.DefaultR1, "Lcpu/Lpim ratio")
+		r2       = fs.Float64("r2", model.DefaultR2, "Lcpu/Lllc ratio")
+		r3       = fs.Float64("r3", model.DefaultR3, "Latomic/Lcpu ratio")
+		lcpu     = fs.Duration("lcpu", model.DefaultLcpu, "absolute CPU memory latency")
+		threads  = fs.Int("host-threads", runtime.GOMAXPROCS(0)*4, "max threads for host experiments")
+		hostDur  = fs.Duration("host-measure", 300*time.Millisecond, "host measurement window per point")
+		seed     = fs.Int64("seed", 0, "workload seed for simulator experiments (0 = historical streams)")
+		dist     = fs.String("dist", "uniform", "key distribution for host set experiments: uniform | zipf[:S] | hot[:H/F]")
+		jsonPath = fs.String("json", "", "also write results as machine-readable JSON to this file ('-' = stdout)")
+		version  = fs.Bool("version", false, "print version and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 	if *version {
-		fmt.Println(buildinfo.Line("pimbench"))
-		return
+		fmt.Fprintln(stdout, buildinfo.Line("pimbench"))
+		return 0
 	}
 
 	if *list || *expID == "" {
-		fmt.Println("available experiments:")
+		fmt.Fprintln(stdout, "available experiments:")
 		for _, e := range harness.Experiments() {
-			fmt.Printf("  %-16s %s\n", e.ID, e.Description)
+			fmt.Fprintf(stdout, "  %-16s %s\n", e.ID, e.Description)
 		}
 		if *expID == "" && !*list {
-			os.Exit(2)
+			return 2
 		}
-		return
+		return 0
 	}
 
 	opts := harness.Options{
@@ -76,13 +90,13 @@ func main() {
 		Dist:        *dist,
 	}
 	if err := opts.Params.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	// Validate -dist up front (experiments resolve it per key space).
 	if _, err := harness.ParseKeyDist(*dist, 1<<16); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	report := &benchfmt.Report{
@@ -92,24 +106,6 @@ func main() {
 			LcpuNS: float64(*lcpu) / float64(time.Nanosecond),
 			Seed:   *seed, Quick: *quick,
 		},
-	}
-
-	run := func(e harness.Experiment) {
-		fmt.Printf("# %s — %s\n", e.ID, e.Description)
-		tables := e.Run(opts)
-		for _, tab := range tables {
-			if err := tab.Write(os.Stdout, *format); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		res := benchfmt.ExperimentResult{ID: e.ID, Description: e.Description}
-		for _, tab := range tables {
-			res.Tables = append(res.Tables, benchfmt.Table{
-				Title: tab.Title, Note: tab.Note, Columns: tab.Columns, Rows: tab.Rows,
-			})
-		}
-		report.Experiments = append(report.Experiments, res)
 	}
 
 	var exps []harness.Experiment
@@ -123,34 +119,49 @@ func main() {
 			}
 			e, ok := harness.FindExperiment(id)
 			if !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", id)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "unknown experiment %q; use -list\n", id)
+				return 2
 			}
 			exps = append(exps, e)
 		}
 		if len(exps) == 0 {
-			fmt.Fprintln(os.Stderr, "no experiments selected; use -list")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "no experiments selected; use -list")
+			return 2
 		}
 	}
 	for _, e := range exps {
-		run(e)
+		fmt.Fprintf(stdout, "# %s — %s\n", e.ID, e.Description)
+		tables := e.Run(opts)
+		for _, tab := range tables {
+			if err := tab.Write(stdout, *format); err != nil {
+				fmt.Fprintln(stderr, err)
+				return 1
+			}
+		}
+		res := benchfmt.ExperimentResult{ID: e.ID, Description: e.Description}
+		for _, tab := range tables {
+			res.Tables = append(res.Tables, benchfmt.Table{
+				Title: tab.Title, Note: tab.Note, Columns: tab.Columns, Rows: tab.Rows,
+			})
+		}
+		report.Experiments = append(report.Experiments, res)
 	}
 
 	if *jsonPath != "" {
-		var w io.Writer = os.Stdout
+		w := stdout
 		if *jsonPath != "-" {
 			f, err := os.Create(*jsonPath)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, err)
+				return 1
 			}
 			defer f.Close()
 			w = f
 		}
 		if err := report.Write(w); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	}
+	return 0
 }
