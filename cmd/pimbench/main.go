@@ -5,17 +5,16 @@
 //
 //	pimbench -list
 //	pimbench -exp fig2 [-format csv] [-quick]
-//	pimbench -exp fig2,latency -json BENCH.json
+//	pimbench -exp fig2,latency -quick -seed 1
 //	pimbench -exp all -r1 3 -r2 3 -r3 1
 //	pimbench -exp fig4-host -dist zipf:1.3
 //
 // pimbench is the one entry point to the evaluation. Host experiments
 // (every id ending in -host) measure the real goroutine
 // implementations on this machine; every other experiment runs in
-// virtual time and is deterministic. -json writes the
-// same tables in the machine-readable benchfmt format consumed by
-// benchdiff; keep host experiments out of committed baselines, since
-// they measure wall-clock time.
+// virtual time and is deterministic: BENCH_SIM.txt is this command's
+// output for every simulator experiment at -quick -seed 1, and
+// TestSimulatorBaseline holds it byte for byte.
 package main
 
 import (
@@ -27,7 +26,6 @@ import (
 	"strings"
 	"time"
 
-	"pimds/internal/benchfmt"
 	"pimds/internal/buildinfo"
 	"pimds/internal/harness"
 	"pimds/internal/model"
@@ -44,20 +42,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("pimbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		expID    = fs.String("exp", "", "experiment id(s) to run, comma-separated, or 'all' (see -list)")
-		list     = fs.Bool("list", false, "list available experiments")
-		format   = fs.String("format", "table", "output format: table or csv")
-		quick    = fs.Bool("quick", false, "smaller sweeps and shorter windows")
-		r1       = fs.Float64("r1", model.DefaultR1, "Lcpu/Lpim ratio")
-		r2       = fs.Float64("r2", model.DefaultR2, "Lcpu/Lllc ratio")
-		r3       = fs.Float64("r3", model.DefaultR3, "Latomic/Lcpu ratio")
-		lcpu     = fs.Duration("lcpu", model.DefaultLcpu, "absolute CPU memory latency")
-		threads  = fs.Int("host-threads", runtime.GOMAXPROCS(0)*4, "max threads for host experiments")
-		hostDur  = fs.Duration("host-measure", 300*time.Millisecond, "host measurement window per point")
-		seed     = fs.Int64("seed", 0, "workload seed for simulator experiments (0 = historical streams)")
-		dist     = fs.String("dist", "uniform", "key distribution for host set experiments: uniform | zipf[:S] | hot[:H/F]")
-		jsonPath = fs.String("json", "", "also write results as machine-readable JSON to this file ('-' = stdout)")
-		version  = fs.Bool("version", false, "print version and exit")
+		expID   = fs.String("exp", "", "experiment id(s) to run, comma-separated, or 'all' (see -list)")
+		list    = fs.Bool("list", false, "list available experiments")
+		format  = fs.String("format", "table", "output format: table or csv")
+		quick   = fs.Bool("quick", false, "smaller sweeps and shorter windows")
+		r1      = fs.Float64("r1", model.DefaultR1, "Lcpu/Lpim ratio")
+		r2      = fs.Float64("r2", model.DefaultR2, "Lcpu/Lllc ratio")
+		r3      = fs.Float64("r3", model.DefaultR3, "Latomic/Lcpu ratio")
+		lcpu    = fs.Duration("lcpu", model.DefaultLcpu, "absolute CPU memory latency")
+		threads = fs.Int("host-threads", runtime.GOMAXPROCS(0)*4, "max threads for host experiments")
+		hostDur = fs.Duration("host-measure", 300*time.Millisecond, "host measurement window per point")
+		seed    = fs.Int64("seed", 0, "workload seed for simulator experiments (0 = historical streams)")
+		dist    = fs.String("dist", "uniform", "key distribution for host set experiments: uniform | zipf[:S] | hot[:H/F]")
+		version = fs.Bool("version", false, "print version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -99,15 +96,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	report := &benchfmt.Report{
-		Name: "pimbench",
-		Params: benchfmt.Params{
-			R1: *r1, R2: *r2, R3: *r3,
-			LcpuNS: float64(*lcpu) / float64(time.Nanosecond),
-			Seed:   *seed, Quick: *quick,
-		},
-	}
-
 	var exps []harness.Experiment
 	if *expID == "all" {
 		exps = harness.Experiments()
@@ -131,36 +119,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	for _, e := range exps {
 		fmt.Fprintf(stdout, "# %s — %s\n", e.ID, e.Description)
-		tables := e.Run(opts)
-		for _, tab := range tables {
+		for _, tab := range e.Run(opts) {
 			if err := tab.Write(stdout, *format); err != nil {
 				fmt.Fprintln(stderr, err)
 				return 1
 			}
-		}
-		res := benchfmt.ExperimentResult{ID: e.ID, Description: e.Description}
-		for _, tab := range tables {
-			res.Tables = append(res.Tables, benchfmt.Table{
-				Title: tab.Title, Note: tab.Note, Columns: tab.Columns, Rows: tab.Rows,
-			})
-		}
-		report.Experiments = append(report.Experiments, res)
-	}
-
-	if *jsonPath != "" {
-		w := stdout
-		if *jsonPath != "-" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := report.Write(w); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
 		}
 	}
 	return 0

@@ -4,12 +4,13 @@
 // Usage:
 //
 //	pimload -addr 127.0.0.1:7070 -conns 64 -pipeline 16 -duration 5s
-//	pimload -addr 127.0.0.1:7070 -dist zipf:1.3 -mix 90/5/5 -json out.json
+//	pimload -addr 127.0.0.1:7070 -dist zipf:1.3 -mix 90/5/5 -slo-p99 5ms
 //	pimload -addr 127.0.0.1:7070 -structure queue -rate 200000
 //
 // By default it runs closed-loop (each connection keeps -pipeline ops
 // outstanding); -rate switches to open-loop injection at a fixed total
-// ops/s. -json writes a benchfmt report so benchdiff can compare runs.
+// ops/s. It prints one summary line (plus scan and SLO lines when they
+// apply) that CI greps.
 package main
 
 //pimvet:allow-file determinism: load-generator binary measures wall-clock round trips against a live server; key streams remain seeded
@@ -46,7 +47,6 @@ func main() {
 		scanLimit = flag.Int("scan-limit", 0, "per-scan result cap sent on the wire (0 = server max)")
 		seed      = flag.Int64("seed", 1, "key-stream seed")
 		preload   = flag.Bool("preload", false, "fill the set to half occupancy before measuring")
-		jsonPath  = flag.String("json", "", "write the benchfmt report here ('-' = stdout)")
 		traceSamp = flag.Float64("trace-sample", 0, "fraction of request frames sent with trace context (server records spans for them)")
 		sloP99    = flag.Duration("slo-p99", 0, "p99 latency budget; prints an SLO verdict and burn rate (0 = off)")
 		sloStrict = flag.Bool("slo-strict", false, "exit 3 when the SLO verdict is FAIL")
@@ -118,23 +118,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "pimload: health scrape: %v\n", err)
 		} else {
 			fmt.Println("server health:", line)
-		}
-	}
-
-	if *jsonPath != "" {
-		w := os.Stdout
-		if *jsonPath != "-" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := res.Report().Write(w); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
 		}
 	}
 

@@ -11,8 +11,8 @@ import (
 
 // These tests pin the //pimvet:allocfree annotations on the injector's
 // inner loop: an allocation in op generation or response accounting is
-// charged to every operation of every run and skews AllocsPerOp, the
-// very metric benchdiff watches.
+// charged to every operation of every run and skews the allocs/op
+// figure pimload prints.
 
 func skipIfRace(t *testing.T) {
 	t.Helper()

@@ -3,8 +3,8 @@
 // connections, in closed loop (each connection keeps a fixed pipeline
 // of operations outstanding) or open loop (operations are injected on
 // a fixed schedule regardless of responses), and reports throughput
-// plus client-observed latency percentiles in benchfmt form so
-// benchdiff can compare runs.
+// plus client-observed latency percentiles as the summary lines
+// cmd/pimload prints.
 package loadgen
 
 //pimvet:allow-file determinism: a network load generator measures real wall-clock round trips by definition; key streams stay seeded/deterministic, only timing is physical
@@ -19,7 +19,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pimds/internal/benchfmt"
 	"pimds/internal/harness"
 	"pimds/internal/obs"
 	"pimds/internal/wire"
@@ -116,7 +115,6 @@ type Result struct {
 	TracedFrames uint64 // request frames sent with trace context
 	OverBudget   uint64 // responses slower than Cfg.SLOP99
 	Allocs       uint64 // client-side heap allocations during the run
-	AllocBytes   uint64 // client-side bytes allocated during the run
 	Scans        uint64 // completed range scans (subset of Ops)
 	ScanKeys     uint64 // keys returned across all completed scans
 }
@@ -130,8 +128,8 @@ func (r *Result) KeysPerScan() float64 {
 }
 
 // AllocsPerOp is the client-side allocation cost of one completed
-// operation — the load generator's own efficiency, watched by
-// benchdiff so the injector can't silently become the bottleneck.
+// operation — the load generator's own efficiency, printed in the
+// summary so the injector can't silently become the bottleneck.
 func (r *Result) AllocsPerOp() float64 {
 	if r.Ops == 0 {
 		return 0
@@ -139,24 +137,16 @@ func (r *Result) AllocsPerOp() float64 {
 	return float64(r.Allocs) / float64(r.Ops)
 }
 
-// BytesPerOp is the client-side bytes allocated per completed op.
-func (r *Result) BytesPerOp() float64 {
-	if r.Ops == 0 {
-		return 0
-	}
-	return float64(r.AllocBytes) / float64(r.Ops)
-}
-
 // SLO is a run's verdict against the configured p99 budget.
 type SLO struct {
-	Budget     time.Duration `json:"budget_ns"`
-	P99        time.Duration `json:"p99_ns"`
-	Met        bool          `json:"met"`
-	OverBudget uint64        `json:"over_budget"`
+	Budget     time.Duration
+	P99        time.Duration
+	Met        bool
+	OverBudget uint64
 	// BurnRate is (fraction of responses over budget) / 0.01: how fast
 	// the 1% error budget a p99 target grants is being consumed. ≤ 1
 	// means within budget, 2 means burning twice as fast as allowed.
-	BurnRate float64 `json:"burn_rate"`
+	BurnRate float64
 }
 
 // SLO evaluates the run against Cfg.SLOP99; ok is false when no
@@ -213,48 +203,6 @@ func (r *Result) String() string {
 			slo.Budget, verdict, slo.P99, slo.OverBudget, r.Ops, slo.BurnRate)
 	}
 	return s
-}
-
-// Report renders the run as a benchfmt report comparable by benchdiff.
-// The allocation columns are client-side costs per completed op (see
-// AllocsPerOp); "slo burn" is the error-budget burn rate, or a
-// placeholder when no budget was configured so runs with and without
-// an SLO still align structurally.
-func (r *Result) Report() *benchfmt.Report {
-	p50, p95, p99 := r.Latency.Percentiles()
-	burn := "—"
-	if slo, ok := r.SLO(); ok {
-		burn = fmt.Sprintf("%.2f", slo.BurnRate)
-	}
-	tab := benchfmt.Table{
-		Title:   fmt.Sprintf("pimload — %s workload", r.Cfg.Structure),
-		Note:    fmt.Sprintf("dist %s, addr %s", r.Cfg.Dist.Name(), r.Cfg.Addr),
-		Columns: []string{"conns", "mode", "pipeline", "ops/s", "p50 latency", "p95 latency", "p99 latency", "errors", "allocs/op", "B/op", "slo burn", "scans", "keys/scan"},
-		Rows: [][]string{{
-			fmt.Sprint(r.Cfg.Conns),
-			r.mode(),
-			fmt.Sprint(r.Cfg.Pipeline),
-			fmt.Sprintf("%.0f", r.OpsPerSec()),
-			time.Duration(p50).String(),
-			time.Duration(p95).String(),
-			time.Duration(p99).String(),
-			fmt.Sprint(r.Errors),
-			fmt.Sprintf("%.2f", r.AllocsPerOp()),
-			fmt.Sprintf("%.0f", r.BytesPerOp()),
-			burn,
-			fmt.Sprint(r.Scans),
-			fmt.Sprintf("%.1f", r.KeysPerScan()),
-		}},
-	}
-	return &benchfmt.Report{
-		Name:   "pimload",
-		Params: benchfmt.Params{Seed: r.Cfg.Seed},
-		Experiments: []benchfmt.ExperimentResult{{
-			ID:          "pimload",
-			Description: "network load against pimserve",
-			Tables:      []benchfmt.Table{tab},
-		}},
-	}
 }
 
 // opStream yields the wire ops for one connection, deterministically
@@ -435,7 +383,6 @@ func Run(cfg Config) (*Result, error) {
 	res.Scans = ctr.scans.Load()
 	res.ScanKeys = ctr.scanKeys.Load()
 	res.Allocs = m1.Mallocs - m0.Mallocs
-	res.AllocBytes = m1.TotalAlloc - m0.TotalAlloc
 	if err, _ := runErr.Load().(error); err != nil {
 		return res, err
 	}
