@@ -3,8 +3,8 @@ package pimqueue
 import (
 	"fmt"
 
+	"pimds/internal/obs"
 	"pimds/internal/sim"
-	"pimds/internal/stats"
 )
 
 // Role selects what a queue client does in its closed loop.
@@ -56,7 +56,7 @@ type Client struct {
 
 	// Latency records response times (first issue to success,
 	// including failure/rediscovery retries) in picoseconds.
-	Latency *stats.Histogram
+	Latency *obs.Histogram
 
 	// Stats and test hooks.
 	Enqueued   uint64
@@ -78,7 +78,7 @@ type Client struct {
 // NewClient registers a closed-loop client with the given role. Call
 // Start to begin issuing requests.
 func (q *Queue) NewClient(role Role) *Client {
-	cl := &Client{q: q, idx: len(q.clients), role: role, Latency: stats.NewHistogram(16)}
+	cl := &Client{q: q, idx: len(q.clients), role: role, Latency: &obs.Histogram{}}
 	cl.cpu = q.eng.NewCPU(cl.onMessage)
 	// Seed owner beliefs from the current owners (Preload may already
 	// have moved the enqueue segment off core 0); -1 mid-handoff falls
@@ -163,7 +163,7 @@ func (cl *Client) onMessage(c *sim.CPU, m sim.Message) {
 		cl.Enqueued++
 		c.CountOp()
 		c.ProfOpEnd()
-		cl.Latency.Add(int64(c.Clock() - cl.issuedAt))
+		cl.Latency.Observe(int64(c.Clock() - cl.issuedAt))
 		cl.q.eng.RecordOpLatency(MsgEnq, c.Clock()-cl.issuedAt)
 		if cl.OnComplete != nil {
 			cl.OnComplete(cl.issuedAt, c.Clock(), MsgEnq, int64(cl.idx)<<32|(cl.seq-1), true)
@@ -180,7 +180,7 @@ func (cl *Client) onMessage(c *sim.CPU, m sim.Message) {
 		cl.Dequeued++
 		c.CountOp()
 		c.ProfOpEnd()
-		cl.Latency.Add(int64(c.Clock() - cl.issuedAt))
+		cl.Latency.Observe(int64(c.Clock() - cl.issuedAt))
 		cl.q.eng.RecordOpLatency(MsgDeq, c.Clock()-cl.issuedAt)
 		if cl.OnDequeue != nil {
 			cl.OnDequeue(m.Key)

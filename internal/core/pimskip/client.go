@@ -2,8 +2,8 @@ package pimskip
 
 import (
 	"pimds/internal/cds/seqskip"
+	"pimds/internal/obs"
 	"pimds/internal/sim"
-	"pimds/internal/stats"
 )
 
 // Client is a closed-loop CPU client of the PIM skip-list. It owns a
@@ -25,7 +25,7 @@ type Client struct {
 
 	// Latency records response times (first issue to final response,
 	// including rejection retries) in picoseconds.
-	Latency *stats.Histogram
+	Latency *obs.Histogram
 
 	// Stats.
 	Completed  uint64
@@ -44,7 +44,7 @@ type Client struct {
 // NewClient registers a closed-loop client issuing the operation stream
 // produced by next. Call Start (or use a harness) to begin.
 func (s *SkipList) NewClient(next func(seq uint64) seqskip.Op) *Client {
-	cl := &Client{s: s, dir: s.auth.Clone(), next: next, Latency: stats.NewHistogram(16)}
+	cl := &Client{s: s, dir: s.auth.Clone(), next: next, Latency: &obs.Histogram{}}
 	cl.cpu = s.eng.NewCPU(cl.onMessage)
 	s.clients = append(s.clients, cl)
 	return cl
@@ -96,7 +96,7 @@ func (cl *Client) onMessage(c *sim.CPU, m sim.Message) {
 		c.CountOp()
 		c.ProfOpEnd()
 		d := c.Clock() - cl.issuedAt
-		cl.Latency.Add(int64(d))
+		cl.Latency.Observe(int64(d))
 		kind := MsgContains
 		switch cl.cur.Kind {
 		case seqskip.Add:

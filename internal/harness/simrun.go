@@ -9,8 +9,8 @@ import (
 	"pimds/internal/core/pimqueue"
 	"pimds/internal/core/pimskip"
 	"pimds/internal/model"
+	"pimds/internal/obs"
 	"pimds/internal/sim"
-	"pimds/internal/stats"
 )
 
 // SimOpts configures one virtual-time measurement.
@@ -59,7 +59,7 @@ func (o SimOpts) quickened() SimOpts {
 type RunResult struct {
 	Completed uint64
 	Ops       float64
-	Latency   *stats.Histogram
+	Latency   *obs.Histogram
 }
 
 // Percentiles renders the latency histogram's p50/p95/p99 as
@@ -116,7 +116,7 @@ func SimList(o SimOpts, variant model.ListAlgorithm, p int, keySpace int64) RunR
 func (o SimOpts) pimList(e *sim.Engine, combining bool, p int, keySpace, base int64) RunResult {
 	l := pimlist.New(e, combining)
 	l.Preload(PreloadKeys(keySpace))
-	agg := stats.NewHistogram(16)
+	agg := &obs.Histogram{}
 	var clients []*sim.Client
 	for i := 0; i < p; i++ {
 		g := NewGenerator(o.seed(base+int64(i)), Uniform{N: keySpace}, Balanced())
@@ -144,7 +144,7 @@ func SimSkipPIM(o SimOpts, k, p int, keySpace int64) (res RunResult, beta float6
 func (o SimOpts) pimSkip(e *sim.Engine, k, p int, keySpace, base int64) (res RunResult, beta float64) {
 	s := pimskip.New(e, keySpace, k, 23)
 	s.Preload(PreloadKeys(keySpace))
-	agg := stats.NewHistogram(16)
+	agg := &obs.Histogram{}
 	var clients []*pimskip.Client
 	for i := 0; i < p; i++ {
 		g := NewGenerator(o.seed(base+int64(i)), Uniform{N: keySpace}, Balanced())
@@ -252,7 +252,7 @@ func (o SimOpts) pimQueue(e *sim.Engine, r QueueRegime) RunResult {
 		}
 		q.Preload(vals)
 	}
-	agg := stats.NewHistogram(16)
+	agg := &obs.Histogram{}
 	var clients []*pimqueue.Client
 	for i := 0; i < r.Enqueuers+r.Dequeuers; i++ {
 		role := pimqueue.Enqueuer

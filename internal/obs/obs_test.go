@@ -3,9 +3,12 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"testing/quick"
 )
 
 func TestNilMetricsAreNoOps(t *testing.T) {
@@ -96,6 +99,71 @@ func TestHistogramQuantiles(t *testing.T) {
 	h2.Observe(-5)
 	if h2.Quantile(1) != 1 {
 		t.Fatalf("clamped quantile = %d, want 1", h2.Quantile(1))
+	}
+}
+
+// TestHistogramBucketBoundaries: an exact power of two is an octave's
+// lower bound, so a point mass there reads back exactly; the last value
+// before a boundary stays in its octave; an empty histogram reads zero;
+// a single observation reads back within one sub-bucket (1/16) below.
+func TestHistogramBucketBoundaries(t *testing.T) {
+	for _, v := range []int64{1, 2, 4, 1024, 1 << 32} {
+		var h Histogram
+		for i := 0; i < 10; i++ {
+			h.Observe(v)
+		}
+		if got := h.Quantile(0.5); got != v {
+			t.Errorf("point mass at %d: q50 = %d", v, got)
+		}
+	}
+	var h Histogram
+	if p50, p95, p99 := h.Percentiles(); p50 != 0 || p95 != 0 || p99 != 0 || h.Mean() != 0 {
+		t.Errorf("empty histogram: p50/p95/p99 = %d/%d/%d, mean %v", p50, p95, p99, h.Mean())
+	}
+	h.Observe(1023)
+	if got := h.Quantile(0.5); got < 512 || got > 1023 {
+		t.Errorf("1023 binned outside its octave: q50 = %d", got)
+	}
+	var one Histogram
+	one.Observe(777)
+	for _, q := range []float64{0, 0.5, 0.99, 1} {
+		if got := one.Quantile(q); got > 777 || float64(got) < 777*(1-1.0/16) {
+			t.Errorf("Quantile(%v) of one 777 = %d, want within 1/16 below", q, got)
+		}
+	}
+}
+
+// TestHistogramQuantileAccuracy: against exact order statistics of
+// random data, a quantile is the lower bound of the sub-bucket holding
+// that order statistic, so it is at most 1/16 below it. Folding two
+// halves together gives the same quantiles as recording the whole.
+func TestHistogramQuantileAccuracy(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var h, a, b Histogram
+		xs := make([]int64, 500)
+		for i := range xs {
+			xs[i] = rng.Int63n(1<<20) + 1
+			h.Observe(xs[i])
+			if i%2 == 0 {
+				a.Observe(xs[i])
+			} else {
+				b.Observe(xs[i])
+			}
+		}
+		a.Merge(&b)
+		sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+		for _, q := range []float64{0.5, 0.9, 0.99} {
+			exact := xs[int(q*float64(len(xs)-1))]
+			got := h.Quantile(q)
+			if got > exact || float64(got) < float64(exact)*(1-1.0/16) || a.Quantile(q) != got {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
 	}
 }
 

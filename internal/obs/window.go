@@ -132,7 +132,7 @@ func deltaSample(prev, cur *Snapshot, seq uint64, interval time.Duration) Window
 		s.Floats[name] = v
 	}
 	for name, h := range cur.Histograms {
-		// Compact: the ring keeps summaries, not 4KB bucket arrays per
+		// Compact: the ring keeps summaries, not 8 KiB bucket arrays per
 		// histogram per sample; the exact quantiles are already baked in.
 		s.Histograms[name] = h.Sub(prev.Histograms[name]).Compact()
 	}

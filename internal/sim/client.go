@@ -1,6 +1,6 @@
 package sim
 
-import "pimds/internal/stats"
+import "pimds/internal/obs"
 
 // Client is a closed-loop workload driver on one CPU: it sends a
 // request, waits for the response, counts the completed operation and
@@ -19,7 +19,7 @@ type Client struct {
 
 	// Latency records the response time (request send to response
 	// arrival, in picoseconds) of every completed operation.
-	Latency *stats.Histogram
+	Latency *obs.Histogram
 
 	seq       uint64
 	issuedAt  Time
@@ -30,7 +30,7 @@ type Client struct {
 // NewClient creates a closed-loop client on a fresh CPU. Call Start to
 // begin issuing requests.
 func NewClient(e *Engine, makeRequest func(c *CPU, seq uint64) Message) *Client {
-	cl := &Client{MakeRequest: makeRequest, Latency: stats.NewHistogram(16)}
+	cl := &Client{MakeRequest: makeRequest, Latency: &obs.Histogram{}}
 	cl.CPU = e.NewCPU(cl.onMessage)
 	return cl
 }
@@ -58,7 +58,7 @@ func (cl *Client) onMessage(c *CPU, m Message) {
 	cl.Completed++
 	c.CountOp()
 	d := c.Clock() - cl.issuedAt
-	cl.Latency.Add(int64(d))
+	cl.Latency.Observe(int64(d))
 	c.ProfOpEnd()
 	if met := c.eng.met; met != nil {
 		met.opLatency(cl.reqKind, d)
