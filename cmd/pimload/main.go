@@ -98,6 +98,10 @@ func main() {
 		TraceSample: *traceSamp,
 		SLOP99:      *sloP99,
 	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "pimload:", err)
+		os.Exit(2)
+	}
 	if *preload {
 		if err := loadgen.Preload(cfg); err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -105,6 +105,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Validate rejects out-of-range settings: Conns ≥ 1, 1 ≤ Pipeline ≤
+// wire.MaxOpsPerFrame, Rate ≥ 0. Zero still selects the default. Run
+// calls it before dialing.
+func (c Config) Validate() error {
+	switch {
+	case c.Conns < 0:
+		return fmt.Errorf("loadgen: Conns %d, want ≥ 1 (0 = default)", c.Conns)
+	case c.Pipeline < 0 || c.Pipeline > wire.MaxOpsPerFrame:
+		return fmt.Errorf("loadgen: Pipeline %d, want 1..%d (0 = default)", c.Pipeline, wire.MaxOpsPerFrame)
+	case !(c.Rate >= 0):
+		return fmt.Errorf("loadgen: Rate %v, want ≥ 0 (0 = closed loop)", c.Rate)
+	}
+	return nil
+}
+
 // Result is the outcome of one run.
 type Result struct {
 	Cfg          Config
@@ -326,6 +341,9 @@ func (st *opStream) appendRequest(out []byte, batch []wire.Op, ctr *counters) ([
 // Run executes the configured load and blocks until every connection
 // has drained its outstanding operations.
 func Run(cfg Config) (*Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	if cfg.Structure != StructSet && cfg.Structure != StructQueue && cfg.Structure != StructStack {
 		return nil, fmt.Errorf("loadgen: unknown structure %q (want set|queue|stack)", cfg.Structure)

@@ -12,6 +12,7 @@ import (
 	"pimds/internal/loadgen"
 	"pimds/internal/obs"
 	"pimds/internal/server"
+	"pimds/internal/wire"
 )
 
 func startServer(t *testing.T, cfg server.Config) (*server.Server, string, *obs.Registry) {
@@ -91,6 +92,31 @@ func TestClosedLoopAgainstServer(t *testing.T) {
 	}
 	if factor := sum / n; factor <= 1.0 {
 		t.Errorf("combining factor %.2f under %d connections, want > 1", factor, nConns)
+	}
+}
+
+// TestRunRejectsBadConfig: out-of-range settings fail before any dial,
+// naming the field; zero still means the default and gets as far as
+// dialing (nothing listens on port 0).
+func TestRunRejectsBadConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  loadgen.Config
+		want string
+	}{
+		{"negative conns", loadgen.Config{Conns: -1}, "Conns"},
+		{"negative pipeline", loadgen.Config{Pipeline: -1}, "Pipeline"},
+		{"pipeline over frame cap", loadgen.Config{Pipeline: wire.MaxOpsPerFrame + 1}, "Pipeline"},
+		{"negative rate", loadgen.Config{Rate: -1}, "Rate"},
+		{"zeros are defaults", loadgen.Config{}, "dial"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Addr = "127.0.0.1:0"
+			res, err := loadgen.Run(tc.cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) || res != nil {
+				t.Fatalf("Run(%+v) = %v, %v; want an error naming %q", tc.cfg, res, err, tc.want)
+			}
+		})
 	}
 }
 
