@@ -35,8 +35,8 @@ func TestSimulatorBaseline(t *testing.T) {
 	if bytes.Equal(got.Bytes(), want) {
 		return
 	}
-	gotLines := strings.Split(got.String(), "\n")
-	wantLines := strings.Split(string(want), "\n")
+	gotLines := strings.Split(strings.TrimSuffix(got.String(), "\n"), "\n")
+	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
 	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
 		g, w := "<end of output>", "<end of file>"
 		if i < len(gotLines) {

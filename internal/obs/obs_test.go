@@ -131,6 +131,9 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 			t.Errorf("Quantile(%v) of one 777 = %d, want within 1/16 below", q, got)
 		}
 	}
+	if one.Quantile(-1) != one.Quantile(0) || one.Quantile(2) != one.Quantile(1) {
+		t.Error("q outside [0, 1] is not clamped")
+	}
 }
 
 // TestHistogramQuantileAccuracy: against exact order statistics of
