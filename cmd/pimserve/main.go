@@ -38,7 +38,7 @@ func main() {
 		structure   = flag.String("structure", "skip", "data structure: list|skip|hash|queue|stack")
 		shards      = flag.Int("shards", 8, "combiner shards (sets are range-partitioned; queue/stack require 1)")
 		keySpace    = flag.Int64("keyspace", 1<<16, "exclusive key bound for set structures")
-		queueDepth  = flag.Int("queue-depth", 1024, "per-shard pending-op queue capacity (backpressure bound)")
+		queueDepth  = flag.Int("queue-depth", 1024, "per-shard publication queue capacity in (frame, shard) slots; also sizes each connection's max(2, n/16) frame records (backpressure bound)")
 		idleTimeout = flag.Duration("idle-timeout", 0, "close connections idle this long (0 = never)")
 		writeTO     = flag.Duration("write-timeout", 30*time.Second, "per-frame write deadline to slow clients")
 		seed        = flag.Int64("seed", 1, "skip-list tower seed")

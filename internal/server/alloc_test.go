@@ -49,7 +49,6 @@ func pinRig(t *testing.T, structure string, durable bool, ops []wire.Op) (*Serve
 	s := &Server{cfg: Config{}.withDefaults(), epoch: time.Now()}
 	ps := newPass(&shard{be: be}, durable)
 	ps.ops = append(ps.ops, ops...)
-	ps.from = ps.from[:len(ops)]
 	return s, ps
 }
 
@@ -140,7 +139,6 @@ func TestApplyBatchDurableAllocs(t *testing.T) {
 
 	// A read-only pass stages nothing and leaves the sequence alone.
 	ps.ops = append(ps.ops[:0], wire.Op{Kind: wire.Contains, Key: 2})
-	ps.from = ps.from[:1]
 	s.applyBatch(ps)
 	if len(ps.rec) != 0 || sh.walSeq != seq+1 {
 		t.Fatalf("read-only pass staged %d bytes, seq %d; want an empty record, seq still %d",
@@ -151,8 +149,8 @@ func TestApplyBatchDurableAllocs(t *testing.T) {
 // TestApplyBatchOrderedAllocs pins the ordered combiner path: once the
 // arena and sort scratch have grown to the batch's high-water mark, a
 // pass mixing point ops, range scans and extremum pops must not
-// allocate either — the scan values live in the shard arena, and the
-// per-delivery copies happen outside the pinned window.
+// allocate either — the scan values live in the pass arena, and the
+// copies into the frames happen in release, outside the pinned window.
 func TestApplyBatchOrderedAllocs(t *testing.T) {
 	skipIfRace(t)
 	// Size-stable mix: each round pops the extremes and re-adds them,
@@ -172,6 +170,61 @@ func TestApplyBatchOrderedAllocs(t *testing.T) {
 	pinApply(t, s, ps)
 	if n := len(ps.results[4].Values); n != 16 {
 		t.Fatalf("scan returned %d values, want 16", n)
+	}
+}
+
+// TestPublishAllocs pins partition-and-publish: a warm frame record
+// takes a decoded 64-op frame across two shards — validation, scan
+// clamping, the stable counting sort, an in-place rejection and one
+// slot per shard — without touching the heap, and every slot holds
+// exactly its shard's ops in frame order.
+func TestPublishAllocs(t *testing.T) {
+	skipIfRace(t)
+	caps, _ := LookupCapability(StructSkip)
+	s := &Server{cfg: Config{Structure: StructSkip, Shards: 2, KeySpace: 1 << 10}.withDefaults(), caps: caps}
+	for i := 0; i < 2; i++ {
+		s.shards = append(s.shards, &shard{idx: i, in: make(chan slot, 1)})
+	}
+	c := &conn{id: 1, out: make(chan *frame, 2), free: make(chan *frame, 2), next: make([]int, 3)}
+	var ops []wire.Op
+	for i := 0; i < 64; i++ {
+		op := wire.Op{ID: uint64(i), Kind: wire.OpKind(i % 3), Key: int64(i * 37 % 1024)}
+		switch {
+		case i%8 == 5:
+			op = wire.Op{ID: uint64(i), Kind: wire.RangeScan, Key: op.Key, Hi: op.Key + 64, Limit: 16}
+		case i == 63:
+			op.Key = 1 << 10 // out of the key space: answered in place
+		}
+		ops = append(ops, op)
+	}
+	f := c.record()
+	publish := func() (slot, slot) {
+		s.publish(f, ops, 0, 0)
+		defer c.inflight.Done()
+		return <-s.shards[0].in, <-s.shards[1].in
+	}
+	sl0, sl1 := publish()
+	at := 0
+	for b, sl := range []slot{sl0, sl1} {
+		if sl.f != f || sl.lo != at {
+			t.Fatalf("shard %d slot %+v, want frame %p from %d", b, sl, f, at)
+		}
+		prev := uint64(0)
+		for _, op := range f.ops[sl.lo:sl.hi] {
+			if s.shardFor(op.Key).idx != b || op.ID < prev {
+				t.Fatalf("shard %d slot holds op %+v out of place", b, op)
+			}
+			prev = op.ID
+		}
+		at = sl.hi
+	}
+	if at != 63 || f.results[63].Status != wire.StatusBadKey || f.left.Load() != 2 {
+		t.Fatalf("slots end at %d, last result %+v, %d slots left; want 63, a bad-key answer, 2",
+			at, f.results[63], f.left.Load())
+	}
+	avg := testing.AllocsPerRun(100, func() { publish() })
+	if avg != 0 {
+		t.Errorf("publish steady state: %.1f allocs/op, want 0", avg)
 	}
 }
 

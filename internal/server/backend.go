@@ -20,8 +20,8 @@ import (
 // the reader, so a backend only sees kinds it supports. Range scans
 // append their keys to arena and slice out[i].Values from the returned
 // (possibly grown) arena — every Values field is valid only until the
-// next pass reuses the arena, so the combiner copies them out before
-// delivery.
+// next pass reuses the arena, so release copies them into the frame
+// they answer.
 //
 // ApplyBatch runs inside the combining window (Server.applyBatch, which
 // is //pimvet:allocfree), so every implementation must be marked

@@ -31,6 +31,21 @@ func (s *Server) WALSeqs() []uint64 {
 	return seqs
 }
 
+// FrameRecords is the most frame records any live connection has made:
+// the peak number of its decoded frames not yet answered, since a
+// record is made only when none is free. It reads the free lists, so
+// it is exact once every frame is answered (the writer recycles a
+// record before writing its response) and the reader is back in Read.
+func (s *Server) FrameRecords() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for c := range s.conns {
+		n = max(n, len(c.free))
+	}
+	return n
+}
+
 // TrackedConns is the size of the live-connection set Shutdown walks.
 func (s *Server) TrackedConns() int {
 	s.mu.Lock()

@@ -56,7 +56,7 @@ type HealthStatus struct {
 //
 //	p99-latency         server/op_latency_ns p99 over the last window
 //	slo-burn            error-budget burn against the same p99 budget
-//	queue-growth        summed shard queue depth growing monotonically
+//	queue-growth        summed shard queue depth (slots) growing monotonically
 //	combining-collapse  mean batch size degrading to one op per pass
 //	error-rate          rejected / total operations
 //	wal-lag             p99 apply-to-durable-ack lag of the WAL pipeline
@@ -137,11 +137,11 @@ func sloBurn(hs obs.HistogramSnapshot) RuleResult {
 		Reason: fmt.Sprintf("burning ≥%.0f× the p99≤%s error budget over the last window", burn, p99Budget)}
 }
 
-// queueGrowth flags the shards' summed queue depth rising in every one
-// of the last five samples — the onset of overload. Depth bouncing
-// around is backpressure working; depth only ever rising is a combiner
-// falling behind. Growth to 2× degrades and to 8× fails; a final depth
-// under 64 never counts.
+// queueGrowth flags the shards' summed queue depth — waiting (frame,
+// shard) slots, not ops — rising in every one of the last five samples:
+// the onset of overload. Depth bouncing around is backpressure working;
+// depth only ever rising is a combiner falling behind. Growth to 2×
+// degrades and to 8× fails; a final depth under 64 slots never counts.
 func queueGrowth(samples []obs.WindowSample) RuleResult {
 	const rule, look = "queue-growth", 5
 	if len(samples) < look {

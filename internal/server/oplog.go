@@ -33,56 +33,59 @@ func (l *OpLog) record(ps *pass) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for i, in := range ps.ops {
-		res := ps.results[i]
-		op := linearize.Op{
-			Start:  ps.from[i].start,
-			End:    ps.end,
-			Client: ps.from[i].conn.id,
-			Input:  in.Key,
-			OK:     res.OK,
+	i := 0
+	for _, sl := range ps.slots {
+		for end := i + sl.hi - sl.lo; i < end; i++ {
+			in, res := ps.ops[i], ps.results[i]
+			op := linearize.Op{
+				Start:  sl.f.start,
+				End:    ps.end,
+				Client: sl.f.c.id,
+				Input:  in.Key,
+				OK:     res.OK,
+			}
+			switch in.Kind {
+			case wire.Contains:
+				op.Action = linearize.ActContains
+			case wire.Add:
+				op.Action = linearize.ActAdd
+			case wire.Remove:
+				op.Action = linearize.ActRemove
+			case wire.Enqueue:
+				op.Action = linearize.ActEnqueue
+			case wire.Dequeue:
+				op.Action = linearize.ActDequeue
+				op.Output = res.Value
+			case wire.Push:
+				op.Action = linearize.ActPush
+			case wire.Pop:
+				op.Action = linearize.ActPop
+				op.Output = res.Value
+			case wire.RangeScan:
+				// in carries the reader-clamped Hi and Limit — the bounds
+				// the scan actually ran with. The values live in the pass's
+				// arena, which the next gather reuses, so the log keeps its
+				// own copy.
+				op.Action = linearize.ActScan
+				op.Input2 = in.Hi
+				op.Limit = int(in.Limit)
+				op.Output = res.Value
+				op.Outputs = append([]int64(nil), res.Values...)
+			case wire.Pred:
+				op.Action = linearize.ActPred
+				op.Output = res.Value
+			case wire.Succ:
+				op.Action = linearize.ActSucc
+				op.Output = res.Value
+			case wire.PopMin:
+				op.Action = linearize.ActPopMin
+				op.Output = res.Value
+			case wire.PopMax:
+				op.Action = linearize.ActPopMax
+				op.Output = res.Value
+			}
+			l.ops = append(l.ops, op)
 		}
-		switch in.Kind {
-		case wire.Contains:
-			op.Action = linearize.ActContains
-		case wire.Add:
-			op.Action = linearize.ActAdd
-		case wire.Remove:
-			op.Action = linearize.ActRemove
-		case wire.Enqueue:
-			op.Action = linearize.ActEnqueue
-		case wire.Dequeue:
-			op.Action = linearize.ActDequeue
-			op.Output = res.Value
-		case wire.Push:
-			op.Action = linearize.ActPush
-		case wire.Pop:
-			op.Action = linearize.ActPop
-			op.Output = res.Value
-		case wire.RangeScan:
-			// in carries the reader-clamped Hi and Limit — the bounds
-			// the scan actually ran with. Outputs aliases the combiner's
-			// per-pass copy of the scan values, which is never mutated
-			// after delivery.
-			op.Action = linearize.ActScan
-			op.Input2 = in.Hi
-			op.Limit = int(in.Limit)
-			op.Output = res.Value
-			op.Outputs = res.Values
-		case wire.Pred:
-			op.Action = linearize.ActPred
-			op.Output = res.Value
-		case wire.Succ:
-			op.Action = linearize.ActSucc
-			op.Output = res.Value
-		case wire.PopMin:
-			op.Action = linearize.ActPopMin
-			op.Output = res.Value
-		case wire.PopMax:
-			op.Action = linearize.ActPopMax
-			op.Output = res.Value
-		}
-		l.ops = append(l.ops, op)
 	}
 }
 

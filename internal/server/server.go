@@ -5,14 +5,17 @@
 //
 // The concurrency design is flat combining (Hendler et al., SPAA
 // 2010) transplanted onto a server: per-connection reader goroutines
-// decode operations and *publish* them into a bounded per-shard queue
-// (the publication list), and a single combiner goroutine per shard
-// drains whole batches and executes them against the shard's
-// sequential structure — no locks on the structures, one execution
-// context per shard, exactly the pattern the paper's PIM structures
-// use with one PIM core per vault. Backpressure is structural: when a
-// shard queue fills, readers block, stop draining their sockets, and
-// TCP pushes back on the clients.
+// decode request frames and *publish* each frame as one slot per shard
+// it touches into a bounded per-shard queue (the publication list), and
+// a single combiner goroutine per shard drains whole batches of slots
+// and executes them against the shard's sequential structure — no locks
+// on the structures, one execution context per shard, exactly the
+// pattern the paper's PIM structures use with one PIM core per vault.
+// Synchronisation is paid per frame, not per op: one publish per
+// (frame, shard), one completion and one response frame per request
+// frame. Backpressure is structural: when a shard queue fills or a
+// connection runs out of frame records, readers block, stop draining
+// their sockets, and TCP pushes back on the clients.
 //
 // Shutdown is a drain, not an abort: accepted operations are executed
 // and their responses flushed before connections close, so no
@@ -26,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -53,9 +57,11 @@ type Config struct {
 	// outside [0, KeySpace) get StatusBadKey. Default 1<<16.
 	KeySpace int64
 
-	// QueueDepth is the capacity of each shard's pending-op queue and
-	// of each connection's response queue. A full shard queue blocks
-	// readers (backpressure). Default 1024.
+	// QueueDepth is the capacity of each shard's publication queue, in
+	// (frame, shard) slots, and sizes each connection's frame records:
+	// a connection holds at most max(2, QueueDepth/16) decoded frames
+	// not yet answered. A full shard queue or an exhausted record pool
+	// blocks the reader (backpressure). Default 1024.
 	QueueDepth int
 
 	// IdleTimeout closes connections with no complete frame for this
@@ -147,17 +153,33 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// origin is where one published op came from: everything its ack needs.
-type origin struct {
-	conn  *conn
-	start int64 // ns since server epoch, stamped at decode
-	sp    *span // non-nil only for sampled requests
+// frame is one request frame from decode to response, in a record the
+// connection reuses: the reader routes the ops in, each shard's release
+// copies its slot's results back, and the writer encodes it as one
+// response and returns the record to the connection's free list.
+type frame struct {
+	c       *conn
+	ops     []wire.Op     // the frame's ops grouped by shard, rejected ops last
+	results []wire.Result // results[i] answers ops[i]
+	spans   []*span       // spans[i] traces ops[i]; empty unless the frame is sampled
+	vals    [][]int64     // scan values, an arena per shard that only its release appends to
+	start   int64         // decode stamp, every op's start (ns since server epoch)
+	left    atomic.Int32  // slots not yet released
 }
 
-// pendingOp is one published operation awaiting its combiner.
-type pendingOp struct {
-	op wire.Op
-	origin
+// slot is one (frame, shard) publication record: f.ops[lo:hi], every
+// op of the frame that one shard owns.
+type slot struct {
+	f      *frame
+	lo, hi int
+}
+
+// spans returns the slot's op spans, nil when the frame is unsampled.
+func (sl slot) spans() []*span {
+	if len(sl.f.spans) == 0 {
+		return nil
+	}
+	return sl.f.spans[sl.lo:sl.hi]
 }
 
 // pass is the one record of a combiner pass, from gather to ack: the
@@ -173,42 +195,47 @@ type pendingOp struct {
 type pass struct {
 	sh      *shard        // owner, whose free list the pass returns to
 	ops     []wire.Op     // gathered ops, the slice the backend consumes
-	from    []origin      // from[i] is where ops[i] came from
+	slots   []slot        // the slots ops were gathered from, in order
 	results []wire.Result // results[i] answers ops[i]
+	arena   []int64       // scan values results reference, reused by the next gather
 	traced  bool          // some op in the pass carries a span
 	end     int64         // apply-completion stamp
 	rec     []byte        // staged WAL record, empty when nothing mutated; nil in memory
 	fn      func()        // control item body; nothing else is set
 }
 
-// delivery is one result handed from a combiner (or the reject path)
-// to a connection's writer, carrying the span along so the writer can
-// stamp encode/flush and finish it.
-type delivery struct {
-	res wire.Result
-	sp  *span
-}
-
-// conn is one client connection. The reader publishes ops and tracks
-// them in inflight; combiners deliver results into out; the writer
-// drains out into response frames. out is closed (exactly once) only
-// after the reader has exited and every inflight op has been
-// delivered, which is what makes drain lossless.
+// conn is one client connection. The reader publishes frames and
+// tracks them in inflight; the release completing a frame sends it on
+// out; the writer answers it and recycles the record through free. out
+// is closed (exactly once) only after the reader has exited and every
+// inflight frame has been completed, which is what makes drain
+// lossless. Both channels fit every record, so neither send blocks.
 type conn struct {
-	id  int
-	nc  net.Conn
-	out chan delivery
-	rng uint64 // trace-sampling xorshift64 state; reader goroutine only
+	id   int
+	nc   net.Conn
+	out  chan *frame // completed frames, for the writer
+	free chan *frame // answered frame records, for the reader
+
+	// reader goroutine only
+	rng   uint64  // trace-sampling xorshift64 state
+	made  int     // frame records made so far, at most cap(free)
+	route []int32 // route[i]: the bucket of the frame's i-th decoded op
+	next  []int   // per-bucket counts, then next free index; bucket len(shards) is rejected ops
 
 	inflight sync.WaitGroup
 	closeOut sync.Once
 	failed   atomic.Bool // writer hit an error; discard further output
 }
 
-// deliver hands one result to the connection's writer. Blocks when the
-// writer is behind (bounded by WriteTimeout failing the conn).
-func (c *conn) deliver(d delivery) {
-	c.out <- d
+// record returns a frame record, making one only when none is free and
+// fewer than cap(free) exist; past that the reader waits for the writer
+// to answer one — the connection's backpressure.
+func (c *conn) record() *frame {
+	if len(c.free) == 0 && c.made < cap(c.free) {
+		c.made++
+		return &frame{c: c, vals: make([][]int64, len(c.next)-1)} // one arena per shard
+	}
+	return <-c.free
 }
 
 // sampleHit advances the connection's private xorshift64 state and
@@ -274,24 +301,19 @@ type Server struct {
 // sequential structure only its loop touches. free holds the shard's
 // pass records — one in memory, two when durable — between release and
 // the next gather; a combiner whose WAL writer holds both blocks on it,
-// the same structural backpressure the publication queues apply. arena
-// is the pass-local store for range-scan values: backends append into
-// it, results reference segments of it, and the combiner copies those
-// segments out before the next pass truncates it, so its capacity
-// amortizes to the largest scan pass.
+// the same structural backpressure the publication queues apply.
 type shard struct {
-	idx   int
-	in    chan pendingOp
-	be    backend
-	free  chan *pass
-	arena []int64
+	idx  int
+	in   chan slot
+	be   backend
+	free chan *pass
 
 	// durability (combiner goroutine only; nil/zero when the WAL is off)
 	walSeq uint64      // sequence of the last staged record
 	ctl    chan func() // combiner-context control (snapshot dumps)
 
 	batchSize  *obs.Histogram
-	queueDepth *obs.Gauge
+	queueDepth *obs.Gauge // slots waiting in in, not ops
 	combines   *obs.Counter
 	scanBatch  *obs.Histogram
 }
@@ -346,7 +368,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		sh := &shard{
 			idx:        i,
-			in:         make(chan pendingOp, cfg.QueueDepth),
+			in:         make(chan slot, cfg.QueueDepth),
 			be:         be,
 			batchSize:  cfg.Reg.Histogram(fmt.Sprintf("server/shard/%03d/batch_size", i)),
 			queueDepth: cfg.Reg.Gauge(fmt.Sprintf("server/shard/%03d/queue_depth", i)),
@@ -378,7 +400,7 @@ func newPass(sh *shard, durable bool) *pass {
 	ps := &pass{
 		sh:      sh,
 		ops:     make([]wire.Op, 0, wire.MaxOpsPerFrame),
-		from:    make([]origin, 0, wire.MaxOpsPerFrame),
+		slots:   make([]slot, 0, wire.MaxOpsPerFrame),
 		results: make([]wire.Result, 0, wire.MaxOpsPerFrame),
 	}
 	if durable {
@@ -433,10 +455,13 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return err
 		}
+		records := max(2, s.cfg.QueueDepth/16)
 		c := &conn{
-			id:  int(s.connSeq.Add(1)),
-			nc:  nc,
-			out: make(chan delivery, s.cfg.QueueDepth),
+			id:   int(s.connSeq.Add(1)),
+			nc:   nc,
+			out:  make(chan *frame, records),
+			free: make(chan *frame, records),
+			next: make([]int, len(s.shards)+1),
 		}
 		// Seed the sampler from the connection id via a splitmix64
 		// round: distinct nonzero streams per connection without any
@@ -472,16 +497,16 @@ func (s *Server) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
-// readLoop decodes request frames and publishes their ops to shards.
-// It exits on connection error, idle timeout, malformed input, or
-// drain; only complete frames ever publish ops, so a teardown
-// mid-frame loses nothing that could have been acknowledged.
+// readLoop decodes request frames and publishes them to shards. It
+// exits on connection error, idle timeout, malformed input, or drain;
+// only complete frames ever publish ops, so a teardown mid-frame loses
+// nothing that could have been acknowledged.
 func (s *Server) readLoop(c *conn) {
 	defer func() {
 		s.readers.Done()
-		// Close the response queue only after every published op has
-		// been executed and delivered; the writer then flushes the
-		// tail and closes the socket.
+		// Close the response queue only after every published frame has
+		// been executed and completed; the writer then answers the rest
+		// and closes the socket.
 		go func() {
 			c.inflight.Wait()
 			c.closeOut.Do(func() { close(c.out) })
@@ -503,6 +528,7 @@ func (s *Server) readLoop(c *conn) {
 		}
 		buf = payload[:0]
 		tFrame := s.now()
+		f := c.record() // before decoding: every decoded frame holds a record
 		var tc wire.TraceContext
 		ops, tc, err = wire.DecodeRequestAny(payload, ops[:0])
 		if err != nil {
@@ -511,35 +537,50 @@ func (s *Server) readLoop(c *conn) {
 		s.framesIn.Inc()
 		// One sampling decision per frame: the client's Sampled bit
 		// forces it, otherwise the connection-local generator draws.
-		// Everything span-shaped stays behind this flag.
+		// Everything span-shaped stays behind a nonzero traceID.
 		sampled := tc.Sampled
 		if !sampled && s.tr.sampleThreshold > 0 {
 			sampled = c.sampleHit(s.tr.sampleThreshold)
 		}
 		traceID := tc.TraceID
-		if sampled && traceID == 0 {
+		if !sampled {
+			traceID = 0
+		} else if traceID == 0 {
 			traceID = s.tr.nextTraceID()
 		}
-		start := s.now()
-		for _, op := range ops {
-			if !s.caps.Supports(op.Kind) {
-				s.reject(c, wire.Result{ID: op.ID, Status: wire.StatusBadKind})
-				continue
-			}
-			if s.caps.SerialOnly(op.Kind) && len(s.shards) > 1 {
-				// Global queries (Pred/Succ/PopMin/PopMax) would need a
-				// cross-shard merge, which is parked (not on the roadmap):
-				// they are served only by single-shard servers.
-				s.reject(c, wire.Result{ID: op.ID, Status: wire.StatusBadKind})
-				continue
-			}
-			if s.caps.Keyed(op.Kind) && (op.Key < 0 || op.Key >= s.cfg.KeySpace) {
-				s.reject(c, wire.Result{ID: op.ID, Status: wire.StatusBadKey})
-				continue
-			}
-			sh := s.shards[0]
+		f.start = s.now()
+		s.publish(f, ops, traceID, tFrame)
+	}
+}
+
+// check returns StatusOK for an op this server serves, otherwise the
+// status that rejects it. Global queries (Pred/Succ/PopMin/PopMax) would
+// need a cross-shard merge, which is parked (not on the roadmap): they
+// are served only by single-shard servers.
+func (s *Server) check(op wire.Op) wire.Status {
+	switch {
+	case !s.caps.Supports(op.Kind), s.caps.SerialOnly(op.Kind) && len(s.shards) > 1:
+		return wire.StatusBadKind
+	case s.caps.Keyed(op.Kind) && (op.Key < 0 || op.Key >= s.cfg.KeySpace):
+		return wire.StatusBadKey
+	}
+	return wire.StatusOK
+}
+
+// publish routes one decoded frame into f — a stable counting sort by
+// owning shard, rejected ops last and answered in place — and sends one
+// slot per shard it touches. A nonzero traceID samples every accepted
+// op.
+func (s *Server) publish(f *frame, ops []wire.Op, traceID uint64, tFrame int64) {
+	c, k, n := f.c, len(s.shards), len(ops)
+	route, next := c.route[:0], c.next
+	clear(next)
+	for i := range ops {
+		op, b := &ops[i], k
+		if s.check(*op) == wire.StatusOK {
+			b = 0
 			if s.caps.Keyed(op.Kind) {
-				sh = s.shardFor(op.Key)
+				b = s.shardFor(op.Key).idx
 			}
 			if op.Kind == wire.RangeScan {
 				// Clamp Hi to the owning shard's bound so one scan never
@@ -547,107 +588,126 @@ func (s *Server) readLoop(c *conn) {
 				// clamped Hi on a complete scan) walks the client into
 				// the next shard naturally — and bound the per-scan
 				// cardinality (a Limit of 0 requests the maximum).
-				if hi := s.shardUpper(sh.idx); op.Hi > hi {
-					op.Hi = hi
-				}
+				op.Hi = min(op.Hi, s.shardUpper(b))
 				if op.Limit == 0 || op.Limit > wire.MaxScanLimit {
 					op.Limit = wire.MaxScanLimit
 				}
 			}
-			var sp *span
-			if sampled {
-				sp = &span{traceID: traceID, opID: op.ID, kind: op.Kind,
-					conn: c.id, shard: sh.idx, start: tFrame}
-				s.tr.sampled.Inc()
-			}
-			c.inflight.Add(1)
-			if sp != nil {
-				sp.pub = s.now()
-			}
-			sh.in <- pendingOp{op: op, origin: origin{conn: c, start: start, sp: sp}}
 		}
+		route = append(route, int32(b))
+		next[b]++
+	}
+	c.route = route
+	slots, at := 0, 0
+	for b, cnt := range next {
+		next[b], at = at, at+cnt
+		if cnt > 0 && b < k {
+			slots++
+		}
+	}
+	f.ops = slices.Grow(f.ops[:0], n)[:n]
+	f.results = slices.Grow(f.results[:0], n)[:n]
+	clear(f.spans) // drop the last sample's spans; rejected ops carry none
+	f.spans = f.spans[:0]
+	if traceID != 0 {
+		f.spans = slices.Grow(f.spans, n)[:n]
+	}
+	for i, op := range ops {
+		b := int(route[i])
+		j := next[b]
+		next[b]++
+		f.ops[j] = op
+		if b == k {
+			f.results[j] = wire.Result{ID: op.ID, Status: s.check(op)}
+			s.opsBad.Inc()
+		} else if traceID != 0 {
+			f.spans[j] = &span{traceID: traceID, opID: op.ID, kind: op.Kind, conn: c.id, shard: b, start: tFrame}
+			s.tr.sampled.Inc()
+		}
+	}
+	f.left.Store(int32(slots))
+	if slots == 0 { // nothing to apply: answer now
+		c.out <- f
+		return
+	}
+	c.inflight.Add(1)
+	lo := 0
+	for b, sh := range s.shards {
+		if hi := next[b]; hi > lo {
+			sl := slot{f: f, lo: lo, hi: hi}
+			if spans := sl.spans(); spans != nil {
+				tPub := s.now()
+				for _, sp := range spans {
+					sp.pub = tPub
+				}
+			}
+			sh.in <- sl
+		}
+		lo = next[b]
 	}
 }
 
-// reject answers an invalid op directly from the reader, bypassing the
-// shards.
-func (s *Server) reject(c *conn, res wire.Result) {
-	s.opsBad.Inc()
-	c.inflight.Add(1)
-	c.deliver(delivery{res: res})
-	c.inflight.Done()
-}
-
-// combineLoop is one shard's combiner: it blocks for the first pending
-// op, acquires a pass record, greedily drains the rest of the queue into
-// it, executes the whole pass against the sequential structure, and
-// either releases the acks itself (in memory) or hands the pass to the
-// WAL writer, which releases them once the staged record is durable.
+// combineLoop is one shard's combiner: it takes the next slot, acquires
+// a pass record, gathers more slots into it when the queue had some
+// waiting, executes the whole pass against the sequential structure,
+// and either releases the acks itself (in memory) or hands the pass to
+// the WAL writer, which releases them once the staged record is
+// durable.
 func (s *Server) combineLoop(sh *shard) {
 	defer s.shardWG.Done()
+	var next slot
+	carried := false
 	for {
-		var p pendingOp
-		var ok bool
+		// A combiner that found its queue empty serves only the slot that
+		// wakes it: a frame completes as a unit, so gathering a second
+		// frame would only make the first wait for it.
+		gather := carried || len(sh.in) > 0
 		// Durability adds one combiner-context control channel: the
 		// snapshot scheduler borrows the combiner between passes to dump
 		// the shard's state at a consistent point in its serial order.
 		// In memory ctl is nil and that case never fires.
-		select {
-		case p, ok = <-sh.in:
-		case f := <-sh.ctl:
-			f()
-			continue
+		if carried {
+			select {
+			case f := <-sh.ctl:
+				f()
+			default:
+			}
+		} else {
+			var ok bool
+			select {
+			case next, ok = <-sh.in:
+				if !ok {
+					return
+				}
+			case f := <-sh.ctl:
+				f()
+				continue
+			}
 		}
-		if !ok {
-			return
-		}
+		carried = false
 		// In memory the shard's one pass is always free here. Durable,
 		// this blocks while the WAL writer holds both: the WAL's
 		// backpressure, upstream of the pinned window.
 		ps := <-sh.free
-		ps.ops, ps.from, ps.traced = ps.ops[:0], ps.from[:0], false
+		ps.ops, ps.slots, ps.traced = ps.ops[:0], ps.slots[:0], false
+		s.admit(ps, next)
 	gather:
-		for {
-			// Admit p, stamping a sampled op's pickup time: everything
-			// before this instant is queue wait, everything until the pass
-			// executes is combine wait.
-			if p.sp != nil {
-				p.sp.pick = s.now()
-				ps.traced = true
-			}
-			ps.ops = append(ps.ops, p.op)
-			ps.from = append(ps.from, p.origin)
-			if len(ps.ops) == wire.MaxOpsPerFrame {
-				break
-			}
+		for gather {
 			select {
-			case p, ok = <-sh.in:
+			case sl, ok := <-sh.in:
 				if !ok {
 					break gather
 				}
+				if len(ps.ops)+sl.hi-sl.lo > wire.MaxOpsPerFrame {
+					next, carried = sl, true // first in the next pass
+					break gather
+				}
+				s.admit(ps, sl)
 			default:
 				break gather
 			}
 		}
 		s.applyBatch(ps)
-
-		// Scan results reference segments of the shard's arena, which
-		// the next pass truncates and refills; copy them out here — in
-		// the loop, not the pinned combining window, so the combiner has
-		// already stamped completion and the copies are plain heap
-		// slices the writer (and op log) can hold indefinitely. Point
-		// results carry no values and skip this entirely.
-		scans := int64(0)
-		for i := range ps.results {
-			if ps.results[i].Values != nil {
-				ps.results[i].Values = append([]int64(nil), ps.results[i].Values...)
-				scans++
-			}
-		}
-		if scans > 0 {
-			sh.scanBatch.Observe(scans)
-		}
-
 		s.cfg.Log.record(ps)
 		sh.combines.Inc()
 		sh.batchSize.Observe(int64(len(ps.ops)))
@@ -665,20 +725,55 @@ func (s *Server) combineLoop(sh *shard) {
 	}
 }
 
+// admit gathers one slot into the pass, stamping its sampled ops'
+// pickup: everything before this instant is queue wait, everything
+// until the pass executes is combine wait.
+func (s *Server) admit(ps *pass, sl slot) {
+	if spans := sl.spans(); spans != nil {
+		tPick := s.now()
+		for _, sp := range spans {
+			sp.pick = tPick
+		}
+		ps.traced = true
+	}
+	ps.ops = append(ps.ops, sl.f.ops[sl.lo:sl.hi]...)
+	ps.slots = append(ps.slots, sl)
+}
+
 // release acknowledges one executed pass and returns it to its shard:
-// each op's result goes to its connection's writer and leaves the
-// connection's inflight count. tAck is the instant the acks are
+// each slot's results are copied into its frame — scan values out of
+// the pass's arena, which the next gather reuses, into the frame's
+// arena for this shard — and the release that leaves a frame no slot
+// outstanding hands it to its connection's writer and takes it out of
+// the connection's inflight count. tAck is the instant the acks are
 // released — ps.end in memory, where the combiner calls this; after the
 // fsync wait in durable mode, where the WAL writer does.
 func (s *Server) release(ps *pass, tAck int64) {
-	for i := range ps.from {
-		o := &ps.from[i]
-		s.opLatency.Observe(tAck - o.start)
-		if o.sp != nil {
-			o.sp.applied = ps.end
+	k, scans := 0, int64(0)
+	for _, sl := range ps.slots {
+		f, vals := sl.f, sl.f.vals[ps.sh.idx][:0]
+		for i := sl.lo; i < sl.hi; i, k = i+1, k+1 {
+			r := ps.results[k]
+			if r.Values != nil {
+				at := len(vals)
+				vals = append(vals, r.Values...)
+				r.Values = vals[at:len(vals):len(vals)]
+				scans++
+			}
+			f.results[i] = r
+			s.opLatency.Observe(tAck - f.start)
 		}
-		o.conn.deliver(delivery{res: ps.results[i], sp: o.sp})
-		o.conn.inflight.Done()
+		f.vals[ps.sh.idx] = vals
+		for _, sp := range sl.spans() {
+			sp.applied = ps.end
+		}
+		if f.left.Add(-1) == 0 {
+			f.c.out <- f
+			f.c.inflight.Done()
+		}
+	}
+	if scans > 0 {
+		ps.sh.scanBatch.Observe(scans)
 	}
 	ps.sh.free <- ps
 }
@@ -697,14 +792,14 @@ func (s *Server) applyBatch(ps *pass) {
 	sh := ps.sh
 	if ps.traced {
 		tApply := s.now()
-		for i := range ps.from {
-			if sp := ps.from[i].sp; sp != nil {
+		for _, sl := range ps.slots {
+			for _, sp := range sl.spans() {
 				sp.applyStart = tApply
 			}
 		}
 	}
 	ps.results = ps.results[:len(ps.ops)]
-	sh.arena = sh.be.ApplyBatch(ps.ops, ps.results, sh.arena[:0])
+	ps.arena = sh.be.ApplyBatch(ps.ops, ps.results, ps.arena[:0])
 	if ps.rec != nil {
 		// Durability stages here, inside the window, but only as bytes
 		// in the pass's preallocated buffer: the file write and fsync
@@ -719,10 +814,10 @@ func (s *Server) applyBatch(ps *pass) {
 // to read its final responses and close its half of the socket.
 const closeGrace = 5 * time.Second
 
-// writeLoop drains a connection's results into batched response
-// frames. After a write error the connection is failed: results keep
-// draining (so combiners never block on a dead peer) but nothing more
-// is sent.
+// writeLoop answers a connection's completed frames: each with one
+// response frame, every frame already completed coalesced into one
+// socket write. After a write error the connection is failed: frames
+// keep draining and their records recycling, but nothing more is sent.
 func (s *Server) writeLoop(c *conn) {
 	defer func() {
 		// Close gracefully: a bare Close with unread request bytes in
@@ -753,49 +848,30 @@ func (s *Server) writeLoop(c *conn) {
 		s.connsOpen.Add(-1)
 		s.writers.Done()
 	}()
-	bw := bufio.NewWriterSize(c.nc, 64<<10)
 	var buf []byte
-	batch := make([]wire.Result, 0, wire.MaxOpsPerFrame)
-	var spans, pending []*span // this frame's spans; encoded spans awaiting flush
-	for {
-		d, ok := <-c.out
-		if !ok {
-			// Tail flush: spans already encoded finish here iff their
-			// bytes actually reached the socket.
-			if err := bw.Flush(); err != nil || c.failed.Load() {
-				s.tr.drop(len(pending))
-			} else {
-				s.finishFlushed(pending)
-			}
-			return
-		}
-		batch, spans = batch[:0], spans[:0]
-		batch = append(batch, d.res)
-		if d.sp != nil {
-			spans = append(spans, d.sp)
-		}
-	gather:
-		for len(batch) < wire.MaxOpsPerFrame {
-			select {
-			case d, ok := <-c.out:
-				if !ok {
-					break gather
+	var spans []*span // the sampled ops this write answers
+	for f := range c.out {
+		buf, spans = buf[:0], spans[:0]
+		nframes := 0
+		for {
+			var n int
+			buf, n, _ = wire.AppendResponses(buf, f.results)
+			nframes += n
+			for _, sp := range f.spans {
+				if sp != nil {
+					spans = append(spans, sp)
 				}
-				batch = append(batch, d.res)
-				if d.sp != nil {
-					spans = append(spans, d.sp)
-				}
-			default:
-				break gather
 			}
+			c.free <- f // the response bytes are in buf now
+			if len(c.out) == 0 || len(buf) >= 64<<10 {
+				break
+			}
+			f = <-c.out
 		}
 		if c.failed.Load() {
-			s.tr.drop(len(spans) + len(pending))
-			pending = pending[:0]
+			s.tr.drop(len(spans))
 			continue
 		}
-		var nframes int
-		buf, nframes, _ = wire.AppendResponses(buf[:0], batch)
 		if len(spans) > 0 {
 			tEnc := s.now()
 			for _, sp := range spans {
@@ -805,39 +881,20 @@ func (s *Server) writeLoop(c *conn) {
 		if t := s.cfg.WriteTimeout; t > 0 {
 			c.nc.SetWriteDeadline(time.Now().Add(t))
 		}
-		if _, err := bw.Write(buf); err != nil {
+		if _, err := c.nc.Write(buf); err != nil {
 			c.failed.Store(true)
-			s.tr.drop(len(spans) + len(pending))
-			pending = pending[:0]
+			s.tr.drop(len(spans))
 			continue
 		}
-		pending = append(pending, spans...)
-		if len(c.out) == 0 {
-			if err := bw.Flush(); err != nil {
-				c.failed.Store(true)
-				s.tr.drop(len(pending))
-				pending = pending[:0]
-				continue
-			}
-			pending = s.finishFlushed(pending)
-		}
 		s.framesOut.Add(uint64(nframes))
+		if len(spans) > 0 {
+			tFlush := s.now()
+			for _, sp := range spans {
+				sp.flush = tFlush
+				s.tr.finish(sp)
+			}
+		}
 	}
-}
-
-// finishFlushed closes every span whose response bytes just reached
-// the socket, stamping one shared flush time, and returns the emptied
-// reusable slice.
-func (s *Server) finishFlushed(pending []*span) []*span {
-	if len(pending) == 0 {
-		return pending
-	}
-	tFlush := s.now()
-	for _, sp := range pending {
-		sp.flush = tFlush
-		s.tr.finish(sp)
-	}
-	return pending[:0]
 }
 
 // Shutdown drains the server: it stops accepting, unblocks the
@@ -889,7 +946,7 @@ func (s *Server) Shutdown() {
 			close(w.commits)
 			<-w.writerDone
 		}
-		// Every inflight op is delivered, so each conn's teardown
+		// Every inflight frame is completed, so each conn's teardown
 		// closes its out queue and its writer flushes and exits.
 		s.writers.Wait()
 		// Quiescent now: capture the drained state so the next start

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http/httptest"
 	"sort"
@@ -620,27 +621,102 @@ func TestClosedConnsAreForgotten(t *testing.T) {
 	}
 }
 
+// TestBackpressureBoundedQueues: a client that sends everything before
+// reading anything must not grow the server without bound. Once the
+// responses outgrow the socket buffers the writer blocks, answered
+// frames stop recycling their records, and the reader must stop
+// decoding at the connection's record bound, max(2, QueueDepth/16),
+// behind two-slot shard queues — and every result must still arrive.
 func TestBackpressureBoundedQueues(t *testing.T) {
-	// A tiny queue with a slow-to-read client must not panic or grow
-	// unbounded; this exercises the blocking-publish path.
-	_, addr := startServer(t, server.Config{
-		Structure: server.StructHash, QueueDepth: 2, KeySpace: 1 << 10,
+	const queueDepth, keys, frames, scans = 2, 1 << 10, 32, 64
+	srv, addr := startServer(t, server.Config{
+		Structure: server.StructSkip, QueueDepth: queueDepth, KeySpace: keys,
 	})
 	c := dial(t, addr)
-	const n = 500
+	// A fixed receive buffer turns off autotuning, so the kernel holds
+	// well under the ≈ 8.5 MiB of scan responses below.
+	if err := c.nc.(*net.TCPConn).SetReadBuffer(64 << 10); err != nil {
+		t.Fatal(err)
+	}
+	var ops []wire.Op
+	for k := int64(0); k < keys; k++ {
+		ops = append(ops, wire.Op{ID: uint64(k), Kind: wire.Add, Key: k})
+	}
+	c.send(t, ops...)
+	c.recv(t, keys)
+
+	// Every key is present, so each full-width scan returns
+	// wire.MaxScanLimit keys: 32 frames × 64 scans × 4 KiB.
 	var id uint64
-	ops := make([]wire.Op, 0, 100)
-	for i := 0; i < 5; i++ {
+	for f := 0; f < frames; f++ {
 		ops = ops[:0]
-		for j := 0; j < 100; j++ {
-			ops = append(ops, wire.Op{ID: id, Kind: wire.Add, Key: int64(id % 1000)})
+		for i := 0; i < scans; i++ {
+			ops = append(ops, wire.Op{ID: id, Kind: wire.RangeScan, Key: 0, Hi: keys})
 			id++
 		}
 		c.send(t, ops...)
 	}
-	got := c.recv(t, n)
-	if len(got) != n {
-		t.Fatalf("received %d results, want %d", len(got), n)
+	got := c.recvAny(t, frames*scans)
+	if len(got) != frames*scans {
+		t.Fatalf("received %d results, want %d", len(got), frames*scans)
+	}
+	for id, r := range got {
+		if r.Status != wire.StatusOK || len(r.Values) != wire.MaxScanLimit {
+			t.Fatalf("scan %d: status %v, %d keys; want OK and %d", id, r.Status, len(r.Values), wire.MaxScanLimit)
+		}
+	}
+	bound := max(2, queueDepth/16)
+	switch n := srv.FrameRecords(); {
+	case n > bound:
+		t.Errorf("%d decoded frames were unanswered at once, over the bound of %d frame records", n, bound)
+	case n < bound:
+		t.Errorf("only %d frame records used: the writer never blocked, so the bound of %d went untested", n, bound)
+	}
+}
+
+// TestOneResponseFramePerRequestFrame: every request frame is answered
+// by exactly one response frame, whether its ops are points spread over
+// two shards or points mixed with range scans.
+func TestOneResponseFramePerRequestFrame(t *testing.T) {
+	const conns, frames, frameOps, keys = 2, 200, 64, 1 << 12
+	for _, tc := range []struct {
+		structure string
+		scanPct   int
+	}{{server.StructHash, 0}, {server.StructSkip, 30}} {
+		t.Run(tc.structure, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			srv, addr := startServer(t, server.Config{Structure: tc.structure, Shards: 2, KeySpace: keys, Reg: reg})
+			rng := rand.New(rand.NewSource(1))
+			var clients []*client
+			for i := 0; i < conns; i++ {
+				clients = append(clients, dial(t, addr))
+			}
+			ops := make([]wire.Op, frameOps)
+			for f := 0; f < frames; f++ {
+				for _, c := range clients {
+					for i := range ops {
+						k := rng.Int63n(keys)
+						ops[i] = wire.Op{ID: uint64(i), Kind: wire.OpKind(rng.Intn(3)), Key: k}
+						if rng.Intn(100) < tc.scanPct {
+							ops[i] = wire.Op{ID: uint64(i), Kind: wire.RangeScan, Key: k, Hi: k + 256, Limit: 64}
+						}
+					}
+					c.send(t, ops...)
+				}
+				for _, c := range clients {
+					c.recvAny(t, frameOps)
+				}
+			}
+			for _, c := range clients {
+				c.nc.Close()
+			}
+			srv.Shutdown() // the writers count a frame after writing it
+			snap := reg.Snapshot()
+			in, out := snap.Counters["server/frames/in"], snap.Counters["server/frames/out"]
+			if in != conns*frames || out != in {
+				t.Errorf("server/frames/in = %d, server/frames/out = %d; want %d of each", in, out, conns*frames)
+			}
+		})
 	}
 }
 

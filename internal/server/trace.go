@@ -32,11 +32,11 @@ import (
 )
 
 // span is one sampled request's timeline: seven clock stamps (ns since
-// the server epoch) bracketing the six pipeline stages. It is written
-// by three goroutines in strict succession — reader (start, pub),
-// combiner (pick, applyStart, applied), writer (enc, flush) — with the
-// shard channel and the connection's out channel as the
-// happens-before edges between them, so no stamp needs atomics.
+// the server epoch) bracketing the six pipeline stages, written in
+// strict succession by the reader (start, pub), the combiner (pick,
+// applyStart), the pass's releaser (applied) and the writer (enc,
+// flush); the shard channel, the frame's slot countdown and the out
+// channel order them, so no stamp needs atomics.
 type span struct {
 	traceID uint64
 	opID    uint64
@@ -45,8 +45,8 @@ type span struct {
 	shard   int
 
 	start      int64 // reader: frame read complete, decode begins
-	pub        int64 // reader: op published to the shard queue
-	pick       int64 // combiner: op received from the queue
+	pub        int64 // reader: the op's slot published to the shard queue
+	pick       int64 // combiner: the op's slot gathered into a pass
 	applyStart int64 // combiner: batch apply begins
 	applied    int64 // combiner: batch apply done
 	enc        int64 // writer: response frame encoded

@@ -241,6 +241,7 @@ func (s *Server) doRecover() error {
 	// boundary segment can be duplicates. Replay itself truncates a
 	// torn or corrupt tail.
 	var out []wire.Result
+	var arena []int64
 	res, err := wal.Replay(w.dir, from, func(rec wal.Record) error {
 		if int(rec.Shard) >= len(s.shards) {
 			return fmt.Errorf("server: wal record for shard %d, server configured with %d shards",
@@ -262,7 +263,7 @@ func (s *Server) doRecover() error {
 		if cap(out) < len(rec.Ops) {
 			out = make([]wire.Result, len(rec.Ops))
 		}
-		sh.arena = sh.be.ApplyBatch(rec.Ops, out[:len(rec.Ops)], sh.arena[:0])
+		arena = sh.be.ApplyBatch(rec.Ops, out[:len(rec.Ops)], arena[:0])
 		sh.walSeq = rec.Seq
 		w.replayed.Add(uint64(len(rec.Ops)))
 		return nil
@@ -302,16 +303,14 @@ func (s *Server) doRecover() error {
 // such data rather than re-partitioning it, because serving it would
 // leave keys in shards that lookups never reach.
 func (s *Server) checkLayout(shard int, op wire.Op) error {
-	n := len(s.shards)
+	n, st := len(s.shards), s.check(op)
 	switch {
-	case !s.caps.Supports(op.Kind) || (s.caps.SerialOnly(op.Kind) && n > 1):
+	case st == wire.StatusBadKind:
 		return fmt.Errorf("shard %d holds a %s op, which a %d-shard %s server does not serve",
 			shard, op.Kind, n, s.cfg.Structure)
-	case !s.caps.Keyed(op.Kind):
-		return nil
-	case op.Key < 0 || op.Key >= s.cfg.KeySpace:
+	case st == wire.StatusBadKey:
 		return fmt.Errorf("shard %d holds key %d, outside key space %d", shard, op.Key, s.cfg.KeySpace)
-	case s.shardFor(op.Key).idx != shard:
+	case s.caps.Keyed(op.Kind) && s.shardFor(op.Key).idx != shard:
 		return fmt.Errorf("shard %d holds key %d, which %d shards over key space %d place in shard %d",
 			shard, op.Key, n, s.cfg.KeySpace, s.shardFor(op.Key).idx)
 	}
