@@ -178,9 +178,7 @@ func summarize(hist *obs.History, hd *server.HealthStatus) summary {
 		s.P50NS, s.P99NS = hs.P50, hs.P99
 	}
 	s.ConnsOpen = latest.Gauges["server/conns/open"]
-	if w := walSummary(latest); w != nil {
-		s.WAL = w
-	}
+	s.WAL = walSummary(latest)
 	for _, name := range sortedKeys(latest.Histograms) {
 		shard, ok := server.ShardOf(name, "batch_size")
 		if !ok {
@@ -278,6 +276,7 @@ func render(hist *obs.History, hd *server.HealthStatus, base string, live bool) 
 		b.WriteString("\n  no window samples yet (is -window-tick enabled on the server?)\n")
 		return b.String()
 	}
+	sum := summarize(hist, hd)
 
 	var opsRates, p99s []float64
 	for i := range hist.Samples {
@@ -293,30 +292,21 @@ func render(hist *obs.History, hd *server.HealthStatus, base string, live bool) 
 		latest.Gauges["server/conns/open"],
 		rate(latest.Counters["server/frames/in"], latest.DurNS),
 		rate(latest.Counters["server/frames/out"], latest.DurNS))
-	if w := walSummary(latest); w != nil {
+	if w := sum.WAL; w != nil {
 		fmt.Fprintf(&b, "  wal   %10.0f rec/s  %.0f fsync/s  group %.1f  ack lag p99 %s  snaps %d\n",
 			w.RecordsPerSec, w.FsyncsPerSec, w.GroupMean, ns(w.LagP99NS), w.Snapshots)
 	}
 
 	b.WriteString("\n  shard     ops/s   batch   queue\n")
-	for _, name := range sortedKeys(latest.Histograms) {
-		shard, ok := server.ShardOf(name, "batch_size")
-		if !ok {
-			continue
-		}
-		bs := latest.Histograms[name]
-		fmt.Fprintf(&b, "  %-5s %9.0f  %6.1f  %6d\n",
-			shard,
-			rate(latest.Counters["server/shard/"+shard+"/combines"], latest.DurNS)*bs.Mean,
-			bs.Mean,
-			latest.Gauges["server/shard/"+shard+"/queue_depth"])
+	for _, r := range sum.Shards {
+		fmt.Fprintf(&b, "  %-5s %9.0f  %6.1f  %6d\n", r.Shard, r.OpsPerSec, r.BatchMean, r.QueueDepth)
 	}
 
-	if active := alerts(hd); len(active) == 0 {
+	if len(sum.Alerts) == 0 {
 		fmt.Fprintf(&b, "\n  alerts: none (%d rules ok)\n", len(hd.Rules))
 	} else {
 		b.WriteString("\n  alerts:\n")
-		for _, r := range active {
+		for _, r := range sum.Alerts {
 			fmt.Fprintf(&b, "   [%s] %s: %s\n", strings.ToUpper(r.State), r.Rule, r.Reason)
 		}
 	}

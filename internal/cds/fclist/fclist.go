@@ -10,7 +10,6 @@ package fclist
 import (
 	"pimds/internal/cds/flatcombining"
 	"pimds/internal/cds/seqlist"
-	"pimds/internal/obs"
 )
 
 // List is a flat-combining sorted linked-list set. Create one with New;
@@ -86,10 +85,4 @@ func (l *List) Keys() []int64 { return l.seq.Keys() }
 // Stats returns (combiner passes, requests served) so far.
 func (l *List) Stats() (combines, served uint64) {
 	return l.fc.Combines, l.fc.Served
-}
-
-// Instrument exports combining metrics (batch sizes, lock handoffs,
-// totals) into reg under the "fclist" prefix.
-func (l *List) Instrument(reg *obs.Registry) {
-	l.fc.Instrument(reg, "fclist")
 }

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 
 	"pimds/internal/cds/flatcombining"
-	"pimds/internal/obs"
 )
 
 type node struct {
@@ -66,13 +65,6 @@ func (q *Queue) applyDeqs(batch []*flatcombining.Record) {
 		q.head = next
 		rec.Finish(deqResult{val: next.val, ok: true})
 	}
-}
-
-// Instrument exports combining metrics for both combiner locks into
-// reg, under the "fcqueue/enq" and "fcqueue/deq" prefixes.
-func (q *Queue) Instrument(reg *obs.Registry) {
-	q.enqFC.Instrument(reg, "fcqueue/enq")
-	q.deqFC.Instrument(reg, "fcqueue/deq")
 }
 
 // Handle is a per-goroutine access handle (one publication record per

@@ -13,7 +13,6 @@ import (
 
 	"pimds/internal/cds/flatcombining"
 	"pimds/internal/cds/seqskip"
-	"pimds/internal/obs"
 )
 
 // List is a partitioned flat-combining skip-list set over the key space
@@ -51,14 +50,6 @@ func New(keySpace int64, k int, seed uint64) *List {
 
 // Partitions returns k.
 func (l *List) Partitions() int { return len(l.parts) }
-
-// Instrument exports combining metrics for every partition's combiner
-// into reg, under "fcskip/part/NNN" prefixes.
-func (l *List) Instrument(reg *obs.Registry) {
-	for i, p := range l.parts {
-		p.fc.Instrument(reg, fmt.Sprintf("fcskip/part/%03d", i))
-	}
-}
 
 // partitionFor routes a key to its range's partition.
 func (l *List) partitionFor(k int64) int {

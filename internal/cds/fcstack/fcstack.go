@@ -6,10 +6,7 @@
 // default.
 package fcstack
 
-import (
-	"pimds/internal/cds/flatcombining"
-	"pimds/internal/obs"
-)
+import "pimds/internal/cds/flatcombining"
 
 // op kinds inside the combiner.
 type opKind uint8
@@ -48,12 +45,6 @@ func New(eliminate bool) *Stack {
 	s := &Stack{eliminate: eliminate}
 	s.fc = flatcombining.New(s.apply)
 	return s
-}
-
-// Instrument exports combining metrics (batch sizes, lock handoffs,
-// totals) into reg under the "fcstack" prefix.
-func (s *Stack) Instrument(reg *obs.Registry) {
-	s.fc.Instrument(reg, "fcstack")
 }
 
 func (s *Stack) apply(batch []*flatcombining.Record) {

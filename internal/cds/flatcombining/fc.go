@@ -13,8 +13,6 @@ package flatcombining
 import (
 	"runtime"
 	"sync/atomic"
-
-	"pimds/internal/obs"
 )
 
 // Record is one thread's slot in the publication list. A thread must
@@ -59,29 +57,6 @@ type FC struct {
 	// executed. Both are read by stats code after quiescence.
 	Combines uint64
 	Served   uint64
-
-	// Observability (nil when not instrumented). lastCombiner is
-	// guarded by the combiner lock; batchSize and handoffs are
-	// internally atomic.
-	batchSize    *obs.Histogram
-	handoffs     *obs.Counter
-	lastCombiner *Record
-}
-
-// Instrument wires this instance into a metrics registry under the
-// given name prefix: combined-batch sizes as name/batch_size, combiner
-// lock handoffs (lock acquisitions by a different thread than the
-// previous combiner) as name/lock_handoffs, and the Combines/Served
-// totals as gauges via a snapshot-time collector. Collectors read the
-// unsynchronized totals, so snapshot at quiescence. A nil registry
-// leaves the instance uninstrumented (all hooks are no-ops).
-func (fc *FC) Instrument(reg *obs.Registry, name string) {
-	fc.batchSize = reg.Histogram(name + "/batch_size")
-	fc.handoffs = reg.Counter(name + "/lock_handoffs")
-	reg.AddCollector(func(r *obs.Registry) {
-		r.Gauge(name + "/combines").Set(int64(fc.Combines))
-		r.Gauge(name + "/served").Set(int64(fc.Served))
-	})
 }
 
 // New returns a flat-combining instance whose requests are executed by
@@ -111,10 +86,6 @@ func (fc *FC) Do(r *Record, op interface{}) interface{} {
 
 	for r.pending.Load() {
 		if fc.lock.CompareAndSwap(false, true) {
-			if fc.handoffs != nil && fc.lastCombiner != r {
-				fc.handoffs.Inc()
-				fc.lastCombiner = r
-			}
 			fc.combine()
 			fc.lock.Store(false)
 			// Our own request is usually served by our pass, but
@@ -141,7 +112,6 @@ func (fc *FC) combine() {
 	}
 	fc.Combines++
 	fc.Served += uint64(len(fc.batch))
-	fc.batchSize.Observe(int64(len(fc.batch)))
 	fc.apply(fc.batch)
 	// Note: we cannot assert pending==false here — the moment Apply
 	// finishes a record, its owner may return from Do and publish a

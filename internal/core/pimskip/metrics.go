@@ -13,7 +13,7 @@ import (
 var KindNames = sim.KindNames{
 	"Contains", "Add", "Remove", "Resp", "Reject", "MigCmd",
 	"MigStep", "MigStart", "MigAdd", "MigOwn", "DirUpdate", "DirAck",
-	"MigEnd", "SizeReq", "SizeResp", "Range", "RangeResp",
+	"MigEnd", "SizeReq", "SizeResp",
 }
 
 // instrument registers a snapshot-time collector exporting partition
@@ -38,7 +38,6 @@ func (s *SkipList) instrument() {
 			r.Gauge(pre + "rejected").Set(int64(p.Rejected))
 			r.Gauge(pre + "migrations").Set(int64(p.Migrations))
 			r.Gauge(pre + "cmds_dropped").Set(int64(p.CmdsDropped))
-			r.Gauge(pre + "ranges_served").Set(int64(p.RangesServed))
 			if p.mig != nil {
 				moved += p.mig.NodesMoved
 			}
@@ -56,18 +55,7 @@ func (s *SkipList) instrument() {
 			retries += cl.Rejections
 			dirUpdates += cl.DirUpdates
 		}
-		var scans, scanKeys, scanPages uint64
-		for _, rc := range s.rclients {
-			retries += rc.Rejections
-			dirUpdates += rc.DirUpdates
-			scans += rc.Completed
-			scanKeys += rc.KeysReturned
-			scanPages += rc.Pages
-		}
 		r.Gauge("pimskip/client_retries").Set(int64(retries))
 		r.Gauge("pimskip/dir_updates").Set(int64(dirUpdates))
-		r.Gauge("pimskip/scans").Set(int64(scans))
-		r.Gauge("pimskip/scan_keys").Set(int64(scanKeys))
-		r.Gauge("pimskip/scan_pages").Set(int64(scanPages))
 	})
 }

@@ -37,8 +37,6 @@ const (
 	MsgMigEnd    // source → target: protocol complete, range unlocked
 	MsgSizeReq   // control → core: reply with partition size
 	MsgSizeResp  // core → control: Val = size
-	MsgRange     // request: Key = lo, Val = hi, Payload = limit (int)
-	MsgRangeResp // response chunk: Payload = []int64 keys; final chunk has OK = true, Val = cursor
 )
 
 // keyRange is a half-open key interval [Low, High).
@@ -145,15 +143,11 @@ type Partition struct {
 
 	mig *migration // outgoing migration, or nil
 
-	// arena is reused scratch for range-scan results between requests.
-	arena []int64
-
 	// Stats.
-	Forwarded    uint64
-	Rejected     uint64
-	Migrations   uint64
-	CmdsDropped  uint64
-	RangesServed uint64 // range pages answered (rejections excluded)
+	Forwarded   uint64
+	Rejected    uint64
+	Migrations  uint64
+	CmdsDropped uint64
 }
 
 // Core exposes the partition's PIM core.
@@ -171,7 +165,6 @@ type SkipList struct {
 	keySpace int64
 	parts    []*Partition
 	clients  []*Client
-	rclients []*RangeClient
 	control  *sim.CPU
 
 	// auth tracks authoritative ownership for Preload and tests; the
@@ -310,8 +303,6 @@ func (p *Partition) handle(c *sim.PIMCore, m sim.Message) {
 	switch m.Kind {
 	case MsgContains, MsgAdd, MsgRemove:
 		p.handleOp(c, m)
-	case MsgRange:
-		p.handleRange(c, m)
 	case MsgMigCmd:
 		p.handleMigCmd(c, m)
 	case MsgMigStep:
@@ -489,7 +480,7 @@ func (p *Partition) migStep(c *sim.PIMCore) {
 	p.owns = p.owns.remove(mig.rng.Low, mig.rng.High)
 	c.Send(sim.Message{To: mig.target, Kind: MsgMigOwn, Key: mig.rng.Low, Val: mig.rng.High})
 	mig.phase = migNotify
-	mig.acksWanted = len(p.s.clients) + len(p.s.rclients)
+	mig.acksWanted = len(p.s.clients)
 	if mig.acksWanted == 0 {
 		p.finishMigration(c)
 		return
@@ -497,12 +488,6 @@ func (p *Partition) migStep(c *sim.PIMCore) {
 	for _, cl := range p.s.clients {
 		c.Send(sim.Message{
 			To: cl.cpu.ID(), Kind: MsgDirUpdate,
-			Key: mig.rng.Low, Val: mig.rng.High, Payload: mig.target,
-		})
-	}
-	for _, rc := range p.s.rclients {
-		c.Send(sim.Message{
-			To: rc.cpu.ID(), Kind: MsgDirUpdate,
 			Key: mig.rng.Low, Val: mig.rng.High, Payload: mig.target,
 		})
 	}

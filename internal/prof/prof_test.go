@@ -139,7 +139,7 @@ func TestKindNameTables(t *testing.T) {
 		want  string
 	}{
 		{pimlist.KindNames, pimlist.MsgResp, "Resp"},
-		{pimskip.KindNames, pimskip.MsgRangeResp, "RangeResp"},
+		{pimskip.KindNames, pimskip.MsgSizeResp, "SizeResp"},
 		{pimqueue.KindNames, pimqueue.MsgSplit, "Split"},
 		{pimstack.KindNames, pimstack.MsgFindResp, "FindResp"},
 		{pimhash.KindNames, pimhash.MsgResp, "Resp"},

@@ -61,7 +61,8 @@ type Config struct {
 	// (frame, shard) slots, and sizes each connection's frame records:
 	// a connection holds at most max(2, QueueDepth/16) decoded frames
 	// not yet answered. A full shard queue or an exhausted record pool
-	// blocks the reader (backpressure). Default 1024.
+	// blocks the reader (backpressure). Default 1024; negative is an
+	// error.
 	QueueDepth int
 
 	// IdleTimeout closes connections with no complete frame for this
@@ -207,8 +208,8 @@ type pass struct {
 // conn is one client connection. The reader publishes frames and
 // tracks them in inflight; the release completing a frame sends it on
 // out; the writer answers it and recycles the record through free. out
-// is closed (exactly once) only after the reader has exited and every
-// inflight frame has been completed, which is what makes drain
+// is closed only after the reader has exited and every inflight frame
+// has been completed, which is what makes drain
 // lossless. Both channels fit every record, so neither send blocks.
 type conn struct {
 	id   int
@@ -223,7 +224,6 @@ type conn struct {
 	next  []int   // per-bucket counts, then next free index; bucket len(shards) is rejected ops
 
 	inflight sync.WaitGroup
-	closeOut sync.Once
 	failed   atomic.Bool // writer hit an error; discard further output
 }
 
@@ -323,6 +323,9 @@ func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("server: shards must be ≥ 1, got %d", cfg.Shards)
+	}
+	if cfg.QueueDepth < 0 {
+		return nil, fmt.Errorf("server: queue depth must be ≥ 0 (0 = default 1024), got %d", cfg.QueueDepth)
 	}
 	if (cfg.Structure == StructQueue || cfg.Structure == StructStack) && cfg.Shards != 1 {
 		return nil, fmt.Errorf("server: structure %q is inherently serial; use shards=1, got %d", cfg.Structure, cfg.Shards)
@@ -509,7 +512,7 @@ func (s *Server) readLoop(c *conn) {
 		// and closes the socket.
 		go func() {
 			c.inflight.Wait()
-			c.closeOut.Do(func() { close(c.out) })
+			close(c.out)
 		}()
 	}()
 	br := bufio.NewReaderSize(c.nc, 64<<10)

@@ -261,6 +261,9 @@ func TestQueueRefusesShards(t *testing.T) {
 	if _, err := server.New(server.Config{Structure: "btree"}); err == nil {
 		t.Fatal("unknown structure must be rejected")
 	}
+	if _, err := server.New(server.Config{Structure: server.StructHash, QueueDepth: -3}); err == nil || !strings.Contains(err.Error(), "-3") {
+		t.Fatalf("negative queue depth: err = %v, want an error naming -3", err)
+	}
 }
 
 // TestManyClientsRace is the -race e2e: many goroutine clients hammer

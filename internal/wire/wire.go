@@ -2,10 +2,9 @@
 // spoken between pimload (or any client) and pimserve. It is the
 // network analogue of the flat-combining publication list: a client
 // publishes a *batch* of operations in one request frame, and the
-// server answers with one or more response frames carrying the results
-// tagged by request id, so responses for one frame may arrive split
-// (the server groups them by combiner pass) or interleaved with other
-// frames' results.
+// server answers it with one response frame carrying the results
+// tagged by request id — more than one only when a single frame would
+// exceed MaxPayload. Response frames may arrive out of request order.
 //
 // Frame layout (all integers little-endian):
 //
@@ -174,9 +173,9 @@ const (
 	FrameRequestV2 uint8 = 4
 	// FrameResponseVar is the variable-length response frame: each
 	// record carries a uint16 value count followed by that many int64
-	// values (a range scan's keys). Servers use it for combiner passes
-	// whose results carry values; fixed-size results keep travelling in
-	// FrameResponse.
+	// values (a range scan's keys). Servers choose it per response
+	// frame, for a frame whose results carry values; all other frames
+	// keep travelling in FrameResponse.
 	FrameResponseVar uint8 = 5
 )
 
