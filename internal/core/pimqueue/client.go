@@ -193,6 +193,8 @@ func (cl *Client) onMessage(c *sim.CPU, m sim.Message) {
 		cl.Empty++
 		c.CountOp()
 		c.ProfOpEnd()
+		cl.Latency.Observe(int64(c.Clock() - cl.issuedAt))
+		cl.q.eng.RecordOpLatency(MsgDeq, c.Clock()-cl.issuedAt)
 		if cl.OnComplete != nil {
 			cl.OnComplete(cl.issuedAt, c.Clock(), MsgDeq, 0, false)
 		}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"pimds/internal/model"
+	"pimds/internal/obs"
 	"pimds/internal/sim"
 )
 
@@ -58,6 +59,29 @@ func TestEmptyDequeue(t *testing.T) {
 	}
 	if cl.Dequeued != 0 {
 		t.Error("dequeuer got values from an empty queue")
+	}
+}
+
+// TestEmptyDequeueIsTimed: an empty dequeue is a completed operation,
+// so it is recorded in the client's latency histogram and the
+// per-kind latency metric like any other.
+func TestEmptyDequeueIsTimed(t *testing.T) {
+	e := sim.NewEngine(testConfig())
+	reg := obs.NewRegistry()
+	e.SetMetrics(reg)
+	e.SetKindNamer(KindNames.Name)
+	q := New(e, 2, 8)
+	cl := q.NewClient(Dequeuer)
+	cl.Start()
+	e.RunUntil(10 * sim.Microsecond)
+	if cl.Empty == 0 {
+		t.Fatal("dequeuer on empty queue never saw MsgDeqEmpty")
+	}
+	if got := cl.Latency.N(); got != cl.Empty {
+		t.Errorf("latency samples = %d, want %d (one per empty dequeue)", got, cl.Empty)
+	}
+	if got := reg.Histogram("latency/Deq").N(); got != cl.Empty {
+		t.Errorf("latency/Deq samples = %d, want %d", got, cl.Empty)
 	}
 }
 

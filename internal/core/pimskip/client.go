@@ -59,7 +59,7 @@ func (cl *Client) Directory() *Directory { return cl.dir }
 // Start issues the client's first request.
 func (cl *Client) Start() {
 	cl.cpu.Exec(func(c *sim.CPU) {
-		cl.issue(c, cl.next(uint64(cl.seq)))
+		cl.issue(c, cl.next(uint64(cl.seq)), false)
 	})
 }
 
@@ -71,9 +71,11 @@ func (cl *Client) Stop() { cl.stopped = true }
 // issue sends op to the partition the client believes owns the key.
 // The directory lookup is one last-level-cache access (the sentinels
 // are hot). Latency is measured from the first issue, so rejection
-// retries count toward the same operation.
-func (cl *Client) issue(c *sim.CPU, op seqskip.Op) {
-	if cl.cur != op || cl.Completed+cl.Rejections == 0 {
+// retries count toward the same operation: retry is true when op is
+// the rejected in-flight operation rather than a new one (a stream may
+// yield the same operation twice in a row).
+func (cl *Client) issue(c *sim.CPU, op seqskip.Op, retry bool) {
+	if !retry {
 		cl.issuedAt = c.Clock()
 		c.ProfOpStart()
 	}
@@ -113,7 +115,7 @@ func (cl *Client) onMessage(c *sim.CPU, m sim.Message) {
 		}
 		cl.seq++
 		if !cl.stopped {
-			cl.issue(c, cl.next(uint64(cl.seq)))
+			cl.issue(c, cl.next(uint64(cl.seq)), false)
 		}
 	case MsgReject:
 		// Our directory was stale; by now the MsgDirUpdate has been
@@ -121,7 +123,7 @@ func (cl *Client) onMessage(c *sim.CPU, m sim.Message) {
 		// re-read the directory and resend.
 		cl.Rejections++
 		if !cl.stopped {
-			cl.issue(c, cl.cur)
+			cl.issue(c, cl.cur, true)
 		}
 	case MsgDirUpdate:
 		cl.DirUpdates++

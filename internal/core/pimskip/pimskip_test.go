@@ -84,6 +84,37 @@ func TestSequentialEquivalence(t *testing.T) {
 	}
 }
 
+// TestRepeatedOpTimedFromItsOwnIssue: a stream that yields the same
+// operation again and again must time each one from its own issue, not
+// from the first one's (only a rejection retry keeps the issue time).
+func TestRepeatedOpTimedFromItsOwnIssue(t *testing.T) {
+	e := sim.NewEngine(testConfig())
+	s := New(e, 64, 2, 1)
+	cl := s.NewClient(func(uint64) seqskip.Op { return seqskip.Op{Kind: seqskip.Contains, Key: 5} })
+	var starts, ends []sim.Time
+	cl.OnComplete = func(start, end sim.Time, _ seqskip.Op, _ bool) {
+		starts = append(starts, start)
+		ends = append(ends, end)
+	}
+	cl.Start()
+	e.RunUntil(3 * sim.Microsecond)
+	cl.Stop()
+	e.Run()
+	if len(ends) < 10 {
+		t.Fatalf("only %d ops completed", len(ends))
+	}
+	for i := 1; i < len(ends); i++ {
+		if starts[i] != ends[i-1] {
+			t.Fatalf("op %d issued at %v, want %v (op %d's completion)", i, starts[i], ends[i-1], i-1)
+		}
+	}
+	// Every op is one uncontended round trip, so none may take twice as
+	// long as the first.
+	if max, first := cl.Latency.Max(), int64(ends[0]-starts[0]); max >= 2*first {
+		t.Errorf("max latency %v, first op %v", sim.Time(max), sim.Time(first))
+	}
+}
+
 // TestMultiClientConservation: with several concurrent clients, the
 // per-key conservation law must hold at quiescence.
 func TestMultiClientConservation(t *testing.T) {

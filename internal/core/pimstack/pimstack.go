@@ -422,6 +422,8 @@ func (cl *Client) onMessage(c *sim.CPU, m sim.Message) {
 		cl.Empty++
 		c.CountOp()
 		c.ProfOpEnd()
+		cl.Latency.Observe(int64(c.Clock() - cl.issuedAt))
+		cl.s.eng.RecordOpLatency(MsgPop, c.Clock()-cl.issuedAt)
 		if cl.OnComplete != nil {
 			cl.OnComplete(cl.issuedAt, c.Clock(), MsgPop, 0, false)
 		}

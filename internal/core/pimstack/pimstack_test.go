@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pimds/internal/model"
+	"pimds/internal/obs"
 	"pimds/internal/sim"
 )
 
@@ -170,6 +171,29 @@ func TestEmptyPop(t *testing.T) {
 	e.RunUntil(10 * sim.Microsecond)
 	if cl.Empty == 0 || cl.Popped != 0 {
 		t.Errorf("empty=%d popped=%d", cl.Empty, cl.Popped)
+	}
+}
+
+// TestEmptyPopIsTimed: an empty pop is a completed operation, so it is
+// recorded in the client's latency histogram and the per-kind latency
+// metric like any other.
+func TestEmptyPopIsTimed(t *testing.T) {
+	e := sim.NewEngine(testConfig())
+	reg := obs.NewRegistry()
+	e.SetMetrics(reg)
+	e.SetKindNamer(KindNames.Name)
+	s := New(e, 2, 8)
+	cl := s.NewClient(Popper)
+	cl.Start()
+	e.RunUntil(10 * sim.Microsecond)
+	if cl.Empty == 0 {
+		t.Fatal("popper on empty stack never saw MsgPopEmpty")
+	}
+	if got := cl.Latency.N(); got != cl.Empty {
+		t.Errorf("latency samples = %d, want %d (one per empty pop)", got, cl.Empty)
+	}
+	if got := reg.Histogram("latency/Pop").N(); got != cl.Empty {
+		t.Errorf("latency/Pop samples = %d, want %d", got, cl.Empty)
 	}
 }
 
