@@ -1,7 +1,5 @@
 package sim
 
-import "fmt"
-
 // AtomicLine models one contended cache line targeted by CPU atomic
 // operations. Following Section 3, k concurrent atomics on the same
 // line serialize: they complete at Latomic, 2·Latomic, …, k·Latomic.
@@ -31,78 +29,25 @@ type CPUHandler func(c *CPU, m Message)
 
 // CPU is a full-fledged CPU core. Unlike a PIM core it may use atomic
 // operations and benefits from the last-level cache, but its memory
-// accesses cost Lcpu.
+// accesses cost Lcpu. Its run loop is the shared core's.
 type CPU struct {
-	eng     *Engine
-	id      CoreID
-	handler CPUHandler
-
-	inbox     []Message
-	inboxHead int
-	busyUntil Time
-	scheduled bool
-	running   bool
-	clock     Time
-
-	Stats CoreStats
+	core
 }
 
 // NewCPU registers a new CPU core.
 func (e *Engine) NewCPU(handler CPUHandler) *CPU {
-	c := &CPU{eng: e, handler: handler}
-	c.id = e.register(c)
+	c := &CPU{}
+	c.init(e, c, "CPU")
+	c.SetHandler(handler)
 	return c
 }
 
 // SetHandler installs the CPU's message handler.
-func (c *CPU) SetHandler(h CPUHandler) { c.handler = h }
-
-// ID returns the CPU's engine-assigned identifier.
-func (c *CPU) ID() CoreID { return c.id }
-
-// Engine returns the CPU's engine.
-func (c *CPU) Engine() *Engine { return c.eng }
-
-func (c *CPU) coreID() CoreID { return c.id }
-
-func (c *CPU) deliver(m Message) {
-	c.inbox = append(c.inbox, m)
-	if c.eng.met != nil {
-		c.eng.met.queueDepth(c.id, len(c.inbox)-c.inboxHead)
+func (c *CPU) SetHandler(h CPUHandler) {
+	c.handler = nil
+	if h != nil {
+		c.handler = func(m Message) { h(c, m) }
 	}
-	c.maybeSchedule()
-}
-
-func (c *CPU) maybeSchedule() {
-	if c.scheduled || c.running || c.inboxHead >= len(c.inbox) {
-		return
-	}
-	c.scheduled = true
-	at := c.eng.now
-	if c.busyUntil > at {
-		at = c.busyUntil
-	}
-	c.eng.Schedule(at, c.service)
-}
-
-func (c *CPU) service() {
-	c.scheduled = false
-	m := c.inbox[c.inboxHead]
-	c.inboxHead++
-	if c.inboxHead == len(c.inbox) {
-		c.inbox = c.inbox[:0]
-		c.inboxHead = 0
-	}
-	if p := c.eng.prof; p != nil {
-		p.MsgConsumed(c.eng.now, m.pid, c.id, false)
-	}
-	c.runNow(func(c *CPU) {
-		if c.handler == nil {
-			panic(fmt.Sprintf("sim: CPU %d received message with no handler", c.id))
-		}
-		c.handler(c, m)
-	})
-	c.maybeSchedule()
 }
 
 // Exec schedules fn to run on this CPU as soon as it is free. It is the
@@ -110,55 +55,18 @@ func (c *CPU) service() {
 // algorithms (e.g. simulated baselines) run work that is not a response
 // to a message.
 func (c *CPU) Exec(fn func(*CPU)) {
-	at := c.eng.now
-	if c.busyUntil > at {
-		at = c.busyUntil
-	}
-	c.eng.Schedule(at, func() {
+	c.eng.Schedule(max(c.eng.now, c.busyUntil), func() {
 		// The CPU may have become busy between scheduling and
 		// firing (e.g. a message was serviced); requeue after it.
 		if c.running || c.busyUntil > c.eng.now {
 			c.Exec(fn)
 			return
 		}
-		c.runNow(fn)
+		start := c.begin()
+		fn(c)
+		c.end(start)
 		c.maybeSchedule()
 	})
-}
-
-func (c *CPU) runNow(fn func(*CPU)) {
-	start := c.eng.now
-	c.clock = start
-	c.running = true
-	fn(c)
-	c.running = false
-	c.busyUntil = c.clock
-	c.Stats.Messages++
-	c.Stats.Busy += c.clock - start
-	if p := c.eng.prof; p != nil {
-		p.HandlerEnd(c.busyUntil, c.id)
-	}
-}
-
-// advance moves the local clock by d and reports the charge to the
-// profiler, if attached.
-func (c *CPU) advance(kind CostKind, d Time) {
-	c.clock += d
-	if p := c.eng.prof; p != nil && d > 0 {
-		p.Charge(c.clock, c.id, kind, d)
-	}
-}
-
-func (c *CPU) mustRun(op string) {
-	if !c.running {
-		panic(fmt.Sprintf("sim: CPU %d: %s outside handler", c.id, op))
-	}
-}
-
-// Clock returns the CPU's local virtual time inside a handler.
-func (c *CPU) Clock() Time {
-	c.mustRun("Clock")
-	return c.clock
 }
 
 // MemRead charges one memory load (Lcpu).
@@ -194,21 +102,6 @@ func (c *CPU) LLCWrite() {
 	c.advance(CostMemory, c.eng.cfg.Lllc)
 }
 
-// Local charges one L1/bookkeeping step (Epsilon).
-func (c *CPU) Local() {
-	c.mustRun("Local")
-	c.advance(CostService, c.eng.cfg.Epsilon)
-}
-
-// Compute charges d of pure computation.
-func (c *CPU) Compute(d Time) {
-	c.mustRun("Compute")
-	if d < 0 {
-		panic("sim: negative compute time")
-	}
-	c.advance(CostService, d)
-}
-
 // Atomic performs one atomic operation (CAS, F&A, …) on line,
 // serializing with other atomics on the same line per Section 3. The
 // CPU blocks until its atomic completes.
@@ -226,14 +119,3 @@ func (c *CPU) Atomic(line *AtomicLine) {
 	}
 	c.clock = done
 }
-
-// Send transmits m (stamped From = this CPU) without blocking.
-func (c *CPU) Send(m Message) {
-	c.mustRun("Send")
-	m.From = c.id
-	c.advance(CostService, c.eng.cfg.Epsilon)
-	c.eng.send(c.clock, m)
-}
-
-// CountOp records one completed operation for throughput accounting.
-func (c *CPU) CountOp() { c.Stats.Ops++ }

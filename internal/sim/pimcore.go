@@ -1,14 +1,5 @@
 package sim
 
-import "fmt"
-
-// CoreStats aggregates what a core did during a simulation.
-type CoreStats struct {
-	Messages uint64 // messages processed from the inbox
-	Ops      uint64 // completed data-structure operations (protocol-defined)
-	Busy     Time   // total virtual time spent executing handlers
-}
-
 // PIMHandler is the program of a PIM core: it is invoked once per
 // inbound message, in arrival order. Inside the handler the core's
 // local clock advances as the handler calls Read, Write, Compute and
@@ -25,17 +16,8 @@ type PIMHandler func(c *PIMCore, m Message)
 // architecture gives PIM cores no atomic operations), and communicates
 // with everything else by messages.
 type PIMCore struct {
-	eng     *Engine
-	id      CoreID
-	vault   *Vault
-	handler PIMHandler
-
-	inbox     []Message
-	inboxHead int
-	busyUntil Time
-	scheduled bool
-	running   bool
-	clock     Time
+	core
+	vault *Vault
 
 	// ServiceDelay postpones the start of each buffer-service pass by
 	// a fixed amount. Protocols that batch their whole buffer per pass
@@ -46,8 +28,6 @@ type PIMCore struct {
 	// grow past p/2. The cost is the same delay added to an idle
 	// core's response latency.
 	ServiceDelay Time
-
-	Stats CoreStats
 }
 
 // NewPIMCore registers a new PIM core with its own vault. The handler
@@ -55,111 +35,24 @@ type PIMCore struct {
 // need the core's ID to build their protocol before wiring the
 // handler).
 func (e *Engine) NewPIMCore(handler PIMHandler) *PIMCore {
-	c := &PIMCore{eng: e, handler: handler}
-	c.id = e.register(c)
+	c := &PIMCore{}
+	c.pim = c
+	c.init(e, c, "PIM core")
 	c.vault = &Vault{id: int(c.id), owner: c.id}
+	c.SetHandler(handler)
 	return c
 }
 
 // SetHandler installs the core's message handler.
-func (c *PIMCore) SetHandler(h PIMHandler) { c.handler = h }
-
-// ID returns the core's engine-assigned identifier.
-func (c *PIMCore) ID() CoreID { return c.id }
+func (c *PIMCore) SetHandler(h PIMHandler) {
+	c.handler = nil
+	if h != nil {
+		c.handler = func(m Message) { h(c, m) }
+	}
+}
 
 // Vault returns the core's local vault.
 func (c *PIMCore) Vault() *Vault { return c.vault }
-
-// Engine returns the core's engine.
-func (c *PIMCore) Engine() *Engine { return c.eng }
-
-// QueueLen returns the number of buffered, unprocessed messages.
-func (c *PIMCore) QueueLen() int { return len(c.inbox) - c.inboxHead }
-
-func (c *PIMCore) coreID() CoreID { return c.id }
-
-func (c *PIMCore) deliver(m Message) {
-	c.inbox = append(c.inbox, m)
-	if c.eng.met != nil {
-		c.eng.met.queueDepth(c.id, len(c.inbox)-c.inboxHead)
-	}
-	c.maybeSchedule()
-}
-
-func (c *PIMCore) maybeSchedule() {
-	if c.scheduled || c.running || c.inboxHead >= len(c.inbox) {
-		return
-	}
-	c.scheduled = true
-	at := c.eng.now
-	if c.busyUntil > at {
-		at = c.busyUntil
-	}
-	c.eng.Schedule(at+c.ServiceDelay, c.service)
-}
-
-// service processes exactly one message. Handling one message per event
-// (rather than draining the inbox) keeps the interleaving with newly
-// arriving messages faithful: a message that arrives while the core is
-// busy is processed after the current one completes, in arrival order.
-func (c *PIMCore) service() {
-	c.scheduled = false
-	m := c.inbox[c.inboxHead]
-	c.inboxHead++
-	if c.inboxHead == len(c.inbox) {
-		c.inbox = c.inbox[:0]
-		c.inboxHead = 0
-	} else if c.inboxHead > 1024 && c.inboxHead*2 > len(c.inbox) {
-		n := copy(c.inbox, c.inbox[c.inboxHead:])
-		c.inbox = c.inbox[:n]
-		c.inboxHead = 0
-	}
-
-	start := c.eng.now
-	c.clock = start
-	c.running = true
-	if c.handler == nil {
-		panic(fmt.Sprintf("sim: PIM core %d received message with no handler", c.id))
-	}
-	if p := c.eng.prof; p != nil {
-		p.MsgConsumed(start, m.pid, c.id, false)
-	}
-	c.handler(c, m)
-	c.running = false
-	c.busyUntil = c.clock
-	c.Stats.Messages++
-	c.Stats.Busy += c.clock - start
-	if c.eng.tracer != nil {
-		c.eng.tracer.HandlerDone(c.clock, c.id, m, c.clock-start)
-	}
-	if p := c.eng.prof; p != nil {
-		p.HandlerEnd(c.clock, c.id)
-	}
-	c.maybeSchedule()
-}
-
-// mustRun panics if called outside a handler; every cost-charging
-// method requires an active local clock.
-func (c *PIMCore) mustRun(op string) {
-	if !c.running {
-		panic(fmt.Sprintf("sim: PIM core %d: %s outside handler", c.id, op))
-	}
-}
-
-// Clock returns the core's local virtual time inside a handler.
-func (c *PIMCore) Clock() Time {
-	c.mustRun("Clock")
-	return c.clock
-}
-
-// advance moves the local clock by d and reports the charge to the
-// profiler, if attached.
-func (c *PIMCore) advance(kind CostKind, d Time) {
-	c.clock += d
-	if p := c.eng.prof; p != nil && d > 0 {
-		p.Charge(c.clock, c.id, kind, d)
-	}
-}
 
 // Read charges one local-vault load (Lpim).
 func (c *PIMCore) Read() {
@@ -208,37 +101,6 @@ func (c *PIMCore) ReadN(n int) {
 		c.Read()
 	}
 }
-
-// Local charges one L1/bookkeeping step (Epsilon). The paper's model
-// treats these as negligible; the default Epsilon is zero but can be
-// raised to study sensitivity.
-func (c *PIMCore) Local() {
-	c.mustRun("Local")
-	c.advance(CostService, c.eng.cfg.Epsilon)
-}
-
-// Compute charges d of pure computation.
-func (c *PIMCore) Compute(d Time) {
-	c.mustRun("Compute")
-	if d < 0 {
-		panic("sim: negative compute time")
-	}
-	c.advance(CostService, d)
-}
-
-// Send transmits m (stamped From = this core) without waiting for
-// delivery: the core continues immediately, which is exactly the
-// pipelining of Section 5.2. Sending itself costs Epsilon.
-func (c *PIMCore) Send(m Message) {
-	c.mustRun("Send")
-	m.From = c.id
-	c.advance(CostService, c.eng.cfg.Epsilon)
-	c.eng.send(c.clock, m)
-}
-
-// CountOp records one completed data-structure operation for
-// throughput accounting.
-func (c *PIMCore) CountOp() { c.Stats.Ops++ }
 
 // TakeQueued appends up to limit already-buffered messages to dst and
 // removes them from the inbox (limit < 0 means all). It may only be

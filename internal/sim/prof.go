@@ -58,9 +58,6 @@ type Profiler interface {
 // starting clients: requests already in flight are not profiled.
 func (e *Engine) SetProfiler(p Profiler) { e.prof = p }
 
-// ProfilerEnabled reports whether a profiler is attached.
-func (e *Engine) ProfilerEnabled() bool { return e.prof != nil }
-
 // ProfOpStart marks the start of a logical operation on this CPU for
 // the attached profiler. Clients call it where they stamp their issue
 // time. It is a no-op when no profiler is attached.
