@@ -3,7 +3,6 @@ package pimqueue
 import (
 	"fmt"
 
-	"pimds/internal/obs"
 	"pimds/internal/sim"
 )
 
@@ -17,14 +16,15 @@ const (
 	Mixed                // alternates enqueue / dequeue
 )
 
-// Client is a closed-loop CPU client of the PIM queue. It tracks its
-// belief of which cores own the enqueue and dequeue segments, updated
-// by owner notifications; when a request fails because the belief was
-// stale, it either retries at the newly learned owner or broadcasts a
-// discovery query to every core (the paper's non-blocking scheme).
+// Client is a closed-loop CPU client of the PIM queue: a sim.Client
+// whose protocol state is its belief of which cores own the enqueue and
+// dequeue segments, updated by owner notifications. When a request
+// fails because the belief was stale, it either retries at the newly
+// learned owner or broadcasts a discovery query to every core (the
+// paper's non-blocking scheme).
 type Client struct {
+	*sim.Client
 	q    *Queue
-	cpu  *sim.CPU
 	idx  int
 	role Role
 
@@ -35,7 +35,6 @@ type Client struct {
 	seq       int64 // per-client enqueue sequence number
 	searching int   // 0 = no, 1 = enq, 2 = deq
 	negatives int   // discovery replies saying "not me"
-	stopped   bool
 
 	// AckDelay, when positive, makes this client a "slow CPU": it
 	// withholds ownership acknowledgements (blocking scheme) for this
@@ -52,34 +51,20 @@ type Client struct {
 	SplitEvery int
 	sinceSplit int
 
-	issuedAt sim.Time
-
-	// Latency records response times (first issue to success,
-	// including failure/rediscovery retries) in picoseconds.
-	Latency *obs.Histogram
-
-	// Stats and test hooks.
+	// Stats.
 	Enqueued   uint64
 	Dequeued   uint64
 	Empty      uint64
 	Retries    uint64
 	Discovered uint64
-
-	// OnDequeue, if set, observes every dequeued value (tests).
-	OnDequeue func(v int64)
-
-	// OnComplete, if set, observes every completed operation with its
-	// virtual-time interval: kind is the request kind (MsgEnq/MsgDeq),
-	// value the enqueued/dequeued value, ok false for empty dequeues.
-	// Used by the linearizability tests.
-	OnComplete func(start, end sim.Time, kind int, value int64, ok bool)
 }
 
 // NewClient registers a closed-loop client with the given role. Call
 // Start to begin issuing requests.
 func (q *Queue) NewClient(role Role) *Client {
-	cl := &Client{q: q, idx: len(q.clients), role: role, Latency: &obs.Histogram{}}
-	cl.cpu = q.eng.NewCPU(cl.onMessage)
+	cl := &Client{q: q, idx: len(q.clients), role: role}
+	cl.Client = sim.NewClient(q.eng, cl.request)
+	cl.OnResponse = cl.onMessage
 	// Seed owner beliefs from the current owners (Preload may already
 	// have moved the enqueue segment off core 0); -1 mid-handoff falls
 	// back to core 0 and the failure/rediscovery path corrects it.
@@ -95,79 +80,39 @@ func (q *Queue) NewClient(role Role) *Client {
 	return cl
 }
 
-// CPU exposes the client's CPU (stats).
-func (cl *Client) CPU() *sim.CPU { return cl.cpu }
-
-// Value encodes (client, seq) so tests can check exactly-once delivery
+// request builds the client's next operation by role. An enqueued
+// value encodes (client, seq) so tests can check exactly-once delivery
 // and per-producer FIFO order.
-func (cl *Client) nextValue() int64 {
-	v := int64(cl.idx)<<32 | cl.seq
-	cl.seq++
-	return v
-}
-
-// Start issues the client's first request.
-func (cl *Client) Start() {
-	cl.cpu.Exec(func(c *sim.CPU) { cl.issue(c) })
-}
-
-// Stop makes the client finish its in-flight request and then go
-// quiet, so tests can quiesce the system by running the engine dry.
-func (cl *Client) Stop() { cl.stopped = true }
-
-func (cl *Client) issue(c *sim.CPU) {
-	if cl.stopped {
-		return
-	}
-	cl.issuedAt = c.Clock()
-	c.ProfOpStart()
-	enq := false
-	switch cl.role {
-	case Enqueuer:
-		enq = true
-	case Dequeuer:
-		enq = false
-	case Mixed:
+func (cl *Client) request(*sim.CPU, uint64) sim.Message {
+	enq := cl.role == Enqueuer
+	if cl.role == Mixed {
 		enq = cl.nextEnq
 		cl.nextEnq = !cl.nextEnq
 	}
-	if enq {
-		c.Send(sim.Message{To: cl.enqOwner, Kind: MsgEnq, Key: cl.nextValue()})
-	} else {
-		c.Send(sim.Message{To: cl.deqOwner, Kind: MsgDeq})
+	if !enq {
+		return sim.Message{To: cl.deqOwner, Kind: MsgDeq}
 	}
+	v := int64(cl.idx)<<32 | cl.seq
+	cl.seq++
+	return sim.Message{To: cl.enqOwner, Kind: MsgEnq, Key: v}
 }
 
-// retry re-sends the failed request. The failed enqueue's value was
-// never stored (the core rejected it), so re-encoding the same value
-// requires rolling the sequence back.
-func (cl *Client) retryEnq(c *sim.CPU) {
-	if cl.stopped {
-		return
+// retry resends the in-flight request to the believed owner of its end
+// of the queue. A failed enqueue's value was never stored (the core
+// rejected it), so the same value goes again.
+func (cl *Client) retry(c *sim.CPU) {
+	m := cl.Request()
+	m.To = cl.deqOwner
+	if m.Kind == MsgEnq {
+		m.To = cl.enqOwner
 	}
-	cl.seq--
-	c.Send(sim.Message{To: cl.enqOwner, Kind: MsgEnq, Key: cl.nextValue()})
+	c.Send(m)
 }
 
-// retryDeq re-sends a dequeue at the current believed owner.
-func (cl *Client) retryDeq(c *sim.CPU) {
-	if cl.stopped {
-		return
-	}
-	c.Send(sim.Message{To: cl.deqOwner, Kind: MsgDeq})
-}
-
-func (cl *Client) onMessage(c *sim.CPU, m sim.Message) {
+func (cl *Client) onMessage(c *sim.CPU, m sim.Message) bool {
 	switch m.Kind {
 	case MsgEnqOK:
 		cl.Enqueued++
-		c.CountOp()
-		c.ProfOpEnd()
-		cl.Latency.Observe(int64(c.Clock() - cl.issuedAt))
-		cl.q.eng.RecordOpLatency(MsgEnq, c.Clock()-cl.issuedAt)
-		if cl.OnComplete != nil {
-			cl.OnComplete(cl.issuedAt, c.Clock(), MsgEnq, int64(cl.idx)<<32|(cl.seq-1), true)
-		}
 		if cl.SplitEvery > 0 {
 			cl.sinceSplit++
 			if cl.sinceSplit >= cl.SplitEvery {
@@ -175,71 +120,54 @@ func (cl *Client) onMessage(c *sim.CPU, m sim.Message) {
 				c.Send(sim.Message{To: cl.enqOwner, Kind: MsgSplit})
 			}
 		}
-		cl.issue(c)
+		return true
 	case MsgDeqOK:
 		cl.Dequeued++
-		c.CountOp()
-		c.ProfOpEnd()
-		cl.Latency.Observe(int64(c.Clock() - cl.issuedAt))
-		cl.q.eng.RecordOpLatency(MsgDeq, c.Clock()-cl.issuedAt)
-		if cl.OnDequeue != nil {
-			cl.OnDequeue(m.Key)
-		}
-		if cl.OnComplete != nil {
-			cl.OnComplete(cl.issuedAt, c.Clock(), MsgDeq, m.Key, true)
-		}
-		cl.issue(c)
+		return true
 	case MsgDeqEmpty:
 		cl.Empty++
-		c.CountOp()
-		c.ProfOpEnd()
-		cl.Latency.Observe(int64(c.Clock() - cl.issuedAt))
-		cl.q.eng.RecordOpLatency(MsgDeq, c.Clock()-cl.issuedAt)
-		if cl.OnComplete != nil {
-			cl.OnComplete(cl.issuedAt, c.Clock(), MsgDeq, 0, false)
-		}
-		cl.issue(c)
+		return true
 	case MsgEnqFail:
 		cl.Retries++
 		if m.From != cl.enqOwner {
 			// A notification already updated our belief; retry there.
-			cl.retryEnq(c)
-			return
+			cl.retry(c)
+		} else {
+			cl.startSearch(c, 1)
 		}
-		cl.startSearch(c, 1)
 	case MsgDeqFail:
 		cl.Retries++
 		if m.From != cl.deqOwner {
-			cl.retryDeq(c)
-			return
+			cl.retry(c)
+		} else {
+			cl.startSearch(c, 2)
 		}
-		cl.startSearch(c, 2)
 	case MsgEnqOwner:
 		cl.enqOwner = m.From
-		c.Local()
-		if cl.q.BlockingNotify {
-			cl.sendAck(c, m.From)
-		}
-		if cl.searching == 1 {
-			cl.searching = 0
-			cl.Discovered++
-			cl.retryEnq(c)
-		}
+		cl.ownerNotified(c, m.From, 1)
 	case MsgDeqOwner:
 		cl.deqOwner = m.From
-		c.Local()
-		if cl.q.BlockingNotify {
-			cl.sendAck(c, m.From)
-		}
-		if cl.searching == 2 {
-			cl.searching = 0
-			cl.Discovered++
-			cl.retryDeq(c)
-		}
+		cl.ownerNotified(c, m.From, 2)
 	case MsgFindResp:
 		cl.handleFindResp(c, m)
 	default:
 		panic(fmt.Sprintf("pimqueue: client %d: unknown message kind %d", cl.idx, m.Kind))
+	}
+	return false
+}
+
+// ownerNotified handles a notification that from now owns one end of
+// the queue (what = 1 enqueue, 2 dequeue): acknowledge it under the
+// blocking scheme, and end a discovery for that end by retrying there.
+func (cl *Client) ownerNotified(c *sim.CPU, from sim.CoreID, what int) {
+	c.Local()
+	if cl.q.BlockingNotify {
+		cl.sendAck(c, from)
+	}
+	if cl.searching == what {
+		cl.searching = 0
+		cl.Discovered++
+		cl.retry(c)
 	}
 }
 
@@ -275,17 +203,15 @@ func (cl *Client) handleFindResp(c *sim.CPU, m sim.Message) {
 		cl.Discovered++
 		if cl.searching == 1 {
 			cl.enqOwner = m.From
-			cl.searching = 0
-			cl.retryEnq(c)
 		} else {
 			cl.deqOwner = m.From
-			cl.searching = 0
-			cl.retryDeq(c)
 		}
+		cl.searching = 0
+		cl.retry(c)
 		return
 	}
 	cl.negatives++
-	if cl.negatives >= len(cl.q.cores) && !cl.stopped {
+	if cl.negatives >= len(cl.q.cores) {
 		// Every core denied ownership: the handoff message is still
 		// in flight. Ask again.
 		cl.startSearch(c, cl.searching)

@@ -18,7 +18,7 @@ func TestFatNodesCorrectness(t *testing.T) {
 	}
 	deq := q.NewClient(Dequeuer)
 	var got []int64
-	deq.OnDequeue = func(v int64) { got = append(got, v) }
+	deq.OnDone = dequeued(func(v int64) { got = append(got, v) })
 	startAll(append(append([]*Client{}, enqs...), deq))
 	e.RunUntil(1 * sim.Millisecond)
 	for _, cl := range append(enqs, deq) {

@@ -36,9 +36,9 @@ func TestLinearizability(t *testing.T) {
 		var cls []*Client
 		for i := 0; i < 2; i++ {
 			enq := q.NewClient(Enqueuer)
-			enq.OnComplete = record(len(cls))
+			enq.OnDone = opDone(record(len(cls)))
 			deq := q.NewClient(Dequeuer)
-			deq.OnComplete = record(len(cls) + 1)
+			deq.OnDone = opDone(record(len(cls) + 1))
 			cls = append(cls, enq, deq)
 		}
 		startAll(cls)
@@ -65,19 +65,19 @@ func TestLinearizabilityCheckerCatchesCorruption(t *testing.T) {
 	q := New(e, 2, 16)
 	var history []linearize.Op
 	enq := q.NewClient(Enqueuer)
-	enq.OnComplete = func(start, end sim.Time, k int, v int64, ok bool) {
+	enq.OnDone = opDone(func(start, end sim.Time, k int, v int64, ok bool) {
 		history = append(history, linearize.Op{
 			Start: int64(start), End: int64(end), Client: 1,
 			Action: linearize.ActEnqueue, Input: v, OK: ok,
 		})
-	}
+	})
 	deq := q.NewClient(Dequeuer)
-	deq.OnComplete = func(start, end sim.Time, k int, v int64, ok bool) {
+	deq.OnDone = opDone(func(start, end sim.Time, k int, v int64, ok bool) {
 		history = append(history, linearize.Op{
 			Start: int64(start), End: int64(end), Client: 2,
 			Action: linearize.ActDequeue, Output: v, OK: ok,
 		})
-	}
+	})
 	enq.Start()
 	deq.Start()
 	e.RunUntil(40 * sim.Microsecond)

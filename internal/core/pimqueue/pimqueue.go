@@ -12,6 +12,12 @@
 // segment-length threshold, and a pipelining on/off switch, all as
 // ablations. Virtual-time CPU baselines (F&A queue and flat-combining
 // queue) reproduce the Section 5.2 comparison.
+//
+// A CPU client is a sim.Client, the simulator's one closed-loop
+// driver, which times, counts and profiles every operation (an empty
+// dequeue included). The package supplies only the client's protocol:
+// its beliefs about the two segment owners, owner notifications and
+// acknowledgements, retries and discovery broadcasts.
 package pimqueue
 
 import (
@@ -424,7 +430,7 @@ func (qc *QueueCore) handleNewDeqSeg(c *sim.PIMCore) {
 // in the blocking scheme arms the ack barrier.
 func (qc *QueueCore) notifyClients(c *sim.PIMCore, kind int) {
 	for _, cl := range qc.q.clients {
-		c.Send(sim.Message{To: cl.cpu.ID(), Kind: kind})
+		c.Send(sim.Message{To: cl.CPU().ID(), Kind: kind})
 	}
 	if qc.q.BlockingNotify {
 		qc.acksWanted += len(qc.q.clients)

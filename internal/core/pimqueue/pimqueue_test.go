@@ -13,6 +13,29 @@ func testConfig() sim.Config {
 	return sim.ConfigFromParams(model.DefaultParams())
 }
 
+// opDone adapts fn to a client's completion hook: kind is the request
+// kind (MsgEnq/MsgDeq), v the enqueued or dequeued value, ok false for
+// an empty dequeue.
+func opDone(fn func(start, end sim.Time, kind int, v int64, ok bool)) func(req, resp sim.Message, start, end sim.Time) {
+	return func(req, resp sim.Message, start, end sim.Time) {
+		if req.Kind == MsgDeq {
+			fn(start, end, MsgDeq, resp.Key, resp.Kind == MsgDeqOK)
+			return
+		}
+		fn(start, end, req.Kind, req.Key, true)
+	}
+}
+
+// dequeued adapts fn to a client's completion hook that sees every
+// dequeued value.
+func dequeued(fn func(v int64)) func(req, resp sim.Message, start, end sim.Time) {
+	return opDone(func(_, _ sim.Time, kind int, v int64, ok bool) {
+		if kind == MsgDeq && ok {
+			fn(v)
+		}
+	})
+}
+
 // startAll starts every client.
 func startAll(cls []*Client) {
 	for _, cl := range cls {
@@ -25,7 +48,7 @@ func TestSingleClientFIFO(t *testing.T) {
 	q := New(e, 1, 1<<30) // one core, never splits
 	cl := q.NewClient(Mixed)
 	var got []int64
-	cl.OnDequeue = func(v int64) { got = append(got, v) }
+	cl.OnDone = dequeued(func(v int64) { got = append(got, v) })
 	cl.Start()
 	e.RunUntil(100 * sim.Microsecond)
 	cl.Stop()
@@ -137,7 +160,7 @@ func TestExactlyOnceUnderConcurrency(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			cl := q.NewClient(Dequeuer)
 			o := &obs{}
-			cl.OnDequeue = func(v int64) { o.vals = append(o.vals, v) }
+			cl.OnDone = dequeued(func(v int64) { o.vals = append(o.vals, v) })
 			deqs = append(deqs, cl)
 			observed = append(observed, o)
 		}
@@ -204,7 +227,7 @@ func TestGlobalFIFOWithSingleDequeuer(t *testing.T) {
 	enq := q.NewClient(Enqueuer)
 	deq := q.NewClient(Dequeuer)
 	var got []int64
-	deq.OnDequeue = func(v int64) { got = append(got, v) }
+	deq.OnDone = dequeued(func(v int64) { got = append(got, v) })
 	enq.Start()
 	e.RunUntil(50 * sim.Microsecond) // build a backlog
 	deq.Start()

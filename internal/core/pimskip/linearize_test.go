@@ -26,7 +26,7 @@ func TestLinearizability(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		client := i + 1
 		cl := s.NewClient(mixedOps(int64(30+i), space))
-		cl.OnComplete = func(start, end sim.Time, op seqskip.Op, ok bool) {
+		onOp(cl, func(start, end sim.Time, op seqskip.Op, ok bool) {
 			lop := linearize.Op{
 				Start: int64(start), End: int64(end), Client: client,
 				Input: op.Key, OK: ok,
@@ -40,7 +40,7 @@ func TestLinearizability(t *testing.T) {
 				lop.Action = linearize.ActContains
 			}
 			history = append(history, lop)
-		}
+		})
 		cl.Start()
 		cls = append(cls, cl)
 	}

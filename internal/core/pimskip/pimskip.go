@@ -7,6 +7,12 @@
 // has not been moved yet, forward to the target if it has) and the
 // CPU-notification/acknowledgement handshake.
 //
+// A CPU client is a sim.Client, the simulator's one closed-loop
+// driver, which times, counts and profiles every operation. The package
+// supplies only the client's protocol: routing by its directory copy,
+// resending rejected requests, and applying and acknowledging directory
+// updates.
+//
 // The package also provides virtual-time CPU baselines (lock-free
 // skip-list and partitioned flat-combining skip-list) so simulations
 // can reproduce all five rows of Table 2 and Figure 4.
@@ -487,7 +493,7 @@ func (p *Partition) migStep(c *sim.PIMCore) {
 	}
 	for _, cl := range p.s.clients {
 		c.Send(sim.Message{
-			To: cl.cpu.ID(), Kind: MsgDirUpdate,
+			To: cl.CPU().ID(), Kind: MsgDirUpdate,
 			Key: mig.rng.Low, Val: mig.rng.High, Payload: mig.target,
 		})
 	}

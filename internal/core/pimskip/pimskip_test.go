@@ -43,6 +43,14 @@ func balancedOps(seed int64, space int64) func(seq uint64) seqskip.Op {
 	}
 }
 
+// onOp installs fn as cl's completion hook: it sees every completed
+// operation with its interval and result.
+func onOp(cl *Client, fn func(start, end sim.Time, op seqskip.Op, ok bool)) {
+	cl.OnDone = func(req, resp sim.Message, start, end sim.Time) {
+		fn(start, end, seqskip.Op{Kind: seqskip.OpKind(req.Kind - MsgContains), Key: req.Key}, resp.OK)
+	}
+}
+
 // TestSequentialEquivalence: a single client's completed operations
 // must return exactly the results of a sequential map replay.
 func TestSequentialEquivalence(t *testing.T) {
@@ -54,7 +62,7 @@ func TestSequentialEquivalence(t *testing.T) {
 
 		ref := make(map[int64]bool)
 		var checked int
-		cl.OnResult = func(op seqskip.Op, ok bool) {
+		onOp(cl, func(_, _ sim.Time, op seqskip.Op, ok bool) {
 			var want bool
 			switch op.Kind {
 			case seqskip.Contains:
@@ -70,7 +78,7 @@ func TestSequentialEquivalence(t *testing.T) {
 				t.Errorf("k=%d: op %v key %d: got %v, want %v", k, op.Kind, op.Key, ok, want)
 			}
 			checked++
-		}
+		})
 		cl.Start()
 		e.RunUntil(2 * sim.Millisecond)
 		cl.Stop()
@@ -92,10 +100,10 @@ func TestRepeatedOpTimedFromItsOwnIssue(t *testing.T) {
 	s := New(e, 64, 2, 1)
 	cl := s.NewClient(func(uint64) seqskip.Op { return seqskip.Op{Kind: seqskip.Contains, Key: 5} })
 	var starts, ends []sim.Time
-	cl.OnComplete = func(start, end sim.Time, _ seqskip.Op, _ bool) {
+	onOp(cl, func(start, end sim.Time, _ seqskip.Op, _ bool) {
 		starts = append(starts, start)
 		ends = append(ends, end)
-	}
+	})
 	cl.Start()
 	e.RunUntil(3 * sim.Microsecond)
 	cl.Stop()
@@ -126,7 +134,7 @@ func TestMultiClientConservation(t *testing.T) {
 	var clients []*Client
 	for i := 0; i < 6; i++ {
 		cl := s.NewClient(mixedOps(int64(40+i), space))
-		cl.OnResult = func(op seqskip.Op, ok bool) {
+		onOp(cl, func(_, _ sim.Time, op seqskip.Op, ok bool) {
 			if !ok {
 				return
 			}
@@ -136,7 +144,7 @@ func TestMultiClientConservation(t *testing.T) {
 			case seqskip.Remove:
 				removes[op.Key]++
 			}
-		}
+		})
 		cl.Start()
 		clients = append(clients, cl)
 	}
@@ -253,7 +261,7 @@ func TestMigrationUnderLoad(t *testing.T) {
 	var clients []*Client
 	for i := 0; i < 8; i++ {
 		cl := s.NewClient(balancedOps(int64(60+i), space))
-		cl.OnResult = func(op seqskip.Op, ok bool) {
+		onOp(cl, func(_, _ sim.Time, op seqskip.Op, ok bool) {
 			if !ok {
 				return
 			}
@@ -263,7 +271,7 @@ func TestMigrationUnderLoad(t *testing.T) {
 			case seqskip.Remove:
 				removes[op.Key]++
 			}
-		}
+		})
 		cl.Start()
 		clients = append(clients, cl)
 	}

@@ -99,7 +99,7 @@ func TestRandomMigrationStorm(t *testing.T) {
 		var clients []*Client
 		for i := 0; i < 4; i++ {
 			cl := s.NewClient(balancedOps(seed+int64(i), space))
-			cl.OnResult = func(op seqskip.Op, ok bool) {
+			onOp(cl, func(_, _ sim.Time, op seqskip.Op, ok bool) {
 				if !ok {
 					return
 				}
@@ -108,7 +108,7 @@ func TestRandomMigrationStorm(t *testing.T) {
 				} else if op.Kind == seqskip.Remove {
 					removes[op.Key]++
 				}
-			}
+			})
 			cl.Start()
 			clients = append(clients, cl)
 		}

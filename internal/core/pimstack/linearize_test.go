@@ -31,9 +31,9 @@ func TestLinearizability(t *testing.T) {
 	var cls []*Client
 	for i := 0; i < 2; i++ {
 		pu := s.NewClient(Pusher)
-		pu.OnComplete = record(len(cls))
+		pu.OnDone = opDone(record(len(cls)))
 		po := s.NewClient(Popper)
-		po.OnComplete = record(len(cls) + 1)
+		po.OnDone = opDone(record(len(cls) + 1))
 		cls = append(cls, pu, po)
 	}
 	startAll(cls)

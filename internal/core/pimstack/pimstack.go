@@ -14,12 +14,17 @@
 //	PIM stack (pipelined):        ≈ 1/Lpim
 //
 // so the PIM stack wins by r1·r3 and 2·r1/r2, exactly like the queue.
+//
+// A CPU client is a sim.Client, the simulator's one closed-loop
+// driver, which times, counts and profiles every operation (an empty
+// pop included). The package supplies only the client's protocol: its
+// belief about the top owner, owner notifications, retries and
+// discovery broadcasts.
 package pimstack
 
 import (
 	"fmt"
 
-	"pimds/internal/obs"
 	"pimds/internal/sim"
 )
 
@@ -283,7 +288,7 @@ func (sc *StackCore) retireTopSeg() {
 
 func (sc *StackCore) notifyClients(c *sim.PIMCore) {
 	for _, cl := range sc.s.clients {
-		c.Send(sim.Message{To: cl.cpu.ID(), Kind: MsgTopOwner})
+		c.Send(sim.Message{To: cl.CPU().ID(), Kind: MsgTopOwner})
 	}
 }
 
@@ -297,11 +302,12 @@ const (
 	Mixed // alternates push / pop
 )
 
-// Client is a closed-loop CPU client of the PIM stack, with the same
-// owner-tracking / rediscovery scheme as the queue client.
+// Client is a closed-loop CPU client of the PIM stack: a sim.Client
+// with the same owner-tracking / rediscovery scheme as the queue
+// client.
 type Client struct {
+	*sim.Client
 	s    *Stack
-	cpu  *sim.CPU
 	idx  int
 	role Role
 
@@ -310,176 +316,84 @@ type Client struct {
 	seq       int64
 	searching bool
 	negatives int
-	stopped   bool
-	issuedAt  sim.Time
 
-	// Latency records response times in picoseconds.
-	Latency *obs.Histogram
-
-	// Stats and hooks.
+	// Stats.
 	Pushed     uint64
 	Popped     uint64
 	Empty      uint64
 	Retries    uint64
 	Discovered uint64
-	OnPop      func(v int64)
-
-	// OnComplete, if set, observes every completed operation with its
-	// virtual-time interval (linearizability tests).
-	OnComplete func(start, end sim.Time, kind int, value int64, ok bool)
 }
 
 // NewClient registers a closed-loop client. Call Start to begin.
 func (s *Stack) NewClient(role Role) *Client {
-	cl := &Client{s: s, idx: len(s.clients), role: role, Latency: &obs.Histogram{}}
-	cl.cpu = s.eng.NewCPU(cl.onMessage)
+	cl := &Client{s: s, idx: len(s.clients), role: role}
+	cl.Client = sim.NewClient(s.eng, cl.request)
+	cl.OnResponse = cl.onMessage
 	cl.topOwner = s.cores[0].core.ID()
 	s.clients = append(s.clients, cl)
 	return cl
 }
 
-// CPU exposes the client's CPU (stats).
-func (cl *Client) CPU() *sim.CPU { return cl.cpu }
-
-// Start issues the client's first request.
-func (cl *Client) Start() {
-	cl.cpu.Exec(func(c *sim.CPU) { cl.issue(c) })
-}
-
-// Stop quiesces the client after its in-flight request.
-func (cl *Client) Stop() { cl.stopped = true }
-
-func (cl *Client) nextValue() int64 {
-	v := int64(cl.idx)<<32 | cl.seq
-	cl.seq++
-	return v
-}
-
-func (cl *Client) issue(c *sim.CPU) {
-	if cl.stopped {
-		return
-	}
-	cl.issuedAt = c.Clock()
-	c.ProfOpStart()
-	push := false
-	switch cl.role {
-	case Pusher:
-		push = true
-	case Popper:
-		push = false
-	case Mixed:
+// request builds the client's next operation by role; a pushed value
+// encodes (client, seq).
+func (cl *Client) request(*sim.CPU, uint64) sim.Message {
+	push := cl.role == Pusher
+	if cl.role == Mixed {
 		push = cl.nextPush
 		cl.nextPush = !cl.nextPush
 	}
-	if push {
-		c.Send(sim.Message{To: cl.topOwner, Kind: MsgPush, Key: cl.nextValue()})
-	} else {
-		c.Send(sim.Message{To: cl.topOwner, Kind: MsgPop})
+	if !push {
+		return sim.Message{To: cl.topOwner, Kind: MsgPop}
 	}
+	v := int64(cl.idx)<<32 | cl.seq
+	cl.seq++
+	return sim.Message{To: cl.topOwner, Kind: MsgPush, Key: v}
 }
 
-func (cl *Client) retryPush(c *sim.CPU) {
-	if cl.stopped {
-		return
-	}
-	cl.seq--
-	c.Send(sim.Message{To: cl.topOwner, Kind: MsgPush, Key: cl.nextValue()})
+// retry resends the in-flight request to the believed top owner; a
+// failed push's value was never stored, so the same value goes again.
+func (cl *Client) retry(c *sim.CPU) {
+	m := cl.Request()
+	m.To = cl.topOwner
+	c.Send(m)
 }
 
-func (cl *Client) retryPop(c *sim.CPU) {
-	if cl.stopped {
-		return
-	}
-	c.Send(sim.Message{To: cl.topOwner, Kind: MsgPop})
-}
-
-func (cl *Client) onMessage(c *sim.CPU, m sim.Message) {
+func (cl *Client) onMessage(c *sim.CPU, m sim.Message) bool {
 	switch m.Kind {
 	case MsgPushOK:
 		cl.Pushed++
-		c.CountOp()
-		c.ProfOpEnd()
-		cl.Latency.Observe(int64(c.Clock() - cl.issuedAt))
-		cl.s.eng.RecordOpLatency(MsgPush, c.Clock()-cl.issuedAt)
-		if cl.OnComplete != nil {
-			cl.OnComplete(cl.issuedAt, c.Clock(), MsgPush, int64(cl.idx)<<32|(cl.seq-1), true)
-		}
-		cl.issue(c)
+		return true
 	case MsgPopOK:
 		cl.Popped++
-		c.CountOp()
-		c.ProfOpEnd()
-		cl.Latency.Observe(int64(c.Clock() - cl.issuedAt))
-		cl.s.eng.RecordOpLatency(MsgPop, c.Clock()-cl.issuedAt)
-		if cl.OnPop != nil {
-			cl.OnPop(m.Key)
-		}
-		if cl.OnComplete != nil {
-			cl.OnComplete(cl.issuedAt, c.Clock(), MsgPop, m.Key, true)
-		}
-		cl.issue(c)
+		return true
 	case MsgPopEmpty:
 		cl.Empty++
-		c.CountOp()
-		c.ProfOpEnd()
-		cl.Latency.Observe(int64(c.Clock() - cl.issuedAt))
-		cl.s.eng.RecordOpLatency(MsgPop, c.Clock()-cl.issuedAt)
-		if cl.OnComplete != nil {
-			cl.OnComplete(cl.issuedAt, c.Clock(), MsgPop, 0, false)
-		}
-		cl.issue(c)
-	case MsgPushFail:
+		return true
+	case MsgPushFail, MsgPopFail:
 		cl.Retries++
 		if m.From != cl.topOwner {
-			cl.retryPush(c)
-			return
+			cl.retry(c)
+		} else {
+			cl.startSearch(c)
 		}
-		cl.startSearch(c, true)
-	case MsgPopFail:
-		cl.Retries++
-		if m.From != cl.topOwner {
-			cl.retryPop(c)
-			return
-		}
-		cl.startSearch(c, false)
 	case MsgTopOwner:
 		cl.topOwner = m.From
 		c.Local()
 		if cl.searching {
 			cl.searching = false
 			cl.Discovered++
-			cl.retryLast(c)
+			cl.retry(c)
 		}
 	case MsgFindResp:
 		cl.handleFindResp(c, m)
 	default:
 		panic(fmt.Sprintf("pimstack: client %d: unknown message kind %d", cl.idx, m.Kind))
 	}
+	return false
 }
 
-// lastWasPush remembers which request failed so a discovery can retry
-// it; Mixed alternation means the *pending* op is the inverse of
-// nextPush.
-func (cl *Client) lastWasPush() bool {
-	switch cl.role {
-	case Pusher:
-		return true
-	case Popper:
-		return false
-	default:
-		return !cl.nextPush
-	}
-}
-
-func (cl *Client) retryLast(c *sim.CPU) {
-	if cl.lastWasPush() {
-		cl.retryPush(c)
-	} else {
-		cl.retryPop(c)
-	}
-}
-
-func (cl *Client) startSearch(c *sim.CPU, _ bool) {
+func (cl *Client) startSearch(c *sim.CPU) {
 	cl.searching = true
 	cl.negatives = 0
 	for _, sc := range cl.s.cores {
@@ -495,11 +409,11 @@ func (cl *Client) handleFindResp(c *sim.CPU, m sim.Message) {
 		cl.topOwner = m.From
 		cl.searching = false
 		cl.Discovered++
-		cl.retryLast(c)
+		cl.retry(c)
 		return
 	}
 	cl.negatives++
-	if cl.negatives >= len(cl.s.cores) && !cl.stopped {
-		cl.startSearch(c, false)
+	if cl.negatives >= len(cl.s.cores) {
+		cl.startSearch(c)
 	}
 }

@@ -12,6 +12,29 @@ func testConfig() sim.Config {
 	return sim.ConfigFromParams(model.DefaultParams())
 }
 
+// opDone adapts fn to a client's completion hook: kind is the request
+// kind (MsgPush/MsgPop), v the pushed or popped value, ok false for an
+// empty pop.
+func opDone(fn func(start, end sim.Time, kind int, v int64, ok bool)) func(req, resp sim.Message, start, end sim.Time) {
+	return func(req, resp sim.Message, start, end sim.Time) {
+		if req.Kind == MsgPop {
+			fn(start, end, MsgPop, resp.Key, resp.Kind == MsgPopOK)
+			return
+		}
+		fn(start, end, req.Kind, req.Key, true)
+	}
+}
+
+// popped adapts fn to a client's completion hook that sees every popped
+// value.
+func popped(fn func(v int64)) func(req, resp sim.Message, start, end sim.Time) {
+	return opDone(func(_, _ sim.Time, kind int, v int64, ok bool) {
+		if kind == MsgPop && ok {
+			fn(v)
+		}
+	})
+}
+
 func startAll(cls []*Client) {
 	for _, cl := range cls {
 		cl.Start()
@@ -32,7 +55,7 @@ func TestSingleClientLIFO(t *testing.T) {
 	s := New(e, 1, 1<<30)
 	cl := s.NewClient(Mixed)
 	var got []int64
-	cl.OnPop = func(v int64) { got = append(got, v) }
+	cl.OnDone = popped(func(v int64) { got = append(got, v) })
 	cl.Start()
 	e.RunUntil(100 * sim.Microsecond)
 	stopAndDrain(e, []*Client{cl})
@@ -76,7 +99,7 @@ func TestLIFOAcrossSegments(t *testing.T) {
 
 	popper := s.NewClient(Popper)
 	var got []int64
-	popper.OnPop = func(v int64) { got = append(got, v) }
+	popper.OnDone = popped(func(v int64) { got = append(got, v) })
 	popper.Start()
 	e.RunUntil(5 * sim.Millisecond)
 	popper.Stop()
@@ -137,7 +160,7 @@ func TestConservationUnderConcurrency(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		cl := s.NewClient(Popper)
-		cl.OnPop = func(v int64) { seen[v]++ }
+		cl.OnDone = popped(func(v int64) { seen[v]++ })
 		cls = append(cls, cl)
 	}
 	startAll(cls)

@@ -14,7 +14,7 @@
 //
 // Clients are closed-loop: each client CPU has at most one logical
 // operation in flight, so a request is identified by its client's
-// CoreID between the client's ProfOpStart and ProfOpEnd marks. Each
+// CoreID between the operation start and end marks sim.Client sets. Each
 // in-flight request carries a cursor (lastT) that sweeps monotonically
 // from issue time to completion time; every profiler event advances
 // the cursor and charges the traversed interval to exactly one

@@ -2,53 +2,79 @@ package sim
 
 import "pimds/internal/obs"
 
-// Client is a closed-loop workload driver on one CPU: it sends a
-// request, waits for the response, counts the completed operation and
-// immediately issues the next request — the paper's "a CPU makes a new
-// operation request immediately after its previous one completes".
+// Client is the closed-loop workload driver on one CPU: it sends a
+// request, waits for the operation to complete and immediately issues
+// the next request — the paper's "a CPU makes a new operation request
+// immediately after its previous one completes". Every structure's
+// clients are Clients; a protocol supplies only how a request is built
+// and how the messages reaching the CPU are handled.
 //
-// MakeRequest builds request number seq (with To filled in). The
-// optional OnResponse inspects a response before the next request is
-// issued; returning false stops the loop (used for protocols that
-// handle retries themselves — a false return means "I resent the
-// request myself, do not count an op or advance").
+// MakeRequest builds request number seq (with To filled in); it may
+// charge client-side costs first, such as a directory lookup. The
+// optional OnResponse handles every message that reaches the CPU and
+// reports whether it completes the in-flight operation. A protocol that
+// retries a rejected request, applies a directory update, follows an
+// ownership notification or runs a discovery sends from OnResponse and
+// returns false. Without OnResponse every message completes the
+// operation.
+//
+// The Client alone stamps issue times, counts completed operations on
+// its CPU, records Latency and the per-kind latency metric, and marks
+// the profiler's operation boundaries, so every structure times an
+// operation the same way: from its issue to the response that completes
+// it, retries included.
 type Client struct {
-	CPU         *CPU
 	MakeRequest func(c *CPU, seq uint64) Message
 	OnResponse  func(c *CPU, m Message) bool
 
-	// Latency records the response time (request send to response
-	// arrival, in picoseconds) of every completed operation.
+	// OnDone, if set, observes every completed operation in completion
+	// order: the request as MakeRequest built it, the response that
+	// completed it, and the operation's virtual-time interval (tests).
+	OnDone func(req, resp Message, start, end Time)
+
+	// Latency records the response time (issue to completion, in
+	// picoseconds) of every completed operation.
 	Latency *obs.Histogram
 
-	seq       uint64
-	issuedAt  Time
-	reqKind   int // kind of the in-flight request, for per-kind latency
 	Completed uint64
+
+	cpu      *CPU
+	seq      uint64
+	req      Message // the in-flight request
+	issuedAt Time
+	stopped  bool
 }
 
 // NewClient creates a closed-loop client on a fresh CPU. Call Start to
 // begin issuing requests.
 func NewClient(e *Engine, makeRequest func(c *CPU, seq uint64) Message) *Client {
 	cl := &Client{MakeRequest: makeRequest, Latency: &obs.Histogram{}}
-	cl.CPU = e.NewCPU(cl.onMessage)
+	cl.cpu = e.NewCPU(cl.onMessage)
 	return cl
 }
 
-// Start issues the client's first request as soon as its CPU is free.
-func (cl *Client) Start() {
-	cl.CPU.Exec(func(c *CPU) {
-		cl.issuedAt = c.Clock()
-		c.ProfOpStart()
-		cl.send(c, cl.MakeRequest(c, cl.seq))
-	})
-}
+// CPU returns the client's CPU.
+func (cl *Client) CPU() *CPU { return cl.cpu }
 
-// send transmits the request, remembering its kind for the per-kind
-// latency metrics.
-func (cl *Client) send(c *CPU, m Message) {
-	cl.reqKind = m.Kind
-	c.Send(m)
+// Start issues the client's first request as soon as its CPU is free.
+func (cl *Client) Start() { cl.cpu.Exec(cl.issue) }
+
+// Stop makes the client issue no further operation. The in-flight one
+// still completes, retries included, so running the engine dry after
+// stopping every client quiesces the system for exact checks.
+func (cl *Client) Stop() { cl.stopped = true }
+
+// Request returns the in-flight request as MakeRequest built it; a
+// protocol retries by re-addressing and resending it.
+func (cl *Client) Request() Message { return cl.req }
+
+func (cl *Client) issue(c *CPU) {
+	cl.issuedAt = c.clock
+	if p := c.eng.prof; p != nil {
+		p.OpStart(c.clock, c.id)
+	}
+	cl.req = cl.MakeRequest(c, cl.seq)
+	c.Send(cl.req)
 }
 
 func (cl *Client) onMessage(c *CPU, m Message) {
@@ -57,16 +83,21 @@ func (cl *Client) onMessage(c *CPU, m Message) {
 	}
 	cl.Completed++
 	c.CountOp()
-	d := c.Clock() - cl.issuedAt
+	d := c.clock - cl.issuedAt
 	cl.Latency.Observe(int64(d))
-	c.ProfOpEnd()
+	if p := c.eng.prof; p != nil {
+		p.OpEnd(c.clock, c.id)
+	}
 	if met := c.eng.met; met != nil {
-		met.opLatency(cl.reqKind, d)
+		met.opLatency(cl.req.Kind, d)
+	}
+	if cl.OnDone != nil {
+		cl.OnDone(cl.req, m, cl.issuedAt, c.clock)
 	}
 	cl.seq++
-	cl.issuedAt = c.Clock()
-	c.ProfOpStart()
-	cl.send(c, cl.MakeRequest(c, cl.seq))
+	if !cl.stopped {
+		cl.issue(c)
+	}
 }
 
 // Meter measures steady-state throughput of a set of clients: run the
@@ -104,7 +135,7 @@ func StartAll[C interface{ Start() }](clients []C) func() {
 }
 
 // OpsOfClients sums completed operations over the clients' CPUs; a
-// snapshot function for Measure.
+// snapshot function for Measure. It accepts any structure's client type.
 func OpsOfClients[C interface{ CPU() *CPU }](clients []C) func() uint64 {
 	return func() uint64 {
 		var total uint64

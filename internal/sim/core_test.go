@@ -287,7 +287,7 @@ func TestMessagesSentCounter(t *testing.T) {
 	})
 	m := &Meter{Engine: e, Clients: []*Client{cl}}
 	completed, _ := m.Run(0, 10*Microsecond)
-	if got := e.MessagesSent(cl.CPU.ID(), pim.ID()); got < completed {
+	if got := e.MessagesSent(cl.CPU().ID(), pim.ID()); got < completed {
 		t.Errorf("MessagesSent = %d, want >= %d", got, completed)
 	}
 	if got := e.MessagesSent(pim.ID(), CoreID(12345)); got != 0 {

@@ -91,8 +91,8 @@ func (m *simMetrics) msgSent(kind int) {
 	c.Inc()
 }
 
-// opLatency records one end-to-end request latency (inject→reply, in
-// picoseconds) for the given request kind.
+// opLatency records one closed-loop operation's latency (issue to
+// completion, in picoseconds) under its request kind.
 func (m *simMetrics) opLatency(kind int, d Time) {
 	h := m.lat[kind]
 	if h == nil {
@@ -100,16 +100,6 @@ func (m *simMetrics) opLatency(kind int, d Time) {
 		m.lat[kind] = h
 	}
 	h.Observe(int64(d))
-}
-
-// RecordOpLatency records one end-to-end request latency (inject→reply)
-// under the given protocol kind. Structures whose clients run their own
-// retry loops (skip-list rejections, queue/stack rediscoveries) call
-// this on completion; no-op when metrics are disabled.
-func (e *Engine) RecordOpLatency(kind int, d Time) {
-	if e.met != nil {
-		e.met.opLatency(kind, d)
-	}
 }
 
 // queueDepth tracks the high watermark of a core's message inbox.

@@ -57,23 +57,3 @@ type Profiler interface {
 // SetProfiler attaches p to the engine (nil detaches). Attach before
 // starting clients: requests already in flight are not profiled.
 func (e *Engine) SetProfiler(p Profiler) { e.prof = p }
-
-// ProfOpStart marks the start of a logical operation on this CPU for
-// the attached profiler. Clients call it where they stamp their issue
-// time. It is a no-op when no profiler is attached.
-func (c *CPU) ProfOpStart() {
-	if p := c.eng.prof; p != nil {
-		c.mustRun("ProfOpStart")
-		p.OpStart(c.clock, c.id)
-	}
-}
-
-// ProfOpEnd marks the completion of this CPU's in-flight logical
-// operation, adjacent to where the client records its latency. It is a
-// no-op when no profiler is attached.
-func (c *CPU) ProfOpEnd() {
-	if p := c.eng.prof; p != nil {
-		c.mustRun("ProfOpEnd")
-		p.OpEnd(c.clock, c.id)
-	}
-}

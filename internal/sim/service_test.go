@@ -168,20 +168,14 @@ func TestOpsOfPIMCores(t *testing.T) {
 	}
 }
 
-// cpuClient gives a Client the CPU() accessor every structure's client
-// type has.
-type cpuClient struct{ *Client }
-
-func (c cpuClient) CPU() *CPU { return c.Client.CPU }
-
 // TestStartAllOpsOfClients drives clients through the generic start and
 // snapshot helpers: the CPU op sum matches the clients' own counts.
 func TestStartAllOpsOfClients(t *testing.T) {
 	e := NewEngine(testConfig())
 	core := e.NewPIMCore(echoHandler(1))
-	var cls []cpuClient
+	var cls []*Client
 	for i := 0; i < 3; i++ {
-		cls = append(cls, cpuClient{NewClient(e, func(c *CPU, seq uint64) Message { return Message{To: core.ID()} })})
+		cls = append(cls, NewClient(e, func(c *CPU, seq uint64) Message { return Message{To: core.ID()} }))
 	}
 	completed, _ := Measure(e, StartAll(cls), OpsOfClients(cls), 0, 100*Microsecond)
 	var want uint64

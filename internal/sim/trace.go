@@ -16,8 +16,9 @@ type Tracer interface {
 	// MessageDelivered fires when the message lands in the receiver's
 	// buffer.
 	MessageDelivered(at Time, m Message)
-	// HandlerDone fires when a core finishes serving one message:
-	// busy is the virtual time the handler consumed.
+	// HandlerDone fires when a PIM core finishes serving one message:
+	// busy is the virtual time the handler consumed. CPU handler runs
+	// (client bookkeeping) are not reported.
 	HandlerDone(at Time, core CoreID, m Message, busy Time)
 }
 
