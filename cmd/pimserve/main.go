@@ -41,7 +41,6 @@ func main() {
 		queueDepth  = flag.Int("queue-depth", 1024, "per-shard publication queue capacity in (frame, shard) slots; also sizes each connection's max(2, n/16) frame records (backpressure bound)")
 		idleTimeout = flag.Duration("idle-timeout", 0, "close connections idle this long (0 = never)")
 		writeTO     = flag.Duration("write-timeout", 30*time.Second, "per-frame write deadline to slow clients")
-		seed        = flag.Int64("seed", 1, "skip-list tower seed")
 		opsAddr     = flag.String("ops-addr", "", "HTTP ops endpoint: Prometheus /metrics, /metrics.json, /metrics/history, /healthz, /buildinfo, /slow, /trace, /debug/pprof (empty = off)")
 		traceSample = flag.Float64("trace-sample", 0, "fraction of request frames to trace (0 = only client-requested)")
 		traceRing   = flag.Int("trace-ring", 256, "finished spans retained per shard for /trace")
@@ -71,7 +70,6 @@ func main() {
 		QueueDepth:    *queueDepth,
 		IdleTimeout:   *idleTimeout,
 		WriteTimeout:  *writeTO,
-		Seed:          *seed,
 		Reg:           reg,
 		TraceSample:   *traceSample,
 		TraceRing:     *traceRing,

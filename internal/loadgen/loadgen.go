@@ -32,6 +32,9 @@ const (
 	StructStack = "stack"
 )
 
+// dialTimeout bounds each connection attempt.
+const dialTimeout = 5 * time.Second
+
 // Config configures one load run.
 type Config struct {
 	// Addr is the pimserve TCP address.
@@ -64,8 +67,6 @@ type Config struct {
 	// ScanLimit is the per-scan result cap sent on the wire; 0 lets the
 	// server apply its maximum (wire.MaxScanLimit).
 	ScanLimit int
-	// DialTimeout bounds each connection attempt. Default 5s.
-	DialTimeout time.Duration
 	// TraceSample is the fraction of request frames ([0, 1]) sent with a
 	// trace context whose Sampled bit is set, forcing server-side span
 	// recording for those requests regardless of the server's own
@@ -98,9 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Mix == (harness.Mix{}) {
 		c.Mix = harness.Balanced()
-	}
-	if c.DialTimeout == 0 {
-		c.DialTimeout = 5 * time.Second
 	}
 	return c
 }
@@ -354,7 +352,7 @@ func Run(cfg Config) (*Result, error) {
 
 	conns := make([]net.Conn, cfg.Conns)
 	for i := range conns {
-		nc, err := net.DialTimeout("tcp", cfg.Addr, cfg.DialTimeout)
+		nc, err := net.DialTimeout("tcp", cfg.Addr, dialTimeout)
 		if err != nil {
 			for _, c := range conns[:i] {
 				c.Close()
@@ -636,7 +634,7 @@ func Preload(cfg Config) error {
 	if cfg.Structure != StructSet {
 		return nil
 	}
-	nc, err := net.DialTimeout("tcp", cfg.Addr, cfg.DialTimeout)
+	nc, err := net.DialTimeout("tcp", cfg.Addr, dialTimeout)
 	if err != nil {
 		return fmt.Errorf("loadgen: preload dial: %w", err)
 	}

@@ -42,7 +42,7 @@ func steadyBatch(n int) []wire.Op {
 // record New would have preallocated for it already gathered with ops.
 func pinRig(t *testing.T, structure string, durable bool, ops []wire.Op) (*Server, *pass) {
 	t.Helper()
-	be, err := newBackend(structure, 0, 1)
+	be, err := newBackend(structure, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,8 +87,13 @@ const (
 	StructStack = "stack"
 )
 
+// towerSeed seeds the skip-list tower generators: shard i draws from
+// towerSeed + i·0x9e3779b97f4a7c15. bench/replay.go builds its towers
+// from the same seed, so its layer replay sees the server's shapes.
+const towerSeed = 1
+
 // newBackend builds shard i of n for the named structure.
-func newBackend(structure string, shard int, seed int64) (backend, error) {
+func newBackend(structure string, shard int) (backend, error) {
 	switch structure {
 	case StructList:
 		return &listBackend{
@@ -99,7 +104,7 @@ func newBackend(structure string, shard int, seed int64) (backend, error) {
 		}, nil
 	case StructSkip:
 		return &skipBackend{
-			l:      seqskip.New(uint64(seed) + uint64(shard)*0x9e3779b97f4a7c15),
+			l:      seqskip.New(towerSeed + uint64(shard)*0x9e3779b97f4a7c15),
 			starts: make([]int, wire.MaxOpsPerFrame),
 			counts: make([]int, wire.MaxOpsPerFrame),
 		}, nil

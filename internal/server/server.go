@@ -75,9 +75,6 @@ type Config struct {
 	// Default 30s.
 	WriteTimeout time.Duration
 
-	// Seed perturbs the skip-list tower generators. Default 1.
-	Seed int64
-
 	// TraceSample is the fraction of request frames ([0, 1]) the server
 	// samples for span recording on its own initiative. Zero traces
 	// nothing locally, but clients can still force individual frames
@@ -144,9 +141,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WriteTimeout == 0 {
 		c.WriteTimeout = 30 * time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	if c.Fsync == "" {
 		c.Fsync = FsyncBatch
@@ -365,7 +359,7 @@ func New(cfg Config) (*Server, error) {
 		s.recovering.Store(true)
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		be, err := newBackend(cfg.Structure, i, cfg.Seed)
+		be, err := newBackend(cfg.Structure, i)
 		if err != nil {
 			return nil, err
 		}
