@@ -14,7 +14,7 @@
 // queue) reproduce the Section 5.2 comparison.
 //
 // A CPU client is a sim.Client, the simulator's one closed-loop
-// driver, which times, counts and profiles every operation (an empty
+// client, which times, counts and profiles every operation (an empty
 // dequeue included). The package supplies only the client's protocol:
 // its beliefs about the two segment owners, owner notifications and
 // acknowledgements, retries and discovery broadcasts.

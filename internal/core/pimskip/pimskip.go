@@ -8,7 +8,7 @@
 // CPU-notification/acknowledgement handshake.
 //
 // A CPU client is a sim.Client, the simulator's one closed-loop
-// driver, which times, counts and profiles every operation. The package
+// client, which times, counts and profiles every operation. The package
 // supplies only the client's protocol: routing by its directory copy,
 // resending rejected requests, and applying and acknowledging directory
 // updates.

@@ -16,7 +16,7 @@
 // so the PIM stack wins by r1·r3 and 2·r1/r2, exactly like the queue.
 //
 // A CPU client is a sim.Client, the simulator's one closed-loop
-// driver, which times, counts and profiles every operation (an empty
+// client, which times, counts and profiles every operation (an empty
 // pop included). The package supplies only the client's protocol: its
 // belief about the top owner, owner notifications, retries and
 // discovery broadcasts.

@@ -2,7 +2,7 @@ package sim
 
 import "pimds/internal/obs"
 
-// Client is the closed-loop workload driver on one CPU: it sends a
+// Client is the closed-loop workload generator on one CPU: it sends a
 // request, waits for the operation to complete and immediately issues
 // the next request — the paper's "a CPU makes a new operation request
 // immediately after its previous one completes". Every structure's
