@@ -19,7 +19,8 @@ type List struct {
 	seq       *seqlist.List
 	combining bool
 
-	ops []seqlist.Op // combiner scratch
+	ops     []seqlist.Op // combiner scratch
+	results []bool       // combiner scratch
 }
 
 // New returns an empty FC list. If combining is true the combiner
@@ -65,7 +66,7 @@ func (l *List) apply(batch []*flatcombining.Record) {
 		for _, rec := range batch {
 			l.ops = append(l.ops, rec.Op().(seqlist.Op))
 		}
-		results := l.seq.ApplyBatch(l.ops)
+		results := l.combine(l.ops)
 		for i, rec := range batch {
 			rec.Finish(results[i])
 		}
@@ -74,6 +75,18 @@ func (l *List) apply(batch []*flatcombining.Record) {
 	for _, rec := range batch {
 		rec.Finish(l.seq.Apply(rec.Op().(seqlist.Op)))
 	}
+}
+
+// combine serves ops in one traversal into the reused results
+// scratch, so a pass allocates nothing once the scratch has grown to
+// the largest batch.
+func (l *List) combine(ops []seqlist.Op) []bool {
+	if cap(l.results) < len(ops) {
+		l.results = make([]bool, len(ops))
+	}
+	results := l.results[:len(ops)]
+	l.seq.ApplyBatchInto(ops, results)
+	return results
 }
 
 // Len returns the number of keys at quiescence.

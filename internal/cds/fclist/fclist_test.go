@@ -1,9 +1,12 @@
 package fclist
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"pimds/internal/cds/cdstest"
+	"pimds/internal/cds/seqlist"
 )
 
 func TestSequentialSemanticsBothVariants(t *testing.T) {
@@ -50,5 +53,33 @@ func TestStatsCount(t *testing.T) {
 	}
 	if l.Len() != 100 {
 		t.Errorf("len = %d, want 100", l.Len())
+	}
+}
+
+// TestCombiningPassResultsUnchanged: a combining pass answers exactly
+// what seqlist.ApplyBatch answers for the same batch, over batches that
+// grow and shrink, so the reused results scratch never leaks a stale
+// answer from an earlier, larger pass.
+func TestCombiningPassResultsUnchanged(t *testing.T) {
+	l, ref := New(true), seqlist.New()
+	rng := rand.New(rand.NewSource(5))
+	for pass := 0; pass < 2000; pass++ {
+		ops := make([]seqlist.Op, 1+rng.Intn(48))
+		for i := range ops {
+			ops[i] = seqlist.Op{Kind: seqlist.OpKind(rng.Intn(3)), Key: rng.Int63n(256)}
+		}
+		want := ref.ApplyBatch(ops)
+		got := l.combine(ops)
+		if len(got) != len(want) {
+			t.Fatalf("pass %d: %d results for %d ops", pass, len(got), len(ops))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("pass %d: op %d %+v: got %v, want %v", pass, i, ops[i], got[i], want[i])
+			}
+		}
+	}
+	if !slices.Equal(l.Keys(), ref.Keys()) {
+		t.Error("contents diverged from seqlist")
 	}
 }

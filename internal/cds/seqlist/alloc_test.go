@@ -7,21 +7,11 @@ import (
 	"pimds/internal/testenv"
 )
 
-// TestApplyBatchIntoSteadyStateAllocs pins ApplyBatchInto's
-// //pimvet:allocfree annotation: once the sort scratch has grown to the
-// batch size and the free list holds recycled nodes, a size-stable
-// batch (every Remove paired with an Add) must not touch the heap.
-func TestApplyBatchIntoSteadyStateAllocs(t *testing.T) {
-	if testenv.RaceEnabled {
-		t.Skip("AllocsPerRun is not meaningful under the race detector")
-	}
-	l := seqlist.New()
-	for k := int64(0); k < 128; k += 2 {
-		l.AddKey(k)
-	}
-	// Same-key Remove→Add pairs keep their batch order through the
-	// stable sort, so every insertion reuses the node the removal just
-	// freed.
+// churnPairs returns same-key Remove→Add pairs over the even keys below
+// 128. The pairs keep their batch order through the stable sort, so
+// every insertion reuses the node its removal just freed; each one lands
+// before an existing node, so it counts towards the next re-layout.
+func churnPairs() []seqlist.Op {
 	var ops []seqlist.Op
 	for k := int64(0); k < 128; k += 2 {
 		ops = append(ops,
@@ -29,20 +19,85 @@ func TestApplyBatchIntoSteadyStateAllocs(t *testing.T) {
 			seqlist.Op{Kind: seqlist.Add, Key: k},
 		)
 	}
-	results := make([]bool, len(ops))
-	l.ApplyBatchInto(ops, results) // warm the sort scratch
-	avg := testing.AllocsPerRun(100, func() {
-		l.ApplyBatchInto(ops, results)
-	})
-	if avg != 0 {
-		t.Errorf("ApplyBatchInto steady state: %.1f allocs/op, want 0", avg)
+	return ops
+}
+
+// relayoutOnce applies batches until one re-layout has fired.
+func relayoutOnce(t *testing.T, l *seqlist.List, apply func(*seqlist.List)) {
+	t.Helper()
+	for start, n := seqlist.Relayouts(l), 0; seqlist.Relayouts(l) == start; n++ {
+		if n == 1000 {
+			t.Fatal("no re-layout within 1000 batches")
+		}
+		apply(l)
 	}
+}
+
+// pinZeroAllocs preloads the even keys below 128, warms the list, then
+// requires 0 allocs per measured run, where each run applies batches
+// until one re-layout has fired. AllocsPerRun truncates the average, so
+// a re-layout inside every run is what makes an allocating re-layout
+// show. Warm-up takes two re-layouts: the first batch grows the slab, a
+// later re-layout sizes the spare to it.
+func pinZeroAllocs(t *testing.T, name string, apply func(*seqlist.List)) {
+	t.Helper()
+	l := seqlist.New()
+	for k := int64(0); k < 128; k += 2 {
+		l.AddKey(k)
+	}
+	relayoutOnce(t, l, apply)
+	relayoutOnce(t, l, apply)
+	avg := testing.AllocsPerRun(20, func() { relayoutOnce(t, l, apply) })
+	if avg != 0 {
+		t.Errorf("%s steady state: %.1f allocs per re-layout cycle, want 0", name, avg)
+	}
+	if got := l.Len(); got != 64 {
+		t.Fatalf("%s: list length %d after steady-state batches, want 64", name, got)
+	}
+}
+
+// TestApplyBatchIntoSteadyStateAllocs pins ApplyBatchInto's
+// //pimvet:allocfree annotation: once the sort scratch has grown to the
+// batch size and the slab and its spare to the list, a size-stable
+// batch (every Remove paired with an Add) must not touch the heap, also
+// on the passes that re-lay the list out.
+func TestApplyBatchIntoSteadyStateAllocs(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("AllocsPerRun is not meaningful under the race detector")
+	}
+	ops := churnPairs()
+	results := make([]bool, len(ops))
+	pinZeroAllocs(t, "ApplyBatchInto", func(l *seqlist.List) { l.ApplyBatchInto(ops, results) })
 	for i, ok := range results {
 		if !ok {
 			t.Fatalf("op %d (%+v) unexpectedly failed", i, ops[i])
 		}
 	}
-	if got := l.Len(); got != 64 {
-		t.Fatalf("list length %d after steady-state batches, want 64", got)
+}
+
+// TestApplyOrderedBatchIntoSteadyStateAllocs is the same pin for the
+// ordered path: the churn pairs plus both pops (each re-added in the
+// same batch), neighbour queries and a capped scan, against a scan
+// arena that has reached its high-water mark.
+func TestApplyOrderedBatchIntoSteadyStateAllocs(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("AllocsPerRun is not meaningful under the race detector")
+	}
+	ops := append(churnPairs(),
+		seqlist.Op{Kind: seqlist.PopMin},
+		seqlist.Op{Kind: seqlist.PopMax},
+		seqlist.Op{Kind: seqlist.Add, Key: 0},
+		seqlist.Op{Kind: seqlist.Add, Key: 126},
+		seqlist.Op{Kind: seqlist.Pred, Key: 51},
+		seqlist.Op{Kind: seqlist.Succ, Key: 52},
+		seqlist.Op{Kind: seqlist.RangeScan, Key: 10, Hi: 90, Limit: 16},
+	)
+	res := make([]seqlist.OpResult, len(ops))
+	arena := make([]int64, 0, 64)
+	pinZeroAllocs(t, "ApplyOrderedBatchInto", func(l *seqlist.List) {
+		arena = l.ApplyOrderedBatchInto(ops, res, arena[:0])
+	})
+	if r := res[len(ops)-1]; r.N != 16 || r.Value != 42 {
+		t.Fatalf("scan returned %d keys, cursor %d; want 16 keys, cursor 42", r.N, r.Value)
 	}
 }

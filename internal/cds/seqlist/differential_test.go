@@ -1,0 +1,300 @@
+package seqlist
+
+import (
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+)
+
+// oracle is the list as a sorted slice. It answers every entry point
+// and counts the node visits List's walks make: p is the position of
+// the walk's predecessor, -1 for the sentinel.
+type oracle struct {
+	keys  []int64
+	steps uint64
+}
+
+func (o *oracle) find(p int, k int64) int {
+	for p+1 < len(o.keys) && o.keys[p+1] < k {
+		p++
+		o.steps++
+	}
+	if p+1 < len(o.keys) {
+		o.steps++
+	}
+	return p
+}
+
+func (o *oracle) at(p int, k int64) bool { return p+1 < len(o.keys) && o.keys[p+1] == k }
+
+// point applies one Contains/Add/Remove with the walk's predecessor at p.
+func (o *oracle) point(p int, op Op) bool {
+	switch op.Kind {
+	case Contains:
+		return o.at(p, op.Key)
+	case Add:
+		if o.at(p, op.Key) {
+			return false
+		}
+		o.keys = slices.Insert(o.keys, p+1, op.Key)
+		return true
+	case Remove:
+		if !o.at(p, op.Key) {
+			return false
+		}
+		o.keys = slices.Delete(o.keys, p+1, p+2)
+		return true
+	}
+	return false
+}
+
+func (o *oracle) popMin() (int64, bool) {
+	if len(o.keys) == 0 {
+		return 0, false
+	}
+	o.steps++
+	k := o.keys[0]
+	o.keys = o.keys[1:]
+	return k, true
+}
+
+func (o *oracle) popMax() (int64, bool) {
+	n := len(o.keys)
+	if n == 0 {
+		return 0, false
+	}
+	o.steps += uint64(n)
+	k := o.keys[n-1]
+	o.keys = o.keys[:n-1]
+	return k, true
+}
+
+// sweep returns the indexes of ops in ascending key order, ties in
+// batch order.
+func sweep(ops []Op, keep func(Op) bool) []int {
+	var idx []int
+	for i, op := range ops {
+		if keep(op) {
+			idx = append(idx, i)
+		}
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return ops[idx[a]].Key < ops[idx[b]].Key })
+	return idx
+}
+
+func (o *oracle) batch(ops []Op) []bool {
+	res := make([]bool, len(ops))
+	p := -1
+	for _, i := range sweep(ops, func(Op) bool { return true }) {
+		p = o.find(p, ops[i].Key)
+		res[i] = o.point(p, ops[i])
+	}
+	return res
+}
+
+func (o *oracle) ordered(ops []Op) ([]OpResult, [][]int64) {
+	res := make([]OpResult, len(ops))
+	scans := make([][]int64, len(ops))
+	for i, op := range ops {
+		switch op.Kind {
+		case PopMin:
+			v, ok := o.popMin()
+			res[i] = OpResult{OK: ok, Value: v}
+		case PopMax:
+			v, ok := o.popMax()
+			res[i] = OpResult{OK: ok, Value: v}
+		}
+	}
+	p := -1
+	for _, i := range sweep(ops, func(op Op) bool { return op.Kind != PopMin && op.Kind != PopMax }) {
+		op := ops[i]
+		p = o.find(p, op.Key)
+		switch op.Kind {
+		case Pred:
+			if p >= 0 {
+				res[i] = OpResult{OK: true, Value: o.keys[p]}
+			}
+		case Succ:
+			n := p + 1
+			if o.at(p, op.Key) {
+				n++
+				o.steps++
+			}
+			if n < len(o.keys) {
+				res[i] = OpResult{OK: true, Value: o.keys[n]}
+			}
+		case RangeScan:
+			cursor := op.Hi
+			for j := p + 1; j < len(o.keys) && o.keys[j] < op.Hi; j++ {
+				if op.Limit > 0 && len(scans[i]) == op.Limit {
+					cursor = o.keys[j]
+					break
+				}
+				scans[i] = append(scans[i], o.keys[j])
+				o.steps++
+			}
+			res[i] = OpResult{OK: true, Value: cursor, N: len(scans[i]), Scan: true}
+		default:
+			res[i] = OpResult{OK: o.point(p, op)}
+		}
+	}
+	return res, scans
+}
+
+// checkLayout asserts what a re-layout promises: the sentinel and then
+// every key in ascending order sit at consecutive slab addresses.
+func checkLayout(t *testing.T, l *List, step int) {
+	t.Helper()
+	i := 0
+	for n := l.head; n != nil; n = n.next {
+		if n != &l.slab[i] {
+			t.Fatalf("step %d: after a re-layout, list node %d is not slab node %d", step, i, i)
+		}
+		i++
+	}
+}
+
+// TestDifferentialAgainstSortedSlice drives a long seeded history
+// through every entry point while the list grows, shrinks and churns
+// across many re-layouts. Every result, the contents, the length and
+// the step count must match the sorted-slice oracle after every call;
+// after every re-layout the nodes must be laid out in key order.
+func TestDifferentialAgainstSortedSlice(t *testing.T) {
+	const (
+		keySpace = 4096
+		steps    = 30000
+	)
+	rng := rand.New(rand.NewSource(7))
+	l, o := New(), &oracle{}
+	key := func() int64 { return rng.Int63n(keySpace) }
+	// addPct drifts between phases so the list grows past several slab
+	// sizes, shrinks, and churns at each size.
+	addPct := 0
+	relayouts, checked, grows := 0, 0, 0
+	var arena []int64
+	for step := 0; step < steps; step++ {
+		if step%2000 == 0 {
+			addPct = []int{70, 50, 20, 60, 35, 80, 10, 50}[step/2000%8]
+		}
+		// Add addPct %, Remove the rest of 80 %, Contains 20 %.
+		pointKind := func() OpKind {
+			switch r := rng.Intn(100); {
+			case r < addPct:
+				return Add
+			case r < 80:
+				return Remove
+			}
+			return Contains
+		}
+		slabLen := len(l.slab)
+		switch r := rng.Intn(100); {
+		case r < 40: // point batch
+			ops := make([]Op, 1+rng.Intn(80))
+			for i := range ops {
+				ops[i] = Op{Kind: pointKind(), Key: key()}
+			}
+			want := o.batch(ops)
+			var got []bool
+			if r < 35 {
+				got = make([]bool, len(ops))
+				l.ApplyBatchInto(ops, got)
+			} else {
+				got = l.ApplyBatch(ops)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("step %d: batch %v: got %v, want %v", step, ops, got, want)
+			}
+		case r < 70: // ordered batch
+			ops := make([]Op, 1+rng.Intn(40))
+			for i := range ops {
+				op := Op{Kind: pointKind(), Key: key()}
+				switch rng.Intn(10) {
+				case 0:
+					op.Kind = Pred
+				case 1:
+					op.Kind = Succ
+				case 2:
+					op.Kind, op.Hi, op.Limit = RangeScan, op.Key+rng.Int63n(300)-20, rng.Intn(12)
+				case 3:
+					op.Kind = []OpKind{PopMin, PopMax}[rng.Intn(2)]
+				}
+				ops[i] = op
+			}
+			want, scans := o.ordered(ops)
+			got := make([]OpResult, len(ops))
+			arena = l.ApplyOrderedBatchInto(ops, got, arena[:0])
+			for i := range ops {
+				g, w := got[i], want[i]
+				if g.OK != w.OK || g.Value != w.Value || g.Scan != w.Scan || g.N != w.N {
+					t.Fatalf("step %d: ordered op %d %+v: got %+v, want %+v", step, i, ops[i], g, w)
+				}
+				if g.Scan && !slices.Equal(arena[g.Start:g.Start+g.N], scans[i]) {
+					t.Fatalf("step %d: scan %+v: got %v, want %v", step, ops[i], arena[g.Start:g.Start+g.N], scans[i])
+				}
+			}
+		case r < 94: // single-key calls
+			op := Op{Kind: pointKind(), Key: key()}
+			want := o.point(o.find(-1, op.Key), op)
+			var got bool
+			switch rng.Intn(2) {
+			case 0:
+				got = l.Apply(op)
+			default:
+				switch op.Kind {
+				case Contains:
+					got = l.ContainsKey(op.Key)
+				case Add:
+					got = l.AddKey(op.Key)
+				case Remove:
+					got = l.RemoveKey(op.Key)
+				}
+			}
+			if got != want {
+				t.Fatalf("step %d: %+v: got %v, want %v", step, op, got, want)
+			}
+		case r < 99: // pops
+			var gk, wk int64
+			var gok, wok bool
+			if rng.Intn(2) == 0 {
+				gk, gok = l.PopMinKey()
+				wk, wok = o.popMin()
+			} else {
+				gk, gok = l.PopMaxKey()
+				wk, wok = o.popMax()
+			}
+			if gk != wk || gok != wok {
+				t.Fatalf("step %d: pop: got (%d, %v), want (%d, %v)", step, gk, gok, wk, wok)
+			}
+		default:
+			l.ResetSteps()
+			o.steps = 0
+		}
+
+		if l.Steps() != o.steps {
+			t.Fatalf("step %d: Steps() = %d, oracle visited %d nodes", step, l.Steps(), o.steps)
+		}
+		if l.Len() != len(o.keys) {
+			t.Fatalf("step %d: Len() = %d, want %d", step, l.Len(), len(o.keys))
+		}
+		if !slices.Equal(l.Keys(), o.keys) {
+			t.Fatalf("step %d: Keys() diverged from the oracle", step)
+		}
+		if l.relayouts != relayouts {
+			relayouts = l.relayouts
+			// A growth re-layout runs before the call's walk, which
+			// may then insert anywhere; a re-layout that kept the
+			// slab size ran after it, so nothing has moved since.
+			if len(l.slab) == slabLen {
+				checkLayout(t, l, step)
+				checked++
+			} else {
+				grows++
+			}
+		}
+	}
+	if checked < 100 || grows < 5 {
+		t.Errorf("history crossed %d checked re-layouts and %d slab growths, want ≥ 100 and ≥ 5", checked, grows)
+	}
+	t.Logf("%d steps, %d re-layouts checked, %d slab growths, final length %d", steps, checked, grows, l.Len())
+}

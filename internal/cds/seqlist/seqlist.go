@@ -3,6 +3,15 @@
 // in the simulator, a PIM core) manipulates on behalf of all threads,
 // and it supports the paper's combining optimization: applying a whole
 // batch of operations in a single traversal (Section 4.1).
+//
+// The paper prices that traversal at L per node. On a real host L is a
+// property of the memory layout: a walk over nodes scattered by churn
+// is a chain of cache misses, a walk over nodes at ascending addresses
+// streams. So the nodes live in a slab, not one heap object each, and
+// the list is re-laid out in key order once enough inserts have landed
+// out of place and the walks since the last re-layout have paid for
+// the copy (see List). Steps counts logical node visits only, so the
+// simulator, which charges vault reads by Steps, sees no difference.
 package seqlist
 
 // OpKind is the kind of a set operation.
@@ -80,20 +89,56 @@ type node struct {
 	next *node
 }
 
+// Re-layout rule. A re-layout copies every node once, so it waits until
+// more than Len()/relayoutDisorder inserts have landed away from the
+// tail since the last one, and until the walks since then have visited
+// at least relayoutPaid·Len() nodes: the copy costs at most 1/16 of the
+// traversal work it speeds up, and an in-order load (tail appends only)
+// never triggers one.
+const (
+	relayoutDisorder = 64
+	relayoutPaid     = 16
+)
+
+// minSlab is a new list's slab length, sentinel included.
+const minSlab = 16
+
 // List is a sorted singly-linked list with a dummy head sentinel. The
 // zero value is not ready to use; call New.
+//
+// Nodes live in slab: slab[0] is the sentinel, slab[1:used] are live or
+// on the free list, slab[used:] were never handed out. Links stay
+// pointers (an index link puts the index arithmetic on the load chain),
+// so the slab cannot grow by append; it grows by re-laying the list out
+// into a slab twice the size it needs. A re-layout walks the list once,
+// writes its keys in order into spare, relinks them at consecutive
+// addresses and swaps the two slabs, so the next traversal reads memory
+// in ascending address order. The spare doubles the node memory
+// (2 × 16 B per slab node).
 //
 // The list recycles removed nodes through a free list and keeps batch
 // scratch inside itself, so in steady state (removals feeding later
 // insertions, batch sizes stabilized) ApplyBatchInto runs without
-// heap allocation — a List is owned by one combiner, which must not
-// stall on GC while every published op on its shard waits.
+// heap allocation, re-layouts included — a List is owned by one
+// combiner, which must not stall on GC while every published op on its
+// shard waits.
 type List struct {
-	head *node // dummy sentinel, key irrelevant
+	head *node // dummy sentinel, &slab[0]; key irrelevant
 	size int
+
+	slab, spare []node
+	used        int // slab[:used] have been handed out
 
 	// free chains removed nodes for reuse by the next insertion.
 	free *node
+
+	// disorder counts inserts that did not append at the tail since
+	// the last re-layout; mark is visits() at that re-layout.
+	disorder int
+	mark     uint64
+
+	// relayouts counts re-layouts (tests).
+	relayouts int
 
 	// idx/tmp are ApplyBatchInto's sort scratch, grown to the largest
 	// batch seen.
@@ -101,13 +146,15 @@ type List struct {
 
 	// steps counts node visits (pointer dereferences past the
 	// sentinel) so tests and the simulator can charge traversal
-	// costs; reset with ResetSteps.
-	steps uint64
+	// costs; reset with ResetSteps, which folds it into reset.
+	steps, reset uint64
 }
 
 // New returns an empty list.
 func New() *List {
-	return &List{head: &node{}}
+	l := &List{slab: make([]node, minSlab), used: 1}
+	l.head = &l.slab[0]
+	return l
 }
 
 // Len returns the number of keys in the list.
@@ -117,17 +164,73 @@ func (l *List) Len() int { return l.size }
 func (l *List) Steps() uint64 { return l.steps }
 
 // ResetSteps zeroes the visit counter.
-func (l *List) ResetSteps() { l.steps = 0 }
+func (l *List) ResetSteps() {
+	l.reset += l.steps
+	l.steps = 0
+}
 
-// newNode takes a node from the free list, or allocates when the list
-// has never shrunk below its current size.
-func (l *List) newNode(key int64, next *node) *node {
-	if n := l.free; n != nil {
-		l.free = n.next
-		n.key, n.next = key, next
-		return n
+// visits returns the node visits over the list's lifetime.
+func (l *List) visits() uint64 { return l.reset + l.steps }
+
+// reserve runs before every walk that may insert up to adds keys. When
+// the free list and the slab's unused tail cannot hold them, it grows
+// the slab by re-laying the list out into one twice the size needed.
+// No node pointer may be held across it.
+func (l *List) reserve(adds int) {
+	if len(l.slab)-1-l.size < adds {
+		l.relayout(2 * (1 + l.size + adds))
 	}
-	return &node{key: key, next: next} //pimvet:allow allocfree: only net growth allocates; removed nodes are recycled through the free list
+}
+
+// settle runs after every mutating walk and re-lays the list out once
+// the rule above says the copy has been paid for.
+func (l *List) settle() {
+	if l.disorder > l.size/relayoutDisorder &&
+		l.visits()-l.mark >= relayoutPaid*uint64(l.size) {
+		l.relayout(len(l.slab))
+	}
+}
+
+// relayout copies the list in key order into a slab of n ≥ Len()+1
+// nodes (the spare, grown if it is smaller) and makes it the live one.
+// The free list empties: every node past the last key is unused.
+func (l *List) relayout(n int) {
+	if len(l.spare) < n {
+		l.spare = make([]node, n) //pimvet:allow allocfree: geometric slab growth; steady state reuses the spare
+	}
+	dst := l.spare
+	i := 0
+	for cur := l.head.next; cur != nil; cur = cur.next {
+		i++
+		dst[i].key = cur.key
+		dst[i-1].next = &dst[i]
+	}
+	dst[i].next = nil
+	l.slab, l.spare = dst, l.slab
+	l.head = &dst[0]
+	l.used = i + 1
+	l.free = nil
+	l.disorder = 0
+	l.mark = l.visits()
+	l.relayouts++
+}
+
+// newNode takes a node from the free list, or the slab's unused tail;
+// reserve has made room. An insert before an existing node counts as
+// disorder.
+func (l *List) newNode(key int64, next *node) *node {
+	n := l.free
+	if n != nil {
+		l.free = n.next
+	} else {
+		n = &l.slab[l.used]
+		l.used++
+	}
+	n.key, n.next = key, next
+	if next != nil {
+		l.disorder++
+	}
+	return n
 }
 
 // freeNode recycles a node just unlinked from the list.
@@ -158,12 +261,14 @@ func (l *List) ContainsKey(k int64) bool {
 
 // AddKey inserts k and reports whether it was absent.
 func (l *List) AddKey(k int64) bool {
+	l.reserve(1)
 	pred := l.find(l.head, k)
 	if pred.next != nil && pred.next.key == k {
 		return false
 	}
 	pred.next = l.newNode(k, pred.next)
 	l.size++
+	l.settle()
 	return true
 }
 
@@ -177,6 +282,7 @@ func (l *List) RemoveKey(k int64) bool {
 	pred.next = gone.next
 	l.freeNode(gone)
 	l.size--
+	l.settle()
 	return true
 }
 
@@ -211,9 +317,10 @@ func (l *List) ApplyBatch(ops []Op) []bool {
 
 // ApplyBatchInto is ApplyBatch writing into a caller-provided results
 // slice (len(results) must equal len(ops)): the allocation-free form a
-// combiner calls every pass. Sort scratch and freed nodes are recycled
-// inside the List, so a batch no larger than any before it, against a
-// list no larger than its high-water mark, allocates nothing.
+// combiner calls every pass. Sort scratch, freed nodes and the spare
+// slab are recycled inside the List, so a batch no larger than any
+// before it, against a list no larger than its high-water mark,
+// allocates nothing.
 //
 //pimvet:allocfree
 func (l *List) ApplyBatchInto(ops []Op, results []bool) {
@@ -230,6 +337,7 @@ func (l *List) ApplyBatchInto(ops []Op, results []bool) {
 	}
 	stableSortByKey(ops, idx, l.tmp[:len(ops)])
 
+	l.reserve(len(ops))
 	pred := l.head
 	for _, i := range idx {
 		op := ops[i]
@@ -257,10 +365,24 @@ func (l *List) ApplyBatchInto(ops []Op, results []bool) {
 			}
 		}
 	}
+	l.settle()
 }
 
 // PopMinKey removes and returns the smallest key (ok=false on empty).
 func (l *List) PopMinKey() (int64, bool) {
+	k, ok := l.popMin()
+	l.settle()
+	return k, ok
+}
+
+// PopMaxKey removes and returns the largest key (ok=false on empty).
+func (l *List) PopMaxKey() (int64, bool) {
+	k, ok := l.popMax()
+	l.settle()
+	return k, ok
+}
+
+func (l *List) popMin() (int64, bool) {
 	n := l.head.next
 	if n == nil {
 		return 0, false
@@ -273,8 +395,7 @@ func (l *List) PopMinKey() (int64, bool) {
 	return k, true
 }
 
-// PopMaxKey removes and returns the largest key (ok=false on empty).
-func (l *List) PopMaxKey() (int64, bool) {
+func (l *List) popMax() (int64, bool) {
 	if l.head.next == nil {
 		return 0, false
 	}
@@ -318,16 +439,17 @@ func (l *List) ApplyOrderedBatchInto(ops []Op, res []OpResult, arena []int64) []
 	for i := range ops {
 		switch ops[i].Kind {
 		case PopMin:
-			v, ok := l.PopMinKey()
+			v, ok := l.popMin()
 			res[i] = OpResult{OK: ok, Value: v}
 		case PopMax:
-			v, ok := l.PopMaxKey()
+			v, ok := l.popMax()
 			res[i] = OpResult{OK: ok, Value: v}
 		default:
 			keyed++
 		}
 	}
 	if keyed == 0 {
+		l.settle()
 		return arena
 	}
 	if cap(l.idx) < len(ops) {
@@ -344,6 +466,7 @@ func (l *List) ApplyOrderedBatchInto(ops []Op, res []OpResult, arena []int64) []
 	}
 	stableSortByKey(ops, idx, l.tmp[:keyed])
 
+	l.reserve(keyed)
 	pred := l.head
 	for _, i := range idx {
 		op := ops[i]
@@ -402,6 +525,7 @@ func (l *List) ApplyOrderedBatchInto(ops []Op, res []OpResult, arena []int64) []
 			res[i] = OpResult{OK: true, Value: cursor, Start: start, N: count, Scan: true}
 		}
 	}
+	l.settle()
 	return arena
 }
 

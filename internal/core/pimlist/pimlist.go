@@ -45,8 +45,9 @@ type List struct {
 
 	batchSize *obs.Histogram // combined-batch sizes (nil = disabled)
 
-	ops  []seqlist.Op  // scratch
-	msgs []sim.Message // scratch
+	ops     []seqlist.Op  // scratch
+	results []bool        // scratch
+	msgs    []sim.Message // scratch
 }
 
 // New creates a PIM-managed list on a fresh PIM core of e. If combining
@@ -120,11 +121,14 @@ func (l *List) handle(c *sim.PIMCore, m sim.Message) {
 	}
 
 	l.seq.ResetSteps()
-	var results []bool
+	if cap(l.results) < len(l.ops) {
+		l.results = make([]bool, len(l.ops))
+	}
+	results := l.results[:len(l.ops)]
 	if l.combining {
-		results = l.seq.ApplyBatch(l.ops)
+		l.seq.ApplyBatchInto(l.ops, results)
 	} else {
-		results = []bool{l.seq.Apply(l.ops[0])}
+		results[0] = l.seq.Apply(l.ops[0])
 	}
 
 	// Charge the traversal: every node visit is one vault read.

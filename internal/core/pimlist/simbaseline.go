@@ -72,13 +72,14 @@ type SimFCList struct {
 	combining bool
 	batch     int
 
-	ops []seqlist.Op
+	ops     []seqlist.Op
+	results []bool
 }
 
 // NewSimFCList creates the baseline. p is the number of client threads
 // (hence the batch size); next produces the combined operation stream.
 func NewSimFCList(e *sim.Engine, p int, combining bool, next func(seq uint64) seqlist.Op) *SimFCList {
-	s := &SimFCList{seq: seqlist.New(), combining: combining, batch: p}
+	s := &SimFCList{seq: seqlist.New(), combining: combining, batch: p, results: make([]bool, p)}
 	var seq uint64
 	s.combiner = e.NewCPU(nil)
 	sim.Loop(s.combiner, func(c *sim.CPU) {
@@ -88,13 +89,12 @@ func NewSimFCList(e *sim.Engine, p int, combining bool, next func(seq uint64) se
 			seq++
 		}
 		s.seq.ResetSteps()
-		var results []bool
+		results := s.results
 		if s.combining {
-			results = s.seq.ApplyBatch(s.ops)
+			s.seq.ApplyBatchInto(s.ops, results)
 		} else {
-			results = results[:0]
-			for _, op := range s.ops {
-				results = append(results, s.seq.Apply(op))
+			for i, op := range s.ops {
+				results[i] = s.seq.Apply(op)
 			}
 		}
 		c.MemReadN(int(s.seq.Steps()))
