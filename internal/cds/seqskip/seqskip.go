@@ -2,6 +2,18 @@
 // keys. It is the per-partition structure used by the flat-combining
 // skip-list (Section 4.2) and the reference implementation whose
 // traversal lengths calibrate β in the analytical model.
+//
+// The paper prices an operation at β = Θ(log N) node visits. On a real
+// host the cost of a visit is a property of the memory layout: a
+// descent over nodes and towers scattered by churn is a chain of
+// dependent cache misses, one over nodes at ascending addresses
+// streams. So the nodes live in a slab and their towers in a link
+// slab, both grown in fixed chunks, and the list is re-laid out in key
+// order once enough inserts have landed out of place and the reads
+// since the last re-layout have paid for the copy (see List). A
+// re-layout keeps every tower height and charges no steps, so shapes,
+// Steps and the simulator, which charges vault reads by Steps, see no
+// difference.
 package seqskip
 
 import "sort"
@@ -27,18 +39,83 @@ type Op struct {
 	Key  int64
 }
 
+// node is a key and its tower; next is carved from a link slab, and
+// len(next) is the tower height.
 type node struct {
 	key  int64
 	next []*node
 }
 
+// Re-layout rule. A re-layout copies every node once, so it waits until
+// more than Len()/relayoutDisorder inserts have landed before an
+// existing node since the last one, and until the reads since then
+// (contains, scan, pred, succ) have visited at least relayoutPaid·Len()
+// nodes: the copy costs at most 1/16 of the read work it speeds up.
+// Only reads pay, because an insert-only phase (a preload, a restore)
+// gains nothing from a layout it is about to disorder again.
+//
+// Growth rule. The slabs grow by fixed chunks, so no node moves when
+// the list grows. Removed nodes wait on per-height free lists, where a
+// freed tall tower cannot host a short one; when a chunk would be
+// grown while the free lists strand more than Len()/strandLimit nodes,
+// the list is compacted by a re-layout instead.
+const (
+	relayoutDisorder = 64
+	relayoutPaid     = 16
+	strandLimit      = 8
+
+	nodeChunk = 128 // 4 KiB of 32-byte nodes
+	linkChunk = 512 // 4 KiB of links
+)
+
 // List is a sequential skip-list with a -∞ head sentinel. Create one
 // with New.
+//
+// Nodes live in slab and in the node chunks grown since the last
+// re-layout; towers are carved likewise from links and link chunks.
+// Links stay pointers (an index link puts the index arithmetic on the
+// load chain). A re-layout walks the bottom level once, writes each
+// key and its tower height in order into spare and linkSpare, relinks
+// every level through a frontier of the last node copied per level,
+// and swaps the slabs, so the next descent and every scan read memory
+// in ascending address order. The spares are sized to the node and
+// link capacity the list has reached, which doubles its node memory.
+//
+// Removed nodes are recycled through the free lists and a re-layout
+// reuses the spare, so once the slabs have grown to the list's
+// high-water mark no operation allocates, re-layouts included — a List
+// is owned by one combiner, which must not stall on GC while every
+// published op on its shard waits.
 type List struct {
-	head   *node
-	height int // current tallest tower
+	head   *node // sentinel with a MaxHeight tower; never moves
+	height int   // current tallest tower
 	size   int
 	rng    uint64
+
+	slab, spare      []node
+	links, linkSpare []*node
+	// nodeTail and linkTail are the unused ends of the newest region
+	// (the slab, or the last chunk); chunkNodes and chunkLinks count
+	// the chunk capacity grown since the last re-layout.
+	nodeTail               []node
+	linkTail               []*node
+	chunkNodes, chunkLinks int
+
+	// free[h-1] chains removed nodes with h-link towers through
+	// next[0]; nfree counts them all.
+	free  [MaxHeight]*node
+	nfree int
+
+	// disorder counts inserts before an existing node since the last
+	// re-layout; reads counts the nodes reads have visited over the
+	// list's lifetime, and mark is its value at the last re-layout.
+	disorder    int
+	reads, mark uint64
+
+	// relayouts and compactions count re-layouts, all and those forced
+	// by the growth rule (tests); pinned turns re-layouts off (tests).
+	relayouts, compactions int
+	pinned                 bool
 
 	steps uint64 // node visits, for cost accounting
 }
@@ -64,6 +141,10 @@ func (l *List) Steps() uint64 { return l.steps }
 // ResetSteps zeroes the visit counter.
 func (l *List) ResetSteps() { l.steps = 0 }
 
+// read charges the visits made since the step count was from to the
+// reads that pay for re-layouts.
+func (l *List) read(from uint64) { l.reads += l.steps - from }
+
 // randLevel draws a tower height with geometric(1/2) distribution via
 // xorshift64.
 func (l *List) randLevel() int {
@@ -75,6 +156,92 @@ func (l *List) randLevel() int {
 		h++
 	}
 	return h
+}
+
+// alloc returns a node with an h-link tower, from the free list of
+// its height or carved from the tails, growing a chunk when a tail is
+// spent. moved reports that the growth rule compacted the list first:
+// every node has moved, so no node pointer held across alloc is valid.
+func (l *List) alloc(h int) (n *node, moved bool) {
+	if n = l.free[h-1]; n != nil {
+		l.free[h-1] = n.next[0]
+		l.nfree--
+		return n, false
+	}
+	if len(l.nodeTail) == 0 || len(l.linkTail) < h {
+		if !l.pinned && l.nfree > l.size/strandLimit {
+			l.compactions++
+			l.relayout()
+			moved = true
+		}
+		if len(l.nodeTail) == 0 {
+			l.nodeTail = make([]node, nodeChunk) //pimvet:allow allocfree: fixed 4 KiB chunk, grown only when no free node fits; steady state recycles
+			l.chunkNodes += nodeChunk
+		}
+		if len(l.linkTail) < h {
+			l.linkTail = make([]*node, linkChunk) //pimvet:allow allocfree: fixed 4 KiB chunk, grown only when no free tower fits; steady state recycles
+			l.chunkLinks += linkChunk
+		}
+	}
+	n = &l.nodeTail[0]
+	l.nodeTail = l.nodeTail[1:]
+	n.next = l.linkTail[:h:h]
+	l.linkTail = l.linkTail[h:]
+	return n, moved
+}
+
+// settle runs after every mutating call and re-lays the list out once
+// the rule above says the copy has been paid for.
+func (l *List) settle() {
+	if !l.pinned && l.disorder > l.size/relayoutDisorder &&
+		l.reads-l.mark >= relayoutPaid*uint64(l.size) {
+		l.relayout()
+	}
+}
+
+// relayout copies the list in key order into the spare slabs, grown to
+// the capacity the list has reached if they are smaller, and makes
+// them the live ones. Every tower keeps its height. The free lists
+// empty: every node past the last key is unused.
+func (l *List) relayout() {
+	if n := len(l.slab) + l.chunkNodes; len(l.spare) < n {
+		l.spare = make([]node, n) //pimvet:allow allocfree: spare grows to the node capacity reached; steady state reuses it
+	}
+	if n := len(l.links) + l.chunkLinks; len(l.linkSpare) < n {
+		l.linkSpare = make([]*node, n) //pimvet:allow allocfree: spare grows to the link capacity reached; steady state reuses it
+	}
+	dst, links := l.spare, l.linkSpare
+	var last [MaxHeight]*node
+	for lvl := 0; lvl < l.height; lvl++ {
+		last[lvl] = l.head
+	}
+	i, j := 0, 0
+	for x := l.head.next[0]; x != nil; x = x.next[0] {
+		h := len(x.next)
+		n := &dst[i]
+		n.key, n.next = x.key, links[j:j+h:j+h]
+		for lvl := 0; lvl < h; lvl++ {
+			last[lvl].next[lvl] = n
+			last[lvl] = n
+		}
+		i++
+		j += h
+	}
+	for lvl := 0; lvl < l.height; lvl++ {
+		last[lvl].next[lvl] = nil
+	}
+	// Clear the unused ends so they keep no old node reachable.
+	clear(dst[i:])
+	clear(links[j:])
+	l.slab, l.spare = dst, l.slab
+	l.links, l.linkSpare = links, l.links
+	l.nodeTail, l.linkTail = dst[i:], links[j:]
+	l.chunkNodes, l.chunkLinks = 0, 0
+	l.free = [MaxHeight]*node{}
+	l.nfree = 0
+	l.disorder = 0
+	l.mark = l.reads
+	l.relayouts++
 }
 
 // findPreds fills preds with the rightmost node before k on every
@@ -97,10 +264,58 @@ func (l *List) findPreds(k int64, preds *[MaxHeight]*node) *node {
 	return nil
 }
 
+// insert links a new node for the absent key k after preds, the
+// frontier a walk to k left. If making room compacted the list, it
+// walks to k again, uncharged, so that preds point into the new
+// layout.
+func (l *List) insert(k int64, preds *[MaxHeight]*node) {
+	h := l.randLevel()
+	n, moved := l.alloc(h)
+	if moved {
+		s := l.steps
+		l.findPreds(k, preds)
+		l.steps = s
+	}
+	for l.height < h {
+		preds[l.height] = l.head
+		l.height++
+	}
+	n.key = k
+	for i := 0; i < h; i++ {
+		n.next[i] = preds[i].next[i]
+		preds[i].next[i] = n
+	}
+	if n.next[0] != nil {
+		l.disorder++
+	}
+	l.size++
+}
+
+// unlink removes c, whose predecessor on every level of its tower is
+// preds[level], and puts it on the free list of its height.
+func (l *List) unlink(c *node, preds *[MaxHeight]*node) {
+	h := len(c.next)
+	for i := 0; i < h; i++ {
+		if preds[i].next[i] == c {
+			preds[i].next[i] = c.next[i]
+		}
+	}
+	for l.height > 1 && l.head.next[l.height-1] == nil {
+		l.height--
+	}
+	c.next[0] = l.free[h-1]
+	l.free[h-1] = c
+	l.nfree++
+	l.size--
+}
+
 // ContainsKey reports whether k is in the list.
 func (l *List) ContainsKey(k int64) bool {
+	s := l.steps
 	var preds [MaxHeight]*node
-	return l.findPreds(k, &preds) != nil
+	found := l.findPreds(k, &preds) != nil
+	l.read(s)
+	return found
 }
 
 // AddKey inserts k and reports whether it was absent.
@@ -109,37 +324,27 @@ func (l *List) AddKey(k int64) bool {
 	if l.findPreds(k, &preds) != nil {
 		return false
 	}
-	lvl := l.randLevel()
-	for l.height < lvl {
-		preds[l.height] = l.head
-		l.height++
-	}
-	//pimvet:allow allocfree: one node and its tower per successful insert; the structure grows by exactly what it stores
-	n := &node{key: k, next: make([]*node, lvl)}
-	for i := 0; i < lvl; i++ {
-		n.next[i] = preds[i].next[i]
-		preds[i].next[i] = n
-	}
-	l.size++
+	l.insert(k, &preds)
+	l.settle()
 	return true
 }
 
 // RemoveKey deletes k and reports whether it was present.
 func (l *List) RemoveKey(k int64) bool {
+	if !l.remove(k) {
+		return false
+	}
+	l.settle()
+	return true
+}
+
+func (l *List) remove(k int64) bool {
 	var preds [MaxHeight]*node
 	c := l.findPreds(k, &preds)
 	if c == nil {
 		return false
 	}
-	for i := 0; i < len(c.next); i++ {
-		if preds[i].next[i] == c {
-			preds[i].next[i] = c.next[i]
-		}
-	}
-	for l.height > 1 && l.head.next[l.height-1] == nil {
-		l.height--
-	}
-	l.size--
+	l.unlink(c, &preds)
 	return true
 }
 
@@ -170,8 +375,10 @@ func (l *List) Keys() []int64 {
 // PIM skip-list's migration protocol uses it to walk a partition's
 // nodes in ascending order.
 func (l *List) Successor(k int64) (int64, bool) {
+	s := l.steps
 	var preds [MaxHeight]*node
 	l.findPreds(k, &preds)
+	l.read(s)
 	if n := preds[0].next[0]; n != nil {
 		return n.key, true
 	}
@@ -190,6 +397,13 @@ func (l *List) Min() (int64, bool) {
 // walk rides the top levels right, so it costs O(log n) expected steps
 // rather than a bottom-level traversal.
 func (l *List) Max() (int64, bool) {
+	s := l.steps
+	k, ok := l.max()
+	l.read(s)
+	return k, ok
+}
+
+func (l *List) max() (int64, bool) {
 	x := l.head
 	for lvl := l.height - 1; lvl >= 0; lvl-- {
 		for x.next[lvl] != nil {
@@ -206,8 +420,10 @@ func (l *List) Max() (int64, bool) {
 // PredKey returns the largest key strictly less than k and whether one
 // exists.
 func (l *List) PredKey(k int64) (int64, bool) {
+	s := l.steps
 	var preds [MaxHeight]*node
 	l.findPreds(k, &preds)
+	l.read(s)
 	if p := preds[0]; p != l.head {
 		return p.key, true
 	}
@@ -217,6 +433,7 @@ func (l *List) PredKey(k int64) (int64, bool) {
 // SuccKey returns the smallest key strictly greater than k and whether
 // one exists.
 func (l *List) SuccKey(k int64) (int64, bool) {
+	s := l.steps
 	var preds [MaxHeight]*node
 	var n *node
 	if c := l.findPreds(k, &preds); c != nil {
@@ -225,6 +442,7 @@ func (l *List) SuccKey(k int64) (int64, bool) {
 	} else {
 		n = preds[0].next[0]
 	}
+	l.read(s)
 	if n != nil {
 		return n.key, true
 	}
@@ -240,25 +458,24 @@ func (l *List) PopMinKey() (int64, bool) {
 		return 0, false
 	}
 	l.steps++
-	for i := 0; i < len(n.next); i++ {
-		if l.head.next[i] == n {
-			l.head.next[i] = n.next[i]
-		}
+	var preds [MaxHeight]*node
+	for i := range n.next {
+		preds[i] = l.head
 	}
-	for l.height > 1 && l.head.next[l.height-1] == nil {
-		l.height--
-	}
-	l.size--
-	return n.key, true
+	k := n.key
+	l.unlink(n, &preds)
+	l.settle()
+	return k, true
 }
 
 // PopMaxKey removes and returns the largest key (ok=false on empty).
 func (l *List) PopMaxKey() (int64, bool) {
-	k, ok := l.Max()
+	k, ok := l.max()
 	if !ok {
 		return 0, false
 	}
-	l.RemoveKey(k)
+	l.remove(k)
+	l.settle()
 	return k, true
 }
 
@@ -274,6 +491,7 @@ func (l *List) RangeScanInto(lo, hi int64, limit int, arena []int64) ([]int64, i
 	if lo >= hi {
 		return arena, 0, cursor
 	}
+	s := l.steps
 	var preds [MaxHeight]*node
 	l.findPreds(lo, &preds)
 	count := 0
@@ -286,6 +504,7 @@ func (l *List) RangeScanInto(lo, hi int64, limit int, arena []int64) ([]int64, i
 		count++
 		l.steps++
 	}
+	l.read(s)
 	return arena, count, cursor
 }
 
@@ -320,7 +539,10 @@ func (l *List) ApplyBatch(ops []Op) []bool {
 		// predecessors of earlier keys). Mutations invalidate nothing:
 		// adds splice after the finger, removes unlink nodes at or
 		// after it, and sentinel fingers never get deleted because a
-		// finger node always has key < op.Key.
+		// finger node always has key < op.Key. An add that compacts
+		// the list walks again, so its preds, the next finger, point
+		// into the new layout.
+		s := l.steps
 		x := l.head
 		var preds [MaxHeight]*node
 		for lvl := l.height - 1; lvl >= 0; lvl-- {
@@ -342,37 +564,20 @@ func (l *List) ApplyBatch(ops []Op) []bool {
 		switch op.Kind {
 		case Contains:
 			results[i] = found
+			l.read(s)
 		case Add:
-			if found {
-				results[i] = false
-				break
-			}
-			lvlN := l.randLevel()
-			for l.height < lvlN {
-				preds[l.height] = l.head
-				l.height++
-			}
-			n := &node{key: op.Key, next: make([]*node, lvlN)}
-			for j := 0; j < lvlN; j++ {
-				n.next[j] = preds[j].next[j]
-				preds[j].next[j] = n
-			}
-			l.size++
-			results[i] = true
-		case Remove:
 			if !found {
-				results[i] = false
-				break
+				l.insert(op.Key, &preds)
 			}
-			for j := 0; j < len(c.next); j++ {
-				if j < l.height && preds[j].next[j] == c {
-					preds[j].next[j] = c.next[j]
-				}
+			results[i] = !found
+		case Remove:
+			if found {
+				l.unlink(c, &preds)
 			}
-			l.size--
-			results[i] = true
+			results[i] = found
 		}
 		finger = preds
 	}
+	l.settle()
 	return results
 }

@@ -82,11 +82,11 @@ func pinApply(t *testing.T, s *Server, ps *pass) {
 
 func TestApplyBatchAllocs(t *testing.T) {
 	skipIfRace(t)
-	for _, structure := range []string{StructList, StructQueue, StructStack} {
+	for _, structure := range []string{StructList, StructSkip, StructQueue, StructStack} {
 		t.Run(structure, func(t *testing.T) {
 			var ops []wire.Op
 			switch structure {
-			case StructList:
+			case StructList, StructSkip:
 				ops = steadyBatch(64)
 			case StructQueue:
 				for i := 0; i < 64; i++ {
@@ -98,7 +98,7 @@ func TestApplyBatchAllocs(t *testing.T) {
 				}
 			}
 			s, ps := pinRig(t, structure, false, ops)
-			if structure == StructList {
+			if structure == StructList || structure == StructSkip {
 				preloadEven(ps.sh.be, 64)
 			}
 			pinApply(t, s, ps)
@@ -153,23 +153,28 @@ func TestApplyBatchDurableAllocs(t *testing.T) {
 // copies into the frames happen in release, outside the pinned window.
 func TestApplyBatchOrderedAllocs(t *testing.T) {
 	skipIfRace(t)
-	// Size-stable mix: each round pops the extremes and re-adds them,
-	// with scans and neighbor queries interleaved.
-	s, ps := pinRig(t, StructList, false, []wire.Op{
-		{ID: 1, Kind: wire.PopMin},
-		{ID: 2, Kind: wire.PopMax},
-		{ID: 3, Kind: wire.Add, Key: 0},
-		{ID: 4, Kind: wire.Add, Key: 254},
-		{ID: 5, Kind: wire.RangeScan, Key: 10, Hi: 90, Limit: 16},
-		{ID: 6, Kind: wire.Pred, Key: 100},
-		{ID: 7, Kind: wire.Succ, Key: 100},
-		{ID: 8, Kind: wire.RangeScan, Key: 100, Hi: 200, Limit: 32},
-		{ID: 9, Kind: wire.Contains, Key: 50},
-	})
-	preloadEven(ps.sh.be, 128)
-	pinApply(t, s, ps)
-	if n := len(ps.results[4].Values); n != 16 {
-		t.Fatalf("scan returned %d values, want 16", n)
+	for _, structure := range []string{StructList, StructSkip} {
+		t.Run(structure, func(t *testing.T) {
+			// Size-stable mix: each round pops the extremes and
+			// re-adds them, with scans and neighbor queries
+			// interleaved.
+			s, ps := pinRig(t, structure, false, []wire.Op{
+				{ID: 1, Kind: wire.PopMin},
+				{ID: 2, Kind: wire.PopMax},
+				{ID: 3, Kind: wire.Add, Key: 0},
+				{ID: 4, Kind: wire.Add, Key: 254},
+				{ID: 5, Kind: wire.RangeScan, Key: 10, Hi: 90, Limit: 16},
+				{ID: 6, Kind: wire.Pred, Key: 100},
+				{ID: 7, Kind: wire.Succ, Key: 100},
+				{ID: 8, Kind: wire.RangeScan, Key: 100, Hi: 200, Limit: 32},
+				{ID: 9, Kind: wire.Contains, Key: 50},
+			})
+			preloadEven(ps.sh.be, 128)
+			pinApply(t, s, ps)
+			if n := len(ps.results[4].Values); n != 16 {
+				t.Fatalf("scan returned %d values, want 16", n)
+			}
+		})
 	}
 }
 

@@ -28,9 +28,10 @@ import (
 // //pimvet:allocfree — pimvet cannot see through the interface call,
 // so the contract is enforced on each implementation instead: no
 // blocking, no file I/O, and no allocation beyond the justified
-// exemptions. The skip and hash structures allocate on insert by
-// nature (towers, chain entries); those sites carry
-// //pimvet:allow allocfree in seqskip and seqhash.
+// exemptions. The list and skip structures recycle nodes from slabs
+// and allocate only when a slab grows past its high-water mark; the
+// hash structure allocates a chain entry per insert. Those sites carry
+// //pimvet:allow allocfree in seqlist, seqskip and seqhash.
 type backend interface {
 	// ApplyBatch serves one combiner pass. len(out) == len(ops).
 	ApplyBatch(ops []wire.Op, out []wire.Result, arena []int64) []int64
@@ -189,8 +190,8 @@ func (b *listBackend) RestoreState(vals []int64)       { restoreState(b, wire.Ad
 
 // skipBackend serves set ops on a sequential skip-list, applying the
 // batch in publication order (any serialization of a concurrent batch
-// is linearizable). Adds allocate one tower per inserted key (a
-// justified exemption inside seqskip). starts/counts park each scan's
+// is linearizable). Nodes and towers come from seqskip's slabs, so a
+// size-stable pass allocates nothing. starts/counts park each scan's
 // arena segment until the batch is done and the arena has stopped
 // moving.
 type skipBackend struct {
