@@ -13,8 +13,6 @@
 // apply) that CI greps.
 package main
 
-//pimvet:allow-file determinism: load-generator binary measures wall-clock round trips against a live server; key streams remain seeded
-
 import (
 	"encoding/json"
 	"flag"

@@ -15,8 +15,6 @@
 // 0 with a summary on stderr. Acknowledged operations are never lost.
 package main
 
-//pimvet:allow-file determinism: server binary configures wall-clock deadlines for the host-side network server; no simulated state involved
-
 import (
 	"flag"
 	"fmt"

@@ -15,8 +15,6 @@
 // samples as they accumulate.
 package main
 
-//pimvet:allow-file determinism: interactive dashboard binary; scrape pacing and timeouts are host wall-clock by design
-
 import (
 	"encoding/json"
 	"flag"

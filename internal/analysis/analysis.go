@@ -2,18 +2,16 @@
 // standard library's go/parser, go/types and go/importer only (the repo
 // is stdlib-only, so golang.org/x/tools/go/analysis is off limits).
 //
-// It exists for one purpose: two load-bearing invariants — the
-// simulator's bit-for-bit determinism under a seed, and a flat-combining
-// pass that never allocates or blocks — are not checkable by the Go
-// compiler. The analyzers in internal/analysis/analyzers machine-check
-// them on every change (TestRepoIsClean runs them over the whole tree);
-// cmd/pimvet is the CLI driver.
+// It exists for one invariant no runtime test checks: the combining
+// window never parks its goroutine, so one stalled combiner cannot park
+// every connection that hashes to its shard. The nopark analyzer in
+// internal/analysis/analyzers checks it, and TestRepoIsClean runs it
+// over the whole tree inside `go test ./...`.
 //
 // The framework mirrors x/tools' analysis API in miniature: an Analyzer
 // holds a name, a doc string and a Run function; Run receives a Pass
 // with the parsed files and full type information for one package and
-// reports Diagnostics. Suppression is handled by the driver (see
-// directives.go), not by individual analyzers.
+// reports Diagnostics.
 package analysis
 
 import (
@@ -26,8 +24,7 @@ import (
 
 // Analyzer is one named check.
 type Analyzer struct {
-	// Name is the analyzer's identifier, used in diagnostics and in
-	// //pimvet:allow directives.
+	// Name is the analyzer's identifier, used in diagnostics.
 	Name string
 
 	// Doc is a one-paragraph description of the invariant the analyzer
@@ -44,16 +41,10 @@ type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
-	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Path is the package's logical import path: the module-relative
-	// import path, unless a file carries a //pimvet:package override
-	// (used by testdata fixtures to opt into path-scoped checks).
-	Path string
-
 	// Lookup resolves a module import path to its loaded package, for
-	// analyzers that follow calls across package boundaries (allocfree).
+	// analyzers that follow calls across package boundaries (nopark).
 	// It returns nil for paths outside the module and
 	// is itself nil when the pass was built without a loader; callers
 	// must treat both as "opaque callee".

@@ -40,7 +40,7 @@ var quoteRE = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
 // verifies its diagnostics against the fixture's want comments.
 func Run(t *testing.T, fixtureDir string, a *analysis.Analyzer) {
 	t.Helper()
-	diags := Diagnostics(t, fixtureDir, a)
+	diags := diagnostics(t, fixtureDir, a)
 
 	var wants []*expectation
 	entries, err := os.ReadDir(fixtureDir)
@@ -82,10 +82,9 @@ func Run(t *testing.T, fixtureDir string, a *analysis.Analyzer) {
 	}
 }
 
-// Diagnostics loads the fixture package and returns the analyzer's
-// surviving diagnostics (after suppression), failing the test on load
-// or type errors.
-func Diagnostics(t *testing.T, fixtureDir string, a *analysis.Analyzer) []analysis.Diagnostic {
+// diagnostics loads the fixture package and returns the analyzer's
+// diagnostics, failing the test on load or type errors.
+func diagnostics(t *testing.T, fixtureDir string, a *analysis.Analyzer) []analysis.Diagnostic {
 	t.Helper()
 	loader, err := analysis.NewLoader(fixtureDir)
 	if err != nil {

@@ -11,11 +11,11 @@ import (
 	"pimds/internal/analysis"
 )
 
-// Transitive checking across package boundaries for allocfree. Starting
+// Transitive checking across package boundaries for nopark. Starting
 // from a marked root, every module function it reaches is scanned with
-// the local rule; the first unsuppressed violation poisons the whole
-// call chain, and the chain is reported at the root's call site so the
-// finding lands in the package under analysis.
+// the local rule; the first violation poisons the whole call chain, and
+// the chain is reported at the root's call site so the finding lands in
+// the package under analysis.
 
 // modulePath is the enclosing module's import-path prefix; calls into
 // it are followed, everything else is judged by the stdlib allowlist.
@@ -42,32 +42,29 @@ type calleeRef struct {
 // human-readable predicate explaining the first failure found.
 type funcFact struct {
 	clean    bool
-	why      string // e.g. "allocates via make at seqlist.go:88"
+	why      string // e.g. "sends on a channel at seqlist.go:88"
 	visiting bool   // cycle guard; cycles resolve optimistically
 }
 
 // factChecker computes transitive function facts across the module.
 type factChecker struct {
-	analyzer string // analyzer name, for callee-package suppression lookups
-	lookup   func(string) *analysis.Package
-	facts    map[*types.Func]*funcFact
-	indexes  map[*analysis.Package]map[*types.Func]funcNode
+	lookup  func(string) *analysis.Package
+	facts   map[*types.Func]*funcFact
+	indexes map[*analysis.Package]map[*types.Func]*ast.FuncDecl
 }
 
-func newFactChecker(pass *analysis.Pass) *factChecker {
+func newFactChecker(lookup func(string) *analysis.Package) *factChecker {
 	return &factChecker{
-		analyzer: pass.Analyzer.Name,
-		lookup:   pass.Lookup,
-		facts:    make(map[*types.Func]*funcFact),
-		indexes:  make(map[*analysis.Package]map[*types.Func]funcNode),
+		lookup:  lookup,
+		facts:   make(map[*types.Func]*funcFact),
+		indexes: make(map[*analysis.Package]map[*types.Func]*ast.FuncDecl),
 	}
 }
 
 // check returns the fact for f, computing and memoizing it on first
-// use. Functions outside the module, without available syntax (loader
-// absent, load failure, interface methods) are clean by fiat: the
-// caller's allowlist decides what to do with opaque callees before
-// asking for facts.
+// use. Functions without available syntax (loader absent, load failure,
+// interface methods) are clean by fiat: the caller's allowlist decides
+// what to do with opaque callees before asking for facts.
 func (fc *factChecker) check(f *types.Func) *funcFact {
 	if fact, ok := fc.facts[f]; ok {
 		if fact.visiting {
@@ -86,18 +83,15 @@ func (fc *factChecker) check(f *types.Func) *funcFact {
 	if pkg == nil {
 		return fact
 	}
-	node, ok := fc.index(pkg)[f]
+	decl, ok := fc.index(pkg)[f]
 	if !ok {
 		return fact // no body here: interface method or external decl
 	}
-	viols, callees := scanAllocs(pkg.Info, node)
-	for _, v := range viols {
-		posn := pkg.Fset.Position(v.pos)
-		if pkg.Suppressed(fc.analyzer, posn) {
-			continue
-		}
+	viols, callees := scanParks(pkg.Info, decl)
+	if len(viols) > 0 {
+		posn := pkg.Fset.Position(viols[0].pos)
 		fact.clean = false
-		fact.why = fmt.Sprintf("%s at %s:%d", v.msg, filepath.Base(posn.Filename), posn.Line)
+		fact.why = fmt.Sprintf("%s at %s:%d", viols[0].msg, filepath.Base(posn.Filename), posn.Line)
 		return fact
 	}
 	for _, c := range callees {
@@ -111,16 +105,17 @@ func (fc *factChecker) check(f *types.Func) *funcFact {
 }
 
 // index maps a package's function objects to their declarations.
-func (fc *factChecker) index(pkg *analysis.Package) map[*types.Func]funcNode {
+func (fc *factChecker) index(pkg *analysis.Package) map[*types.Func]*ast.FuncDecl {
 	idx, ok := fc.indexes[pkg]
 	if !ok {
-		idx = make(map[*types.Func]funcNode)
-		for _, fn := range allFuncs(pkg.Files) {
-			if fn.decl == nil {
-				continue
-			}
-			if obj, ok := pkg.Info.Defs[fn.decl.Name].(*types.Func); ok {
-				idx[obj] = fn
+		idx = make(map[*types.Func]*ast.FuncDecl)
+		for _, file := range pkg.Files {
+			for _, d := range file.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+					if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+						idx[obj] = fd
+					}
+				}
 			}
 		}
 		fc.indexes[pkg] = idx
@@ -129,15 +124,15 @@ func (fc *factChecker) index(pkg *analysis.Package) map[*types.Func]funcNode {
 }
 
 // markedFuncs returns the function declarations annotated with
-// //pimvet:allocfree. The directive must sit inside the declaration's
-// doc comment (a comment block immediately above the func line); marks
+// //pimvet:nopark. The directive must sit inside the declaration's doc
+// comment (a comment block immediately above the func line); marks
 // attached to nothing are returned separately so the analyzer can
 // surface the typo instead of silently ignoring it.
-func markedFuncs(pass *analysis.Pass) (marked []funcNode, stray []analysis.Directive) {
+func markedFuncs(pass *analysis.Pass) (marked []*ast.FuncDecl, stray []analysis.Directive) {
 	for _, file := range pass.Files {
 		var marks []analysis.Directive
 		for _, d := range analysis.ParseDirectives(pass.Fset, file) {
-			if d.Kind == analysis.KindAllocFree {
+			if d.Kind == analysis.KindNoPark {
 				marks = append(marks, d)
 			}
 		}
@@ -155,7 +150,7 @@ func markedFuncs(pass *analysis.Pass) (marked []funcNode, stray []analysis.Direc
 			for i, d := range marks {
 				if d.Pos.Line >= lo && d.Pos.Line <= hi {
 					used[i] = true
-					marked = append(marked, funcNode{decl: fd, typ: fd.Type, body: fd.Body})
+					marked = append(marked, fd)
 					break
 				}
 			}

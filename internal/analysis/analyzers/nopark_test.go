@@ -7,6 +7,6 @@ import (
 	"pimds/internal/analysis/analyzers"
 )
 
-func TestAllocFree(t *testing.T) {
-	analysistest.Run(t, "testdata/src/allocfree", analyzers.AllocFree)
+func TestNoPark(t *testing.T) {
+	analysistest.Run(t, "testdata/src/nopark", analyzers.NoPark)
 }

@@ -17,40 +17,17 @@ import (
 
 // Package is one loaded, type-checked package.
 type Package struct {
-	Dir   string // absolute directory
 	Path  string // module-relative import path (modulePath/rel/dir)
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
 
-	// LogicalPath is Path unless a //pimvet:package directive overrides
-	// it (testdata fixtures use this to opt into path-scoped checks).
-	LogicalPath string
-
 	// Errors holds parse and type errors. Analyzers still run on
 	// packages with errors only if the caller chooses to.
 	Errors []error
 
-	loader *Loader                    // back-reference for cross-package lookups
-	supp   map[string]*fileDirectives // lazy per-file directive cache, keyed by filename
-}
-
-// Suppressed reports whether a diagnostic from the named analyzer at
-// pos would be filtered by this package's own //pimvet:allow
-// directives. Cross-package analyzers use it so a justified exemption
-// inside a callee's package keeps suppressing the finding when the
-// callee is reached from a marked function elsewhere.
-func (p *Package) Suppressed(analyzer string, pos token.Position) bool {
-	if p.supp == nil {
-		p.supp = make(map[string]*fileDirectives, len(p.Files))
-		for _, f := range p.Files {
-			fd := buildFileDirectives(p.Fset, f)
-			p.supp[p.Fset.Position(f.Pos()).Filename] = &fd
-		}
-	}
-	fd := p.supp[pos.Filename]
-	return fd != nil && len(fd.suppressors(analyzer, pos.Line)) > 0
+	loader *Loader // back-reference for cross-package lookups
 }
 
 // Loader parses and type-checks packages of the enclosing module using
@@ -85,9 +62,6 @@ func NewLoader(dir string) (*Loader, error) {
 		dirs:    make(map[string]*Package),
 	}, nil
 }
-
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
 
 // findModule walks up from dir to the nearest go.mod and parses its
 // module line.
@@ -141,7 +115,7 @@ func (l *Loader) load(importPath, dir string) (*Package, error) {
 	if p, ok := l.pkgs[importPath]; ok {
 		return p, nil
 	}
-	pkg := &Package{Dir: dir, Path: importPath, Fset: l.fset, loader: l}
+	pkg := &Package{Path: importPath, Fset: l.fset, loader: l}
 	// Register before type-checking so import cycles fail in go/types
 	// (as an error) rather than recursing forever here.
 	l.pkgs[importPath] = pkg
@@ -196,11 +170,6 @@ func (l *Loader) load(importPath, dir string) (*Package, error) {
 	// Check reports the first hard error; the Error hook above already
 	// collected it (and any others), so the return is redundant here.
 	pkg.Types, _ = conf.Check(importPath, l.fset, pkg.Files, pkg.Info)
-
-	pkg.LogicalPath = pkg.Path
-	if o := packageOverride(l.fset, pkg.Files); o != "" {
-		pkg.LogicalPath = o
-	}
 	return pkg, nil
 }
 
@@ -284,59 +253,38 @@ func (l *Loader) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.
 	return l.std.ImportFrom(path, srcDir, mode)
 }
 
-// ExpandPatterns resolves go-tool-style package patterns relative to
-// root into package directories: "dir" names one directory, "dir/..."
-// walks recursively. testdata, vendor, hidden and underscore-prefixed
-// directories are skipped, as are directories with no non-test Go
-// files.
+// ExpandPatterns resolves "dir/..." patterns relative to root into
+// package directories. Like the go tool, the walk skips testdata,
+// vendor, hidden and underscore-prefixed directories, directories with
+// no non-test Go files, and nested modules (a directory with its own
+// go.mod belongs to another module).
 func ExpandPatterns(root string, patterns []string) ([]string, error) {
-	seen := make(map[string]bool)
 	var out []string
-	add := func(dir string) {
-		if !seen[dir] {
-			seen[dir] = true
-			out = append(out, dir)
-		}
-	}
 	for _, pat := range patterns {
-		recursive := false
-		if pat == "..." {
-			pat, recursive = ".", true
-		} else if strings.HasSuffix(pat, "/...") {
-			pat, recursive = strings.TrimSuffix(pat, "/..."), true
+		dir, ok := strings.CutSuffix(pat, "...")
+		if !ok {
+			return nil, fmt.Errorf("analysis: pattern %q: only dir/... patterns are supported", pat)
 		}
-		base := pat
-		if !filepath.IsAbs(base) {
-			base = filepath.Join(root, base)
-		}
-		base = filepath.Clean(base)
-		if !recursive {
-			if ok, err := hasGoFiles(base); err != nil {
-				return nil, err
-			} else if !ok {
-				return nil, fmt.Errorf("pimvet: no Go files in %s", base)
-			}
-			add(base)
-			continue
-		}
+		base := filepath.Join(root, dir)
 		err := filepath.WalkDir(base, func(p string, d os.DirEntry, err error) error {
-			if err != nil {
+			if err != nil || !d.IsDir() {
 				return err
 			}
-			if !d.IsDir() {
-				return nil
+			if p != base {
+				name := d.Name()
+				if name == "testdata" || name == "vendor" ||
+					strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+					return filepath.SkipDir
+				}
+				if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
 			}
-			name := d.Name()
-			if p != base && (name == "testdata" || name == "vendor" ||
-				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
+			ok, err := hasGoFiles(p)
+			if ok {
+				out = append(out, p)
 			}
-			if ok, err := hasGoFiles(p); err != nil {
-				return err
-			} else if ok {
-				add(p)
-			}
-			return nil
+			return err
 		})
 		if err != nil {
 			return nil, err

@@ -3,6 +3,7 @@ package analysis
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -67,5 +68,36 @@ func TestLoaderSkipsTagExcludedFiles(t *testing.T) {
 	got := pkg.Fset.Position(pkg.Files[0].Pos()).Filename
 	if filepath.Base(got) != "off.go" {
 		t.Fatalf("loaded %s, want off.go", got)
+	}
+}
+
+// TestExpandPatternsStopsAtNestedModule builds a module holding a
+// nested module, the way the repository holds bench/: ./... must cover
+// the outer module's packages and stop at the inner go.mod, as the go
+// tool does.
+func TestExpandPatternsStopsAtNestedModule(t *testing.T) {
+	root := t.TempDir()
+	write := func(rel, src string) {
+		t.Helper()
+		path := filepath.Join(root, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module outer\n\ngo 1.21\n")
+	write("a/a.go", "package a\n")
+	write("inner/go.mod", "module inner\n\ngo 1.21\n")
+	write("inner/b.go", "package inner\n")
+	write("inner/c/c.go", "package c\n")
+
+	dirs, err := ExpandPatterns(root, []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{filepath.Join(root, "a")}; !reflect.DeepEqual(dirs, want) {
+		t.Errorf("ExpandPatterns(./...) = %v, want %v", dirs, want)
 	}
 }

@@ -78,7 +78,7 @@ func (t *Table) Put(k, v int64) bool {
 		return false
 	}
 	i := t.hash(k)
-	//pimvet:allow allocfree: one chain entry per successful insert; the table grows by exactly what it stores
+	// One chain entry per successful insert; the table grows by exactly what it stores
 	t.buckets[i] = &entry{key: k, val: v, next: t.buckets[i]}
 	t.size++
 	if t.size > 3*len(t.buckets)/4 {
@@ -108,7 +108,7 @@ func (t *Table) Delete(k int64) bool {
 // during migration-sized rehashes anyway).
 func (t *Table) grow() {
 	old := t.buckets
-	//pimvet:allow allocfree: amortized table doubling at 3/4 load; O(1) per insert over the table's life
+	// Amortized table doubling at 3/4 load; O(1) per insert over the table's life
 	t.buckets = make([]*entry, 2*len(old))
 	for _, e := range old {
 		for e != nil {

@@ -34,10 +34,9 @@ func relayoutOnce(t *testing.T, l *seqlist.List, apply func(*seqlist.List)) {
 }
 
 // pinZeroAllocs preloads the even keys below 128, warms the list, then
-// requires 0 allocs per measured run, where each run applies batches
-// until one re-layout has fired. AllocsPerRun truncates the average, so
-// a re-layout inside every run is what makes an allocating re-layout
-// show. Warm-up takes two re-layouts: the first batch grows the slab, a
+// requires 0 allocs over the measured runs, where each run applies
+// batches until one re-layout has fired, so an allocating re-layout
+// shows. Warm-up takes two re-layouts: the first batch grows the slab, a
 // later re-layout sizes the spare to it.
 func pinZeroAllocs(t *testing.T, name string, apply func(*seqlist.List)) {
 	t.Helper()
@@ -47,17 +46,17 @@ func pinZeroAllocs(t *testing.T, name string, apply func(*seqlist.List)) {
 	}
 	relayoutOnce(t, l, apply)
 	relayoutOnce(t, l, apply)
-	avg := testing.AllocsPerRun(20, func() { relayoutOnce(t, l, apply) })
-	if avg != 0 {
-		t.Errorf("%s steady state: %.1f allocs per re-layout cycle, want 0", name, avg)
+	allocs := testenv.Allocs(20, func() { relayoutOnce(t, l, apply) })
+	if allocs != 0 {
+		t.Errorf("%s steady state: %d allocs, want 0", name, allocs)
 	}
 	if got := l.Len(); got != 64 {
 		t.Fatalf("%s: list length %d after steady-state batches, want 64", name, got)
 	}
 }
 
-// TestApplyBatchIntoSteadyStateAllocs pins ApplyBatchInto's
-// //pimvet:allocfree annotation: once the sort scratch has grown to the
+// TestApplyBatchIntoSteadyStateAllocs pins ApplyBatchInto
+// allocation-free: once the sort scratch has grown to the
 // batch size and the slab and its spare to the list, a size-stable
 // batch (every Remove paired with an Add) must not touch the heap, also
 // on the passes that re-lay the list out.

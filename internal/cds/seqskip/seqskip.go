@@ -175,11 +175,11 @@ func (l *List) alloc(h int) (n *node, moved bool) {
 			moved = true
 		}
 		if len(l.nodeTail) == 0 {
-			l.nodeTail = make([]node, nodeChunk) //pimvet:allow allocfree: fixed 4 KiB chunk, grown only when no free node fits; steady state recycles
+			l.nodeTail = make([]node, nodeChunk) // fixed 4 KiB chunk, grown only when no free node fits; steady state recycles
 			l.chunkNodes += nodeChunk
 		}
 		if len(l.linkTail) < h {
-			l.linkTail = make([]*node, linkChunk) //pimvet:allow allocfree: fixed 4 KiB chunk, grown only when no free tower fits; steady state recycles
+			l.linkTail = make([]*node, linkChunk) // fixed 4 KiB chunk, grown only when no free tower fits; steady state recycles
 			l.chunkLinks += linkChunk
 		}
 	}
@@ -205,10 +205,10 @@ func (l *List) settle() {
 // empty: every node past the last key is unused.
 func (l *List) relayout() {
 	if n := len(l.slab) + l.chunkNodes; len(l.spare) < n {
-		l.spare = make([]node, n) //pimvet:allow allocfree: spare grows to the node capacity reached; steady state reuses it
+		l.spare = make([]node, n) // spare grows to the node capacity reached; steady state reuses it
 	}
 	if n := len(l.links) + l.chunkLinks; len(l.linkSpare) < n {
-		l.linkSpare = make([]*node, n) //pimvet:allow allocfree: spare grows to the link capacity reached; steady state reuses it
+		l.linkSpare = make([]*node, n) // spare grows to the link capacity reached; steady state reuses it
 	}
 	dst, links := l.spare, l.linkSpare
 	var last [MaxHeight]*node

@@ -51,7 +51,9 @@ func TestLinearizability(t *testing.T) {
 		if len(history) < 100 {
 			t.Fatalf("blocking=%v: only %d ops recorded", blocking, len(history))
 		}
-		if !linearize.Check(linearize.QueueSpec{}, history) {
+		if ok, err := linearize.Check(linearize.QueueSpec{}, history); err != nil {
+			t.Fatal(err)
+		} else if !ok {
 			t.Errorf("blocking=%v: history of %d ops is not linearizable", blocking, len(history))
 		}
 	}
@@ -85,7 +87,9 @@ func TestLinearizabilityCheckerCatchesCorruption(t *testing.T) {
 	deq.Stop()
 	e.Run()
 
-	if !linearize.Check(linearize.QueueSpec{}, history) {
+	if ok, err := linearize.Check(linearize.QueueSpec{}, history); err != nil {
+		t.Fatal(err)
+	} else if !ok {
 		t.Fatal("clean history should linearize")
 	}
 	// Corrupt: swap the outputs of the two last successful dequeues.
@@ -103,7 +107,9 @@ func TestLinearizabilityCheckerCatchesCorruption(t *testing.T) {
 		t.Fatal("test needs distinct outputs")
 	}
 	history[a].Output, history[b].Output = history[b].Output, history[a].Output
-	if linearize.Check(linearize.QueueSpec{}, history) {
+	if ok, err := linearize.Check(linearize.QueueSpec{}, history); err != nil {
+		t.Fatal(err)
+	} else if ok {
 		t.Error("corrupted history should not linearize")
 	}
 }

@@ -70,7 +70,9 @@ func TestLinearizability(t *testing.T) {
 		})
 	}
 	seeded = append(seeded, history...)
-	if !linearize.Check(linearize.SetSpec{}, seeded) {
+	if ok, err := linearize.Check(linearize.SetSpec{}, seeded); err != nil {
+		t.Fatal(err)
+	} else if !ok {
 		t.Errorf("set history of %d ops (with migration) is not linearizable", len(history))
 	}
 }

@@ -43,7 +43,9 @@ func TestLinearizability(t *testing.T) {
 	if len(history) < 100 {
 		t.Fatalf("only %d ops recorded", len(history))
 	}
-	if !linearize.Check(linearize.StackSpec{}, history) {
+	if ok, err := linearize.Check(linearize.StackSpec{}, history); err != nil {
+		t.Fatal(err)
+	} else if !ok {
 		t.Errorf("stack history of %d ops is not linearizable", len(history))
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"pimds/internal/testenv"
 )
 
-// TestGeneratorNextAllocs pins Generator.Next's //pimvet:allocfree
-// annotation across the key distributions — in particular the Zipf
+// TestGeneratorNextAllocs pins Generator.Next allocation-free
+// across the key distributions — in particular the Zipf
 // path, whose source is cached at construction instead of being rebuilt
 // (and allocated) per draw.
 func TestGeneratorNextAllocs(t *testing.T) {
@@ -24,11 +24,11 @@ func TestGeneratorNextAllocs(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			g := harness.NewGenerator(1, dist, harness.Balanced())
 			var sink harness.Op
-			avg := testing.AllocsPerRun(1000, func() {
+			allocs := testenv.Allocs(1000, func() {
 				sink = g.Next()
 			})
-			if avg != 0 {
-				t.Errorf("Generator.Next(%s): %.1f allocs/op, want 0", name, avg)
+			if allocs != 0 {
+				t.Errorf("Generator.Next(%s): %d allocs, want 0", name, allocs)
 			}
 			_ = sink
 		})

@@ -1,7 +1,5 @@
 package harness
 
-//pimvet:allow-file determinism: host-emulation harness (the paper's Section 6 methodology) deliberately measures real wall-clock time on real goroutines; nothing here feeds back into simulated virtual time
-
 import (
 	"math/rand"
 	"sync"

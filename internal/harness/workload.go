@@ -304,7 +304,7 @@ func NewGenerator(seed int64, dist KeyDist, mix Mix) *Generator {
 // distributions draw through the KeyDist interface, whose module
 // implementations are pure arithmetic over the rng.
 //
-//pimvet:allocfree
+//pimvet:nopark
 func (g *Generator) Next() Op {
 	var k int64
 	if g.zipf != nil {

@@ -14,6 +14,7 @@
 package linearize
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -53,33 +54,49 @@ type State interface {
 // clients overlap at most #clients ops, far below this.
 const window = 64
 
+// Errors Check returns for a history it cannot judge. A history that
+// is well formed but not linearizable is (false, nil), never an error.
+var (
+	// ErrInvertedInterval marks an operation whose End precedes its
+	// Start.
+	ErrInvertedInterval = errors.New("linearize: inverted interval")
+	// ErrWindowExceeded marks a history in which more than 64
+	// operations are pending at once (raise window if that ever
+	// matters).
+	ErrWindowExceeded = errors.New("linearize: concurrency window exceeded")
+)
+
 // Check reports whether history is linearizable with respect to spec.
 // Precedence is the union of real-time order (A.End < B.Start) and
 // per-client program order (closed-loop clients produce back-to-back
 // operations whose response and next invocation carry the *same*
-// virtual timestamp; the Client field keeps them ordered). Check
-// panics if any operation interval is malformed or if more than 64
-// operations are pairwise concurrent (raise window if that ever
-// matters).
-func Check(spec Spec, history []Op) bool {
+// virtual timestamp; the Client field keeps them ordered). A history
+// Check cannot judge returns a non-nil error wrapping
+// ErrInvertedInterval or ErrWindowExceeded.
+func Check(spec Spec, history []Op) (bool, error) {
 	if len(history) == 0 {
-		return true
+		return true, nil
 	}
 	ops := append([]Op(nil), history...)
 	sort.SliceStable(ops, func(i, j int) bool { return ops[i].Start < ops[j].Start })
 	for _, op := range ops {
 		if op.End < op.Start {
-			panic(fmt.Sprintf("linearize: inverted interval %+v", op))
+			return false, fmt.Errorf("%w: %+v", ErrInvertedInterval, op)
 		}
 	}
 
 	c := &checker{ops: ops, memo: make(map[string]bool)}
-	return c.search(0, 0, spec.Init())
+	ok := c.search(0, 0, spec.Init())
+	if c.err != nil {
+		return false, c.err
+	}
+	return ok, nil
 }
 
 type checker struct {
 	ops  []Op
 	memo map[string]bool
+	err  error // set once the search cannot proceed; unwinds it
 }
 
 // search: ops[0:base) are all linearized; mask marks additionally
@@ -119,7 +136,8 @@ func (c *checker) search(base int, mask uint64, st State) bool {
 	// closed-loop clients the window (64) far exceeds any realistic
 	// concurrency, so this is a safety check, not a practical limit.
 	if len(c.ops)-base > window && c.ops[base+window].Start <= minEnd {
-		panic("linearize: concurrency window exceeded")
+		c.err = fmt.Errorf("%w: more than %d operations pending at op %d", ErrWindowExceeded, window, base)
+		return false
 	}
 	ok := false
 	for i := 0; i < limit; i++ {
@@ -152,6 +170,9 @@ func (c *checker) search(base int, mask uint64, st State) bool {
 		if c.search(base, mask|1<<i, next) {
 			ok = true
 			break
+		}
+		if c.err != nil {
+			return false
 		}
 	}
 	c.memo[key] = ok

@@ -1,13 +1,14 @@
 package linearize
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
 func TestEmptyHistory(t *testing.T) {
-	if !Check(QueueSpec{}, nil) {
+	if !check(t, QueueSpec{}, nil) {
 		t.Error("empty history must be linearizable")
 	}
 }
@@ -20,12 +21,12 @@ func TestSequentialQueueHistory(t *testing.T) {
 		{Start: 4, End: 5, Action: ActDequeue, Output: 1, OK: true},
 		{Start: 6, End: 7, Action: ActDequeue, Output: 2, OK: true},
 	}
-	if !Check(QueueSpec{}, h) {
+	if !check(t, QueueSpec{}, h) {
 		t.Error("sequential FIFO history must be linearizable")
 	}
 	// Swap dequeue outputs: no longer FIFO.
 	h[2].Output, h[3].Output = 2, 1
-	if Check(QueueSpec{}, h) {
+	if check(t, QueueSpec{}, h) {
 		t.Error("LIFO-order dequeues must not linearize as a queue")
 	}
 }
@@ -39,14 +40,14 @@ func TestConcurrentReorderAllowed(t *testing.T) {
 		{Start: 20, End: 21, Client: 3, Action: ActDequeue, Output: 2, OK: true},
 		{Start: 22, End: 23, Client: 3, Action: ActDequeue, Output: 1, OK: true},
 	}
-	if !Check(QueueSpec{}, h) {
+	if !check(t, QueueSpec{}, h) {
 		t.Error("concurrent enqueues may linearize in either order")
 	}
 	// Make the enqueues sequential: now the order is fixed.
 	h[0].End = 1
 	h[1].Start = 2
 	h[1].End = 3
-	if Check(QueueSpec{}, h) {
+	if check(t, QueueSpec{}, h) {
 		t.Error("sequential enqueues must dequeue in order")
 	}
 }
@@ -57,7 +58,7 @@ func TestDequeueEmptyLegality(t *testing.T) {
 		{Start: 0, End: 10, Client: 1, Action: ActEnqueue, Input: 5},
 		{Start: 1, End: 9, Client: 2, Action: ActDequeue, OK: false},
 	}
-	if !Check(QueueSpec{}, h) {
+	if !check(t, QueueSpec{}, h) {
 		t.Error("empty dequeue concurrent with enqueue is linearizable")
 	}
 	// deq→empty strictly after a completed enqueue with no dequeue in
@@ -66,7 +67,7 @@ func TestDequeueEmptyLegality(t *testing.T) {
 		{Start: 0, End: 1, Action: ActEnqueue, Input: 5},
 		{Start: 2, End: 3, Action: ActDequeue, OK: false},
 	}
-	if Check(QueueSpec{}, h) {
+	if check(t, QueueSpec{}, h) {
 		t.Error("empty dequeue after completed enqueue must fail")
 	}
 }
@@ -78,11 +79,11 @@ func TestStackSpec(t *testing.T) {
 		{Start: 4, End: 5, Action: ActPop, Output: 2, OK: true},
 		{Start: 6, End: 7, Action: ActPop, Output: 1, OK: true},
 	}
-	if !Check(StackSpec{}, h) {
+	if !check(t, StackSpec{}, h) {
 		t.Error("LIFO history must linearize as a stack")
 	}
 	h[2].Output, h[3].Output = 1, 2
-	if Check(StackSpec{}, h) {
+	if check(t, StackSpec{}, h) {
 		t.Error("FIFO-order pops must not linearize as a stack")
 	}
 }
@@ -95,12 +96,12 @@ func TestSetSpec(t *testing.T) {
 		{Start: 6, End: 7, Action: ActRemove, Input: 7, OK: true},
 		{Start: 8, End: 9, Action: ActContains, Input: 7, OK: false},
 	}
-	if !Check(SetSpec{}, h) {
+	if !check(t, SetSpec{}, h) {
 		t.Error("legal set history rejected")
 	}
 	// A contains that sees a key that was never added.
 	bad := []Op{{Start: 0, End: 1, Action: ActContains, Input: 9, OK: true}}
-	if Check(SetSpec{}, bad) {
+	if check(t, SetSpec{}, bad) {
 		t.Error("phantom contains accepted")
 	}
 	// Two successful adds of the same key with no remove between.
@@ -108,7 +109,7 @@ func TestSetSpec(t *testing.T) {
 		{Start: 0, End: 1, Action: ActAdd, Input: 3, OK: true},
 		{Start: 2, End: 3, Action: ActAdd, Input: 3, OK: true},
 	}
-	if Check(SetSpec{}, bad) {
+	if check(t, SetSpec{}, bad) {
 		t.Error("double successful add accepted")
 	}
 }
@@ -137,7 +138,7 @@ func TestRandomSequentialHistoriesAlwaysLinearizable(t *testing.T) {
 				h = append(h, Op{Start: now, End: now + 1, Action: ActDequeue, OK: false})
 			}
 		}
-		if !Check(QueueSpec{}, h) {
+		if !check(t, QueueSpec{}, h) {
 			return false
 		}
 		// Widen every interval by a random amount: with every op on
@@ -147,18 +148,46 @@ func TestRandomSequentialHistoriesAlwaysLinearizable(t *testing.T) {
 			h[i].Start -= rng.Int63n(3)
 			h[i].End += rng.Int63n(3)
 		}
-		return Check(QueueSpec{}, h)
+		return check(t, QueueSpec{}, h)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestInvertedIntervalPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("inverted interval should panic")
-		}
-	}()
-	Check(QueueSpec{}, []Op{{Start: 5, End: 1, Action: ActEnqueue}})
+func TestInvertedIntervalIsError(t *testing.T) {
+	ok, err := Check(QueueSpec{}, []Op{{Start: 5, End: 1, Action: ActEnqueue}})
+	if ok || !errors.Is(err, ErrInvertedInterval) {
+		t.Errorf("inverted interval: Check = %v, %v; want false, ErrInvertedInterval", ok, err)
+	}
+}
+
+// TestWindowExceededIsError drives 65 pairwise-overlapping pending
+// enqueues, one per client: every one is eligible at the first step, so
+// the search cannot stay inside its 64-op window. Check must say so
+// with an error, not report a violation and not panic.
+func TestWindowExceededIsError(t *testing.T) {
+	h := make([]Op, window+1)
+	for i := range h {
+		h[i] = Op{Start: 0, End: 100, Client: i, Action: ActEnqueue, Input: int64(i)}
+	}
+	ok, err := Check(QueueSpec{}, h)
+	if ok || !errors.Is(err, ErrWindowExceeded) {
+		t.Errorf("%d overlapping ops: Check = %v, %v; want false, ErrWindowExceeded", len(h), ok, err)
+	}
+	// One op fewer fits the window and linearizes.
+	if !check(t, QueueSpec{}, h[:window]) {
+		t.Errorf("%d overlapping enqueues must linearize", window)
+	}
+}
+
+// check runs Check on a history the test built well formed and inside
+// the window, so any error fails the test.
+func check(t *testing.T, spec Spec, h []Op) bool {
+	t.Helper()
+	ok, err := Check(spec, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ok
 }

@@ -27,7 +27,7 @@ func TestSetSpecScanLegal(t *testing.T) {
 		// Inverted interval: legal, empty, complete.
 		{Action: ActScan, Input: 50, Input2: 40, Limit: 16, Output: 40, Outputs: nil, OK: true},
 	})
-	if !Check(SetSpec{}, h) {
+	if !check(t, SetSpec{}, h) {
 		t.Fatal("legal scan history rejected")
 	}
 }
@@ -47,7 +47,7 @@ func TestSetSpecScanIllegal(t *testing.T) {
 		"failed status": {Action: ActScan, Input: 0, Input2: 100, Limit: 16, Output: 100, Outputs: []int64{10, 20}, OK: false},
 	} {
 		h := seqOps(append(append([]Op(nil), base...), scan))
-		if Check(SetSpec{}, h) {
+		if check(t, SetSpec{}, h) {
 			t.Errorf("%s: illegal scan history accepted", name)
 		}
 	}
@@ -68,7 +68,7 @@ func TestSetSpecNeighborsAndPops(t *testing.T) {
 		{Action: ActPopMin, OK: false},
 		{Action: ActPopMax, OK: false},
 	})
-	if !Check(SetSpec{}, h) {
+	if !check(t, SetSpec{}, h) {
 		t.Fatal("legal neighbor/pop history rejected")
 	}
 
@@ -79,7 +79,7 @@ func TestSetSpecNeighborsAndPops(t *testing.T) {
 		"pred not strict":  {{Action: ActAdd, Input: 5, OK: true}, {Action: ActPred, Input: 5, Output: 5, OK: true}},
 		"succ wrong":       {{Action: ActAdd, Input: 5, OK: true}, {Action: ActAdd, Input: 9, OK: true}, {Action: ActSucc, Input: 5, Output: 5, OK: true}},
 	} {
-		if Check(SetSpec{}, seqOps(bad)) {
+		if check(t, SetSpec{}, seqOps(bad)) {
 			t.Errorf("%s: illegal history accepted", name)
 		}
 	}
@@ -99,13 +99,13 @@ func TestScanObservesConcurrentRemove(t *testing.T) {
 	missed.Outputs = []int64{20}
 	phantom := sees
 	phantom.Outputs = []int64{10, 15, 20}
-	if !Check(SetSpec{}, append(append([]Op(nil), base...), sees)) {
+	if !check(t, SetSpec{}, append(append([]Op(nil), base...), sees)) {
 		t.Error("scan ordered before the remove rejected")
 	}
-	if !Check(SetSpec{}, append(append([]Op(nil), base...), missed)) {
+	if !check(t, SetSpec{}, append(append([]Op(nil), base...), missed)) {
 		t.Error("scan ordered after the remove rejected")
 	}
-	if Check(SetSpec{}, append(append([]Op(nil), base...), phantom)) {
+	if check(t, SetSpec{}, append(append([]Op(nil), base...), phantom)) {
 		t.Error("scan with a phantom key accepted")
 	}
 }

@@ -11,7 +11,7 @@ func TestRepro(t *testing.T) {
 		{Start: 2, End: 5, Action: ActDequeue, Output: 11, OK: true},
 		{Start: 6, End: 7, Action: ActDequeue, Output: 10, OK: true},
 	}
-	if Check(QueueSpec{}, h) {
+	if check(t, QueueSpec{}, h) {
 		t.Error("expected rejection: 11 cannot dequeue before 10 — wait, deq(11) overlaps enq(11)? Start=2..5 overlaps 2..3; enq(10) ended at 1 before enq(11): FIFO forces 10 first. Reject.")
 	}
 }

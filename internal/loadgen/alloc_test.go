@@ -9,8 +9,7 @@ import (
 	"pimds/internal/wire"
 )
 
-// These tests pin the //pimvet:allocfree annotations on the injector's
-// inner loop: an allocation in op generation or response accounting is
+// These tests pin the injector's inner loop allocation-free: an allocation in op generation or response accounting is
 // charged to every operation of every run and skews the allocs/op
 // figure pimload prints.
 
@@ -28,11 +27,11 @@ func TestOpStreamNextAllocs(t *testing.T) {
 			cfg := Config{Structure: structure, Seed: 1}.withDefaults()
 			st := newOpStream(cfg, 0)
 			var sink wire.Op
-			avg := testing.AllocsPerRun(1000, func() {
+			allocs := testenv.Allocs(1000, func() {
 				sink = st.next()
 			})
-			if avg != 0 {
-				t.Errorf("opStream.next(%s): %.1f allocs/op, want 0", structure, avg)
+			if allocs != 0 {
+				t.Errorf("opStream.next(%s): %d allocs, want 0", structure, allocs)
 			}
 			_ = sink
 		})
@@ -44,13 +43,13 @@ func TestTraceFrameAllocs(t *testing.T) {
 	cfg := Config{Structure: StructSet, Seed: 1, TraceSample: 0.5}.withDefaults()
 	st := newOpStream(cfg, 0)
 	var sampled int
-	avg := testing.AllocsPerRun(1000, func() {
+	allocs := testenv.Allocs(1000, func() {
 		if _, ok := st.traceFrame(); ok {
 			sampled++
 		}
 	})
-	if avg != 0 {
-		t.Errorf("traceFrame: %.1f allocs/op, want 0", avg)
+	if allocs != 0 {
+		t.Errorf("traceFrame: %d allocs, want 0", allocs)
 	}
 	if sampled == 0 {
 		t.Error("traceFrame never sampled at 50%")
@@ -61,11 +60,52 @@ func TestCountersObserveAllocs(t *testing.T) {
 	skipIfRace(t)
 	var ctr counters
 	lat := &obs.Histogram{}
-	avg := testing.AllocsPerRun(1000, func() {
+	allocs := testenv.Allocs(1000, func() {
 		ctr.observe(lat, 1500, 1000, wire.StatusOK)
 	})
-	if avg != 0 {
-		t.Errorf("counters.observe: %.1f allocs/op, want 0", avg)
+	if allocs != 0 {
+		t.Errorf("counters.observe: %d allocs, want 0", allocs)
+	}
+}
+
+func TestObserveScanAllocs(t *testing.T) {
+	skipIfRace(t)
+	var ctr counters
+	allocs := testenv.Allocs(1000, func() {
+		ctr.observeScan(16)
+	})
+	if allocs != 0 {
+		t.Errorf("counters.observeScan: %d allocs, want 0", allocs)
+	}
+	if ctr.scans.Load() == 0 || ctr.scanKeys.Load() != 16*ctr.scans.Load() {
+		t.Errorf("observeScan tallied %d scans, %d keys", ctr.scans.Load(), ctr.scanKeys.Load())
+	}
+}
+
+// TestAppendRequestAllocs pins the per-frame request encode, traced
+// frames included, into a buffer already grown to one frame.
+func TestAppendRequestAllocs(t *testing.T) {
+	skipIfRace(t)
+	cfg := Config{Structure: StructSet, Seed: 1, TraceSample: 0.5}.withDefaults()
+	st := newOpStream(cfg, 0)
+	batch := make([]wire.Op, 16)
+	for i := range batch {
+		batch[i] = st.next()
+	}
+	var ctr counters
+	out := make([]byte, 0, 1<<10)
+	var err error
+	allocs := testenv.Allocs(1000, func() {
+		out, err = st.appendRequest(out[:0], batch, &ctr)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("opStream.appendRequest: %d allocs, want 0", allocs)
+	}
+	if ctr.traced.Load() == 0 {
+		t.Error("appendRequest never traced a frame at 50%")
 	}
 }
 
@@ -81,11 +121,11 @@ func TestZipfDistRunsAllocFree(t *testing.T) {
 	}.withDefaults()
 	st := newOpStream(cfg, 0)
 	var sink wire.Op
-	avg := testing.AllocsPerRun(1000, func() {
+	allocs := testenv.Allocs(1000, func() {
 		sink = st.next()
 	})
-	if avg != 0 {
-		t.Errorf("opStream.next(zipf): %.1f allocs/op, want 0", avg)
+	if allocs != 0 {
+		t.Errorf("opStream.next(zipf): %d allocs, want 0", allocs)
 	}
 	_ = sink
 }

@@ -7,8 +7,6 @@
 // cmd/pimload prints.
 package loadgen
 
-//pimvet:allow-file determinism: a network load generator measures real wall-clock round trips by definition; key streams stay seeded/deterministic, only timing is physical
-
 import (
 	"bufio"
 	"fmt"
@@ -260,7 +258,7 @@ func newOpStream(cfg Config, conn int) *opStream {
 // once per request frame on both loop disciplines, so it is pinned
 // allocation-free: tracing must not perturb the load being measured.
 //
-//pimvet:allocfree
+//pimvet:nopark
 func (st *opStream) traceFrame() (wire.TraceContext, bool) {
 	if st.traceBar == 0 {
 		return wire.TraceContext{}, false
@@ -282,7 +280,7 @@ func (st *opStream) traceFrame() (wire.TraceContext, bool) {
 // loop — an allocation here is charged to every single op of every run
 // (and shows up in AllocsPerOp), so it is pinned allocation-free.
 //
-//pimvet:allocfree
+//pimvet:nopark
 func (st *opStream) next() wire.Op {
 	o := st.gen.Next()
 	op := wire.Op{ID: st.nextID, Key: o.Key}
@@ -327,7 +325,7 @@ func (st *opStream) next() wire.Op {
 // frame's trace-sampling draw. Pinned with the loops that call it: the
 // encode path runs once per frame of every measured run.
 //
-//pimvet:allocfree
+//pimvet:nopark
 func (st *opStream) appendRequest(out []byte, batch []wire.Op, ctr *counters) ([]byte, error) {
 	tc, traced := st.traceFrame()
 	if traced {
@@ -419,7 +417,7 @@ type counters struct {
 // Called once per response on the measurement path: everything in it is
 // atomic counters, no locks, no allocation.
 //
-//pimvet:allocfree
+//pimvet:nopark
 func (c *counters) observe(lat *obs.Histogram, d int64, budget int64, status wire.Status) {
 	lat.Observe(d)
 	c.ops.Add(1)
@@ -433,7 +431,7 @@ func (c *counters) observe(lat *obs.Histogram, d int64, budget int64, status wir
 
 // observeScan tallies one scan response's cardinality.
 //
-//pimvet:allocfree
+//pimvet:nopark
 func (c *counters) observeScan(nkeys int) {
 	c.scans.Add(1)
 	c.scanKeys.Add(uint64(nkeys))

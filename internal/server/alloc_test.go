@@ -10,8 +10,8 @@ import (
 	"pimds/internal/wire"
 )
 
-// These tests pin the //pimvet:allocfree annotations on the server's
-// combining window with the runtime's allocation counter: once the
+// These tests pin the server's combining window allocation-free with
+// the runtime's allocation counter: once the
 // pass record and structure free lists are warm, a combine pass over
 // a size-stable batch must not touch the heap — a GC pause inside
 // applyBatch stalls every published op on the shard.
@@ -67,11 +67,11 @@ func preloadEven(be backend, n int) {
 func pinApply(t *testing.T, s *Server, ps *pass) {
 	t.Helper()
 	s.applyBatch(ps)
-	avg := testing.AllocsPerRun(100, func() {
+	allocs := testenv.Allocs(100, func() {
 		s.applyBatch(ps)
 	})
-	if avg != 0 {
-		t.Errorf("applyBatch steady state: %.1f allocs/op, want 0", avg)
+	if allocs != 0 {
+		t.Errorf("applyBatch steady state: %d allocs, want 0", allocs)
 	}
 	for i := range ps.ops {
 		if ps.results[i].Status != wire.StatusOK {
@@ -103,6 +103,36 @@ func TestApplyBatchAllocs(t *testing.T) {
 			}
 			pinApply(t, s, ps)
 		})
+	}
+}
+
+// TestHashApplyBatchAllocs pins the hash backend at one allocation per
+// successful add: seqhash stores each inserted key in a fresh chain
+// entry, so a churn batch of Remove→Add pairs over preloaded keys, with
+// a lookup per pair, may allocate exactly as many entries as it adds
+// and nothing else.
+func TestHashApplyBatchAllocs(t *testing.T) {
+	skipIfRace(t)
+	var ops []wire.Op
+	for i, op := range steadyBatch(32) {
+		ops = append(ops, op)
+		if op.Kind == wire.Add {
+			ops = append(ops, wire.Op{ID: uint64(1000 + i), Kind: wire.Contains, Key: op.Key})
+		}
+	}
+	s, ps := pinRig(t, StructHash, false, ops)
+	preloadEven(ps.sh.be, 32)
+	s.applyBatch(ps)
+	allocs := testenv.Allocs(100, func() {
+		s.applyBatch(ps)
+	})
+	if allocs > 32*100 {
+		t.Errorf("hash applyBatch steady state: %d allocs over 100 passes, want at most 3200 (one per successful add)", allocs)
+	}
+	for i, op := range ops {
+		if r := ps.results[i]; r.Status != wire.StatusOK || !r.OK {
+			t.Fatalf("op %d (%+v): result %+v, want OK", i, op, r)
+		}
 	}
 }
 
@@ -227,9 +257,9 @@ func TestPublishAllocs(t *testing.T) {
 		t.Fatalf("slots end at %d, last result %+v, %d slots left; want 63, a bad-key answer, 2",
 			at, f.results[63], f.left.Load())
 	}
-	avg := testing.AllocsPerRun(100, func() { publish() })
-	if avg != 0 {
-		t.Errorf("publish steady state: %.1f allocs/op, want 0", avg)
+	allocs := testenv.Allocs(100, func() { publish() })
+	if allocs != 0 {
+		t.Errorf("publish steady state: %d allocs, want 0", allocs)
 	}
 }
 
@@ -237,13 +267,13 @@ func TestSampleHitAllocs(t *testing.T) {
 	skipIfRace(t)
 	c := &conn{rng: 0x9e3779b97f4a7c15}
 	var hits int
-	avg := testing.AllocsPerRun(1000, func() {
+	allocs := testenv.Allocs(1000, func() {
 		if c.sampleHit(1 << 60) {
 			hits++
 		}
 	})
-	if avg != 0 {
-		t.Errorf("sampleHit: %.1f allocs/op, want 0", avg)
+	if allocs != 0 {
+		t.Errorf("sampleHit: %d allocs, want 0", allocs)
 	}
 }
 
@@ -251,12 +281,12 @@ func TestSpanComponentsAllocs(t *testing.T) {
 	skipIfRace(t)
 	sp := &span{start: 1, pub: 2, pick: 3, applyStart: 4, applied: 5, enc: 6, flush: 7}
 	var total int64
-	avg := testing.AllocsPerRun(1000, func() {
+	allocs := testenv.Allocs(1000, func() {
 		for _, v := range sp.components() {
 			total += v
 		}
 	})
-	if avg != 0 {
-		t.Errorf("span.components: %.1f allocs/op, want 0", avg)
+	if allocs != 0 {
+		t.Errorf("span.components: %d allocs, want 0", allocs)
 	}
 }

@@ -98,7 +98,7 @@ func Structures() []string {
 
 // Supports reports whether the structure serves kind k.
 //
-//pimvet:allocfree
+//pimvet:nopark
 func (c Capability) Supports(k wire.OpKind) bool {
 	return k.Valid() && c.supports&(1<<k) != 0
 }
@@ -106,7 +106,7 @@ func (c Capability) Supports(k wire.OpKind) bool {
 // Keyed reports whether kind k is validated against the key space and
 // routed to the key's range partition.
 //
-//pimvet:allocfree
+//pimvet:nopark
 func (c Capability) Keyed(k wire.OpKind) bool {
 	return k.Valid() && c.keyed&(1<<k) != 0
 }
@@ -114,7 +114,7 @@ func (c Capability) Keyed(k wire.OpKind) bool {
 // SerialOnly reports whether kind k answers a global question and so
 // requires a single-shard server.
 //
-//pimvet:allocfree
+//pimvet:nopark
 func (c Capability) SerialOnly(k wire.OpKind) bool {
 	return k.Valid() && c.serial&(1<<k) != 0
 }

@@ -1,7 +1,5 @@
 package server
 
-//pimvet:allow-file determinism: the rotation ticker paces observability collection on host wall-clock time by design; nothing here feeds back into simulated behaviour
-
 import (
 	"fmt"
 	"strings"

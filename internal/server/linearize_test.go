@@ -67,7 +67,9 @@ func TestServerHistoryLinearizableSet(t *testing.T) {
 	if len(ops) != nClients*perClient {
 		t.Fatalf("history has %d ops, want %d", len(ops), nClients*perClient)
 	}
-	if !linearize.Check(linearize.SetSpec{}, ops) {
+	if ok, err := linearize.Check(linearize.SetSpec{}, ops); err != nil {
+		t.Fatal(err)
+	} else if !ok {
 		t.Fatal("server set history is not linearizable")
 	}
 }
@@ -83,7 +85,9 @@ func TestServerHistoryLinearizableQueue(t *testing.T) {
 			}
 			return wire.Op{Kind: wire.Dequeue}
 		})
-	if !linearize.Check(linearize.QueueSpec{}, ops) {
+	if ok, err := linearize.Check(linearize.QueueSpec{}, ops); err != nil {
+		t.Fatal(err)
+	} else if !ok {
 		t.Fatal("server queue history is not linearizable")
 	}
 }
@@ -99,7 +103,9 @@ func TestServerHistoryLinearizableStack(t *testing.T) {
 			}
 			return wire.Op{Kind: wire.Pop}
 		})
-	if !linearize.Check(linearize.StackSpec{}, ops) {
+	if ok, err := linearize.Check(linearize.StackSpec{}, ops); err != nil {
+		t.Fatal(err)
+	} else if !ok {
 		t.Fatal("server stack history is not linearizable")
 	}
 }
@@ -129,7 +135,9 @@ func TestLinearizeCatchesCorruptedHistory(t *testing.T) {
 	if !forged {
 		t.Skip("history had no successful dequeue to forge")
 	}
-	if linearize.Check(linearize.QueueSpec{}, ops) {
+	if ok, err := linearize.Check(linearize.QueueSpec{}, ops); err != nil {
+		t.Fatal(err)
+	} else if ok {
 		t.Fatal("checker accepted a forged history")
 	}
 }

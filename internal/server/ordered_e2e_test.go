@@ -259,7 +259,9 @@ func TestServerHistoryLinearizableOrdered(t *testing.T) {
 	if scans == 0 {
 		t.Fatal("history recorded no scans; fix the mix")
 	}
-	if !linearize.Check(linearize.SetSpec{}, ops) {
+	if ok, err := linearize.Check(linearize.SetSpec{}, ops); err != nil {
+		t.Fatal(err)
+	} else if !ok {
 		t.Fatal("ordered server history is not linearizable")
 	}
 }

@@ -22,8 +22,6 @@
 // acknowledged operation is ever lost (the e2e tests assert this).
 package server
 
-//pimvet:allow-file determinism: the network server runs on real wall-clock time by design — connection deadlines, combine windows and latency metrics measure the host, not simulated virtual time; nothing here feeds back into the simulator
-
 import (
 	"bufio"
 	"fmt"
@@ -238,7 +236,7 @@ func (c *conn) record() *frame {
 // unsampled path is three shifts and a compare, no allocation — this is
 // the per-frame cost tracing adds to untraced traffic, so it is pinned.
 //
-//pimvet:allocfree
+//pimvet:nopark
 func (c *conn) sampleHit(threshold uint64) bool {
 	x := c.rng
 	x ^= x << 13
@@ -784,7 +782,7 @@ func (s *Server) release(ps *pass, tAck int64) {
 // park the combiner goroutine; channel hand-offs stay in combineLoop on
 // either side.
 //
-//pimvet:allocfree
+//pimvet:nopark
 func (s *Server) applyBatch(ps *pass) {
 	sh := ps.sh
 	if ps.traced {
@@ -800,7 +798,7 @@ func (s *Server) applyBatch(ps *pass) {
 	if ps.rec != nil {
 		// Durability stages here, inside the window, but only as bytes
 		// in the pass's preallocated buffer: the file write and fsync
-		// belong to the WAL writer goroutine (allocfree's stdlib
+		// belong to the WAL writer goroutine (nopark's stdlib
 		// allowlist excludes os and syscall, which enforces the split).
 		ps.stageRecord()
 	}

@@ -283,8 +283,7 @@ func TestManyClientsRace(t *testing.T) {
 		Reg: reg, Log: log,
 		// A live window rotating throughout the run: rotation snapshots
 		// the registry while combiners hammer it, so -race covers the
-		// scrape/record overlap, and the alloc pins prove the hot path
-		// stays allocation-free with windowing on.
+		// scrape/record overlap.
 		WindowTick: 100 * time.Millisecond,
 	})
 

@@ -71,7 +71,7 @@ type SpanRecord struct {
 // components returns the telescoped breakdown in taxonomy order. The
 // array return lives in the caller's frame: subtraction only, no heap.
 //
-//pimvet:allocfree
+//pimvet:nopark
 func (sp *span) components() [prof.NumServerComponents]int64 {
 	return [prof.NumServerComponents]int64{
 		prof.SrvReadDecode:  sp.pub - sp.start,

@@ -15,8 +15,6 @@ package server
 // write is durable; without this, a crash between the read's ack and
 // the write's fsync would recover a state the already-acknowledged
 // read contradicts, and the replayed history would not linearize.
-//
-//pimvet:allow-file determinism: the snapshot ticker and ack-latency stamps run on host wall-clock time by design; nothing here feeds back into simulated behaviour
 
 import (
 	"fmt"
@@ -103,7 +101,7 @@ func newWALState(cfg Config) (*walState, error) {
 // earlier durable writes. Part of the pinned window: stages bytes only,
 // never touches a file.
 //
-//pimvet:allocfree
+//pimvet:nopark
 func (ps *pass) stageRecord() {
 	sh := ps.sh
 	ps.rec = wal.BeginRecord(ps.rec[:0], uint16(sh.idx), sh.walSeq+1)

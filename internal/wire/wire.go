@@ -267,7 +267,7 @@ const (
 // response record, for writers packing results into frames under the
 // MaxPayload budget.
 //
-//pimvet:allocfree
+//pimvet:nopark
 func VarResultSize(r Result) int { return varBaseSize + 8*len(r.Values) }
 
 // Protocol errors.
@@ -291,7 +291,7 @@ var (
 )
 
 // Static pre-wrapped malformed-frame errors. The decode paths are
-// marked //pimvet:allocfree, and building these with fmt.Errorf at the
+// pinned allocation-free, and building these with fmt.Errorf at the
 // rejection site allocates; constructing them once here keeps rejection
 // as cheap as acceptance (a desynchronized peer can hit these at frame
 // rate). The offending byte values the old messages interpolated are
@@ -317,7 +317,7 @@ var (
 // encoding shared by FrameRequestV2 and the WAL's batch records.
 // Zero-alloc when buf has capacity.
 //
-//pimvet:allocfree
+//pimvet:nopark
 func AppendOp(buf []byte, op Op) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, op.ID)
 	buf = append(buf, byte(op.Kind))
@@ -331,7 +331,7 @@ func AppendOp(buf []byte, op Op) []byte {
 // of b. Strict: the kind byte must name a defined op, so every accepted
 // record re-encodes byte-identically. Zero-alloc.
 //
-//pimvet:allocfree
+//pimvet:nopark
 func DecodeOp(b []byte) (Op, error) {
 	if len(b) < OpRecordSize {
 		return Op{}, errOpTruncated
@@ -356,7 +356,7 @@ func DecodeOp(b []byte) (Op, error) {
 // so decode/re-encode stays canonical. Zero-alloc when buf has
 // capacity: clients reuse one buffer per connection.
 //
-//pimvet:allocfree
+//pimvet:nopark
 func AppendRequestV2(buf []byte, ops []Op, tc TraceContext) ([]byte, error) {
 	if len(ops) > MaxOpsPerFrame {
 		return buf, ErrTooManyOps
@@ -378,7 +378,7 @@ func AppendRequestV2(buf []byte, ops []Op, tc TraceContext) ([]byte, error) {
 // and returns the extended slice. Zero-alloc when buf has capacity: the
 // server's writer goroutines reuse one buffer per connection.
 //
-//pimvet:allocfree
+//pimvet:nopark
 func AppendResponse(buf []byte, results []Result) ([]byte, error) {
 	if len(results) > MaxOpsPerFrame {
 		return buf, ErrTooManyOps
@@ -409,7 +409,7 @@ func AppendResponse(buf []byte, results []Result) ([]byte, error) {
 // MaxPayload; writers split larger batches, tracking size with
 // VarResultSize. Zero-alloc when buf has capacity.
 //
-//pimvet:allocfree
+//pimvet:nopark
 func AppendResponseVar(buf []byte, results []Result) ([]byte, error) {
 	if len(results) > MaxOpsPerFrame {
 		return buf, ErrTooManyOps
@@ -450,7 +450,7 @@ func AppendResponseVar(buf []byte, results []Result) ([]byte, error) {
 // exceeds MaxPayload or MaxOpsPerFrame records. Zero-alloc when buf has
 // capacity.
 //
-//pimvet:allocfree
+//pimvet:nopark
 func AppendResponses(buf []byte, results []Result) ([]byte, int, error) {
 	frames := 0
 	for len(results) > 0 {
@@ -496,7 +496,7 @@ func AppendResponses(buf []byte, results []Result) ([]byte, int, error) {
 	return buf, frames, nil
 }
 
-//pimvet:allocfree
+//pimvet:nopark
 func appendFrameHeader(buf []byte, payload int, typ uint8, count int) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(payload))
 	buf = append(buf, typ)
@@ -508,19 +508,16 @@ func appendFrameHeader(buf []byte, payload int, typ uint8, count int) []byte {
 // it is large enough. It returns io.EOF only on a clean frame
 // boundary; a stream that dies mid-frame yields io.ErrUnexpectedEOF.
 // The returned slice aliases buf (or its replacement) and is valid
-// until the next call with the same buffer. (Allocation-free but not
-// non-blocking: reading from r parks on the socket by design — this is
-// the reader goroutine's blocking point, reached through io.ReadFull on
-// allocfree's allowlist.)
-//
-//pimvet:allocfree
+// until the next call with the same buffer. Allocation-free, but it
+// parks on r by design: this is the reader goroutine's blocking point,
+// so it carries no //pimvet:nopark mark.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 	// The length prefix is read into the reusable buffer rather than a
 	// local array: a stack [4]byte sliced into an io.Reader argument
-	// escapes and costs one heap allocation per frame (invisible to the
-	// static analyzer, pinned by TestReadFrameSteadyStateAllocs).
+	// escapes and costs one heap allocation per frame (pinned by
+	// TestReadFrameSteadyStateAllocs).
 	if cap(buf) < 4 {
-		buf = make([]byte, 4) //pimvet:allow allocfree: one-time seed of the reusable buffer
+		buf = make([]byte, 4) // one-time seed of the reusable buffer
 	}
 	hdr := buf[:4]
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
@@ -537,7 +534,7 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 		return nil, errShortPayload
 	}
 	if cap(buf) < int(n) {
-		buf = make([]byte, n) //pimvet:allow allocfree: amortized grow to the largest frame seen; steady state reuses the buffer
+		buf = make([]byte, n) // amortized grow to the largest frame seen; steady state reuses the buffer
 	}
 	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -564,7 +561,7 @@ func unexpectedEOF(err error) error {
 // dst has capacity: this is the server reader goroutine's per-frame
 // fast path.
 //
-//pimvet:allocfree
+//pimvet:nopark
 func DecodeRequestAny(payload []byte, dst []Op) ([]Op, TraceContext, error) {
 	body, count, err := checkHeader(payload, FrameRequestV2, OpRecordSize, traceSize)
 	if err != nil {
@@ -601,7 +598,7 @@ func DecodeRequestAny(payload []byte, dst []Op) ([]Op, TraceContext, error) {
 // every accepted payload re-encodes byte-identically. Zero-alloc when
 // dst has capacity: this is the client reader's per-frame fast path.
 //
-//pimvet:allocfree
+//pimvet:nopark
 func DecodeResponse(payload []byte, dst []Result) ([]Result, error) {
 	body, count, err := checkHeader(payload, FrameResponse, resultSize, 0)
 	if err != nil {
@@ -635,7 +632,7 @@ func DecodeResponse(payload []byte, dst []Result) ([]Result, error) {
 // ErrMalformed — so every accepted payload re-encodes byte-identically.
 // Zero-alloc when dst and vals have capacity.
 //
-//pimvet:allocfree
+//pimvet:nopark
 func DecodeResponseAny(payload []byte, dst []Result, vals []int64) ([]Result, []int64, error) {
 	if len(payload) >= 1 && payload[0] == FrameResponse {
 		dst, err := DecodeResponse(payload, dst)
@@ -678,7 +675,7 @@ func DecodeResponseAny(payload []byte, dst []Result, vals []int64) ([]Result, []
 		return dst, vals, errVarTrailing
 	}
 	if cap(vals)-len(vals) < total {
-		grown := make([]int64, len(vals), len(vals)+total) //pimvet:allow allocfree: amortized arena grow to the largest response seen; steady state reuses the arena
+		grown := make([]int64, len(vals), len(vals)+total) // amortized arena grow to the largest response seen; steady state reuses the arena
 		copy(grown, vals)
 		vals = grown
 	}
@@ -709,7 +706,7 @@ func DecodeResponseAny(payload []byte, dst []Result, vals []int64) ([]Result, []
 // fixed per-frame state (the request trace context) before the records;
 // the returned body starts at that state.
 //
-//pimvet:allocfree
+//pimvet:nopark
 func checkHeader(payload []byte, wantType uint8, recSize, extra int) (body []byte, count int, err error) {
 	if len(payload) < headerSize {
 		return nil, 0, errTruncatedHeader
