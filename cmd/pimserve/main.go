@@ -39,7 +39,7 @@ func main() {
 		queueDepth  = flag.Int("queue-depth", 1024, "per-shard publication queue capacity in (frame, shard) slots; also sizes each connection's max(2, n/16) frame records (backpressure bound)")
 		idleTimeout = flag.Duration("idle-timeout", 0, "close connections idle this long (0 = never)")
 		writeTO     = flag.Duration("write-timeout", 30*time.Second, "per-frame write deadline to slow clients")
-		opsAddr     = flag.String("ops-addr", "", "HTTP ops endpoint: Prometheus /metrics, /metrics.json, /metrics/history, /healthz, /buildinfo, /slow, /trace, /debug/pprof (empty = off)")
+		opsAddr     = flag.String("ops-addr", "", "HTTP ops endpoint: /metrics.json, /metrics/history, /healthz, /buildinfo, /slow, /trace, /debug/pprof (empty = off)")
 		traceSample = flag.Float64("trace-sample", 0, "fraction of request frames to trace (0 = only client-requested)")
 		traceRing   = flag.Int("trace-ring", 256, "finished spans retained per shard for /trace")
 		slowThresh  = flag.Duration("slow-threshold", 0, "log sampled requests at least this slow to /slow (0 = off)")
@@ -100,7 +100,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "pimserve: ops endpoint on http://%s/metrics\n", oln.Addr())
+		fmt.Fprintf(os.Stderr, "pimserve: ops endpoint on http://%s/metrics.json\n", oln.Addr())
 		go func() {
 			// Ignore the error on shutdown: the process is exiting.
 			http.Serve(oln, srv.OpsHandler())

@@ -11,8 +11,8 @@ import (
 //
 //	//pimvet:nopark note
 //	    Declares that the function, and every module function it
-//	    transitively calls, never parks its goroutine. The nopark
-//	    analyzer enforces it. The note is free-form and optional.
+//	    transitively calls, never parks its goroutine. Check
+//	    enforces it. The note is free-form and optional.
 //
 // A comment recognized as a directive must begin with //pimvet: (no
 // leading whitespace inside the comment), which keeps prose that merely

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"pimds/internal/obs"
 	"pimds/internal/testenv"
 	"pimds/internal/wal"
 	"pimds/internal/wire"
@@ -205,6 +206,57 @@ func TestApplyBatchOrderedAllocs(t *testing.T) {
 				t.Fatalf("scan returned %d values, want 16", n)
 			}
 		})
+	}
+}
+
+// TestCombinePassMetricsAllocs pins a whole combiner pass on a server
+// with a live registry and window: the shard's own combineLoop gathers
+// a published slot, runs applyBatch, updates the shard's counters and
+// its batch and scan histograms, and releases the frame, which
+// observes the latency histogram. A window rotation — which snapshots
+// every metric the pass touches — runs between pinned rounds; no round
+// may allocate.
+func TestCombinePassMetricsAllocs(t *testing.T) {
+	skipIfRace(t)
+	reg := obs.NewRegistry()
+	s, err := New(Config{Structure: StructSkip, Shards: 1, KeySpace: 1 << 10, Reg: reg, WindowTick: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown()
+	sh := s.shards[0]
+	preloadEven(sh.be, 64) // before the first slot: the send orders it before the combiner's reads
+
+	c := &conn{out: make(chan *frame, 1), free: make(chan *frame, 1), next: make([]int, 2)}
+	f := c.record()
+	f.ops = append(steadyBatch(64), wire.Op{ID: 1000, Kind: wire.RangeScan, Key: 0, Hi: 64, Limit: 16})
+	f.results = make([]wire.Result, len(f.ops))
+	pass := func() {
+		f.left.Store(1)
+		c.inflight.Add(1)
+		sh.in <- slot{f: f, hi: len(f.ops)}
+		<-c.out
+	}
+	const rounds, runs = 5, 20
+	for r := 0; r < rounds; r++ {
+		s.rotateOnce()
+		if allocs := testenv.Allocs(runs, pass); allocs != 0 {
+			t.Errorf("round %d: combine pass with live metrics: %d allocs over %d passes, want 0", r, allocs, runs)
+		}
+	}
+	if n := len(f.results[len(f.ops)-1].Values); n != 16 {
+		t.Fatalf("scan returned %d values, want 16", n)
+	}
+	snap := reg.Snapshot()
+	passes := uint64(rounds * 2 * runs) // Allocs warms up with as many calls as it measures
+	if got := snap.Counters["server/shard/000/combines"]; got != passes {
+		t.Errorf("combines = %d, want %d", got, passes)
+	}
+	if got := snap.Histograms["server/shard/000/scan_batch"].Count; got != passes {
+		t.Errorf("scan_batch observations = %d, want %d", got, passes)
+	}
+	if got := len(s.win.History().Samples); got != rounds {
+		t.Errorf("window holds %d samples, want %d", got, rounds)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 
 	"pimds/internal/buildinfo"
 	"pimds/internal/obs"
@@ -13,7 +12,6 @@ import (
 // OpsHandler is the server's live introspection surface, mounted by
 // cmd/pimserve on the -ops-addr listener:
 //
-//	/metrics          Prometheus text exposition of the registry
 //	/metrics.json     the JSON snapshot (same document as pimsim -metrics)
 //	/metrics/history  windowed per-interval deltas (see Config.WindowTick)
 //	/healthz          health verdict (see HealthStatus); 503 when not ready
@@ -27,12 +25,6 @@ import (
 // (/healthz flips to "draining" with 503 for the drain's duration).
 func (s *Server) OpsHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		if err := s.cfg.Reg.WritePrometheus(w, ShardPromNamer); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
 	mux.Handle("/metrics.json", MetricsHandler(s.cfg.Reg))
 	mux.HandleFunc("/metrics/history", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -85,23 +77,4 @@ func MetricsHandler(reg *obs.Registry) http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-}
-
-// ShardPromNamer maps the registry's slash-separated names onto
-// Prometheus families, folding the per-shard series
-// server/shard/NNN/<metric> into one server_shard_<metric> family with
-// a shard label so dashboards aggregate across shards naturally.
-func ShardPromNamer(name string) (string, []obs.PromLabel, bool) {
-	if rest, ok := strings.CutPrefix(name, "server/shard/"); ok {
-		shard, metric, found := strings.Cut(rest, "/")
-		if found {
-			fam, _, _ := obs.PromSanitize("server/shard/" + metric)
-			label := strings.TrimLeft(shard, "0")
-			if label == "" {
-				label = "0"
-			}
-			return fam, []obs.PromLabel{{Name: "shard", Value: label}}, true
-		}
-	}
-	return obs.PromSanitize(name)
 }

@@ -22,8 +22,7 @@ func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
 }
 
 // TestOpsContentTypes asserts every ops route declares an explicit
-// Content-Type: Prometheus exposition text on /metrics, JSON on the
-// rest.
+// Content-Type, JSON on all of them.
 func TestOpsContentTypes(t *testing.T) {
 	srv, _ := startServer(t, server.Config{
 		Structure: server.StructSkip, Reg: obs.NewRegistry(),
@@ -31,7 +30,6 @@ func TestOpsContentTypes(t *testing.T) {
 	})
 	h := srv.OpsHandler()
 	routes := map[string]string{
-		"/metrics":         "text/plain; version=0.0.4",
 		"/metrics.json":    "application/json",
 		"/metrics/history": "application/json",
 		"/healthz":         "application/json",

@@ -547,7 +547,7 @@ func TestMetricsHandler(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("server/ops/total").Add(3)
 	rec := httptest.NewRecorder()
-	server.MetricsHandler(reg).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	server.MetricsHandler(reg).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics.json", nil))
 	if rec.Code != 200 {
 		t.Fatalf("status %d", rec.Code)
 	}
@@ -583,7 +583,9 @@ func TestShutdownIdempotentAndServeAfterDrain(t *testing.T) {
 // TestClosedConnsAreForgotten: a connection leaves the server's tracked
 // set when its writer exits, so churn pins nothing (each tracked conn
 // holds a QueueDepth-deep response queue) and Shutdown pokes only live
-// sockets; a Shutdown racing the close is clean under -race.
+// sockets; a Shutdown racing the close is clean under -race. So does a
+// client that drops mid-frame, or that closes without reading its
+// response, and neither stops the server answering others.
 func TestClosedConnsAreForgotten(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv, addr := startServer(t, server.Config{Structure: server.StructHash, Reg: reg})
@@ -594,6 +596,29 @@ func TestClosedConnsAreForgotten(t *testing.T) {
 		}
 		c.nc.Close()
 	}
+	frame, err := wire.AppendRequestV2(nil, []wire.Op{
+		{ID: 1, Kind: wire.Add, Key: 1000}, {ID: 2, Kind: wire.Add, Key: 1001},
+	}, wire.TraceContext{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The 4-byte length prefix and half the payload, header included.
+	midFrame := dial(t, addr)
+	if _, err := midFrame.nc.Write(frame[:4+(len(frame)-4)/2]); err != nil {
+		t.Fatal(err)
+	}
+	midFrame.nc.Close()
+	unread := dial(t, addr)
+	if _, err := unread.nc.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	unread.nc.Close()
+	// Accepted after both, so its answer means both were accepted too.
+	other := dial(t, addr)
+	if r := other.do(t, wire.Contains, 0); !r.OK {
+		t.Fatalf("after the closes: contains 0: %+v, want OK", r)
+	}
+	other.nc.Close()
 	// The gauge drops after the writer has left the set, so 0 here
 	// means every teardown ran to completion.
 	for deadline := time.Now().Add(10 * time.Second); reg.Snapshot().Gauges["server/conns/open"] != 0; {
@@ -726,7 +751,7 @@ func ExampleMetricsHandler() {
 	reg := obs.NewRegistry()
 	reg.Counter("server/conns/total").Inc()
 	rec := httptest.NewRecorder()
-	server.MetricsHandler(reg).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	server.MetricsHandler(reg).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics.json", nil))
 	fmt.Println(rec.Code)
 	// Output: 200
 }

@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http/httptest"
 	"os"
-	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -191,11 +190,9 @@ func TestWriteChromeTraceValid(t *testing.T) {
 	}
 }
 
-var promSample = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"(,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*\})? -?[0-9.eE+-]+$`)
-
 // TestOpsEndpoint exercises the full introspection surface over HTTP:
-// Prometheus text at /metrics (with per-shard series folded into
-// labelled families), JSON at /metrics.json, pprof, and /trace.
+// the JSON snapshot at /metrics.json (with per-shard series and the
+// trace summaries), pprof, and /trace.
 func TestOpsEndpoint(t *testing.T) {
 	srv, addr := startServer(t, server.Config{
 		Structure: server.StructSkip, Shards: 2, KeySpace: 1 << 10, TraceSample: 1,
@@ -225,37 +222,20 @@ func TestOpsEndpoint(t *testing.T) {
 		return string(b)
 	}
 
-	prom := get("/metrics")
-	if strings.TrimSpace(prom) == "" {
-		t.Fatal("/metrics returned nothing")
-	}
-	for _, line := range strings.Split(strings.TrimSpace(prom), "\n") {
-		if strings.HasPrefix(line, "#") || line == "" {
-			continue
-		}
-		if !promSample.MatchString(line) {
-			t.Errorf("unparseable Prometheus line: %q", line)
-		}
-	}
-	for _, want := range []string{
-		"# TYPE server_ops_total counter",
-		"server_ops_total 6",
-		`server_shard_combines{shard="0"}`,
-		`server_shard_combines{shard="1"}`,
-		"# TYPE server_trace_e2e_ns summary",
-		`server_trace_e2e_ns{quantile="0.99"}`,
-	} {
-		if !strings.Contains(prom, want) {
-			t.Errorf("/metrics missing %q:\n%s", want, prom)
-		}
-	}
-
 	var snap obs.Snapshot
 	if err := json.Unmarshal([]byte(get("/metrics.json")), &snap); err != nil {
 		t.Fatalf("/metrics.json not a snapshot: %v", err)
 	}
 	if snap.Counters["server/ops/total"] != 6 {
 		t.Errorf("JSON snapshot ops/total = %d, want 6", snap.Counters["server/ops/total"])
+	}
+	for _, name := range []string{"server/shard/000/combines", "server/shard/001/combines"} {
+		if snap.Counters[name] == 0 {
+			t.Errorf("JSON snapshot %s = 0, want > 0", name)
+		}
+	}
+	if h := snap.Histograms["server/trace/e2e_ns"]; h.Count == 0 || h.P99 == 0 {
+		t.Errorf("JSON snapshot server/trace/e2e_ns = %+v, want sampled spans with a p99", h)
 	}
 
 	var events []map[string]interface{}
@@ -268,10 +248,9 @@ func TestOpsEndpoint(t *testing.T) {
 	_ = srv
 }
 
-// TestMetricsScrapeDuringDrain races live scrapes (both the JSON
-// snapshot and the Prometheus text export) against traffic and a
-// graceful shutdown; under -race this pins the consistent-snapshot
-// guarantee for concurrent scrape + drain.
+// TestMetricsScrapeDuringDrain races live scrapes of /metrics.json
+// against traffic and a graceful shutdown; under -race this pins the
+// consistent-snapshot guarantee for concurrent scrape + drain.
 func TestMetricsScrapeDuringDrain(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv, addr := startServer(t, server.Config{
@@ -279,7 +258,6 @@ func TestMetricsScrapeDuringDrain(t *testing.T) {
 		TraceSample: 0.5, Reg: reg,
 	})
 	ops := srv.OpsHandler()
-	jsonH := server.MetricsHandler(reg)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -312,19 +290,17 @@ func TestMetricsScrapeDuringDrain(t *testing.T) {
 			}
 		}(int64(w))
 	}
-	// Scrapers hammer both endpoints before, during and after Shutdown.
+	// A scraper hammers /metrics.json before, during and after Shutdown.
 	scrape := make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
 			rec := httptest.NewRecorder()
-			ops.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+			ops.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics.json", nil))
 			if rec.Code != 200 {
 				t.Errorf("scrape %d: status %d", i, rec.Code)
 			}
-			rec = httptest.NewRecorder()
-			jsonH.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
 			var snap obs.Snapshot
 			if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
 				t.Errorf("scrape %d: bad JSON: %v", i, err)
