@@ -36,7 +36,9 @@ type listedPackage struct {
 }
 
 // Load runs `go list -deps -export -json` over patterns in dir, with
-// the go command of the toolchain this binary was built by. The go
+// the go command in runtime.GOROOT()/bin, so the export data matches
+// the go/types this binary was built with; a missing go command is an
+// error, not a skip. The go
 // command applies build constraints, expands patterns and stops at
 // nested modules; its -deps order puts every package after its
 // imports. Load parses and type-checks the main module's packages from
