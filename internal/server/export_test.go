@@ -1,5 +1,8 @@
 package server
 
+// CloseGrace is how long a closing connection waits for its peer's FIN.
+const CloseGrace = closeGrace
+
 // RotateOnce forces one window rotation and health re-evaluation, so
 // tests can close window intervals deterministically instead of
 // waiting out the ticker.

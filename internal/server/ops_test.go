@@ -129,6 +129,7 @@ func scrapeHealth(t *testing.T, h http.Handler) (healthDoc, int) {
 // with all six rules while serving, and flipped to draining with 503
 // once Shutdown begins.
 func TestHealthzVerdictAndDrainFlip(t *testing.T) {
+	t.Parallel() // its client stays open: the drain waits out CloseGrace
 	srv, addr := startServer(t, server.Config{
 		Structure: server.StructSkip, Reg: obs.NewRegistry(),
 		WindowTick: time.Hour,

@@ -2,13 +2,16 @@ package server_test
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"net/http/httptest"
+	"runtime/pprof"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -561,6 +564,7 @@ func TestMetricsHandler(t *testing.T) {
 }
 
 func TestShutdownIdempotentAndServeAfterDrain(t *testing.T) {
+	t.Parallel() // its client stays open: the drain waits out CloseGrace
 	srv, addr := startServer(t, server.Config{Structure: server.StructList})
 	c := dial(t, addr)
 	if r := c.do(t, wire.Add, 1); !r.OK {
@@ -578,6 +582,57 @@ func TestShutdownIdempotentAndServeAfterDrain(t *testing.T) {
 		}
 		nc.Close()
 	}
+}
+
+// TestDrainWithSilentPeer: a client whose request was answered but
+// which never closes its socket holds a drain for at most CloseGrace,
+// after which the writer gives up on its FIN. The drain still forgets
+// the connection and leaves none of its goroutines behind. The test
+// waits out CloseGrace, so it runs in parallel with the other drains
+// that do; a pprof label tells its goroutines from theirs.
+func TestDrainWithSilentPeer(t *testing.T) {
+	t.Parallel()
+	label := fmt.Sprintf("%q:%q", "drain", t.Name())
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("drain", t.Name())))
+	defer pprof.SetGoroutineLabels(context.Background())
+	srv, addr := startServer(t, server.Config{Structure: server.StructList})
+	if r := dial(t, addr).do(t, wire.Add, 1); !r.OK {
+		t.Fatalf("add: %+v", r)
+	}
+	start := time.Now()
+	srv.Shutdown()
+	if took := time.Since(start); took > server.CloseGrace+time.Second {
+		t.Fatalf("Shutdown took %v with a silent peer, want at most CloseGrace (%v) + 1s", took, server.CloseGrace)
+	}
+	if n := srv.TrackedConns(); n != 0 {
+		t.Fatalf("%d connections tracked after the drain, want 0", n)
+	}
+	// Only the test goroutine itself carries the label once the drain is
+	// done; Serve's goroutine may take a moment to return.
+	for deadline := time.Now().Add(time.Second); labelled(label) > 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of the server's goroutines outlive the drain", labelled(label)-1)
+		}
+	}
+}
+
+// labelled counts the live goroutines whose pprof labels include label.
+func labelled(label string) int {
+	var b strings.Builder
+	pprof.Lookup("goroutine").WriteTo(&b, 1)
+	n := 0
+	for _, rec := range strings.Split(b.String(), "\n\n") {
+		if !strings.Contains(rec, label) {
+			continue
+		}
+		for _, line := range strings.Split(rec, "\n") {
+			if count, _, ok := strings.Cut(line, " @ "); ok {
+				k, _ := strconv.Atoi(count)
+				n += k
+			}
+		}
+	}
+	return n
 }
 
 // TestClosedConnsAreForgotten: a connection leaves the server's tracked

@@ -22,7 +22,6 @@ import (
 
 	"pimds/internal/obs"
 	"pimds/internal/wal"
-	"pimds/internal/wal/snapshot"
 	"pimds/internal/wire"
 )
 
@@ -199,78 +198,48 @@ func (s *Server) recoverWAL() error {
 	return err
 }
 
+// doRecover keeps the server's half of recovery — the layout check,
+// the backends, the counters — and leaves the directory's rules
+// (snapshot boundary, covered records, seq gaps, torn tails) to
+// wal.Recover.
 func (s *Server) doRecover() error {
 	w := s.wal
-
-	// Restore the newest valid snapshot: each shard's canonical dump
-	// plus the per-shard WAL sequence number that dump includes.
-	doc, snapSeg, haveSnap, err := snapshot.Latest(w.dir)
-	if err != nil {
-		return err
-	}
-	from := uint64(0)
-	snapSeqs := make([]uint64, len(s.shards))
-	if haveSnap {
-		if len(doc.Shards) != len(s.shards) {
-			return fmt.Errorf("server: snapshot in %s captures %d shards, server configured with %d",
-				w.dir, len(doc.Shards), len(s.shards))
-		}
-		for i, sh := range s.shards {
-			// Set dumps are keys, each owned by one shard; queue and
-			// stack dumps are values.
-			if s.caps.Keyed(wire.Add) {
-				for _, key := range doc.Shards[i].State {
-					if err := s.checkLayout(i, wire.Op{Kind: wire.Add, Key: key}); err != nil {
-						return fmt.Errorf("server: snapshot in %s: %w", w.dir, err)
-					}
-				}
-			}
-			sh.be.RestoreState(doc.Shards[i].State)
-			sh.walSeq = doc.Shards[i].Seq
-			snapSeqs[i] = doc.Shards[i].Seq
-			w.restored.Add(uint64(len(doc.Shards[i].State)))
-		}
-		from = snapSeg
-	}
-
-	// Replay the log tail. Records already folded into the snapshot
-	// (seq ≤ the snapshot's per-shard sequence) are skipped — the
-	// snapshot rolled to a fresh segment first, so only records in that
-	// boundary segment can be duplicates. Replay itself truncates a
-	// torn or corrupt tail.
 	var out []wire.Result
 	var arena []int64
-	res, err := wal.Replay(w.dir, from, func(rec wal.Record) error {
-		if int(rec.Shard) >= len(s.shards) {
-			return fmt.Errorf("server: wal record for shard %d, server configured with %d shards",
-				rec.Shard, len(s.shards))
+	next, seqs, err := wal.Recover(w.dir, len(s.shards), func(i int, state []int64) error {
+		// Set dumps are keys, each owned by one shard; queue and stack
+		// dumps are values.
+		if s.caps.Keyed(wire.Add) {
+			for _, key := range state {
+				if err := s.checkLayout(i, wire.Op{Kind: wire.Add, Key: key}); err != nil {
+					return err
+				}
+			}
 		}
-		sh := s.shards[rec.Shard]
-		if rec.Seq <= snapSeqs[rec.Shard] {
-			return nil
-		}
-		if rec.Seq != sh.walSeq+1 {
-			return fmt.Errorf("server: wal shard %d sequence gap: have %d, next record is %d",
-				rec.Shard, sh.walSeq, rec.Seq)
-		}
+		s.shards[i].be.RestoreState(state)
+		w.restored.Add(uint64(len(state)))
+		return nil
+	}, func(rec wal.Record) error {
 		for _, op := range rec.Ops {
 			if err := s.checkLayout(int(rec.Shard), op); err != nil {
-				return fmt.Errorf("server: wal in %s: %w", w.dir, err)
+				return err
 			}
 		}
 		if cap(out) < len(rec.Ops) {
 			out = make([]wire.Result, len(rec.Ops))
 		}
-		arena = sh.be.ApplyBatch(rec.Ops, out[:len(rec.Ops)], arena[:0])
-		sh.walSeq = rec.Seq
+		arena = s.shards[rec.Shard].be.ApplyBatch(rec.Ops, out[:len(rec.Ops)], arena[:0])
 		w.replayed.Add(uint64(len(rec.Ops)))
 		return nil
 	})
 	if err != nil {
-		return err
+		return fmt.Errorf("server: recovering %s: %w", w.dir, err)
+	}
+	for i, seq := range seqs {
+		s.shards[i].walSeq = seq
 	}
 
-	log, err := wal.Open(w.dir, res.NextSeg, !w.off)
+	log, err := wal.Open(w.dir, next, !w.off)
 	if err != nil {
 		return err
 	}
@@ -328,28 +297,23 @@ func (s *Server) snapLoop(interval time.Duration) {
 		case <-w.snapStop:
 			return
 		case <-t.C:
-			if err := s.snapshotOnce(); err != nil {
-				// A failed snapshot costs replay time, not correctness:
-				// the log is still intact and still authoritative. Skip
-				// the prune and try again next tick.
-				continue
-			}
+			// A failed snapshot costs replay time, not correctness: the
+			// log is still intact and still authoritative, and the next
+			// tick tries again.
+			s.snapshotOnce()
 		}
 	}
 }
 
 // snapshotOnce rolls the log to a fresh segment, captures every
 // shard's state in its own combiner (so each dump is a consistent
-// point in that shard's serial order), writes the snapshot atomically,
-// and prunes the log and snapshots it supersedes.
+// point in that shard's serial order), and checkpoints it.
 //
-// Correctness of the truncation: the roll happens on the writer, in
-// commit order, *before* the dumps are taken — so every record in a
-// closed segment has seq ≤ the dump's sequence number for its shard
-// and is covered by the snapshot. Records racing into the new boundary
-// segment while the dumps are taken may or may not be covered; replay
-// resolves this per record by comparing seq against the snapshot's,
-// which is why duplicates in the boundary segment are harmless.
+// The roll happens on the writer, in commit order, *before* the dumps
+// are taken — so every record in a closed segment is covered by the
+// snapshot, which is what lets wal.Checkpoint prune them. Records
+// racing into the new boundary segment while the dumps are taken may
+// or may not be covered; wal.Recover resolves them per record by seq.
 func (s *Server) snapshotOnce() error {
 	w := s.wal
 
@@ -360,27 +324,22 @@ func (s *Server) snapshotOnce() error {
 		}
 		rolled <- w.log.Seg()
 	}}
-	newSeg := <-rolled
+	seg := <-rolled
 
-	doc := &snapshot.Doc{Shards: make([]snapshot.Shard, len(s.shards))}
+	snap := &wal.Snapshot{Shards: make([]wal.Shard, len(s.shards))}
 	for i, sh := range s.shards {
-		i, sh := i, sh
 		done := make(chan struct{})
 		sh.ctl <- func() {
-			doc.Shards[i] = snapshot.Shard{Seq: sh.walSeq, State: sh.be.AppendState(nil)}
+			snap.Shards[i] = wal.Shard{Seq: sh.walSeq, State: sh.be.AppendState(nil)}
 			close(done)
 		}
 		<-done
 	}
-
-	if err := snapshot.Write(w.dir, newSeg, doc); err != nil {
+	if err := wal.Checkpoint(w.dir, seg, snap); err != nil {
 		return err
 	}
 	w.snaps.Inc()
-	if err := wal.Prune(w.dir, newSeg); err != nil {
-		return err
-	}
-	return snapshot.Prune(w.dir, newSeg)
+	return nil
 }
 
 // finalSnapshot runs at quiescence, after the combiners and the WAL
@@ -391,19 +350,14 @@ func (s *Server) snapshotOnce() error {
 func (s *Server) finalSnapshot() {
 	w := s.wal
 	defer w.log.Close()
-	if err := w.log.Roll(); err != nil {
+	if w.log.Roll() != nil {
 		return
 	}
-	doc := &snapshot.Doc{Shards: make([]snapshot.Shard, len(s.shards))}
+	snap := &wal.Snapshot{Shards: make([]wal.Shard, len(s.shards))}
 	for i, sh := range s.shards {
-		doc.Shards[i] = snapshot.Shard{Seq: sh.walSeq, State: sh.be.AppendState(nil)}
+		snap.Shards[i] = wal.Shard{Seq: sh.walSeq, State: sh.be.AppendState(nil)}
 	}
-	newSeg := w.log.Seg()
-	if err := snapshot.Write(w.dir, newSeg, doc); err != nil {
-		return
-	}
-	w.snaps.Inc()
-	if wal.Prune(w.dir, newSeg) == nil {
-		snapshot.Prune(w.dir, newSeg)
+	if wal.Checkpoint(w.dir, w.log.Seg(), snap) == nil {
+		w.snaps.Inc()
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"pimds/internal/linearize"
 	"pimds/internal/server"
 	"pimds/internal/wal"
-	"pimds/internal/wal/snapshot"
 	"pimds/internal/wire"
 )
 
@@ -264,11 +263,11 @@ func TestReplayDeterminism(t *testing.T) {
 				dumps := srv.StateDumps()
 				seqs := srv.WALSeqs()
 				srv.Shutdown()
-				doc := &snapshot.Doc{}
+				snap := &wal.Snapshot{}
 				for i := range dumps {
-					doc.Shards = append(doc.Shards, snapshot.Shard{Seq: seqs[i], State: dumps[i]})
+					snap.Shards = append(snap.Shards, wal.Shard{Seq: seqs[i], State: dumps[i]})
 				}
-				return snapshot.Append(nil, doc)
+				return wal.AppendSnapshot(nil, snap)
 			}
 
 			first := replayDump()
@@ -288,15 +287,15 @@ func TestReplayDeterminism(t *testing.T) {
 // from shards that lookups never reach, and leaves the directory intact
 // for a restart under the original layout.
 func TestWALRefusesLayoutDrift(t *testing.T) {
-	// logOnly writes one record for shard 0 of a server that never took
+	// logOnly writes one record for shard of a server that never took
 	// a snapshot, as a kill -9 leaves it.
-	logOnly := func(ops ...wire.Op) func(t *testing.T, dir string) {
+	logOnly := func(shard uint16, ops ...wire.Op) func(t *testing.T, dir string) {
 		return func(t *testing.T, dir string) {
 			l, err := wal.Open(dir, 0, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := l.Append(wal.AppendRecord(nil, 0, 1, ops)); err != nil {
+			if err := l.Append(wal.AppendRecord(nil, shard, 1, ops)); err != nil {
 				t.Fatal(err)
 			}
 			if err := l.Close(); err != nil {
@@ -331,13 +330,17 @@ func TestWALRefusesLayoutDrift(t *testing.T) {
 		probe         wire.Op // answered OK under the written layout
 		wantErr       []string
 	}{
-		{"log shard count", logOnly(add300), hash(2, 1024), hash(4, 1024),
+		{"log shard count", logOnly(0, add300), hash(2, 1024), hash(4, 1024),
 			wire.Op{Kind: wire.Contains, Key: 300}, []string{"shard 0", "key 300", "in shard 1"}},
+		{"log shard index", logOnly(1, wire.Op{ID: 1, Kind: wire.Add, Key: 600}), hash(2, 1024), hash(1, 1024),
+			wire.Op{Kind: wire.Contains, Key: 600}, []string{"record for shard 1", "recovering 1 shards"}},
+		{"snapshot shard count", snapshotted(hash(2, 1024), 300), hash(2, 1024), hash(4, 1024),
+			wire.Op{Kind: wire.Contains, Key: 300}, []string{"captures 2 shards", "recovering 4"}},
 		{"snapshot key space", snapshotted(hash(2, 1024), 300), hash(2, 1024), hash(2, 512),
 			wire.Op{Kind: wire.Contains, Key: 300}, []string{"shard 0", "key 300", "in shard 1"}},
 		{"snapshot key outside key space", snapshotted(hash(1, 1024), 700), hash(1, 1024), hash(1, 512),
 			wire.Op{Kind: wire.Contains, Key: 700}, []string{"shard 0", "key 700", "outside key space 512"}},
-		{"log structure", logOnly(wire.Op{ID: 1, Kind: wire.Enqueue, Key: 7}),
+		{"log structure", logOnly(0, wire.Op{ID: 1, Kind: wire.Enqueue, Key: 7}),
 			server.Config{Structure: server.StructQueue}, server.Config{Structure: server.StructStack},
 			wire.Op{Kind: wire.Dequeue}, []string{"shard 0", "enqueue"}},
 	}
@@ -398,11 +401,11 @@ func TestSnapshotTruncatesLog(t *testing.T) {
 	if len(snaps) != 1 {
 		t.Fatalf("snapshot files after drain = %v, want exactly the final one", snaps)
 	}
-	segs, err := wal.Segments(dir)
+	segs, _, err := wal.List(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, snapSeg, ok, err := snapshot.Latest(dir)
+	doc, snapSeg, ok, err := wal.Latest(dir)
 	if err != nil || !ok {
 		t.Fatalf("Latest: ok %v err %v", ok, err)
 	}

@@ -54,3 +54,36 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeSnapshot drives the snapshot decoder with arbitrary bytes:
+// every input is either rejected with ErrCorruptSnapshot (never a
+// panic) or decodes to a document that re-encodes byte-identically —
+// the canonical encoding that lets two replays of one log be compared
+// by their snapshot bytes. The committed corpus seeds a healthy
+// document, a truncated one and a CRC-corrupt one.
+func FuzzDecodeSnapshot(f *testing.F) {
+	good := AppendSnapshot(nil, &Snapshot{Shards: []Shard{
+		{Seq: 3, State: []int64{1, 5, 9}},
+		{Seq: 0},
+	}})
+	f.Add(good)
+	f.Add(append([]byte(nil), good[:len(good)-3]...))
+	bad := append([]byte(nil), good...)
+	bad[len(bad)-1] ^= 0x10
+	f.Add(bad)
+	f.Add([]byte{})
+	f.Add(AppendSnapshot(nil, &Snapshot{}))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, err := DecodeSnapshot(data)
+		if err != nil {
+			if !errors.Is(err, ErrCorruptSnapshot) {
+				t.Fatalf("decode error is not ErrCorruptSnapshot: %v", err)
+			}
+			return
+		}
+		if !bytes.Equal(AppendSnapshot(nil, snap), data) {
+			t.Fatalf("accepted snapshot does not re-encode byte-identically")
+		}
+	})
+}

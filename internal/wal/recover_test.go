@@ -1,0 +1,132 @@
+package wal
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"pimds/internal/wire"
+)
+
+// setModel is a per-shard sorted key set: enough of a backend to
+// recover the fixture, whose log holds only adds and removes.
+type setModel [][]int64
+
+func (m setModel) restore(shard int, state []int64) error {
+	m[shard] = slices.Clone(state)
+	return nil
+}
+
+func (m setModel) apply(rec Record) error {
+	keys := m[rec.Shard]
+	for _, op := range rec.Ops {
+		i, found := slices.BinarySearch(keys, op.Key)
+		switch {
+		case op.Kind == wire.Add && !found:
+			keys = slices.Insert(keys, i, op.Key)
+		case op.Kind == wire.Remove && found:
+			keys = slices.Delete(keys, i, i+1)
+		}
+	}
+	m[rec.Shard] = keys
+	return nil
+}
+
+// copyDir copies the regular files of src into a fresh temp dir, so
+// recovery can truncate and append without touching src.
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// TestRecoverFixture pins the on-disk format and the recovery rules
+// against a committed directory written before Recover existed: a
+// 2-shard list server's snapshot at boundary 1 (shard 0 at seq 2 with
+// {1 3 5}, shard 1 at seq 1 with {40}), then segment 1 holding a
+// record the snapshot covers (shard 0 seq 2), four records after it
+// and half of a torn fifth. The server's recovery of that era rebuilt
+// shard 0 = {5 7} at seq 4 and shard 1 = {40 41} at seq 3, and cut the
+// segment back to its 289 good bytes.
+func TestRecoverFixture(t *testing.T) {
+	src := filepath.Join("testdata", "recover")
+	// Same bytes: today's encoder reproduces the committed snapshot.
+	want := AppendSnapshot(nil, &Snapshot{Shards: []Shard{
+		{Seq: 2, State: []int64{1, 3, 5}},
+		{Seq: 1, State: []int64{40}},
+	}})
+	got, err := os.ReadFile(filepath.Join(src, SnapshotName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("committed snapshot differs from today's encoding of the same document")
+	}
+
+	dir := copyDir(t, src)
+	m := make(setModel, 2)
+	type applied struct {
+		shard uint16
+		seq   uint64
+	}
+	var log []applied
+	next, seqs, err := Recover(dir, 2, m.restore, func(rec Record) error {
+		log = append(log, applied{rec.Shard, rec.Seq})
+		return m.apply(rec)
+	})
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if wantState := (setModel{{5, 7}, {40, 41}}); !reflect.DeepEqual(m, wantState) {
+		t.Errorf("recovered state = %v, want %v", m, wantState)
+	}
+	if !slices.Equal(seqs, []uint64{4, 3}) || next != 1 {
+		t.Errorf("recovered seqs %v, next segment %d; want [4 3], 1", seqs, next)
+	}
+	// The covered record (shard 0 seq 2) is skipped, not applied.
+	if wantLog := []applied{{1, 2}, {0, 3}, {1, 3}, {0, 4}}; !slices.Equal(log, wantLog) {
+		t.Errorf("applied records %v, want %v", log, wantLog)
+	}
+	if st, err := os.Stat(filepath.Join(dir, SegmentName(1))); err != nil || st.Size() != 289 {
+		t.Errorf("segment after recovery: %v (err %v), want the 289 good bytes", st.Size(), err)
+	}
+}
+
+// TestRecoverRefusesSeqGap: a shard whose seqs skip a number lost a
+// record, and recovery must not paper over the hole.
+func TestRecoverRefusesSeqGap(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeRecords(t, l, 0, 1, 2)
+	writeRecords(t, l, 1, 1, 1)
+	writeRecords(t, l, 0, 4, 4)
+	l.Close()
+	var applied int
+	_, _, err = Recover(dir, 2, nil, func(Record) error { applied++; return nil })
+	if err == nil || !strings.Contains(err.Error(), "shard 0 sequence gap: have 2, next record is 4") {
+		t.Fatalf("Recover over a seq gap: err = %v, want a shard 0 gap error", err)
+	}
+	if applied != 3 {
+		t.Fatalf("applied %d records before the gap, want 3", applied)
+	}
+}

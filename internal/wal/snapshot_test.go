@@ -1,4 +1,4 @@
-package snapshot
+package wal
 
 import (
 	"bytes"
@@ -8,20 +8,20 @@ import (
 	"testing"
 )
 
-func sampleDoc() *Doc {
-	return &Doc{Shards: []Shard{
+func sampleSnapshot() *Snapshot {
+	return &Snapshot{Shards: []Shard{
 		{Seq: 12, State: []int64{1, 2, 3}},
 		{Seq: 0, State: nil},
 		{Seq: 7, State: []int64{-9, 1 << 40}},
 	}}
 }
 
-func TestRoundTrip(t *testing.T) {
-	doc := sampleDoc()
-	buf := Append(nil, doc)
-	got, err := Decode(buf)
+func TestSnapshotRoundTrip(t *testing.T) {
+	doc := sampleSnapshot()
+	buf := AppendSnapshot(nil, doc)
+	got, err := DecodeSnapshot(buf)
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("DecodeSnapshot: %v", err)
 	}
 	if len(got.Shards) != len(doc.Shards) {
 		t.Fatalf("decoded %d shards, want %d", len(got.Shards), len(doc.Shards))
@@ -40,13 +40,13 @@ func TestRoundTrip(t *testing.T) {
 		}
 	}
 	// Canonical: re-encoding the decoded doc is byte-identical.
-	if !bytes.Equal(Append(nil, got), buf) {
+	if !bytes.Equal(AppendSnapshot(nil, got), buf) {
 		t.Fatal("re-encoded doc differs")
 	}
 }
 
-func TestDecodeRejectsDamage(t *testing.T) {
-	buf := Append(nil, sampleDoc())
+func TestDecodeSnapshotRejectsDamage(t *testing.T) {
+	buf := AppendSnapshot(nil, sampleSnapshot())
 	for _, tc := range []struct {
 		name string
 		mut  func([]byte) []byte
@@ -58,7 +58,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		{"empty", func(b []byte) []byte { return nil }},
 	} {
 		bad := tc.mut(append([]byte(nil), buf...))
-		if _, err := Decode(bad); err == nil {
+		if _, err := DecodeSnapshot(bad); err == nil {
 			t.Fatalf("%s: decode accepted damaged doc", tc.name)
 		}
 	}
@@ -69,13 +69,13 @@ func TestWriteLatestPrune(t *testing.T) {
 	if _, _, ok, err := Latest(dir); err != nil || ok {
 		t.Fatalf("Latest on empty dir = ok %v, err %v", ok, err)
 	}
-	d1 := &Doc{Shards: []Shard{{Seq: 1, State: []int64{1}}}}
-	d2 := &Doc{Shards: []Shard{{Seq: 2, State: []int64{1, 2}}}}
-	if err := Write(dir, 1, d1); err != nil {
-		t.Fatalf("Write: %v", err)
+	d1 := &Snapshot{Shards: []Shard{{Seq: 1, State: []int64{1}}}}
+	d2 := &Snapshot{Shards: []Shard{{Seq: 2, State: []int64{1, 2}}}}
+	if err := writeSnapshot(dir, 1, d1); err != nil {
+		t.Fatalf("writeSnapshot: %v", err)
 	}
-	if err := Write(dir, 4, d2); err != nil {
-		t.Fatalf("Write: %v", err)
+	if err := writeSnapshot(dir, 4, d2); err != nil {
+		t.Fatalf("writeSnapshot: %v", err)
 	}
 	doc, seg, ok, err := Latest(dir)
 	if err != nil || !ok {
@@ -85,7 +85,7 @@ func TestWriteLatestPrune(t *testing.T) {
 		t.Fatalf("Latest = seg %d doc %+v, want seg 4 %+v", seg, doc, d2)
 	}
 	// A corrupt newest snapshot falls back to the older one.
-	path := filepath.Join(dir, Name(4))
+	path := filepath.Join(dir, SnapshotName(4))
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -99,10 +99,10 @@ func TestWriteLatestPrune(t *testing.T) {
 		t.Fatalf("Latest with corrupt newest = seg %d ok %v err %v, want fallback to seg 1", seg, ok, err)
 	}
 	// Prune removes snapshots below the boundary.
-	if err := Prune(dir, 4); err != nil {
-		t.Fatalf("Prune: %v", err)
+	if err := prune(dir, 4); err != nil {
+		t.Fatalf("prune: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, Name(1))); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, SnapshotName(1))); !os.IsNotExist(err) {
 		t.Fatalf("snap 1 survived prune: %v", err)
 	}
 	if _, err := os.Stat(path); err != nil {
@@ -114,7 +114,7 @@ func TestWriteLatestPrune(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range ents {
-		if _, ok := parseName(e.Name()); !ok {
+		if _, ok := parseName(e.Name(), "snap-%d.snap", SnapshotName); !ok {
 			t.Fatalf("foreign file left in snapshot dir: %s", e.Name())
 		}
 	}

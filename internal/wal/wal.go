@@ -1,11 +1,14 @@
-// Package wal is the write-ahead log behind pimserve's durability. It
-// applies the paper's flat-combining insight to storage: the per-shard
-// combiner already applies whole batches, so one log record — and in
-// the default policy, one fsync — covers an entire batch of acked ops.
-// Group commit falls out of the combining structure for free.
+// Package wal owns pimserve's durable directory: the write-ahead log,
+// the snapshots that let it be truncated, and the one recovery that
+// reads them back. It applies the paper's flat-combining insight to
+// storage: the per-shard combiner already applies whole batches, so one
+// log record — and in the default policy, one fsync — covers an entire
+// batch of acked ops. Group commit falls out of the combining structure
+// for free.
 //
-// The log is a directory of append-only segment files (wal-%08d.log).
-// Each record frames one combiner batch:
+// The directory holds append-only segment files (wal-%08d.log) and
+// snapshot documents (snap-%08d.snap). Each record frames one combiner
+// batch:
 //
 //	uint32 length  payload bytes after this 8-byte record header
 //	uint32 crc     CRC-32C (Castagnoli) of the payload
@@ -36,10 +39,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"pimds/internal/wire"
 )
@@ -176,56 +178,60 @@ func DecodeRecord(b []byte, dst []wire.Op) (Record, int, error) {
 // SegmentName returns the file name of segment n.
 func SegmentName(n uint64) string { return fmt.Sprintf("wal-%08d.log", n) }
 
-// parseSegment inverts SegmentName; ok is false for foreign files.
-// Round-tripping through SegmentName rejects anything non-canonical
-// (wrong padding, trailing junk).
-func parseSegment(name string) (uint64, bool) {
+// SnapshotName returns the file name of the snapshot taken at segment
+// boundary n.
+func SnapshotName(n uint64) string { return fmt.Sprintf("snap-%08d.snap", n) }
+
+// parseName reads n back out of a name that canon(n) would produce;
+// round-tripping rejects anything non-canonical (wrong padding,
+// trailing junk).
+func parseName(name, format string, canon func(uint64) string) (uint64, bool) {
 	var n uint64
-	c, err := fmt.Sscanf(name, "wal-%d.log", &n)
-	if err == nil && c == 1 && name == SegmentName(n) {
-		return n, true
-	}
-	return 0, false
+	_, err := fmt.Sscanf(name, format, &n)
+	return n, err == nil && name == canon(n)
 }
 
-// Segments lists the segment indexes present in dir, ascending. A
-// missing directory is an empty log, not an error.
-func Segments(dir string) ([]uint64, error) {
+// List reads dir once and returns the indexes of its segments and of
+// its snapshots, each ascending; foreign files are ignored. A missing
+// directory is an empty log, not an error.
+func List(dir string) (segs, snaps []uint64, err error) {
 	ents, err := os.ReadDir(dir)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
+		return nil, nil, nil
 	}
-	if err != nil {
-		return nil, err
-	}
-	var segs []uint64
 	for _, e := range ents {
-		if n, ok := parseSegment(e.Name()); ok && !e.IsDir() {
+		if e.IsDir() {
+			continue
+		}
+		if n, ok := parseName(e.Name(), "wal-%d.log", SegmentName); ok {
 			segs = append(segs, n)
+		} else if n, ok := parseName(e.Name(), "snap-%d.snap", SnapshotName); ok {
+			snaps = append(snaps, n)
 		}
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	return segs, nil
+	slices.Sort(segs)
+	slices.Sort(snaps)
+	return segs, snaps, err
 }
 
-// Prune removes every segment with index < below. Called after a
-// snapshot at segment boundary `below` makes the older segments
-// redundant. Best-effort per file; the first removal error is returned
-// but a leftover segment is harmless (replay skips its records by seq).
-func Prune(dir string, below uint64) error {
-	segs, err := Segments(dir)
-	if err != nil {
-		return err
-	}
+// prune removes every segment and every snapshot with index < below:
+// the snapshot at boundary `below` supersedes them all. The first
+// removal error is returned, but a leftover file is harmless — replay
+// skips covered records by seq, and recovery prefers the newest
+// snapshot.
+func prune(dir string, below uint64) error {
+	segs, snaps, err := List(dir)
 	for _, seg := range segs {
-		if seg >= below {
-			break
-		}
-		if err := os.Remove(filepath.Join(dir, SegmentName(seg))); err != nil {
-			return err
+		if err == nil && seg < below {
+			err = os.Remove(filepath.Join(dir, SegmentName(seg)))
 		}
 	}
-	return nil
+	for _, snap := range snaps {
+		if err == nil && snap < below {
+			err = os.Remove(filepath.Join(dir, SnapshotName(snap)))
+		}
+	}
+	return err
 }
 
 // syncDir fsyncs a directory so a just-created or just-renamed entry
@@ -240,6 +246,21 @@ func syncDir(dir string) error {
 		err = cerr
 	}
 	return err
+}
+
+// openSegment opens segment seg in dir for appending, creating it if
+// needed, and fsyncs the directory entry: otherwise records fsynced
+// into a fresh segment could vanish on power loss with their file.
+func openSegment(dir string, seg uint64) (*os.File, error) {
+	f, err := os.OpenFile(filepath.Join(dir, SegmentName(seg)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if err := syncDir(dir); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
 }
 
 // A Log is one open segment being appended to. Appends accumulate in a
@@ -257,31 +278,21 @@ type Log struct {
 
 // Open opens segment seg in dir for appending, creating the directory
 // and the segment as needed. fsync selects whether Sync reaches the
-// disk or only the kernel. The directory entries for the segment — and
-// for the WAL directory itself, when Open created it — are fsynced
-// before returning, mirroring Roll: otherwise records fsynced into a
-// fresh segment could vanish on power loss with their file.
+// disk or only the kernel. When Open creates the WAL directory, the
+// parent's entry for it is fsynced too.
 func Open(dir string, seg uint64, fsync bool) (*Log, error) {
 	_, statErr := os.Stat(dir)
-	madeDir := errors.Is(statErr, os.ErrNotExist)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(filepath.Join(dir, SegmentName(seg)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := openSegment(dir, seg)
 	if err != nil {
 		return nil, err
 	}
-	if err := syncDir(dir); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if madeDir {
-		if err := syncDir(filepath.Dir(dir)); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
 	st, err := f.Stat()
+	if err == nil && errors.Is(statErr, os.ErrNotExist) {
+		err = syncDir(filepath.Dir(dir))
+	}
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -328,12 +339,8 @@ func (l *Log) Roll() error {
 	if err := l.f.Close(); err != nil {
 		return err
 	}
-	f, err := os.OpenFile(filepath.Join(l.dir, SegmentName(l.seg+1)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := openSegment(l.dir, l.seg+1)
 	if err != nil {
-		return err
-	}
-	if err := syncDir(l.dir); err != nil {
-		f.Close()
 		return err
 	}
 	l.seg++
@@ -350,106 +357,4 @@ func (l *Log) Close() error {
 		err = cerr
 	}
 	return err
-}
-
-// ReplayResult summarizes one recovery pass.
-type ReplayResult struct {
-	Records   int
-	Ops       int
-	Truncated bool   // a torn or corrupt tail was cut off
-	NextSeg   uint64 // segment to open for appending
-}
-
-// Replay walks every record in dir's segments with index ≥ from, in
-// segment then file order, calling fn for each. Segments are streamed
-// through a bounded buffer, so recovery memory is independent of
-// segment size. Recovery stops cleanly at the first torn or corrupt
-// record: the containing segment is truncated at the last good byte
-// and any later segments — written after the point the log went bad —
-// are removed, so the next process appends to an intact log. fn's
-// error aborts the walk unchanged.
-//
-// The Record passed to fn aliases an internal arena reused between
-// calls; copy what must outlive the callback.
-func Replay(dir string, from uint64, fn func(Record) error) (ReplayResult, error) {
-	segs, err := Segments(dir)
-	if err != nil {
-		return ReplayResult{}, err
-	}
-	res := ReplayResult{NextSeg: from}
-	var arena []wire.Op
-	recBuf := make([]byte, recHeaderSize+MaxRecordPayload)
-	for si, seg := range segs {
-		if seg < from {
-			continue
-		}
-		res.NextSeg = seg
-		path := filepath.Join(dir, SegmentName(seg))
-		good, ok, err := replaySegment(path, recBuf, &arena, &res, fn)
-		if err != nil {
-			return res, err
-		}
-		if !ok {
-			// The log ends here. Cut the bad tail and drop every
-			// later segment so the survivors form an intact log.
-			if err := os.Truncate(path, good); err != nil {
-				return res, err
-			}
-			for _, later := range segs[si+1:] {
-				if err := os.Remove(filepath.Join(dir, SegmentName(later))); err != nil {
-					return res, err
-				}
-			}
-			res.Truncated = true
-			return res, nil
-		}
-	}
-	return res, nil
-}
-
-// replaySegment streams one segment's records through fn, accumulating
-// counts into res. It returns the byte offset of the end of the last
-// good record and whether the segment was consumed cleanly; ok == false
-// with a nil error means the segment turned torn or corrupt at offset
-// good and the caller should truncate there. recBuf must hold a
-// maximum-size record; arena is the op arena reused across records.
-func replaySegment(path string, recBuf []byte, arena *[]wire.Op, res *ReplayResult, fn func(Record) error) (good int64, ok bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, false, err
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<18)
-	for {
-		if _, rerr := io.ReadFull(br, recBuf[:recHeaderSize]); rerr != nil {
-			if rerr == io.EOF {
-				return good, true, nil
-			}
-			if rerr == io.ErrUnexpectedEOF {
-				return good, false, nil // torn mid-header
-			}
-			return good, false, rerr
-		}
-		n := int(binary.LittleEndian.Uint32(recBuf))
-		if n < payloadHead || n > MaxRecordPayload {
-			return good, false, nil // corrupt length; DecodeRecord would reject it too
-		}
-		if _, rerr := io.ReadFull(br, recBuf[recHeaderSize:recHeaderSize+n]); rerr != nil {
-			if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
-				return good, false, nil // torn mid-payload
-			}
-			return good, false, rerr
-		}
-		rec, consumed, derr := DecodeRecord(recBuf[:recHeaderSize+n], (*arena)[:0])
-		if derr != nil {
-			return good, false, nil
-		}
-		*arena = rec.Ops[:0]
-		if ferr := fn(rec); ferr != nil {
-			return good, false, ferr
-		}
-		res.Records++
-		res.Ops += len(rec.Ops)
-		good += int64(consumed)
-	}
 }

@@ -134,12 +134,12 @@ func TestLogAppendReplay(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	var seqs []uint64
-	res, err := Replay(dir, 0, func(rec Record) error {
+	res, err := replay(dir, 0, func(rec Record) error {
 		seqs = append(seqs, rec.Seq)
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("Replay: %v", err)
+		t.Fatalf("replay: %v", err)
 	}
 	if res.Records != 5 || res.Ops != 10 || res.Truncated {
 		t.Fatalf("replay = %+v, want 5 records / 10 ops, not truncated", res)
@@ -167,9 +167,9 @@ func TestReplayTruncatesTornTail(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	res, err := Replay(dir, 0, nil2(t))
+	res, err := replay(dir, 0, nil2(t))
 	if err != nil {
-		t.Fatalf("Replay: %v", err)
+		t.Fatalf("replay: %v", err)
 	}
 	if res.Records != 3 || !res.Truncated {
 		t.Fatalf("replay = %+v, want 3 records, truncated", res)
@@ -182,7 +182,7 @@ func TestReplayTruncatesTornTail(t *testing.T) {
 		t.Fatalf("segment size after truncation = %d, want %d", st.Size(), goodSize)
 	}
 	// The cleaned log replays without truncation and accepts appends.
-	res, err = Replay(dir, 0, nil2(t))
+	res, err = replay(dir, 0, nil2(t))
 	if err != nil || res.Truncated || res.Records != 3 {
 		t.Fatalf("second replay = %+v (err %v), want clean 3 records", res, err)
 	}
@@ -192,7 +192,7 @@ func TestReplayTruncatesTornTail(t *testing.T) {
 	}
 	writeRecords(t, l, 0, 4, 4)
 	l.Close()
-	res, err = Replay(dir, 0, nil2(t))
+	res, err = replay(dir, 0, nil2(t))
 	if err != nil || res.Records != 4 {
 		t.Fatalf("replay after continued append = %+v (err %v), want 4 records", res, err)
 	}
@@ -227,16 +227,16 @@ func TestReplayStopsAtCorruptRecordAndDropsLaterSegments(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	res, err := Replay(dir, 0, nil2(t))
+	res, err := replay(dir, 0, nil2(t))
 	if err != nil {
-		t.Fatalf("Replay: %v", err)
+		t.Fatalf("replay: %v", err)
 	}
 	if res.Records != 2 || !res.Truncated || res.NextSeg != 1 {
 		t.Fatalf("replay = %+v, want 2 records, truncated, NextSeg 1", res)
 	}
-	segs, err := Segments(dir)
+	segs, _, err := List(dir)
 	if err != nil {
-		t.Fatalf("Segments: %v", err)
+		t.Fatalf("List: %v", err)
 	}
 	if len(segs) != 2 || segs[0] != 0 || segs[1] != 1 {
 		t.Fatalf("segments after truncation = %v, want [0 1]", segs)
@@ -258,7 +258,7 @@ func TestReplayFromSkipsOldSegments(t *testing.T) {
 	}
 	writeRecords(t, l, 0, 3, 4)
 	l.Close()
-	res, err := Replay(dir, 1, nil2(t))
+	res, err := replay(dir, 1, nil2(t))
 	if err != nil || res.Records != 2 || res.NextSeg != 1 {
 		t.Fatalf("replay from seg 1 = %+v (err %v), want 2 records from seg 1", res, err)
 	}
@@ -276,36 +276,47 @@ func TestPrune(t *testing.T) {
 		}
 	}
 	l.Close()
-	if err := Prune(dir, 2); err != nil {
-		t.Fatalf("Prune: %v", err)
+	for _, seg := range []uint64{1, 2} {
+		if err := writeSnapshot(dir, seg, &Snapshot{}); err != nil {
+			t.Fatalf("writeSnapshot: %v", err)
+		}
 	}
-	segs, err := Segments(dir)
+	if err := prune(dir, 2); err != nil {
+		t.Fatalf("prune: %v", err)
+	}
+	segs, snaps, err := List(dir)
 	if err != nil {
-		t.Fatalf("Segments: %v", err)
+		t.Fatalf("List: %v", err)
 	}
 	if len(segs) != 2 || segs[0] != 2 || segs[1] != 3 {
 		t.Fatalf("segments after prune = %v, want [2 3]", segs)
+	}
+	if len(snaps) != 1 || snaps[0] != 2 {
+		t.Fatalf("snapshots after prune = %v, want [2]", snaps)
 	}
 }
 
 func TestSegmentsIgnoresForeignFiles(t *testing.T) {
 	dir := t.TempDir()
-	for _, name := range []string{"wal-00000002.log", "snap-00000001.snap", "wal-junk.log", "notes.txt"} {
+	for _, name := range []string{"wal-00000002.log", "snap-00000001.snap", "wal-junk.log", "notes.txt", "snap-1.snap", "snap-00000003.snap.tmp"} {
 		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	segs, err := Segments(dir)
+	segs, snaps, err := List(dir)
 	if err != nil {
-		t.Fatalf("Segments: %v", err)
+		t.Fatalf("List: %v", err)
 	}
 	if len(segs) != 1 || segs[0] != 2 {
 		t.Fatalf("segments = %v, want [2]", segs)
 	}
+	if len(snaps) != 1 || snaps[0] != 1 {
+		t.Fatalf("snapshots = %v, want [1]", snaps)
+	}
 }
 
 func TestReplayMissingDirIsEmpty(t *testing.T) {
-	res, err := Replay(filepath.Join(t.TempDir(), "absent"), 0, nil2(t))
+	res, err := replay(filepath.Join(t.TempDir(), "absent"), 0, nil2(t))
 	if err != nil || res.Records != 0 || res.NextSeg != 0 {
 		t.Fatalf("replay of missing dir = %+v (err %v), want empty", res, err)
 	}
