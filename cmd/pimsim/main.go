@@ -73,9 +73,8 @@ func main() {
 	}
 	e := sim.NewEngine(sim.ConfigFromParams(pr))
 
-	var tracers []sim.Tracer
 	if *trace {
-		tracers = append(tracers, &sim.WriterTracer{W: os.Stdout})
+		e.Attach(&sim.WriterTracer{W: os.Stdout})
 	}
 	var chrome *sim.ChromeTracer
 	if *traceJSON != "" {
@@ -86,14 +85,7 @@ func main() {
 		}
 		defer f.Close()
 		chrome = sim.NewChromeTracer(f, e)
-		tracers = append(tracers, chrome)
-	}
-	switch len(tracers) {
-	case 0:
-	case 1:
-		e.SetTracer(tracers[0])
-	default:
-		e.SetTracer(sim.MultiTracer(tracers))
+		e.Attach(chrome)
 	}
 
 	// Install the registry before run* builds the structure: structures
@@ -109,7 +101,7 @@ func main() {
 	var profiler *prof.Profiler
 	if *profile != "" || *flame != "" {
 		profiler = prof.New(e, prof.Options{Structure: *structure})
-		e.SetProfiler(profiler)
+		e.Attach(profiler)
 	}
 
 	cfg := e.Config()

@@ -750,7 +750,7 @@ func LatencyExp(o Options) []*Table {
 	row := func(structure, name string, p int, run func(e *sim.Engine) RunResult) {
 		e := sim.NewEngine(sim.ConfigFromParams(o.Params))
 		pr := prof.New(e, prof.Options{Structure: structure})
-		e.SetProfiler(pr)
+		e.Attach(pr)
 		res := run(e)
 		p50, p95, p99 := res.Percentiles()
 		s := pr.Shares()

@@ -5,10 +5,10 @@
 // exports an aggregate attribution report, folded-stack flamegraphs,
 // and top-N slowest-request drill-downs.
 //
-// The profiler attaches to an engine through the sim.Profiler hook
-// interface and is strictly observational: simulated code never reads
-// profiler state, so attaching one changes simulated results by
-// exactly zero (pinned by test, like the metrics layer).
+// The profiler attaches to an engine as a sim.Observer and is strictly
+// observational: simulated code never reads profiler state, so
+// attaching one changes simulated results by exactly zero (pinned by
+// test, like the metrics layer).
 //
 // # Attribution model
 //
@@ -156,9 +156,9 @@ type Options struct {
 	SpanCap int
 }
 
-// Profiler implements sim.Profiler. It must be attached with
-// Engine.SetProfiler before clients start. Not safe for concurrent
-// use; the simulation is single-goroutine.
+// Profiler is a sim.Observer. It must be attached with Engine.Attach
+// before clients start. Not safe for concurrent use; the simulation is
+// single-goroutine.
 type Profiler struct {
 	cfg sim.Config
 	opt Options
@@ -191,7 +191,7 @@ type kindAgg struct {
 }
 
 // New creates a profiler for e's configuration. Attach it with
-// e.SetProfiler(p) before starting clients.
+// e.Attach(p) before starting clients.
 func New(e *sim.Engine, opt Options) *Profiler {
 	if opt.TopN <= 0 {
 		opt.TopN = 5
@@ -296,21 +296,45 @@ func mapCost(k sim.CostKind) Component {
 	}
 }
 
-// --- sim.Profiler hooks ----------------------------------------------
+// --- events ----------------------------------------------------------
 
-// OpStart begins tracking a logical operation for client cpu.
-func (p *Profiler) OpStart(at sim.Time, cpu sim.CoreID) {
+// Observe implements sim.Observer: every event moves some request's
+// cursor or its batch accounting.
+func (p *Profiler) Observe(ev sim.Event) {
+	switch ev.Kind {
+	case sim.EventOpStart:
+		p.opStart(ev.At, ev.Core)
+	case sim.EventOpEnd:
+		p.opEnd(ev.At, ev.Core)
+	case sim.EventCharge:
+		p.charge(ev.At, ev.Core, ev.Cost, ev.Dur)
+	case sim.EventSend:
+		p.sent(ev.At, ev.Msg)
+	case sim.EventDeliver:
+		if ms := p.msgs[ev.Msg.ID()]; ms != nil {
+			ms.delivered = true
+			ms.deliveredAt = ev.At
+		}
+	case sim.EventConsume, sim.EventCombine:
+		p.consumed(ev.At, ev.Msg.ID(), ev.Core, ev.Kind == sim.EventCombine)
+	case sim.EventHandlerEnd:
+		p.handlerEnd(ev.At, ev.Core)
+	}
+}
+
+// opStart begins tracking a logical operation for client cpu.
+func (p *Profiler) opStart(at sim.Time, cpu sim.CoreID) {
 	if old := p.active[cpu]; old != nil {
-		old.done = true // defensive: a client restarted without OpEnd
+		old.done = true // defensive: a client restarted without an op end
 	}
 	p.active[cpu] = &request{
 		client: cpu, kind: -1, issued: at, lastT: at, state: stClientActive,
 	}
 }
 
-// OpEnd completes cpu's in-flight operation and folds it into the
+// opEnd completes cpu's in-flight operation and folds it into the
 // aggregates.
-func (p *Profiler) OpEnd(at sim.Time, cpu sim.CoreID) {
+func (p *Profiler) opEnd(at sim.Time, cpu sim.CoreID) {
 	r := p.active[cpu]
 	if r == nil || r.done {
 		return
@@ -329,8 +353,8 @@ func (p *Profiler) OpEnd(at sim.Time, cpu sim.CoreID) {
 	p.finalize(r, at)
 }
 
-// Charge attributes a local-clock advance on core.
-func (p *Profiler) Charge(at sim.Time, core sim.CoreID, kind sim.CostKind, d sim.Time) {
+// charge attributes a local-clock advance on core.
+func (p *Profiler) charge(at sim.Time, core sim.CoreID, kind sim.CostKind, d sim.Time) {
 	comp := mapCost(kind)
 	if r := p.active[core]; r != nil && !r.done && r.state == stClientActive {
 		p.chargeTo(r, at, comp, d, core)
@@ -342,10 +366,11 @@ func (p *Profiler) Charge(at sim.Time, core sim.CoreID, kind sim.CostKind, d sim
 	}
 }
 
-// MsgSent classifies an outbound message: a request send from a client
+// sent classifies an outbound message: a request send from a client
 // with an active op, or a reply toward a client whose op is located at
 // the sender.
-func (p *Profiler) MsgSent(at sim.Time, id uint64, m sim.Message) {
+func (p *Profiler) sent(at sim.Time, m sim.Message) {
+	id := m.ID()
 	if r := p.active[m.From]; r != nil && !r.done {
 		switch r.state {
 		case stClientActive:
@@ -382,17 +407,9 @@ func (p *Profiler) MsgSent(at sim.Time, id uint64, m sim.Message) {
 	}
 }
 
-// MsgDelivered records the delivery time of a tracked message.
-func (p *Profiler) MsgDelivered(at sim.Time, id uint64, m sim.Message) {
-	if ms := p.msgs[id]; ms != nil {
-		ms.delivered = true
-		ms.deliveredAt = at
-	}
-}
-
-// MsgConsumed advances a request when one of its messages is picked up
-// by a core, and tracks handler-run batch membership.
-func (p *Profiler) MsgConsumed(at sim.Time, id uint64, core sim.CoreID, combined bool) {
+// consumed advances a request when one of its messages is picked up by
+// a core, and tracks handler-run batch membership.
+func (p *Profiler) consumed(at sim.Time, id uint64, core sim.CoreID, combined bool) {
 	run := p.runs[core]
 	if !combined || run == nil {
 		run = &handlerRun{}
@@ -455,10 +472,10 @@ func (p *Profiler) MsgConsumed(at sim.Time, id uint64, core sim.CoreID, combined
 	run.members = append(run.members, r)
 }
 
-// HandlerEnd closes a core's handler run: batch sizes are assigned to
+// handlerEnd closes a core's handler run: batch sizes are assigned to
 // every member, still-located requests park, and a client that went
 // idle without completing or sending transitions to waiting.
-func (p *Profiler) HandlerEnd(at sim.Time, core sim.CoreID) {
+func (p *Profiler) handlerEnd(at sim.Time, core sim.CoreID) {
 	if run := p.runs[core]; run != nil {
 		for _, r := range run.members {
 			if run.count > r.batch {

@@ -178,7 +178,7 @@ func TestBreakdownSumsExactly(t *testing.T) {
 					}
 					checked++
 				}
-				e.SetProfiler(p)
+				e.Attach(p)
 				completed := sc.run(e, seed)
 				if completed == 0 {
 					t.Fatal("scenario completed no operations")
@@ -207,7 +207,7 @@ func TestProfilerDoesNotPerturb(t *testing.T) {
 			run := func(profiled bool) outcome {
 				e := sim.NewEngine(testConfig())
 				if profiled {
-					e.SetProfiler(prof.New(e, prof.Options{Structure: sc.name, KindName: sc.kindName}))
+					e.Attach(prof.New(e, prof.Options{Structure: sc.name, KindName: sc.kindName}))
 				}
 				c := sc.run(e, 1)
 				return outcome{completed: c, processed: e.Processed(), now: e.Now()}
@@ -235,7 +235,7 @@ func TestCombiningBatchesObserved(t *testing.T) {
 			combinerWait++
 		}
 	}
-	e.SetProfiler(p)
+	e.Attach(p)
 	if c := runList(e, 1, true, 16); c == 0 {
 		t.Fatal("no operations completed")
 	}
@@ -257,7 +257,7 @@ func TestEchoExactComponents(t *testing.T) {
 	p := prof.New(e, prof.Options{Structure: "echo"})
 	var records []*prof.Record
 	p.OnComplete = func(r *prof.Record) { records = append(records, r) }
-	e.SetProfiler(p)
+	e.Attach(p)
 
 	core := e.NewPIMCore(nil)
 	core.SetHandler(func(c *sim.PIMCore, m sim.Message) {
@@ -306,7 +306,7 @@ var foldedLine = regexp.MustCompile(`^(memory|message|atomic|queueing|combiner_w
 func TestReportAndFoldedOutput(t *testing.T) {
 	e := sim.NewEngine(testConfig())
 	p := prof.New(e, prof.Options{Structure: "list-combining", KindName: pimlist.KindNames.Name, TopN: 7})
-	e.SetProfiler(p)
+	e.Attach(p)
 	runList(e, 1, true, 8)
 
 	rep := p.Report()
@@ -363,7 +363,7 @@ func TestSnapshotsDeterministic(t *testing.T) {
 		reg := obs.NewRegistry()
 		e.SetMetrics(reg)
 		p := prof.New(e, prof.Options{Structure: sc.name, KindName: sc.kindName})
-		e.SetProfiler(p)
+		e.Attach(p)
 		sc.run(e, seed)
 		var m, j, f bytes.Buffer
 		if err := reg.WriteJSON(&m); err != nil {
@@ -407,7 +407,7 @@ func TestLatencyMatchesClientHistogram(t *testing.T) {
 	p := prof.New(e, prof.Options{Structure: "list", KindName: pimlist.KindNames.Name})
 	mine := &obs.Histogram{}
 	p.OnComplete = func(r *prof.Record) { mine.Observe(r.LatencyPS) }
-	e.SetProfiler(p)
+	e.Attach(p)
 
 	l := pimlist.New(e, true)
 	l.Preload(harness.PreloadKeys(128))

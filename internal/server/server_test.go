@@ -616,6 +616,87 @@ func TestDrainWithSilentPeer(t *testing.T) {
 	}
 }
 
+// TestPeerThatNeverReads: a client that sends full-width scans and
+// never reads fills its socket buffers, so a response write outlives
+// WriteTimeout and the writer fails the connection. While that client
+// is stuck, another connection is answered; the failed conn's unwritten
+// responses are discarded; and the drain skips its FIN linger, so
+// Shutdown does not wait out CloseGrace for a peer that never closes.
+func TestPeerThatNeverReads(t *testing.T) {
+	t.Parallel()
+	label := fmt.Sprintf("%q:%q", "drain", t.Name())
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("drain", t.Name())))
+	defer pprof.SetGoroutineLabels(context.Background())
+	const keys, frames, scans = 1 << 10, 32, 64
+	reg := obs.NewRegistry()
+	srv, addr := startServer(t, server.Config{
+		Structure: server.StructSkip, KeySpace: keys, Reg: reg, WriteTimeout: 200 * time.Millisecond,
+	})
+	pre := dial(t, addr)
+	var ops []wire.Op
+	for k := int64(0); k < keys; k++ {
+		ops = append(ops, wire.Op{ID: uint64(k), Kind: wire.Add, Key: k})
+	}
+	pre.send(t, ops...)
+	pre.recv(t, keys)
+	pre.nc.Close()
+
+	// Every key is present, so each scan returns wire.MaxScanLimit keys:
+	// ≈ 8.5 MiB of responses against a fixed 64 KiB receive buffer.
+	stuck := dial(t, addr)
+	if err := stuck.nc.(*net.TCPConn).SetReadBuffer(64 << 10); err != nil {
+		t.Fatal(err)
+	}
+	var burst []byte
+	for f := 0; f < frames; f++ {
+		ops = ops[:0]
+		for i := 0; i < scans; i++ {
+			ops = append(ops, wire.Op{ID: uint64(i), Kind: wire.RangeScan, Key: 0, Hi: keys})
+		}
+		var err error
+		if burst, err = wire.AppendRequestV2(burst, ops, wire.TraceContext{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := stuck.nc.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); reg.Snapshot().Counters["server/frames/in"] < 1+frames; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the server never read the stuck client's frames")
+		}
+	}
+
+	other := dial(t, addr)
+	other.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	start := time.Now()
+	if r := other.do(t, wire.Contains, 1); !r.OK {
+		t.Fatalf("contains: %+v", r)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("another connection waited %v for an answer while a peer was stuck, want at most 1s", took)
+	}
+	other.nc.Close()
+
+	start = time.Now()
+	srv.Shutdown()
+	if took := time.Since(start); took > server.CloseGrace/2 {
+		t.Errorf("Shutdown took %v with a failed peer, want well under CloseGrace (%v)", took, server.CloseGrace)
+	}
+	if n := srv.TrackedConns(); n != 0 {
+		t.Errorf("%d connections tracked after the drain, want 0", n)
+	}
+	snap := reg.Snapshot()
+	if in, out := snap.Counters["server/frames/in"], snap.Counters["server/frames/out"]; out >= in {
+		t.Errorf("server/frames/out = %d, server/frames/in = %d: the stuck peer's responses were all written", out, in)
+	}
+	for deadline := time.Now().Add(time.Second); labelled(label) > 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of the server's goroutines outlive the drain", labelled(label)-1)
+		}
+	}
+}
+
 // labelled counts the live goroutines whose pprof labels include label.
 func labelled(label string) int {
 	var b strings.Builder

@@ -24,16 +24,15 @@ type ChromeTracer struct {
 	cw  *obs.ChromeWriter
 	eng *Engine // for kind and core names; may be nil
 
-	named map[CoreID]bool         // tids with a thread_name metadata event
-	flows map[channelKey][]uint64 // pending flow ids, FIFO per channel
-	next  uint64                  // next flow id
+	named map[CoreID]bool // tids with a thread_name metadata event
+	first uint64          // the first traced message's ID; 0 before any send
 }
 
 // NewChromeTracer returns a tracer streaming trace events to w. eng,
 // when non-nil, supplies symbolic kind names (Engine.SetKindNamer) and
 // core kinds for track naming.
 func NewChromeTracer(w io.Writer, eng *Engine) *ChromeTracer {
-	return &ChromeTracer{cw: obs.NewChromeWriter(w), eng: eng, named: make(map[CoreID]bool), flows: make(map[channelKey][]uint64)}
+	return &ChromeTracer{cw: obs.NewChromeWriter(w), eng: eng, named: make(map[CoreID]bool)}
 }
 
 // us converts virtual time to trace microseconds.
@@ -65,71 +64,42 @@ func (t *ChromeTracer) nameThread(id CoreID) {
 		Args: map[string]interface{}{"name": name}})
 }
 
-// MessageSent implements Tracer: opens an async span on the sender's
-// track. Per-channel FIFO delivery lets MessageDelivered pair spans by
-// matching ids in order.
-func (t *ChromeTracer) MessageSent(at Time, m Message) {
-	t.nameThread(m.From)
-	t.next++
-	key := channelKey{m.From, m.To}
-	t.flows[key] = append(t.flows[key], t.next)
-	t.cw.Emit(obs.TraceEvent{Name: t.kind(m.Kind), Cat: "msg", Ph: "b", Ts: us(at),
-		Pid: 1, Tid: int(m.From), ID: fmt.Sprintf("%#x", t.next),
-		Args: map[string]interface{}{"key": m.Key, "to": int(m.To)}})
-}
-
-// MessageDelivered implements Tracer: closes the channel's oldest open
-// async span.
-func (t *ChromeTracer) MessageDelivered(at Time, m Message) {
-	t.nameThread(m.To)
-	key := channelKey{m.From, m.To}
-	ids := t.flows[key]
-	if len(ids) == 0 {
-		return // delivery without a traced send (tracer installed mid-run)
+// Observe implements Observer. A send opens an async span on the
+// sender's track, keyed by the message's ID, and its delivery closes
+// it. A PIM core's handler run becomes a complete slice ending at the
+// core's local clock.
+func (t *ChromeTracer) Observe(ev Event) {
+	m := ev.Msg
+	switch ev.Kind {
+	case EventSend:
+		t.nameThread(m.From)
+		if t.first == 0 {
+			t.first = m.id
+		}
+		t.cw.Emit(obs.TraceEvent{Name: t.kind(m.Kind), Cat: "msg", Ph: "b", Ts: us(ev.At),
+			Pid: 1, Tid: int(m.From), ID: fmt.Sprintf("%#x", m.id),
+			Args: map[string]interface{}{"key": m.Key, "to": int(m.To)}})
+	case EventDeliver:
+		t.nameThread(m.To)
+		if t.first == 0 || m.id < t.first {
+			return // sent before the tracer was attached
+		}
+		t.cw.Emit(obs.TraceEvent{Name: t.kind(m.Kind), Cat: "msg", Ph: "e", Ts: us(ev.At),
+			Pid: 1, Tid: int(m.From), ID: fmt.Sprintf("%#x", m.id)})
+	case EventHandlerEnd:
+		if m.To == NoCore {
+			return
+		}
+		t.nameThread(ev.Core)
+		dur := us(ev.Dur)
+		t.cw.Emit(obs.TraceEvent{Name: t.kind(m.Kind), Cat: "handler", Ph: "X",
+			Ts: us(ev.At - ev.Dur), Dur: &dur, Pid: 1, Tid: int(ev.Core),
+			Args: map[string]interface{}{"key": m.Key}})
 	}
-	id := ids[0]
-	t.flows[key] = ids[1:]
-	t.cw.Emit(obs.TraceEvent{Name: t.kind(m.Kind), Cat: "msg", Ph: "e", Ts: us(at),
-		Pid: 1, Tid: int(m.From), ID: fmt.Sprintf("%#x", id)})
-}
-
-// HandlerDone implements Tracer: draws the handler's execution as a
-// complete slice ending at the core's local clock.
-func (t *ChromeTracer) HandlerDone(at Time, core CoreID, m Message, busy Time) {
-	t.nameThread(core)
-	dur := us(busy)
-	t.cw.Emit(obs.TraceEvent{Name: t.kind(m.Kind), Cat: "handler", Ph: "X",
-		Ts: us(at - busy), Dur: &dur, Pid: 1, Tid: int(core),
-		Args: map[string]interface{}{"key": m.Key}})
 }
 
 // Close terminates the JSON array and reports any write error. The
 // tracer is unusable afterwards.
 func (t *ChromeTracer) Close() error {
 	return t.cw.Close()
-}
-
-// MultiTracer fans simulator events out to several tracers, e.g. a
-// text trace and a Chrome trace in the same run.
-type MultiTracer []Tracer
-
-// MessageSent implements Tracer.
-func (ts MultiTracer) MessageSent(at Time, m Message) {
-	for _, t := range ts {
-		t.MessageSent(at, m)
-	}
-}
-
-// MessageDelivered implements Tracer.
-func (ts MultiTracer) MessageDelivered(at Time, m Message) {
-	for _, t := range ts {
-		t.MessageDelivered(at, m)
-	}
-}
-
-// HandlerDone implements Tracer.
-func (ts MultiTracer) HandlerDone(at Time, core CoreID, m Message, busy Time) {
-	for _, t := range ts {
-		t.HandlerDone(at, core, m, busy)
-	}
 }

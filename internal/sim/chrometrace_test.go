@@ -3,8 +3,6 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -18,7 +16,7 @@ func TestChromeTracerEmitsValidTraceJSON(t *testing.T) {
 		return "Resp"
 	})
 	ct := NewChromeTracer(&buf, e)
-	e.SetTracer(ct)
+	e.Attach(ct)
 	runEcho(e, clients, 3*Microsecond)
 	if err := ct.Close(); err != nil {
 		t.Fatal(err)
@@ -100,7 +98,7 @@ func TestChromeTracerAsyncSpanIDsUnique(t *testing.T) {
 	var buf bytes.Buffer
 	e, clients := echoSim(t, 4)
 	ct := NewChromeTracer(&buf, e)
-	e.SetTracer(ct)
+	e.Attach(ct)
 	runEcho(e, clients, 5*Microsecond)
 	if err := ct.Close(); err != nil {
 		t.Fatal(err)
@@ -144,52 +142,6 @@ func TestChromeTracerAsyncSpanIDsUnique(t *testing.T) {
 	}
 }
 
-// recordingTracer logs every callback into a shared sequence so tests
-// can check MultiTracer's fan-out order.
-type recordingTracer struct {
-	name string
-	log  *[]string
-}
-
-func (r *recordingTracer) MessageSent(at Time, m Message) {
-	*r.log = append(*r.log, fmt.Sprintf("%s:sent:%d->%d@%d", r.name, m.From, m.To, at))
-}
-func (r *recordingTracer) MessageDelivered(at Time, m Message) {
-	*r.log = append(*r.log, fmt.Sprintf("%s:delivered:%d->%d@%d", r.name, m.From, m.To, at))
-}
-func (r *recordingTracer) HandlerDone(at Time, core CoreID, m Message, busy Time) {
-	*r.log = append(*r.log, fmt.Sprintf("%s:done:%d@%d", r.name, core, at))
-}
-
-// TestMultiTracerFanOutOrdering: MultiTracer must invoke its tracers in
-// slice order for every event, with no reordering or dropped fan-out —
-// the log must be a strict alternation a,b,a,b,… where each pair
-// describes the same event.
-func TestMultiTracerFanOutOrdering(t *testing.T) {
-	var log []string
-	a := &recordingTracer{name: "a", log: &log}
-	b := &recordingTracer{name: "b", log: &log}
-	e, clients := echoSim(t, 2)
-	e.SetTracer(MultiTracer{a, b})
-	runEcho(e, clients, 2*Microsecond)
-
-	if len(log) == 0 {
-		t.Fatal("no tracer callbacks recorded")
-	}
-	if len(log)%2 != 0 {
-		t.Fatalf("odd log length %d: some event did not fan out to both tracers", len(log))
-	}
-	for i := 0; i < len(log); i += 2 {
-		first, second := log[i], log[i+1]
-		if !strings.HasPrefix(first, "a:") || !strings.HasPrefix(second, "b:") {
-			t.Fatalf("fan-out out of order at %d: %q then %q", i, first, second)
-		}
-		if first[2:] != second[2:] {
-			t.Fatalf("tracers saw different events at %d: %q vs %q", i, first, second)
-		}
-	}
-}
-
 // TestChromeTracerDoesNotPerturb: tracing must not change virtual-time
 // results.
 func TestChromeTracerDoesNotPerturb(t *testing.T) {
@@ -197,7 +149,7 @@ func TestChromeTracerDoesNotPerturb(t *testing.T) {
 		e, clients := echoSim(t, 3)
 		if traced {
 			var buf bytes.Buffer
-			e.SetTracer(NewChromeTracer(&buf, e))
+			e.Attach(NewChromeTracer(&buf, e))
 		}
 		runEcho(e, clients, 3*Microsecond)
 		var ops uint64

@@ -19,10 +19,10 @@ import "pimds/internal/obs"
 // operation.
 //
 // The Client alone stamps issue times, counts completed operations on
-// its CPU, records Latency and the per-kind latency metric, and marks
-// the profiler's operation boundaries, so every structure times an
-// operation the same way: from its issue to the response that completes
-// it, retries included.
+// its CPU, records Latency, and reports the EventOpStart and EventOpEnd
+// that the metrics layer and the profiler read, so every structure
+// times an operation the same way: from its issue to the response that
+// completes it, retries included.
 type Client struct {
 	MakeRequest func(c *CPU, seq uint64) Message
 	OnResponse  func(c *CPU, m Message) bool
@@ -70,8 +70,8 @@ func (cl *Client) Request() Message { return cl.req }
 
 func (cl *Client) issue(c *CPU) {
 	cl.issuedAt = c.clock
-	if p := c.eng.prof; p != nil {
-		p.OpStart(c.clock, c.id)
+	if o := c.eng.observer; o != nil {
+		o.Observe(Event{Kind: EventOpStart, At: c.clock, Core: c.id})
 	}
 	cl.req = cl.MakeRequest(c, cl.seq)
 	c.Send(cl.req)
@@ -85,11 +85,8 @@ func (cl *Client) onMessage(c *CPU, m Message) {
 	c.CountOp()
 	d := c.clock - cl.issuedAt
 	cl.Latency.Observe(int64(d))
-	if p := c.eng.prof; p != nil {
-		p.OpEnd(c.clock, c.id)
-	}
-	if met := c.eng.met; met != nil {
-		met.opLatency(cl.req.Kind, d)
+	if o := c.eng.observer; o != nil {
+		o.Observe(Event{Kind: EventOpEnd, At: c.clock, Core: c.id, Msg: cl.req, Dur: d})
 	}
 	if cl.OnDone != nil {
 		cl.OnDone(cl.req, m, cl.issuedAt, c.clock)

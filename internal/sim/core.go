@@ -51,8 +51,8 @@ func (c *core) QueueLen() int { return len(c.inbox) - c.inboxHead }
 
 func (c *core) deliver(m Message) {
 	c.inbox = append(c.inbox, m)
-	if c.eng.met != nil {
-		c.eng.met.queueDepth(c.id, c.QueueLen())
+	if o := c.eng.observer; o != nil {
+		o.Observe(Event{Kind: EventDeliver, At: c.eng.now, Core: c.id, Msg: m, Depth: c.QueueLen()})
 	}
 	c.maybeSchedule()
 }
@@ -85,15 +85,15 @@ func (c *core) service() {
 	if c.handler == nil {
 		panic(fmt.Sprintf("sim: %s received message with no handler", c.name))
 	}
-	if p := c.eng.prof; p != nil {
-		p.MsgConsumed(c.eng.now, m.pid, c.id, false)
+	if o := c.eng.observer; o != nil {
+		o.Observe(Event{Kind: EventConsume, At: c.eng.now, Core: c.id, Msg: m})
 	}
 	start := c.begin()
 	c.handler(m)
-	if t := c.eng.tracer; t != nil && c.pim != nil {
-		t.HandlerDone(c.clock, c.id, m, c.clock-start)
+	if c.pim == nil {
+		m = Message{} // see EventHandlerEnd
 	}
-	c.end(start)
+	c.end(start, m)
 	c.maybeSchedule()
 }
 
@@ -105,24 +105,24 @@ func (c *core) begin() Time {
 	return c.clock
 }
 
-// end closes the handler run begun at start: the core stays busy until
-// its local clock.
-func (c *core) end(start Time) {
+// end closes the handler run begun at start, which served the message
+// served (zero for a CPU's run): the core stays busy until its local
+// clock.
+func (c *core) end(start Time, served Message) {
 	c.running = false
 	c.busyUntil = c.clock
 	c.Stats.Messages++
 	c.Stats.Busy += c.clock - start
-	if p := c.eng.prof; p != nil {
-		p.HandlerEnd(c.clock, c.id)
+	if o := c.eng.observer; o != nil {
+		o.Observe(Event{Kind: EventHandlerEnd, At: c.clock, Core: c.id, Msg: served, Dur: c.clock - start})
 	}
 }
 
-// advance moves the local clock by d and reports the charge to the
-// profiler, if attached.
+// advance moves the local clock by d and reports a non-zero charge.
 func (c *core) advance(kind CostKind, d Time) {
 	c.clock += d
-	if p := c.eng.prof; p != nil && d > 0 {
-		p.Charge(c.clock, c.id, kind, d)
+	if o := c.eng.observer; o != nil && d > 0 {
+		o.Observe(Event{Kind: EventCharge, At: c.clock, Core: c.id, Cost: kind, Dur: d})
 	}
 }
 

@@ -64,7 +64,7 @@ func (c *CPU) Exec(fn func(*CPU)) {
 		}
 		start := c.begin()
 		fn(c)
-		c.end(start)
+		c.end(start, Message{})
 		c.maybeSchedule()
 	})
 }
@@ -107,15 +107,8 @@ func (c *CPU) LLCWrite() {
 // CPU blocks until its atomic completes.
 func (c *CPU) Atomic(line *AtomicLine) {
 	c.mustRun("Atomic")
-	done := line.acquire(c.clock, c.eng.cfg.Latomic)
-	if p := c.eng.prof; p != nil {
-		cost := c.eng.cfg.Latomic
-		if wait := done - cost - c.clock; wait > 0 {
-			p.Charge(done-cost, c.id, CostAtomicWait, wait)
-		}
-		if cost > 0 {
-			p.Charge(done, c.id, CostAtomic, cost)
-		}
-	}
-	c.clock = done
+	cost := c.eng.cfg.Latomic
+	done := line.acquire(c.clock, cost)
+	c.advance(CostAtomicWait, done-cost-c.clock)
+	c.advance(CostAtomic, cost)
 }

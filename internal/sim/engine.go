@@ -3,6 +3,8 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+
+	"pimds/internal/obs"
 )
 
 // An event is a callback scheduled at a virtual time. Events with equal
@@ -47,16 +49,10 @@ type Engine struct {
 
 	endpoints map[CoreID]endpoint
 	nextID    CoreID
-	tracer    Tracer
-	met       *simMetrics
+	sent      uint64        // messages sent so far; numbers each new one
+	observer  Observer      // nil, one observer, or a fanout
+	reg       *obs.Registry // installed by SetMetrics
 	kindName  func(kind int) string
-
-	// prof, when non-nil, receives fine-grained virtual-time events.
-	// profSeq numbers messages so the profiler can correlate sends
-	// with deliveries and consumptions; it only advances while a
-	// profiler is attached.
-	prof    Profiler
-	profSeq uint64
 
 	// channels tracks per (sender, receiver) FIFO delivery state so
 	// that the "messages from the same sender to the same receiver

@@ -29,14 +29,17 @@ type Message struct {
 	// must send one message per cache-line-sized chunk instead.
 	Payload interface{}
 
-	// pid is the engine-assigned profiler message id. It is zero (and
-	// never assigned) unless a profiler is attached, is invisible to
-	// protocol code, and exists only so the profiler can correlate a
-	// send with its delivery and consumption. Protocol code that
-	// copies a message into a fresh reply naturally drops it, which is
-	// exactly right: a reply is a new message.
-	pid uint64
+	// id is the engine's number for the message, assigned on every
+	// send (see ID). Protocol code cannot set it: a message built
+	// afresh, or resent, gets a new number.
+	id uint64
 }
+
+// ID returns the number the engine gave m when it was sent: 1 for the
+// engine's first message, 2 for the next, and 0 for a message never
+// sent. Observers use it to pair a send with its delivery and
+// consumption.
+func (m Message) ID() uint64 { return m.id }
 
 // endpoint is anything registered with the engine that can receive
 // messages.
@@ -54,8 +57,8 @@ func (e *Engine) register(ep endpoint) CoreID {
 	return id
 }
 
-// Endpoint returns the registered endpoint for id, for tests and
-// debugging.
+// lookup returns the registered endpoint for id; a message to an
+// unregistered id panics.
 func (e *Engine) lookup(id CoreID) endpoint {
 	ep, ok := e.endpoints[id]
 	if !ok {
@@ -93,27 +96,13 @@ func (e *Engine) send(sentAt Time, m Message) {
 	}
 	ch.lastArrival = arrival
 	ch.sent++
-	if e.met != nil {
-		e.met.msgSent(m.Kind)
-	}
-	if e.tracer != nil {
-		e.tracer.MessageSent(sentAt, m)
-	}
-	if e.prof != nil {
-		e.profSeq++
-		m.pid = e.profSeq
-		e.prof.MsgSent(sentAt, m.pid, m)
+	e.sent++
+	m.id = e.sent
+	if o := e.observer; o != nil {
+		o.Observe(Event{Kind: EventSend, At: sentAt, Core: m.From, Msg: m})
 	}
 	dst := e.lookup(m.To)
-	e.Schedule(arrival, func() {
-		if e.tracer != nil {
-			e.tracer.MessageDelivered(arrival, m)
-		}
-		if e.prof != nil && m.pid != 0 {
-			e.prof.MsgDelivered(arrival, m.pid, m)
-		}
-		dst.deliver(m)
-	})
+	e.Schedule(arrival, func() { dst.deliver(m) })
 }
 
 // MessagesSent reports how many messages have been sent from one core

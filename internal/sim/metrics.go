@@ -7,10 +7,10 @@ import (
 	"pimds/internal/obs"
 )
 
-// simMetrics is the engine's recording state when a metrics registry is
-// installed. All instrumentation is observational: nothing here touches
-// virtual time, so an engine with metrics enabled produces bit-identical
-// simulation results to one without (see TestMetricsDoNotPerturb).
+// simMetrics is the observer SetMetrics attaches. All instrumentation
+// is observational: nothing here touches virtual time, so an engine
+// with metrics enabled produces bit-identical simulation results to one
+// without (see TestMetricsDoNotPerturb).
 //
 // Hot-path events (message sends, queue depths, request latencies)
 // record as they happen; cheap-to-read aggregate state (vault counters,
@@ -18,42 +18,32 @@ import (
 // collector instead, so the simulation loop pays nothing for it.
 type simMetrics struct {
 	eng      *Engine
-	reg      *obs.Registry
 	sent     map[int]*obs.Counter   // messages sent, per protocol kind
 	lat      map[int]*obs.Histogram // inject→reply latency, per request kind
 	queueMax map[CoreID]*obs.Gauge  // deepest inbox seen, per core
 }
 
-// SetMetrics installs a metrics registry (nil disables metrics). The
-// engine registers a snapshot-time collector exporting per-core busy
-// time, per-vault access counts and utilization, and per-channel
-// message totals; hot-path events record into reg as they happen.
-// Install the registry before building data structures on the engine:
-// structures capture the registry at construction time.
+// SetMetrics installs a metrics registry. The engine registers a
+// snapshot-time collector exporting per-core busy time, per-vault
+// access counts and utilization, and per-channel message totals, and
+// attaches an observer that records hot-path events into reg as they
+// happen. Install the registry before building data structures on the
+// engine: structures capture the registry at construction time.
 func (e *Engine) SetMetrics(reg *obs.Registry) {
-	if reg == nil {
-		e.met = nil
-		return
-	}
-	e.met = &simMetrics{
+	e.reg = reg
+	e.Attach(&simMetrics{
 		eng:      e,
-		reg:      reg,
 		sent:     make(map[int]*obs.Counter),
 		lat:      make(map[int]*obs.Histogram),
 		queueMax: make(map[CoreID]*obs.Gauge),
-	}
+	})
 	reg.AddCollector(e.collectMetrics)
 }
 
 // Metrics returns the installed registry, or nil when metrics are
 // disabled. Structures use it to create their own metrics; through a
 // nil registry every obs getter returns a nil (no-op) metric.
-func (e *Engine) Metrics() *obs.Registry {
-	if e.met == nil {
-		return nil
-	}
-	return e.met.reg
-}
+func (e *Engine) Metrics() *obs.Registry { return e.reg }
 
 // SetKindNamer installs a protocol kind → symbolic name mapping used in
 // metric names and Chrome trace events (nil falls back to "kind_NN").
@@ -81,35 +71,35 @@ func (n KindNames) Name(kind int) string {
 	return fmt.Sprintf("kind_%02d", kind)
 }
 
-// msgSent counts one sent message of the given kind.
-func (m *simMetrics) msgSent(kind int) {
-	c := m.sent[kind]
-	if c == nil {
-		c = m.reg.Counter("msg/sent/" + m.eng.KindName(kind))
-		m.sent[kind] = c
+// Observe implements Observer: it counts sent messages per kind, tracks
+// the high watermark of each core's inbox, and records each closed-loop
+// operation's latency (issue to completion, in picoseconds) under its
+// request kind.
+func (m *simMetrics) Observe(ev Event) {
+	reg := m.eng.reg
+	switch ev.Kind {
+	case EventSend:
+		c := m.sent[ev.Msg.Kind]
+		if c == nil {
+			c = reg.Counter("msg/sent/" + m.eng.KindName(ev.Msg.Kind))
+			m.sent[ev.Msg.Kind] = c
+		}
+		c.Inc()
+	case EventDeliver:
+		g := m.queueMax[ev.Core]
+		if g == nil {
+			g = reg.Gauge(fmt.Sprintf("core/%03d/queue_max", ev.Core))
+			m.queueMax[ev.Core] = g
+		}
+		g.SetMax(int64(ev.Depth))
+	case EventOpEnd:
+		h := m.lat[ev.Msg.Kind]
+		if h == nil {
+			h = reg.Histogram("latency/" + m.eng.KindName(ev.Msg.Kind))
+			m.lat[ev.Msg.Kind] = h
+		}
+		h.Observe(int64(ev.Dur))
 	}
-	c.Inc()
-}
-
-// opLatency records one closed-loop operation's latency (issue to
-// completion, in picoseconds) under its request kind.
-func (m *simMetrics) opLatency(kind int, d Time) {
-	h := m.lat[kind]
-	if h == nil {
-		h = m.reg.Histogram("latency/" + m.eng.KindName(kind))
-		m.lat[kind] = h
-	}
-	h.Observe(int64(d))
-}
-
-// queueDepth tracks the high watermark of a core's message inbox.
-func (m *simMetrics) queueDepth(id CoreID, depth int) {
-	g := m.queueMax[id]
-	if g == nil {
-		g = m.reg.Gauge(fmt.Sprintf("core/%03d/queue_max", id))
-		m.queueMax[id] = g
-	}
-	g.SetMax(int64(depth))
 }
 
 // collectMetrics exports engine, core, vault and channel state into the

@@ -18,7 +18,7 @@ func TestMetricsDoNotPerturb(t *testing.T) {
 		e, clients := echoSim(t, 4)
 		if instrument {
 			e.SetMetrics(obs.NewRegistry())
-			e.SetTracer(NewChromeTracer(io.Discard, e))
+			e.Attach(NewChromeTracer(io.Discard, e))
 		}
 		runEcho(e, clients, 5*Microsecond)
 		var ops uint64
@@ -51,7 +51,7 @@ func TestEngineMetricsSnapshot(t *testing.T) {
 	runEcho(e, clients, 5*Microsecond)
 
 	s := reg.Snapshot()
-	// Per-kind message counts from the send hook.
+	// Per-kind message counts from the send events.
 	if s.Counters["msg/sent/Echo"] == 0 || s.Counters["msg/sent/Resp"] == 0 {
 		t.Fatalf("per-kind send counters missing: %v", s.Counters)
 	}

@@ -113,8 +113,8 @@ func (c *PIMCore) TakeQueued(dst []Message, limit int) []Message {
 		m := c.inbox[c.inboxHead]
 		dst = append(dst, m)
 		c.inboxHead++
-		if p := c.eng.prof; p != nil {
-			p.MsgConsumed(c.clock, m.pid, c.id, true)
+		if o := c.eng.observer; o != nil {
+			o.Observe(Event{Kind: EventCombine, At: c.clock, Core: c.id, Msg: m})
 		}
 		c.advance(CostService, c.eng.cfg.Epsilon)
 		if limit > 0 {

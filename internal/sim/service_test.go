@@ -331,7 +331,7 @@ func TestClientLatencyHistogram(t *testing.T) {
 func TestTracerObservesProtocol(t *testing.T) {
 	e := NewEngine(testConfig())
 	tr := NewCountingTracer()
-	e.SetTracer(tr)
+	e.Attach(tr)
 	pim := e.NewPIMCore(echoHandler(1))
 	cl := NewClient(e, func(c *CPU, seq uint64) Message {
 		return Message{To: pim.ID(), Kind: 7}
@@ -358,7 +358,7 @@ func TestTracerObservesProtocol(t *testing.T) {
 func TestWriterTracerFormats(t *testing.T) {
 	var buf strings.Builder
 	e := NewEngine(testConfig())
-	e.SetTracer(&WriterTracer{W: &buf, KindName: func(k int) string { return "OP" }})
+	e.Attach(&WriterTracer{W: &buf, KindName: func(k int) string { return "OP" }})
 	pim := e.NewPIMCore(echoHandler(1))
 	cpu := e.NewCPU(func(c *CPU, m Message) {})
 	cpu.Exec(func(c *CPU) { c.Send(Message{To: pim.ID(), Kind: 1, Key: 42}) })

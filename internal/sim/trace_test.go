@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -38,7 +39,7 @@ func runEcho(e *Engine, clients []*Client, d Time) {
 func TestWriterTracerFormat(t *testing.T) {
 	var sb strings.Builder
 	e, clients := echoSim(t, 1)
-	e.SetTracer(&WriterTracer{W: &sb, KindName: func(k int) string {
+	e.Attach(&WriterTracer{W: &sb, KindName: func(k int) string {
 		if k == 1 {
 			return "Echo"
 		}
@@ -67,7 +68,7 @@ func TestWriterTracerFormat(t *testing.T) {
 	// Without a KindName the numeric form appears.
 	sb.Reset()
 	e2, clients2 := echoSim(t, 1)
-	e2.SetTracer(&WriterTracer{W: &sb})
+	e2.Attach(&WriterTracer{W: &sb})
 	runEcho(e2, clients2, 1*Microsecond)
 	if !strings.Contains(sb.String(), "kind=1") {
 		t.Errorf("default trace output should render kind=1:\n%s", sb.String())
@@ -83,7 +84,7 @@ func TestWriterTracerFormat(t *testing.T) {
 func TestCountingTracerTallies(t *testing.T) {
 	e, clients := echoSim(t, 3)
 	ct := NewCountingTracer()
-	e.SetTracer(ct)
+	e.Attach(ct)
 	runEcho(e, clients, 5*Microsecond)
 
 	if ct.Sent == 0 || ct.Delivered == 0 || ct.Served == 0 {
@@ -113,7 +114,7 @@ func TestNilTracerFastPath(t *testing.T) {
 		var ct *CountingTracer
 		if traced {
 			ct = NewCountingTracer()
-			e.SetTracer(ct)
+			e.Attach(ct)
 		}
 		runEcho(e, clients, 3*Microsecond)
 		var ops uint64
@@ -130,16 +131,101 @@ func TestNilTracerFastPath(t *testing.T) {
 	}
 }
 
-func TestMultiTracer(t *testing.T) {
-	e, clients := echoSim(t, 2)
-	a := NewCountingTracer()
-	b := NewCountingTracer()
-	e.SetTracer(MultiTracer{a, b})
-	runEcho(e, clients, 2*Microsecond)
-	if a.Sent == 0 {
-		t.Fatal("first tracer saw nothing")
-	}
-	if a.Sent != b.Sent || a.Delivered != b.Delivered || a.Served != b.Served {
-		t.Errorf("tracers disagree: %+v vs %+v", a, b)
+// recorder logs every event it observes, tagged with its name, into a
+// log it shares with other recorders.
+type recorder struct {
+	name string
+	log  *[]recorded
+}
+
+type recorded struct {
+	by string
+	ev Event
+}
+
+func (r recorder) Observe(ev Event) { *r.log = append(*r.log, recorded{r.name, ev}) }
+
+// TestObserverFanOut attaches two recorders and two counting tracers to
+// one engine. Every event must reach both recorders, in attach order,
+// as the same value, so the shared log alternates a, b with equal pairs;
+// the two counting tracers must agree; and each simulation must report
+// every event kind (and cost kind) it is listed with.
+func TestObserverFanOut(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sim  func(t *testing.T) (*Engine, func())
+		want []Event // only Kind, and Cost of a charge, are compared
+	}{
+		{"echo", func(t *testing.T) (*Engine, func()) {
+			e, clients := echoSim(t, 2)
+			return e, func() { runEcho(e, clients, 2*Microsecond) }
+		}, []Event{{Kind: EventSend}, {Kind: EventDeliver}, {Kind: EventConsume},
+			{Kind: EventCharge, Cost: CostMemory}, {Kind: EventHandlerEnd},
+			{Kind: EventOpStart}, {Kind: EventOpEnd}}},
+		{"combining", func(t *testing.T) (*Engine, func()) {
+			e := NewEngine(testConfig())
+			pim := e.NewPIMCore(nil)
+			pim.ServiceDelay = 200 * Nanosecond
+			pim.SetHandler(func(c *PIMCore, m Message) {
+				for _, r := range c.TakeQueued([]Message{m}, -1) {
+					c.Read()
+					c.Send(Message{To: r.From, Kind: 2, Key: r.Key})
+				}
+			})
+			var clients []*Client
+			for i := 0; i < 4; i++ {
+				clients = append(clients, NewClient(e, func(*CPU, uint64) Message {
+					return Message{To: pim.ID(), Kind: 1}
+				}))
+			}
+			return e, func() { runEcho(e, clients, 3*Microsecond) }
+		}, []Event{{Kind: EventConsume}, {Kind: EventCombine}}},
+		{"atomic wait", func(t *testing.T) (*Engine, func()) {
+			e := NewEngine(testConfig())
+			var line AtomicLine
+			for i := 0; i < 2; i++ {
+				Loop(e.NewCPU(nil), func(c *CPU) { c.Atomic(&line) })
+			}
+			return e, func() { e.RunUntil(Microsecond) }
+		}, []Event{{Kind: EventCharge, Cost: CostAtomic},
+			{Kind: EventCharge, Cost: CostAtomicWait}, {Kind: EventHandlerEnd}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var log []recorded
+			e, run := tc.sim(t)
+			c, d := NewCountingTracer(), NewCountingTracer()
+			e.Attach(recorder{"a", &log})
+			e.Attach(c)
+			e.Attach(recorder{"b", &log})
+			e.Attach(d)
+			run()
+
+			if len(log) == 0 || len(log)%2 != 0 {
+				t.Fatalf("log length %d: some event did not reach both recorders", len(log))
+			}
+			seen := map[Event]bool{}
+			for i := 0; i < len(log); i += 2 {
+				first, second := log[i], log[i+1]
+				if first.by != "a" || second.by != "b" {
+					t.Fatalf("fan-out out of order at %d: %s then %s", i, first.by, second.by)
+				}
+				if first.ev != second.ev {
+					t.Fatalf("recorders saw different events at %d: %+v vs %+v", i, first.ev, second.ev)
+				}
+				key := Event{Kind: first.ev.Kind}
+				if key.Kind == EventCharge {
+					key.Cost = first.ev.Cost
+				}
+				seen[key] = true
+			}
+			for _, w := range tc.want {
+				if !seen[w] {
+					t.Errorf("no event of kind %d (cost %d) reported", w.Kind, w.Cost)
+				}
+			}
+			if !reflect.DeepEqual(c, d) {
+				t.Errorf("counting tracers disagree: %+v vs %+v", c, d)
+			}
+		})
 	}
 }

@@ -18,7 +18,11 @@ import (
 //
 //   - The newest snapshot that decodes is restored, one restore call
 //     per shard with its dump; a corrupt one falls back to an older one
-//     (see Latest).
+//     that decodes (see Latest). When snapshots exist and none decodes,
+//     Recover refuses with an error wrapping ErrCorruptSnapshot that
+//     names the file, before replay touches the directory: the
+//     segments the snapshot superseded are gone, so replaying without
+//     it would rebuild a state with a hole in it.
 //   - Snapshot N supersedes every segment below N, so replay starts at
 //     segment N. Records there that the snapshot already covers — seq at
 //     or below the shard's snapshot Seq, written between the roll and

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -129,4 +130,67 @@ func TestRecoverRefusesSeqGap(t *testing.T) {
 	if applied != 3 {
 		t.Fatalf("applied %d records before the gap, want 3", applied)
 	}
+}
+
+// TestRecoverRefusesCorruptSnapshot: Checkpoint prunes every older
+// snapshot and segment, so when the only snapshot does not decode there
+// is nothing to fall back to. Recovery must refuse by the snapshot's
+// name, before replay truncates or removes anything, rather than report
+// the gap the pruned segments leave behind.
+func TestRecoverRefusesCorruptSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeRecords(t, l, 0, 1, 3)
+	if err := l.Roll(); err != nil {
+		t.Fatal(err)
+	}
+	snap := &Snapshot{Shards: []Shard{{Seq: 3, State: []int64{1, 2, 3}}}}
+	if err := Checkpoint(dir, l.Seg(), snap); err != nil {
+		t.Fatal(err)
+	}
+	writeRecords(t, l, 0, 4, 4)
+	l.Close()
+	path := filepath.Join(dir, SnapshotName(1))
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-1] ^= 1
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	before := readDir(t, dir)
+	called := 0
+	_, _, err = Recover(dir, 1,
+		func(int, []int64) error { called++; return nil },
+		func(Record) error { called++; return nil })
+	if !errors.Is(err, ErrCorruptSnapshot) || !strings.Contains(err.Error(), SnapshotName(1)) {
+		t.Fatalf("Recover with its only snapshot corrupt: err = %v, want ErrCorruptSnapshot naming %s", err, SnapshotName(1))
+	}
+	if called != 0 {
+		t.Errorf("restore and apply ran %d times before the refusal", called)
+	}
+	if after := readDir(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("the refusal changed the directory")
+	}
+}
+
+// readDir returns every file in dir by name with its contents.
+func readDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(ents))
+	for _, e := range ents {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
 }

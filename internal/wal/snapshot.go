@@ -3,6 +3,7 @@ package wal
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -139,8 +140,13 @@ func writeSnapshot(dir string, seg uint64, snap *Snapshot) error {
 
 // Latest loads the newest snapshot in dir that decodes, returning it,
 // its segment boundary, and whether one exists. A corrupt snapshot is
-// skipped in favor of an older one: recovery then replays a longer log
-// tail instead of failing.
+// skipped in favor of an older one that decodes: recovery then replays
+// a longer log tail instead of failing. But when snapshot files exist
+// and none decodes, Latest returns an error wrapping ErrCorruptSnapshot
+// that names the newest. Checkpoint writes through a temp file, so a
+// torn write never carries a snapshot name: an undecodable snapshot is
+// damage, and Checkpoint has already pruned the segments that replay
+// would need without it.
 func Latest(dir string) (*Snapshot, uint64, bool, error) {
 	_, snaps, err := List(dir)
 	for i := len(snaps) - 1; i >= 0 && err == nil; i-- {
@@ -150,6 +156,10 @@ func Latest(dir string) (*Snapshot, uint64, bool, error) {
 				return snap, snaps[i], true, nil
 			}
 		}
+	}
+	if err == nil && len(snaps) > 0 {
+		err = fmt.Errorf("%w: %s, and no older snapshot decodes",
+			ErrCorruptSnapshot, filepath.Join(dir, SnapshotName(snaps[len(snaps)-1])))
 	}
 	return nil, 0, false, err
 }
