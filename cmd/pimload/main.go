@@ -26,6 +26,7 @@ import (
 	"pimds/internal/buildinfo"
 	"pimds/internal/harness"
 	"pimds/internal/loadgen"
+	"pimds/internal/op"
 	"pimds/internal/server"
 	"pimds/internal/wire"
 )
@@ -146,13 +147,13 @@ func resolveStructure(structure string, mix harness.Mix) (string, error) {
 	}
 	for _, t := range []struct {
 		pct  int
-		kind wire.OpKind
+		kind op.Kind
 	}{
-		{mix.ScanPct, wire.RangeScan},
-		{mix.PredPct, wire.Pred},
-		{mix.SuccPct, wire.Succ},
-		{mix.PopMinPct, wire.PopMin},
-		{mix.PopMaxPct, wire.PopMax},
+		{mix.ScanPct, op.RangeScan},
+		{mix.PredPct, op.Pred},
+		{mix.SuccPct, op.Succ},
+		{mix.PopMinPct, op.PopMin},
+		{mix.PopMaxPct, op.PopMax},
 	} {
 		if t.pct > 0 && !caps.Supports(t.kind) {
 			return "", fmt.Errorf("pimload: structure %q does not serve %s (supported ops: %s)",

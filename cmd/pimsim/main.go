@@ -195,7 +195,7 @@ func runList(e *sim.Engine, cpus int, keySpace int64, combining bool, seed int64
 	var clients []*sim.Client
 	for i := 0; i < cpus; i++ {
 		g := harness.NewGenerator(seed+int64(i), harness.Uniform{N: keySpace}, harness.Balanced())
-		clients = append(clients, l.NewClient(e, g.ListStream()))
+		clients = append(clients, l.NewClient(e, g.Stream()))
 	}
 	m := &sim.Meter{Engine: e, Clients: clients}
 	completed, ops := m.Run(warmup, measure)
@@ -211,7 +211,7 @@ func runSkip(e *sim.Engine, vaults, cpus int, keySpace, seed int64, warmup, meas
 	s.Preload(harness.PreloadKeys(keySpace))
 	for i := 0; i < cpus; i++ {
 		g := harness.NewGenerator(seed+int64(i), harness.Uniform{N: keySpace}, harness.Balanced())
-		s.NewClient(g.SkipStream()).Start()
+		s.NewClient(g.Stream()).Start()
 	}
 	completed, ops := sim.Measure(e, func() {}, s.Ops(), warmup, measure)
 	fmt.Printf("pim skip-list: vaults=%d cpus=%d size=%d\n", vaults, cpus, s.TotalLen())

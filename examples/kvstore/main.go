@@ -56,7 +56,7 @@ func demoMerge() {
 
 	g := harness.NewGenerator(33, harness.Uniform{N: keySpace},
 		harness.Mix{RemovePct: 80, AddPct: 10, ContainsPct: 10})
-	cl := s.NewClient(g.SkipStream())
+	cl := s.NewClient(g.Stream())
 	cl.Start()
 	e.RunUntil(5 * sim.Millisecond)
 
@@ -93,7 +93,7 @@ func run(rebalance bool) (opsPerSec float64, sizes []int, migrations uint64) {
 		g := harness.NewGenerator(int64(100+i),
 			harness.HotRange{N: keySpace, HotPct: 90, FracPct: 25},
 			harness.Mix{AddPct: 60, RemovePct: 30, ContainsPct: 10})
-		s.NewClient(g.SkipStream()).Start()
+		s.NewClient(g.Stream()).Start()
 	}
 
 	_, ops := sim.Measure(e, func() {}, s.Ops(), 500*sim.Microsecond, 20*sim.Millisecond)

@@ -10,6 +10,7 @@ package fclist
 import (
 	"pimds/internal/cds/flatcombining"
 	"pimds/internal/cds/seqlist"
+	"pimds/internal/op"
 )
 
 // List is a flat-combining sorted linked-list set. Create one with New;
@@ -19,8 +20,8 @@ type List struct {
 	seq       *seqlist.List
 	combining bool
 
-	ops     []seqlist.Op // combiner scratch
-	results []bool       // combiner scratch
+	ops     []op.Op // combiner scratch
+	results []bool  // combiner scratch
 }
 
 // New returns an empty FC list. If combining is true the combiner
@@ -47,16 +48,16 @@ func (l *List) NewHandle() *Handle {
 }
 
 // Contains reports whether k is in the set.
-func (h *Handle) Contains(k int64) bool { return h.do(seqlist.Contains, k) }
+func (h *Handle) Contains(k int64) bool { return h.do(op.Contains, k) }
 
 // Add inserts k and reports whether it was absent.
-func (h *Handle) Add(k int64) bool { return h.do(seqlist.Add, k) }
+func (h *Handle) Add(k int64) bool { return h.do(op.Add, k) }
 
 // Remove deletes k and reports whether it was present.
-func (h *Handle) Remove(k int64) bool { return h.do(seqlist.Remove, k) }
+func (h *Handle) Remove(k int64) bool { return h.do(op.Remove, k) }
 
-func (h *Handle) do(kind seqlist.OpKind, k int64) bool {
-	return h.l.fc.Do(h.rec, seqlist.Op{Kind: kind, Key: k}).(bool)
+func (h *Handle) do(kind op.Kind, k int64) bool {
+	return h.l.fc.Do(h.rec, op.Op{Kind: kind, Key: k}).(bool)
 }
 
 // apply runs under the combiner lock.
@@ -64,7 +65,7 @@ func (l *List) apply(batch []*flatcombining.Record) {
 	if l.combining {
 		l.ops = l.ops[:0]
 		for _, rec := range batch {
-			l.ops = append(l.ops, rec.Op().(seqlist.Op))
+			l.ops = append(l.ops, rec.Op().(op.Op))
 		}
 		results := l.combine(l.ops)
 		for i, rec := range batch {
@@ -73,14 +74,14 @@ func (l *List) apply(batch []*flatcombining.Record) {
 		return
 	}
 	for _, rec := range batch {
-		rec.Finish(l.seq.Apply(rec.Op().(seqlist.Op)))
+		rec.Finish(l.seq.Apply(rec.Op().(op.Op)))
 	}
 }
 
 // combine serves ops in one traversal into the reused results
 // scratch, so a pass allocates nothing once the scratch has grown to
 // the largest batch.
-func (l *List) combine(ops []seqlist.Op) []bool {
+func (l *List) combine(ops []op.Op) []bool {
 	if cap(l.results) < len(ops) {
 		l.results = make([]bool, len(ops))
 	}

@@ -7,6 +7,7 @@ import (
 
 	"pimds/internal/cds/cdstest"
 	"pimds/internal/cds/seqlist"
+	"pimds/internal/op"
 )
 
 func TestSequentialSemanticsBothVariants(t *testing.T) {
@@ -64,9 +65,9 @@ func TestCombiningPassResultsUnchanged(t *testing.T) {
 	l, ref := New(true), seqlist.New()
 	rng := rand.New(rand.NewSource(5))
 	for pass := 0; pass < 2000; pass++ {
-		ops := make([]seqlist.Op, 1+rng.Intn(48))
+		ops := make([]op.Op, 1+rng.Intn(48))
 		for i := range ops {
-			ops[i] = seqlist.Op{Kind: seqlist.OpKind(rng.Intn(3)), Key: rng.Int63n(256)}
+			ops[i] = op.Op{Kind: op.Kind(rng.Intn(3)), Key: rng.Int63n(256)}
 		}
 		want := ref.ApplyBatch(ops)
 		got := l.combine(ops)

@@ -13,6 +13,7 @@ import (
 
 	"pimds/internal/cds/flatcombining"
 	"pimds/internal/cds/seqskip"
+	"pimds/internal/op"
 )
 
 // List is a partitioned flat-combining skip-list set over the key space
@@ -40,7 +41,7 @@ func New(keySpace int64, k int, seed uint64) *List {
 		p := &partition{seq: seqskip.New(seed + uint64(i)*0x9e3779b9)}
 		p.fc = flatcombining.New(func(batch []*flatcombining.Record) {
 			for _, rec := range batch {
-				rec.Finish(p.seq.Apply(rec.Op().(seqskip.Op)))
+				rec.Finish(p.seq.Apply(rec.Op().(op.Op)))
 			}
 		})
 		l.parts[i] = p
@@ -76,18 +77,18 @@ func (l *List) NewHandle() *Handle {
 }
 
 // Contains reports whether k is in the set.
-func (h *Handle) Contains(k int64) bool { return h.do(seqskip.Contains, k) }
+func (h *Handle) Contains(k int64) bool { return h.do(op.Contains, k) }
 
 // Add inserts k and reports whether it was absent.
-func (h *Handle) Add(k int64) bool { return h.do(seqskip.Add, k) }
+func (h *Handle) Add(k int64) bool { return h.do(op.Add, k) }
 
 // Remove deletes k and reports whether it was present.
-func (h *Handle) Remove(k int64) bool { return h.do(seqskip.Remove, k) }
+func (h *Handle) Remove(k int64) bool { return h.do(op.Remove, k) }
 
-func (h *Handle) do(kind seqskip.OpKind, k int64) bool {
+func (h *Handle) do(kind op.Kind, k int64) bool {
 	i := h.l.partitionFor(k)
 	p := h.l.parts[i]
-	return p.fc.Do(h.recs[i], seqskip.Op{Kind: kind, Key: k}).(bool)
+	return p.fc.Do(h.recs[i], op.Op{Kind: kind, Key: k}).(bool)
 }
 
 // Len returns the total number of keys at quiescence.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pimds/internal/cds/seqlist"
+	"pimds/internal/op"
 	"pimds/internal/testenv"
 )
 
@@ -11,12 +12,12 @@ import (
 // 128. The pairs keep their batch order through the stable sort, so
 // every insertion reuses the node its removal just freed; each one lands
 // before an existing node, so it counts towards the next re-layout.
-func churnPairs() []seqlist.Op {
-	var ops []seqlist.Op
+func churnPairs() []op.Op {
+	var ops []op.Op
 	for k := int64(0); k < 128; k += 2 {
 		ops = append(ops,
-			seqlist.Op{Kind: seqlist.Remove, Key: k},
-			seqlist.Op{Kind: seqlist.Add, Key: k},
+			op.Op{Kind: op.Remove, Key: k},
+			op.Op{Kind: op.Add, Key: k},
 		)
 	}
 	return ops
@@ -83,20 +84,20 @@ func TestApplyOrderedBatchIntoSteadyStateAllocs(t *testing.T) {
 		t.Skip("AllocsPerRun is not meaningful under the race detector")
 	}
 	ops := append(churnPairs(),
-		seqlist.Op{Kind: seqlist.PopMin},
-		seqlist.Op{Kind: seqlist.PopMax},
-		seqlist.Op{Kind: seqlist.Add, Key: 0},
-		seqlist.Op{Kind: seqlist.Add, Key: 126},
-		seqlist.Op{Kind: seqlist.Pred, Key: 51},
-		seqlist.Op{Kind: seqlist.Succ, Key: 52},
-		seqlist.Op{Kind: seqlist.RangeScan, Key: 10, Hi: 90, Limit: 16},
+		op.Op{Kind: op.PopMin},
+		op.Op{Kind: op.PopMax},
+		op.Op{Kind: op.Add, Key: 0},
+		op.Op{Kind: op.Add, Key: 126},
+		op.Op{Kind: op.Pred, Key: 51},
+		op.Op{Kind: op.Succ, Key: 52},
+		op.Op{Kind: op.RangeScan, Key: 10, Hi: 90, Limit: 16},
 	)
-	res := make([]seqlist.OpResult, len(ops))
+	res := make([]op.Result, len(ops))
 	arena := make([]int64, 0, 64)
 	pinZeroAllocs(t, "ApplyOrderedBatchInto", func(l *seqlist.List) {
 		arena = l.ApplyOrderedBatchInto(ops, res, arena[:0])
 	})
-	if r := res[len(ops)-1]; r.N != 16 || r.Value != 42 {
-		t.Fatalf("scan returned %d keys, cursor %d; want 16 keys, cursor 42", r.N, r.Value)
+	if r := res[len(ops)-1]; len(r.Values) != 16 || r.Value != 42 {
+		t.Fatalf("scan returned %d keys, cursor %d; want 16 keys, cursor 42", len(r.Values), r.Value)
 	}
 }

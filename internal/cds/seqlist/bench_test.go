@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pimds/internal/cds/seqlist"
+	"pimds/internal/op"
 )
 
 // The churned list mirrors bench's list_combine shard: a 1<<15 key
@@ -26,16 +27,16 @@ var (
 )
 
 // churnOps fills ops with one 60/20/20 batch.
-func churnOps(rng *rand.Rand, ops []seqlist.Op) {
+func churnOps(rng *rand.Rand, ops []op.Op) {
 	for i := range ops {
-		kind := seqlist.Contains
+		kind := op.Contains
 		switch r := rng.Intn(100); {
 		case r >= 80:
-			kind = seqlist.Remove
+			kind = op.Remove
 		case r >= 60:
-			kind = seqlist.Add
+			kind = op.Add
 		}
-		ops[i] = seqlist.Op{Kind: kind, Key: rng.Int63n(churnKeySpace)}
+		ops[i] = op.Op{Kind: kind, Key: rng.Int63n(churnKeySpace)}
 	}
 }
 
@@ -45,10 +46,10 @@ func churnOps(rng *rand.Rand, ops []seqlist.Op) {
 func churnedList() (*seqlist.List, *rand.Rand) {
 	churnedOnce.Do(func() {
 		l := seqlist.New()
-		var conn [2][]seqlist.Op
+		var conn [2][]op.Op
 		for k := int64(0); k < churnKeySpace; k += 2 {
 			c := (k >> 1) % 2
-			conn[c] = append(conn[c], seqlist.Op{Kind: seqlist.Add, Key: k})
+			conn[c] = append(conn[c], op.Op{Kind: op.Add, Key: k})
 		}
 		res := make([]bool, churnPreload)
 		for len(conn[0]) > 0 || len(conn[1]) > 0 {
@@ -59,7 +60,7 @@ func churnedList() (*seqlist.List, *rand.Rand) {
 			}
 		}
 		rng := rand.New(rand.NewSource(1))
-		ops := make([]seqlist.Op, churnBatch)
+		ops := make([]op.Op, churnBatch)
 		for i := 0; i < churnBatches; i++ {
 			churnOps(rng, ops)
 			l.ApplyBatchInto(ops, res[:churnBatch])
@@ -74,9 +75,9 @@ func churnedList() (*seqlist.List, *rand.Rand) {
 // cycle through a pre-drawn set, so drawing keys stays off the clock.
 func BenchmarkApplyBatchChurned(b *testing.B) {
 	l, rng := churnedList()
-	batches := make([][]seqlist.Op, 1024)
+	batches := make([][]op.Op, 1024)
 	for i := range batches {
-		batches[i] = make([]seqlist.Op, churnBatch)
+		batches[i] = make([]op.Op, churnBatch)
 		churnOps(rng, batches[i])
 	}
 	res := make([]bool, churnBatch)

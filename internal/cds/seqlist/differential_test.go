@@ -5,6 +5,8 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"pimds/internal/op"
 )
 
 // oracle is the list as a sorted slice. It answers every entry point
@@ -29,18 +31,18 @@ func (o *oracle) find(p int, k int64) int {
 func (o *oracle) at(p int, k int64) bool { return p+1 < len(o.keys) && o.keys[p+1] == k }
 
 // point applies one Contains/Add/Remove with the walk's predecessor at p.
-func (o *oracle) point(p int, op Op) bool {
-	switch op.Kind {
-	case Contains:
-		return o.at(p, op.Key)
-	case Add:
-		if o.at(p, op.Key) {
+func (o *oracle) point(p int, x op.Op) bool {
+	switch x.Kind {
+	case op.Contains:
+		return o.at(p, x.Key)
+	case op.Add:
+		if o.at(p, x.Key) {
 			return false
 		}
-		o.keys = slices.Insert(o.keys, p+1, op.Key)
+		o.keys = slices.Insert(o.keys, p+1, x.Key)
 		return true
-	case Remove:
-		if !o.at(p, op.Key) {
+	case op.Remove:
+		if !o.at(p, x.Key) {
 			return false
 		}
 		o.keys = slices.Delete(o.keys, p+1, p+2)
@@ -72,10 +74,10 @@ func (o *oracle) popMax() (int64, bool) {
 
 // sweep returns the indexes of ops in ascending key order, ties in
 // batch order.
-func sweep(ops []Op, keep func(Op) bool) []int {
+func sweep(ops []op.Op, keep func(op.Op) bool) []int {
 	var idx []int
-	for i, op := range ops {
-		if keep(op) {
+	for i, x := range ops {
+		if keep(x) {
 			idx = append(idx, i)
 		}
 	}
@@ -83,63 +85,76 @@ func sweep(ops []Op, keep func(Op) bool) []int {
 	return idx
 }
 
-func (o *oracle) batch(ops []Op) []bool {
+func (o *oracle) batch(ops []op.Op) []bool {
 	res := make([]bool, len(ops))
 	p := -1
-	for _, i := range sweep(ops, func(Op) bool { return true }) {
+	for _, i := range sweep(ops, func(op.Op) bool { return true }) {
 		p = o.find(p, ops[i].Key)
 		res[i] = o.point(p, ops[i])
 	}
 	return res
 }
 
-func (o *oracle) ordered(ops []Op) ([]OpResult, [][]int64) {
-	res := make([]OpResult, len(ops))
+func (o *oracle) ordered(ops []op.Op) []op.Result {
+	res := make([]op.Result, len(ops))
 	scans := make([][]int64, len(ops))
-	for i, op := range ops {
-		switch op.Kind {
-		case PopMin:
+	for i, x := range ops {
+		switch x.Kind {
+		case op.PopMin:
 			v, ok := o.popMin()
-			res[i] = OpResult{OK: ok, Value: v}
-		case PopMax:
+			res[i] = op.Result{OK: ok, Value: v}
+		case op.PopMax:
 			v, ok := o.popMax()
-			res[i] = OpResult{OK: ok, Value: v}
+			res[i] = op.Result{OK: ok, Value: v}
 		}
 	}
 	p := -1
-	for _, i := range sweep(ops, func(op Op) bool { return op.Kind != PopMin && op.Kind != PopMax }) {
-		op := ops[i]
-		p = o.find(p, op.Key)
-		switch op.Kind {
-		case Pred:
+	for _, i := range sweep(ops, func(x op.Op) bool { return x.Kind != op.PopMin && x.Kind != op.PopMax }) {
+		x := ops[i]
+		p = o.find(p, x.Key)
+		switch x.Kind {
+		case op.Pred:
 			if p >= 0 {
-				res[i] = OpResult{OK: true, Value: o.keys[p]}
+				res[i] = op.Result{OK: true, Value: o.keys[p]}
 			}
-		case Succ:
+		case op.Succ:
 			n := p + 1
-			if o.at(p, op.Key) {
+			if o.at(p, x.Key) {
 				n++
 				o.steps++
 			}
 			if n < len(o.keys) {
-				res[i] = OpResult{OK: true, Value: o.keys[n]}
+				res[i] = op.Result{OK: true, Value: o.keys[n]}
 			}
-		case RangeScan:
-			cursor := op.Hi
-			for j := p + 1; j < len(o.keys) && o.keys[j] < op.Hi; j++ {
-				if op.Limit > 0 && len(scans[i]) == op.Limit {
+		case op.RangeScan:
+			cursor := x.Hi
+			for j := p + 1; j < len(o.keys) && o.keys[j] < x.Hi; j++ {
+				if x.Limit > 0 && len(scans[i]) == int(x.Limit) {
 					cursor = o.keys[j]
 					break
 				}
 				scans[i] = append(scans[i], o.keys[j])
 				o.steps++
 			}
-			res[i] = OpResult{OK: true, Value: cursor, N: len(scans[i]), Scan: true}
+			res[i] = op.Result{OK: true, Value: cursor, Values: scans[i]}
 		default:
-			res[i] = OpResult{OK: o.point(p, op)}
+			res[i] = op.Result{OK: o.point(p, x)}
 		}
 	}
-	return res, scans
+	return res
+}
+
+// within reports whether seg is a segment of arena.
+func within(arena, seg []int64) bool {
+	if len(seg) == 0 {
+		return true
+	}
+	for i := 0; i+len(seg) <= len(arena); i++ {
+		if &arena[i] == &seg[0] {
+			return true
+		}
+	}
+	return false
 }
 
 // checkLayout asserts what a re-layout promises: the sentinel and then
@@ -178,21 +193,21 @@ func TestDifferentialAgainstSortedSlice(t *testing.T) {
 			addPct = []int{70, 50, 20, 60, 35, 80, 10, 50}[step/2000%8]
 		}
 		// Add addPct %, Remove the rest of 80 %, Contains 20 %.
-		pointKind := func() OpKind {
+		pointKind := func() op.Kind {
 			switch r := rng.Intn(100); {
 			case r < addPct:
-				return Add
+				return op.Add
 			case r < 80:
-				return Remove
+				return op.Remove
 			}
-			return Contains
+			return op.Contains
 		}
 		slabLen := len(l.slab)
 		switch r := rng.Intn(100); {
 		case r < 40: // point batch
-			ops := make([]Op, 1+rng.Intn(80))
+			ops := make([]op.Op, 1+rng.Intn(80))
 			for i := range ops {
-				ops[i] = Op{Kind: pointKind(), Key: key()}
+				ops[i] = op.Op{Kind: pointKind(), Key: key()}
 			}
 			want := o.batch(ops)
 			var got []bool
@@ -206,52 +221,53 @@ func TestDifferentialAgainstSortedSlice(t *testing.T) {
 				t.Fatalf("step %d: batch %v: got %v, want %v", step, ops, got, want)
 			}
 		case r < 70: // ordered batch
-			ops := make([]Op, 1+rng.Intn(40))
+			ops := make([]op.Op, 1+rng.Intn(40))
 			for i := range ops {
-				op := Op{Kind: pointKind(), Key: key()}
+				x := op.Op{ID: uint64(i + 1), Kind: pointKind(), Key: key()}
 				switch rng.Intn(10) {
 				case 0:
-					op.Kind = Pred
+					x.Kind = op.Pred
 				case 1:
-					op.Kind = Succ
+					x.Kind = op.Succ
 				case 2:
-					op.Kind, op.Hi, op.Limit = RangeScan, op.Key+rng.Int63n(300)-20, rng.Intn(12)
+					x.Kind, x.Hi, x.Limit = op.RangeScan, x.Key+rng.Int63n(300)-20, uint16(rng.Intn(12))
 				case 3:
-					op.Kind = []OpKind{PopMin, PopMax}[rng.Intn(2)]
+					x.Kind = []op.Kind{op.PopMin, op.PopMax}[rng.Intn(2)]
 				}
-				ops[i] = op
+				ops[i] = x
 			}
-			want, scans := o.ordered(ops)
-			got := make([]OpResult, len(ops))
+			want := o.ordered(ops)
+			got := make([]op.Result, len(ops))
 			arena = l.ApplyOrderedBatchInto(ops, got, arena[:0])
 			for i := range ops {
 				g, w := got[i], want[i]
-				if g.OK != w.OK || g.Value != w.Value || g.Scan != w.Scan || g.N != w.N {
+				scan := ops[i].Kind == op.RangeScan
+				if g.ID != ops[i].ID || g.OK != w.OK || g.Value != w.Value || len(g.Values) != len(w.Values) || !scan && g.Values != nil {
 					t.Fatalf("step %d: ordered op %d %+v: got %+v, want %+v", step, i, ops[i], g, w)
 				}
-				if g.Scan && !slices.Equal(arena[g.Start:g.Start+g.N], scans[i]) {
-					t.Fatalf("step %d: scan %+v: got %v, want %v", step, ops[i], arena[g.Start:g.Start+g.N], scans[i])
+				if scan && (!slices.Equal(g.Values, w.Values) || !within(arena, g.Values)) {
+					t.Fatalf("step %d: scan %+v: got %v, want %v (a segment of the arena)", step, ops[i], g.Values, w.Values)
 				}
 			}
 		case r < 94: // single-key calls
-			op := Op{Kind: pointKind(), Key: key()}
-			want := o.point(o.find(-1, op.Key), op)
+			x := op.Op{Kind: pointKind(), Key: key()}
+			want := o.point(o.find(-1, x.Key), x)
 			var got bool
 			switch rng.Intn(2) {
 			case 0:
-				got = l.Apply(op)
+				got = l.Apply(x)
 			default:
-				switch op.Kind {
-				case Contains:
-					got = l.ContainsKey(op.Key)
-				case Add:
-					got = l.AddKey(op.Key)
-				case Remove:
-					got = l.RemoveKey(op.Key)
+				switch x.Kind {
+				case op.Contains:
+					got = l.ContainsKey(x.Key)
+				case op.Add:
+					got = l.AddKey(x.Key)
+				case op.Remove:
+					got = l.RemoveKey(x.Key)
 				}
 			}
 			if got != want {
-				t.Fatalf("step %d: %+v: got %v, want %v", step, op, got, want)
+				t.Fatalf("step %d: %+v: got %v, want %v", step, x, got, want)
 			}
 		case r < 99: // pops
 			var gk, wk int64

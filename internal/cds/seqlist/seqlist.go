@@ -14,75 +14,18 @@
 // simulator, which charges vault reads by Steps, sees no difference.
 package seqlist
 
-// OpKind is the kind of a set operation.
-type OpKind uint8
+import "pimds/internal/op"
 
-// The three set operations of Section 4, plus the ordered operations
-// the sorted list serves natively: range scans, neighbor queries and
-// extremum pops.
+// Names kept for bench/, which is frozen until ROADMAP item 7's
+// [benchmark] PR; everything else names them through package op.
+type Op = op.Op // kept for bench/
+
+// Set kinds kept for bench/ (see above).
 const (
-	Contains OpKind = iota
-	Add
-	Remove
-
-	// RangeScan collects up to Limit keys in [Key, Hi), ascending.
-	RangeScan
-	// Pred finds the largest key strictly less than Key.
-	Pred
-	// Succ finds the smallest key strictly greater than Key.
-	Succ
-	// PopMin removes and returns the smallest key.
-	PopMin
-	// PopMax removes and returns the largest key.
-	PopMax
+	Contains = op.Contains // kept for bench/
+	Add      = op.Add      // kept for bench/
+	Remove   = op.Remove   // kept for bench/
 )
-
-// String returns the operation name.
-func (k OpKind) String() string {
-	switch k {
-	case Contains:
-		return "contains"
-	case Add:
-		return "add"
-	case Remove:
-		return "remove"
-	case RangeScan:
-		return "scan"
-	case Pred:
-		return "pred"
-	case Succ:
-		return "succ"
-	case PopMin:
-		return "popmin"
-	case PopMax:
-		return "popmax"
-	default:
-		return "unknown"
-	}
-}
-
-// Op is one set operation request. Hi and Limit are RangeScan's
-// exclusive upper bound and result cap (Limit ≤ 0 = unlimited); other
-// kinds ignore them.
-type Op struct {
-	Kind  OpKind
-	Key   int64
-	Hi    int64
-	Limit int
-}
-
-// OpResult is one outcome of an ordered batch. For RangeScan, Scan is
-// true and [Start, Start+N) is the op's segment of the shared values
-// arena; Value is the pagination cursor (the scan is complete when
-// cursor ≥ Hi). For Pred/Succ/PopMin/PopMax, OK reports whether a key
-// existed and Value carries it.
-type OpResult struct {
-	OK    bool
-	Value int64
-	Start int
-	N     int
-	Scan  bool
-}
 
 type node struct {
 	key  int64
@@ -287,14 +230,14 @@ func (l *List) RemoveKey(k int64) bool {
 }
 
 // Apply executes a single operation and returns its result.
-func (l *List) Apply(op Op) bool {
-	switch op.Kind {
-	case Contains:
-		return l.ContainsKey(op.Key)
-	case Add:
-		return l.AddKey(op.Key)
-	case Remove:
-		return l.RemoveKey(op.Key)
+func (l *List) Apply(o op.Op) bool {
+	switch o.Kind {
+	case op.Contains:
+		return l.ContainsKey(o.Key)
+	case op.Add:
+		return l.AddKey(o.Key)
+	case op.Remove:
+		return l.RemoveKey(o.Key)
 	default:
 		return false
 	}
@@ -309,7 +252,7 @@ func (l *List) Apply(op Op) bool {
 // Reordering operations with distinct keys is linearizable: the batch
 // is concurrent, so any serialization is legal; same-key operations
 // keep their relative order.
-func (l *List) ApplyBatch(ops []Op) []bool {
+func (l *List) ApplyBatch(ops []op.Op) []bool {
 	results := make([]bool, len(ops))
 	l.ApplyBatchInto(ops, results)
 	return results
@@ -323,7 +266,7 @@ func (l *List) ApplyBatch(ops []Op) []bool {
 // allocates nothing.
 //
 //pimvet:nopark
-func (l *List) ApplyBatchInto(ops []Op, results []bool) {
+func (l *List) ApplyBatchInto(ops []op.Op, results []bool) {
 	if len(ops) == 0 {
 		return
 	}
@@ -340,21 +283,21 @@ func (l *List) ApplyBatchInto(ops []Op, results []bool) {
 	l.reserve(len(ops))
 	pred := l.head
 	for _, i := range idx {
-		op := ops[i]
-		pred = l.find(pred, op.Key)
-		switch op.Kind {
-		case Contains:
-			results[i] = pred.next != nil && pred.next.key == op.Key
-		case Add:
-			if pred.next != nil && pred.next.key == op.Key {
+		o := ops[i]
+		pred = l.find(pred, o.Key)
+		switch o.Kind {
+		case op.Contains:
+			results[i] = pred.next != nil && pred.next.key == o.Key
+		case op.Add:
+			if pred.next != nil && pred.next.key == o.Key {
 				results[i] = false
 			} else {
-				pred.next = l.newNode(op.Key, pred.next)
+				pred.next = l.newNode(o.Key, pred.next)
 				l.size++
 				results[i] = true
 			}
-		case Remove:
-			if pred.next != nil && pred.next.key == op.Key {
+		case op.Remove:
+			if pred.next != nil && pred.next.key == o.Key {
 				gone := pred.next
 				pred.next = gone.next
 				l.freeNode(gone)
@@ -414,21 +357,23 @@ func (l *List) popMax() (int64, bool) {
 }
 
 // ApplyOrderedBatchInto executes a batch that may mix point ops with
-// the ordered kinds, in one shared traversal, appending scan keys to
-// arena and returning the (possibly grown) arena. len(res) must equal
-// len(ops). The serialization it answers for is: all PopMin/PopMax in
-// batch order first, then the remaining ops in ascending key order
-// (ties in batch order) — legal for a concurrent batch, where any
-// serialization is linearizable. The keyed ops share one finger walk
-// exactly like ApplyBatchInto: a scan's descent to lo rides the
-// finger, and only its own span walk is private.
+// the ordered kinds, in one shared traversal, writing ops[i]'s outcome
+// to res[i] (len(res) must equal len(ops)) and appending scan keys to
+// arena; it returns the (possibly grown) arena, and each scan's
+// res[i].Values is its segment of that arena. The serialization it
+// answers for is: all PopMin/PopMax in batch order first, then the
+// remaining ops in ascending key order (ties in batch order) — legal
+// for a concurrent batch, where any serialization is linearizable. The
+// keyed ops share one finger walk exactly like ApplyBatchInto: a
+// scan's descent to lo rides the finger, and only its own span walk is
+// private.
 //
 // A scan with Hi ≤ Key is a legal empty scan (complete, cursor = Hi).
-// When a scan hits its limit, the cursor is the first unreturned key,
-// so paginating clients resume exactly there.
+// When a scan hits its limit (0 = unlimited), the cursor is the first
+// unreturned key, so paginating clients resume exactly there.
 //
 //pimvet:nopark
-func (l *List) ApplyOrderedBatchInto(ops []Op, res []OpResult, arena []int64) []int64 {
+func (l *List) ApplyOrderedBatchInto(ops []op.Op, res []op.Result, arena []int64) []int64 {
 	if len(ops) == 0 {
 		return arena
 	}
@@ -438,12 +383,12 @@ func (l *List) ApplyOrderedBatchInto(ops []Op, res []OpResult, arena []int64) []
 	keyed := 0
 	for i := range ops {
 		switch ops[i].Kind {
-		case PopMin:
+		case op.PopMin:
 			v, ok := l.popMin()
-			res[i] = OpResult{OK: ok, Value: v}
-		case PopMax:
+			res[i] = op.Result{ID: ops[i].ID, OK: ok, Value: v}
+		case op.PopMax:
 			v, ok := l.popMax()
-			res[i] = OpResult{OK: ok, Value: v}
+			res[i] = op.Result{ID: ops[i].ID, OK: ok, Value: v}
 		default:
 			keyed++
 		}
@@ -459,7 +404,7 @@ func (l *List) ApplyOrderedBatchInto(ops []Op, res []OpResult, arena []int64) []
 	idx := l.idx[:keyed]
 	j := 0
 	for i := range ops {
-		if ops[i].Kind != PopMin && ops[i].Kind != PopMax {
+		if ops[i].Kind != op.PopMin && ops[i].Kind != op.PopMax {
 			idx[j] = i
 			j++
 		}
@@ -468,61 +413,68 @@ func (l *List) ApplyOrderedBatchInto(ops []Op, res []OpResult, arena []int64) []
 
 	l.reserve(keyed)
 	pred := l.head
+	base, scans := len(arena), false
 	for _, i := range idx {
-		op := ops[i]
-		pred = l.find(pred, op.Key)
-		switch op.Kind {
-		case Contains:
-			res[i] = OpResult{OK: pred.next != nil && pred.next.key == op.Key}
-		case Add:
-			if pred.next != nil && pred.next.key == op.Key {
-				res[i] = OpResult{OK: false}
-			} else {
-				pred.next = l.newNode(op.Key, pred.next)
+		o := ops[i]
+		pred = l.find(pred, o.Key)
+		r := op.Result{ID: o.ID}
+		switch o.Kind {
+		case op.Contains:
+			r.OK = pred.next != nil && pred.next.key == o.Key
+		case op.Add:
+			if pred.next == nil || pred.next.key != o.Key {
+				pred.next = l.newNode(o.Key, pred.next)
 				l.size++
-				res[i] = OpResult{OK: true}
+				r.OK = true
 			}
-		case Remove:
-			if pred.next != nil && pred.next.key == op.Key {
+		case op.Remove:
+			if pred.next != nil && pred.next.key == o.Key {
 				gone := pred.next
 				pred.next = gone.next
 				l.freeNode(gone)
 				l.size--
-				res[i] = OpResult{OK: true}
-			} else {
-				res[i] = OpResult{OK: false}
+				r.OK = true
 			}
-		case Pred:
+		case op.Pred:
 			if pred != l.head {
-				res[i] = OpResult{OK: true, Value: pred.key}
-			} else {
-				res[i] = OpResult{OK: false}
+				r.OK, r.Value = true, pred.key
 			}
-		case Succ:
+		case op.Succ:
 			n := pred.next
-			if n != nil && n.key == op.Key {
+			if n != nil && n.key == o.Key {
 				n = n.next
 				l.steps++
 			}
 			if n != nil {
-				res[i] = OpResult{OK: true, Value: n.key}
-			} else {
-				res[i] = OpResult{OK: false}
+				r.OK, r.Value = true, n.key
 			}
-		case RangeScan:
+		case op.RangeScan:
 			start := len(arena)
-			cursor := op.Hi
-			count := 0
-			for cur := pred.next; cur != nil && cur.key < op.Hi; cur = cur.next {
-				if op.Limit > 0 && count == op.Limit {
-					cursor = cur.key
+			r.OK, r.Value = true, o.Hi
+			for cur := pred.next; cur != nil && cur.key < o.Hi; cur = cur.next {
+				if o.Limit > 0 && len(arena)-start == int(o.Limit) {
+					r.Value = cur.key
 					break
 				}
 				arena = append(arena, cur.key) // amortized arena grow to the largest scan pass; steady state reuses
-				count++
 				l.steps++
 			}
-			res[i] = OpResult{OK: true, Value: cursor, Start: start, N: count, Scan: true}
+			r.Values = arena[start:len(arena):len(arena)]
+			scans = true
+		}
+		res[i] = r
+	}
+	if scans {
+		// A later scan may have grown (and moved) the arena under an
+		// earlier one's segment: re-slice every segment, in the order
+		// the scans appended, from the arena being returned.
+		at := base
+		for _, i := range idx {
+			if ops[i].Kind == op.RangeScan {
+				n := len(res[i].Values)
+				res[i].Values = arena[at : at+n : at+n]
+				at += n
+			}
 		}
 	}
 	l.settle()
@@ -534,7 +486,7 @@ func (l *List) ApplyOrderedBatchInto(ops []Op, res []OpResult, arena []int64) []
 // taking from the left run on ties. Equivalent ordering to
 // sort.SliceStable with a key comparison, without boxing the slice
 // into an interface or allocating the comparison closure per call.
-func stableSortByKey(ops []Op, idx, tmp []int) {
+func stableSortByKey(ops []op.Op, idx, tmp []int) {
 	n := len(idx)
 	for width := 1; width < n; width *= 2 {
 		for lo := 0; lo+width < n; lo += 2 * width {

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"pimds/internal/op"
 )
 
 func TestBasicOps(t *testing.T) {
@@ -43,27 +45,17 @@ func TestBasicOps(t *testing.T) {
 
 func TestApplyDispatch(t *testing.T) {
 	l := New()
-	if !l.Apply(Op{Kind: Add, Key: 1}) {
+	if !l.Apply(op.Op{Kind: op.Add, Key: 1}) {
 		t.Error("apply add failed")
 	}
-	if !l.Apply(Op{Kind: Contains, Key: 1}) {
+	if !l.Apply(op.Op{Kind: op.Contains, Key: 1}) {
 		t.Error("apply contains failed")
 	}
-	if !l.Apply(Op{Kind: Remove, Key: 1}) {
+	if !l.Apply(op.Op{Kind: op.Remove, Key: 1}) {
 		t.Error("apply remove failed")
 	}
-	if l.Apply(Op{Kind: OpKind(99), Key: 1}) {
+	if l.Apply(op.Op{Kind: op.Kind(99), Key: 1}) {
 		t.Error("unknown op should return false")
-	}
-}
-
-func TestOpKindString(t *testing.T) {
-	for k, want := range map[OpKind]string{
-		Contains: "contains", Add: "add", Remove: "remove", OpKind(9): "unknown",
-	} {
-		if got := k.String(); got != want {
-			t.Errorf("OpKind(%d).String() = %q, want %q", k, got, want)
-		}
 	}
 }
 
@@ -113,9 +105,9 @@ func TestBatchEquivalence(t *testing.T) {
 			batched.AddKey(k)
 			serial.AddKey(k)
 		}
-		ops := make([]Op, int(nOps%24)+1)
+		ops := make([]op.Op, int(nOps%24)+1)
 		for i := range ops {
-			ops[i] = Op{Kind: OpKind(rng.Intn(3)), Key: rng.Int63n(40)}
+			ops[i] = op.Op{Kind: op.Kind(rng.Intn(3)), Key: rng.Int63n(40)}
 		}
 
 		gotResults := batched.ApplyBatch(ops)
@@ -167,16 +159,16 @@ func TestBatchSingleTraversal(t *testing.T) {
 		l.AddKey(k)
 	}
 	l.ResetSteps()
-	ops := []Op{
-		{Kind: Contains, Key: 900}, {Kind: Contains, Key: 100}, {Kind: Contains, Key: 500},
-		{Kind: Contains, Key: 901}, {Kind: Contains, Key: 101}, {Kind: Contains, Key: 501},
+	ops := []op.Op{
+		{Kind: op.Contains, Key: 900}, {Kind: op.Contains, Key: 100}, {Kind: op.Contains, Key: 500},
+		{Kind: op.Contains, Key: 901}, {Kind: op.Contains, Key: 101}, {Kind: op.Contains, Key: 501},
 	}
 	l.ApplyBatch(ops)
 	batchSteps := l.Steps()
 
 	l.ResetSteps()
-	for _, op := range ops {
-		l.Apply(op)
+	for _, o := range ops {
+		l.Apply(o)
 	}
 	serialSteps := l.Steps()
 
@@ -192,7 +184,7 @@ func TestBatchSingleTraversal(t *testing.T) {
 // TestBatchSameKeyOrder: same-key ops keep their batch order.
 func TestBatchSameKeyOrder(t *testing.T) {
 	l := New()
-	res := l.ApplyBatch([]Op{{Kind: Add, Key: 7}, {Kind: Remove, Key: 7}, {Kind: Add, Key: 7}, {Kind: Contains, Key: 7}})
+	res := l.ApplyBatch([]op.Op{{Kind: op.Add, Key: 7}, {Kind: op.Remove, Key: 7}, {Kind: op.Add, Key: 7}, {Kind: op.Contains, Key: 7}})
 	want := []bool{true, true, true, true}
 	for i := range want {
 		if res[i] != want[i] {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pimds/internal/cds/seqskip"
+	"pimds/internal/op"
 )
 
 // The churned list mirrors shard 0 of bench's skip_scan: keys [0, 1<<15)
@@ -30,20 +31,20 @@ var (
 // churnOp is one op of the mix; Kind is ignored for scans.
 type churnOp struct {
 	scan bool
-	op   seqskip.Op
+	op   op.Op
 }
 
 func drawOp(rng *rand.Rand) churnOp {
 	k := rng.Int63n(churnKeySpace)
 	switch r := rng.Intn(100); {
 	case r < 30:
-		return churnOp{scan: true, op: seqskip.Op{Key: k}}
+		return churnOp{scan: true, op: op.Op{Key: k}}
 	case r < 80:
-		return churnOp{op: seqskip.Op{Kind: seqskip.Contains, Key: k}}
+		return churnOp{op: op.Op{Kind: op.Contains, Key: k}}
 	case r < 90:
-		return churnOp{op: seqskip.Op{Kind: seqskip.Add, Key: k}}
+		return churnOp{op: op.Op{Kind: op.Add, Key: k}}
 	}
-	return churnOp{op: seqskip.Op{Kind: seqskip.Remove, Key: k}}
+	return churnOp{op: op.Op{Kind: op.Remove, Key: k}}
 }
 
 func (c churnOp) apply(l *seqskip.List, arena []int64) []int64 {

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"pimds/internal/op"
 )
 
 // oracle is the set as a sorted slice.
@@ -13,17 +15,17 @@ type oracle struct{ keys []int64 }
 // at returns the position of the first key ≥ k and whether it is k.
 func (o *oracle) at(k int64) (int, bool) { return slices.BinarySearch(o.keys, k) }
 
-func (o *oracle) apply(op Op) bool {
-	i, found := o.at(op.Key)
-	switch op.Kind {
-	case Contains:
+func (o *oracle) apply(x op.Op) bool {
+	i, found := o.at(x.Key)
+	switch x.Kind {
+	case op.Contains:
 		return found
-	case Add:
+	case op.Add:
 		if !found {
-			o.keys = slices.Insert(o.keys, i, op.Key)
+			o.keys = slices.Insert(o.keys, i, x.Key)
 		}
 		return !found
-	case Remove:
+	case op.Remove:
 		if found {
 			o.keys = slices.Delete(o.keys, i, i+1)
 		}
@@ -33,7 +35,7 @@ func (o *oracle) apply(op Op) bool {
 }
 
 // batch applies ops in ascending key order, ties in batch order.
-func (o *oracle) batch(ops []Op) []bool {
+func (o *oracle) batch(ops []op.Op) []bool {
 	idx := make([]int, len(ops))
 	for i := range idx {
 		idx[i] = i
@@ -141,11 +143,11 @@ func TestDifferentialAgainstSortedSlice(t *testing.T) {
 			ph := [][2]int{{100, 80}, {100, 10}, {100, 90}, {30, 50}, {100, 20}, {100, 85}, {50, 30}, {20, 50}}[step/2500%8]
 			writePct, addPct = ph[0], ph[1]
 		}
-		writeKind := func() OpKind {
+		writeKind := func() op.Kind {
 			if rng.Intn(100) < addPct {
-				return Add
+				return op.Add
 			}
-			return Remove
+			return op.Remove
 		}
 		// Stranding enough free nodes to compact takes far longer
 		// than this history, so spend the tails from time to time
@@ -159,9 +161,9 @@ func TestDifferentialAgainstSortedSlice(t *testing.T) {
 		var got, want any
 		switch r := rng.Intn(100); {
 		case write && r < 10: // batch
-			ops := make([]Op, 1+rng.Intn(40))
+			ops := make([]op.Op, 1+rng.Intn(40))
 			for i := range ops {
-				ops[i] = Op{Kind: Contains, Key: key()}
+				ops[i] = op.Op{Kind: op.Contains, Key: key()}
 				if rng.Intn(100) < writePct {
 					ops[i].Kind = writeKind()
 				}
@@ -181,20 +183,20 @@ func TestDifferentialAgainstSortedSlice(t *testing.T) {
 				wk, wok = o.key(len(o.keys) - 1)
 			}
 			if wok {
-				o.apply(Op{Kind: Remove, Key: wk})
+				o.apply(op.Op{Kind: op.Remove, Key: wk})
 			}
 			got, want = [2]any{gk, gok}, [2]any{wk, wok}
 		case write: // single-key writes
-			op := Op{Kind: writeKind(), Key: key()}
-			want = o.apply(op)
-			twin.Apply(op)
+			x := op.Op{Kind: writeKind(), Key: key()}
+			want = o.apply(x)
+			twin.Apply(x)
 			switch {
 			case r < 50:
-				got = l.Apply(op)
-			case op.Kind == Add:
-				got = l.AddKey(op.Key)
+				got = l.Apply(x)
+			case x.Kind == op.Add:
+				got = l.AddKey(x.Key)
 			default:
-				got = l.RemoveKey(op.Key)
+				got = l.RemoveKey(x.Key)
 			}
 		case r < 30: // scans
 			lo := key()
@@ -240,12 +242,12 @@ func TestDifferentialAgainstSortedSlice(t *testing.T) {
 			got, want = [2]any{gk, gok}, [2]any{wk, wok}
 		case r < 99: // lookups
 			k := key()
-			want = o.apply(Op{Kind: Contains, Key: k})
+			want = o.apply(op.Op{Kind: op.Contains, Key: k})
 			twin.ContainsKey(k)
 			if r%2 == 0 {
 				got = l.ContainsKey(k)
 			} else {
-				got = l.Apply(Op{Kind: Contains, Key: k})
+				got = l.Apply(op.Op{Kind: op.Contains, Key: k})
 			}
 		default:
 			l.ResetSteps()

@@ -16,28 +16,15 @@
 // difference.
 package seqskip
 
-import "sort"
+import (
+	"sort"
+
+	"pimds/internal/op"
+)
 
 // MaxHeight is the maximum tower height. 2^24 expected elements is far
 // beyond any workload in this repository.
 const MaxHeight = 24
-
-// Op kinds, shared shape with package seqlist but defined locally so
-// the packages stay independent.
-type OpKind uint8
-
-// The three set operations.
-const (
-	Contains OpKind = iota
-	Add
-	Remove
-)
-
-// Op is one set operation request.
-type Op struct {
-	Kind OpKind
-	Key  int64
-}
 
 // node is a key and its tower; next is carved from a link slab, and
 // len(next) is the tower height.
@@ -349,14 +336,14 @@ func (l *List) remove(k int64) bool {
 }
 
 // Apply executes a single operation and returns its result.
-func (l *List) Apply(op Op) bool {
-	switch op.Kind {
-	case Contains:
-		return l.ContainsKey(op.Key)
-	case Add:
-		return l.AddKey(op.Key)
-	case Remove:
-		return l.RemoveKey(op.Key)
+func (l *List) Apply(o op.Op) bool {
+	switch o.Kind {
+	case op.Contains:
+		return l.ContainsKey(o.Key)
+	case op.Add:
+		return l.AddKey(o.Key)
+	case op.Remove:
+		return l.RemoveKey(o.Key)
 	default:
 		return false
 	}
@@ -517,7 +504,7 @@ func (l *List) RangeScanInto(lo, hi int64, limit int, arena []int64) ([]int64, i
 // traverse … do not have large overlapping sub-paths" — and the
 // experiment `-exp skip-combining` measures exactly how little it
 // saves. Results are returned in the batch's original order.
-func (l *List) ApplyBatch(ops []Op) []bool {
+func (l *List) ApplyBatch(ops []op.Op) []bool {
 	results := make([]bool, len(ops))
 	if len(ops) == 0 {
 		return results
@@ -533,7 +520,7 @@ func (l *List) ApplyBatch(ops []Op) []bool {
 		finger[i] = l.head
 	}
 	for _, i := range idx {
-		op := ops[i]
+		o := ops[i]
 		// Resume each level from the finger (whose key is < every
 		// remaining key, since keys ascend and fingers only hold
 		// predecessors of earlier keys). Mutations invalidate nothing:
@@ -546,10 +533,10 @@ func (l *List) ApplyBatch(ops []Op) []bool {
 		x := l.head
 		var preds [MaxHeight]*node
 		for lvl := l.height - 1; lvl >= 0; lvl-- {
-			if finger[lvl] != nil && finger[lvl].key > x.key && finger[lvl].key < op.Key {
+			if finger[lvl] != nil && finger[lvl].key > x.key && finger[lvl].key < o.Key {
 				x = finger[lvl]
 			}
-			for x.next[lvl] != nil && x.next[lvl].key < op.Key {
+			for x.next[lvl] != nil && x.next[lvl].key < o.Key {
 				x = x.next[lvl]
 				l.steps++
 			}
@@ -559,18 +546,18 @@ func (l *List) ApplyBatch(ops []Op) []bool {
 			preds[lvl] = x
 		}
 		c := x.next[0]
-		found := c != nil && c.key == op.Key
+		found := c != nil && c.key == o.Key
 
-		switch op.Kind {
-		case Contains:
+		switch o.Kind {
+		case op.Contains:
 			results[i] = found
 			l.read(s)
-		case Add:
+		case op.Add:
 			if !found {
-				l.insert(op.Key, &preds)
+				l.insert(o.Key, &preds)
 			}
 			results[i] = !found
-		case Remove:
+		case op.Remove:
 			if found {
 				l.unlink(c, &preds)
 			}
@@ -580,4 +567,56 @@ func (l *List) ApplyBatch(ops []Op) []bool {
 	}
 	l.settle()
 	return results
+}
+
+// ApplyOrderedBatchInto executes a batch that may mix point ops with
+// the ordered kinds, in batch order (any serialization of a concurrent
+// batch is linearizable), writing ops[i]'s outcome to res[i]
+// (len(res) must equal len(ops)) and appending scan keys to arena; it
+// returns the (possibly grown) arena, and each scan's res[i].Values is
+// its segment of that arena. The contract is seqlist's entry point of
+// the same name; nodes and towers come from the slabs, so a
+// size-stable batch allocates nothing.
+//
+//pimvet:nopark
+func (l *List) ApplyOrderedBatchInto(ops []op.Op, res []op.Result, arena []int64) []int64 {
+	base, scans := len(arena), false
+	for i, o := range ops {
+		r := op.Result{ID: o.ID}
+		switch o.Kind {
+		case op.Contains:
+			r.OK = l.ContainsKey(o.Key)
+		case op.Add:
+			r.OK = l.AddKey(o.Key)
+		case op.Remove:
+			r.OK = l.RemoveKey(o.Key)
+		case op.Pred:
+			r.Value, r.OK = l.PredKey(o.Key)
+		case op.Succ:
+			r.Value, r.OK = l.SuccKey(o.Key)
+		case op.PopMin:
+			r.Value, r.OK = l.PopMinKey()
+		case op.PopMax:
+			r.Value, r.OK = l.PopMaxKey()
+		case op.RangeScan:
+			start := len(arena)
+			arena, _, r.Value = l.RangeScanInto(o.Key, o.Hi, int(o.Limit), arena)
+			r.OK, r.Values, scans = true, arena[start:len(arena):len(arena)], true
+		}
+		res[i] = r
+	}
+	if scans {
+		// A later scan may have grown (and moved) the arena under an
+		// earlier one's segment: re-slice every segment from the arena
+		// being returned.
+		at := base
+		for i := range ops {
+			if ops[i].Kind == op.RangeScan {
+				n := len(res[i].Values)
+				res[i].Values = arena[at : at+n : at+n]
+				at += n
+			}
+		}
+	}
+	return arena
 }

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"pimds/internal/op"
 )
 
 func TestBasicOps(t *testing.T) {
@@ -52,11 +54,11 @@ func TestBasicOps(t *testing.T) {
 
 func TestApplyDispatch(t *testing.T) {
 	l := New(2)
-	if !l.Apply(Op{Kind: Add, Key: 1}) || !l.Apply(Op{Kind: Contains, Key: 1}) ||
-		!l.Apply(Op{Kind: Remove, Key: 1}) {
+	if !l.Apply(op.Op{Kind: op.Add, Key: 1}) || !l.Apply(op.Op{Kind: op.Contains, Key: 1}) ||
+		!l.Apply(op.Op{Kind: op.Remove, Key: 1}) {
 		t.Error("apply dispatch broken")
 	}
-	if l.Apply(Op{Kind: OpKind(9), Key: 1}) {
+	if l.Apply(op.Op{Kind: op.Kind(99), Key: 1}) {
 		t.Error("unknown op should return false")
 	}
 }
@@ -169,9 +171,9 @@ func TestApplyBatchEquivalence(t *testing.T) {
 			batched.AddKey(k)
 			serial.AddKey(k)
 		}
-		ops := make([]Op, int(nOps%24)+1)
+		ops := make([]op.Op, int(nOps%24)+1)
 		for i := range ops {
-			ops[i] = Op{Kind: OpKind(rng.Intn(3)), Key: rng.Int63n(64)}
+			ops[i] = op.Op{Kind: op.Kind(rng.Intn(3)), Key: rng.Int63n(64)}
 		}
 
 		got := batched.ApplyBatch(ops)
@@ -220,15 +222,15 @@ func TestApplyBatchSavesLittle(t *testing.T) {
 		return l
 	}
 	rng := rand.New(rand.NewSource(3))
-	var batch []Op
+	var batch []op.Op
 	for i := 0; i < 16; i++ {
-		batch = append(batch, Op{Kind: Contains, Key: rng.Int63n(1 << 14)})
+		batch = append(batch, op.Op{Kind: op.Contains, Key: rng.Int63n(1 << 14)})
 	}
 
 	serial := build()
 	serial.ResetSteps()
-	for _, op := range batch {
-		serial.Apply(op)
+	for _, o := range batch {
+		serial.Apply(o)
 	}
 	serialSteps := serial.Steps()
 

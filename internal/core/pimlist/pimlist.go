@@ -16,6 +16,7 @@ package pimlist
 import (
 	"pimds/internal/cds/seqlist"
 	"pimds/internal/obs"
+	"pimds/internal/op"
 	"pimds/internal/sim"
 )
 
@@ -45,7 +46,7 @@ type List struct {
 
 	batchSize *obs.Histogram // combined-batch sizes (nil = disabled)
 
-	ops     []seqlist.Op  // scratch
+	ops     []op.Op       // scratch
 	results []bool        // scratch
 	msgs    []sim.Message // scratch
 }
@@ -86,16 +87,16 @@ func (l *List) Preload(keys []int64) {
 }
 
 // opFor converts a request message to a sequential-list operation.
-func opFor(m sim.Message) (seqlist.Op, bool) {
+func opFor(m sim.Message) (op.Op, bool) {
 	switch m.Kind {
 	case MsgContains:
-		return seqlist.Op{Kind: seqlist.Contains, Key: m.Key}, true
+		return op.Op{Kind: op.Contains, Key: m.Key}, true
 	case MsgAdd:
-		return seqlist.Op{Kind: seqlist.Add, Key: m.Key}, true
+		return op.Op{Kind: op.Add, Key: m.Key}, true
 	case MsgRemove:
-		return seqlist.Op{Kind: seqlist.Remove, Key: m.Key}, true
+		return op.Op{Kind: op.Remove, Key: m.Key}, true
 	default:
-		return seqlist.Op{}, false
+		return op.Op{}, false
 	}
 }
 
@@ -135,7 +136,7 @@ func (l *List) handle(c *sim.PIMCore, m sim.Message) {
 	c.ReadN(int(l.seq.Steps()))
 	for i, req := range l.msgs {
 		// Mutations pay one vault write for the pointer splice.
-		if (l.ops[i].Kind == seqlist.Add || l.ops[i].Kind == seqlist.Remove) && results[i] {
+		if (l.ops[i].Kind == op.Add || l.ops[i].Kind == op.Remove) && results[i] {
 			c.Write()
 		}
 		c.Send(sim.Message{To: req.From, Kind: MsgResp, Key: req.Key, OK: results[i]})
@@ -148,16 +149,16 @@ func (l *List) handle(c *sim.PIMCore, m sim.Message) {
 
 // NewClient returns a closed-loop client that issues the operation
 // stream produced by next (called once per request).
-func (l *List) NewClient(e *sim.Engine, next func(seq uint64) seqlist.Op) *sim.Client {
+func (l *List) NewClient(e *sim.Engine, next func(seq uint64) op.Op) *sim.Client {
 	return sim.NewClient(e, func(c *sim.CPU, seq uint64) sim.Message {
-		op := next(seq)
+		o := next(seq)
 		kind := MsgContains
-		switch op.Kind {
-		case seqlist.Add:
+		switch o.Kind {
+		case op.Add:
 			kind = MsgAdd
-		case seqlist.Remove:
+		case op.Remove:
 			kind = MsgRemove
 		}
-		return sim.Message{To: l.core.ID(), Kind: kind, Key: op.Key}
+		return sim.Message{To: l.core.ID(), Kind: kind, Key: o.Key}
 	})
 }

@@ -4,8 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"pimds/internal/cds/seqlist"
 	"pimds/internal/model"
+	"pimds/internal/op"
 	"pimds/internal/sim"
 )
 
@@ -15,17 +15,17 @@ func testConfig() sim.Config {
 
 // uniformOps returns a deterministic op generator: uniform keys in
 // [0, space), mix of 25% contains / 37.5% add / 37.5% remove.
-func uniformOps(seed int64, space int64) func(seq uint64) seqlist.Op {
+func uniformOps(seed int64, space int64) func(seq uint64) op.Op {
 	rng := rand.New(rand.NewSource(seed))
-	return func(uint64) seqlist.Op {
+	return func(uint64) op.Op {
 		k := rng.Int63n(space)
 		switch rng.Intn(8) {
 		case 0, 1:
-			return seqlist.Op{Kind: seqlist.Contains, Key: k}
+			return op.Op{Kind: op.Contains, Key: k}
 		case 2, 3, 4:
-			return seqlist.Op{Kind: seqlist.Add, Key: k}
+			return op.Op{Kind: op.Add, Key: k}
 		default:
-			return seqlist.Op{Kind: seqlist.Remove, Key: k}
+			return op.Op{Kind: op.Remove, Key: k}
 		}
 	}
 }
@@ -38,12 +38,12 @@ func TestSequentialEquivalence(t *testing.T) {
 		e := sim.NewEngine(testConfig())
 		l := New(e, combining)
 
-		var issued []seqlist.Op
+		var issued []op.Op
 		gen := uniformOps(5, 64)
-		next := func(seq uint64) seqlist.Op {
-			op := gen(seq)
-			issued = append(issued, op)
-			return op
+		next := func(seq uint64) op.Op {
+			o := gen(seq)
+			issued = append(issued, o)
+			return o
 		}
 		cl := l.NewClient(e, next)
 		cl.Start()
@@ -58,12 +58,12 @@ func TestSequentialEquivalence(t *testing.T) {
 			t.Fatalf("only %d ops completed", completed)
 		}
 		for i := 0; i < completed; i++ {
-			op := issued[i]
-			switch op.Kind {
-			case seqlist.Add:
-				ref[op.Key] = true
-			case seqlist.Remove:
-				delete(ref, op.Key)
+			o := issued[i]
+			switch o.Kind {
+			case op.Add:
+				ref[o.Key] = true
+			case op.Remove:
+				delete(ref, o.Key)
 			}
 		}
 		if got, want := l.Len(), len(ref); got != want {
@@ -105,8 +105,8 @@ func TestNaiveThroughputHandChecked(t *testing.T) {
 		keys[i] = int64(i)
 	}
 	l.Preload(keys)
-	cl := l.NewClient(e, func(uint64) seqlist.Op {
-		return seqlist.Op{Kind: seqlist.Contains, Key: n - 1}
+	cl := l.NewClient(e, func(uint64) op.Op {
+		return op.Op{Kind: op.Contains, Key: n - 1}
 	})
 	m := &sim.Meter{Engine: e, Clients: []*sim.Client{cl}}
 	// Cycle = 90 + 10×30 + 90 = 480ns.
@@ -201,14 +201,14 @@ func TestSimulationMatchesTable1(t *testing.T) {
 	lc := model.ListConfig{N: nSteady, P: p}
 
 	// Balanced add/remove only (the model's workload).
-	balanced := func(seed int64) func(uint64) seqlist.Op {
+	balanced := func(seed int64) func(uint64) op.Op {
 		rng := rand.New(rand.NewSource(seed))
-		return func(uint64) seqlist.Op {
+		return func(uint64) op.Op {
 			k := rng.Int63n(keySpace)
 			if rng.Intn(2) == 0 {
-				return seqlist.Op{Kind: seqlist.Add, Key: k}
+				return op.Op{Kind: op.Add, Key: k}
 			}
-			return seqlist.Op{Kind: seqlist.Remove, Key: k}
+			return op.Op{Kind: op.Remove, Key: k}
 		}
 	}
 	preload := func() []int64 {
@@ -247,11 +247,11 @@ func TestSimulationMatchesTable1(t *testing.T) {
 	// Row 1: fine-grained locks.
 	{
 		e := sim.NewEngine(cfg)
-		gens := make([]func(uint64) seqlist.Op, p)
+		gens := make([]func(uint64) op.Op, p)
 		for i := range gens {
 			gens[i] = balanced(int64(2000 + i))
 		}
-		s := NewSimFineGrained(e, p, func(cpu int, seq uint64) seqlist.Op {
+		s := NewSimFineGrained(e, p, func(cpu int, seq uint64) op.Op {
 			return gens[cpu](seq)
 		})
 		s.Preload(preload())
@@ -283,14 +283,14 @@ func TestPaperOrderingClaims(t *testing.T) {
 	const keySpace = 400
 	const p = 8
 	cfg := testConfig()
-	balanced := func(seed int64) func(uint64) seqlist.Op {
+	balanced := func(seed int64) func(uint64) op.Op {
 		rng := rand.New(rand.NewSource(seed))
-		return func(uint64) seqlist.Op {
+		return func(uint64) op.Op {
 			k := rng.Int63n(keySpace)
 			if rng.Intn(2) == 0 {
-				return seqlist.Op{Kind: seqlist.Add, Key: k}
+				return op.Op{Kind: op.Add, Key: k}
 			}
-			return seqlist.Op{Kind: seqlist.Remove, Key: k}
+			return op.Op{Kind: op.Remove, Key: k}
 		}
 	}
 	preload := func() []int64 {
@@ -315,11 +315,11 @@ func TestPaperOrderingClaims(t *testing.T) {
 	}
 	runFGL := func() float64 {
 		e := sim.NewEngine(cfg)
-		gens := make([]func(uint64) seqlist.Op, p)
+		gens := make([]func(uint64) op.Op, p)
 		for i := range gens {
 			gens[i] = balanced(int64(20 + i))
 		}
-		s := NewSimFineGrained(e, p, func(cpu int, seq uint64) seqlist.Op {
+		s := NewSimFineGrained(e, p, func(cpu int, seq uint64) op.Op {
 			return gens[cpu](seq)
 		})
 		s.Preload(preload())

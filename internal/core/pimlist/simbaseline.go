@@ -2,6 +2,7 @@ package pimlist
 
 import (
 	"pimds/internal/cds/seqlist"
+	"pimds/internal/op"
 	"pimds/internal/sim"
 )
 
@@ -24,19 +25,19 @@ type SimFineGrained struct {
 
 // NewSimFineGrained creates the baseline with p client CPUs issuing the
 // operation streams produced by next (one generator per CPU).
-func NewSimFineGrained(e *sim.Engine, p int, next func(cpu int, seq uint64) seqlist.Op) *SimFineGrained {
+func NewSimFineGrained(e *sim.Engine, p int, next func(cpu int, seq uint64) op.Op) *SimFineGrained {
 	s := &SimFineGrained{seq: seqlist.New()}
 	for i := 0; i < p; i++ {
 		i := i
 		cpu := e.NewCPU(nil)
 		var seq uint64
 		sim.Loop(cpu, func(c *sim.CPU) {
-			op := next(i, seq)
+			o := next(i, seq)
 			seq++
 			s.seq.ResetSteps()
-			result := s.seq.Apply(op)
+			result := s.seq.Apply(o)
 			c.MemReadN(int(s.seq.Steps()))
-			if (op.Kind == seqlist.Add || op.Kind == seqlist.Remove) && result {
+			if (o.Kind == op.Add || o.Kind == op.Remove) && result {
 				c.MemWrite()
 			}
 			c.CountOp()
@@ -72,13 +73,13 @@ type SimFCList struct {
 	combining bool
 	batch     int
 
-	ops     []seqlist.Op
+	ops     []op.Op
 	results []bool
 }
 
 // NewSimFCList creates the baseline. p is the number of client threads
 // (hence the batch size); next produces the combined operation stream.
-func NewSimFCList(e *sim.Engine, p int, combining bool, next func(seq uint64) seqlist.Op) *SimFCList {
+func NewSimFCList(e *sim.Engine, p int, combining bool, next func(seq uint64) op.Op) *SimFCList {
 	s := &SimFCList{seq: seqlist.New(), combining: combining, batch: p, results: make([]bool, p)}
 	var seq uint64
 	s.combiner = e.NewCPU(nil)
@@ -93,15 +94,15 @@ func NewSimFCList(e *sim.Engine, p int, combining bool, next func(seq uint64) se
 		if s.combining {
 			s.seq.ApplyBatchInto(s.ops, results)
 		} else {
-			for i, op := range s.ops {
-				results[i] = s.seq.Apply(op)
+			for i, o := range s.ops {
+				results[i] = s.seq.Apply(o)
 			}
 		}
 		c.MemReadN(int(s.seq.Steps()))
 		for i := range s.ops {
 			c.LLCRead()  // read the publication slot
 			c.LLCWrite() // write the result back
-			if (s.ops[i].Kind == seqlist.Add || s.ops[i].Kind == seqlist.Remove) && results[i] {
+			if (s.ops[i].Kind == op.Add || s.ops[i].Kind == op.Remove) && results[i] {
 				c.MemWrite()
 			}
 			c.CountOp()

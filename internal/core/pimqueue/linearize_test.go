@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pimds/internal/linearize"
+	"pimds/internal/op"
 	"pimds/internal/sim"
 )
 
@@ -20,17 +21,17 @@ func TestLinearizability(t *testing.T) {
 		var history []linearize.Op
 		record := func(client int) func(start, end sim.Time, k int, v int64, ok bool) {
 			return func(start, end sim.Time, k int, v int64, ok bool) {
-				action := linearize.ActEnqueue
+				action := op.Enqueue
 				if k == MsgDeq {
-					action = linearize.ActDequeue
+					action = op.Dequeue
 				}
-				op := linearize.Op{Start: int64(start), End: int64(end), Client: client, Action: action, OK: ok}
-				if action == linearize.ActEnqueue {
-					op.Input = v
+				o := linearize.Op{Start: int64(start), End: int64(end), Client: client, Kind: action, OK: ok}
+				if action == op.Enqueue {
+					o.Input = v
 				} else {
-					op.Output = v
+					o.Output = v
 				}
-				history = append(history, op)
+				history = append(history, o)
 			}
 		}
 		var cls []*Client
@@ -70,14 +71,14 @@ func TestLinearizabilityCheckerCatchesCorruption(t *testing.T) {
 	enq.OnDone = opDone(func(start, end sim.Time, k int, v int64, ok bool) {
 		history = append(history, linearize.Op{
 			Start: int64(start), End: int64(end), Client: 1,
-			Action: linearize.ActEnqueue, Input: v, OK: ok,
+			Kind: op.Enqueue, Input: v, OK: ok,
 		})
 	})
 	deq := q.NewClient(Dequeuer)
 	deq.OnDone = opDone(func(start, end sim.Time, k int, v int64, ok bool) {
 		history = append(history, linearize.Op{
 			Start: int64(start), End: int64(end), Client: 2,
-			Action: linearize.ActDequeue, Output: v, OK: ok,
+			Kind: op.Dequeue, Output: v, OK: ok,
 		})
 	})
 	enq.Start()
@@ -94,8 +95,8 @@ func TestLinearizabilityCheckerCatchesCorruption(t *testing.T) {
 	}
 	// Corrupt: swap the outputs of the two last successful dequeues.
 	var idx []int
-	for i, op := range history {
-		if op.Action == linearize.ActDequeue && op.OK {
+	for i, o := range history {
+		if o.Kind == op.Dequeue && o.OK {
 			idx = append(idx, i)
 		}
 	}

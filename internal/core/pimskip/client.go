@@ -1,7 +1,7 @@
 package pimskip
 
 import (
-	"pimds/internal/cds/seqskip"
+	"pimds/internal/op"
 	"pimds/internal/sim"
 )
 
@@ -24,12 +24,12 @@ type Client struct {
 
 // NewClient registers a closed-loop client issuing the operation stream
 // produced by next. Call Start (or use a harness) to begin.
-func (s *SkipList) NewClient(next func(seq uint64) seqskip.Op) *Client {
+func (s *SkipList) NewClient(next func(seq uint64) op.Op) *Client {
 	cl := &Client{s: s, dir: s.auth.Clone()}
 	cl.Client = sim.NewClient(s.eng, func(c *sim.CPU, seq uint64) sim.Message {
-		op := next(seq)
-		// The request kinds follow seqskip's OpKind order.
-		return cl.route(c, sim.Message{Kind: MsgContains + int(op.Kind), Key: op.Key})
+		o := next(seq)
+		// The request kinds follow op.Kind's order for the set kinds.
+		return cl.route(c, sim.Message{Kind: MsgContains + int(o.Kind), Key: o.Key})
 	})
 	cl.OnResponse = cl.onMessage
 	s.clients = append(s.clients, cl)

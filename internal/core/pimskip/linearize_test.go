@@ -3,8 +3,8 @@ package pimskip
 import (
 	"testing"
 
-	"pimds/internal/cds/seqskip"
 	"pimds/internal/linearize"
+	"pimds/internal/op"
 	"pimds/internal/sim"
 )
 
@@ -26,20 +26,11 @@ func TestLinearizability(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		client := i + 1
 		cl := s.NewClient(mixedOps(int64(30+i), space))
-		onOp(cl, func(start, end sim.Time, op seqskip.Op, ok bool) {
-			lop := linearize.Op{
+		onOp(cl, func(start, end sim.Time, o op.Op, ok bool) {
+			history = append(history, linearize.Op{
 				Start: int64(start), End: int64(end), Client: client,
-				Input: op.Key, OK: ok,
-			}
-			switch op.Kind {
-			case seqskip.Add:
-				lop.Action = linearize.ActAdd
-			case seqskip.Remove:
-				lop.Action = linearize.ActRemove
-			default:
-				lop.Action = linearize.ActContains
-			}
-			history = append(history, lop)
+				Kind: o.Kind, Input: o.Key, OK: ok,
+			})
 		})
 		cl.Start()
 		cls = append(cls, cl)
@@ -66,7 +57,7 @@ func TestLinearizability(t *testing.T) {
 	for i, k := range []int64{4, 8, 12, 16, 20, 24, 28} {
 		seeded = append(seeded, linearize.Op{
 			Start: int64(-100 + 2*i), End: int64(-99 + 2*i),
-			Client: 99, Action: linearize.ActAdd, Input: k, OK: true,
+			Client: 99, Kind: op.Add, Input: k, OK: true,
 		})
 	}
 	seeded = append(seeded, history...)

@@ -3,7 +3,7 @@ package pimskip
 import (
 	"testing"
 
-	"pimds/internal/cds/seqskip"
+	"pimds/internal/op"
 	"pimds/internal/sim"
 )
 
@@ -28,9 +28,9 @@ func TestAutoMergeDrainsSmallPartition(t *testing.T) {
 	// A client removing keys from partition 0's range triggers the
 	// merge check.
 	i := int64(0)
-	cl := s.NewClient(func(uint64) seqskip.Op {
+	cl := s.NewClient(func(uint64) op.Op {
 		i++
-		return seqskip.Op{Kind: seqskip.Remove, Key: (i * 16) % 256}
+		return op.Op{Kind: op.Remove, Key: (i * 16) % 256}
 	})
 	cl.Start()
 	e.RunUntil(2 * sim.Millisecond)
@@ -71,8 +71,8 @@ func TestMergeRespectsBusyNeighbor(t *testing.T) {
 	s.Preload(keys)
 	s.Preload([]int64{5})
 
-	cl := s.NewClient(func(uint64) seqskip.Op {
-		return seqskip.Op{Kind: seqskip.Remove, Key: 5}
+	cl := s.NewClient(func(uint64) op.Op {
+		return op.Op{Kind: op.Remove, Key: 5}
 	})
 	cl.Start()
 	e.RunUntil(100 * sim.Microsecond)
@@ -112,8 +112,8 @@ func TestRemoteMigrationEquivalent(t *testing.T) {
 	}
 	s.Preload(keys)
 
-	cl := s.NewClient(func(seq uint64) seqskip.Op {
-		return seqskip.Op{Kind: seqskip.Contains, Key: int64(seq*7) % 512}
+	cl := s.NewClient(func(seq uint64) op.Op {
+		return op.Op{Kind: op.Contains, Key: int64(seq*7) % 512}
 	})
 	cl.Start()
 	e.RunUntil(50 * sim.Microsecond)

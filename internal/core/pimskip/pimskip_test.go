@@ -4,8 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"pimds/internal/cds/seqskip"
 	"pimds/internal/model"
+	"pimds/internal/op"
 	"pimds/internal/sim"
 )
 
@@ -15,39 +15,39 @@ func testConfig() sim.Config {
 
 // mixedOps returns a deterministic generator over [0, space):
 // 50% contains, 25% add, 25% remove.
-func mixedOps(seed int64, space int64) func(seq uint64) seqskip.Op {
+func mixedOps(seed int64, space int64) func(seq uint64) op.Op {
 	rng := rand.New(rand.NewSource(seed))
-	return func(uint64) seqskip.Op {
+	return func(uint64) op.Op {
 		k := rng.Int63n(space)
 		switch rng.Intn(4) {
 		case 0:
-			return seqskip.Op{Kind: seqskip.Add, Key: k}
+			return op.Op{Kind: op.Add, Key: k}
 		case 1:
-			return seqskip.Op{Kind: seqskip.Remove, Key: k}
+			return op.Op{Kind: op.Remove, Key: k}
 		default:
-			return seqskip.Op{Kind: seqskip.Contains, Key: k}
+			return op.Op{Kind: op.Contains, Key: k}
 		}
 	}
 }
 
 // balancedOps returns a 50/50 add/remove generator (the paper's
 // size-stable workload).
-func balancedOps(seed int64, space int64) func(seq uint64) seqskip.Op {
+func balancedOps(seed int64, space int64) func(seq uint64) op.Op {
 	rng := rand.New(rand.NewSource(seed))
-	return func(uint64) seqskip.Op {
+	return func(uint64) op.Op {
 		k := rng.Int63n(space)
 		if rng.Intn(2) == 0 {
-			return seqskip.Op{Kind: seqskip.Add, Key: k}
+			return op.Op{Kind: op.Add, Key: k}
 		}
-		return seqskip.Op{Kind: seqskip.Remove, Key: k}
+		return op.Op{Kind: op.Remove, Key: k}
 	}
 }
 
 // onOp installs fn as cl's completion hook: it sees every completed
 // operation with its interval and result.
-func onOp(cl *Client, fn func(start, end sim.Time, op seqskip.Op, ok bool)) {
+func onOp(cl *Client, fn func(start, end sim.Time, o op.Op, ok bool)) {
 	cl.OnDone = func(req, resp sim.Message, start, end sim.Time) {
-		fn(start, end, seqskip.Op{Kind: seqskip.OpKind(req.Kind - MsgContains), Key: req.Key}, resp.OK)
+		fn(start, end, op.Op{Kind: op.Kind(req.Kind - MsgContains), Key: req.Key}, resp.OK)
 	}
 }
 
@@ -62,20 +62,20 @@ func TestSequentialEquivalence(t *testing.T) {
 
 		ref := make(map[int64]bool)
 		var checked int
-		onOp(cl, func(_, _ sim.Time, op seqskip.Op, ok bool) {
+		onOp(cl, func(_, _ sim.Time, o op.Op, ok bool) {
 			var want bool
-			switch op.Kind {
-			case seqskip.Contains:
-				want = ref[op.Key]
-			case seqskip.Add:
-				want = !ref[op.Key]
-				ref[op.Key] = true
-			case seqskip.Remove:
-				want = ref[op.Key]
-				delete(ref, op.Key)
+			switch o.Kind {
+			case op.Contains:
+				want = ref[o.Key]
+			case op.Add:
+				want = !ref[o.Key]
+				ref[o.Key] = true
+			case op.Remove:
+				want = ref[o.Key]
+				delete(ref, o.Key)
 			}
 			if ok != want {
-				t.Errorf("k=%d: op %v key %d: got %v, want %v", k, op.Kind, op.Key, ok, want)
+				t.Errorf("k=%d: op %v key %d: got %v, want %v", k, o.Kind, o.Key, ok, want)
 			}
 			checked++
 		})
@@ -98,9 +98,9 @@ func TestSequentialEquivalence(t *testing.T) {
 func TestRepeatedOpTimedFromItsOwnIssue(t *testing.T) {
 	e := sim.NewEngine(testConfig())
 	s := New(e, 64, 2, 1)
-	cl := s.NewClient(func(uint64) seqskip.Op { return seqskip.Op{Kind: seqskip.Contains, Key: 5} })
+	cl := s.NewClient(func(uint64) op.Op { return op.Op{Kind: op.Contains, Key: 5} })
 	var starts, ends []sim.Time
-	onOp(cl, func(start, end sim.Time, _ seqskip.Op, _ bool) {
+	onOp(cl, func(start, end sim.Time, _ op.Op, _ bool) {
 		starts = append(starts, start)
 		ends = append(ends, end)
 	})
@@ -134,15 +134,15 @@ func TestMultiClientConservation(t *testing.T) {
 	var clients []*Client
 	for i := 0; i < 6; i++ {
 		cl := s.NewClient(mixedOps(int64(40+i), space))
-		onOp(cl, func(_, _ sim.Time, op seqskip.Op, ok bool) {
+		onOp(cl, func(_, _ sim.Time, o op.Op, ok bool) {
 			if !ok {
 				return
 			}
-			switch op.Kind {
-			case seqskip.Add:
-				adds[op.Key]++
-			case seqskip.Remove:
-				removes[op.Key]++
+			switch o.Kind {
+			case op.Add:
+				adds[o.Key]++
+			case op.Remove:
+				removes[o.Key]++
 			}
 		})
 		cl.Start()
@@ -261,15 +261,15 @@ func TestMigrationUnderLoad(t *testing.T) {
 	var clients []*Client
 	for i := 0; i < 8; i++ {
 		cl := s.NewClient(balancedOps(int64(60+i), space))
-		onOp(cl, func(_, _ sim.Time, op seqskip.Op, ok bool) {
+		onOp(cl, func(_, _ sim.Time, o op.Op, ok bool) {
 			if !ok {
 				return
 			}
-			switch op.Kind {
-			case seqskip.Add:
-				adds[op.Key]++
-			case seqskip.Remove:
-				removes[op.Key]++
+			switch o.Kind {
+			case op.Add:
+				adds[o.Key]++
+			case op.Remove:
+				removes[o.Key]++
 			}
 		})
 		cl.Start()
@@ -337,8 +337,8 @@ func TestAutoRebalance(t *testing.T) {
 	// All clients add keys only in [0, 256) — partition 0's range.
 	for i := 0; i < 4; i++ {
 		rng := rand.New(rand.NewSource(int64(80 + i)))
-		cl := s.NewClient(func(uint64) seqskip.Op {
-			return seqskip.Op{Kind: seqskip.Add, Key: rng.Int63n(256)}
+		cl := s.NewClient(func(uint64) op.Op {
+			return op.Op{Kind: op.Add, Key: rng.Int63n(256)}
 		})
 		cl.Start()
 	}
@@ -432,20 +432,20 @@ func TestPIMSkipBeatsFCSkipByR1(t *testing.T) {
 	}
 	runFC := func() float64 {
 		e := sim.NewEngine(cfg)
-		gens := make([]func(uint64) seqskip.Op, k)
+		gens := make([]func(uint64) op.Op, k)
 		for i := range gens {
 			lo := int64(i) * space / k
 			hi := int64(i+1) * space / k
 			rng := rand.New(rand.NewSource(int64(300 + i)))
-			gens[i] = func(uint64) seqskip.Op {
+			gens[i] = func(uint64) op.Op {
 				key := lo + rng.Int63n(hi-lo)
 				if rng.Intn(2) == 0 {
-					return seqskip.Op{Kind: seqskip.Add, Key: key}
+					return op.Op{Kind: op.Add, Key: key}
 				}
-				return seqskip.Op{Kind: seqskip.Remove, Key: key}
+				return op.Op{Kind: op.Remove, Key: key}
 			}
 		}
-		s := NewSimFCSkip(e, space, k, p, func(part int, seq uint64) seqskip.Op {
+		s := NewSimFCSkip(e, space, k, p, func(part int, seq uint64) op.Op {
 			return gens[part](seq)
 		})
 		for i := 0; i < k; i++ {
@@ -473,11 +473,11 @@ func TestSimLockFreeScalesWithThreads(t *testing.T) {
 	const space = 1 << 12
 	run := func(p int) float64 {
 		e := sim.NewEngine(testConfig())
-		gens := make([]func(uint64) seqskip.Op, p)
+		gens := make([]func(uint64) op.Op, p)
 		for i := range gens {
 			gens[i] = balancedOps(int64(400+i), space)
 		}
-		s := NewSimLockFree(e, p, false, func(cpu int, seq uint64) seqskip.Op {
+		s := NewSimLockFree(e, p, false, func(cpu int, seq uint64) op.Op {
 			return gens[cpu](seq)
 		})
 		var keys []int64
@@ -500,11 +500,11 @@ func TestChargeCASSlowsLockFree(t *testing.T) {
 	const space = 1 << 12
 	run := func(chargeCAS bool) float64 {
 		e := sim.NewEngine(testConfig())
-		gens := make([]func(uint64) seqskip.Op, 4)
+		gens := make([]func(uint64) op.Op, 4)
 		for i := range gens {
 			gens[i] = balancedOps(int64(500+i), space)
 		}
-		s := NewSimLockFree(e, 4, chargeCAS, func(cpu int, seq uint64) seqskip.Op {
+		s := NewSimLockFree(e, 4, chargeCAS, func(cpu int, seq uint64) op.Op {
 			return gens[cpu](seq)
 		})
 		_, ops := sim.Measure(e, func() {}, s.Ops(), 200*sim.Microsecond, 2*sim.Millisecond)

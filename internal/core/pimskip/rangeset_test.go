@@ -5,7 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"pimds/internal/cds/seqskip"
+	"pimds/internal/op"
 	"pimds/internal/sim"
 )
 
@@ -99,14 +99,14 @@ func TestRandomMigrationStorm(t *testing.T) {
 		var clients []*Client
 		for i := 0; i < 4; i++ {
 			cl := s.NewClient(balancedOps(seed+int64(i), space))
-			onOp(cl, func(_, _ sim.Time, op seqskip.Op, ok bool) {
+			onOp(cl, func(_, _ sim.Time, o op.Op, ok bool) {
 				if !ok {
 					return
 				}
-				if op.Kind == seqskip.Add {
-					adds[op.Key]++
-				} else if op.Kind == seqskip.Remove {
-					removes[op.Key]++
+				if o.Kind == op.Add {
+					adds[o.Key]++
+				} else if o.Kind == op.Remove {
+					removes[o.Key]++
 				}
 			})
 			cl.Start()

@@ -2,6 +2,7 @@ package pimskip
 
 import (
 	"pimds/internal/cds/seqskip"
+	"pimds/internal/op"
 	"pimds/internal/sim"
 )
 
@@ -23,7 +24,7 @@ type SimLockFree struct {
 
 // NewSimLockFree creates the baseline with p client CPUs issuing the
 // streams produced by next.
-func NewSimLockFree(e *sim.Engine, p int, chargeCAS bool, next func(cpu int, seq uint64) seqskip.Op) *SimLockFree {
+func NewSimLockFree(e *sim.Engine, p int, chargeCAS bool, next func(cpu int, seq uint64) op.Op) *SimLockFree {
 	s := &SimLockFree{seq: seqskip.New(0xA5A5)}
 	for i := 0; i < p; i++ {
 		i := i
@@ -31,12 +32,12 @@ func NewSimLockFree(e *sim.Engine, p int, chargeCAS bool, next func(cpu int, seq
 		var seq uint64
 		line := &sim.AtomicLine{} // per-thread: uncontended CAS cost only
 		sim.Loop(cpu, func(c *sim.CPU) {
-			op := next(i, seq)
+			o := next(i, seq)
 			seq++
 			s.seq.ResetSteps()
-			result := s.seq.Apply(op)
+			result := s.seq.Apply(o)
 			c.MemReadN(int(s.seq.Steps()))
-			if (op.Kind == seqskip.Add || op.Kind == seqskip.Remove) && result {
+			if (o.Kind == op.Add || o.Kind == op.Remove) && result {
 				c.MemWrite()
 				if chargeCAS {
 					c.Atomic(line)
@@ -76,7 +77,7 @@ type SimFCSkip struct {
 // NewSimFCSkip creates the baseline: k partitions over [0, keySpace),
 // p client threads, operation streams produced per partition by next
 // (the harness routes a shared stream by key).
-func NewSimFCSkip(e *sim.Engine, keySpace int64, k, p int, next func(part int, seq uint64) seqskip.Op) *SimFCSkip {
+func NewSimFCSkip(e *sim.Engine, keySpace int64, k, p int, next func(part int, seq uint64) op.Op) *SimFCSkip {
 	if k < 1 || p < 1 {
 		panic("pimskip: need k >= 1 and p >= 1")
 	}
@@ -102,14 +103,14 @@ func NewSimFCSkip(e *sim.Engine, keySpace int64, k, p int, next func(part int, s
 		var n uint64
 		sim.Loop(comb, func(c *sim.CPU) {
 			for j := 0; j < batch; j++ {
-				op := next(i, n)
+				o := next(i, n)
 				n++
 				seq.ResetSteps()
-				result := seq.Apply(op)
+				result := seq.Apply(o)
 				c.MemReadN(int(seq.Steps()))
 				c.LLCRead()  // publication slot
 				c.LLCWrite() // result
-				if (op.Kind == seqskip.Add || op.Kind == seqskip.Remove) && result {
+				if (o.Kind == op.Add || o.Kind == op.Remove) && result {
 					c.MemWrite()
 				}
 				c.CountOp()

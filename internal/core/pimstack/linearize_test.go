@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pimds/internal/linearize"
+	"pimds/internal/op"
 	"pimds/internal/sim"
 )
 
@@ -17,15 +18,15 @@ func TestLinearizability(t *testing.T) {
 	var history []linearize.Op
 	record := func(client int) func(start, end sim.Time, kind int, v int64, ok bool) {
 		return func(start, end sim.Time, kind int, v int64, ok bool) {
-			op := linearize.Op{Start: int64(start), End: int64(end), Client: client, OK: ok}
+			o := linearize.Op{Start: int64(start), End: int64(end), Client: client, OK: ok}
 			if kind == MsgPush {
-				op.Action = linearize.ActPush
-				op.Input = v
+				o.Kind = op.Push
+				o.Input = v
 			} else {
-				op.Action = linearize.ActPop
-				op.Output = v
+				o.Kind = op.Pop
+				o.Output = v
 			}
-			history = append(history, op)
+			history = append(history, o)
 		}
 	}
 	var cls []*Client

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pimds/internal/harness"
+	"pimds/internal/op"
 	"pimds/internal/testenv"
 )
 
@@ -23,7 +24,7 @@ func TestGeneratorNextAllocs(t *testing.T) {
 	for name, dist := range dists {
 		t.Run(name, func(t *testing.T) {
 			g := harness.NewGenerator(1, dist, harness.Balanced())
-			var sink harness.Op
+			var sink op.Op
 			allocs := testenv.Allocs(1000, func() {
 				sink = g.Next()
 			})

@@ -22,6 +22,7 @@ import (
 	"pimds/internal/core/pimskip"
 	"pimds/internal/core/pimstack"
 	"pimds/internal/model"
+	"pimds/internal/op"
 	"pimds/internal/prof"
 	"pimds/internal/sim"
 )
@@ -508,7 +509,7 @@ func RebalanceExp(o Options) []*Table {
 		// Hot workload: 90% of requests in partition 0's range.
 		for i := 0; i < 8; i++ {
 			g := NewGenerator(int64(700+i), HotRange{N: keySpace, HotPct: 90, FracPct: 25}, Mix{AddPct: 60, RemovePct: 30, ContainsPct: 10})
-			s.NewClient(g.SkipStream()).Start()
+			s.NewClient(g.Stream()).Start()
 		}
 		_, ops := sim.Measure(e, func() {}, s.Ops(), so.Warmup, 4*so.Measure)
 		var sizes []int
@@ -541,7 +542,7 @@ func MigBatchExp(o Options) []*Table {
 		s.MigBatch = batch
 		s.Preload(PreloadKeys(1024))
 		g := NewGenerator(900, Uniform{N: 2048}, Balanced())
-		cl := s.NewClient(g.SkipStream())
+		cl := s.NewClient(g.Stream())
 		cl.Start()
 		e.RunUntil(10 * sim.Microsecond)
 		start := e.Now()
@@ -868,12 +869,12 @@ func SkipCombiningExp(o Options) []*Table {
 	}
 	for _, p := range []int{2, 4, 8, 16, 32} {
 		rng := rand.New(rand.NewSource(int64(p)))
-		listOps := make([]seqlist.Op, p)
-		skipOps := make([]seqskip.Op, p)
+		listOps := make([]op.Op, p)
+		skipOps := make([]op.Op, p)
 		for i := 0; i < p; i++ {
 			k := rng.Int63n(size)
-			listOps[i] = seqlist.Op{Kind: seqlist.Contains, Key: k}
-			skipOps[i] = seqskip.Op{Kind: seqskip.Contains, Key: k}
+			listOps[i] = op.Op{Kind: op.Contains, Key: k}
+			skipOps[i] = op.Op{Kind: op.Contains, Key: k}
 		}
 
 		buildList := func() *seqlist.List {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pimds/internal/model"
+	"pimds/internal/op"
 )
 
 func TestMixValidate(t *testing.T) {
@@ -35,7 +36,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 
 func TestGeneratorMixProportions(t *testing.T) {
 	g := NewGenerator(11, Uniform{N: 100}, Mix{ContainsPct: 50, AddPct: 30, RemovePct: 20})
-	counts := map[OpKind]int{}
+	counts := map[op.Kind]int{}
 	const n = 20000
 	for i := 0; i < n; i++ {
 		counts[g.Next().Kind]++
@@ -44,7 +45,7 @@ func TestGeneratorMixProportions(t *testing.T) {
 		want := n * wantPct / 100
 		return got > want*9/10 && got < want*11/10
 	}
-	if !within(counts[Contains], 50) || !within(counts[Add], 30) || !within(counts[Remove], 20) {
+	if !within(counts[op.Contains], 50) || !within(counts[op.Add], 30) || !within(counts[op.Remove], 20) {
 		t.Errorf("mix proportions off: %v", counts)
 	}
 }
@@ -99,16 +100,6 @@ func TestPreloadKeys(t *testing.T) {
 		if keys[i] != want[i] {
 			t.Fatalf("keys = %v, want %v", keys, want)
 		}
-	}
-}
-
-func TestOpConversions(t *testing.T) {
-	op := Op{Kind: Add, Key: 42}
-	if l := op.ToList(); int(l.Kind) != int(Add) || l.Key != 42 {
-		t.Error("ToList broken")
-	}
-	if s := op.ToSkip(); int(s.Kind) != int(Add) || s.Key != 42 {
-		t.Error("ToSkip broken")
 	}
 }
 

@@ -3,13 +3,12 @@ package harness
 import (
 	"math/rand"
 
-	"pimds/internal/cds/seqlist"
-	"pimds/internal/cds/seqskip"
 	"pimds/internal/core/pimlist"
 	"pimds/internal/core/pimqueue"
 	"pimds/internal/core/pimskip"
 	"pimds/internal/model"
 	"pimds/internal/obs"
+	"pimds/internal/op"
 	"pimds/internal/sim"
 )
 
@@ -90,8 +89,8 @@ func SimList(o SimOpts, variant model.ListAlgorithm, p int, keySpace int64) RunR
 		for i := range gens {
 			gens[i] = NewGenerator(o.seed(int64(2000+i)), dist, Balanced())
 		}
-		s := pimlist.NewSimFineGrained(e, p, func(cpu int, _ uint64) (op listOp) {
-			return gens[cpu].Next().ToList()
+		s := pimlist.NewSimFineGrained(e, p, func(cpu int, _ uint64) op.Op {
+			return gens[cpu].Next()
 		})
 		s.Preload(keys)
 		completed, ops := sim.Measure(e, func() {}, s.Ops(), o.Warmup, o.Measure)
@@ -99,8 +98,8 @@ func SimList(o SimOpts, variant model.ListAlgorithm, p int, keySpace int64) RunR
 
 	case model.FCListNoCombining, model.FCListCombining:
 		g := NewGenerator(o.seed(3000), dist, Balanced())
-		s := pimlist.NewSimFCList(e, p, variant == model.FCListCombining, func(uint64) listOp {
-			return g.Next().ToList()
+		s := pimlist.NewSimFCList(e, p, variant == model.FCListCombining, func(uint64) op.Op {
+			return g.Next()
 		})
 		s.Preload(keys)
 		completed, ops := sim.Measure(e, func() {}, s.Ops(), o.Warmup, o.Measure)
@@ -120,7 +119,7 @@ func (o SimOpts) pimList(e *sim.Engine, combining bool, p int, keySpace, base in
 	var clients []*sim.Client
 	for i := 0; i < p; i++ {
 		g := NewGenerator(o.seed(base+int64(i)), Uniform{N: keySpace}, Balanced())
-		cl := l.NewClient(e, g.ListStream())
+		cl := l.NewClient(e, g.Stream())
 		cl.Latency = agg
 		clients = append(clients, cl)
 	}
@@ -128,9 +127,6 @@ func (o SimOpts) pimList(e *sim.Engine, combining bool, p int, keySpace, base in
 	completed, ops := m.Run(o.Warmup, o.Measure)
 	return RunResult{Completed: completed, Ops: ops, Latency: agg}
 }
-
-// listOp aliases the sequential-list op type to keep signatures short.
-type listOp = seqlist.Op
 
 // SimSkipPIM measures the PIM skip-list with k partitions; it returns
 // the measurement and the measured average traversal length β (vault
@@ -148,7 +144,7 @@ func (o SimOpts) pimSkip(e *sim.Engine, k, p int, keySpace, base int64) (res Run
 	var clients []*pimskip.Client
 	for i := 0; i < p; i++ {
 		g := NewGenerator(o.seed(base+int64(i)), Uniform{N: keySpace}, Balanced())
-		cl := s.NewClient(g.SkipStream())
+		cl := s.NewClient(g.Stream())
 		cl.Latency = agg
 		clients = append(clients, cl)
 	}
@@ -172,16 +168,13 @@ func SimSkipLockFree(o SimOpts, p int, keySpace int64, chargeCAS bool) RunResult
 	for i := range gens {
 		gens[i] = NewGenerator(o.seed(int64(400+i)), Uniform{N: keySpace}, Balanced())
 	}
-	s := pimskip.NewSimLockFree(e, p, chargeCAS, func(cpu int, _ uint64) skipOp {
-		return gens[cpu].Next().ToSkip()
+	s := pimskip.NewSimLockFree(e, p, chargeCAS, func(cpu int, _ uint64) op.Op {
+		return gens[cpu].Next()
 	})
 	s.Preload(PreloadKeys(keySpace))
 	completed, ops := sim.Measure(e, func() {}, s.Ops(), o.Warmup, o.Measure)
 	return RunResult{Completed: completed, Ops: ops}
 }
-
-// skipOp aliases the sequential-skip-list op type.
-type skipOp = seqskip.Op
 
 // SimSkipFC measures the simulated partitioned flat-combining
 // skip-list baseline.
@@ -193,8 +186,8 @@ func SimSkipFC(o SimOpts, k, p int, keySpace int64) RunResult {
 		hi := int64(i+1) * keySpace / int64(k)
 		gens[i] = NewGenerator(o.seed(int64(300+i)), rangeDist{lo: lo, hi: hi}, Balanced())
 	}
-	s := pimskip.NewSimFCSkip(e, keySpace, k, p, func(part int, _ uint64) skipOp {
-		return gens[part].Next().ToSkip()
+	s := pimskip.NewSimFCSkip(e, keySpace, k, p, func(part int, _ uint64) op.Op {
+		return gens[part].Next()
 	})
 	for i := 0; i < k; i++ {
 		lo := int64(i) * keySpace / int64(k)

@@ -11,46 +11,18 @@ import (
 	"strconv"
 	"strings"
 
-	"pimds/internal/cds/seqlist"
-	"pimds/internal/cds/seqskip"
+	"pimds/internal/op"
 )
 
-// OpKind is a set-operation kind, shared across structures.
-type OpKind uint8
-
-// The three set operations, plus the ordered operations the sorted
-// structures serve. The values mirror seqlist's enum so the ToList
-// conversion stays a cast.
+// Set kinds kept for bench/, which is frozen until ROADMAP item 7's
+// [benchmark] PR and indexes a table by them; everything else names
+// them through package op.
 const (
-	Contains OpKind = iota
-	Add
-	Remove
-	Scan
-	Pred
-	Succ
-	PopMin
-	PopMax
+	Contains = op.Contains  // kept for bench/
+	Add      = op.Add       // kept for bench/
+	Remove   = op.Remove    // kept for bench/
+	Scan     = op.RangeScan // kept for bench/
 )
-
-// Op is a structure-agnostic set operation. Hi and Limit are a scan's
-// exclusive upper bound and result cap; other kinds leave them zero.
-type Op struct {
-	Kind  OpKind
-	Key   int64
-	Hi    int64
-	Limit uint16
-}
-
-// ToList converts to the sequential-list op type.
-func (o Op) ToList() seqlist.Op {
-	return seqlist.Op{Kind: seqlist.OpKind(o.Kind), Key: o.Key, Hi: o.Hi, Limit: int(o.Limit)}
-}
-
-// ToSkip converts to the sequential-skip-list op type (point kinds
-// only; seqskip serves the ordered kinds through dedicated methods).
-func (o Op) ToSkip() seqskip.Op {
-	return seqskip.Op{Kind: seqskip.OpKind(o.Kind), Key: o.Key}
-}
 
 // Mix is an operation mix in percent; all fields together must sum to
 // 100. The ordered percentages matter only to workloads whose target
@@ -305,7 +277,7 @@ func NewGenerator(seed int64, dist KeyDist, mix Mix) *Generator {
 // implementations are pure arithmetic over the rng.
 //
 //pimvet:nopark
-func (g *Generator) Next() Op {
+func (g *Generator) Next() op.Op {
 	var k int64
 	if g.zipf != nil {
 		k = int64(g.zipf.Uint64())
@@ -314,31 +286,26 @@ func (g *Generator) Next() Op {
 	}
 	r := g.rng.Intn(100)
 	if c := g.mix.ContainsPct; r < c {
-		return Op{Kind: Contains, Key: k}
+		return op.Op{Kind: op.Contains, Key: k}
 	} else if r -= c; r < g.mix.AddPct {
-		return Op{Kind: Add, Key: k}
+		return op.Op{Kind: op.Add, Key: k}
 	} else if r -= g.mix.AddPct; r < g.mix.RemovePct {
-		return Op{Kind: Remove, Key: k}
+		return op.Op{Kind: op.Remove, Key: k}
 	} else if r -= g.mix.RemovePct; r < g.mix.ScanPct {
-		return Op{Kind: Scan, Key: k, Hi: k + g.ScanSpan, Limit: g.ScanLimit}
+		return op.Op{Kind: op.RangeScan, Key: k, Hi: k + g.ScanSpan, Limit: g.ScanLimit}
 	} else if r -= g.mix.ScanPct; r < g.mix.PredPct {
-		return Op{Kind: Pred, Key: k}
+		return op.Op{Kind: op.Pred, Key: k}
 	} else if r -= g.mix.PredPct; r < g.mix.SuccPct {
-		return Op{Kind: Succ, Key: k}
+		return op.Op{Kind: op.Succ, Key: k}
 	} else if r -= g.mix.SuccPct; r < g.mix.PopMinPct {
-		return Op{Kind: PopMin}
+		return op.Op{Kind: op.PopMin}
 	}
-	return Op{Kind: PopMax}
+	return op.Op{Kind: op.PopMax}
 }
 
-// ListStream adapts the generator to the signature pimlist clients use.
-func (g *Generator) ListStream() func(seq uint64) seqlist.Op {
-	return func(uint64) seqlist.Op { return g.Next().ToList() }
-}
-
-// SkipStream adapts the generator to the signature pimskip clients use.
-func (g *Generator) SkipStream() func(seq uint64) seqskip.Op {
-	return func(uint64) seqskip.Op { return g.Next().ToSkip() }
+// Stream adapts the generator to the signature simulator clients use.
+func (g *Generator) Stream() func(seq uint64) op.Op {
+	return func(uint64) op.Op { return g.Next() }
 }
 
 // PreloadKeys returns every other key of [0, space) — the standard

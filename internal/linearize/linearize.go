@@ -18,16 +18,18 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"pimds/internal/op"
 )
 
 // Op is one completed operation. Input2, Limit and Outputs matter only
-// to actions that use them (ActScan's hi bound, result cap and
-// returned keys); point actions leave them zero.
+// to kinds that use them (a RangeScan's hi bound, result cap and
+// returned keys); point kinds leave them zero.
 type Op struct {
-	Start   int64 // invocation time (exclusive precedence boundary)
-	End     int64 // response time
-	Client  int   // issuing client: ops of one client are program-ordered
-	Action  int   // spec-defined operation code
+	Start   int64   // invocation time (exclusive precedence boundary)
+	End     int64   // response time
+	Client  int     // issuing client: ops of one client are program-ordered
+	Kind    op.Kind // the operation; each spec reads the kinds of its object
 	Input   int64
 	Input2  int64   // second input (a scan's exclusive hi bound)
 	Limit   int     // result cap (≤ 0 = unlimited)

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"pimds/internal/op"
 )
 
 func TestEmptyHistory(t *testing.T) {
@@ -16,10 +18,10 @@ func TestEmptyHistory(t *testing.T) {
 func TestSequentialQueueHistory(t *testing.T) {
 	// enq(1) enq(2) deq→1 deq→2, strictly sequential.
 	h := []Op{
-		{Start: 0, End: 1, Action: ActEnqueue, Input: 1},
-		{Start: 2, End: 3, Action: ActEnqueue, Input: 2},
-		{Start: 4, End: 5, Action: ActDequeue, Output: 1, OK: true},
-		{Start: 6, End: 7, Action: ActDequeue, Output: 2, OK: true},
+		{Start: 0, End: 1, Kind: op.Enqueue, Input: 1},
+		{Start: 2, End: 3, Kind: op.Enqueue, Input: 2},
+		{Start: 4, End: 5, Kind: op.Dequeue, Output: 1, OK: true},
+		{Start: 6, End: 7, Kind: op.Dequeue, Output: 2, OK: true},
 	}
 	if !check(t, QueueSpec{}, h) {
 		t.Error("sequential FIFO history must be linearizable")
@@ -35,10 +37,10 @@ func TestConcurrentReorderAllowed(t *testing.T) {
 	// Two concurrent enqueues then two dequeues in "wrong" order vs
 	// invocation order: allowed because the enqueues overlap.
 	h := []Op{
-		{Start: 0, End: 10, Client: 1, Action: ActEnqueue, Input: 1},
-		{Start: 1, End: 9, Client: 2, Action: ActEnqueue, Input: 2},
-		{Start: 20, End: 21, Client: 3, Action: ActDequeue, Output: 2, OK: true},
-		{Start: 22, End: 23, Client: 3, Action: ActDequeue, Output: 1, OK: true},
+		{Start: 0, End: 10, Client: 1, Kind: op.Enqueue, Input: 1},
+		{Start: 1, End: 9, Client: 2, Kind: op.Enqueue, Input: 2},
+		{Start: 20, End: 21, Client: 3, Kind: op.Dequeue, Output: 2, OK: true},
+		{Start: 22, End: 23, Client: 3, Kind: op.Dequeue, Output: 1, OK: true},
 	}
 	if !check(t, QueueSpec{}, h) {
 		t.Error("concurrent enqueues may linearize in either order")
@@ -55,8 +57,8 @@ func TestConcurrentReorderAllowed(t *testing.T) {
 func TestDequeueEmptyLegality(t *testing.T) {
 	// deq→empty concurrent with an enqueue: legal (linearize deq first).
 	h := []Op{
-		{Start: 0, End: 10, Client: 1, Action: ActEnqueue, Input: 5},
-		{Start: 1, End: 9, Client: 2, Action: ActDequeue, OK: false},
+		{Start: 0, End: 10, Client: 1, Kind: op.Enqueue, Input: 5},
+		{Start: 1, End: 9, Client: 2, Kind: op.Dequeue, OK: false},
 	}
 	if !check(t, QueueSpec{}, h) {
 		t.Error("empty dequeue concurrent with enqueue is linearizable")
@@ -64,8 +66,8 @@ func TestDequeueEmptyLegality(t *testing.T) {
 	// deq→empty strictly after a completed enqueue with no dequeue in
 	// between: illegal.
 	h = []Op{
-		{Start: 0, End: 1, Action: ActEnqueue, Input: 5},
-		{Start: 2, End: 3, Action: ActDequeue, OK: false},
+		{Start: 0, End: 1, Kind: op.Enqueue, Input: 5},
+		{Start: 2, End: 3, Kind: op.Dequeue, OK: false},
 	}
 	if check(t, QueueSpec{}, h) {
 		t.Error("empty dequeue after completed enqueue must fail")
@@ -74,10 +76,10 @@ func TestDequeueEmptyLegality(t *testing.T) {
 
 func TestStackSpec(t *testing.T) {
 	h := []Op{
-		{Start: 0, End: 1, Action: ActPush, Input: 1},
-		{Start: 2, End: 3, Action: ActPush, Input: 2},
-		{Start: 4, End: 5, Action: ActPop, Output: 2, OK: true},
-		{Start: 6, End: 7, Action: ActPop, Output: 1, OK: true},
+		{Start: 0, End: 1, Kind: op.Push, Input: 1},
+		{Start: 2, End: 3, Kind: op.Push, Input: 2},
+		{Start: 4, End: 5, Kind: op.Pop, Output: 2, OK: true},
+		{Start: 6, End: 7, Kind: op.Pop, Output: 1, OK: true},
 	}
 	if !check(t, StackSpec{}, h) {
 		t.Error("LIFO history must linearize as a stack")
@@ -90,24 +92,24 @@ func TestStackSpec(t *testing.T) {
 
 func TestSetSpec(t *testing.T) {
 	h := []Op{
-		{Start: 0, End: 1, Action: ActAdd, Input: 7, OK: true},
-		{Start: 2, End: 3, Action: ActAdd, Input: 7, OK: false},
-		{Start: 4, End: 5, Action: ActContains, Input: 7, OK: true},
-		{Start: 6, End: 7, Action: ActRemove, Input: 7, OK: true},
-		{Start: 8, End: 9, Action: ActContains, Input: 7, OK: false},
+		{Start: 0, End: 1, Kind: op.Add, Input: 7, OK: true},
+		{Start: 2, End: 3, Kind: op.Add, Input: 7, OK: false},
+		{Start: 4, End: 5, Kind: op.Contains, Input: 7, OK: true},
+		{Start: 6, End: 7, Kind: op.Remove, Input: 7, OK: true},
+		{Start: 8, End: 9, Kind: op.Contains, Input: 7, OK: false},
 	}
 	if !check(t, SetSpec{}, h) {
 		t.Error("legal set history rejected")
 	}
 	// A contains that sees a key that was never added.
-	bad := []Op{{Start: 0, End: 1, Action: ActContains, Input: 9, OK: true}}
+	bad := []Op{{Start: 0, End: 1, Kind: op.Contains, Input: 9, OK: true}}
 	if check(t, SetSpec{}, bad) {
 		t.Error("phantom contains accepted")
 	}
 	// Two successful adds of the same key with no remove between.
 	bad = []Op{
-		{Start: 0, End: 1, Action: ActAdd, Input: 3, OK: true},
-		{Start: 2, End: 3, Action: ActAdd, Input: 3, OK: true},
+		{Start: 0, End: 1, Kind: op.Add, Input: 3, OK: true},
+		{Start: 2, End: 3, Kind: op.Add, Input: 3, OK: true},
 	}
 	if check(t, SetSpec{}, bad) {
 		t.Error("double successful add accepted")
@@ -129,13 +131,13 @@ func TestRandomSequentialHistoriesAlwaysLinearizable(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				v := rng.Int63n(100)
 				q = append(q, v)
-				h = append(h, Op{Start: now, End: now + 1, Action: ActEnqueue, Input: v})
+				h = append(h, Op{Start: now, End: now + 1, Kind: op.Enqueue, Input: v})
 			} else if len(q) > 0 {
 				v := q[0]
 				q = q[1:]
-				h = append(h, Op{Start: now, End: now + 1, Action: ActDequeue, Output: v, OK: true})
+				h = append(h, Op{Start: now, End: now + 1, Kind: op.Dequeue, Output: v, OK: true})
 			} else {
-				h = append(h, Op{Start: now, End: now + 1, Action: ActDequeue, OK: false})
+				h = append(h, Op{Start: now, End: now + 1, Kind: op.Dequeue, OK: false})
 			}
 		}
 		if !check(t, QueueSpec{}, h) {
@@ -156,7 +158,7 @@ func TestRandomSequentialHistoriesAlwaysLinearizable(t *testing.T) {
 }
 
 func TestInvertedIntervalIsError(t *testing.T) {
-	ok, err := Check(QueueSpec{}, []Op{{Start: 5, End: 1, Action: ActEnqueue}})
+	ok, err := Check(QueueSpec{}, []Op{{Start: 5, End: 1, Kind: op.Enqueue}})
 	if ok || !errors.Is(err, ErrInvertedInterval) {
 		t.Errorf("inverted interval: Check = %v, %v; want false, ErrInvertedInterval", ok, err)
 	}
@@ -169,7 +171,7 @@ func TestInvertedIntervalIsError(t *testing.T) {
 func TestWindowExceededIsError(t *testing.T) {
 	h := make([]Op, window+1)
 	for i := range h {
-		h[i] = Op{Start: 0, End: 100, Client: i, Action: ActEnqueue, Input: int64(i)}
+		h[i] = Op{Start: 0, End: 100, Client: i, Kind: op.Enqueue, Input: int64(i)}
 	}
 	ok, err := Check(QueueSpec{}, h)
 	if ok || !errors.Is(err, ErrWindowExceeded) {

@@ -4,23 +4,19 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"pimds/internal/op"
 )
 
-// Action codes shared by the bundled specifications.
-const (
-	ActEnqueue  = iota + 1 // Input = value; OK ignored
-	ActDequeue             // Output = value if OK, empty if !OK
-	ActPush                // Input = value
-	ActPop                 // Output = value if OK, empty if !OK
-	ActAdd                 // Input = key; OK = was absent
-	ActRemove              // Input = key; OK = was present
-	ActContains            // Input = key; OK = present
-	ActScan                // Input = lo, Input2 = hi, Limit = cap; Outputs = keys, Output = cursor
-	ActPred                // Input = key; OK = a smaller key exists, Output = largest such
-	ActSucc                // Input = key; OK = a larger key exists, Output = smallest such
-	ActPopMin              // OK = set non-empty, Output = smallest key (removed)
-	ActPopMax              // OK = set non-empty, Output = largest key (removed)
-)
+// The bundled specifications read an Op's fields per kind:
+//
+//	Enqueue, Push       Input = value
+//	Dequeue, Pop        Output = value if OK, empty if !OK
+//	Add, Remove         Input = key; OK = was absent / was present
+//	Contains            Input = key; OK = present
+//	RangeScan           Input = lo, Input2 = hi, Limit = cap; Outputs = keys, Output = cursor
+//	Pred, Succ          Input = key; OK = a smaller / larger key exists, Output = nearest such
+//	PopMin, PopMax      OK = set non-empty, Output = smallest / largest key (removed)
 
 // QueueSpec is the sequential FIFO queue specification.
 type QueueSpec struct{}
@@ -55,17 +51,17 @@ func decodeSeq(s string) []int64 {
 }
 
 // Apply implements State.
-func (q queueState) Apply(op Op) (State, bool) {
-	switch op.Action {
-	case ActEnqueue:
+func (q queueState) Apply(o Op) (State, bool) {
+	switch o.Kind {
+	case op.Enqueue:
 		vals := decodeSeq(q.vals)
-		return queueState{vals: encodeSeq(append(vals, op.Input))}, true
-	case ActDequeue:
+		return queueState{vals: encodeSeq(append(vals, o.Input))}, true
+	case op.Dequeue:
 		vals := decodeSeq(q.vals)
-		if !op.OK {
+		if !o.OK {
 			return q, len(vals) == 0
 		}
-		if len(vals) == 0 || vals[0] != op.Output {
+		if len(vals) == 0 || vals[0] != o.Output {
 			return q, false
 		}
 		return queueState{vals: encodeSeq(vals[1:])}, true
@@ -87,17 +83,17 @@ type stackState struct {
 }
 
 // Apply implements State.
-func (s stackState) Apply(op Op) (State, bool) {
-	switch op.Action {
-	case ActPush:
+func (s stackState) Apply(o Op) (State, bool) {
+	switch o.Kind {
+	case op.Push:
 		vals := decodeSeq(s.vals)
-		return stackState{vals: encodeSeq(append(vals, op.Input))}, true
-	case ActPop:
+		return stackState{vals: encodeSeq(append(vals, o.Input))}, true
+	case op.Pop:
 		vals := decodeSeq(s.vals)
-		if !op.OK {
+		if !o.OK {
 			return s, len(vals) == 0
 		}
-		if len(vals) == 0 || vals[len(vals)-1] != op.Output {
+		if len(vals) == 0 || vals[len(vals)-1] != o.Output {
 			return s, false
 		}
 		return stackState{vals: encodeSeq(vals[:len(vals)-1])}, true
@@ -122,61 +118,61 @@ type setState struct {
 }
 
 // Apply implements State.
-func (s setState) Apply(op Op) (State, bool) {
+func (s setState) Apply(o Op) (State, bool) {
 	keys := decodeSeq(s.keys)
-	switch op.Action {
-	case ActScan:
-		return s, s.scanLegal(keys, op)
-	case ActPred:
+	switch o.Kind {
+	case op.RangeScan:
+		return s, s.scanLegal(keys, o)
+	case op.Pred:
 		for i := len(keys) - 1; i >= 0; i-- {
-			if keys[i] < op.Input {
-				return s, op.OK && op.Output == keys[i]
+			if keys[i] < o.Input {
+				return s, o.OK && o.Output == keys[i]
 			}
 		}
-		return s, !op.OK
-	case ActSucc:
+		return s, !o.OK
+	case op.Succ:
 		for _, k := range keys {
-			if k > op.Input {
-				return s, op.OK && op.Output == k
+			if k > o.Input {
+				return s, o.OK && o.Output == k
 			}
 		}
-		return s, !op.OK
-	case ActPopMin:
+		return s, !o.OK
+	case op.PopMin:
 		if len(keys) == 0 {
-			return s, !op.OK
+			return s, !o.OK
 		}
-		if !op.OK || op.Output != keys[0] {
+		if !o.OK || o.Output != keys[0] {
 			return s, false
 		}
 		return setState{keys: encodeSeq(keys[1:])}, true
-	case ActPopMax:
+	case op.PopMax:
 		if len(keys) == 0 {
-			return s, !op.OK
+			return s, !o.OK
 		}
-		if !op.OK || op.Output != keys[len(keys)-1] {
+		if !o.OK || o.Output != keys[len(keys)-1] {
 			return s, false
 		}
 		return setState{keys: encodeSeq(keys[:len(keys)-1])}, true
 	}
-	idx := sort.Search(len(keys), func(i int) bool { return keys[i] >= op.Input })
-	present := idx < len(keys) && keys[idx] == op.Input
-	switch op.Action {
-	case ActContains:
-		return s, op.OK == present
-	case ActAdd:
-		if op.OK == present {
+	idx := sort.Search(len(keys), func(i int) bool { return keys[i] >= o.Input })
+	present := idx < len(keys) && keys[idx] == o.Input
+	switch o.Kind {
+	case op.Contains:
+		return s, o.OK == present
+	case op.Add:
+		if o.OK == present {
 			return s, false
 		}
-		if !op.OK {
+		if !o.OK {
 			return s, true // failed add: present, state unchanged
 		}
-		keys = append(keys[:idx], append([]int64{op.Input}, keys[idx:]...)...)
+		keys = append(keys[:idx], append([]int64{o.Input}, keys[idx:]...)...)
 		return setState{keys: encodeSeq(keys)}, true
-	case ActRemove:
-		if op.OK != present {
+	case op.Remove:
+		if o.OK != present {
 			return s, false
 		}
-		if !op.OK {
+		if !o.OK {
 			return s, true // failed remove: absent, state unchanged
 		}
 		keys = append(keys[:idx], keys[idx+1:]...)
@@ -190,27 +186,27 @@ func (s setState) Apply(op Op) (State, bool) {
 // the interval in ascending order, truncated at Limit, with the cursor
 // at Input2 when the interval was exhausted or at the first unreturned
 // key when the limit bit. Scans never mutate the state.
-func (setState) scanLegal(keys []int64, op Op) bool {
-	if !op.OK {
+func (setState) scanLegal(keys []int64, o Op) bool {
+	if !o.OK {
 		return false // scans always succeed; a failed one is no scan
 	}
 	want := keys[:0:0]
-	cursor := op.Input2
+	cursor := o.Input2
 	for i, k := range keys {
-		if k < op.Input || k >= op.Input2 {
+		if k < o.Input || k >= o.Input2 {
 			continue
 		}
-		if op.Limit > 0 && len(want) == op.Limit {
+		if o.Limit > 0 && len(want) == o.Limit {
 			cursor = keys[i]
 			break
 		}
 		want = append(want, k)
 	}
-	if op.Output != cursor || len(op.Outputs) != len(want) {
+	if o.Output != cursor || len(o.Outputs) != len(want) {
 		return false
 	}
 	for i := range want {
-		if op.Outputs[i] != want[i] {
+		if o.Outputs[i] != want[i] {
 			return false
 		}
 	}

@@ -5,8 +5,8 @@ import (
 
 	"pimds/internal/harness"
 	"pimds/internal/obs"
+	"pimds/internal/op"
 	"pimds/internal/testenv"
-	"pimds/internal/wire"
 )
 
 // These tests pin the injector's inner loop allocation-free: an allocation in op generation or response accounting is
@@ -26,7 +26,7 @@ func TestOpStreamNextAllocs(t *testing.T) {
 		t.Run(structure, func(t *testing.T) {
 			cfg := Config{Structure: structure, Seed: 1}.withDefaults()
 			st := newOpStream(cfg, 0)
-			var sink wire.Op
+			var sink op.Op
 			allocs := testenv.Allocs(1000, func() {
 				sink = st.next()
 			})
@@ -61,7 +61,7 @@ func TestCountersObserveAllocs(t *testing.T) {
 	var ctr counters
 	lat := &obs.Histogram{}
 	allocs := testenv.Allocs(1000, func() {
-		ctr.observe(lat, 1500, 1000, wire.StatusOK)
+		ctr.observe(lat, 1500, 1000, op.StatusOK)
 	})
 	if allocs != 0 {
 		t.Errorf("counters.observe: %d allocs, want 0", allocs)
@@ -88,7 +88,7 @@ func TestAppendRequestAllocs(t *testing.T) {
 	skipIfRace(t)
 	cfg := Config{Structure: StructSet, Seed: 1, TraceSample: 0.5}.withDefaults()
 	st := newOpStream(cfg, 0)
-	batch := make([]wire.Op, 16)
+	batch := make([]op.Op, 16)
 	for i := range batch {
 		batch[i] = st.next()
 	}
@@ -120,7 +120,7 @@ func TestZipfDistRunsAllocFree(t *testing.T) {
 		Dist:      harness.Zipf{N: 1 << 16, S: 1.2},
 	}.withDefaults()
 	st := newOpStream(cfg, 0)
-	var sink wire.Op
+	var sink op.Op
 	allocs := testenv.Allocs(1000, func() {
 		sink = st.next()
 	})

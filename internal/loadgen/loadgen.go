@@ -19,6 +19,7 @@ import (
 
 	"pimds/internal/harness"
 	"pimds/internal/obs"
+	"pimds/internal/op"
 	"pimds/internal/wire"
 )
 
@@ -274,51 +275,29 @@ func (st *opStream) traceFrame() (wire.TraceContext, bool) {
 	return wire.TraceContext{TraceID: x, Sampled: true}, true
 }
 
-// next returns the next operation. For queue/stack the set mix maps
-// onto the two ends: Add→Enqueue/Push (the key is the value),
-// everything else alternates Dequeue/Pop. This is the injector's inner
-// loop — an allocation here is charged to every single op of every run
-// (and shows up in AllocsPerOp), so it is pinned allocation-free.
+// next returns the next operation. A set draw is already the op to
+// send; for queue/stack the draw maps onto the two ends: Add means
+// Enqueue/Push (the key is the value), everything else Dequeue/Pop.
+// This is the injector's inner loop — an allocation here is charged to
+// every single op of every run (and shows up in AllocsPerOp), so it is
+// pinned allocation-free.
 //
 //pimvet:nopark
-func (st *opStream) next() wire.Op {
+func (st *opStream) next() op.Op {
 	o := st.gen.Next()
-	op := wire.Op{ID: st.nextID, Key: o.Key}
+	o.ID = st.nextID
 	st.nextID++
+	ins, del := op.Enqueue, op.Dequeue
 	switch st.structure {
-	case StructQueue:
-		if o.Kind == harness.Add {
-			op.Kind = wire.Enqueue
-		} else {
-			op.Kind = wire.Dequeue
-		}
+	case StructSet:
+		return o
 	case StructStack:
-		if o.Kind == harness.Add {
-			op.Kind = wire.Push
-		} else {
-			op.Kind = wire.Pop
-		}
-	default:
-		switch o.Kind {
-		case harness.Contains:
-			op.Kind = wire.Contains
-		case harness.Add:
-			op.Kind = wire.Add
-		case harness.Remove:
-			op.Kind = wire.Remove
-		case harness.Scan:
-			op.Kind, op.Hi, op.Limit = wire.RangeScan, o.Hi, o.Limit
-		case harness.Pred:
-			op.Kind = wire.Pred
-		case harness.Succ:
-			op.Kind = wire.Succ
-		case harness.PopMin:
-			op.Kind = wire.PopMin
-		default:
-			op.Kind = wire.PopMax
-		}
+		ins, del = op.Push, op.Pop
 	}
-	return op
+	if o.Kind == op.Add {
+		return op.Op{ID: o.ID, Key: o.Key, Kind: ins}
+	}
+	return op.Op{ID: o.ID, Key: o.Key, Kind: del}
 }
 
 // appendRequest encodes one request frame for this stream, carrying the
@@ -326,7 +305,7 @@ func (st *opStream) next() wire.Op {
 // encode path runs once per frame of every measured run.
 //
 //pimvet:nopark
-func (st *opStream) appendRequest(out []byte, batch []wire.Op, ctr *counters) ([]byte, error) {
+func (st *opStream) appendRequest(out []byte, batch []op.Op, ctr *counters) ([]byte, error) {
 	tc, traced := st.traceFrame()
 	if traced {
 		ctr.traced.Add(1)
@@ -418,10 +397,10 @@ type counters struct {
 // atomic counters, no locks, no allocation.
 //
 //pimvet:nopark
-func (c *counters) observe(lat *obs.Histogram, d int64, budget int64, status wire.Status) {
+func (c *counters) observe(lat *obs.Histogram, d int64, budget int64, status op.Status) {
 	lat.Observe(d)
 	c.ops.Add(1)
-	if status != wire.StatusOK {
+	if status != op.StatusOK {
 		c.errs.Add(1)
 	}
 	if budget > 0 && d > budget {
@@ -443,9 +422,9 @@ func closedLoop(cfg Config, st *opStream, nc net.Conn, stop <-chan struct{}, ctr
 	br := bufio.NewReaderSize(nc, 64<<10)
 	bw := bufio.NewWriterSize(nc, 64<<10)
 	budget := cfg.SLOP99.Nanoseconds()
-	batch := make([]wire.Op, cfg.Pipeline)
+	batch := make([]op.Op, cfg.Pipeline)
 	var out, payload []byte
-	var results []wire.Result
+	var results []op.Result
 	var vals []int64
 	var err error
 	for {
@@ -485,7 +464,7 @@ func closedLoop(cfg Config, st *opStream, nc net.Conn, stop <-chan struct{}, ctr
 				ctr.observe(lat, d, budget, r.Status)
 				// IDs in a closed-loop batch are consecutive from base, so
 				// the echoed ID indexes the op that produced this response.
-				if idx := r.ID - base; idx < uint64(len(batch)) && batch[idx].Kind == wire.RangeScan {
+				if idx := r.ID - base; idx < uint64(len(batch)) && batch[idx].Kind == op.RangeScan {
 					ctr.observeScan(len(r.Values))
 				}
 			}
@@ -532,7 +511,7 @@ func openLoop(cfg Config, st *opStream, nc net.Conn, stop <-chan struct{}, ctr *
 		defer close(done)
 		br := bufio.NewReaderSize(nc, 64<<10)
 		var payload []byte
-		var results []wire.Result
+		var results []op.Result
 		var vals []int64
 		var err error
 		for {
@@ -582,11 +561,11 @@ send:
 			}
 		}
 		next = next.Add(interval)
-		op := st.next()
+		o := st.next()
 		mu.Lock()
-		sent[op.ID] = sentOp{t0: time.Now(), scan: op.Kind == wire.RangeScan}
+		sent[o.ID] = sentOp{t0: time.Now(), scan: o.Kind == op.RangeScan}
 		mu.Unlock()
-		out, err = st.appendRequest(out[:0], []wire.Op{op}, ctr)
+		out, err = st.appendRequest(out[:0], []op.Op{o}, ctr)
 		if err != nil {
 			return err
 		}
@@ -646,8 +625,8 @@ func Preload(cfg Config) error {
 	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
 
 	var out, payload []byte
-	var batch []wire.Op
-	var results []wire.Result
+	var batch []op.Op
+	var results []op.Result
 	var id uint64
 	for len(keys) > 0 {
 		n := wire.MaxOpsPerFrame
@@ -656,7 +635,7 @@ func Preload(cfg Config) error {
 		}
 		batch = batch[:0]
 		for _, k := range keys[:n] {
-			batch = append(batch, wire.Op{ID: id, Kind: wire.Add, Key: k})
+			batch = append(batch, op.Op{ID: id, Kind: op.Add, Key: k})
 			id++
 		}
 		keys = keys[n:]

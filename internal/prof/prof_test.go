@@ -7,7 +7,6 @@ import (
 	"regexp"
 	"testing"
 
-	"pimds/internal/cds/seqlist"
 	"pimds/internal/core/pimhash"
 	"pimds/internal/core/pimlist"
 	"pimds/internal/core/pimqueue"
@@ -16,6 +15,7 @@ import (
 	"pimds/internal/harness"
 	"pimds/internal/model"
 	"pimds/internal/obs"
+	"pimds/internal/op"
 	"pimds/internal/prof"
 	"pimds/internal/sim"
 )
@@ -48,7 +48,7 @@ func scenarios() []scenario {
 			s.Preload(harness.PreloadKeys(1024))
 			for i := 0; i < 8; i++ {
 				g := harness.NewGenerator(seed+int64(i), harness.Uniform{N: 1024}, harness.Balanced())
-				s.NewClient(g.SkipStream()).Start()
+				s.NewClient(g.Stream()).Start()
 			}
 			c, _ := sim.Measure(e, func() {}, s.Ops(), testWarmup, testMeasure)
 			return c
@@ -82,16 +82,16 @@ func scenarios() []scenario {
 			var clients []*sim.Client
 			for i := 0; i < 8; i++ {
 				g := harness.NewGenerator(seed+int64(i), harness.Uniform{N: 256}, harness.Balanced())
-				next := g.ListStream()
+				next := g.Stream()
 				clients = append(clients, m.NewClient(func(seq uint64) pimhash.Op {
-					op := next(seq)
-					switch op.Kind {
-					case seqlist.Add:
-						return pimhash.Op{Kind: pimhash.MsgPut, Key: op.Key, Val: op.Key}
-					case seqlist.Remove:
-						return pimhash.Op{Kind: pimhash.MsgDel, Key: op.Key}
+					o := next(seq)
+					switch o.Kind {
+					case op.Add:
+						return pimhash.Op{Kind: pimhash.MsgPut, Key: o.Key, Val: o.Key}
+					case op.Remove:
+						return pimhash.Op{Kind: pimhash.MsgDel, Key: o.Key}
 					default:
-						return pimhash.Op{Kind: pimhash.MsgGet, Key: op.Key}
+						return pimhash.Op{Kind: pimhash.MsgGet, Key: o.Key}
 					}
 				}))
 			}
@@ -108,7 +108,7 @@ func runList(e *sim.Engine, seed int64, combining bool, p int) uint64 {
 	var clients []*sim.Client
 	for i := 0; i < p; i++ {
 		g := harness.NewGenerator(seed+int64(i), harness.Uniform{N: 128}, harness.Balanced())
-		clients = append(clients, l.NewClient(e, g.ListStream()))
+		clients = append(clients, l.NewClient(e, g.Stream()))
 	}
 	m := &sim.Meter{Engine: e, Clients: clients}
 	c, _ := m.Run(testWarmup, testMeasure)
@@ -415,7 +415,7 @@ func TestLatencyMatchesClientHistogram(t *testing.T) {
 	var clients []*sim.Client
 	for i := 0; i < 8; i++ {
 		g := harness.NewGenerator(1+int64(i), harness.Uniform{N: 128}, harness.Balanced())
-		cl := l.NewClient(e, g.ListStream())
+		cl := l.NewClient(e, g.Stream())
 		cl.Latency = agg
 		clients = append(clients, cl)
 	}

@@ -6,9 +6,9 @@ import (
 	"time"
 
 	"pimds/internal/obs"
+	"pimds/internal/op"
 	"pimds/internal/testenv"
 	"pimds/internal/wal"
-	"pimds/internal/wire"
 )
 
 // These tests pin the server's combining window allocation-free with
@@ -27,13 +27,13 @@ func skipIfRace(t *testing.T) {
 // steadyBatch builds Remove→Add pairs over even keys: size-stable
 // against a list preloaded with the same keys, so node free lists
 // recycle perfectly.
-func steadyBatch(n int) []wire.Op {
-	ops := make([]wire.Op, 0, 2*n)
+func steadyBatch(n int) []op.Op {
+	ops := make([]op.Op, 0, 2*n)
 	for i := 0; i < n; i++ {
 		k := int64(2 * i)
 		ops = append(ops,
-			wire.Op{ID: uint64(2 * i), Kind: wire.Remove, Key: k},
-			wire.Op{ID: uint64(2*i + 1), Kind: wire.Add, Key: k},
+			op.Op{ID: uint64(2 * i), Kind: op.Remove, Key: k},
+			op.Op{ID: uint64(2*i + 1), Kind: op.Add, Key: k},
 		)
 	}
 	return ops
@@ -41,7 +41,7 @@ func steadyBatch(n int) []wire.Op {
 
 // pinRig is a one-shard server around a fresh backend, with the pass
 // record New would have preallocated for it already gathered with ops.
-func pinRig(t *testing.T, structure string, durable bool, ops []wire.Op) (*Server, *pass) {
+func pinRig(t *testing.T, structure string, durable bool, ops []op.Op) (*Server, *pass) {
 	t.Helper()
 	be, err := newBackend(structure, 0)
 	if err != nil {
@@ -56,11 +56,11 @@ func pinRig(t *testing.T, structure string, durable bool, ops []wire.Op) (*Serve
 // preloadEven adds the even keys below 2n, so removals in a steady
 // batch always find their node.
 func preloadEven(be backend, n int) {
-	pre := make([]wire.Op, n)
+	pre := make([]op.Op, n)
 	for i := range pre {
-		pre[i] = wire.Op{Kind: wire.Add, Key: int64(2 * i)}
+		pre[i] = op.Op{Kind: op.Add, Key: int64(2 * i)}
 	}
-	be.ApplyBatch(pre, make([]wire.Result, n), nil)
+	be.ApplyBatch(pre, make([]op.Result, n), nil)
 }
 
 // pinApply warms the pass and the structure's free lists, then pins
@@ -75,7 +75,7 @@ func pinApply(t *testing.T, s *Server, ps *pass) {
 		t.Errorf("applyBatch steady state: %d allocs, want 0", allocs)
 	}
 	for i := range ps.ops {
-		if ps.results[i].Status != wire.StatusOK {
+		if ps.results[i].Status != op.StatusOK {
 			t.Fatalf("op %d: status %v", i, ps.results[i].Status)
 		}
 	}
@@ -85,17 +85,17 @@ func TestApplyBatchAllocs(t *testing.T) {
 	skipIfRace(t)
 	for _, structure := range []string{StructList, StructSkip, StructQueue, StructStack} {
 		t.Run(structure, func(t *testing.T) {
-			var ops []wire.Op
+			var ops []op.Op
 			switch structure {
 			case StructList, StructSkip:
 				ops = steadyBatch(64)
 			case StructQueue:
 				for i := 0; i < 64; i++ {
-					ops = append(ops, wire.Op{Kind: wire.Enqueue, Key: int64(i)}, wire.Op{Kind: wire.Dequeue})
+					ops = append(ops, op.Op{Kind: op.Enqueue, Key: int64(i)}, op.Op{Kind: op.Dequeue})
 				}
 			case StructStack:
 				for i := 0; i < 64; i++ {
-					ops = append(ops, wire.Op{Kind: wire.Push, Key: int64(i)}, wire.Op{Kind: wire.Pop})
+					ops = append(ops, op.Op{Kind: op.Push, Key: int64(i)}, op.Op{Kind: op.Pop})
 				}
 			}
 			s, ps := pinRig(t, structure, false, ops)
@@ -114,11 +114,11 @@ func TestApplyBatchAllocs(t *testing.T) {
 // and nothing else.
 func TestHashApplyBatchAllocs(t *testing.T) {
 	skipIfRace(t)
-	var ops []wire.Op
-	for i, op := range steadyBatch(32) {
-		ops = append(ops, op)
-		if op.Kind == wire.Add {
-			ops = append(ops, wire.Op{ID: uint64(1000 + i), Kind: wire.Contains, Key: op.Key})
+	var ops []op.Op
+	for i, o := range steadyBatch(32) {
+		ops = append(ops, o)
+		if o.Kind == op.Add {
+			ops = append(ops, op.Op{ID: uint64(1000 + i), Kind: op.Contains, Key: o.Key})
 		}
 	}
 	s, ps := pinRig(t, StructHash, false, ops)
@@ -130,9 +130,9 @@ func TestHashApplyBatchAllocs(t *testing.T) {
 	if allocs > 32*100 {
 		t.Errorf("hash applyBatch steady state: %d allocs over 100 passes, want at most 3200 (one per successful add)", allocs)
 	}
-	for i, op := range ops {
-		if r := ps.results[i]; r.Status != wire.StatusOK || !r.OK {
-			t.Fatalf("op %d (%+v): result %+v, want OK", i, op, r)
+	for i, o := range ops {
+		if r := ps.results[i]; r.Status != op.StatusOK || !r.OK {
+			t.Fatalf("op %d (%+v): result %+v, want OK", i, o, r)
 		}
 	}
 }
@@ -143,10 +143,10 @@ func TestHashApplyBatchAllocs(t *testing.T) {
 // mutating ops, in pass order, under the shard's next sequence number.
 func TestApplyBatchDurableAllocs(t *testing.T) {
 	skipIfRace(t)
-	var ops, mutating []wire.Op
-	for i, op := range steadyBatch(32) {
-		ops = append(ops, op, wire.Op{ID: uint64(1000 + i), Kind: wire.Contains, Key: op.Key})
-		mutating = append(mutating, op)
+	var ops, mutating []op.Op
+	for i, o := range steadyBatch(32) {
+		ops = append(ops, o, op.Op{ID: uint64(1000 + i), Kind: op.Contains, Key: o.Key})
+		mutating = append(mutating, o)
 	}
 	s, ps := pinRig(t, StructList, true, ops)
 	sh := ps.sh
@@ -169,7 +169,7 @@ func TestApplyBatchDurableAllocs(t *testing.T) {
 	}
 
 	// A read-only pass stages nothing and leaves the sequence alone.
-	ps.ops = append(ps.ops[:0], wire.Op{Kind: wire.Contains, Key: 2})
+	ps.ops = append(ps.ops[:0], op.Op{Kind: op.Contains, Key: 2})
 	s.applyBatch(ps)
 	if len(ps.rec) != 0 || sh.walSeq != seq+1 {
 		t.Fatalf("read-only pass staged %d bytes, seq %d; want an empty record, seq still %d",
@@ -189,16 +189,16 @@ func TestApplyBatchOrderedAllocs(t *testing.T) {
 			// Size-stable mix: each round pops the extremes and
 			// re-adds them, with scans and neighbor queries
 			// interleaved.
-			s, ps := pinRig(t, structure, false, []wire.Op{
-				{ID: 1, Kind: wire.PopMin},
-				{ID: 2, Kind: wire.PopMax},
-				{ID: 3, Kind: wire.Add, Key: 0},
-				{ID: 4, Kind: wire.Add, Key: 254},
-				{ID: 5, Kind: wire.RangeScan, Key: 10, Hi: 90, Limit: 16},
-				{ID: 6, Kind: wire.Pred, Key: 100},
-				{ID: 7, Kind: wire.Succ, Key: 100},
-				{ID: 8, Kind: wire.RangeScan, Key: 100, Hi: 200, Limit: 32},
-				{ID: 9, Kind: wire.Contains, Key: 50},
+			s, ps := pinRig(t, structure, false, []op.Op{
+				{ID: 1, Kind: op.PopMin},
+				{ID: 2, Kind: op.PopMax},
+				{ID: 3, Kind: op.Add, Key: 0},
+				{ID: 4, Kind: op.Add, Key: 254},
+				{ID: 5, Kind: op.RangeScan, Key: 10, Hi: 90, Limit: 16},
+				{ID: 6, Kind: op.Pred, Key: 100},
+				{ID: 7, Kind: op.Succ, Key: 100},
+				{ID: 8, Kind: op.RangeScan, Key: 100, Hi: 200, Limit: 32},
+				{ID: 9, Kind: op.Contains, Key: 50},
 			})
 			preloadEven(ps.sh.be, 128)
 			pinApply(t, s, ps)
@@ -229,8 +229,8 @@ func TestCombinePassMetricsAllocs(t *testing.T) {
 
 	c := &conn{out: make(chan *frame, 1), free: make(chan *frame, 1), next: make([]int, 2)}
 	f := c.record()
-	f.ops = append(steadyBatch(64), wire.Op{ID: 1000, Kind: wire.RangeScan, Key: 0, Hi: 64, Limit: 16})
-	f.results = make([]wire.Result, len(f.ops))
+	f.ops = append(steadyBatch(64), op.Op{ID: 1000, Kind: op.RangeScan, Key: 0, Hi: 64, Limit: 16})
+	f.results = make([]op.Result, len(f.ops))
 	pass := func() {
 		f.left.Store(1)
 		c.inflight.Add(1)
@@ -273,16 +273,16 @@ func TestPublishAllocs(t *testing.T) {
 		s.shards = append(s.shards, &shard{idx: i, in: make(chan slot, 1)})
 	}
 	c := &conn{id: 1, out: make(chan *frame, 2), free: make(chan *frame, 2), next: make([]int, 3)}
-	var ops []wire.Op
+	var ops []op.Op
 	for i := 0; i < 64; i++ {
-		op := wire.Op{ID: uint64(i), Kind: wire.OpKind(i % 3), Key: int64(i * 37 % 1024)}
+		o := op.Op{ID: uint64(i), Kind: op.Kind(i % 3), Key: int64(i * 37 % 1024)}
 		switch {
 		case i%8 == 5:
-			op = wire.Op{ID: uint64(i), Kind: wire.RangeScan, Key: op.Key, Hi: op.Key + 64, Limit: 16}
+			o = op.Op{ID: uint64(i), Kind: op.RangeScan, Key: o.Key, Hi: o.Key + 64, Limit: 16}
 		case i == 63:
-			op.Key = 1 << 10 // out of the key space: answered in place
+			o.Key = 1 << 10 // out of the key space: answered in place
 		}
-		ops = append(ops, op)
+		ops = append(ops, o)
 	}
 	f := c.record()
 	publish := func() (slot, slot) {
@@ -297,15 +297,15 @@ func TestPublishAllocs(t *testing.T) {
 			t.Fatalf("shard %d slot %+v, want frame %p from %d", b, sl, f, at)
 		}
 		prev := uint64(0)
-		for _, op := range f.ops[sl.lo:sl.hi] {
-			if s.shardFor(op.Key).idx != b || op.ID < prev {
-				t.Fatalf("shard %d slot holds op %+v out of place", b, op)
+		for _, o := range f.ops[sl.lo:sl.hi] {
+			if s.shardFor(o.Key).idx != b || o.ID < prev {
+				t.Fatalf("shard %d slot holds op %+v out of place", b, o)
 			}
-			prev = op.ID
+			prev = o.ID
 		}
 		at = sl.hi
 	}
-	if at != 63 || f.results[63].Status != wire.StatusBadKey || f.left.Load() != 2 {
+	if at != 63 || f.results[63].Status != op.StatusBadKey || f.left.Load() != 2 {
 		t.Fatalf("slots end at %d, last result %+v, %d slots left; want 63, a bad-key answer, 2",
 			at, f.results[63], f.left.Load())
 	}

@@ -7,7 +7,7 @@ import (
 	"pimds/internal/cds/seqhash"
 	"pimds/internal/cds/seqlist"
 	"pimds/internal/cds/seqskip"
-	"pimds/internal/wire"
+	"pimds/internal/op"
 )
 
 // A backend is one shard's sequential structure. It is only ever
@@ -33,7 +33,7 @@ import (
 // TestHashApplyBatchAllocs).
 type backend interface {
 	// ApplyBatch serves one combiner pass. len(out) == len(ops).
-	ApplyBatch(ops []wire.Op, out []wire.Result, arena []int64) []int64
+	ApplyBatch(ops []op.Op, out []op.Result, arena []int64) []int64
 	// Len returns the element count (used at quiescence by tests and
 	// the metrics collector).
 	Len() int
@@ -60,10 +60,10 @@ type SnapshotterBackend interface {
 // through, so a restored structure is bit-for-bit what replaying the
 // inserts would build (skip towers included: they draw from the
 // seeded per-shard generator in insertion order either way).
-func restoreState(be backend, kind wire.OpKind, vals []int64) {
+func restoreState(be backend, kind op.Kind, vals []int64) {
 	const chunk = 512
-	ops := make([]wire.Op, 0, chunk)
-	out := make([]wire.Result, chunk)
+	ops := make([]op.Op, 0, chunk)
+	out := make([]op.Result, chunk)
 	for len(vals) > 0 {
 		n := len(vals)
 		if n > chunk {
@@ -71,7 +71,7 @@ func restoreState(be backend, kind wire.OpKind, vals []int64) {
 		}
 		ops = ops[:0]
 		for _, v := range vals[:n] {
-			ops = append(ops, wire.Op{Kind: kind, Key: v})
+			ops = append(ops, op.Op{Kind: kind, Key: v})
 		}
 		be.ApplyBatch(ops, out[:n], nil)
 		vals = vals[n:]
@@ -96,18 +96,9 @@ const towerSeed = 1
 func newBackend(structure string, shard int) (backend, error) {
 	switch structure {
 	case StructList:
-		return &listBackend{
-			l:   seqlist.New(),
-			ops: make([]seqlist.Op, 0, wire.MaxOpsPerFrame),
-			oks: make([]bool, wire.MaxOpsPerFrame),
-			res: make([]seqlist.OpResult, wire.MaxOpsPerFrame),
-		}, nil
+		return listBackend{seqlist.New()}, nil
 	case StructSkip:
-		return &skipBackend{
-			l:      seqskip.New(towerSeed + uint64(shard)*0x9e3779b97f4a7c15),
-			starts: make([]int, wire.MaxOpsPerFrame),
-			counts: make([]int, wire.MaxOpsPerFrame),
-		}, nil
+		return skipBackend{seqskip.New(towerSeed + uint64(shard)*0x9e3779b97f4a7c15)}, nil
 	case StructHash:
 		return &hashBackend{t: seqhash.New(1 << 10)}, nil
 	case StructQueue:
@@ -119,149 +110,57 @@ func newBackend(structure string, shard int) (backend, error) {
 		structure, StructList, StructSkip, StructHash, StructQueue, StructStack)
 }
 
-// listKinds maps wire kinds onto seqlist kinds; the numeric values
-// diverge (the wire enum interleaves queue/stack kinds), so the
-// translation is explicit.
-var listKinds = [wire.NumKinds]seqlist.OpKind{
-	wire.Contains:  seqlist.Contains,
-	wire.Add:       seqlist.Add,
-	wire.Remove:    seqlist.Remove,
-	wire.RangeScan: seqlist.RangeScan,
-	wire.Pred:      seqlist.Pred,
-	wire.Succ:      seqlist.Succ,
-	wire.PopMin:    seqlist.PopMin,
-	wire.PopMax:    seqlist.PopMax,
-}
-
 // listBackend serves set ops on a sorted linked list, using the
 // paper's combining optimization: the whole batch is sorted and served
-// in one traversal. A batch of point ops takes the original
-// ApplyBatchInto path; a batch containing ordered ops takes
-// ApplyOrderedBatchInto, which shares a single finger walk between
-// point ops, neighbor queries and range scans. ops/oks/res are
-// preallocated at the frame cap so translation in and out of wire types
-// allocates nothing.
-type listBackend struct {
-	l   *seqlist.List
-	ops []seqlist.Op       // scratch
-	oks []bool             // scratch (point-only path)
-	res []seqlist.OpResult // scratch (ordered path)
-}
+// in one traversal that point ops, neighbor queries and range scans
+// share (seqlist.ApplyOrderedBatchInto).
+type listBackend struct{ l *seqlist.List }
 
 //pimvet:nopark
-func (b *listBackend) ApplyBatch(ops []wire.Op, out []wire.Result, arena []int64) []int64 {
-	b.ops = b.ops[:0]
-	ordered := false
-	for _, op := range ops {
-		b.ops = append(b.ops, seqlist.Op{
-			Kind: listKinds[op.Kind], Key: op.Key, Hi: op.Hi, Limit: int(op.Limit),
-		})
-		if op.Kind.Ordered() {
-			ordered = true
-		}
-	}
-	if !ordered {
-		oks := b.oks[:len(ops)]
-		b.l.ApplyBatchInto(b.ops, oks)
-		for i, op := range ops {
-			out[i] = wire.Result{ID: op.ID, Status: wire.StatusOK, OK: oks[i]}
-		}
-		return arena
-	}
-	res := b.res[:len(ops)]
-	arena = b.l.ApplyOrderedBatchInto(b.ops, res, arena)
-	for i, op := range ops {
-		r := res[i]
-		out[i] = wire.Result{ID: op.ID, Status: wire.StatusOK, OK: r.OK, Value: r.Value}
-		if r.Scan {
-			// Slice after the whole batch ran: the arena cannot grow
-			// (and move) under an already-taken segment anymore.
-			out[i].Values = arena[r.Start : r.Start+r.N : r.Start+r.N]
-		}
-	}
-	return arena
+func (b listBackend) ApplyBatch(ops []op.Op, out []op.Result, arena []int64) []int64 {
+	return b.l.ApplyOrderedBatchInto(ops, out, arena)
 }
 
-func (b *listBackend) Len() int { return b.l.Len() }
+func (b listBackend) Len() int { return b.l.Len() }
 
-func (b *listBackend) AppendState(dst []int64) []int64 { return append(dst, b.l.Keys()...) }
-func (b *listBackend) RestoreState(vals []int64)       { restoreState(b, wire.Add, vals) }
+func (b listBackend) AppendState(dst []int64) []int64 { return append(dst, b.l.Keys()...) }
+func (b listBackend) RestoreState(vals []int64)       { restoreState(b, op.Add, vals) }
 
 // skipBackend serves set ops on a sequential skip-list, applying the
-// batch in publication order (any serialization of a concurrent batch
-// is linearizable). Nodes and towers come from seqskip's slabs, so a
-// size-stable pass allocates nothing. starts/counts park each scan's
-// arena segment until the batch is done and the arena has stopped
-// moving.
-type skipBackend struct {
-	l      *seqskip.List
-	starts []int // scratch: scan arena offsets by op index
-	counts []int // scratch: scan cardinalities by op index
-}
+// batch in publication order (seqskip.ApplyOrderedBatchInto).
+type skipBackend struct{ l *seqskip.List }
 
 //pimvet:nopark
-func (b *skipBackend) ApplyBatch(ops []wire.Op, out []wire.Result, arena []int64) []int64 {
-	scans := false
-	for i, op := range ops {
-		r := wire.Result{ID: op.ID, Status: wire.StatusOK}
-		switch op.Kind {
-		case wire.Contains:
-			r.OK = b.l.ContainsKey(op.Key)
-		case wire.Add:
-			r.OK = b.l.AddKey(op.Key)
-		case wire.Remove:
-			r.OK = b.l.RemoveKey(op.Key)
-		case wire.Pred:
-			r.Value, r.OK = b.l.PredKey(op.Key)
-		case wire.Succ:
-			r.Value, r.OK = b.l.SuccKey(op.Key)
-		case wire.PopMin:
-			r.Value, r.OK = b.l.PopMinKey()
-		case wire.PopMax:
-			r.Value, r.OK = b.l.PopMaxKey()
-		case wire.RangeScan:
-			b.starts[i] = len(arena)
-			arena, b.counts[i], r.Value = b.l.RangeScanInto(op.Key, op.Hi, int(op.Limit), arena)
-			r.OK = true
-			scans = true
-		}
-		out[i] = r
-	}
-	if scans {
-		for i, op := range ops {
-			if op.Kind == wire.RangeScan {
-				out[i].Values = arena[b.starts[i] : b.starts[i]+b.counts[i] : b.starts[i]+b.counts[i]]
-			}
-		}
-	}
-	return arena
+func (b skipBackend) ApplyBatch(ops []op.Op, out []op.Result, arena []int64) []int64 {
+	return b.l.ApplyOrderedBatchInto(ops, out, arena)
 }
 
-func (b *skipBackend) Len() int { return b.l.Len() }
+func (b skipBackend) Len() int { return b.l.Len() }
 
-func (b *skipBackend) AppendState(dst []int64) []int64 { return append(dst, b.l.Keys()...) }
-func (b *skipBackend) RestoreState(vals []int64)       { restoreState(b, wire.Add, vals) }
+func (b skipBackend) AppendState(dst []int64) []int64 { return append(dst, b.l.Keys()...) }
+func (b skipBackend) RestoreState(vals []int64)       { restoreState(b, op.Add, vals) }
 
 // hashBackend serves set ops on a chained hash table (keys only; the
-// stored value mirrors the key). Puts allocate chain entries and the
-// table doubles as it fills (justified exemptions inside seqhash).
+// stored value mirrors the key). A successful add allocates its chain
+// entry and the table doubles as it fills; TestHashApplyBatchAllocs
+// pins a steady pass at no more than one allocation per successful add.
 type hashBackend struct {
 	t *seqhash.Table
 }
 
 //pimvet:nopark
-func (b *hashBackend) ApplyBatch(ops []wire.Op, out []wire.Result, arena []int64) []int64 {
-	for i, op := range ops {
+func (b *hashBackend) ApplyBatch(ops []op.Op, out []op.Result, arena []int64) []int64 {
+	for i, o := range ops {
 		var ok bool
-		switch op.Kind {
-		case wire.Contains:
-			_, ok = b.t.Get(op.Key)
-		case wire.Add:
-			ok = b.t.Put(op.Key, op.Key)
-		case wire.Remove:
-			ok = b.t.Delete(op.Key)
+		switch o.Kind {
+		case op.Contains:
+			_, ok = b.t.Get(o.Key)
+		case op.Add:
+			ok = b.t.Put(o.Key, o.Key)
+		case op.Remove:
+			ok = b.t.Delete(o.Key)
 		}
-		out[i] = wire.Result{ID: op.ID, Status: wire.StatusOK, OK: ok}
+		out[i] = op.Result{ID: o.ID, OK: ok}
 	}
 	return arena
 }
@@ -278,7 +177,7 @@ func (b *hashBackend) AppendState(dst []int64) []int64 {
 	return dst
 }
 
-func (b *hashBackend) RestoreState(vals []int64) { restoreState(b, wire.Add, vals) }
+func (b *hashBackend) RestoreState(vals []int64) { restoreState(b, op.Add, vals) }
 
 // queueBackend is a FIFO queue over a growable ring buffer. Enqueue
 // always succeeds (OK=true); Dequeue reports OK=false on empty.
@@ -288,15 +187,15 @@ type queueBackend struct {
 }
 
 //pimvet:nopark
-func (b *queueBackend) ApplyBatch(ops []wire.Op, out []wire.Result, arena []int64) []int64 {
-	for i, op := range ops {
-		switch op.Kind {
-		case wire.Enqueue:
-			b.push(op.Key)
-			out[i] = wire.Result{ID: op.ID, Status: wire.StatusOK, OK: true}
-		case wire.Dequeue:
+func (b *queueBackend) ApplyBatch(ops []op.Op, out []op.Result, arena []int64) []int64 {
+	for i, o := range ops {
+		switch o.Kind {
+		case op.Enqueue:
+			b.push(o.Key)
+			out[i] = op.Result{ID: o.ID, OK: true}
+		case op.Dequeue:
 			v, ok := b.pop()
-			out[i] = wire.Result{ID: op.ID, Status: wire.StatusOK, OK: ok, Value: v}
+			out[i] = op.Result{ID: o.ID, OK: ok, Value: v}
 		}
 	}
 	return arena
@@ -335,7 +234,7 @@ func (b *queueBackend) AppendState(dst []int64) []int64 {
 	return dst
 }
 
-func (b *queueBackend) RestoreState(vals []int64) { restoreState(b, wire.Enqueue, vals) }
+func (b *queueBackend) RestoreState(vals []int64) { restoreState(b, op.Enqueue, vals) }
 
 // stackBackend is a LIFO stack over a slice. Pop reports OK=false on
 // empty. Pushes append into receiver storage: amortized growth to the
@@ -345,18 +244,18 @@ type stackBackend struct {
 }
 
 //pimvet:nopark
-func (b *stackBackend) ApplyBatch(ops []wire.Op, out []wire.Result, arena []int64) []int64 {
-	for i, op := range ops {
-		switch op.Kind {
-		case wire.Push:
-			b.vals = append(b.vals, op.Key)
-			out[i] = wire.Result{ID: op.ID, Status: wire.StatusOK, OK: true}
-		case wire.Pop:
+func (b *stackBackend) ApplyBatch(ops []op.Op, out []op.Result, arena []int64) []int64 {
+	for i, o := range ops {
+		switch o.Kind {
+		case op.Push:
+			b.vals = append(b.vals, o.Key)
+			out[i] = op.Result{ID: o.ID, OK: true}
+		case op.Pop:
 			if n := len(b.vals); n > 0 {
-				out[i] = wire.Result{ID: op.ID, Status: wire.StatusOK, OK: true, Value: b.vals[n-1]}
+				out[i] = op.Result{ID: o.ID, OK: true, Value: b.vals[n-1]}
 				b.vals = b.vals[:n-1]
 			} else {
-				out[i] = wire.Result{ID: op.ID, Status: wire.StatusOK}
+				out[i] = op.Result{ID: o.ID}
 			}
 		}
 	}
@@ -368,4 +267,4 @@ func (b *stackBackend) Len() int { return len(b.vals) }
 // AppendState dumps bottom→top, so restoring by Push rebuilds the same
 // stack.
 func (b *stackBackend) AppendState(dst []int64) []int64 { return append(dst, b.vals...) }
-func (b *stackBackend) RestoreState(vals []int64)       { restoreState(b, wire.Push, vals) }
+func (b *stackBackend) RestoreState(vals []int64)       { restoreState(b, op.Push, vals) }

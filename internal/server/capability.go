@@ -3,7 +3,7 @@ package server
 import (
 	"strings"
 
-	"pimds/internal/wire"
+	"pimds/internal/op"
 )
 
 // Capability declares which wire operations one structure serves and
@@ -15,7 +15,7 @@ type Capability struct {
 	// Name is the Config.Structure string.
 	Name string
 
-	// supports, keyed and serial are bitmasks indexed by wire.OpKind.
+	// supports, keyed and serial are bitmasks indexed by op.Kind.
 	supports uint32
 	keyed    uint32
 	serial   uint32
@@ -23,8 +23,8 @@ type Capability struct {
 
 // kindBit builds a mask from kinds; NumKinds ≤ 32 keeps uint32 enough
 // (the compile-time shift below fails to build otherwise).
-func kindBit(kinds ...wire.OpKind) uint32 {
-	var _ [32 - wire.NumKinds]struct{}
+func kindBit(kinds ...op.Kind) uint32 {
+	var _ [32 - op.NumKinds]struct{}
 	var m uint32
 	for _, k := range kinds {
 		m |= 1 << k
@@ -34,14 +34,14 @@ func kindBit(kinds ...wire.OpKind) uint32 {
 
 // Operation groups shared by the table rows.
 var (
-	pointSetKinds = []wire.OpKind{wire.Contains, wire.Add, wire.Remove}
-	orderedKinds  = []wire.OpKind{wire.RangeScan, wire.Pred, wire.Succ, wire.PopMin, wire.PopMax}
+	pointSetKinds = []op.Kind{op.Contains, op.Add, op.Remove}
+	orderedKinds  = []op.Kind{op.RangeScan, op.Pred, op.Succ, op.PopMin, op.PopMax}
 	// globalKinds answer questions about the whole key space (smallest
 	// key, nearest neighbor) that a range partition cannot answer
 	// locally, so they require Shards == 1. RangeScan is not among them:
 	// its Hi is clamped to the owning shard's bound and the pagination
 	// cursor walks clients across shards.
-	globalKinds = []wire.OpKind{wire.Pred, wire.Succ, wire.PopMin, wire.PopMax}
+	globalKinds = []op.Kind{op.Pred, op.Succ, op.PopMin, op.PopMax}
 )
 
 // capabilities is the structure table. keyed kinds are validated
@@ -51,13 +51,13 @@ var capabilities = []Capability{
 	{
 		Name:     StructList,
 		supports: kindBit(pointSetKinds...) | kindBit(orderedKinds...),
-		keyed:    kindBit(pointSetKinds...) | kindBit(wire.RangeScan, wire.Pred, wire.Succ),
+		keyed:    kindBit(pointSetKinds...) | kindBit(op.RangeScan, op.Pred, op.Succ),
 		serial:   kindBit(globalKinds...),
 	},
 	{
 		Name:     StructSkip,
 		supports: kindBit(pointSetKinds...) | kindBit(orderedKinds...),
-		keyed:    kindBit(pointSetKinds...) | kindBit(wire.RangeScan, wire.Pred, wire.Succ),
+		keyed:    kindBit(pointSetKinds...) | kindBit(op.RangeScan, op.Pred, op.Succ),
 		serial:   kindBit(globalKinds...),
 	},
 	{
@@ -69,11 +69,11 @@ var capabilities = []Capability{
 	},
 	{
 		Name:     StructQueue,
-		supports: kindBit(wire.Enqueue, wire.Dequeue),
+		supports: kindBit(op.Enqueue, op.Dequeue),
 	},
 	{
 		Name:     StructStack,
-		supports: kindBit(wire.Push, wire.Pop),
+		supports: kindBit(op.Push, op.Pop),
 	},
 }
 
@@ -99,7 +99,7 @@ func Structures() []string {
 // Supports reports whether the structure serves kind k.
 //
 //pimvet:nopark
-func (c Capability) Supports(k wire.OpKind) bool {
+func (c Capability) Supports(k op.Kind) bool {
 	return k.Valid() && c.supports&(1<<k) != 0
 }
 
@@ -107,7 +107,7 @@ func (c Capability) Supports(k wire.OpKind) bool {
 // routed to the key's range partition.
 //
 //pimvet:nopark
-func (c Capability) Keyed(k wire.OpKind) bool {
+func (c Capability) Keyed(k op.Kind) bool {
 	return k.Valid() && c.keyed&(1<<k) != 0
 }
 
@@ -115,14 +115,14 @@ func (c Capability) Keyed(k wire.OpKind) bool {
 // requires a single-shard server.
 //
 //pimvet:nopark
-func (c Capability) SerialOnly(k wire.OpKind) bool {
+func (c Capability) SerialOnly(k op.Kind) bool {
 	return k.Valid() && c.serial&(1<<k) != 0
 }
 
 // Kinds returns the supported kinds in ascending order.
-func (c Capability) Kinds() []wire.OpKind {
-	kinds := make([]wire.OpKind, 0, wire.NumKinds)
-	for k := wire.OpKind(0); k.Valid(); k++ {
+func (c Capability) Kinds() []op.Kind {
+	kinds := make([]op.Kind, 0, op.NumKinds)
+	for k := op.Kind(0); k.Valid(); k++ {
 		if c.Supports(k) {
 			kinds = append(kinds, k)
 		}

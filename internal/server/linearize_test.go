@@ -5,14 +5,14 @@ import (
 	"testing"
 
 	"pimds/internal/linearize"
+	"pimds/internal/op"
 	"pimds/internal/server"
-	"pimds/internal/wire"
 )
 
 // runLoggedHistory drives nClients closed-loop clients (one op
 // outstanding each, so the op log's per-connection program-order
 // assumption holds) and returns the recorded history at quiescence.
-func runLoggedHistory(t *testing.T, cfg server.Config, nClients, opsPerClient int, opFor func(cl, i int) wire.Op) []linearize.Op {
+func runLoggedHistory(t *testing.T, cfg server.Config, nClients, opsPerClient int, opFor func(cl, i int) op.Op) []linearize.Op {
 	t.Helper()
 	log := server.NewOpLog()
 	cfg.Log = log
@@ -26,9 +26,9 @@ func runLoggedHistory(t *testing.T, cfg server.Config, nClients, opsPerClient in
 			c := dialRaw(t, addr)
 			defer c.nc.Close()
 			for i := 0; i < opsPerClient; i++ {
-				op := opFor(cl, i)
-				op.ID = uint64(i)
-				c.send(t, op)
+				o := opFor(cl, i)
+				o.ID = uint64(i)
+				c.send(t, o)
 				if res := c.recv(t, 1); len(res) != 1 {
 					t.Errorf("client %d op %d: %d results", cl, i, len(res))
 					return
@@ -54,15 +54,15 @@ func TestServerHistoryLinearizableSet(t *testing.T) {
 	ops := runLoggedHistory(t,
 		server.Config{Structure: server.StructSkip, Shards: 2, KeySpace: 64},
 		nClients, perClient,
-		func(cl, i int) wire.Op {
+		func(cl, i int) op.Op {
 			k := int64((cl*13 + i*5) % 64)
 			switch (cl + i) % 3 {
 			case 0:
-				return wire.Op{Kind: wire.Add, Key: k}
+				return op.Op{Kind: op.Add, Key: k}
 			case 1:
-				return wire.Op{Kind: wire.Remove, Key: k}
+				return op.Op{Kind: op.Remove, Key: k}
 			}
-			return wire.Op{Kind: wire.Contains, Key: k}
+			return op.Op{Kind: op.Contains, Key: k}
 		})
 	if len(ops) != nClients*perClient {
 		t.Fatalf("history has %d ops, want %d", len(ops), nClients*perClient)
@@ -79,11 +79,11 @@ func TestServerHistoryLinearizableQueue(t *testing.T) {
 	ops := runLoggedHistory(t,
 		server.Config{Structure: server.StructQueue},
 		nClients, perClient,
-		func(cl, i int) wire.Op {
+		func(cl, i int) op.Op {
 			if i%2 == 0 {
-				return wire.Op{Kind: wire.Enqueue, Key: int64(cl*1000 + i)}
+				return op.Op{Kind: op.Enqueue, Key: int64(cl*1000 + i)}
 			}
-			return wire.Op{Kind: wire.Dequeue}
+			return op.Op{Kind: op.Dequeue}
 		})
 	if ok, err := linearize.Check(linearize.QueueSpec{}, ops); err != nil {
 		t.Fatal(err)
@@ -97,11 +97,11 @@ func TestServerHistoryLinearizableStack(t *testing.T) {
 	ops := runLoggedHistory(t,
 		server.Config{Structure: server.StructStack},
 		nClients, perClient,
-		func(cl, i int) wire.Op {
+		func(cl, i int) op.Op {
 			if i%2 == 0 {
-				return wire.Op{Kind: wire.Push, Key: int64(cl*1000 + i)}
+				return op.Op{Kind: op.Push, Key: int64(cl*1000 + i)}
 			}
-			return wire.Op{Kind: wire.Pop}
+			return op.Op{Kind: op.Pop}
 		})
 	if ok, err := linearize.Check(linearize.StackSpec{}, ops); err != nil {
 		t.Fatal(err)
@@ -117,16 +117,16 @@ func TestLinearizeCatchesCorruptedHistory(t *testing.T) {
 	ops := runLoggedHistory(t,
 		server.Config{Structure: server.StructQueue},
 		2, 20,
-		func(cl, i int) wire.Op {
+		func(cl, i int) op.Op {
 			if i%2 == 0 {
-				return wire.Op{Kind: wire.Enqueue, Key: int64(cl*100 + i)}
+				return op.Op{Kind: op.Enqueue, Key: int64(cl*100 + i)}
 			}
-			return wire.Op{Kind: wire.Dequeue}
+			return op.Op{Kind: op.Dequeue}
 		})
 	// Forge the first successful dequeue's output.
 	forged := false
 	for i := range ops {
-		if ops[i].Action == linearize.ActDequeue && ops[i].OK {
+		if ops[i].Kind == op.Dequeue && ops[i].OK {
 			ops[i].Output += 9999
 			forged = true
 			break

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"pimds/internal/linearize"
-	"pimds/internal/wire"
 )
 
 // OpLog optionally records every operation the server applies, as
@@ -36,55 +35,23 @@ func (l *OpLog) record(ps *pass) {
 	i := 0
 	for _, sl := range ps.slots {
 		for end := i + sl.hi - sl.lo; i < end; i++ {
+			// in carries the reader-clamped Hi and Limit — the bounds a
+			// scan actually ran with. Scan values live in the pass's
+			// arena, which the next gather reuses, so the log keeps its
+			// own copy.
 			in, res := ps.ops[i], ps.results[i]
-			op := linearize.Op{
-				Start:  sl.f.start,
-				End:    ps.end,
-				Client: sl.f.c.id,
-				Input:  in.Key,
-				OK:     res.OK,
-			}
-			switch in.Kind {
-			case wire.Contains:
-				op.Action = linearize.ActContains
-			case wire.Add:
-				op.Action = linearize.ActAdd
-			case wire.Remove:
-				op.Action = linearize.ActRemove
-			case wire.Enqueue:
-				op.Action = linearize.ActEnqueue
-			case wire.Dequeue:
-				op.Action = linearize.ActDequeue
-				op.Output = res.Value
-			case wire.Push:
-				op.Action = linearize.ActPush
-			case wire.Pop:
-				op.Action = linearize.ActPop
-				op.Output = res.Value
-			case wire.RangeScan:
-				// in carries the reader-clamped Hi and Limit — the bounds
-				// the scan actually ran with. The values live in the pass's
-				// arena, which the next gather reuses, so the log keeps its
-				// own copy.
-				op.Action = linearize.ActScan
-				op.Input2 = in.Hi
-				op.Limit = int(in.Limit)
-				op.Output = res.Value
-				op.Outputs = append([]int64(nil), res.Values...)
-			case wire.Pred:
-				op.Action = linearize.ActPred
-				op.Output = res.Value
-			case wire.Succ:
-				op.Action = linearize.ActSucc
-				op.Output = res.Value
-			case wire.PopMin:
-				op.Action = linearize.ActPopMin
-				op.Output = res.Value
-			case wire.PopMax:
-				op.Action = linearize.ActPopMax
-				op.Output = res.Value
-			}
-			l.ops = append(l.ops, op)
+			l.ops = append(l.ops, linearize.Op{
+				Start:   sl.f.start,
+				End:     ps.end,
+				Client:  sl.f.c.id,
+				Kind:    in.Kind,
+				Input:   in.Key,
+				Input2:  in.Hi,
+				Limit:   int(in.Limit),
+				OK:      res.OK,
+				Output:  res.Value,
+				Outputs: append([]int64(nil), res.Values...),
+			})
 		}
 	}
 }

@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"pimds/internal/obs"
+	"pimds/internal/op"
 	"pimds/internal/server"
-	"pimds/internal/wire"
 )
 
 // get scrapes one ops route in-process.
@@ -62,7 +62,7 @@ func TestMetricsHistoryEndpoint(t *testing.T) {
 	const perRound = 10
 	for round := 0; round < 3; round++ {
 		for i := 0; i < perRound; i++ {
-			if r := c.do(t, wire.Add, int64(round*perRound+i)); r.Status != wire.StatusOK {
+			if r := c.do(t, op.Add, int64(round*perRound+i)); r.Status != op.StatusOK {
 				t.Fatalf("add: %+v", r)
 			}
 		}
@@ -138,7 +138,7 @@ func TestHealthzVerdictAndDrainFlip(t *testing.T) {
 
 	c := dial(t, addr)
 	for i := 0; i < 20; i++ {
-		c.do(t, wire.Add, int64(i))
+		c.do(t, op.Add, int64(i))
 	}
 	srv.RotateOnce()
 

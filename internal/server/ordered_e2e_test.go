@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pimds/internal/linearize"
+	"pimds/internal/op"
 	"pimds/internal/server"
 	"pimds/internal/wire"
 )
@@ -13,9 +14,9 @@ import (
 // recvAny reads results until n have arrived, accepting fixed and
 // variable response frames. Each decode gets a fresh values arena, so
 // the returned results' Values stay valid together.
-func (c *client) recvAny(t *testing.T, n int) map[uint64]wire.Result {
+func (c *client) recvAny(t *testing.T, n int) map[uint64]op.Result {
 	t.Helper()
-	out := make(map[uint64]wire.Result, n)
+	out := make(map[uint64]op.Result, n)
 	var payload []byte
 	for len(out) < n {
 		var err error
@@ -36,10 +37,10 @@ func (c *client) recvAny(t *testing.T, n int) map[uint64]wire.Result {
 
 // doV2 runs one full op (Hi/Limit included) synchronously, accepting
 // either response encoding.
-func (c *client) doV2(t *testing.T, op wire.Op) wire.Result {
+func (c *client) doV2(t *testing.T, o op.Op) op.Result {
 	t.Helper()
-	op.ID = 1
-	c.send(t, op)
+	o.ID = 1
+	c.send(t, o)
 	return c.recvAny(t, 1)[1]
 }
 
@@ -64,55 +65,55 @@ func TestOrderedOpsOverTheWire(t *testing.T) {
 			_, addr := startServer(t, server.Config{Structure: structure, KeySpace: 1 << 10})
 			c := dial(t, addr)
 			for _, k := range []int64{10, 20, 30, 40, 50} {
-				if r := c.do(t, wire.Add, k); !r.OK {
+				if r := c.do(t, op.Add, k); !r.OK {
 					t.Fatalf("add %d: %+v", k, r)
 				}
 			}
 
 			// A complete scan: cursor lands on Hi.
-			r := c.doV2(t, wire.Op{Kind: wire.RangeScan, Key: 15, Hi: 45})
+			r := c.doV2(t, op.Op{Kind: op.RangeScan, Key: 15, Hi: 45})
 			if !r.OK || r.Value != 45 || !int64sEqual(r.Values, []int64{20, 30, 40}) {
 				t.Fatalf("scan [15,45): %+v", r)
 			}
 
 			// Limit truncation, then resumption from the cursor.
-			r = c.doV2(t, wire.Op{Kind: wire.RangeScan, Key: 0, Hi: 1024, Limit: 2})
+			r = c.doV2(t, op.Op{Kind: op.RangeScan, Key: 0, Hi: 1024, Limit: 2})
 			if r.Value != 30 || !int64sEqual(r.Values, []int64{10, 20}) {
 				t.Fatalf("limited scan: %+v", r)
 			}
-			r = c.doV2(t, wire.Op{Kind: wire.RangeScan, Key: r.Value, Hi: 1024})
+			r = c.doV2(t, op.Op{Kind: op.RangeScan, Key: r.Value, Hi: 1024})
 			if r.Value != 1024 || !int64sEqual(r.Values, []int64{30, 40, 50}) {
 				t.Fatalf("resumed scan: %+v", r)
 			}
 
 			// An inverted interval is a legal, complete, empty scan.
-			r = c.doV2(t, wire.Op{Kind: wire.RangeScan, Key: 900, Hi: 100})
+			r = c.doV2(t, op.Op{Kind: op.RangeScan, Key: 900, Hi: 100})
 			if !r.OK || r.Value != 100 || len(r.Values) != 0 {
 				t.Fatalf("inverted scan: %+v", r)
 			}
 
 			// Neighbor queries are strict.
-			if r = c.doV2(t, wire.Op{Kind: wire.Pred, Key: 25}); !r.OK || r.Value != 20 {
+			if r = c.doV2(t, op.Op{Kind: op.Pred, Key: 25}); !r.OK || r.Value != 20 {
 				t.Fatalf("pred(25): %+v", r)
 			}
-			if r = c.doV2(t, wire.Op{Kind: wire.Pred, Key: 10}); r.OK {
+			if r = c.doV2(t, op.Op{Kind: op.Pred, Key: 10}); r.OK {
 				t.Fatalf("pred(10) on min key: %+v", r)
 			}
-			if r = c.doV2(t, wire.Op{Kind: wire.Succ, Key: 30}); !r.OK || r.Value != 40 {
+			if r = c.doV2(t, op.Op{Kind: op.Succ, Key: 30}); !r.OK || r.Value != 40 {
 				t.Fatalf("succ(30): %+v", r)
 			}
-			if r = c.doV2(t, wire.Op{Kind: wire.Succ, Key: 50}); r.OK {
+			if r = c.doV2(t, op.Op{Kind: op.Succ, Key: 50}); r.OK {
 				t.Fatalf("succ(50) on max key: %+v", r)
 			}
 
 			// Pops drain the extremes.
-			if r = c.doV2(t, wire.Op{Kind: wire.PopMin}); !r.OK || r.Value != 10 {
+			if r = c.doV2(t, op.Op{Kind: op.PopMin}); !r.OK || r.Value != 10 {
 				t.Fatalf("popmin: %+v", r)
 			}
-			if r = c.doV2(t, wire.Op{Kind: wire.PopMax}); !r.OK || r.Value != 50 {
+			if r = c.doV2(t, op.Op{Kind: op.PopMax}); !r.OK || r.Value != 50 {
 				t.Fatalf("popmax: %+v", r)
 			}
-			if r = c.do(t, wire.Contains, 10); r.OK {
+			if r = c.do(t, op.Contains, 10); r.OK {
 				t.Fatalf("10 still present after popmin: %+v", r)
 			}
 		})
@@ -128,9 +129,9 @@ func TestScanPaginationAcrossShards(t *testing.T) {
 		Structure: server.StructSkip, Shards: shards, KeySpace: keySpace,
 	})
 	c := dial(t, addr)
-	ops := make([]wire.Op, keySpace)
+	ops := make([]op.Op, keySpace)
 	for k := range ops {
-		ops[k] = wire.Op{ID: uint64(k), Kind: wire.Add, Key: int64(k)}
+		ops[k] = op.Op{ID: uint64(k), Kind: op.Add, Key: int64(k)}
 	}
 	c.send(t, ops...)
 	c.recv(t, keySpace)
@@ -139,8 +140,8 @@ func TestScanPaginationAcrossShards(t *testing.T) {
 		var got []int64
 		hops := 0
 		for cursor := int64(0); cursor < keySpace; {
-			r := c.doV2(t, wire.Op{Kind: wire.RangeScan, Key: cursor, Hi: keySpace, Limit: limit})
-			if !r.OK || r.Status != wire.StatusOK {
+			r := c.doV2(t, op.Op{Kind: op.RangeScan, Key: cursor, Hi: keySpace, Limit: limit})
+			if !r.OK || r.Status != op.StatusOK {
 				t.Fatalf("scan page at %d: %+v", cursor, r)
 			}
 			// No response may cross the owning shard's bound.
@@ -180,27 +181,27 @@ func TestScanPaginationAcrossShards(t *testing.T) {
 func TestOrderedRejections(t *testing.T) {
 	_, sharded := startServer(t, server.Config{Structure: server.StructSkip, Shards: 4, KeySpace: 1 << 10})
 	c := dial(t, sharded)
-	for _, kind := range []wire.OpKind{wire.Pred, wire.Succ, wire.PopMin, wire.PopMax} {
-		if r := c.doV2(t, wire.Op{Kind: kind, Key: 5}); r.Status != wire.StatusBadKind {
+	for _, kind := range []op.Kind{op.Pred, op.Succ, op.PopMin, op.PopMax} {
+		if r := c.doV2(t, op.Op{Kind: kind, Key: 5}); r.Status != op.StatusBadKind {
 			t.Fatalf("%v on a 4-shard server: %+v", kind, r)
 		}
 	}
 	// Scans still work sharded.
-	if r := c.doV2(t, wire.Op{Kind: wire.RangeScan, Key: 0, Hi: 10}); r.Status != wire.StatusOK {
+	if r := c.doV2(t, op.Op{Kind: op.RangeScan, Key: 0, Hi: 10}); r.Status != op.StatusOK {
 		t.Fatalf("scan on a 4-shard server: %+v", r)
 	}
 	// Scan keys are validated against the key space.
-	if r := c.doV2(t, wire.Op{Kind: wire.RangeScan, Key: -1, Hi: 10}); r.Status != wire.StatusBadKey {
+	if r := c.doV2(t, op.Op{Kind: op.RangeScan, Key: -1, Hi: 10}); r.Status != op.StatusBadKey {
 		t.Fatalf("scan with negative lo: %+v", r)
 	}
-	if r := c.doV2(t, wire.Op{Kind: wire.RangeScan, Key: 1 << 10, Hi: 1 << 11}); r.Status != wire.StatusBadKey {
+	if r := c.doV2(t, op.Op{Kind: op.RangeScan, Key: 1 << 10, Hi: 1 << 11}); r.Status != op.StatusBadKey {
 		t.Fatalf("scan with lo at the space bound: %+v", r)
 	}
 
 	_, hash := startServer(t, server.Config{Structure: server.StructHash, KeySpace: 1 << 10})
 	h := dial(t, hash)
-	for _, kind := range []wire.OpKind{wire.RangeScan, wire.Pred, wire.PopMin} {
-		if r := h.doV2(t, wire.Op{Kind: kind, Key: 5, Hi: 10}); r.Status != wire.StatusBadKind {
+	for _, kind := range []op.Kind{op.RangeScan, op.Pred, op.PopMin} {
+		if r := h.doV2(t, op.Op{Kind: kind, Key: 5, Hi: 10}); r.Status != op.StatusBadKind {
 			t.Fatalf("%v on a hash server: %+v", kind, r)
 		}
 	}
@@ -251,8 +252,8 @@ func TestServerHistoryLinearizableOrdered(t *testing.T) {
 		t.Fatalf("history has %d ops, want %d", len(ops), want)
 	}
 	scans := 0
-	for _, op := range ops {
-		if op.Action == linearize.ActScan {
+	for _, o := range ops {
+		if o.Kind == op.RangeScan {
 			scans++
 		}
 	}
@@ -271,31 +272,31 @@ func TestServerHistoryLinearizableOrdered(t *testing.T) {
 func clientRound(t *testing.T, c *client, rng *rand.Rand, cl, first, n, keySpace int) {
 	for i := first; i < first+n; i++ {
 		k := int64(rng.Intn(keySpace))
-		var op wire.Op
+		var o op.Op
 		switch rng.Intn(8) {
 		case 0, 1, 2:
-			op = wire.Op{Kind: wire.Add, Key: k}
+			o = op.Op{Kind: op.Add, Key: k}
 		case 3:
-			op = wire.Op{Kind: wire.Remove, Key: k}
+			o = op.Op{Kind: op.Remove, Key: k}
 		case 4:
-			op = wire.Op{Kind: wire.Contains, Key: k}
+			o = op.Op{Kind: op.Contains, Key: k}
 		case 5:
-			op = wire.Op{Kind: wire.RangeScan, Key: k, Hi: k + int64(rng.Intn(32)), Limit: uint16(rng.Intn(5))}
+			o = op.Op{Kind: op.RangeScan, Key: k, Hi: k + int64(rng.Intn(32)), Limit: uint16(rng.Intn(5))}
 		case 6:
 			if rng.Intn(2) == 0 {
-				op = wire.Op{Kind: wire.Pred, Key: k}
+				o = op.Op{Kind: op.Pred, Key: k}
 			} else {
-				op = wire.Op{Kind: wire.Succ, Key: k}
+				o = op.Op{Kind: op.Succ, Key: k}
 			}
 		default:
 			if rng.Intn(2) == 0 {
-				op = wire.Op{Kind: wire.PopMin}
+				o = op.Op{Kind: op.PopMin}
 			} else {
-				op = wire.Op{Kind: wire.PopMax}
+				o = op.Op{Kind: op.PopMax}
 			}
 		}
-		op.ID = uint64(i)
-		c.send(t, op)
+		o.ID = uint64(i)
+		c.send(t, o)
 		if res := c.recvAny(t, 1); len(res) != 1 {
 			t.Errorf("client %d op %d: %d results", cl, i, len(res))
 			return

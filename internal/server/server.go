@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"pimds/internal/obs"
+	"pimds/internal/op"
 	"pimds/internal/wal"
 	"pimds/internal/wire"
 )
@@ -152,12 +153,12 @@ func (c Config) withDefaults() Config {
 // response and returns the record to the connection's free list.
 type frame struct {
 	c       *conn
-	ops     []wire.Op     // the frame's ops grouped by shard, rejected ops last
-	results []wire.Result // results[i] answers ops[i]
-	spans   []*span       // spans[i] traces ops[i]; empty unless the frame is sampled
-	vals    [][]int64     // scan values, an arena per shard that only its release appends to
-	start   int64         // decode stamp, every op's start (ns since server epoch)
-	left    atomic.Int32  // slots not yet released
+	ops     []op.Op      // the frame's ops grouped by shard, rejected ops last
+	results []op.Result  // results[i] answers ops[i]
+	spans   []*span      // spans[i] traces ops[i]; empty unless the frame is sampled
+	vals    [][]int64    // scan values, an arena per shard that only its release appends to
+	start   int64        // decode stamp, every op's start (ns since server epoch)
+	left    atomic.Int32 // slots not yet released
 }
 
 // slot is one (frame, shard) publication record: f.ops[lo:hi], every
@@ -186,15 +187,15 @@ func (sl slot) spans() []*span {
 // writer after everything before it is synced and acked (snapshots use
 // this to roll segments at a known point in the commit order).
 type pass struct {
-	sh      *shard        // owner, whose free list the pass returns to
-	ops     []wire.Op     // gathered ops, the slice the backend consumes
-	slots   []slot        // the slots ops were gathered from, in order
-	results []wire.Result // results[i] answers ops[i]
-	arena   []int64       // scan values results reference, reused by the next gather
-	traced  bool          // some op in the pass carries a span
-	end     int64         // apply-completion stamp
-	rec     []byte        // staged WAL record, empty when nothing mutated; nil in memory
-	fn      func()        // control item body; nothing else is set
+	sh      *shard      // owner, whose free list the pass returns to
+	ops     []op.Op     // gathered ops, the slice the backend consumes
+	slots   []slot      // the slots ops were gathered from, in order
+	results []op.Result // results[i] answers ops[i]
+	arena   []int64     // scan values results reference, reused by the next gather
+	traced  bool        // some op in the pass carries a span
+	end     int64       // apply-completion stamp
+	rec     []byte      // staged WAL record, empty when nothing mutated; nil in memory
+	fn      func()      // control item body; nothing else is set
 }
 
 // conn is one client connection. The reader publishes frames and
@@ -394,9 +395,9 @@ func New(cfg Config) (*Server, error) {
 func newPass(sh *shard, durable bool) *pass {
 	ps := &pass{
 		sh:      sh,
-		ops:     make([]wire.Op, 0, wire.MaxOpsPerFrame),
+		ops:     make([]op.Op, 0, wire.MaxOpsPerFrame),
 		slots:   make([]slot, 0, wire.MaxOpsPerFrame),
-		results: make([]wire.Result, 0, wire.MaxOpsPerFrame),
+		results: make([]op.Result, 0, wire.MaxOpsPerFrame),
 	}
 	if durable {
 		ps.rec = make([]byte, 0, wal.RecordCap(wire.MaxOpsPerFrame))
@@ -509,7 +510,7 @@ func (s *Server) readLoop(c *conn) {
 	}()
 	br := bufio.NewReaderSize(c.nc, 64<<10)
 	var buf []byte
-	var ops []wire.Op
+	var ops []op.Op
 	for {
 		if s.draining.Load() {
 			return
@@ -552,40 +553,40 @@ func (s *Server) readLoop(c *conn) {
 // status that rejects it. Global queries (Pred/Succ/PopMin/PopMax) would
 // need a cross-shard merge, which is parked (not on the roadmap): they
 // are served only by single-shard servers.
-func (s *Server) check(op wire.Op) wire.Status {
+func (s *Server) check(o op.Op) op.Status {
 	switch {
-	case !s.caps.Supports(op.Kind), s.caps.SerialOnly(op.Kind) && len(s.shards) > 1:
-		return wire.StatusBadKind
-	case s.caps.Keyed(op.Kind) && (op.Key < 0 || op.Key >= s.cfg.KeySpace):
-		return wire.StatusBadKey
+	case !s.caps.Supports(o.Kind), s.caps.SerialOnly(o.Kind) && len(s.shards) > 1:
+		return op.StatusBadKind
+	case s.caps.Keyed(o.Kind) && (o.Key < 0 || o.Key >= s.cfg.KeySpace):
+		return op.StatusBadKey
 	}
-	return wire.StatusOK
+	return op.StatusOK
 }
 
 // publish routes one decoded frame into f — a stable counting sort by
 // owning shard, rejected ops last and answered in place — and sends one
 // slot per shard it touches. A nonzero traceID samples every accepted
 // op.
-func (s *Server) publish(f *frame, ops []wire.Op, traceID uint64, tFrame int64) {
+func (s *Server) publish(f *frame, ops []op.Op, traceID uint64, tFrame int64) {
 	c, k, n := f.c, len(s.shards), len(ops)
 	route, next := c.route[:0], c.next
 	clear(next)
 	for i := range ops {
-		op, b := &ops[i], k
-		if s.check(*op) == wire.StatusOK {
+		o, b := &ops[i], k
+		if s.check(*o) == op.StatusOK {
 			b = 0
-			if s.caps.Keyed(op.Kind) {
-				b = s.shardFor(op.Key).idx
+			if s.caps.Keyed(o.Kind) {
+				b = s.shardFor(o.Key).idx
 			}
-			if op.Kind == wire.RangeScan {
+			if o.Kind == op.RangeScan {
 				// Clamp Hi to the owning shard's bound so one scan never
 				// crosses a combiner — the pagination cursor (== the
 				// clamped Hi on a complete scan) walks the client into
 				// the next shard naturally — and bound the per-scan
 				// cardinality (a Limit of 0 requests the maximum).
-				op.Hi = min(op.Hi, s.shardUpper(b))
-				if op.Limit == 0 || op.Limit > wire.MaxScanLimit {
-					op.Limit = wire.MaxScanLimit
+				o.Hi = min(o.Hi, s.shardUpper(b))
+				if o.Limit == 0 || o.Limit > wire.MaxScanLimit {
+					o.Limit = wire.MaxScanLimit
 				}
 			}
 		}
@@ -607,16 +608,16 @@ func (s *Server) publish(f *frame, ops []wire.Op, traceID uint64, tFrame int64) 
 	if traceID != 0 {
 		f.spans = slices.Grow(f.spans, n)[:n]
 	}
-	for i, op := range ops {
+	for i, o := range ops {
 		b := int(route[i])
 		j := next[b]
 		next[b]++
-		f.ops[j] = op
+		f.ops[j] = o
 		if b == k {
-			f.results[j] = wire.Result{ID: op.ID, Status: s.check(op)}
+			f.results[j] = op.Result{ID: o.ID, Status: s.check(o)}
 			s.opsBad.Inc()
 		} else if traceID != 0 {
-			f.spans[j] = &span{traceID: traceID, opID: op.ID, kind: op.Kind, conn: c.id, shard: b, start: tFrame}
+			f.spans[j] = &span{traceID: traceID, opID: o.ID, kind: o.Kind, conn: c.id, shard: b, start: tFrame}
 			s.tr.sampled.Inc()
 		}
 	}

@@ -18,8 +18,8 @@ import (
 	"testing"
 	"time"
 
-	"pimds/internal/linearize"
 	"pimds/internal/obs"
+	"pimds/internal/op"
 	"pimds/internal/server"
 	"pimds/internal/wire"
 )
@@ -65,13 +65,13 @@ func dial(t *testing.T, addr string) *client {
 	return &client{nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}
 }
 
-func (c *client) send(t *testing.T, ops ...wire.Op) {
+func (c *client) send(t *testing.T, ops ...op.Op) {
 	t.Helper()
 	c.sendTraced(t, wire.TraceContext{}, ops...)
 }
 
 // sendTraced sends one request frame carrying tc.
-func (c *client) sendTraced(t *testing.T, tc wire.TraceContext, ops ...wire.Op) {
+func (c *client) sendTraced(t *testing.T, tc wire.TraceContext, ops ...op.Op) {
 	t.Helper()
 	buf, err := wire.AppendRequestV2(nil, ops, tc)
 	if err != nil {
@@ -86,11 +86,11 @@ func (c *client) sendTraced(t *testing.T, tc wire.TraceContext, ops ...wire.Op) 
 }
 
 // recv reads results until n have arrived.
-func (c *client) recv(t *testing.T, n int) map[uint64]wire.Result {
+func (c *client) recv(t *testing.T, n int) map[uint64]op.Result {
 	t.Helper()
-	out := make(map[uint64]wire.Result, n)
+	out := make(map[uint64]op.Result, n)
 	var payload []byte
-	var results []wire.Result
+	var results []op.Result
 	var err error
 	for len(out) < n {
 		payload, err = wire.ReadFrame(c.br, payload[:0])
@@ -109,9 +109,9 @@ func (c *client) recv(t *testing.T, n int) map[uint64]wire.Result {
 }
 
 // do runs one op synchronously.
-func (c *client) do(t *testing.T, kind wire.OpKind, key int64) wire.Result {
+func (c *client) do(t *testing.T, kind op.Kind, key int64) op.Result {
 	t.Helper()
-	c.send(t, wire.Op{ID: 1, Kind: kind, Key: key})
+	c.send(t, op.Op{ID: 1, Kind: kind, Key: key})
 	return c.recv(t, 1)[1]
 }
 
@@ -121,22 +121,22 @@ func TestSetSemanticsOverTheWire(t *testing.T) {
 			_, addr := startServer(t, server.Config{Structure: structure, Shards: 4, KeySpace: 1 << 10})
 			c := dial(t, addr)
 
-			if r := c.do(t, wire.Contains, 7); r.Status != wire.StatusOK || r.OK {
+			if r := c.do(t, op.Contains, 7); r.Status != op.StatusOK || r.OK {
 				t.Fatalf("contains on empty: %+v", r)
 			}
-			if r := c.do(t, wire.Add, 7); !r.OK {
+			if r := c.do(t, op.Add, 7); !r.OK {
 				t.Fatalf("first add: %+v", r)
 			}
-			if r := c.do(t, wire.Add, 7); r.OK {
+			if r := c.do(t, op.Add, 7); r.OK {
 				t.Fatalf("second add should report present: %+v", r)
 			}
-			if r := c.do(t, wire.Contains, 7); !r.OK {
+			if r := c.do(t, op.Contains, 7); !r.OK {
 				t.Fatalf("contains after add: %+v", r)
 			}
-			if r := c.do(t, wire.Remove, 7); !r.OK {
+			if r := c.do(t, op.Remove, 7); !r.OK {
 				t.Fatalf("remove present: %+v", r)
 			}
-			if r := c.do(t, wire.Remove, 7); r.OK {
+			if r := c.do(t, op.Remove, 7); r.OK {
 				t.Fatalf("remove absent: %+v", r)
 			}
 		})
@@ -146,29 +146,29 @@ func TestSetSemanticsOverTheWire(t *testing.T) {
 func TestQueueAndStackSemantics(t *testing.T) {
 	_, qaddr := startServer(t, server.Config{Structure: server.StructQueue})
 	q := dial(t, qaddr)
-	q.do(t, wire.Enqueue, 10)
-	q.do(t, wire.Enqueue, 20)
-	if r := q.do(t, wire.Dequeue, 0); !r.OK || r.Value != 10 {
+	q.do(t, op.Enqueue, 10)
+	q.do(t, op.Enqueue, 20)
+	if r := q.do(t, op.Dequeue, 0); !r.OK || r.Value != 10 {
 		t.Fatalf("queue is FIFO: %+v", r)
 	}
-	if r := q.do(t, wire.Dequeue, 0); !r.OK || r.Value != 20 {
+	if r := q.do(t, op.Dequeue, 0); !r.OK || r.Value != 20 {
 		t.Fatalf("queue second dequeue: %+v", r)
 	}
-	if r := q.do(t, wire.Dequeue, 0); r.OK {
+	if r := q.do(t, op.Dequeue, 0); r.OK {
 		t.Fatalf("dequeue empty: %+v", r)
 	}
 
 	_, saddr := startServer(t, server.Config{Structure: server.StructStack})
 	s := dial(t, saddr)
-	s.do(t, wire.Push, 10)
-	s.do(t, wire.Push, 20)
-	if r := s.do(t, wire.Pop, 0); !r.OK || r.Value != 20 {
+	s.do(t, op.Push, 10)
+	s.do(t, op.Push, 20)
+	if r := s.do(t, op.Pop, 0); !r.OK || r.Value != 20 {
 		t.Fatalf("stack is LIFO: %+v", r)
 	}
-	if r := s.do(t, wire.Pop, 0); !r.OK || r.Value != 10 {
+	if r := s.do(t, op.Pop, 0); !r.OK || r.Value != 10 {
 		t.Fatalf("stack second pop: %+v", r)
 	}
-	if r := s.do(t, wire.Pop, 0); r.OK {
+	if r := s.do(t, op.Pop, 0); r.OK {
 		t.Fatalf("pop empty: %+v", r)
 	}
 }
@@ -176,17 +176,17 @@ func TestQueueAndStackSemantics(t *testing.T) {
 func TestRejectsBadKindAndBadKey(t *testing.T) {
 	_, addr := startServer(t, server.Config{Structure: server.StructSkip, KeySpace: 100})
 	c := dial(t, addr)
-	if r := c.do(t, wire.Push, 5); r.Status != wire.StatusBadKind {
+	if r := c.do(t, op.Push, 5); r.Status != op.StatusBadKind {
 		t.Fatalf("push to a set server: %+v", r)
 	}
-	if r := c.do(t, wire.Add, 100); r.Status != wire.StatusBadKey {
+	if r := c.do(t, op.Add, 100); r.Status != op.StatusBadKey {
 		t.Fatalf("key at the space bound: %+v", r)
 	}
-	if r := c.do(t, wire.Add, -1); r.Status != wire.StatusBadKey {
+	if r := c.do(t, op.Add, -1); r.Status != op.StatusBadKey {
 		t.Fatalf("negative key: %+v", r)
 	}
 	// The connection survives rejected ops.
-	if r := c.do(t, wire.Add, 99); r.Status != wire.StatusOK || !r.OK {
+	if r := c.do(t, op.Add, 99); r.Status != op.StatusOK || !r.OK {
 		t.Fatalf("valid op after rejections: %+v", r)
 	}
 }
@@ -200,7 +200,7 @@ func TestMalformedFrameClosesOnlyThatConn(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv, addr := startServer(t, server.Config{Structure: server.StructHash, Shards: 2, KeySpace: 1 << 10, Reg: reg})
 	good := dial(t, addr)
-	if r := good.do(t, wire.Add, 1); !r.OK {
+	if r := good.do(t, op.Add, 1); !r.OK {
 		t.Fatalf("add: %+v", r)
 	}
 
@@ -208,9 +208,9 @@ func TestMalformedFrameClosesOnlyThatConn(t *testing.T) {
 	// well-formed under the old type-1 layout (17-byte records).
 	retired := []byte{20, 0, 0, 0, 1, 1, 0}
 	retired = binary.LittleEndian.AppendUint64(retired, 1)
-	retired = append(retired, byte(wire.Add))
+	retired = append(retired, byte(op.Add))
 	retired = binary.LittleEndian.AppendUint64(retired, 2)
-	mismatch, err := wire.AppendRequestV2(nil, []wire.Op{{ID: 1, Kind: wire.Add, Key: 2}}, wire.TraceContext{})
+	mismatch, err := wire.AppendRequestV2(nil, []op.Op{{ID: 1, Kind: op.Add, Key: 2}}, wire.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,11 +236,11 @@ func TestMalformedFrameClosesOnlyThatConn(t *testing.T) {
 		if after := reg.Snapshot().Counters["server/ops/total"]; after != before {
 			t.Errorf("%s: server/ops/total moved %d → %d", tc.name, before, after)
 		}
-		if r := good.do(t, wire.Contains, 1); !r.OK {
+		if r := good.do(t, op.Contains, 1); !r.OK {
 			t.Errorf("%s: healthy connection no longer served: %+v", tc.name, r)
 		}
 	}
-	if r := good.do(t, wire.Contains, 2); r.OK {
+	if r := good.do(t, op.Contains, 2); r.OK {
 		t.Error("an op from a rejected frame was applied")
 	}
 
@@ -302,25 +302,25 @@ func TestManyClientsRace(t *testing.T) {
 			}
 			defer nc.Close()
 			c := &client{nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}
-			ops := make([]wire.Op, pipeline)
+			ops := make([]op.Op, pipeline)
 			var id uint64
 			for r := 0; r < rounds; r++ {
 				for i := range ops {
 					k := int64((cl*31 + r*17 + i*7) % keySpace)
-					kind := wire.Add
+					kind := op.Add
 					switch (cl + r + i) % 3 {
 					case 1:
-						kind = wire.Remove
+						kind = op.Remove
 					case 2:
-						kind = wire.Contains
+						kind = op.Contains
 					}
-					ops[i] = wire.Op{ID: id, Kind: kind, Key: k}
+					ops[i] = op.Op{ID: id, Kind: kind, Key: k}
 					id++
 				}
 				c.send(t, ops...)
 				got := c.recv(t, pipeline)
 				for _, res := range got {
-					if res.Status != wire.StatusOK {
+					if res.Status != op.StatusOK {
 						t.Errorf("client %d: unexpected status %v", cl, res.Status)
 					}
 				}
@@ -347,15 +347,15 @@ func TestManyClientsRace(t *testing.T) {
 	}
 	sort.SliceStable(ordered, func(a, b int) bool { return ops[ordered[a]].End < ops[ordered[b]].End })
 	for _, i := range ordered {
-		op := ops[i]
-		switch op.Action {
-		case linearize.ActAdd:
-			if op.OK {
-				final[op.Input] = true
+		o := ops[i]
+		switch o.Kind {
+		case op.Add:
+			if o.OK {
+				final[o.Input] = true
 			}
-		case linearize.ActRemove:
-			if op.OK {
-				delete(final, op.Input)
+		case op.Remove:
+			if o.OK {
+				delete(final, o.Input)
 			}
 		}
 	}
@@ -433,7 +433,7 @@ func TestGracefulDrainLosesNoAckedOps(t *testing.T) {
 			go func() {
 				defer close(done)
 				var buf []byte
-				ops := make([]wire.Op, pipeline)
+				ops := make([]op.Op, pipeline)
 				for {
 					select {
 					case <-stopSend:
@@ -444,7 +444,7 @@ func TestGracefulDrainLosesNoAckedOps(t *testing.T) {
 					default:
 					}
 					for i := range ops {
-						ops[i] = wire.Op{ID: id, Kind: wire.Add, Key: int64(id % keySpace)}
+						ops[i] = op.Op{ID: id, Kind: op.Add, Key: int64(id % keySpace)}
 						id++
 					}
 					buf, _ = wire.AppendRequestV2(buf[:0], ops, wire.TraceContext{})
@@ -459,7 +459,7 @@ func TestGracefulDrainLosesNoAckedOps(t *testing.T) {
 
 			// Reader: collect every response until the server closes.
 			var payload []byte
-			var results []wire.Result
+			var results []op.Result
 			for {
 				payload, err = wire.ReadFrame(br, payload[:0])
 				if err != nil {
@@ -567,7 +567,7 @@ func TestShutdownIdempotentAndServeAfterDrain(t *testing.T) {
 	t.Parallel() // its client stays open: the drain waits out CloseGrace
 	srv, addr := startServer(t, server.Config{Structure: server.StructList})
 	c := dial(t, addr)
-	if r := c.do(t, wire.Add, 1); !r.OK {
+	if r := c.do(t, op.Add, 1); !r.OK {
 		t.Fatalf("add: %+v", r)
 	}
 	srv.Shutdown()
@@ -596,7 +596,7 @@ func TestDrainWithSilentPeer(t *testing.T) {
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("drain", t.Name())))
 	defer pprof.SetGoroutineLabels(context.Background())
 	srv, addr := startServer(t, server.Config{Structure: server.StructList})
-	if r := dial(t, addr).do(t, wire.Add, 1); !r.OK {
+	if r := dial(t, addr).do(t, op.Add, 1); !r.OK {
 		t.Fatalf("add: %+v", r)
 	}
 	start := time.Now()
@@ -633,9 +633,9 @@ func TestPeerThatNeverReads(t *testing.T) {
 		Structure: server.StructSkip, KeySpace: keys, Reg: reg, WriteTimeout: 200 * time.Millisecond,
 	})
 	pre := dial(t, addr)
-	var ops []wire.Op
+	var ops []op.Op
 	for k := int64(0); k < keys; k++ {
-		ops = append(ops, wire.Op{ID: uint64(k), Kind: wire.Add, Key: k})
+		ops = append(ops, op.Op{ID: uint64(k), Kind: op.Add, Key: k})
 	}
 	pre.send(t, ops...)
 	pre.recv(t, keys)
@@ -651,7 +651,7 @@ func TestPeerThatNeverReads(t *testing.T) {
 	for f := 0; f < frames; f++ {
 		ops = ops[:0]
 		for i := 0; i < scans; i++ {
-			ops = append(ops, wire.Op{ID: uint64(i), Kind: wire.RangeScan, Key: 0, Hi: keys})
+			ops = append(ops, op.Op{ID: uint64(i), Kind: op.RangeScan, Key: 0, Hi: keys})
 		}
 		var err error
 		if burst, err = wire.AppendRequestV2(burst, ops, wire.TraceContext{}); err != nil {
@@ -670,7 +670,7 @@ func TestPeerThatNeverReads(t *testing.T) {
 	other := dial(t, addr)
 	other.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 	start := time.Now()
-	if r := other.do(t, wire.Contains, 1); !r.OK {
+	if r := other.do(t, op.Contains, 1); !r.OK {
 		t.Fatalf("contains: %+v", r)
 	}
 	if took := time.Since(start); took > time.Second {
@@ -727,13 +727,13 @@ func TestClosedConnsAreForgotten(t *testing.T) {
 	srv, addr := startServer(t, server.Config{Structure: server.StructHash, Reg: reg})
 	for i := 0; i < 200; i++ {
 		c := dial(t, addr)
-		if r := c.do(t, wire.Add, int64(i)); !r.OK {
+		if r := c.do(t, op.Add, int64(i)); !r.OK {
 			t.Fatalf("conn %d: add: %+v", i, r)
 		}
 		c.nc.Close()
 	}
-	frame, err := wire.AppendRequestV2(nil, []wire.Op{
-		{ID: 1, Kind: wire.Add, Key: 1000}, {ID: 2, Kind: wire.Add, Key: 1001},
+	frame, err := wire.AppendRequestV2(nil, []op.Op{
+		{ID: 1, Kind: op.Add, Key: 1000}, {ID: 2, Kind: op.Add, Key: 1001},
 	}, wire.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
@@ -751,7 +751,7 @@ func TestClosedConnsAreForgotten(t *testing.T) {
 	unread.nc.Close()
 	// Accepted after both, so its answer means both were accepted too.
 	other := dial(t, addr)
-	if r := other.do(t, wire.Contains, 0); !r.OK {
+	if r := other.do(t, op.Contains, 0); !r.OK {
 		t.Fatalf("after the closes: contains 0: %+v, want OK", r)
 	}
 	other.nc.Close()
@@ -771,7 +771,7 @@ func TestClosedConnsAreForgotten(t *testing.T) {
 	var closers sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		c := dial(t, addr)
-		if r := c.do(t, wire.Contains, int64(i)); !r.OK {
+		if r := c.do(t, op.Contains, int64(i)); !r.OK {
 			t.Fatalf("conn %d: contains: %+v", i, r)
 		}
 		closers.Add(1)
@@ -801,9 +801,9 @@ func TestBackpressureBoundedQueues(t *testing.T) {
 	if err := c.nc.(*net.TCPConn).SetReadBuffer(64 << 10); err != nil {
 		t.Fatal(err)
 	}
-	var ops []wire.Op
+	var ops []op.Op
 	for k := int64(0); k < keys; k++ {
-		ops = append(ops, wire.Op{ID: uint64(k), Kind: wire.Add, Key: k})
+		ops = append(ops, op.Op{ID: uint64(k), Kind: op.Add, Key: k})
 	}
 	c.send(t, ops...)
 	c.recv(t, keys)
@@ -814,7 +814,7 @@ func TestBackpressureBoundedQueues(t *testing.T) {
 	for f := 0; f < frames; f++ {
 		ops = ops[:0]
 		for i := 0; i < scans; i++ {
-			ops = append(ops, wire.Op{ID: id, Kind: wire.RangeScan, Key: 0, Hi: keys})
+			ops = append(ops, op.Op{ID: id, Kind: op.RangeScan, Key: 0, Hi: keys})
 			id++
 		}
 		c.send(t, ops...)
@@ -824,7 +824,7 @@ func TestBackpressureBoundedQueues(t *testing.T) {
 		t.Fatalf("received %d results, want %d", len(got), frames*scans)
 	}
 	for id, r := range got {
-		if r.Status != wire.StatusOK || len(r.Values) != wire.MaxScanLimit {
+		if r.Status != op.StatusOK || len(r.Values) != wire.MaxScanLimit {
 			t.Fatalf("scan %d: status %v, %d keys; want OK and %d", id, r.Status, len(r.Values), wire.MaxScanLimit)
 		}
 	}
@@ -854,14 +854,14 @@ func TestOneResponseFramePerRequestFrame(t *testing.T) {
 			for i := 0; i < conns; i++ {
 				clients = append(clients, dial(t, addr))
 			}
-			ops := make([]wire.Op, frameOps)
+			ops := make([]op.Op, frameOps)
 			for f := 0; f < frames; f++ {
 				for _, c := range clients {
 					for i := range ops {
 						k := rng.Int63n(keys)
-						ops[i] = wire.Op{ID: uint64(i), Kind: wire.OpKind(rng.Intn(3)), Key: k}
+						ops[i] = op.Op{ID: uint64(i), Kind: op.Kind(rng.Intn(3)), Key: k}
 						if rng.Intn(100) < tc.scanPct {
-							ops[i] = wire.Op{ID: uint64(i), Kind: wire.RangeScan, Key: k, Hi: k + 256, Limit: 64}
+							ops[i] = op.Op{ID: uint64(i), Kind: op.RangeScan, Key: k, Hi: k + 256, Limit: 64}
 						}
 					}
 					c.send(t, ops...)

@@ -27,8 +27,8 @@ import (
 	"time"
 
 	"pimds/internal/obs"
+	"pimds/internal/op"
 	"pimds/internal/prof"
-	"pimds/internal/wire"
 )
 
 // span is one sampled request's timeline: seven clock stamps (ns since
@@ -40,7 +40,7 @@ import (
 type span struct {
 	traceID uint64
 	opID    uint64
-	kind    wire.OpKind
+	kind    op.Kind
 	conn    int
 	shard   int
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"pimds/internal/obs"
+	"pimds/internal/op"
 	"pimds/internal/prof"
 	"pimds/internal/server"
 	"pimds/internal/wire"
@@ -30,9 +31,9 @@ func TestSpanComponentsSumToE2E(t *testing.T) {
 	})
 	const n = 100
 	c := dial(t, addr)
-	ops := make([]wire.Op, 0, n)
+	ops := make([]op.Op, 0, n)
 	for i := 0; i < n; i++ {
-		ops = append(ops, wire.Op{ID: uint64(i + 1), Kind: wire.Add, Key: int64(i * 7 % 1024)})
+		ops = append(ops, op.Op{ID: uint64(i + 1), Kind: op.Add, Key: int64(i * 7 % 1024)})
 	}
 	// Several frames so spans cross shard and flush boundaries.
 	for i := 0; i < n; i += 10 {
@@ -81,14 +82,14 @@ func TestClientOriginatedTrace(t *testing.T) {
 	srv, addr := startServer(t, server.Config{Structure: server.StructHash, KeySpace: 1 << 10})
 	c := dial(t, addr)
 
-	c.send(t, wire.Op{ID: 1, Kind: wire.Add, Key: 1}, wire.Op{ID: 2, Kind: wire.Add, Key: 2})
+	c.send(t, op.Op{ID: 1, Kind: op.Add, Key: 1}, op.Op{ID: 2, Kind: op.Add, Key: 2})
 	c.recv(t, 2)
 	c.sendTraced(t, wire.TraceContext{TraceID: 0xdeadbeef, Sampled: true},
-		wire.Op{ID: 3, Kind: wire.Contains, Key: 1})
+		op.Op{ID: 3, Kind: op.Contains, Key: 1})
 	c.recv(t, 1)
 	// Trace context present but not sampled: no span.
 	c.sendTraced(t, wire.TraceContext{TraceID: 0x77, Sampled: false},
-		wire.Op{ID: 4, Kind: wire.Contains, Key: 2})
+		op.Op{ID: 4, Kind: op.Contains, Key: 2})
 	c.recv(t, 1)
 	c.nc.Close()
 	srv.Shutdown()
@@ -113,7 +114,7 @@ func TestSlowRequestLog(t *testing.T) {
 	})
 	c := dial(t, addr)
 	for i := int64(1); i <= 3; i++ {
-		c.do(t, wire.Add, i)
+		c.do(t, op.Add, i)
 	}
 
 	ts := httptest.NewServer(srv.OpsHandler())
@@ -155,7 +156,7 @@ func TestWriteChromeTraceValid(t *testing.T) {
 	})
 	c := dial(t, addr)
 	for i := int64(0); i < 8; i++ {
-		c.do(t, wire.Add, i*100)
+		c.do(t, op.Add, i*100)
 	}
 	c.nc.Close()
 	srv.Shutdown()
@@ -200,7 +201,7 @@ func TestOpsEndpoint(t *testing.T) {
 	})
 	c := dial(t, addr)
 	for i := int64(0); i < 6; i++ {
-		c.do(t, wire.Add, i*128)
+		c.do(t, op.Add, i*128)
 	}
 	ts := httptest.NewServer(srv.OpsHandler())
 	defer ts.Close()
@@ -280,7 +281,7 @@ func TestMetricsScrapeDuringDrain(t *testing.T) {
 					return
 				default:
 				}
-				out, _ = wire.AppendRequestV2(out[:0], []wire.Op{{ID: uint64(i + 1), Kind: wire.Add, Key: (id*1000 + i) % 4096}}, wire.TraceContext{})
+				out, _ = wire.AppendRequestV2(out[:0], []op.Op{{ID: uint64(i + 1), Kind: op.Add, Key: (id*1000 + i) % 4096}}, wire.TraceContext{})
 				if _, err := nc.Write(out); err != nil {
 					return
 				}
@@ -341,7 +342,7 @@ func TestSamplingRateAndOverhead(t *testing.T) {
 	// The server batches results into response frames as it pleases, so
 	// count results per frame rather than assuming one frame per op.
 	var payload []byte
-	var results []wire.Result
+	var results []op.Result
 	outstanding := 0
 	drain := func(floor int) {
 		var err error
@@ -356,7 +357,7 @@ func TestSamplingRateAndOverhead(t *testing.T) {
 		}
 	}
 	for i := 0; i < frames; i++ {
-		c.send(t, wire.Op{ID: uint64(i + 1), Kind: wire.Add, Key: int64(i % 4096)})
+		c.send(t, op.Op{ID: uint64(i + 1), Kind: op.Add, Key: int64(i % 4096)})
 		outstanding++
 		drain(window)
 	}

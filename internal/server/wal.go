@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"pimds/internal/obs"
+	"pimds/internal/op"
 	"pimds/internal/wal"
 	"pimds/internal/wire"
 )
@@ -204,14 +205,14 @@ func (s *Server) recoverWAL() error {
 // wal.Recover.
 func (s *Server) doRecover() error {
 	w := s.wal
-	var out []wire.Result
+	var out []op.Result
 	var arena []int64
 	next, seqs, err := wal.Recover(w.dir, len(s.shards), func(i int, state []int64) error {
 		// Set dumps are keys, each owned by one shard; queue and stack
 		// dumps are values.
-		if s.caps.Keyed(wire.Add) {
+		if s.caps.Keyed(op.Add) {
 			for _, key := range state {
-				if err := s.checkLayout(i, wire.Op{Kind: wire.Add, Key: key}); err != nil {
+				if err := s.checkLayout(i, op.Op{Kind: op.Add, Key: key}); err != nil {
 					return err
 				}
 			}
@@ -220,13 +221,13 @@ func (s *Server) doRecover() error {
 		w.restored.Add(uint64(len(state)))
 		return nil
 	}, func(rec wal.Record) error {
-		for _, op := range rec.Ops {
-			if err := s.checkLayout(int(rec.Shard), op); err != nil {
+		for _, o := range rec.Ops {
+			if err := s.checkLayout(int(rec.Shard), o); err != nil {
 				return err
 			}
 		}
 		if cap(out) < len(rec.Ops) {
-			out = make([]wire.Result, len(rec.Ops))
+			out = make([]op.Result, len(rec.Ops))
 		}
 		arena = s.shards[rec.Shard].be.ApplyBatch(rec.Ops, out[:len(rec.Ops)], arena[:0])
 		w.replayed.Add(uint64(len(rec.Ops)))
@@ -269,17 +270,17 @@ func (s *Server) doRecover() error {
 // under another structure, shard count or key space. Recovery refuses
 // such data rather than re-partitioning it, because serving it would
 // leave keys in shards that lookups never reach.
-func (s *Server) checkLayout(shard int, op wire.Op) error {
-	n, st := len(s.shards), s.check(op)
+func (s *Server) checkLayout(shard int, o op.Op) error {
+	n, st := len(s.shards), s.check(o)
 	switch {
-	case st == wire.StatusBadKind:
+	case st == op.StatusBadKind:
 		return fmt.Errorf("shard %d holds a %s op, which a %d-shard %s server does not serve",
-			shard, op.Kind, n, s.cfg.Structure)
-	case st == wire.StatusBadKey:
-		return fmt.Errorf("shard %d holds key %d, outside key space %d", shard, op.Key, s.cfg.KeySpace)
-	case s.caps.Keyed(op.Kind) && s.shardFor(op.Key).idx != shard:
+			shard, o.Kind, n, s.cfg.Structure)
+	case st == op.StatusBadKey:
+		return fmt.Errorf("shard %d holds key %d, outside key space %d", shard, o.Key, s.cfg.KeySpace)
+	case s.caps.Keyed(o.Kind) && s.shardFor(o.Key).idx != shard:
 		return fmt.Errorf("shard %d holds key %d, which %d shards over key space %d place in shard %d",
-			shard, op.Key, n, s.cfg.KeySpace, s.shardFor(op.Key).idx)
+			shard, o.Key, n, s.cfg.KeySpace, s.shardFor(o.Key).idx)
 	}
 	return nil
 }

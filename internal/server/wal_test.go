@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"pimds/internal/linearize"
+	"pimds/internal/op"
 	"pimds/internal/server"
 	"pimds/internal/wal"
 	"pimds/internal/wire"
@@ -34,12 +35,12 @@ func TestWALDurableRestart(t *testing.T) {
 				srv, addr := startServer(t, cfg)
 				c := dial(t, addr)
 				for k := int64(0); k < 200; k++ {
-					if r := c.do(t, wire.Add, k); !r.OK {
+					if r := c.do(t, op.Add, k); !r.OK {
 						t.Fatalf("add %d: %+v", k, r)
 					}
 				}
 				for k := int64(0); k < 200; k += 2 {
-					if r := c.do(t, wire.Remove, k); !r.OK {
+					if r := c.do(t, op.Remove, k); !r.OK {
 						t.Fatalf("remove %d: %+v", k, r)
 					}
 				}
@@ -50,7 +51,7 @@ func TestWALDurableRestart(t *testing.T) {
 				c2 := dial(t, addr2)
 				for k := int64(0); k < 200; k++ {
 					want := k%2 == 1
-					if r := c2.do(t, wire.Contains, k); r.OK != want {
+					if r := c2.do(t, op.Contains, k); r.OK != want {
 						t.Fatalf("after restart, contains %d = %v, want %v", k, r.OK, want)
 					}
 				}
@@ -63,10 +64,10 @@ func TestWALDurableRestart(t *testing.T) {
 		srv, addr := startServer(t, cfg)
 		c := dial(t, addr)
 		for k := int64(1); k <= 50; k++ {
-			c.do(t, wire.Enqueue, k)
+			c.do(t, op.Enqueue, k)
 		}
 		for k := int64(1); k <= 10; k++ {
-			if r := c.do(t, wire.Dequeue, 0); !r.OK || r.Value != k {
+			if r := c.do(t, op.Dequeue, 0); !r.OK || r.Value != k {
 				t.Fatalf("dequeue = %+v, want %d", r, k)
 			}
 		}
@@ -76,11 +77,11 @@ func TestWALDurableRestart(t *testing.T) {
 		_, addr2 := startServer(t, cfg)
 		c2 := dial(t, addr2)
 		for k := int64(11); k <= 50; k++ {
-			if r := c2.do(t, wire.Dequeue, 0); !r.OK || r.Value != k {
+			if r := c2.do(t, op.Dequeue, 0); !r.OK || r.Value != k {
 				t.Fatalf("after restart, dequeue = %+v, want %d (FIFO order must survive)", r, k)
 			}
 		}
-		if r := c2.do(t, wire.Dequeue, 0); r.OK {
+		if r := c2.do(t, op.Dequeue, 0); r.OK {
 			t.Fatalf("queue should be empty, got %+v", r)
 		}
 	})
@@ -90,10 +91,10 @@ func TestWALDurableRestart(t *testing.T) {
 		srv, addr := startServer(t, cfg)
 		c := dial(t, addr)
 		for k := int64(1); k <= 50; k++ {
-			c.do(t, wire.Push, k)
+			c.do(t, op.Push, k)
 		}
 		for k := int64(50); k > 45; k-- {
-			if r := c.do(t, wire.Pop, 0); !r.OK || r.Value != k {
+			if r := c.do(t, op.Pop, 0); !r.OK || r.Value != k {
 				t.Fatalf("pop = %+v, want %d", r, k)
 			}
 		}
@@ -103,7 +104,7 @@ func TestWALDurableRestart(t *testing.T) {
 		_, addr2 := startServer(t, cfg)
 		c2 := dial(t, addr2)
 		for k := int64(45); k > 0; k-- {
-			if r := c2.do(t, wire.Pop, 0); !r.OK || r.Value != k {
+			if r := c2.do(t, op.Pop, 0); !r.OK || r.Value != k {
 				t.Fatalf("after restart, pop = %+v, want %d (LIFO order must survive)", r, k)
 			}
 		}
@@ -120,7 +121,7 @@ func TestWALFsyncModes(t *testing.T) {
 			srv, addr := startServer(t, cfg)
 			c := dial(t, addr)
 			for k := int64(0); k < 32; k++ {
-				if r := c.do(t, wire.Add, k); !r.OK {
+				if r := c.do(t, op.Add, k); !r.OK {
 					t.Fatalf("add %d under %s: %+v", k, mode, r)
 				}
 			}
@@ -129,7 +130,7 @@ func TestWALFsyncModes(t *testing.T) {
 			_, addr2 := startServer(t, cfg)
 			c2 := dial(t, addr2)
 			for k := int64(0); k < 32; k++ {
-				if r := c2.do(t, wire.Contains, k); !r.OK {
+				if r := c2.do(t, op.Contains, k); !r.OK {
 					t.Fatalf("key %d lost across %s restart", k, mode)
 				}
 			}
@@ -188,7 +189,7 @@ func TestHealthzRecovering(t *testing.T) {
 	})
 	// An accepted connection proves Serve passed recovery.
 	c := dial(t, ln.Addr().String())
-	if r := c.do(t, wire.Add, 1); !r.OK {
+	if r := c.do(t, op.Add, 1); !r.OK {
 		t.Fatalf("add after recovery: %+v", r)
 	}
 	if h := srv.Health(); h.Status == "recovering" || !h.Ready {
@@ -205,13 +206,13 @@ func TestHealthzRecovering(t *testing.T) {
 func TestReplayDeterminism(t *testing.T) {
 	cases := []struct {
 		structure string
-		kinds     []wire.OpKind
+		kinds     []op.Kind
 	}{
-		{server.StructList, []wire.OpKind{wire.Add, wire.Add, wire.Add, wire.Remove, wire.PopMin, wire.PopMax}},
-		{server.StructSkip, []wire.OpKind{wire.Add, wire.Add, wire.Add, wire.Remove, wire.PopMin}},
-		{server.StructHash, []wire.OpKind{wire.Add, wire.Add, wire.Add, wire.Remove}},
-		{server.StructQueue, []wire.OpKind{wire.Enqueue, wire.Enqueue, wire.Dequeue}},
-		{server.StructStack, []wire.OpKind{wire.Push, wire.Push, wire.Pop}},
+		{server.StructList, []op.Kind{op.Add, op.Add, op.Add, op.Remove, op.PopMin, op.PopMax}},
+		{server.StructSkip, []op.Kind{op.Add, op.Add, op.Add, op.Remove, op.PopMin}},
+		{server.StructHash, []op.Kind{op.Add, op.Add, op.Add, op.Remove}},
+		{server.StructQueue, []op.Kind{op.Enqueue, op.Enqueue, op.Dequeue}},
+		{server.StructStack, []op.Kind{op.Push, op.Push, op.Pop}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.structure, func(t *testing.T) {
@@ -226,12 +227,12 @@ func TestReplayDeterminism(t *testing.T) {
 			rng := uint64(42)
 			var id uint64
 			for seq := uint64(1); seq <= 40; seq++ {
-				var ops []wire.Op
+				var ops []op.Op
 				for i := 0; i < 8; i++ {
 					rng = rng*6364136223846793005 + 1442695040888963407
 					id++
 					kind := tc.kinds[rng%uint64(len(tc.kinds))]
-					ops = append(ops, wire.Op{ID: id, Kind: kind, Key: int64((rng >> 33) % 64)})
+					ops = append(ops, op.Op{ID: id, Kind: kind, Key: int64((rng >> 33) % 64)})
 				}
 				if err := l.Append(wal.AppendRecord(nil, 0, seq, ops)); err != nil {
 					t.Fatal(err)
@@ -289,7 +290,7 @@ func TestReplayDeterminism(t *testing.T) {
 func TestWALRefusesLayoutDrift(t *testing.T) {
 	// logOnly writes one record for shard of a server that never took
 	// a snapshot, as a kill -9 leaves it.
-	logOnly := func(shard uint16, ops ...wire.Op) func(t *testing.T, dir string) {
+	logOnly := func(shard uint16, ops ...op.Op) func(t *testing.T, dir string) {
 		return func(t *testing.T, dir string) {
 			l, err := wal.Open(dir, 0, false)
 			if err != nil {
@@ -311,7 +312,7 @@ func TestWALRefusesLayoutDrift(t *testing.T) {
 			srv, addr := startServer(t, cfg)
 			c := dial(t, addr)
 			for _, k := range keys {
-				if r := c.do(t, wire.Add, k); !r.OK {
+				if r := c.do(t, op.Add, k); !r.OK {
 					t.Fatalf("add %d: %+v", k, r)
 				}
 			}
@@ -322,27 +323,27 @@ func TestWALRefusesLayoutDrift(t *testing.T) {
 	hash := func(shards int, keySpace int64) server.Config {
 		return server.Config{Structure: server.StructHash, Shards: shards, KeySpace: keySpace}
 	}
-	add300 := wire.Op{ID: 1, Kind: wire.Add, Key: 300}
+	add300 := op.Op{ID: 1, Kind: op.Add, Key: 300}
 	cases := []struct {
 		name          string
 		write         func(t *testing.T, dir string)
 		written, next server.Config
-		probe         wire.Op // answered OK under the written layout
+		probe         op.Op // answered OK under the written layout
 		wantErr       []string
 	}{
 		{"log shard count", logOnly(0, add300), hash(2, 1024), hash(4, 1024),
-			wire.Op{Kind: wire.Contains, Key: 300}, []string{"shard 0", "key 300", "in shard 1"}},
-		{"log shard index", logOnly(1, wire.Op{ID: 1, Kind: wire.Add, Key: 600}), hash(2, 1024), hash(1, 1024),
-			wire.Op{Kind: wire.Contains, Key: 600}, []string{"record for shard 1", "recovering 1 shards"}},
+			op.Op{Kind: op.Contains, Key: 300}, []string{"shard 0", "key 300", "in shard 1"}},
+		{"log shard index", logOnly(1, op.Op{ID: 1, Kind: op.Add, Key: 600}), hash(2, 1024), hash(1, 1024),
+			op.Op{Kind: op.Contains, Key: 600}, []string{"record for shard 1", "recovering 1 shards"}},
 		{"snapshot shard count", snapshotted(hash(2, 1024), 300), hash(2, 1024), hash(4, 1024),
-			wire.Op{Kind: wire.Contains, Key: 300}, []string{"captures 2 shards", "recovering 4"}},
+			op.Op{Kind: op.Contains, Key: 300}, []string{"captures 2 shards", "recovering 4"}},
 		{"snapshot key space", snapshotted(hash(2, 1024), 300), hash(2, 1024), hash(2, 512),
-			wire.Op{Kind: wire.Contains, Key: 300}, []string{"shard 0", "key 300", "in shard 1"}},
+			op.Op{Kind: op.Contains, Key: 300}, []string{"shard 0", "key 300", "in shard 1"}},
 		{"snapshot key outside key space", snapshotted(hash(1, 1024), 700), hash(1, 1024), hash(1, 512),
-			wire.Op{Kind: wire.Contains, Key: 700}, []string{"shard 0", "key 700", "outside key space 512"}},
-		{"log structure", logOnly(0, wire.Op{ID: 1, Kind: wire.Enqueue, Key: 7}),
+			op.Op{Kind: op.Contains, Key: 700}, []string{"shard 0", "key 700", "outside key space 512"}},
+		{"log structure", logOnly(0, op.Op{ID: 1, Kind: op.Enqueue, Key: 7}),
 			server.Config{Structure: server.StructQueue}, server.Config{Structure: server.StructStack},
-			wire.Op{Kind: wire.Dequeue}, []string{"shard 0", "enqueue"}},
+			op.Op{Kind: op.Dequeue}, []string{"shard 0", "enqueue"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -387,7 +388,7 @@ func TestSnapshotTruncatesLog(t *testing.T) {
 	deadline := time.Now().Add(300 * time.Millisecond)
 	var k int64
 	for time.Now().Before(deadline) {
-		c.do(t, wire.Add, k%(1<<12))
+		c.do(t, op.Add, k%(1<<12))
 		k++
 	}
 	c.nc.Close()
@@ -429,7 +430,7 @@ func TestSnapshotTruncatesLog(t *testing.T) {
 	_, addr2 := startServer(t, cfg)
 	c2 := dial(t, addr2)
 	for _, probe := range []int64{0, 1, int64(want) - 1} {
-		if r := c2.do(t, wire.Contains, probe); !r.OK {
+		if r := c2.do(t, op.Contains, probe); !r.OK {
 			t.Fatalf("key %d lost across snapshotted restart", probe)
 		}
 	}
@@ -542,41 +543,41 @@ func TestCrashRecoveryKill9(t *testing.T) {
 			defer nc.Close()
 			br, bw := bufio.NewReader(nc), bufio.NewWriter(nc)
 			var buf, payload []byte
-			var results []wire.Result
+			var results []op.Result
 			for i := 0; ; i++ {
 				// Unique keys, spread across the key space (odd
 				// multiplier, so the map is a bijection mod 2^20) and
 				// therefore across shards.
 				key := int64(uint64(i*nClients+cc.id) * 7919 % (1 << 20))
-				op := linearize.Op{
-					Client: cc.id, Action: linearize.ActAdd, Input: key, Start: now(),
+				o := linearize.Op{
+					Client: cc.id, Kind: op.Add, Input: key, Start: now(),
 				}
-				buf, err = wire.AppendRequestV2(buf[:0], []wire.Op{{ID: uint64(i + 1), Kind: wire.Add, Key: key}}, wire.TraceContext{})
+				buf, err = wire.AppendRequestV2(buf[:0], []op.Op{{ID: uint64(i + 1), Kind: op.Add, Key: key}}, wire.TraceContext{})
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				if _, err := bw.Write(buf); err != nil {
-					cc.pending = &op
+					cc.pending = &o
 					return
 				}
 				if err := bw.Flush(); err != nil {
-					cc.pending = &op
+					cc.pending = &o
 					return
 				}
 				payload, err = wire.ReadFrame(br, payload[:0])
 				if err != nil {
-					cc.pending = &op
+					cc.pending = &o
 					return
 				}
 				results, err = wire.DecodeResponse(payload, results[:0])
 				if err != nil || len(results) != 1 {
-					cc.pending = &op
+					cc.pending = &o
 					return
 				}
-				op.End = now()
-				op.OK = results[0].OK
-				cc.acked = append(cc.acked, op)
+				o.End = now()
+				o.OK = results[0].OK
+				cc.acked = append(cc.acked, o)
 				ackedTotal.Add(1)
 			}
 		}()
@@ -605,20 +606,20 @@ func TestCrashRecoveryKill9(t *testing.T) {
 	keys := make(map[int64]bool) // key → was acked
 	var history []linearize.Op
 	for _, cc := range clients {
-		for _, op := range cc.acked {
-			if !op.OK {
+		for _, o := range cc.acked {
+			if !o.OK {
 				// Keys are unique per client and attempted once; a failed
 				// add would mean the server invented a duplicate.
-				t.Fatalf("client %d: add(%d) acked with OK=false", cc.id, op.Input)
+				t.Fatalf("client %d: add(%d) acked with OK=false", cc.id, o.Input)
 			}
-			keys[op.Input] = true
-			history = append(history, op)
+			keys[o.Input] = true
+			history = append(history, o)
 		}
 	}
 
 	lost := 0
 	for key, acked := range keys {
-		r := c.do(t, wire.Contains, key)
+		r := c.do(t, op.Contains, key)
 		if acked && !r.OK {
 			lost++
 			if lost <= 10 {
@@ -626,7 +627,7 @@ func TestCrashRecoveryKill9(t *testing.T) {
 			}
 		}
 		history = append(history, linearize.Op{
-			Client: nClients, Action: linearize.ActContains, Input: key,
+			Client: nClients, Kind: op.Contains, Input: key,
 			Start: now(), End: now() + 1, OK: r.OK,
 		})
 	}
@@ -642,12 +643,12 @@ func TestCrashRecoveryKill9(t *testing.T) {
 		if cc.pending == nil {
 			continue
 		}
-		r := c.do(t, wire.Contains, cc.pending.Input)
+		r := c.do(t, op.Contains, cc.pending.Input)
 		if r.OK {
-			op := *cc.pending
-			op.End = now()
-			op.OK = true
-			history = append(history, op)
+			o := *cc.pending
+			o.End = now()
+			o.OK = true
+			history = append(history, o)
 		}
 	}
 

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"testing"
 
-	"pimds/internal/wire"
+	"pimds/internal/op"
 )
 
 // FuzzDecodeRecord drives the WAL record decoder with arbitrary bytes,
@@ -17,9 +17,9 @@ import (
 // and a CRC-corrupt record.
 func FuzzDecodeRecord(f *testing.F) {
 	// A healthy two-op record.
-	good := AppendRecord(nil, 1, 7, []wire.Op{
-		{ID: 1, Kind: wire.Add, Key: 42},
-		{ID: 2, Kind: wire.Remove, Key: 9},
+	good := AppendRecord(nil, 1, 7, []op.Op{
+		{ID: 1, Kind: op.Add, Key: 42},
+		{ID: 2, Kind: op.Remove, Key: 9},
 	})
 	f.Add(good)
 	// Truncated tail: the crash cut the record mid-payload.
@@ -32,7 +32,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(good[:recHeaderSize])
 
-	var arena []wire.Op
+	var arena []op.Op
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, n, err := DecodeRecord(data, arena[:0])
 		if err != nil {

@@ -9,7 +9,7 @@ import (
 	"path/filepath"
 	"slices"
 
-	"pimds/internal/wire"
+	"pimds/internal/op"
 )
 
 // Recover rebuilds nshards shards from dir and returns the segment to
@@ -99,7 +99,7 @@ func replay(dir string, from uint64, fn func(Record) error) (replayResult, error
 		return replayResult{}, err
 	}
 	res := replayResult{NextSeg: from}
-	var arena []wire.Op
+	var arena []op.Op
 	recBuf := make([]byte, recHeaderSize+MaxRecordPayload)
 	for si, seg := range segs {
 		if seg < from {
@@ -135,7 +135,7 @@ func replay(dir string, from uint64, fn func(Record) error) (replayResult, error
 // with a nil error means the segment turned torn or corrupt at offset
 // good and the caller should truncate there. recBuf must hold a
 // maximum-size record; arena is the op arena reused across records.
-func replaySegment(path string, recBuf []byte, arena *[]wire.Op, res *replayResult, fn func(Record) error) (good int64, ok bool, err error) {
+func replaySegment(path string, recBuf []byte, arena *[]op.Op, res *replayResult, fn func(Record) error) (good int64, ok bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, false, err

@@ -10,7 +10,7 @@ import (
 	"strings"
 	"testing"
 
-	"pimds/internal/wire"
+	"pimds/internal/op"
 )
 
 // setModel is a per-shard sorted key set: enough of a backend to
@@ -24,12 +24,12 @@ func (m setModel) restore(shard int, state []int64) error {
 
 func (m setModel) apply(rec Record) error {
 	keys := m[rec.Shard]
-	for _, op := range rec.Ops {
-		i, found := slices.BinarySearch(keys, op.Key)
+	for _, o := range rec.Ops {
+		i, found := slices.BinarySearch(keys, o.Key)
 		switch {
-		case op.Kind == wire.Add && !found:
-			keys = slices.Insert(keys, i, op.Key)
-		case op.Kind == wire.Remove && found:
+		case o.Kind == op.Add && !found:
+			keys = slices.Insert(keys, i, o.Key)
+		case o.Kind == op.Remove && found:
 			keys = slices.Delete(keys, i, i+1)
 		}
 	}

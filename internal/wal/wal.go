@@ -43,6 +43,7 @@ import (
 	"path/filepath"
 	"slices"
 
+	"pimds/internal/op"
 	"pimds/internal/wire"
 )
 
@@ -112,11 +113,11 @@ func FinishRecord(buf []byte, count int) []byte {
 // convenience form of BeginRecord + AppendOp× + FinishRecord that
 // tests and tools use; the staging halves exist for the server, which
 // fills the record incrementally inside the combining window.
-func AppendRecord(buf []byte, shard uint16, seq uint64, ops []wire.Op) []byte {
+func AppendRecord(buf []byte, shard uint16, seq uint64, ops []op.Op) []byte {
 	start := len(buf)
 	buf = BeginRecord(buf, shard, seq)
-	for _, op := range ops {
-		buf = wire.AppendOp(buf, op)
+	for _, o := range ops {
+		buf = wire.AppendOp(buf, o)
 	}
 	sealed := FinishRecord(buf[start:], len(ops))
 	return buf[:start+len(sealed)]
@@ -128,7 +129,7 @@ type Record struct {
 	Seq   uint64
 	// Ops aliases the arena passed to DecodeRecord; reuse it via
 	// rec.Ops[:0] on the next call.
-	Ops []wire.Op
+	Ops []op.Op
 }
 
 // DecodeRecord decodes one record from the front of b, appending its
@@ -136,7 +137,7 @@ type Record struct {
 // returns the record, the total bytes consumed, and an error: ErrTorn
 // when b ends before the record does, ErrCorrupt when a complete
 // record fails its CRC or declares an impossible shape.
-func DecodeRecord(b []byte, dst []wire.Op) (Record, int, error) {
+func DecodeRecord(b []byte, dst []op.Op) (Record, int, error) {
 	if len(b) < recHeaderSize {
 		return Record{}, 0, ErrTorn
 	}
@@ -163,13 +164,13 @@ func DecodeRecord(b []byte, dst []wire.Op) (Record, int, error) {
 	body := payload[payloadHead:]
 	start := len(dst)
 	for i := 0; i < count; i++ {
-		op, err := wire.DecodeOp(body[i*wire.OpRecordSize:])
-		if err != nil || !op.Kind.Mutating() {
+		o, err := wire.DecodeOp(body[i*wire.OpRecordSize:])
+		if err != nil || !o.Kind.Mutating() {
 			// The CRC passed but the op is not one a WAL writer would
 			// ever log: the record was produced by a broken encoder.
 			return Record{}, 0, ErrCorrupt
 		}
-		dst = append(dst, op)
+		dst = append(dst, o)
 	}
 	rec.Ops = dst[start:]
 	return rec, recHeaderSize + n, nil

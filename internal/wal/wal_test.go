@@ -7,23 +7,24 @@ import (
 	"path/filepath"
 	"testing"
 
+	"pimds/internal/op"
 	"pimds/internal/wire"
 )
 
-func mkOps(n int) []wire.Op {
-	ops := make([]wire.Op, n)
+func mkOps(n int) []op.Op {
+	ops := make([]op.Op, n)
 	for i := range ops {
-		ops[i] = wire.Op{ID: uint64(i + 1), Kind: wire.Add, Key: int64(100 + i)}
+		ops[i] = op.Op{ID: uint64(i + 1), Kind: op.Add, Key: int64(100 + i)}
 	}
 	return ops
 }
 
 func TestRecordRoundTrip(t *testing.T) {
-	ops := []wire.Op{
-		{ID: 1, Kind: wire.Add, Key: 42},
-		{ID: 2, Kind: wire.Remove, Key: -7},
-		{ID: 3, Kind: wire.Enqueue, Key: 1 << 40},
-		{ID: 4, Kind: wire.PopMax, Key: 0},
+	ops := []op.Op{
+		{ID: 1, Kind: op.Add, Key: 42},
+		{ID: 2, Kind: op.Remove, Key: -7},
+		{ID: 3, Kind: op.Enqueue, Key: 1 << 40},
+		{ID: 4, Kind: op.PopMax, Key: 0},
 	}
 	buf := AppendRecord(nil, 3, 17, ops)
 	rec, n, err := DecodeRecord(buf, nil)
@@ -55,8 +56,8 @@ func TestStagingMatchesAppendRecord(t *testing.T) {
 	ops := mkOps(9)
 	whole := AppendRecord(nil, 1, 5, ops)
 	staged := BeginRecord(make([]byte, 0, RecordCap(16)), 1, 5)
-	for _, op := range ops {
-		staged = wire.AppendOp(staged, op)
+	for _, o := range ops {
+		staged = wire.AppendOp(staged, o)
 	}
 	staged = FinishRecord(staged, len(ops))
 	if !bytes.Equal(whole, staged) {
@@ -104,7 +105,7 @@ func TestDecodeTornAndCorrupt(t *testing.T) {
 // read-only kind was produced by a broken writer; recovery must not
 // trust it.
 func TestDecodeRejectsNonMutatingOps(t *testing.T) {
-	buf := AppendRecord(nil, 0, 1, []wire.Op{{ID: 1, Kind: wire.Contains, Key: 9}})
+	buf := AppendRecord(nil, 0, 1, []op.Op{{ID: 1, Kind: op.Contains, Key: 9}})
 	if _, _, err := DecodeRecord(buf, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("read-only op in record: err = %v, want ErrCorrupt", err)
 	}

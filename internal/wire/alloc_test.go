@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"pimds/internal/op"
 	"pimds/internal/testenv"
 	"pimds/internal/wire"
 )
@@ -21,18 +22,18 @@ func skipIfRace(t *testing.T) {
 	}
 }
 
-func benchOps(n int) []wire.Op {
-	ops := make([]wire.Op, n)
+func benchOps(n int) []op.Op {
+	ops := make([]op.Op, n)
 	for i := range ops {
-		ops[i] = wire.Op{ID: uint64(i), Kind: wire.Add, Key: int64(i * 3)}
+		ops[i] = op.Op{ID: uint64(i), Kind: op.Add, Key: int64(i * 3)}
 	}
 	return ops
 }
 
-func benchResults(n int) []wire.Result {
-	results := make([]wire.Result, n)
+func benchResults(n int) []op.Result {
+	results := make([]op.Result, n)
 	for i := range results {
-		results[i] = wire.Result{ID: uint64(i), Status: wire.StatusOK, OK: i%2 == 0, Value: int64(i)}
+		results[i] = op.Result{ID: uint64(i), Status: op.StatusOK, OK: i%2 == 0, Value: int64(i)}
 	}
 	return results
 }
@@ -41,7 +42,7 @@ func TestRequestRoundTripAllocs(t *testing.T) {
 	skipIfRace(t)
 	ops := benchOps(64)
 	buf := make([]byte, 0, 1<<14)
-	dst := make([]wire.Op, 0, 64)
+	dst := make([]op.Op, 0, 64)
 	var err error
 	allocs := testenv.Allocs(200, func() {
 		buf, err = wire.AppendRequestV2(buf[:0], ops, wire.TraceContext{})
@@ -62,7 +63,7 @@ func TestResponseRoundTripAllocs(t *testing.T) {
 	skipIfRace(t)
 	results := benchResults(64)
 	buf := make([]byte, 0, 1<<14)
-	dst := make([]wire.Result, 0, 64)
+	dst := make([]op.Result, 0, 64)
 	var err error
 	allocs := testenv.Allocs(200, func() {
 		buf, err = wire.AppendResponse(buf[:0], results)
@@ -84,14 +85,14 @@ func TestRequestV2RoundTripAllocs(t *testing.T) {
 	ops := benchOps(64)
 	for i := range ops {
 		if i%4 == 0 {
-			ops[i].Kind = wire.RangeScan
+			ops[i].Kind = op.RangeScan
 			ops[i].Hi = ops[i].Key + 100
 			ops[i].Limit = 16
 		}
 	}
 	tc := wire.TraceContext{TraceID: 0xfeed, Sampled: true}
 	buf := make([]byte, 0, 1<<14)
-	dst := make([]wire.Op, 0, 64)
+	dst := make([]op.Op, 0, 64)
 	var err error
 	allocs := testenv.Allocs(200, func() {
 		buf, err = wire.AppendRequestV2(buf[:0], ops, tc)
@@ -121,7 +122,7 @@ func TestResponseVarRoundTripAllocs(t *testing.T) {
 		}
 	}
 	buf := make([]byte, 0, 1<<14)
-	dst := make([]wire.Result, 0, 64)
+	dst := make([]op.Result, 0, 64)
 	arena := make([]int64, 0, 1024)
 	var err error
 	allocs := testenv.Allocs(200, func() {
@@ -190,16 +191,16 @@ func TestAppendResponsesAllocs(t *testing.T) {
 // with and replays from: AppendOp into a warm buffer and DecodeOp back.
 func TestOpRecordRoundTripAllocs(t *testing.T) {
 	skipIfRace(t)
-	op := wire.Op{ID: 7, Kind: wire.RangeScan, Key: 10, Hi: 90, Limit: 16}
+	o := op.Op{ID: 7, Kind: op.RangeScan, Key: 10, Hi: 90, Limit: 16}
 	buf := make([]byte, 0, wire.OpRecordSize)
-	var got wire.Op
+	var got op.Op
 	var err error
 	allocs := testenv.Allocs(200, func() {
-		buf = wire.AppendOp(buf[:0], op)
+		buf = wire.AppendOp(buf[:0], o)
 		got, err = wire.DecodeOp(buf)
 	})
-	if err != nil || got != op {
-		t.Fatalf("round trip: got %+v, err %v; want %+v", got, err, op)
+	if err != nil || got != o {
+		t.Fatalf("round trip: got %+v, err %v; want %+v", got, err, o)
 	}
 	if allocs != 0 {
 		t.Errorf("AppendOp+DecodeOp: %d allocs, want 0", allocs)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"testing"
+
+	"pimds/internal/op"
 )
 
 // FuzzDecodeFrame feeds arbitrary byte streams through the full read
@@ -13,19 +15,19 @@ import (
 // well-formed frames of the retired request encodings (type bytes 1
 // and 3), which must now be rejected.
 func FuzzDecodeFrame(f *testing.F) {
-	seed1 := retiredRequest(1, []Op{{ID: 1, Kind: Add, Key: 7}, {ID: 2, Kind: Remove, Key: -7}})
-	seed2, _ := AppendResponse(nil, []Result{{ID: 3, Status: StatusOK, OK: true, Value: 9}})
+	seed1 := retiredRequest(1, []op.Op{{ID: 1, Kind: op.Add, Key: 7}, {ID: 2, Kind: op.Remove, Key: -7}})
+	seed2, _ := AppendResponse(nil, []op.Result{{ID: 3, Status: op.StatusOK, OK: true, Value: 9}})
 	seed3 := retiredRequest(1, nil)
-	seed4 := retiredRequest(3, []Op{{ID: 4, Kind: Contains, Key: 11}})
+	seed4 := retiredRequest(3, []op.Op{{ID: 4, Kind: op.Contains, Key: 11}})
 	seed5 := retiredRequest(3, nil)
-	seed6, _ := AppendRequestV2(nil, []Op{
-		{ID: 5, Kind: RangeScan, Key: 3, Hi: 900, Limit: 32},
-		{ID: 6, Kind: PopMin},
+	seed6, _ := AppendRequestV2(nil, []op.Op{
+		{ID: 5, Kind: op.RangeScan, Key: 3, Hi: 900, Limit: 32},
+		{ID: 6, Kind: op.PopMin},
 	}, TraceContext{})
-	seed7, _ := AppendRequestV2(nil, []Op{{ID: 7, Kind: Succ, Key: -1}}, TraceContext{TraceID: 0xabc, Sampled: true})
-	seed8, _ := AppendResponseVar(nil, []Result{
-		{ID: 8, Status: StatusOK, OK: true, Value: 40, Values: []int64{12, 17, 39}},
-		{ID: 9, Status: StatusOK, OK: false, Value: 0},
+	seed7, _ := AppendRequestV2(nil, []op.Op{{ID: 7, Kind: op.Succ, Key: -1}}, TraceContext{TraceID: 0xabc, Sampled: true})
+	seed8, _ := AppendResponseVar(nil, []op.Result{
+		{ID: 8, Status: op.StatusOK, OK: true, Value: 40, Values: []int64{12, 17, 39}},
+		{ID: 9, Status: op.StatusOK, OK: false, Value: 0},
 	})
 	seed9, _ := AppendResponseVar(nil, nil)
 	f.Add(seed1)
@@ -91,9 +93,9 @@ func FuzzRequestRoundTrip(f *testing.F) {
 	f.Add(uint64(0), uint8(255), int64(0), uint64(1<<63), uint8(6), int64(1<<62))
 
 	f.Fuzz(func(t *testing.T, id1 uint64, k1 uint8, key1 int64, id2 uint64, k2 uint8, key2 int64) {
-		ops := []Op{
-			{ID: id1, Kind: OpKind(k1), Key: key1},
-			{ID: id2, Kind: OpKind(k2), Key: key2},
+		ops := []op.Op{
+			{ID: id1, Kind: op.Kind(k1), Key: key1},
+			{ID: id2, Kind: op.Kind(k2), Key: key2},
 		}
 		buf, err := AppendRequestV2(nil, ops, TraceContext{})
 		if err != nil {

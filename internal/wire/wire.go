@@ -40,127 +40,27 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"pimds/internal/op"
 )
 
-// OpKind is the operation selector carried on the wire. The set kinds
-// (Contains/Add/Remove) drive the list, skip and hash structures; the
-// queue and stack kinds drive their respective structures; the ordered
-// kinds (RangeScan/Pred/Succ/PopMin/PopMax) drive structures that keep
-// their keys sorted (list, skip).
-type OpKind uint8
+// Names kept for bench/, which is frozen until ROADMAP item 7's
+// [benchmark] PR; everything else names them through package op.
+type (
+	Op     = op.Op     // kept for bench/
+	OpKind = op.Kind   // kept for bench/
+	Result = op.Result // kept for bench/
+)
 
-// Wire operation kinds.
+// Kinds and statuses kept for bench/ (see above).
 const (
-	Contains OpKind = iota
-	Add
-	Remove
-	Enqueue
-	Dequeue
-	Push
-	Pop
-
-	// RangeScan returns up to Limit keys in the half-open interval
-	// [Key, Hi), in ascending order. The result's Value is the resume
-	// cursor: the scan is complete when cursor ≥ Hi, otherwise the
-	// client paginates by re-issuing with Key = cursor. On a
-	// range-partitioned server a single scan never crosses a shard
-	// boundary — Hi is clamped to the owning shard's upper bound and
-	// the cursor walks the client into the next shard naturally.
-	RangeScan
-	// Pred returns the largest key strictly less than Key (OK=false
-	// when none exists).
-	Pred
-	// Succ returns the smallest key strictly greater than Key
-	// (OK=false when none exists).
-	Succ
-	// PopMin removes and returns the smallest key (OK=false on empty).
-	PopMin
-	// PopMax removes and returns the largest key (OK=false on empty).
-	PopMax
-
-	numKinds // sentinel, not a valid kind
+	Contains     = op.Contains
+	Add          = op.Add
+	Remove       = op.Remove
+	RangeScan    = op.RangeScan
+	StatusOK     = op.StatusOK
+	StatusBadKey = op.StatusBadKey
 )
-
-// NumKinds is the number of defined operation kinds; capability tables
-// index by kind.
-const NumKinds = int(numKinds)
-
-// Valid reports whether k is a defined operation kind.
-func (k OpKind) Valid() bool { return k < numKinds }
-
-// Ordered reports whether k is an ordered-structure operation: one
-// served only by structures that keep their keys sorted.
-func (k OpKind) Ordered() bool { return k >= RangeScan && k < numKinds }
-
-// Mutating reports whether k can change structure state. Only mutating
-// ops need to reach a write-ahead log: Contains/RangeScan/Pred/Succ
-// leave the structure untouched, and the conditional mutators (a failed
-// Add, a Pop on empty) replay as deterministic no-ops.
-func (k OpKind) Mutating() bool {
-	switch k {
-	case Add, Remove, Enqueue, Dequeue, Push, Pop, PopMin, PopMax:
-		return true
-	}
-	return false
-}
-
-// String names the kind.
-func (k OpKind) String() string {
-	switch k {
-	case Contains:
-		return "contains"
-	case Add:
-		return "add"
-	case Remove:
-		return "remove"
-	case Enqueue:
-		return "enqueue"
-	case Dequeue:
-		return "dequeue"
-	case Push:
-		return "push"
-	case Pop:
-		return "pop"
-	case RangeScan:
-		return "scan"
-	case Pred:
-		return "pred"
-	case Succ:
-		return "succ"
-	case PopMin:
-		return "popmin"
-	case PopMax:
-		return "popmax"
-	}
-	return fmt.Sprintf("OpKind(%d)", uint8(k))
-}
-
-// Status is the per-operation result code.
-type Status uint8
-
-// Response status codes.
-const (
-	// StatusOK: the operation executed; OK/Value carry its result.
-	StatusOK Status = iota
-	// StatusBadKind: the kind is undefined or not supported by the
-	// structure the server is serving (e.g. Push to a queue server).
-	StatusBadKind
-	// StatusBadKey: the key is outside the server's key space.
-	StatusBadKey
-)
-
-// String names the status.
-func (s Status) String() string {
-	switch s {
-	case StatusOK:
-		return "ok"
-	case StatusBadKind:
-		return "bad-kind"
-	case StatusBadKey:
-		return "bad-key"
-	}
-	return fmt.Sprintf("Status(%d)", uint8(s))
-}
 
 // Frame types. Values 1 and 3 named two retired request encodings and
 // decode as ErrMalformed.
@@ -199,33 +99,6 @@ func (tc TraceContext) flags() byte {
 		return 1
 	}
 	return 0
-}
-
-// Op is one client operation. For Enqueue/Push, Key is the value; for
-// Dequeue/Pop it is ignored. For RangeScan, Key is the inclusive lower
-// bound, Hi the exclusive upper bound, and Limit caps the result
-// cardinality (0 = server default); every other kind leaves Hi and
-// Limit zero.
-type Op struct {
-	ID    uint64
-	Kind  OpKind
-	Key   int64
-	Hi    int64
-	Limit uint16
-}
-
-// Result is one operation outcome. OK is the structure's boolean
-// answer (present / was-absent / pop-nonempty …); Value carries the
-// dequeued or popped value when applicable — for RangeScan it is the
-// pagination cursor. Values carries a scan's keys; a non-nil Values
-// (even empty) routes the result through FrameResponseVar, and the
-// fixed-size encoder rejects it.
-type Result struct {
-	ID     uint64
-	Status Status
-	OK     bool
-	Value  int64
-	Values []int64
 }
 
 // Record and frame size constants.
@@ -268,7 +141,7 @@ const (
 // MaxPayload budget.
 //
 //pimvet:nopark
-func VarResultSize(r Result) int { return varBaseSize + 8*len(r.Values) }
+func VarResultSize(r op.Result) int { return varBaseSize + 8*len(r.Values) }
 
 // Protocol errors.
 var (
@@ -318,12 +191,12 @@ var (
 // Zero-alloc when buf has capacity.
 //
 //pimvet:nopark
-func AppendOp(buf []byte, op Op) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, op.ID)
-	buf = append(buf, byte(op.Kind))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(op.Key))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(op.Hi))
-	buf = binary.LittleEndian.AppendUint16(buf, op.Limit)
+func AppendOp(buf []byte, o op.Op) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, o.ID)
+	buf = append(buf, byte(o.Kind))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(o.Key))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(o.Hi))
+	buf = binary.LittleEndian.AppendUint16(buf, o.Limit)
 	return buf
 }
 
@@ -332,21 +205,21 @@ func AppendOp(buf []byte, op Op) []byte {
 // record re-encodes byte-identically. Zero-alloc.
 //
 //pimvet:nopark
-func DecodeOp(b []byte) (Op, error) {
+func DecodeOp(b []byte) (op.Op, error) {
 	if len(b) < OpRecordSize {
-		return Op{}, errOpTruncated
+		return op.Op{}, errOpTruncated
 	}
-	op := Op{
+	o := op.Op{
 		ID:    binary.LittleEndian.Uint64(b),
-		Kind:  OpKind(b[8]),
+		Kind:  op.Kind(b[8]),
 		Key:   int64(binary.LittleEndian.Uint64(b[9:])),
 		Hi:    int64(binary.LittleEndian.Uint64(b[17:])),
 		Limit: binary.LittleEndian.Uint16(b[25:]),
 	}
-	if !op.Kind.Valid() {
-		return Op{}, errBadOpKind
+	if !o.Kind.Valid() {
+		return op.Op{}, errBadOpKind
 	}
-	return op, nil
+	return o, nil
 }
 
 // AppendRequestV2 appends one request frame carrying ops and the
@@ -357,7 +230,7 @@ func DecodeOp(b []byte) (Op, error) {
 // capacity: clients reuse one buffer per connection.
 //
 //pimvet:nopark
-func AppendRequestV2(buf []byte, ops []Op, tc TraceContext) ([]byte, error) {
+func AppendRequestV2(buf []byte, ops []op.Op, tc TraceContext) ([]byte, error) {
 	if len(ops) > MaxOpsPerFrame {
 		return buf, ErrTooManyOps
 	}
@@ -368,8 +241,8 @@ func AppendRequestV2(buf []byte, ops []Op, tc TraceContext) ([]byte, error) {
 	buf = appendFrameHeader(buf, payload, FrameRequestV2, len(ops))
 	buf = binary.LittleEndian.AppendUint64(buf, tc.TraceID)
 	buf = append(buf, tc.flags())
-	for _, op := range ops {
-		buf = AppendOp(buf, op)
+	for _, o := range ops {
+		buf = AppendOp(buf, o)
 	}
 	return buf, nil
 }
@@ -379,7 +252,7 @@ func AppendRequestV2(buf []byte, ops []Op, tc TraceContext) ([]byte, error) {
 // server's writer goroutines reuse one buffer per connection.
 //
 //pimvet:nopark
-func AppendResponse(buf []byte, results []Result) ([]byte, error) {
+func AppendResponse(buf []byte, results []op.Result) ([]byte, error) {
 	if len(results) > MaxOpsPerFrame {
 		return buf, ErrTooManyOps
 	}
@@ -410,7 +283,7 @@ func AppendResponse(buf []byte, results []Result) ([]byte, error) {
 // VarResultSize. Zero-alloc when buf has capacity.
 //
 //pimvet:nopark
-func AppendResponseVar(buf []byte, results []Result) ([]byte, error) {
+func AppendResponseVar(buf []byte, results []op.Result) ([]byte, error) {
 	if len(results) > MaxOpsPerFrame {
 		return buf, ErrTooManyOps
 	}
@@ -451,7 +324,7 @@ func AppendResponseVar(buf []byte, results []Result) ([]byte, error) {
 // capacity.
 //
 //pimvet:nopark
-func AppendResponses(buf []byte, results []Result) ([]byte, int, error) {
+func AppendResponses(buf []byte, results []op.Result) ([]byte, int, error) {
 	frames := 0
 	for len(results) > 0 {
 		max := len(results)
@@ -562,7 +435,7 @@ func unexpectedEOF(err error) error {
 // fast path.
 //
 //pimvet:nopark
-func DecodeRequestAny(payload []byte, dst []Op) ([]Op, TraceContext, error) {
+func DecodeRequestAny(payload []byte, dst []op.Op) ([]op.Op, TraceContext, error) {
 	body, count, err := checkHeader(payload, FrameRequestV2, OpRecordSize, traceSize)
 	if err != nil {
 		return dst, TraceContext{}, err
@@ -581,9 +454,9 @@ func DecodeRequestAny(payload []byte, dst []Op) ([]Op, TraceContext, error) {
 	body = body[traceSize:]
 	for i := 0; i < count; i++ {
 		rec := body[i*OpRecordSize:]
-		dst = append(dst, Op{
+		dst = append(dst, op.Op{
 			ID:    binary.LittleEndian.Uint64(rec),
-			Kind:  OpKind(rec[8]),
+			Kind:  op.Kind(rec[8]),
 			Key:   int64(binary.LittleEndian.Uint64(rec[9:])),
 			Hi:    int64(binary.LittleEndian.Uint64(rec[17:])),
 			Limit: binary.LittleEndian.Uint16(rec[25:]),
@@ -599,22 +472,22 @@ func DecodeRequestAny(payload []byte, dst []Op) ([]Op, TraceContext, error) {
 // dst has capacity: this is the client reader's per-frame fast path.
 //
 //pimvet:nopark
-func DecodeResponse(payload []byte, dst []Result) ([]Result, error) {
+func DecodeResponse(payload []byte, dst []op.Result) ([]op.Result, error) {
 	body, count, err := checkHeader(payload, FrameResponse, resultSize, 0)
 	if err != nil {
 		return dst, err
 	}
 	for i := 0; i < count; i++ {
 		rec := body[i*resultSize:]
-		if rec[8] > uint8(StatusBadKey) {
+		if rec[8] > uint8(op.StatusBadKey) {
 			return dst, errBadStatus
 		}
 		if rec[9] > 1 {
 			return dst, errBadOKByte
 		}
-		dst = append(dst, Result{
+		dst = append(dst, op.Result{
 			ID:     binary.LittleEndian.Uint64(rec),
-			Status: Status(rec[8]),
+			Status: op.Status(rec[8]),
 			OK:     rec[9] == 1,
 			Value:  int64(binary.LittleEndian.Uint64(rec[10:])),
 		})
@@ -633,7 +506,7 @@ func DecodeResponse(payload []byte, dst []Result) ([]Result, error) {
 // Zero-alloc when dst and vals have capacity.
 //
 //pimvet:nopark
-func DecodeResponseAny(payload []byte, dst []Result, vals []int64) ([]Result, []int64, error) {
+func DecodeResponseAny(payload []byte, dst []op.Result, vals []int64) ([]op.Result, []int64, error) {
 	if len(payload) >= 1 && payload[0] == FrameResponse {
 		dst, err := DecodeResponse(payload, dst)
 		return dst, vals, err
@@ -658,7 +531,7 @@ func DecodeResponseAny(payload []byte, dst []Result, vals []int64) ([]Result, []
 			return dst, vals, errVarTruncated
 		}
 		rec := body[off:]
-		if rec[8] > uint8(StatusBadKey) {
+		if rec[8] > uint8(op.StatusBadKey) {
 			return dst, vals, errBadStatus
 		}
 		if rec[9] > 1 {
@@ -689,9 +562,9 @@ func DecodeResponseAny(payload []byte, dst []Result, vals []int64) ([]Result, []
 		for j := 0; j < n; j++ {
 			vals = append(vals, int64(binary.LittleEndian.Uint64(rec[varBaseSize+8*j:])))
 		}
-		dst = append(dst, Result{
+		dst = append(dst, op.Result{
 			ID:     binary.LittleEndian.Uint64(rec),
-			Status: Status(rec[8]),
+			Status: op.Status(rec[8]),
 			OK:     rec[9] == 1,
 			Value:  int64(binary.LittleEndian.Uint64(rec[10:])),
 			Values: vals[start:len(vals):len(vals)],

@@ -7,14 +7,16 @@ import (
 	"io"
 	"math"
 	"testing"
+
+	"pimds/internal/op"
 )
 
 func TestRequestRoundTrip(t *testing.T) {
-	ops := []Op{
-		{ID: 0, Kind: Contains, Key: 0},
-		{ID: 1, Kind: Add, Key: -5},
-		{ID: math.MaxUint64, Kind: Pop, Key: math.MaxInt64},
-		{ID: 42, Kind: Enqueue, Key: math.MinInt64},
+	ops := []op.Op{
+		{ID: 0, Kind: op.Contains, Key: 0},
+		{ID: 1, Kind: op.Add, Key: -5},
+		{ID: math.MaxUint64, Kind: op.Pop, Key: math.MaxInt64},
+		{ID: 42, Kind: op.Enqueue, Key: math.MinInt64},
 	}
 	buf, err := AppendRequestV2(nil, ops, TraceContext{})
 	if err != nil {
@@ -42,10 +44,10 @@ func TestRequestRoundTrip(t *testing.T) {
 }
 
 func TestResponseRoundTrip(t *testing.T) {
-	results := []Result{
-		{ID: 7, Status: StatusOK, OK: true, Value: 99},
-		{ID: 8, Status: StatusBadKind, OK: false, Value: 0},
-		{ID: 9, Status: StatusBadKey, OK: false, Value: -1},
+	results := []op.Result{
+		{ID: 7, Status: op.StatusOK, OK: true, Value: 99},
+		{ID: 8, Status: op.StatusBadKind, OK: false, Value: 0},
+		{ID: 9, Status: op.StatusBadKey, OK: false, Value: -1},
 	}
 	buf, err := AppendResponse(nil, results)
 	if err != nil {
@@ -72,7 +74,7 @@ func TestResponseRoundTrip(t *testing.T) {
 // resultEq compares results field-wise; Result carries a slice and is
 // no longer ==-comparable. A nil Values equals an empty one — the wire
 // does not distinguish them.
-func resultEq(a, b Result) bool {
+func resultEq(a, b op.Result) bool {
 	if a.ID != b.ID || a.Status != b.Status || a.OK != b.OK || a.Value != b.Value {
 		return false
 	}
@@ -88,12 +90,12 @@ func resultEq(a, b Result) bool {
 }
 
 func TestRequestV2RoundTrip(t *testing.T) {
-	ops := []Op{
-		{ID: 1, Kind: RangeScan, Key: 10, Hi: 500, Limit: 16},
-		{ID: 2, Kind: Contains, Key: -4},
-		{ID: 3, Kind: PopMin},
-		{ID: 4, Kind: Pred, Key: math.MaxInt64},
-		{ID: 5, Kind: RangeScan, Key: math.MinInt64, Hi: math.MaxInt64, Limit: math.MaxUint16},
+	ops := []op.Op{
+		{ID: 1, Kind: op.RangeScan, Key: 10, Hi: 500, Limit: 16},
+		{ID: 2, Kind: op.Contains, Key: -4},
+		{ID: 3, Kind: op.PopMin},
+		{ID: 4, Kind: op.Pred, Key: math.MaxInt64},
+		{ID: 5, Kind: op.RangeScan, Key: math.MinInt64, Hi: math.MaxInt64, Limit: math.MaxUint16},
 	}
 	for _, tc := range []TraceContext{
 		{},
@@ -136,7 +138,7 @@ func TestRequestV2RoundTrip(t *testing.T) {
 }
 
 func TestFixedEncodersRejectOrderedFields(t *testing.T) {
-	if _, err := AppendResponse(nil, []Result{{ID: 1, Values: []int64{}}}); !errors.Is(err, ErrNeedsVar) {
+	if _, err := AppendResponse(nil, []op.Result{{ID: 1, Values: []int64{}}}); !errors.Is(err, ErrNeedsVar) {
 		t.Errorf("AppendResponse with Values: got %v, want ErrNeedsVar", err)
 	}
 }
@@ -171,12 +173,12 @@ func TestRequestV2CanonicalTraceSlot(t *testing.T) {
 }
 
 func TestResponseVarRoundTrip(t *testing.T) {
-	results := []Result{
-		{ID: 1, Status: StatusOK, OK: true, Value: 640, Values: []int64{10, 20, 630}},
-		{ID: 2, Status: StatusOK, OK: true, Value: 5},
-		{ID: 3, Status: StatusOK, OK: true, Value: 9, Values: []int64{}},
-		{ID: 4, Status: StatusBadKind},
-		{ID: 5, Status: StatusOK, OK: false, Value: math.MinInt64, Values: []int64{math.MaxInt64, math.MinInt64}},
+	results := []op.Result{
+		{ID: 1, Status: op.StatusOK, OK: true, Value: 640, Values: []int64{10, 20, 630}},
+		{ID: 2, Status: op.StatusOK, OK: true, Value: 5},
+		{ID: 3, Status: op.StatusOK, OK: true, Value: 9, Values: []int64{}},
+		{ID: 4, Status: op.StatusBadKind},
+		{ID: 5, Status: op.StatusOK, OK: false, Value: math.MinInt64, Values: []int64{math.MaxInt64, math.MinInt64}},
 	}
 	buf, err := AppendResponseVar(nil, results)
 	if err != nil {
@@ -209,7 +211,7 @@ func TestResponseVarRoundTrip(t *testing.T) {
 }
 
 func TestDecodeResponseAnyAcceptsFixedFrames(t *testing.T) {
-	buf, err := AppendResponse(nil, []Result{{ID: 6, Status: StatusOK, OK: true, Value: 1}})
+	buf, err := AppendResponse(nil, []op.Result{{ID: 6, Status: op.StatusOK, OK: true, Value: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,9 +232,9 @@ func TestDecodeResponseAnyAcceptsFixedFrames(t *testing.T) {
 }
 
 func TestDecodeResponseVarRejectsMalformed(t *testing.T) {
-	buf, err := AppendResponseVar(nil, []Result{
-		{ID: 1, Status: StatusOK, OK: true, Value: 3, Values: []int64{1, 2}},
-		{ID: 2, Status: StatusOK, OK: true, Value: 0, Values: []int64{}},
+	buf, err := AppendResponseVar(nil, []op.Result{
+		{ID: 1, Status: op.StatusOK, OK: true, Value: 3, Values: []int64{1, 2}},
+		{ID: 2, Status: op.StatusOK, OK: true, Value: 0, Values: []int64{}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -273,14 +275,14 @@ func TestDecodeResponseVarRejectsMalformed(t *testing.T) {
 
 func TestAppendResponseVarLimits(t *testing.T) {
 	// One record with more values than the uint16 prefix can hold.
-	big := []Result{{ID: 1, Values: make([]int64, 1<<16)}}
+	big := []op.Result{{ID: 1, Values: make([]int64, 1<<16)}}
 	if _, err := AppendResponseVar(nil, big); !errors.Is(err, ErrTooManyValues) {
 		t.Fatalf("got %v, want ErrTooManyValues", err)
 	}
 	// A batch whose encoding exceeds MaxPayload is refused whole.
-	results := make([]Result, MaxOpsPerFrame)
+	results := make([]op.Result, MaxOpsPerFrame)
 	for i := range results {
-		results[i] = Result{ID: uint64(i), Values: make([]int64, MaxScanLimit)}
+		results[i] = op.Result{ID: uint64(i), Values: make([]int64, MaxScanLimit)}
 	}
 	if _, err := AppendResponseVar(nil, results); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("got %v, want ErrFrameTooLarge", err)
@@ -305,7 +307,7 @@ func TestAppendResponseVarLimits(t *testing.T) {
 }
 
 func TestArenaReuseAcrossDecodes(t *testing.T) {
-	buf, err := AppendResponseVar(nil, []Result{{ID: 1, Status: StatusOK, OK: true, Value: 4, Values: []int64{1, 2, 3}}})
+	buf, err := AppendResponseVar(nil, []op.Result{{ID: 1, Status: op.StatusOK, OK: true, Value: 4, Values: []int64{1, 2, 3}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +358,7 @@ func TestMultipleFramesOneStream(t *testing.T) {
 	var stream []byte
 	var err error
 	for i := 0; i < 10; i++ {
-		stream, err = AppendRequestV2(stream, []Op{{ID: uint64(i), Kind: Add, Key: int64(i)}}, TraceContext{})
+		stream, err = AppendRequestV2(stream, []op.Op{{ID: uint64(i), Kind: op.Add, Key: int64(i)}}, TraceContext{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -383,7 +385,7 @@ func TestMultipleFramesOneStream(t *testing.T) {
 }
 
 func TestReadFrameTruncated(t *testing.T) {
-	full, err := AppendRequestV2(nil, []Op{{ID: 1, Kind: Add, Key: 2}}, TraceContext{})
+	full, err := AppendRequestV2(nil, []op.Op{{ID: 1, Kind: op.Add, Key: 2}}, TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +423,7 @@ func TestReadFrameRejectsUndersizedLength(t *testing.T) {
 }
 
 func TestDecodeRejectsCountMismatch(t *testing.T) {
-	buf, err := AppendRequestV2(nil, []Op{{ID: 1, Kind: Add, Key: 2}}, TraceContext{})
+	buf, err := AppendRequestV2(nil, []op.Op{{ID: 1, Kind: op.Add, Key: 2}}, TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +441,7 @@ func TestDecodeRejectsCountMismatch(t *testing.T) {
 // retiredRequest frames ops the way the two retired request encodings
 // did — 17-byte records (id | kind | key), preceded by a trace context
 // for type 3 — so tests can show well-formed old traffic is rejected.
-func retiredRequest(typ uint8, ops []Op) []byte {
+func retiredRequest(typ uint8, ops []op.Op) []byte {
 	var body []byte
 	if typ == 3 {
 		body = binary.LittleEndian.AppendUint64(body, 0xfeedface)
@@ -454,7 +456,7 @@ func retiredRequest(typ uint8, ops []Op) []byte {
 }
 
 func TestDecodeRejectsWrongFrameType(t *testing.T) {
-	buf, err := AppendResponse(nil, []Result{{ID: 1}})
+	buf, err := AppendResponse(nil, []op.Result{{ID: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +470,7 @@ func TestDecodeRejectsWrongFrameType(t *testing.T) {
 	// Type bytes 1 and 3 are retired: frames well-formed under the old
 	// layouts are rejected, whatever their record count.
 	for _, typ := range []uint8{1, 3} {
-		for _, ops := range [][]Op{nil, {{ID: 1, Kind: Add, Key: 2}}, {{ID: 1, Kind: Add, Key: 2}, {ID: 2, Kind: Remove, Key: -7}}} {
+		for _, ops := range [][]op.Op{nil, {{ID: 1, Kind: op.Add, Key: 2}}, {{ID: 1, Kind: op.Add, Key: 2}, {ID: 2, Kind: op.Remove, Key: -7}}} {
 			payload, err := ReadFrame(bytes.NewReader(retiredRequest(typ, ops)), nil)
 			if err != nil {
 				t.Fatal(err)
@@ -481,20 +483,20 @@ func TestDecodeRejectsWrongFrameType(t *testing.T) {
 }
 
 func TestEncodeRejectsTooManyOps(t *testing.T) {
-	ops := make([]Op, MaxOpsPerFrame+1)
+	ops := make([]op.Op, MaxOpsPerFrame+1)
 	if _, err := AppendRequestV2(nil, ops, TraceContext{TraceID: 1}); !errors.Is(err, ErrTooManyOps) {
 		t.Fatalf("got %v, want ErrTooManyOps", err)
 	}
-	results := make([]Result, MaxOpsPerFrame+1)
+	results := make([]op.Result, MaxOpsPerFrame+1)
 	if _, err := AppendResponse(nil, results); !errors.Is(err, ErrTooManyOps) {
 		t.Fatalf("got %v, want ErrTooManyOps", err)
 	}
 }
 
 func TestMaxOpsFrameRoundTrips(t *testing.T) {
-	ops := make([]Op, MaxOpsPerFrame)
+	ops := make([]op.Op, MaxOpsPerFrame)
 	for i := range ops {
-		ops[i] = Op{ID: uint64(i), Kind: OpKind(i % int(numKinds)), Key: int64(i * 31)}
+		ops[i] = op.Op{ID: uint64(i), Kind: op.Kind(i % op.NumKinds), Key: int64(i * 31)}
 	}
 	buf, err := AppendRequestV2(nil, ops, TraceContext{TraceID: 7, Sampled: true})
 	if err != nil {
@@ -514,7 +516,7 @@ func TestMaxOpsFrameRoundTrips(t *testing.T) {
 }
 
 func TestKindAndStatusStrings(t *testing.T) {
-	for k := Contains; k < numKinds; k++ {
+	for k := op.Contains; k < op.Kind(op.NumKinds); k++ {
 		if !k.Valid() {
 			t.Errorf("kind %d should be valid", k)
 		}
@@ -522,10 +524,10 @@ func TestKindAndStatusStrings(t *testing.T) {
 			t.Errorf("kind %d has no name: %q", k, s)
 		}
 	}
-	if numKinds.Valid() {
+	if op.Kind(op.NumKinds).Valid() {
 		t.Error("sentinel kind must be invalid")
 	}
-	for _, s := range []Status{StatusOK, StatusBadKind, StatusBadKey} {
+	for _, s := range []op.Status{op.StatusOK, op.StatusBadKind, op.StatusBadKey} {
 		if s.String() == "" {
 			t.Errorf("status %d has no name", s)
 		}
