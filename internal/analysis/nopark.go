@@ -254,7 +254,9 @@ func (fc *factChecker) scan(info *types.Info, fn *ast.FuncDecl) ([]violation, []
 
 // pkgFunc resolves a call expression to the package-level function or
 // method it invokes, using type information. Returns nil for calls
-// through function values, built-ins and conversions.
+// through function values, built-ins and conversions. A method of an
+// instantiated generic type resolves to its origin, the object its
+// declaration defines.
 func pkgFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -264,7 +266,7 @@ func pkgFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	case *ast.SelectorExpr:
 		if sel, ok := info.Selections[fun]; ok {
 			if f, ok := sel.Obj().(*types.Func); ok {
-				return f
+				return f.Origin()
 			}
 			return nil
 		}

@@ -93,3 +93,36 @@ var notAFunc int
 
 //pimvet:allocfree // want `unknown //pimvet: directive`
 func retiredMark() {}
+
+// box is a generic type whose method parks.
+type box[T any] struct {
+	mu sync.Mutex
+	v  T
+}
+
+func (b *box[T]) put(v T) {
+	b.mu.Lock()
+	b.v = v
+	b.mu.Unlock()
+}
+
+func lockedPut[T any](b *box[T], v T) {
+	b.mu.Lock()
+	b.v = v
+	b.mu.Unlock()
+}
+
+// viaGenericMethod reaches a lock through a method of an instantiated
+// generic type: the callee is the instance, checked as its origin.
+//
+//pimvet:nopark
+func viaGenericMethod(b *box[int]) {
+	b.put(1) // want `calls .*put, which calls \(\*sync\.Mutex\)\.Lock, which is outside the non-parking allowlist at nopark\.go:\d+`
+}
+
+// viaGenericFunc reaches the same lock through a generic function.
+//
+//pimvet:nopark
+func viaGenericFunc(b *box[int]) {
+	lockedPut(b, 1) // want `calls .*lockedPut, which calls \(\*sync\.Mutex\)\.Lock, which is outside the non-parking allowlist at nopark\.go:\d+`
+}
