@@ -7,12 +7,20 @@
 // uses exactly this pairing of a hash table with a skip-list).
 package seqhash
 
+import "pimds/internal/cds/internal/slab"
+
 // Table is a sequential chained hash table from int64 keys to int64
 // values. Create one with New. Steps() counts memory probes (bucket
 // head loads plus chain-node visits) so the simulator can charge
 // per-access costs.
+//
+// Chain entries come from a slab.Arena and deleted ones wait on a free
+// list for the next insert, so once the arena and the bucket array
+// have reached the table's high-water mark no operation allocates.
 type Table struct {
 	buckets []*entry
+	entries slab.Arena[entry]
+	free    *entry // deleted entries, chained through next
 	size    int
 	steps   uint64
 }
@@ -77,9 +85,15 @@ func (t *Table) Put(k, v int64) bool {
 		e.val = v
 		return false
 	}
+	e := t.free
+	if e != nil {
+		t.free = e.next
+	} else {
+		e = &t.entries.Take(1)[0]
+	}
 	i := t.hash(k)
-	// One chain entry per successful insert; the table grows by exactly what it stores
-	t.buckets[i] = &entry{key: k, val: v, next: t.buckets[i]}
+	e.key, e.val, e.next = k, v, t.buckets[i]
+	t.buckets[i] = e
 	t.size++
 	if t.size > 3*len(t.buckets)/4 {
 		t.grow()
@@ -93,8 +107,10 @@ func (t *Table) Delete(k int64) bool {
 	t.steps++
 	for p := &t.buckets[i]; *p != nil; p = &(*p).next {
 		t.steps++
-		if (*p).key == k {
-			*p = (*p).next
+		if e := *p; e.key == k {
+			*p = e.next
+			e.next = t.free
+			t.free = e
 			t.size--
 			return true
 		}

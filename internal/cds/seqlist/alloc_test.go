@@ -37,8 +37,9 @@ func relayoutOnce(t *testing.T, l *seqlist.List, apply func(*seqlist.List)) {
 // pinZeroAllocs preloads the even keys below 128, warms the list, then
 // requires 0 allocs over the measured runs, where each run applies
 // batches until one re-layout has fired, so an allocating re-layout
-// shows. Warm-up takes two re-layouts: the first batch grows the slab, a
-// later re-layout sizes the spare to it.
+// shows. Warm-up takes two re-layouts: the first copies the preload out
+// of its chunk into a new slab, the second grows the spare (the old,
+// empty slab) to match it.
 func pinZeroAllocs(t *testing.T, name string, apply func(*seqlist.List)) {
 	t.Helper()
 	l := seqlist.New()
@@ -57,8 +58,8 @@ func pinZeroAllocs(t *testing.T, name string, apply func(*seqlist.List)) {
 }
 
 // TestApplyBatchIntoSteadyStateAllocs pins ApplyBatchInto
-// allocation-free: once the sort scratch has grown to the
-// batch size and the slab and its spare to the list, a size-stable
+// allocation-free: once the scratch has grown to the batch size
+// and the slab and its spare to the list, a size-stable
 // batch (every Remove paired with an Add) must not touch the heap, also
 // on the passes that re-lay the list out.
 func TestApplyBatchIntoSteadyStateAllocs(t *testing.T) {

@@ -163,7 +163,7 @@ func checkLayout(t *testing.T, l *List, step int) {
 	t.Helper()
 	i := 0
 	for n := l.head; n != nil; n = n.next {
-		if n != &l.slab[i] {
+		if n != &l.nodes.Slab()[i] {
 			t.Fatalf("step %d: after a re-layout, list node %d is not slab node %d", step, i, i)
 		}
 		i++
@@ -183,8 +183,8 @@ func TestDifferentialAgainstSortedSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	l, o := New(), &oracle{}
 	key := func() int64 { return rng.Int63n(keySpace) }
-	// addPct drifts between phases so the list grows past several slab
-	// sizes, shrinks, and churns at each size.
+	// addPct drifts between phases so the list grows past several
+	// chunks, shrinks, and churns at each size.
 	addPct := 0
 	relayouts, checked, grows := 0, 0, 0
 	var arena []int64
@@ -202,7 +202,7 @@ func TestDifferentialAgainstSortedSlice(t *testing.T) {
 			}
 			return op.Contains
 		}
-		slabLen := len(l.slab)
+		capacity := l.nodes.Cap()
 		switch r := rng.Intn(100); {
 		case r < 40: // point batch
 			ops := make([]op.Op, 1+rng.Intn(80))
@@ -296,21 +296,18 @@ func TestDifferentialAgainstSortedSlice(t *testing.T) {
 		if !slices.Equal(l.Keys(), o.keys) {
 			t.Fatalf("step %d: Keys() diverged from the oracle", step)
 		}
+		if l.nodes.Cap() > capacity {
+			grows++
+		}
+		// Every re-layout ends its call, so nothing has moved since.
 		if l.relayouts != relayouts {
 			relayouts = l.relayouts
-			// A growth re-layout runs before the call's walk, which
-			// may then insert anywhere; a re-layout that kept the
-			// slab size ran after it, so nothing has moved since.
-			if len(l.slab) == slabLen {
-				checkLayout(t, l, step)
-				checked++
-			} else {
-				grows++
-			}
+			checkLayout(t, l, step)
+			checked++
 		}
 	}
 	if checked < 100 || grows < 5 {
-		t.Errorf("history crossed %d checked re-layouts and %d slab growths, want ≥ 100 and ≥ 5", checked, grows)
+		t.Errorf("history crossed %d checked re-layouts and %d chunk growths, want ≥ 100 and ≥ 5", checked, grows)
 	}
-	t.Logf("%d steps, %d re-layouts checked, %d slab growths, final length %d", steps, checked, grows, l.Len())
+	t.Logf("%d steps, %d re-layouts checked, %d chunk growths, final length %d", steps, checked, grows, l.Len())
 }

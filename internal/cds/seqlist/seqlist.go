@@ -4,17 +4,17 @@
 // and it supports the paper's combining optimization: applying a whole
 // batch of operations in a single traversal (Section 4.1).
 //
-// The paper prices that traversal at L per node. On a real host L is a
-// property of the memory layout: a walk over nodes scattered by churn
-// is a chain of cache misses, a walk over nodes at ascending addresses
-// streams. So the nodes live in a slab, not one heap object each, and
-// the list is re-laid out in key order once enough inserts have landed
-// out of place and the walks since the last re-layout have paid for
-// the copy (see List). Steps counts logical node visits only, so the
-// simulator, which charges vault reads by Steps, sees no difference.
+// The paper prices that traversal at L per node, so the nodes come
+// from a slab.Arena and the list is re-laid out in key order by the
+// arena's rule, every node visit paying towards the copy (see List).
+// Steps counts logical node visits only, so the simulator, which
+// charges vault reads by Steps, sees no difference.
 package seqlist
 
-import "pimds/internal/op"
+import (
+	"pimds/internal/cds/internal/slab"
+	"pimds/internal/op"
+)
 
 // Names kept for bench/, which is frozen until ROADMAP item 7's
 // [benchmark] PR; everything else names them through package op.
@@ -32,45 +32,26 @@ type node struct {
 	next *node
 }
 
-// Re-layout rule. A re-layout copies every node once, so it waits until
-// more than Len()/relayoutDisorder inserts have landed away from the
-// tail since the last one, and until the walks since then have visited
-// at least relayoutPaid·Len() nodes: the copy costs at most 1/16 of the
-// traversal work it speeds up, and an in-order load (tail appends only)
-// never triggers one.
-const (
-	relayoutDisorder = 64
-	relayoutPaid     = 16
-)
-
-// minSlab is a new list's slab length, sentinel included.
-const minSlab = 16
-
 // List is a sorted singly-linked list with a dummy head sentinel. The
 // zero value is not ready to use; call New.
 //
-// Nodes live in slab: slab[0] is the sentinel, slab[1:used] are live or
-// on the free list, slab[used:] were never handed out. Links stay
-// pointers (an index link puts the index arithmetic on the load chain),
-// so the slab cannot grow by append; it grows by re-laying the list out
-// into a slab twice the size it needs. A re-layout walks the list once,
-// writes its keys in order into spare, relinks them at consecutive
-// addresses and swaps the two slabs, so the next traversal reads memory
-// in ascending address order. The spare doubles the node memory
-// (2 × 16 B per slab node).
+// Nodes come from nodes, the sentinel first. Links stay pointers (an
+// index link puts the index arithmetic on the load chain). A re-layout
+// walks the list once, writes the sentinel and then every key in order
+// into the arena's spare, relinks them at consecutive addresses and
+// swaps, so the next traversal reads memory in ascending address order.
 //
 // The list recycles removed nodes through a free list and keeps batch
 // scratch inside itself, so in steady state (removals feeding later
-// insertions, batch sizes stabilized) ApplyBatchInto runs without
-// heap allocation, re-layouts included — a List is owned by one
+// insertions, batch sizes stabilized) its batch entry points run
+// without heap allocation, re-layouts included — a List is owned by one
 // combiner, which must not stall on GC while every published op on its
 // shard waits.
 type List struct {
-	head *node // dummy sentinel, &slab[0]; key irrelevant
+	head *node // dummy sentinel; key irrelevant
 	size int
 
-	slab, spare []node
-	used        int // slab[:used] have been handed out
+	nodes slab.Arena[node]
 
 	// free chains removed nodes for reuse by the next insertion.
 	free *node
@@ -83,9 +64,10 @@ type List struct {
 	// relayouts counts re-layouts (tests).
 	relayouts int
 
-	// idx/tmp are ApplyBatchInto's sort scratch, grown to the largest
-	// batch seen.
+	// idx/tmp are the walk's sort scratch and res ApplyBatchInto's
+	// results, grown to the largest batch seen.
 	idx, tmp []int
+	res      []op.Result
 
 	// steps counts node visits (pointer dereferences past the
 	// sentinel) so tests and the simulator can charge traversal
@@ -95,8 +77,8 @@ type List struct {
 
 // New returns an empty list.
 func New() *List {
-	l := &List{slab: make([]node, minSlab), used: 1}
-	l.head = &l.slab[0]
+	l := &List{}
+	l.head = &l.nodes.Take(1)[0]
 	return l
 }
 
@@ -115,33 +97,19 @@ func (l *List) ResetSteps() {
 // visits returns the node visits over the list's lifetime.
 func (l *List) visits() uint64 { return l.reset + l.steps }
 
-// reserve runs before every walk that may insert up to adds keys. When
-// the free list and the slab's unused tail cannot hold them, it grows
-// the slab by re-laying the list out into one twice the size needed.
-// No node pointer may be held across it.
-func (l *List) reserve(adds int) {
-	if len(l.slab)-1-l.size < adds {
-		l.relayout(2 * (1 + l.size + adds))
-	}
-}
-
 // settle runs after every mutating walk and re-lays the list out once
-// the rule above says the copy has been paid for.
+// slab.Due says the copy has been paid for.
 func (l *List) settle() {
-	if l.disorder > l.size/relayoutDisorder &&
-		l.visits()-l.mark >= relayoutPaid*uint64(l.size) {
-		l.relayout(len(l.slab))
+	if slab.Due(l.disorder, l.size, l.visits()-l.mark) {
+		l.relayout()
 	}
 }
 
-// relayout copies the list in key order into a slab of n ≥ Len()+1
-// nodes (the spare, grown if it is smaller) and makes it the live one.
-// The free list empties: every node past the last key is unused.
-func (l *List) relayout(n int) {
-	if len(l.spare) < n {
-		l.spare = make([]node, n) // geometric slab growth; steady state reuses the spare
-	}
-	dst := l.spare
+// relayout copies the list in key order into the arena's spare and
+// makes it the slab. The free list empties: every node past the last
+// key is unused.
+func (l *List) relayout() {
+	dst := l.nodes.Spare()
 	i := 0
 	for cur := l.head.next; cur != nil; cur = cur.next {
 		i++
@@ -149,25 +117,22 @@ func (l *List) relayout(n int) {
 		dst[i-1].next = &dst[i]
 	}
 	dst[i].next = nil
-	l.slab, l.spare = dst, l.slab
+	l.nodes.Swap(i + 1)
 	l.head = &dst[0]
-	l.used = i + 1
 	l.free = nil
 	l.disorder = 0
 	l.mark = l.visits()
 	l.relayouts++
 }
 
-// newNode takes a node from the free list, or the slab's unused tail;
-// reserve has made room. An insert before an existing node counts as
-// disorder.
+// newNode takes a node from the free list, or the arena. An insert
+// before an existing node counts as disorder.
 func (l *List) newNode(key int64, next *node) *node {
 	n := l.free
 	if n != nil {
 		l.free = n.next
 	} else {
-		n = &l.slab[l.used]
-		l.used++
+		n = &l.nodes.Take(1)[0]
 	}
 	n.key, n.next = key, next
 	if next != nil {
@@ -204,7 +169,6 @@ func (l *List) ContainsKey(k int64) bool {
 
 // AddKey inserts k and reports whether it was absent.
 func (l *List) AddKey(k int64) bool {
-	l.reserve(1)
 	pred := l.find(l.head, k)
 	if pred.next != nil && pred.next.key == k {
 		return false
@@ -259,56 +223,22 @@ func (l *List) ApplyBatch(ops []op.Op) []bool {
 }
 
 // ApplyBatchInto is ApplyBatch writing into a caller-provided results
-// slice (len(results) must equal len(ops)): the allocation-free form a
-// combiner calls every pass. Sort scratch, freed nodes and the spare
-// slab are recycled inside the List, so a batch no larger than any
-// before it, against a list no larger than its high-water mark,
-// allocates nothing.
+// slice (len(results) must equal len(ops)): the []bool view of
+// ApplyOrderedBatchInto's walk, for set ops only. Its result scratch,
+// the sort scratch and freed nodes are recycled inside the List, so a
+// batch no larger than any before it, against a list no larger than
+// its high-water mark, allocates nothing.
 //
 //pimvet:nopark
 func (l *List) ApplyBatchInto(ops []op.Op, results []bool) {
-	if len(ops) == 0 {
-		return
+	if cap(l.res) < len(ops) {
+		l.res = make([]op.Result, len(ops)) // amortized grow to the largest batch; steady state reuses
 	}
-	if cap(l.idx) < len(ops) {
-		l.idx = make([]int, len(ops)) // amortized grow to the largest batch; steady state reuses
-		l.tmp = make([]int, len(ops)) // amortized grow to the largest batch; steady state reuses
+	res := l.res[:len(ops)]
+	l.ApplyOrderedBatchInto(ops, res, nil)
+	for i := range res {
+		results[i] = res[i].OK
 	}
-	idx := l.idx[:len(ops)]
-	for i := range idx {
-		idx[i] = i
-	}
-	stableSortByKey(ops, idx, l.tmp[:len(ops)])
-
-	l.reserve(len(ops))
-	pred := l.head
-	for _, i := range idx {
-		o := ops[i]
-		pred = l.find(pred, o.Key)
-		switch o.Kind {
-		case op.Contains:
-			results[i] = pred.next != nil && pred.next.key == o.Key
-		case op.Add:
-			if pred.next != nil && pred.next.key == o.Key {
-				results[i] = false
-			} else {
-				pred.next = l.newNode(o.Key, pred.next)
-				l.size++
-				results[i] = true
-			}
-		case op.Remove:
-			if pred.next != nil && pred.next.key == o.Key {
-				gone := pred.next
-				pred.next = gone.next
-				l.freeNode(gone)
-				l.size--
-				results[i] = true
-			} else {
-				results[i] = false
-			}
-		}
-	}
-	l.settle()
 }
 
 // PopMinKey removes and returns the smallest key (ok=false on empty).
@@ -364,7 +294,7 @@ func (l *List) popMax() (int64, bool) {
 // answers for is: all PopMin/PopMax in batch order first, then the
 // remaining ops in ascending key order (ties in batch order) — legal
 // for a concurrent batch, where any serialization is linearizable. The
-// keyed ops share one finger walk exactly like ApplyBatchInto: a
+// keyed ops share one finger walk, ApplyBatch's combining traversal: a
 // scan's descent to lo rides the finger, and only its own span walk is
 // private.
 //
@@ -411,7 +341,6 @@ func (l *List) ApplyOrderedBatchInto(ops []op.Op, res []op.Result, arena []int64
 	}
 	stableSortByKey(ops, idx, l.tmp[:keyed])
 
-	l.reserve(keyed)
 	pred := l.head
 	base, scans := len(arena), false
 	for _, i := range idx {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pimds/internal/cds/internal/slab"
 	"pimds/internal/testenv"
 )
 
@@ -30,7 +31,7 @@ func churnRound(l *List, arena []int64) []int64 {
 }
 
 // TestSteadyStateAllocs pins the allocation-free contract: once the
-// slabs, their spares and the free lists have grown to a size-stable
+// arenas, their spares and the free lists have grown to a size-stable
 // workload, no entry point a combiner calls touches the heap, also on
 // the calls that re-lay the list out. Each measured run applies rounds
 // until one re-layout has fired, so an allocating re-layout shows.
@@ -72,9 +73,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 // re-lays the list out, and per-height free lists strand nodes (a freed
 // tall tower cannot host a short one) in a random walk. The growth
 // rule compacts instead of growing a chunk while the free lists hold
-// more than Len()/8 nodes, so the live capacity (slab and chunks) never
-// exceeds 9/8 of the high-water length plus one chunk, and the spare
-// never exceeds the live capacity. A 1 k-key list strands enough within
+// more than Len()/8 nodes, so the capacity reached (slab and chunks)
+// never exceeds 9/8 of the high-water length plus one chunk, and the
+// spare never exceeds it. A 1 k-key list strands enough within
 // 10⁶ ops for the rule to fire; towers average two links.
 func TestWriteOnlyChurnBounded(t *testing.T) {
 	const keys = 1024
@@ -94,9 +95,8 @@ func TestWriteOnlyChurnBounded(t *testing.T) {
 		if i%1000 != 0 {
 			continue
 		}
-		nodes := len(l.slab) + l.chunkNodes + len(l.spare)
-		links := len(l.links) + l.chunkLinks + len(l.linkSpare)
-		bound := 2 * (hw + hw/strandLimit + nodeChunk)
+		nodes, links := l.nodes.Held(), l.links.Held()
+		bound := 2 * (hw + hw/strandLimit + slab.ChunkLen[node]())
 		if nodes > bound || links > 3*bound {
 			t.Fatalf("op %d: %d nodes and %d links of slab, chunk and spare capacity for %d keys (high water %d), want ≤ %d and ≤ %d",
 				i, nodes, links, l.Len(), hw, bound, 3*bound)

@@ -104,10 +104,10 @@ func checkSlab(t *testing.T, l *List, step int) {
 	t.Helper()
 	i, j := 0, 0
 	for n := l.head.next[0]; n != nil; n = n.next[0] {
-		if n != &l.slab[i] {
+		if n != &l.nodes.Slab()[i] {
 			t.Fatalf("step %d: after a re-layout, node %d in key order is not slab node %d", step, i, i)
 		}
-		if &n.next[0] != &l.links[j] {
+		if &n.next[0] != &l.links.Slab()[j] {
 			t.Fatalf("step %d: after a re-layout, tower %d does not start at link %d", step, i, j)
 		}
 		i++
@@ -155,7 +155,12 @@ func TestDifferentialAgainstSortedSlice(t *testing.T) {
 		// the next insert that finds no free node of its height then
 		// compacts, inside whichever entry point it is.
 		if step%200 == 0 && l.nfree > l.size/strandLimit {
-			l.nodeTail, l.linkTail = nil, nil
+			for l.nodes.Fits(1) {
+				l.nodes.Take(1)
+			}
+			for l.links.Fits(1) {
+				l.links.Take(1)
+			}
 		}
 		write := rng.Intn(100) < writePct
 		var got, want any

@@ -3,22 +3,18 @@
 // skip-list (Section 4.2) and the reference implementation whose
 // traversal lengths calibrate β in the analytical model.
 //
-// The paper prices an operation at β = Θ(log N) node visits. On a real
-// host the cost of a visit is a property of the memory layout: a
-// descent over nodes and towers scattered by churn is a chain of
-// dependent cache misses, one over nodes at ascending addresses
-// streams. So the nodes live in a slab and their towers in a link
-// slab, both grown in fixed chunks, and the list is re-laid out in key
-// order once enough inserts have landed out of place and the reads
-// since the last re-layout have paid for the copy (see List). A
-// re-layout keeps every tower height and charges no steps, so shapes,
-// Steps and the simulator, which charges vault reads by Steps, see no
-// difference.
+// The paper prices an operation at β = Θ(log N) node visits, so the
+// nodes and their towers come from two slab.Arenas and the list is
+// re-laid out in key order by the arenas' rule, only reads paying
+// towards the copy (see List). A re-layout keeps every tower height
+// and charges no steps, so shapes, Steps and the simulator, which
+// charges vault reads by Steps, see no difference.
 package seqskip
 
 import (
 	"sort"
 
+	"pimds/internal/cds/internal/slab"
 	"pimds/internal/op"
 )
 
@@ -26,50 +22,36 @@ import (
 // beyond any workload in this repository.
 const MaxHeight = 24
 
-// node is a key and its tower; next is carved from a link slab, and
+// node is a key and its tower; next is carved from the link arena, and
 // len(next) is the tower height.
 type node struct {
 	key  int64
 	next []*node
 }
 
-// Re-layout rule. A re-layout copies every node once, so it waits until
-// more than Len()/relayoutDisorder inserts have landed before an
-// existing node since the last one, and until the reads since then
-// (contains, scan, pred, succ) have visited at least relayoutPaid·Len()
-// nodes: the copy costs at most 1/16 of the read work it speeds up.
-// Only reads pay, because an insert-only phase (a preload, a restore)
-// gains nothing from a layout it is about to disorder again.
+// Only reads (contains, scan, pred, succ) pay towards a re-layout,
+// because an insert-only phase (a preload, a restore) gains nothing
+// from a layout it is about to disorder again.
 //
-// Growth rule. The slabs grow by fixed chunks, so no node moves when
-// the list grows. Removed nodes wait on per-height free lists, where a
-// freed tall tower cannot host a short one; when a chunk would be
-// grown while the free lists strand more than Len()/strandLimit nodes,
-// the list is compacted by a re-layout instead.
-const (
-	relayoutDisorder = 64
-	relayoutPaid     = 16
-	strandLimit      = 8
-
-	nodeChunk = 128 // 4 KiB of 32-byte nodes
-	linkChunk = 512 // 4 KiB of links
-)
+// Growth rule. Removed nodes wait on per-height free lists, where a
+// freed tall tower cannot host a short one; when the arenas would grow
+// a chunk while the free lists strand more than Len()/strandLimit
+// nodes, the list is compacted by a re-layout instead.
+const strandLimit = 8
 
 // List is a sequential skip-list with a -∞ head sentinel. Create one
 // with New.
 //
-// Nodes live in slab and in the node chunks grown since the last
-// re-layout; towers are carved likewise from links and link chunks.
-// Links stay pointers (an index link puts the index arithmetic on the
-// load chain). A re-layout walks the bottom level once, writes each
-// key and its tower height in order into spare and linkSpare, relinks
-// every level through a frontier of the last node copied per level,
-// and swaps the slabs, so the next descent and every scan read memory
-// in ascending address order. The spares are sized to the node and
-// link capacity the list has reached, which doubles its node memory.
+// Nodes come from nodes and their towers from links. Links stay
+// pointers (an index link puts the index arithmetic on the load
+// chain). A re-layout walks the bottom level once, writes each key and
+// its tower height in order into the arenas' spares, relinks every
+// level through a frontier of the last node copied per level, and
+// swaps, so the next descent and every scan read memory in ascending
+// address order.
 //
 // Removed nodes are recycled through the free lists and a re-layout
-// reuses the spare, so once the slabs have grown to the list's
+// reuses the spares, so once the arenas have grown to the list's
 // high-water mark no operation allocates, re-layouts included — a List
 // is owned by one combiner, which must not stall on GC while every
 // published op on its shard waits.
@@ -79,14 +61,8 @@ type List struct {
 	size   int
 	rng    uint64
 
-	slab, spare      []node
-	links, linkSpare []*node
-	// nodeTail and linkTail are the unused ends of the newest region
-	// (the slab, or the last chunk); chunkNodes and chunkLinks count
-	// the chunk capacity grown since the last re-layout.
-	nodeTail               []node
-	linkTail               []*node
-	chunkNodes, chunkLinks int
+	nodes slab.Arena[node]
+	links slab.Arena[*node]
 
 	// free[h-1] chains removed nodes with h-link towers through
 	// next[0]; nfree counts them all.
@@ -146,58 +122,38 @@ func (l *List) randLevel() int {
 }
 
 // alloc returns a node with an h-link tower, from the free list of
-// its height or carved from the tails, growing a chunk when a tail is
-// spent. moved reports that the growth rule compacted the list first:
-// every node has moved, so no node pointer held across alloc is valid.
+// its height or from the arenas. moved reports that the growth rule
+// compacted the list first: every node has moved, so no node pointer
+// held across alloc is valid.
 func (l *List) alloc(h int) (n *node, moved bool) {
 	if n = l.free[h-1]; n != nil {
 		l.free[h-1] = n.next[0]
 		l.nfree--
 		return n, false
 	}
-	if len(l.nodeTail) == 0 || len(l.linkTail) < h {
-		if !l.pinned && l.nfree > l.size/strandLimit {
-			l.compactions++
-			l.relayout()
-			moved = true
-		}
-		if len(l.nodeTail) == 0 {
-			l.nodeTail = make([]node, nodeChunk) // fixed 4 KiB chunk, grown only when no free node fits; steady state recycles
-			l.chunkNodes += nodeChunk
-		}
-		if len(l.linkTail) < h {
-			l.linkTail = make([]*node, linkChunk) // fixed 4 KiB chunk, grown only when no free tower fits; steady state recycles
-			l.chunkLinks += linkChunk
-		}
+	if (!l.nodes.Fits(1) || !l.links.Fits(h)) && !l.pinned && l.nfree > l.size/strandLimit {
+		l.compactions++
+		l.relayout()
+		moved = true
 	}
-	n = &l.nodeTail[0]
-	l.nodeTail = l.nodeTail[1:]
-	n.next = l.linkTail[:h:h]
-	l.linkTail = l.linkTail[h:]
+	n = &l.nodes.Take(1)[0]
+	n.next = l.links.Take(h)
 	return n, moved
 }
 
 // settle runs after every mutating call and re-lays the list out once
-// the rule above says the copy has been paid for.
+// slab.Due says the reads have paid for the copy.
 func (l *List) settle() {
-	if !l.pinned && l.disorder > l.size/relayoutDisorder &&
-		l.reads-l.mark >= relayoutPaid*uint64(l.size) {
+	if !l.pinned && slab.Due(l.disorder, l.size, l.reads-l.mark) {
 		l.relayout()
 	}
 }
 
-// relayout copies the list in key order into the spare slabs, grown to
-// the capacity the list has reached if they are smaller, and makes
-// them the live ones. Every tower keeps its height. The free lists
+// relayout copies the list in key order into the arenas' spares and
+// makes them the slabs. Every tower keeps its height. The free lists
 // empty: every node past the last key is unused.
 func (l *List) relayout() {
-	if n := len(l.slab) + l.chunkNodes; len(l.spare) < n {
-		l.spare = make([]node, n) // spare grows to the node capacity reached; steady state reuses it
-	}
-	if n := len(l.links) + l.chunkLinks; len(l.linkSpare) < n {
-		l.linkSpare = make([]*node, n) // spare grows to the link capacity reached; steady state reuses it
-	}
-	dst, links := l.spare, l.linkSpare
+	dst, links := l.nodes.Spare(), l.links.Spare()
 	var last [MaxHeight]*node
 	for lvl := 0; lvl < l.height; lvl++ {
 		last[lvl] = l.head
@@ -217,13 +173,8 @@ func (l *List) relayout() {
 	for lvl := 0; lvl < l.height; lvl++ {
 		last[lvl].next[lvl] = nil
 	}
-	// Clear the unused ends so they keep no old node reachable.
-	clear(dst[i:])
-	clear(links[j:])
-	l.slab, l.spare = dst, l.slab
-	l.links, l.linkSpare = links, l.links
-	l.nodeTail, l.linkTail = dst[i:], links[j:]
-	l.chunkNodes, l.chunkLinks = 0, 0
+	l.nodes.Swap(i)
+	l.links.Swap(j)
 	l.free = [MaxHeight]*node{}
 	l.nfree = 0
 	l.disorder = 0
@@ -575,7 +526,7 @@ func (l *List) ApplyBatch(ops []op.Op) []bool {
 // (len(res) must equal len(ops)) and appending scan keys to arena; it
 // returns the (possibly grown) arena, and each scan's res[i].Values is
 // its segment of that arena. The contract is seqlist's entry point of
-// the same name; nodes and towers come from the slabs, so a
+// the same name; nodes and towers come from the arenas, so a
 // size-stable batch allocates nothing.
 //
 //pimvet:nopark

@@ -107,11 +107,9 @@ func TestApplyBatchAllocs(t *testing.T) {
 	}
 }
 
-// TestHashApplyBatchAllocs pins the hash backend at one allocation per
-// successful add: seqhash stores each inserted key in a fresh chain
-// entry, so a churn batch of Remove→Add pairs over preloaded keys, with
-// a lookup per pair, may allocate exactly as many entries as it adds
-// and nothing else.
+// TestHashApplyBatchAllocs pins the hash backend allocation-free: a
+// churn batch of Remove→Add pairs over preloaded keys, with a lookup per
+// pair, reuses each removed chain entry for the add that follows it.
 func TestHashApplyBatchAllocs(t *testing.T) {
 	skipIfRace(t)
 	var ops []op.Op
@@ -127,8 +125,8 @@ func TestHashApplyBatchAllocs(t *testing.T) {
 	allocs := testenv.Allocs(100, func() {
 		s.applyBatch(ps)
 	})
-	if allocs > 32*100 {
-		t.Errorf("hash applyBatch steady state: %d allocs over 100 passes, want at most 3200 (one per successful add)", allocs)
+	if allocs != 0 {
+		t.Errorf("hash applyBatch steady state: %d allocs over 100 passes, want 0", allocs)
 	}
 	for i, o := range ops {
 		if r := ps.results[i]; r.Status != op.StatusOK || !r.OK {

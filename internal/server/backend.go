@@ -26,11 +26,10 @@ import (
 // ApplyBatch runs inside the combining window (Server.applyBatch), so
 // every implementation is marked //pimvet:nopark: pimvet cannot see
 // through the interface call, so the contract is checked on each
-// implementation instead. Allocation is pinned at runtime: the list and
-// skip structures recycle nodes from slabs and allocate only when a
-// slab grows past its high-water mark, and the hash structure allocates
-// one chain entry per successful add (TestApplyBatchAllocs,
-// TestHashApplyBatchAllocs).
+// implementation instead. Allocation is pinned at runtime: the list,
+// skip and hash structures recycle nodes from chunked arenas and
+// allocate only when one grows past its high-water mark
+// (TestApplyBatchAllocs, TestHashApplyBatchAllocs).
 type backend interface {
 	// ApplyBatch serves one combiner pass. len(out) == len(ops).
 	ApplyBatch(ops []op.Op, out []op.Result, arena []int64) []int64
@@ -141,9 +140,9 @@ func (b skipBackend) AppendState(dst []int64) []int64 { return append(dst, b.l.K
 func (b skipBackend) RestoreState(vals []int64)       { restoreState(b, op.Add, vals) }
 
 // hashBackend serves set ops on a chained hash table (keys only; the
-// stored value mirrors the key). A successful add allocates its chain
-// entry and the table doubles as it fills; TestHashApplyBatchAllocs
-// pins a steady pass at no more than one allocation per successful add.
+// stored value mirrors the key). Chain entries are recycled and the
+// table doubles as it fills; TestHashApplyBatchAllocs pins a steady
+// pass allocation-free.
 type hashBackend struct {
 	t *seqhash.Table
 }

@@ -13,6 +13,16 @@ func (s *Server) RotateOnce() { s.rotateOnce() }
 // inspect it directly.
 func (s *Server) RecoverForTest() error { return s.recoverWAL() }
 
+// Checkpoint takes a snapshot as the scheduler does, calling between
+// after the roll and before the dumps: records between causes land in
+// the snapshot's boundary segment and are covered by it, as records
+// racing a scheduled snapshot may be.
+func (s *Server) Checkpoint(between func()) error {
+	seg := s.roll()
+	between()
+	return s.checkpoint(seg)
+}
+
 // StateDumps returns every shard's canonical state dump. Only
 // meaningful at quiescence (after Shutdown, or after RecoverForTest
 // with no traffic).

@@ -33,6 +33,13 @@ func startServer(t *testing.T, cfg server.Config) (*server.Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return srv, serve(t, srv)
+}
+
+// serve runs srv on an ephemeral port, as startServer does, and returns
+// its address.
+func serve(t *testing.T, srv *server.Server) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +52,7 @@ func startServer(t *testing.T, cfg server.Config) (*server.Server, string) {
 			t.Errorf("Serve returned %v after Shutdown, want nil", err)
 		}
 	})
-	return srv, ln.Addr().String()
+	return ln.Addr().String()
 }
 
 // client is a minimal synchronous wire client for tests.

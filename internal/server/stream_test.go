@@ -3,6 +3,8 @@ package server_test
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 	"time"
@@ -15,11 +17,17 @@ import (
 // The server is a function of its frame stream. With one connection
 // and one frame outstanding at a time there is no concurrency, so how
 // the server is built must not change what it answers. These tests
-// check two such relations over seeded frame streams, per structure:
+// check four such relations over seeded frame streams, per structure:
 //
 //	R1, shard count: 1, 2 and 4 shards give identical point results
 //	    and identical completed-scan key sets, and a sharded server
 //	    answers every serial-only kind with StatusBadKind.
+//	R2, mode: in-memory and durable servers give identical answers
+//	    and end in identical states.
+//	R3, restart: a durable run stopped at a seeded frame, as a crash
+//	    leaves its directory, with a checkpoint taken at an earlier
+//	    seeded frame, then recovered on that directory and resumed,
+//	    answers exactly as the unbroken run and ends in its state.
 //	R4, frame splits: a frame cut into smaller frames gives identical
 //	    per-op results, including frames whose response is larger
 //	    than wire.MaxPayload and so leaves the server split.
@@ -150,24 +158,57 @@ func genStream(seed int64, caps server.Capability, serial bool) stream {
 	return s
 }
 
+// frames is the number of frames in s.
+func (s stream) frames() int { return max(len(s.cuts)-1, 0) }
+
 // answers is what one run of a stream returned: res[i] answers ops[i]
-// (a scan's first page), and keys[i] holds every key of scan i
-// followed through its cursor to completion.
+// (a scan's first page), keys[i] holds every key of scan i followed
+// through its cursor to completion, and dumps is every shard's state
+// at the end.
 type answers struct {
-	res  []op.Result
-	keys [][]int64
+	res   []op.Result
+	keys  [][]int64
+	dumps [][]int64
 }
 
-// runStream serves s on a fresh in-memory server with the given shard
-// count, one frame outstanding at a time, and follows every scan to
-// completion before the next frame. It fails the test on a rejected op
-// answered without its status, on a scan page that breaks the scan
-// contract, and on a response that never arrives.
-func runStream(t *testing.T, structure string, shards int, s stream) answers {
+func newAnswers(s stream) answers {
+	return answers{res: make([]op.Result, len(s.ops)), keys: make([][]int64, len(s.ops))}
+}
+
+// streamConfig is an in-memory server for streams; R2 and R3 add a
+// WAL directory to it.
+func streamConfig(structure string, shards int) server.Config {
+	return server.Config{Structure: structure, Shards: shards, KeySpace: streamKeySpace}
+}
+
+// runStream serves s on a fresh server built from cfg and returns its
+// answers and, after a drain, its state.
+func runStream(t *testing.T, cfg server.Config, s stream) answers {
 	t.Helper()
-	caps, _ := server.LookupCapability(structure)
-	_, addr := startServer(t, server.Config{Structure: structure, Shards: shards, KeySpace: streamKeySpace})
+	srv, addr := startServer(t, cfg)
 	c := dial(t, addr)
+	a := newAnswers(s)
+	a.play(t, cfg, c, s, 0, s.frames())
+	a.dumps = stop(srv, c)
+	return a
+}
+
+// stop closes c, drains srv and returns its state.
+func stop(srv *server.Server, c *client) [][]int64 {
+	c.nc.Close()
+	srv.Shutdown()
+	return srv.StateDumps()
+}
+
+// play serves frames [from, to) of s through c, one frame outstanding
+// at a time, and follows every scan to completion before the next
+// frame. It fails the test on a rejected op answered without its
+// status, on a scan page that breaks the scan contract, and on a
+// response that never arrives.
+func (a *answers) play(t *testing.T, cfg server.Config, c *client, s stream, from, to int) {
+	t.Helper()
+	caps, _ := server.LookupCapability(cfg.Structure)
+	shards := cfg.Shards
 	exchange := func(ops []op.Op) map[uint64]op.Result {
 		t.Helper()
 		c.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -179,9 +220,8 @@ func runStream(t *testing.T, structure string, shards int, s stream) answers {
 		i      int
 		cursor int64
 	}
-	a := answers{res: make([]op.Result, len(s.ops)), keys: make([][]int64, len(s.ops))}
-	for f := 1; f < len(s.cuts); f++ {
-		frame := s.ops[s.cuts[f-1]:s.cuts[f]]
+	for f := from; f < to; f++ {
+		frame := s.ops[s.cuts[f]:s.cuts[f+1]]
 		got := exchange(frame)
 		var open []page
 		for _, o := range frame {
@@ -220,7 +260,6 @@ func runStream(t *testing.T, structure string, shards int, s stream) answers {
 			open = still
 		}
 	}
-	return a
 }
 
 // scanEnd is where scan o completes: its Hi, or the end of the key
@@ -263,8 +302,9 @@ func checkPage(t *testing.T, o op.Op, from int64, r op.Result, keys []int64) []i
 	return append(keys, r.Values...)
 }
 
-// TestFrameStreamRelations checks R1 and R4 for the list, skip and
-// hash structures on seeded streams; -short runs one seed.
+// TestFrameStreamRelations checks R1 to R4 for the list, skip and hash
+// structures on seeded streams, R2 and R3 on the first seed only;
+// -short runs one seed.
 func TestFrameStreamRelations(t *testing.T) {
 	seeds := []int64{1, 2}
 	if testing.Short() {
@@ -278,9 +318,9 @@ func TestFrameStreamRelations(t *testing.T) {
 
 				// R1: shard count.
 				s := genStream(seed, caps, false)
-				one := runStream(t, structure, 1, s)
+				one := runStream(t, streamConfig(structure, 1), s)
 				for _, shards := range []int{2, 4} {
-					got := runStream(t, structure, shards, s)
+					got := runStream(t, streamConfig(structure, shards), s)
 					for i, o := range s.ops {
 						if o.Kind == op.RangeScan && one.res[i].Status == op.StatusOK {
 							if !slices.Equal(got.keys[i], one.keys[i]) {
@@ -295,13 +335,25 @@ func TestFrameStreamRelations(t *testing.T) {
 					// R4 on the sharded build too: pages clamp at shard
 					// bounds there, so the cursors follow other paths.
 					if shards == 4 {
-						checkSplit(t, structure, shards, s, got, rng)
+						checkSplit(t, streamConfig(structure, shards), s, got, rng)
 					}
 				}
 
 				// R4: frame splits, with the serial-only kinds.
 				s = genStream(seed, caps, true)
-				checkSplit(t, structure, 1, s, runStream(t, structure, 1, s), rng)
+				mem := runStream(t, streamConfig(structure, 1), s)
+				checkSplit(t, streamConfig(structure, 1), s, mem, rng)
+
+				// R2: mode; then R3 against the durable run. Both
+				// replay the whole stream, so they run on one seed.
+				if seed != seeds[0] {
+					return
+				}
+				durable := streamConfig(structure, 1)
+				durable.WALDir, durable.Fsync = t.TempDir(), server.FsyncBatch
+				disk := runStream(t, durable, s)
+				sameAnswers(t, "R2: durable against in-memory", s, disk, mem)
+				checkRestart(t, durable, s, disk, rng)
 			})
 		}
 	}
@@ -309,15 +361,105 @@ func TestFrameStreamRelations(t *testing.T) {
 
 // checkSplit is R4: s with every frame cut into pieces answers each
 // op exactly as whole answers it.
-func checkSplit(t *testing.T, structure string, shards int, s stream, whole answers, rng *rand.Rand) {
+func checkSplit(t *testing.T, cfg server.Config, s stream, whole answers, rng *rand.Rand) {
 	t.Helper()
-	split := s.split(rng)
-	got := runStream(t, structure, shards, split)
-	for i, o := range s.ops {
-		if !sameResult(got.res[i], whole.res[i]) || !slices.Equal(got.keys[i], whole.keys[i]) {
-			t.Fatalf("R4: %d shards, op %+v: split frames answered %+v (keys %v), whole frame %+v (keys %v)",
-				shards, o, got.res[i], got.keys[i], whole.res[i], whole.keys[i])
+	got := runStream(t, cfg, s.split(rng))
+	sameAnswers(t, fmt.Sprintf("R4: %d shards, split frames against whole", cfg.Shards), s, got, whole)
+}
+
+// checkRestart is R3. A durable run on a fresh directory takes a
+// checkpoint whose boundary segment holds seeded frames [j, j+m), so
+// recovery must skip their records, and stops after frame k ≥ j+m: the
+// directory is put back to what it held then, as a crash would leave
+// it. A new server recovers on that directory and serves the rest of
+// s, which must answer as the unbroken run whole did and end in its
+// state. Frame j pops where the stream pops: set ops are idempotent,
+// so only a pop shows a covered record applied twice.
+func checkRestart(t *testing.T, cfg server.Config, s stream, whole answers, rng *rand.Rand) {
+	t.Helper()
+	n := s.frames()
+	j := rng.Intn(n - 1)
+	var pops []int
+	for f := 0; f < n-1; f++ {
+		if slices.ContainsFunc(s.ops[s.cuts[f]:s.cuts[f+1]], func(o op.Op) bool { return o.Kind == op.PopMin || o.Kind == op.PopMax }) {
+			pops = append(pops, f)
 		}
+	}
+	if len(pops) > 0 {
+		j = pops[rng.Intn(len(pops))]
+	}
+	m := 1 + rng.Intn(min(4, n-1-j))
+	k := j + m + rng.Intn(n-j-m)
+	cfg.WALDir = t.TempDir()
+	srv, addr := startServer(t, cfg)
+	c := dial(t, addr)
+	a := newAnswers(s)
+	a.play(t, cfg, c, s, 0, j)
+	if err := srv.Checkpoint(func() { a.play(t, cfg, c, s, j, j+m) }); err != nil {
+		t.Fatal(err)
+	}
+	a.play(t, cfg, c, s, j+m, k)
+	crash := crashImage(t, cfg.WALDir)
+	stop(srv, c)
+	crash()
+
+	srv, err := server.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.RecoverForTest(); err != nil {
+		t.Fatalf("R3: recovery after frame %d, checkpoint over frames [%d, %d): %v", k, j, j+m, err)
+	}
+	c = dial(t, serve(t, srv))
+	a.play(t, cfg, c, s, k, s.frames())
+	a.dumps = stop(srv, c)
+	sameAnswers(t, fmt.Sprintf("R3: checkpoint over frames [%d, %d), restart after frame %d, against the unbroken run", j, j+m, k),
+		s, a, whole)
+}
+
+// crashImage reads every file in dir and returns a function that puts
+// dir back to exactly those files, undoing what a drain writes since.
+func crashImage(t *testing.T, dir string) (restore func()) {
+	t.Helper()
+	files := make(map[string][]byte)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return func() {
+		t.Helper()
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for name, data := range files {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// sameAnswers is the equality every relation but R1 demands: got
+// answers each op of s as want does, scans followed to completion
+// included, and ends in want's state.
+func sameAnswers(t *testing.T, rel string, s stream, got, want answers) {
+	t.Helper()
+	for i, o := range s.ops {
+		if !sameResult(got.res[i], want.res[i]) || !slices.Equal(got.keys[i], want.keys[i]) {
+			t.Fatalf("%s: op %+v answered %+v (keys %v), want %+v (keys %v)",
+				rel, o, got.res[i], got.keys[i], want.res[i], want.keys[i])
+		}
+	}
+	if !slices.EqualFunc(got.dumps, want.dumps, slices.Equal[[]int64]) {
+		t.Fatalf("%s: the runs end in different states", rel)
 	}
 }
 
@@ -334,7 +476,7 @@ func checkSerialRejected(t *testing.T, structure string, shards int, caps server
 	if len(ops) == 0 {
 		return
 	}
-	_, addr := startServer(t, server.Config{Structure: structure, Shards: shards, KeySpace: streamKeySpace})
+	_, addr := startServer(t, streamConfig(structure, shards))
 	c := dial(t, addr)
 	c.send(t, ops...)
 	for id, r := range c.recvAny(t, len(ops)) {

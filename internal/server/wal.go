@@ -315,9 +315,12 @@ func (s *Server) snapLoop(interval time.Duration) {
 // snapshot, which is what lets wal.Checkpoint prune them. Records
 // racing into the new boundary segment while the dumps are taken may
 // or may not be covered; wal.Recover resolves them per record by seq.
-func (s *Server) snapshotOnce() error {
-	w := s.wal
+func (s *Server) snapshotOnce() error { return s.checkpoint(s.roll()) }
 
+// roll closes the log's segment on the writer, in commit order, and
+// returns the fresh one.
+func (s *Server) roll() uint64 {
+	w := s.wal
 	rolled := make(chan uint64, 1)
 	w.commits <- &pass{fn: func() {
 		if err := w.log.Roll(); err != nil {
@@ -325,8 +328,13 @@ func (s *Server) snapshotOnce() error {
 		}
 		rolled <- w.log.Seg()
 	}}
-	seg := <-rolled
+	return <-rolled
+}
 
+// checkpoint dumps every shard in its combiner and checkpoints the
+// dumps with boundary segment seg.
+func (s *Server) checkpoint(seg uint64) error {
+	w := s.wal
 	snap := &wal.Snapshot{Shards: make([]wal.Shard, len(s.shards))}
 	for i, sh := range s.shards {
 		done := make(chan struct{})
