@@ -1,28 +1,24 @@
 // Package slab is the one memory policy of the sequential structures
 // (seqlist, seqskip, seqhash): where their nodes come from, how that
 // memory grows, and when a structure re-lays its nodes out in key
-// order.
-//
-// The paper prices a traversal at L per node. On a real host L is a
-// property of the memory layout: a walk over nodes scattered by churn
-// is a chain of cache misses, a walk over nodes at ascending addresses
-// streams. So nodes are carved from an Arena rather than allocated one
-// heap object each, and a structure copies its nodes in key order into
-// the arena's spare once Due says the copy has been paid for.
+// order. The paper prices a traversal at L per node, and on a host L is
+// a property of the layout: a walk over nodes scattered by churn is a
+// chain of cache misses, a walk over nodes at ascending addresses
+// streams.
 package slab
 
 import "unsafe"
 
-// chunkBytes is the size of one growth step. No node moves when an
-// arena grows, so a structure may hold node pointers across any call.
+// chunkBytes is one growth step. No node moves when an arena grows, so
+// a structure may hold node pointers across any call.
 const chunkBytes = 4 << 10
 
 // Re-layout rule. A re-layout copies every node once, so it waits until
 // more than size/relayoutDisorder inserts have landed before an
 // existing node since the last one (tail appends do not count), and
-// until the visits since then that pay for it number at least
-// relayoutPaid·size: the copy costs at most 1/16 of the traversal work
-// it speeds up, and an in-order load never triggers one.
+// until the visits that pay for it number relayoutPaid·size: the copy
+// costs at most 1/16 of the traversal work it speeds up, and an
+// in-order load never triggers one.
 const (
 	relayoutDisorder = 64
 	relayoutPaid     = 16
@@ -35,18 +31,18 @@ func Due(disorder, size int, paid uint64) bool {
 	return disorder > size/relayoutDisorder && paid >= relayoutPaid*uint64(size)
 }
 
-// ChunkLen is how many Ts one 4 KiB chunk holds.
+// ChunkLen is how many Ts one chunk holds.
 func ChunkLen[T any]() int {
 	var zero T
 	return chunkBytes / int(unsafe.Sizeof(zero))
 }
 
-// Arena hands out Ts from a slab, the contiguous run a re-layout
+// Arena hands out Ts from a slab, the contiguous run the last re-layout
 // wrote, and from the chunks grown since. A re-layout copies the live
-// nodes into Spare and makes it the slab with Swap; the spare is sized
-// to the capacity reached, so an arena holds at most twice that. Once
-// slab and spare have reached a structure's high-water mark, nothing
-// allocates, re-layouts included. The zero value is an empty arena.
+// nodes in key order into Spare, sized to the capacity reached, and
+// installs it with Swap, so an arena holds at most twice that capacity
+// and, once both have reached a structure's high-water mark, allocates
+// nothing. The zero value is an empty arena.
 type Arena[T any] struct {
 	slab, spare []T
 	tail        []T // unused end of the newest region: the slab, or the last chunk
@@ -71,14 +67,13 @@ func (a *Arena[T]) Take(n int) []T {
 // Cap is the capacity reached: the slab and the chunks grown since.
 func (a *Arena[T]) Cap() int { return len(a.slab) + a.grown }
 
-// Held is every T the arena keeps: Cap plus the spare.
+// Held is Cap plus the spare (tests).
 func (a *Arena[T]) Held() int { return a.Cap() + len(a.spare) }
 
-// Slab returns the slab the last Swap installed.
+// Slab returns the slab the last Swap installed (tests).
 func (a *Arena[T]) Slab() []T { return a.slab }
 
-// Spare returns the slab the next re-layout copies into, grown to Cap
-// if it is smaller.
+// Spare returns the slab the next re-layout copies into, grown to Cap.
 func (a *Arena[T]) Spare() []T {
 	if n := a.Cap(); len(a.spare) < n {
 		a.spare = make([]T, n) // spare grows to the capacity reached; steady state reuses it
@@ -86,8 +81,8 @@ func (a *Arena[T]) Spare() []T {
 	return a.spare
 }
 
-// Swap makes the spare, whose first used Ts a re-layout has written,
-// the slab, and hands out the rest of it next. The chunks are dropped
+// Swap installs the spare, whose first used Ts a re-layout wrote, as
+// the slab and hands out the rest of it next; the chunks are dropped
 // and the old slab becomes the spare. The unused end is cleared so it
 // keeps no old node reachable.
 func (a *Arena[T]) Swap(used int) {

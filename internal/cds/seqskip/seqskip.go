@@ -29,10 +29,6 @@ type node struct {
 	next []*node
 }
 
-// Only reads (contains, scan, pred, succ) pay towards a re-layout,
-// because an insert-only phase (a preload, a restore) gains nothing
-// from a layout it is about to disorder again.
-//
 // Growth rule. Removed nodes wait on per-height free lists, where a
 // freed tall tower cannot host a short one; when the arenas would grow
 // a chunk while the free lists strand more than Len()/strandLimit
@@ -142,7 +138,9 @@ func (l *List) alloc(h int) (n *node, moved bool) {
 }
 
 // settle runs after every mutating call and re-lays the list out once
-// slab.Due says the reads have paid for the copy.
+// slab.Due says the reads have paid for the copy. Only reads (contains,
+// scan, pred, succ) pay, because an insert-only phase (a preload, a
+// restore) gains nothing from a layout it is about to disorder again.
 func (l *List) settle() {
 	if !l.pinned && slab.Due(l.disorder, l.size, l.reads-l.mark) {
 		l.relayout()

@@ -314,6 +314,7 @@ func TestFrameStreamRelations(t *testing.T) {
 		caps, _ := server.LookupCapability(structure)
 		for _, seed := range seeds {
 			t.Run(fmt.Sprintf("%s/seed%d", structure, seed), func(t *testing.T) {
+				t.Parallel() // each run waits on loopback round trips, which overlap
 				rng := rand.New(rand.NewSource(seed))
 
 				// R1: shard count.

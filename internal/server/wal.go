@@ -301,24 +301,17 @@ func (s *Server) snapLoop(interval time.Duration) {
 			// A failed snapshot costs replay time, not correctness: the
 			// log is still intact and still authoritative, and the next
 			// tick tries again.
-			s.snapshotOnce()
+			s.checkpoint(s.roll())
 		}
 	}
 }
 
-// snapshotOnce rolls the log to a fresh segment, captures every
-// shard's state in its own combiner (so each dump is a consistent
-// point in that shard's serial order), and checkpoints it.
-//
-// The roll happens on the writer, in commit order, *before* the dumps
+// roll starts a snapshot: it rolls the log to a fresh segment on the
+// writer, in commit order, and returns it. It runs *before* the dumps
 // are taken — so every record in a closed segment is covered by the
 // snapshot, which is what lets wal.Checkpoint prune them. Records
 // racing into the new boundary segment while the dumps are taken may
 // or may not be covered; wal.Recover resolves them per record by seq.
-func (s *Server) snapshotOnce() error { return s.checkpoint(s.roll()) }
-
-// roll closes the log's segment on the writer, in commit order, and
-// returns the fresh one.
 func (s *Server) roll() uint64 {
 	w := s.wal
 	rolled := make(chan uint64, 1)
@@ -331,8 +324,9 @@ func (s *Server) roll() uint64 {
 	return <-rolled
 }
 
-// checkpoint dumps every shard in its combiner and checkpoints the
-// dumps with boundary segment seg.
+// checkpoint captures every shard's state in its own combiner (so each
+// dump is a consistent point in that shard's serial order) and
+// checkpoints it with boundary segment seg.
 func (s *Server) checkpoint(seg uint64) error {
 	w := s.wal
 	snap := &wal.Snapshot{Shards: make([]wal.Shard, len(s.shards))}
