@@ -438,8 +438,11 @@ func (s *Server) Serve(ln net.Listener) error {
 	// Recover before the first Accept: no client can connect — and so
 	// no op can be published — until the restored state and the log
 	// tail agree. /healthz (on the ops listener) serves "recovering"
-	// meanwhile.
+	// meanwhile. A failed recovery closes the listener: nothing will
+	// ever accept on it, so a client's dial must be refused, not left
+	// queued in the kernel's backlog.
 	if err := s.recoverWAL(); err != nil {
+		ln.Close()
 		return err
 	}
 	for {

@@ -25,8 +25,8 @@ import (
 )
 
 // startServer runs an in-process server on an ephemeral port and
-// returns it with its address. Serve's return value is checked at
-// cleanup: a drained server must return nil.
+// returns it with its address. Serve must return nil, and only once
+// the server drains.
 func startServer(t *testing.T, cfg server.Config) (*server.Server, string) {
 	t.Helper()
 	srv, err := server.New(cfg)
@@ -37,20 +37,25 @@ func startServer(t *testing.T, cfg server.Config) (*server.Server, string) {
 }
 
 // serve runs srv on an ephemeral port, as startServer does, and returns
-// its address.
+// its address. An error from Serve (a failed recovery, say) is
+// reported the moment Serve returns it, not at cleanup, so the test's
+// log names it ahead of whatever the test's clients then see.
 func serve(t *testing.T, srv *server.Server) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := srv.Serve(ln); err != nil {
+			t.Errorf("Serve returned %v, want nil once drained", err)
+		}
+	}()
 	t.Cleanup(func() {
 		srv.Shutdown()
-		if err := <-done; err != nil {
-			t.Errorf("Serve returned %v after Shutdown, want nil", err)
-		}
+		<-done
 	})
 	return ln.Addr().String()
 }

@@ -123,6 +123,9 @@ func (ps *pass) stageRecord() {
 // appending their records through one buffered file, then makes the
 // group durable according to the fsync policy, and only then releases
 // each pass's acks, which recycles the pass to its shard's free list.
+// The group's sync overwrites the segment's zero-filled tail in place;
+// topping that tail up (wal.Log.Extend) waits until the acks are out,
+// so no ack waits on a zero-fill.
 func (s *Server) walWriter() {
 	w := s.wal
 	defer close(w.writerDone)
@@ -130,6 +133,9 @@ func (s *Server) walWriter() {
 		s.walAdmit(ps)
 		if len(w.commits) == 0 {
 			s.walRelease()
+			if err := w.log.Extend(); err != nil {
+				panic(fmt.Sprintf("server: wal extend: %v", err))
+			}
 		}
 	}
 }
@@ -148,7 +154,8 @@ func (s *Server) walAdmit(ps *pass) {
 	if len(ps.rec) > 0 {
 		if err := w.log.Append(ps.rec); err != nil {
 			// Durability is the contract; a log the server cannot append
-			// to means every future ack would be a lie. Fail stop.
+			// to (or grow, when a group outruns the zero tail) means
+			// every future ack would be a lie. Fail stop.
 			panic(fmt.Sprintf("server: wal append: %v", err))
 		}
 		w.records.Inc()
@@ -316,6 +323,8 @@ func (s *Server) roll() uint64 {
 	w := s.wal
 	rolled := make(chan uint64, 1)
 	w.commits <- &pass{fn: func() {
+		// Roll cuts the closed segment's zero tail off and pre-extends
+		// the new one; either failing is a sync failure. Fail stop.
 		if err := w.log.Roll(); err != nil {
 			panic(fmt.Sprintf("server: wal roll: %v", err))
 		}

@@ -375,6 +375,54 @@ func TestWALRefusesLayoutDrift(t *testing.T) {
 	}
 }
 
+// TestServeRecoveryErrorClosesListener: when recovery refuses the
+// directory, Serve returns the error and closes the listener, so a
+// client's dial fails at once instead of queueing on a listener that
+// nobody will ever accept on.
+func TestServeRecoveryErrorClosesListener(t *testing.T) {
+	dir := t.TempDir()
+	l, err := wal.Open(dir, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A record for shard 1 of what restarts as a 1-shard server.
+	if err := l.Append(wal.AppendRecord(nil, 1, 1, []op.Op{{ID: 1, Kind: op.Add, Key: 600}})); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Structure: server.StructHash, Shards: 1, KeySpace: 1024, WALDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	select {
+	case err = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve did not return after a failed recovery")
+	}
+	if err == nil || !strings.Contains(err.Error(), "record for shard 1") {
+		t.Fatalf("Serve = %v, want the recovery error", err)
+	}
+
+	nc, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second)
+	if err != nil {
+		return // refused: nothing listens any more
+	}
+	defer nc.Close()
+	nc.SetReadDeadline(time.Now().Add(time.Second))
+	if _, err := nc.Read(make([]byte, 1)); err != nil && os.IsTimeout(err) {
+		t.Fatal("a dial after the failed recovery was accepted and left hanging")
+	}
+}
+
 // TestSnapshotTruncatesLog: periodic snapshots prune the segments they
 // supersede, and a restart from snapshot + tail reproduces the state.
 func TestSnapshotTruncatesLog(t *testing.T) {

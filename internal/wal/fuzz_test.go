@@ -13,8 +13,9 @@ import (
 // as ErrTorn/ErrCorrupt (never a panic, never a partial record) or
 // decodes to a record that re-encodes byte-identically — the canonical
 // framing property the wire decoders also hold. The committed corpus
-// seeds the two failure shapes recovery must stop at: a truncated tail
-// and a CRC-corrupt record.
+// seeds the two failure shapes recovery must stop at, a truncated tail
+// and a CRC-corrupt record, and the zero runs a live segment's
+// pre-extended tail puts after its last record.
 func FuzzDecodeRecord(f *testing.F) {
 	// A healthy two-op record.
 	good := AppendRecord(nil, 1, 7, []op.Op{
@@ -31,6 +32,12 @@ func FuzzDecodeRecord(f *testing.F) {
 	// Empty input and a bare header.
 	f.Add([]byte{})
 	f.Add(good[:recHeaderSize])
+	// Zero runs: the zero tail itself, a record followed by it, and a
+	// record torn off where the tail begins.
+	zeros := make([]byte, 64)
+	f.Add(zeros)
+	f.Add(append(append([]byte(nil), good...), zeros...))
+	f.Add(append(append([]byte(nil), good[:len(good)/2]...), zeros...))
 
 	var arena []op.Op
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -110,6 +110,47 @@ func TestRecoverFixture(t *testing.T) {
 	}
 }
 
+// TestRecoverZeroTailFixture pins the tail rule against a committed
+// directory as a crash leaves it: segment 0 as Roll left it, cut to
+// its two records (shard 0 seq 1 adds {1 2}, shard 1 seq 1 adds {40}),
+// and segment 1, the open one, holding two records (shard 0 seq 2
+// removes 1 and adds 3, shard 1 seq 2 adds 41) followed by a zero tail
+// (4 KiB here; a live segment carries up to one extent). Recovery
+// replays both segments, reads the zeros as the end of the log and
+// cuts segment 1 back to its 121 record bytes.
+func TestRecoverZeroTailFixture(t *testing.T) {
+	src := filepath.Join("testdata", "recover-zero-tail")
+	// Same bytes: today's encoder writes the committed records.
+	seg1 := AppendRecord(nil, 0, 2, []op.Op{{ID: 4, Kind: op.Remove, Key: 1}, {ID: 5, Kind: op.Add, Key: 3}})
+	seg1 = AppendRecord(seg1, 1, 2, []op.Op{{ID: 6, Kind: op.Add, Key: 41}})
+	want := map[string][]byte{
+		SegmentName(0): AppendRecord(AppendRecord(nil, 0, 1, []op.Op{{ID: 1, Kind: op.Add, Key: 1}, {ID: 2, Kind: op.Add, Key: 2}}),
+			1, 1, []op.Op{{ID: 3, Kind: op.Add, Key: 40}}),
+		SegmentName(1): append(seg1, make([]byte, 4096)...),
+	}
+	if got := readDir(t, src); !reflect.DeepEqual(got, want) {
+		t.Fatal("committed fixture differs from today's encoding of the same records")
+	}
+
+	dir := copyDir(t, src)
+	m := make(setModel, 2)
+	next, seqs, err := Recover(dir, 2, m.restore, m.apply)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if wantState := (setModel{{2, 3}, {40, 41}}); !reflect.DeepEqual(m, wantState) {
+		t.Errorf("recovered state = %v, want %v", m, wantState)
+	}
+	if !slices.Equal(seqs, []uint64{2, 2}) || next != 1 {
+		t.Errorf("recovered seqs %v, next segment %d; want [2 2], 1", seqs, next)
+	}
+	want[SegmentName(1)] = seg1
+	if got := readDir(t, dir); !reflect.DeepEqual(got, want) {
+		t.Errorf("after recovery the segments are %d and %d bytes, want segment 0 untouched and segment 1 cut to its %d record bytes",
+			len(got[SegmentName(0)]), len(got[SegmentName(1)]), len(seg1))
+	}
+}
+
 // TestRecoverRefusesSeqGap: a shard whose seqs skip a number lost a
 // record, and recovery must not paper over the hole.
 func TestRecoverRefusesSeqGap(t *testing.T) {

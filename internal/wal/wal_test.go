@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"pimds/internal/op"
@@ -328,4 +329,216 @@ func TestReplayMissingDirIsEmpty(t *testing.T) {
 func nil2(t *testing.T) func(Record) error {
 	t.Helper()
 	return func(Record) error { return nil }
+}
+
+// crash abandons l as kill -9 would: the file is closed without the
+// cut Close makes, and records still in the userspace buffer are lost.
+func crash(t *testing.T, l *Log) {
+	t.Helper()
+	if err := l.f.Close(); err != nil {
+		t.Fatalf("closing the abandoned segment: %v", err)
+	}
+}
+
+// replaySeqs replays dir from segment 0 and returns the summary and
+// the seq of every record, in log order.
+func replaySeqs(t *testing.T, dir string) (replayResult, []uint64) {
+	t.Helper()
+	var seqs []uint64
+	res, err := replay(dir, 0, func(rec Record) error {
+		seqs = append(seqs, rec.Seq)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	return res, seqs
+}
+
+func segSize(t *testing.T, dir string, seg uint64) int64 {
+	t.Helper()
+	st, err := os.Stat(filepath.Join(dir, SegmentName(seg)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Size()
+}
+
+func seqRange(from, to uint64) []uint64 {
+	var s []uint64
+	for seq := from; seq <= to; seq++ {
+		s = append(s, seq)
+	}
+	return s
+}
+
+// TestCrashKeepsSyncedRecords: a log abandoned without Close leaves
+// its segment ending in the zero tail. Recovery keeps every synced
+// record, cuts the zeros, and the next Open writes after the records.
+func TestCrashKeepsSyncedRecords(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, 0, true)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	writeRecords(t, l, 0, 1, 3)
+	good := l.Size()
+	// Appended but never synced: it dies with the process's buffer.
+	if err := l.Append(AppendRecord(nil, 0, 4, mkOps(2))); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	crash(t, l)
+	if size := segSize(t, dir, 0); size < good+extent/2 {
+		t.Fatalf("crashed segment is %d bytes, want %d written bytes and a zero tail of at least %d", size, good, extent/2)
+	}
+
+	res, seqs := replaySeqs(t, dir)
+	if !slices.Equal(seqs, seqRange(1, 3)) || !res.Truncated || res.NextSeg != 0 {
+		t.Fatalf("replay after crash = %+v, seqs %v; want seqs 1..3, zero tail truncated, NextSeg 0", res, seqs)
+	}
+	if size := segSize(t, dir, 0); size != good {
+		t.Fatalf("segment after recovery = %d bytes, want its %d written bytes", size, good)
+	}
+
+	l, err = Open(dir, res.NextSeg, true)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	writeRecords(t, l, 0, 4, 5)
+	crash(t, l)
+	if res, seqs = replaySeqs(t, dir); !slices.Equal(seqs, seqRange(1, 5)) {
+		t.Fatalf("replay after the second crash = %+v, seqs %v; want seqs 1..5", res, seqs)
+	}
+}
+
+// TestTornRecordBeforeZeros: a crash that cut a record short leaves it
+// followed by the zero tail, not by the end of the file. Recovery cuts
+// the segment at the last good record wherever the cut fell. A cut
+// that lost only zero bytes is no cut at all: the zeros already on
+// disk complete the record, which then replays.
+func TestTornRecordBeforeZeros(t *testing.T) {
+	torn := AppendRecord(nil, 0, 3, mkOps(2))
+	last := len(torn) - 1 // the record's last nonzero byte
+	for torn[last] == 0 {
+		last--
+	}
+	for _, cut := range []int{1, recHeaderSize, recHeaderSize + 1, len(torn) / 2, last, last + 1} {
+		want := seqRange(1, 2)
+		if cut > last {
+			want = seqRange(1, 3)
+		}
+		dir := t.TempDir()
+		l, err := Open(dir, 0, true)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		writeRecords(t, l, 0, 1, 2)
+		good := l.Size()
+		if err := l.Append(torn[:cut]); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatalf("Sync: %v", err)
+		}
+		crash(t, l)
+		res, seqs := replaySeqs(t, dir)
+		if !slices.Equal(seqs, want) || !res.Truncated {
+			t.Errorf("torn after %d of %d bytes: replay = %+v, seqs %v; want seqs %v, zeros truncated", cut, len(torn), res, seqs, want)
+		}
+		if cut > last {
+			good += int64(len(torn))
+		}
+		if size := segSize(t, dir, 0); size != good {
+			t.Errorf("torn after %d of %d bytes: segment cut to %d bytes, want %d", cut, len(torn), size, good)
+		}
+	}
+}
+
+// TestRollCutsZeroTail: Roll cuts the closed segment to its records
+// before the next one exists. Otherwise replay would read the closed
+// segment's zeros as the end of the log and drop the newer segment,
+// and with it records that were synced and acknowledged.
+func TestRollCutsZeroTail(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, 0, true)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	writeRecords(t, l, 0, 1, 3)
+	closed := l.Size()
+	if err := l.Roll(); err != nil {
+		t.Fatalf("Roll: %v", err)
+	}
+	writeRecords(t, l, 0, 4, 6)
+	crash(t, l)
+	if size := segSize(t, dir, 0); size != closed {
+		t.Errorf("rolled segment is %d bytes, want its %d written bytes", size, closed)
+	}
+	res, seqs := replaySeqs(t, dir)
+	if !slices.Equal(seqs, seqRange(1, 6)) || res.NextSeg != 1 {
+		t.Fatalf("replay after roll and crash = %+v, seqs %v; want seqs 1..6 from both segments, NextSeg 1", res, seqs)
+	}
+	if segs, _, err := List(dir); err != nil || !slices.Equal(segs, []uint64{0, 1}) {
+		t.Fatalf("segments after recovery = %v (err %v), want [0 1]", segs, err)
+	}
+}
+
+// TestCloseCutsZeroTail: a cleanly closed log ends on a record
+// boundary, with nothing for the next recovery to truncate.
+func TestCloseCutsZeroTail(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, 0, true)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	writeRecords(t, l, 0, 1, 3)
+	written := l.Size()
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if size := segSize(t, dir, 0); size != written {
+		t.Fatalf("closed segment is %d bytes, want its %d written bytes", size, written)
+	}
+	if res, seqs := replaySeqs(t, dir); res.Truncated || !slices.Equal(seqs, seqRange(1, 3)) {
+		t.Fatalf("replay of a closed log = %+v, seqs %v; want seqs 1..3, nothing truncated", res, seqs)
+	}
+}
+
+// TestAppendPastZeroTail: a group larger than the zero tail grows the
+// file by extension before its records land, so the group's Sync
+// still overwrites in place; Extend tops the tail up afterwards.
+func TestAppendPastZeroTail(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, 0, false)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	rec := AppendRecord(nil, 0, 1, mkOps(wire.MaxOpsPerFrame))
+	n := extent/len(rec) + 2 // one more record than the first extent holds
+	for i := 0; i < n; i++ {
+		if err := l.Append(rec); err != nil {
+			t.Fatalf("Append %d: %v", i, err)
+		}
+		if l.end < l.size {
+			t.Fatalf("after record %d the file ends at %d, before the write offset %d", i, l.end, l.size)
+		}
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	if size := segSize(t, dir, 0); size != l.end || size <= extent {
+		t.Fatalf("segment is %d bytes, want the grown file's %d", size, l.end)
+	}
+	if err := l.Extend(); err != nil {
+		t.Fatalf("Extend: %v", err)
+	}
+	if l.end-l.size < extent/2 {
+		t.Fatalf("zero tail after Extend is %d bytes, want at least %d", l.end-l.size, extent/2)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if size := segSize(t, dir, 0); size != int64(n*len(rec)) {
+		t.Fatalf("closed segment is %d bytes, want %d", size, n*len(rec))
+	}
 }
