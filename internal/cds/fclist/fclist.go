@@ -16,7 +16,7 @@ import (
 // List is a flat-combining sorted linked-list set. Create one with New;
 // each goroutine must obtain its own Handle.
 type List struct {
-	fc        *flatcombining.FC
+	fc        *flatcombining.FC[op.Op, bool]
 	seq       *seqlist.List
 	combining bool
 
@@ -39,7 +39,7 @@ func (l *List) Combining() bool { return l.combining }
 // Handle is a per-goroutine access handle (its publication record).
 type Handle struct {
 	l   *List
-	rec *flatcombining.Record
+	rec *flatcombining.Record[op.Op, bool]
 }
 
 // NewHandle registers a goroutine with the list.
@@ -57,15 +57,15 @@ func (h *Handle) Add(k int64) bool { return h.do(op.Add, k) }
 func (h *Handle) Remove(k int64) bool { return h.do(op.Remove, k) }
 
 func (h *Handle) do(kind op.Kind, k int64) bool {
-	return h.l.fc.Do(h.rec, op.Op{Kind: kind, Key: k}).(bool)
+	return h.l.fc.Do(h.rec, op.Op{Kind: kind, Key: k})
 }
 
 // apply runs under the combiner lock.
-func (l *List) apply(batch []*flatcombining.Record) {
+func (l *List) apply(batch []*flatcombining.Record[op.Op, bool]) {
 	if l.combining {
 		l.ops = l.ops[:0]
 		for _, rec := range batch {
-			l.ops = append(l.ops, rec.Op().(op.Op))
+			l.ops = append(l.ops, rec.Op())
 		}
 		results := l.combine(l.ops)
 		for i, rec := range batch {
@@ -74,7 +74,7 @@ func (l *List) apply(batch []*flatcombining.Record) {
 		return
 	}
 	for _, rec := range batch {
-		rec.Finish(l.seq.Apply(rec.Op().(op.Op)))
+		rec.Finish(l.seq.Apply(rec.Op()))
 	}
 }
 

@@ -27,8 +27,8 @@ type Queue struct {
 	head *node // owned by the dequeue combiner; dummy node
 	tail *node // owned by the enqueue combiner
 
-	enqFC *flatcombining.FC
-	deqFC *flatcombining.FC
+	enqFC *flatcombining.FC[int64, struct{}]
+	deqFC *flatcombining.FC[struct{}, deqResult]
 }
 
 // deqResult is the result of one dequeue.
@@ -46,16 +46,16 @@ func New() *Queue {
 	return q
 }
 
-func (q *Queue) applyEnqs(batch []*flatcombining.Record) {
+func (q *Queue) applyEnqs(batch []*flatcombining.Record[int64, struct{}]) {
 	for _, rec := range batch {
-		n := &node{val: rec.Op().(int64)}
+		n := &node{val: rec.Op()}
 		q.tail.next.Store(n)
 		q.tail = n
-		rec.Finish(true)
+		rec.Finish(struct{}{})
 	}
 }
 
-func (q *Queue) applyDeqs(batch []*flatcombining.Record) {
+func (q *Queue) applyDeqs(batch []*flatcombining.Record[struct{}, deqResult]) {
 	for _, rec := range batch {
 		next := q.head.next.Load()
 		if next == nil {
@@ -71,8 +71,8 @@ func (q *Queue) applyDeqs(batch []*flatcombining.Record) {
 // side).
 type Handle struct {
 	q      *Queue
-	enqRec *flatcombining.Record
-	deqRec *flatcombining.Record
+	enqRec *flatcombining.Record[int64, struct{}]
+	deqRec *flatcombining.Record[struct{}, deqResult]
 }
 
 // NewHandle registers a goroutine with the queue.
@@ -88,7 +88,7 @@ func (h *Handle) Enqueue(v int64) {
 // Dequeue removes and returns the oldest value; ok is false if the
 // queue was observed empty.
 func (h *Handle) Dequeue() (v int64, ok bool) {
-	r := h.q.deqFC.Do(h.deqRec, nil).(deqResult)
+	r := h.q.deqFC.Do(h.deqRec, struct{}{})
 	return r.val, r.ok
 }
 

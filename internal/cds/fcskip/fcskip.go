@@ -25,7 +25,7 @@ type List struct {
 }
 
 type partition struct {
-	fc  *flatcombining.FC
+	fc  *flatcombining.FC[op.Op, bool]
 	seq *seqskip.List
 }
 
@@ -39,9 +39,9 @@ func New(keySpace int64, k int, seed uint64) *List {
 	l := &List{keySpace: keySpace, parts: make([]*partition, k)}
 	for i := range l.parts {
 		p := &partition{seq: seqskip.New(seed + uint64(i)*0x9e3779b9)}
-		p.fc = flatcombining.New(func(batch []*flatcombining.Record) {
+		p.fc = flatcombining.New(func(batch []*flatcombining.Record[op.Op, bool]) {
 			for _, rec := range batch {
-				rec.Finish(p.seq.Apply(rec.Op().(op.Op)))
+				rec.Finish(p.seq.Apply(rec.Op()))
 			}
 		})
 		l.parts[i] = p
@@ -64,12 +64,12 @@ func (l *List) partitionFor(k int64) int {
 // partition.
 type Handle struct {
 	l    *List
-	recs []*flatcombining.Record
+	recs []*flatcombining.Record[op.Op, bool]
 }
 
 // NewHandle registers a goroutine with every partition.
 func (l *List) NewHandle() *Handle {
-	h := &Handle{l: l, recs: make([]*flatcombining.Record, len(l.parts))}
+	h := &Handle{l: l, recs: make([]*flatcombining.Record[op.Op, bool], len(l.parts))}
 	for i, p := range l.parts {
 		h.recs[i] = p.fc.NewRecord()
 	}
@@ -88,7 +88,7 @@ func (h *Handle) Remove(k int64) bool { return h.do(op.Remove, k) }
 func (h *Handle) do(kind op.Kind, k int64) bool {
 	i := h.l.partitionFor(k)
 	p := h.l.parts[i]
-	return p.fc.Do(h.recs[i], op.Op{Kind: kind, Key: k}).(bool)
+	return p.fc.Do(h.recs[i], op.Op{Kind: kind, Key: k})
 }
 
 // Len returns the total number of keys at quiescence.

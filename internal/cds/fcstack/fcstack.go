@@ -30,7 +30,7 @@ type popResult struct {
 // Stack is a flat-combining LIFO stack of int64 values. Create one
 // with New; each goroutine needs its own Handle.
 type Stack struct {
-	fc        *flatcombining.FC
+	fc        *flatcombining.FC[request, popResult]
 	vals      []int64
 	eliminate bool
 
@@ -47,15 +47,15 @@ func New(eliminate bool) *Stack {
 	return s
 }
 
-func (s *Stack) apply(batch []*flatcombining.Record) {
+func (s *Stack) apply(batch []*flatcombining.Record[request, popResult]) {
 	if s.eliminate {
 		// Pair each pop with the nearest unmatched push in the batch:
 		// both complete immediately (the pop returns the push's value)
 		// and the stack itself is untouched. Any serialization of a
 		// concurrent batch is linearizable, so pairing is legal.
-		var pushes []*flatcombining.Record
+		var pushes []*flatcombining.Record[request, popResult]
 		for _, rec := range batch {
-			req := rec.Op().(request)
+			req := rec.Op()
 			if req.kind == opPush {
 				pushes = append(pushes, rec)
 				continue
@@ -63,24 +63,24 @@ func (s *Stack) apply(batch []*flatcombining.Record) {
 			if len(pushes) > 0 {
 				push := pushes[len(pushes)-1]
 				pushes = pushes[:len(pushes)-1]
-				rec.Finish(popResult{val: push.Op().(request).val, ok: true})
-				push.Finish(true)
+				rec.Finish(popResult{val: push.Op().val, ok: true})
+				push.Finish(popResult{})
 				s.Eliminated++
 				continue
 			}
 			rec.Finish(s.popOne())
 		}
 		for _, push := range pushes {
-			s.vals = append(s.vals, push.Op().(request).val)
-			push.Finish(true)
+			s.vals = append(s.vals, push.Op().val)
+			push.Finish(popResult{})
 		}
 		return
 	}
 	for _, rec := range batch {
-		req := rec.Op().(request)
+		req := rec.Op()
 		if req.kind == opPush {
 			s.vals = append(s.vals, req.val)
-			rec.Finish(true)
+			rec.Finish(popResult{})
 		} else {
 			rec.Finish(s.popOne())
 		}
@@ -99,7 +99,7 @@ func (s *Stack) popOne() popResult {
 // Handle is a per-goroutine access handle.
 type Handle struct {
 	s   *Stack
-	rec *flatcombining.Record
+	rec *flatcombining.Record[request, popResult]
 }
 
 // NewHandle registers a goroutine with the stack.
@@ -115,7 +115,7 @@ func (h *Handle) Push(v int64) {
 // Pop removes and returns the top value; ok is false if the stack was
 // empty (after elimination).
 func (h *Handle) Pop() (v int64, ok bool) {
-	r := h.s.fc.Do(h.rec, request{kind: opPop}).(popResult)
+	r := h.s.fc.Do(h.rec, request{kind: opPop})
 	return r.val, r.ok
 }
 

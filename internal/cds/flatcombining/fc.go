@@ -5,9 +5,9 @@
 // publication list, one thread acquires a combiner lock and executes
 // everybody's requests against a sequential structure.
 //
-// The engine is generic over the operation and result types; the
-// structure-specific part is a single Apply callback that receives the
-// batch of pending requests.
+// The engine is generic over the operation and result types, so a
+// request and its result travel unboxed; the structure-specific part is
+// a single Apply callback that receives the batch of pending requests.
 package flatcombining
 
 import (
@@ -18,21 +18,21 @@ import (
 // Record is one thread's slot in the publication list. A thread must
 // create its record once (NewRecord) and pass it to every Do call;
 // records are never removed.
-type Record struct {
-	op      interface{}
-	result  interface{}
+type Record[O, R any] struct {
+	op      O
+	result  R
 	pending atomic.Bool
-	next    *Record // publication list link (immutable once published)
+	next    *Record[O, R] // publication list link (immutable once published)
 }
 
 // Op returns the published operation. Only the combiner may call it,
 // and only for records it observed pending.
-func (r *Record) Op() interface{} { return r.op }
+func (r *Record[O, R]) Op() O { return r.op }
 
 // Finish stores the operation's result and releases the waiting
 // thread. Only the combiner may call it, exactly once per pending
 // request it serves.
-func (r *Record) Finish(result interface{}) {
+func (r *Record[O, R]) Finish(result R) {
 	r.result = result
 	r.pending.Store(false)
 }
@@ -41,17 +41,17 @@ func (r *Record) Finish(result interface{}) {
 // sequential structure. It must call Finish on every record in the
 // batch. Batches preserve no particular order; any serialization of
 // concurrent requests is linearizable.
-type Apply func(batch []*Record)
+type Apply[O, R any] func(batch []*Record[O, R])
 
 // FC is one flat-combining instance (one combiner lock, one
 // publication list, one sequential structure).
-type FC struct {
-	apply Apply
+type FC[O, R any] struct {
+	apply Apply[O, R]
 
-	lock atomic.Bool            // combiner lock
-	head atomic.Pointer[Record] // publication list (LIFO push)
+	lock atomic.Bool                  // combiner lock
+	head atomic.Pointer[Record[O, R]] // publication list (LIFO push)
 
-	batch []*Record // combiner-owned scratch, guarded by lock
+	batch []*Record[O, R] // combiner-owned scratch, guarded by lock
 
 	// Combines counts combiner passes; Served counts requests
 	// executed. Both are read by stats code after quiescence.
@@ -61,13 +61,13 @@ type FC struct {
 
 // New returns a flat-combining instance whose requests are executed by
 // apply.
-func New(apply Apply) *FC {
-	return &FC{apply: apply}
+func New[O, R any](apply Apply[O, R]) *FC[O, R] {
+	return &FC[O, R]{apply: apply}
 }
 
 // NewRecord registers a new thread with the publication list.
-func (fc *FC) NewRecord() *Record {
-	r := &Record{}
+func (fc *FC[O, R]) NewRecord() *Record[O, R] {
+	r := &Record[O, R]{}
 	for {
 		head := fc.head.Load()
 		r.next = head
@@ -80,7 +80,7 @@ func (fc *FC) NewRecord() *Record {
 // Do publishes op on r, then either combines (if it wins the combiner
 // lock) or spins until a combiner has served it. It returns the
 // operation's result.
-func (fc *FC) Do(r *Record, op interface{}) interface{} {
+func (fc *FC[O, R]) Do(r *Record[O, R], op O) R {
 	r.op = op
 	r.pending.Store(true)
 
@@ -100,7 +100,7 @@ func (fc *FC) Do(r *Record, op interface{}) interface{} {
 
 // combine scans the publication list once and applies all pending
 // requests as one batch. Callers must hold the combiner lock.
-func (fc *FC) combine() {
+func (fc *FC[O, R]) combine() {
 	fc.batch = fc.batch[:0]
 	for rec := fc.head.Load(); rec != nil; rec = rec.next {
 		if rec.pending.Load() {

@@ -8,16 +8,16 @@ import (
 // TestSingleThread: one thread's ops are applied in order with results.
 func TestSingleThread(t *testing.T) {
 	var log []int
-	fc := New(func(batch []*Record) {
+	fc := New(func(batch []*Record[int, int]) {
 		for _, rec := range batch {
-			v := rec.Op().(int)
+			v := rec.Op()
 			log = append(log, v)
 			rec.Finish(v * 2)
 		}
 	})
 	rec := fc.NewRecord()
 	for i := 1; i <= 5; i++ {
-		if got := fc.Do(rec, i).(int); got != i*2 {
+		if got := fc.Do(rec, i); got != i*2 {
 			t.Fatalf("Do(%d) = %d, want %d", i, got, i*2)
 		}
 	}
@@ -42,9 +42,9 @@ func TestSingleThread(t *testing.T) {
 // individual increment is atomic (the combiner serializes them).
 func TestConcurrentCounter(t *testing.T) {
 	counter := 0
-	fc := New(func(batch []*Record) {
+	fc := New(func(batch []*Record[int, int]) {
 		for _, rec := range batch {
-			counter += rec.Op().(int)
+			counter += rec.Op()
 			rec.Finish(counter)
 		}
 	})
@@ -57,7 +57,7 @@ func TestConcurrentCounter(t *testing.T) {
 			defer wg.Done()
 			rec := fc.NewRecord()
 			for i := 0; i < perG; i++ {
-				if got := fc.Do(rec, 1).(int); got < 1 || got > goroutines*perG {
+				if got := fc.Do(rec, 1); got < 1 || got > goroutines*perG {
 					t.Errorf("observed counter %d out of range", got)
 					return
 				}
@@ -76,9 +76,9 @@ func TestConcurrentCounter(t *testing.T) {
 // TestResultsRoutedToRightThread: each thread must receive the result
 // of its own request, never a neighbor's.
 func TestResultsRoutedToRightThread(t *testing.T) {
-	fc := New(func(batch []*Record) {
+	fc := New(func(batch []*Record[int, int]) {
 		for _, rec := range batch {
-			rec.Finish(rec.Op().(int) + 1000)
+			rec.Finish(rec.Op() + 1000)
 		}
 	})
 	const goroutines = 6
@@ -90,7 +90,7 @@ func TestResultsRoutedToRightThread(t *testing.T) {
 			rec := fc.NewRecord()
 			for i := 0; i < 3000; i++ {
 				op := g*1_000_000 + i
-				if got := fc.Do(rec, op).(int); got != op+1000 {
+				if got := fc.Do(rec, op); got != op+1000 {
 					t.Errorf("goroutine %d got result %d for op %d", g, got, op)
 					return
 				}
@@ -104,9 +104,9 @@ func TestResultsRoutedToRightThread(t *testing.T) {
 // serve more than one request (this is probabilistic but overwhelmingly
 // likely with blocked waiters).
 func TestBatching(t *testing.T) {
-	fc := New(func(batch []*Record) {
+	fc := New(func(batch []*Record[int, struct{}]) {
 		for _, rec := range batch {
-			rec.Finish(nil)
+			rec.Finish(struct{}{})
 		}
 	})
 	const goroutines = 8

@@ -605,7 +605,8 @@ send:
 // Preload fills a set server to the harness's standard half-full
 // occupancy (every other key) through one temporary connection, so
 // measured runs start from the steady-state the paper's experiments
-// use. No-op for queue/stack.
+// use. It fails on the first add the server refuses, naming the key and
+// the status. No-op for queue/stack.
 func Preload(cfg Config) error {
 	cfg = cfg.withDefaults()
 	if cfg.Structure != StructSet {
@@ -654,9 +655,18 @@ func Preload(cfg Config) error {
 			if err != nil {
 				return fmt.Errorf("loadgen: preload read: %w", err)
 			}
-			results, err = wire.DecodeResponse(payload, results[:0])
+			results, _, err = wire.DecodeResponseAny(payload, results[:0], nil)
 			if err != nil {
-				return err
+				return fmt.Errorf("loadgen: preload decode: %w", err)
+			}
+			for _, r := range results {
+				i := r.ID - batch[0].ID
+				if i >= uint64(len(batch)) {
+					return fmt.Errorf("loadgen: preload: reply for unknown id %d", r.ID)
+				}
+				if r.Status != op.StatusOK {
+					return fmt.Errorf("loadgen: preload add of key %d: server answered %v", batch[i].Key, r.Status)
+				}
 			}
 			seen += len(results)
 		}

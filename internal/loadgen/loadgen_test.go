@@ -286,6 +286,29 @@ func TestPreloadFillsHalfTheKeySpace(t *testing.T) {
 	}
 }
 
+// TestPreloadRejectsOutOfRangeKeys: a preload over a wider key space
+// than the server's fails on the first refused add, naming the key and
+// the status, instead of reporting success.
+func TestPreloadRejectsOutOfRangeKeys(t *testing.T) {
+	const keySpace = 1 << 10
+	_, addr, _ := startServer(t, server.Config{Structure: server.StructList, Shards: 2, KeySpace: keySpace})
+	err := loadgen.Preload(loadgen.Config{
+		Addr: addr,
+		Dist: harness.Uniform{N: 64 * keySpace},
+		Seed: 1,
+	})
+	if err == nil {
+		t.Fatal("preload of keys the server refuses reported success")
+	}
+	var key int64
+	if _, scanErr := fmt.Sscanf(err.Error(), "loadgen: preload add of key %d:", &key); scanErr != nil || key < keySpace {
+		t.Fatalf("error %q names no out-of-range key", err)
+	}
+	if !strings.Contains(err.Error(), "bad-key") {
+		t.Fatalf("error %q does not name the status", err)
+	}
+}
+
 func TestZipfLoadSkewsShards(t *testing.T) {
 	// A zipf key stream against range-partitioned shards must hit
 	// shard 0 (which owns the hot low keys) hardest — the imbalance

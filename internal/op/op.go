@@ -152,8 +152,8 @@ func (s Status) String() string {
 // structure's boolean answer (present / was-absent / pop-nonempty …);
 // Value carries the dequeued or popped value when applicable — for
 // RangeScan it is the pagination cursor. Values carries a scan's keys,
-// a segment of the pass's arena; a non-nil Values (even empty) routes
-// the result through wire.FrameResponseVar.
+// a segment of the pass's arena; on the wire an empty Values and a nil
+// one encode alike, and decode as nil.
 type Result struct {
 	ID     uint64
 	Status Status

@@ -8,40 +8,14 @@ import (
 	"pimds/internal/linearize"
 	"pimds/internal/op"
 	"pimds/internal/server"
-	"pimds/internal/wire"
 )
 
-// recvAny reads results until n have arrived, accepting fixed and
-// variable response frames. Each decode gets a fresh values arena, so
-// the returned results' Values stay valid together.
-func (c *client) recvAny(t *testing.T, n int) map[uint64]op.Result {
-	t.Helper()
-	out := make(map[uint64]op.Result, n)
-	var payload []byte
-	for len(out) < n {
-		var err error
-		payload, err = wire.ReadFrame(c.br, payload[:0])
-		if err != nil {
-			t.Fatalf("after %d of %d results: %v", len(out), n, err)
-		}
-		results, _, err := wire.DecodeResponseAny(payload, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range results {
-			out[r.ID] = r
-		}
-	}
-	return out
-}
-
-// doV2 runs one full op (Hi/Limit included) synchronously, accepting
-// either response encoding.
+// doV2 runs one full op (Hi/Limit included) synchronously.
 func (c *client) doV2(t *testing.T, o op.Op) op.Result {
 	t.Helper()
 	o.ID = 1
 	c.send(t, o)
-	return c.recvAny(t, 1)[1]
+	return c.recv(t, 1)[1]
 }
 
 func int64sEqual(a, b []int64) bool {
@@ -297,7 +271,7 @@ func clientRound(t *testing.T, c *client, rng *rand.Rand, cl, first, n, keySpace
 		}
 		o.ID = uint64(i)
 		c.send(t, o)
-		if res := c.recvAny(t, 1); len(res) != 1 {
+		if res := c.recv(t, 1); len(res) != 1 {
 			t.Errorf("client %d op %d: %d results", cl, i, len(res))
 			return
 		}

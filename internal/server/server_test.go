@@ -97,7 +97,8 @@ func (c *client) sendTraced(t *testing.T, tc wire.TraceContext, ops ...op.Op) {
 	}
 }
 
-// recv reads results until n have arrived.
+// recv reads results until n have arrived. Each decode gets a fresh
+// values arena, so the returned results' Values stay valid together.
 func (c *client) recv(t *testing.T, n int) map[uint64]op.Result {
 	t.Helper()
 	out := make(map[uint64]op.Result, n)
@@ -109,7 +110,7 @@ func (c *client) recv(t *testing.T, n int) map[uint64]op.Result {
 		if err != nil {
 			t.Fatalf("after %d of %d results: %v", len(out), n, err)
 		}
-		results, err = wire.DecodeResponse(payload, results[:0])
+		results, _, err = wire.DecodeResponseAny(payload, results[:0], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -480,7 +481,7 @@ func TestGracefulDrainLosesNoAckedOps(t *testing.T) {
 					}
 					break
 				}
-				results, err = wire.DecodeResponse(payload, results[:0])
+				results, _, err = wire.DecodeResponseAny(payload, results[:0], nil)
 				if err != nil {
 					t.Errorf("client %d decode: %v", cl, err)
 					break
@@ -831,7 +832,7 @@ func TestBackpressureBoundedQueues(t *testing.T) {
 		}
 		c.send(t, ops...)
 	}
-	got := c.recvAny(t, frames*scans)
+	got := c.recv(t, frames*scans)
 	if len(got) != frames*scans {
 		t.Fatalf("received %d results, want %d", len(got), frames*scans)
 	}
@@ -879,7 +880,7 @@ func TestOneResponseFramePerRequestFrame(t *testing.T) {
 					c.send(t, ops...)
 				}
 				for _, c := range clients {
-					c.recvAny(t, frameOps)
+					c.recv(t, frameOps)
 				}
 			}
 			for _, c := range clients {

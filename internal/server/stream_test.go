@@ -213,7 +213,7 @@ func (a *answers) play(t *testing.T, cfg server.Config, c *client, s stream, fro
 		t.Helper()
 		c.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 		c.send(t, ops...)
-		return c.recvAny(t, len(ops))
+		return c.recv(t, len(ops))
 	}
 	// page is a scan with pages left: ops[i], resuming at cursor.
 	type page struct {
@@ -480,7 +480,7 @@ func checkSerialRejected(t *testing.T, structure string, shards int, caps server
 	_, addr := startServer(t, streamConfig(structure, shards))
 	c := dial(t, addr)
 	c.send(t, ops...)
-	for id, r := range c.recvAny(t, len(ops)) {
+	for id, r := range c.recv(t, len(ops)) {
 		if r.Status != op.StatusBadKind {
 			t.Fatalf("R1: %d shards answered %v with %v, want %v", shards, ops[id].Kind, r.Status, op.StatusBadKind)
 		}

@@ -350,7 +350,7 @@ func TestSamplingRateAndOverhead(t *testing.T) {
 			if payload, err = wire.ReadFrame(c.br, payload[:0]); err != nil {
 				t.Fatal(err)
 			}
-			if results, err = wire.DecodeResponse(payload, results[:0]); err != nil {
+			if results, _, err = wire.DecodeResponseAny(payload, results[:0], nil); err != nil {
 				t.Fatal(err)
 			}
 			outstanding -= len(results)

@@ -618,7 +618,7 @@ func TestCrashRecoveryKill9(t *testing.T) {
 					cc.pending = &o
 					return
 				}
-				results, err = wire.DecodeResponse(payload, results[:0])
+				results, _, err = wire.DecodeResponseAny(payload, results[:0], nil)
 				if err != nil || len(results) != 1 {
 					cc.pending = &o
 					return

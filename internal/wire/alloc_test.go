@@ -64,13 +64,14 @@ func TestResponseRoundTripAllocs(t *testing.T) {
 	results := benchResults(64)
 	buf := make([]byte, 0, 1<<14)
 	dst := make([]op.Result, 0, 64)
+	var vals []int64 // point results never touch the arena
 	var err error
 	allocs := testenv.Allocs(200, func() {
-		buf, err = wire.AppendResponse(buf[:0], results)
+		buf, _, err = wire.AppendResponses(buf[:0], results)
 		if err != nil {
 			return
 		}
-		dst, err = wire.DecodeResponse(buf[4:], dst[:0])
+		dst, vals, err = wire.DecodeResponseAny(buf[4:], dst[:0], vals[:0])
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +127,7 @@ func TestResponseVarRoundTripAllocs(t *testing.T) {
 	arena := make([]int64, 0, 1024)
 	var err error
 	allocs := testenv.Allocs(200, func() {
-		buf, err = wire.AppendResponseVar(buf[:0], results)
+		buf, _, err = wire.AppendResponses(buf[:0], results)
 		if err != nil {
 			return
 		}
@@ -136,7 +137,7 @@ func TestResponseVarRoundTripAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if allocs != 0 {
-		t.Errorf("var response encode+decode: %d allocs, want 0", allocs)
+		t.Errorf("scan response encode+decode: %d allocs, want 0", allocs)
 	}
 }
 
@@ -165,8 +166,8 @@ func TestReadFrameSteadyStateAllocs(t *testing.T) {
 }
 
 // TestAppendResponsesAllocs pins the writer's encoder: a mixed batch of
-// point results and scan results, split into fixed and variable
-// frames, encodes into a warm buffer without touching the heap.
+// point results and scan results encodes into one frame in a warm
+// buffer without touching the heap.
 func TestAppendResponsesAllocs(t *testing.T) {
 	skipIfRace(t)
 	results := benchResults(64)

@@ -11,12 +11,12 @@ import (
 // FuzzDecodeFrame feeds arbitrary byte streams through the full read
 // path (ReadFrame, then every decoder). The decoders must never panic
 // or hand back more records than the payload can hold; whatever they
-// accept must re-encode to the identical payload. Seeds 1 and 3-5 are
-// well-formed frames of the retired request encodings (type bytes 1
-// and 3), which must now be rejected.
+// accept must re-encode to the identical payload. Seeds 1, 3-5 and 10
+// are well-formed frames of the retired encodings (type bytes 1, 2 and
+// 3), which must now be rejected.
 func FuzzDecodeFrame(f *testing.F) {
 	seed1 := retiredRequest(1, []op.Op{{ID: 1, Kind: op.Add, Key: 7}, {ID: 2, Kind: op.Remove, Key: -7}})
-	seed2, _ := AppendResponse(nil, []op.Result{{ID: 3, Status: op.StatusOK, OK: true, Value: 9}})
+	seed2, _, _ := AppendResponses(nil, []op.Result{{ID: 3, Status: op.StatusOK, OK: true, Value: 9}})
 	seed3 := retiredRequest(1, nil)
 	seed4 := retiredRequest(3, []op.Op{{ID: 4, Kind: op.Contains, Key: 11}})
 	seed5 := retiredRequest(3, nil)
@@ -25,11 +25,12 @@ func FuzzDecodeFrame(f *testing.F) {
 		{ID: 6, Kind: op.PopMin},
 	}, TraceContext{})
 	seed7, _ := AppendRequestV2(nil, []op.Op{{ID: 7, Kind: op.Succ, Key: -1}}, TraceContext{TraceID: 0xabc, Sampled: true})
-	seed8, _ := AppendResponseVar(nil, []op.Result{
+	seed8, _, _ := AppendResponses(nil, []op.Result{
 		{ID: 8, Status: op.StatusOK, OK: true, Value: 40, Values: []int64{12, 17, 39}},
 		{ID: 9, Status: op.StatusOK, OK: false, Value: 0},
 	})
-	seed9, _ := AppendResponseVar(nil, nil)
+	seed9 := appendFrameHeader(nil, headerSize, FrameResponse, 0)
+	seed10 := retiredResponse([]op.Result{{ID: 10, Status: op.StatusOK, OK: true, Value: 9}})
 	f.Add(seed1)
 	f.Add(seed2)
 	f.Add(seed3)
@@ -39,12 +40,13 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(seed7)
 	f.Add(seed8)
 	f.Add(seed9)
+	f.Add(seed10)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{3, 0, 0, 0, 1, 0, 0})
 	// Sampled flag on a zero trace id: well-framed but non-canonical.
 	f.Add([]byte{12, 0, 0, 0, FrameRequestV2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1})
-	// Var response declaring one record but carrying no body: truncated.
-	f.Add([]byte{3, 0, 0, 0, FrameResponseVar, 1, 0})
+	// Response declaring one record but carrying no body: truncated.
+	f.Add([]byte{3, 0, 0, 0, FrameResponse, 1, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		payload, err := ReadFrame(bytes.NewReader(data), nil)
@@ -60,27 +62,21 @@ func FuzzDecodeFrame(f *testing.F) {
 				t.Fatalf("request round-trip mismatch:\n in: %x\nout: %x", payload, re[4:])
 			}
 		}
-		if results, err := DecodeResponse(payload, nil); err == nil {
-			re, err := AppendResponse(nil, results)
-			if err != nil {
-				t.Fatalf("accepted frame fails to re-encode: %v", err)
-			}
-			if !bytes.Equal(re[4:], payload) {
-				t.Fatalf("response round-trip mismatch:\n in: %x\nout: %x", payload, re[4:])
-			}
-		}
 		if results, _, err := DecodeResponseAny(payload, nil, nil); err == nil {
-			var re []byte
-			if payload[0] == FrameResponseVar {
-				re, err = AppendResponseVar(nil, results)
-			} else {
-				re, err = AppendResponse(nil, results)
-			}
+			re, frames, err := AppendResponses(nil, results)
 			if err != nil {
 				t.Fatalf("accepted frame fails to re-encode: %v", err)
 			}
-			if !bytes.Equal(re[4:], payload) {
-				t.Fatalf("response-any round-trip mismatch:\n in: %x\nout: %x", payload, re[4:])
+			if len(results) == 0 {
+				// No results encode as no frame; the bare header is the
+				// only empty reply the decoder accepts.
+				if frames != 0 || len(payload) != headerSize {
+					t.Fatalf("empty reply: %d frames, payload %x", frames, payload)
+				}
+				return
+			}
+			if frames != 1 || !bytes.Equal(re[4:], payload) {
+				t.Fatalf("response round-trip mismatch (%d frames):\n in: %x\nout: %x", frames, payload, re[4:])
 			}
 		}
 	})

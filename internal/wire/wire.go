@@ -14,25 +14,25 @@
 //	...     trace context (requests only): trace id uint64 | flags uint8
 //	...     count records
 //
-// Request record (27 bytes):     id uint64 | kind uint8 | key int64 | hi int64 | limit uint16
-// Response record (18 bytes):    id uint64 | status uint8 | ok uint8 | value int64
-// Var response record (20+8n):   id uint64 | status uint8 | ok uint8 | value int64 |
+// Request record (27 bytes):   id uint64 | kind uint8 | key int64 | hi int64 | limit uint16
+// Response record (20+8n):     id uint64 | status uint8 | ok uint8 | value int64 |
 //
 //	nvals uint16 | nvals × int64
 //
-// There is one request frame (FrameRequestV2): every request carries a
-// trace-context slot (the zero trace id means untraced) and every op
-// record carries the Hi bound and result Limit, which point ops leave
-// zero. Results that carry values (range scans) come back in
-// FrameResponseVar, whose records are count-prefixed and
-// variable-length; all others travel in the fixed-size FrameResponse.
+// There is one request frame (FrameRequestV2) and one response frame
+// (FrameResponse). Every request carries a trace-context slot (the zero
+// trace id means untraced) and every op record carries the Hi bound and
+// result Limit, which point ops leave zero. Every response record is
+// count-prefixed: a range scan's keys follow it, a point result carries
+// nvals 0. Type bytes 1, 2 and 3 named retired encodings and decode as
+// ErrMalformed.
 //
 // Request ids are chosen by the client and echoed verbatim; the server
 // never interprets them beyond matching a result to its op. Decoding
 // is strict: a frame whose payload length does not exactly match its
-// declared record count (walking variable records one by one for
-// FrameResponseVar) is rejected, so a desynchronized stream fails
-// fast instead of smearing garbage into later frames.
+// declared record count (walking the response records one by one) is
+// rejected, so a desynchronized stream fails fast instead of smearing
+// garbage into later frames.
 package wire
 
 import (
@@ -62,21 +62,18 @@ const (
 	StatusBadKey = op.StatusBadKey
 )
 
-// Frame types. Values 1 and 3 named two retired request encodings and
-// decode as ErrMalformed.
+// Frame types. Values 1, 2 and 3 named retired encodings (two request
+// frames and a fixed-size response frame) and decode as ErrMalformed.
 const (
-	FrameResponse uint8 = 2
 	// FrameRequestV2 is the request frame: a trace-context slot (trace
 	// id 0 = untraced; a set sampled bit with a zero id is rejected, so
 	// every accepted payload re-encodes byte-identically) followed by
 	// 27-byte op records.
 	FrameRequestV2 uint8 = 4
-	// FrameResponseVar is the variable-length response frame: each
-	// record carries a uint16 value count followed by that many int64
-	// values (a range scan's keys). Servers choose it per response
-	// frame, for a frame whose results carry values; all other frames
-	// keep travelling in FrameResponse.
-	FrameResponseVar uint8 = 5
+	// FrameResponse is the response frame: each record carries a uint16
+	// value count followed by that many int64 values (a range scan's
+	// keys; zero for every other result).
+	FrameResponse uint8 = 5
 )
 
 // TraceContext is the per-frame trace context a client attaches to a
@@ -103,10 +100,9 @@ func (tc TraceContext) flags() byte {
 
 // Record and frame size constants.
 const (
-	resultSize  = 8 + 1 + 1 + 8  // id, status, ok, value
-	varBaseSize = resultSize + 2 // fixed prefix of a var record (before the values)
-	headerSize  = 1 + 2          // type, count
-	traceSize   = 8 + 1          // trace id, flags (every request frame)
+	resultSize = 8 + 1 + 1 + 8 + 2 // id, status, ok, value, nvals (before the values)
+	headerSize = 1 + 2             // type, count
+	traceSize  = 8 + 1             // trace id, flags (every request frame)
 
 	// maxValsPerRecord is what the uint16 count prefix can express.
 	maxValsPerRecord = 1<<16 - 1
@@ -130,18 +126,10 @@ const (
 
 	// MaxPayload is the largest legal frame payload. A peer announcing
 	// more is desynchronized or hostile and the connection should be
-	// dropped. Variable-length response frames are additionally bounded
-	// by it at encode time: AppendResponseVar refuses a batch whose
-	// encoding would exceed it, and writers split such batches.
+	// dropped. AppendResponses splits a batch of results so that no
+	// response frame exceeds it.
 	MaxPayload = 1 << 20
 )
-
-// VarResultSize returns the encoded size in bytes of one variable
-// response record, for writers packing results into frames under the
-// MaxPayload budget.
-//
-//pimvet:nopark
-func VarResultSize(r op.Result) int { return varBaseSize + 8*len(r.Values) }
 
 // Protocol errors.
 var (
@@ -149,15 +137,12 @@ var (
 	ErrFrameTooLarge = errors.New("wire: frame exceeds MaxPayload")
 	// ErrMalformed: the payload contradicts its own header.
 	ErrMalformed = errors.New("wire: malformed frame")
-	// ErrTooManyOps: an encoder was handed more than MaxOpsPerFrame
-	// records.
+	// ErrTooManyOps: the request encoder was handed more than
+	// MaxOpsPerFrame ops.
 	ErrTooManyOps = errors.New("wire: too many records for one frame")
 	// ErrBadTrace: the request encoder was handed a sampled trace
 	// context with a zero trace ID.
 	ErrBadTrace = errors.New("wire: sampled trace context requires a nonzero trace id")
-	// ErrNeedsVar: the fixed-size response encoder was handed a result
-	// carrying Values; use AppendResponseVar.
-	ErrNeedsVar = errors.New("wire: result carries values; use AppendResponseVar")
 	// ErrTooManyValues: one result carries more values than the uint16
 	// count prefix can express.
 	ErrTooManyValues = errors.New("wire: too many values for one record")
@@ -179,8 +164,8 @@ var (
 	errZeroTraceID     = fmt.Errorf("%w: sampled frame with zero trace id", ErrMalformed)
 	errBadStatus       = fmt.Errorf("%w: undefined status byte", ErrMalformed)
 	errBadOKByte       = fmt.Errorf("%w: ok byte must be 0 or 1", ErrMalformed)
-	errVarTruncated    = fmt.Errorf("%w: variable record truncated", ErrMalformed)
-	errVarTrailing     = fmt.Errorf("%w: trailing bytes after the last variable record", ErrMalformed)
+	errRecTruncated    = fmt.Errorf("%w: response record truncated", ErrMalformed)
+	errRecTrailing     = fmt.Errorf("%w: trailing bytes after the last response record", ErrMalformed)
 	errOpTruncated     = fmt.Errorf("%w: op record truncated", ErrMalformed)
 	errBadOpKind       = fmt.Errorf("%w: undefined op kind", ErrMalformed)
 )
@@ -247,106 +232,27 @@ func AppendRequestV2(buf []byte, ops []op.Op, tc TraceContext) ([]byte, error) {
 	return buf, nil
 }
 
-// AppendResponse appends one response frame carrying results to buf
-// and returns the extended slice. Zero-alloc when buf has capacity: the
-// server's writer goroutines reuse one buffer per connection.
-//
-//pimvet:nopark
-func AppendResponse(buf []byte, results []op.Result) ([]byte, error) {
-	if len(results) > MaxOpsPerFrame {
-		return buf, ErrTooManyOps
-	}
-	for _, res := range results {
-		if res.Values != nil {
-			return buf, ErrNeedsVar
-		}
-	}
-	payload := headerSize + len(results)*resultSize
-	buf = appendFrameHeader(buf, payload, FrameResponse, len(results))
-	for _, res := range results {
-		buf = binary.LittleEndian.AppendUint64(buf, res.ID)
-		buf = append(buf, byte(res.Status))
-		ok := byte(0)
-		if res.OK {
-			ok = 1
-		}
-		buf = append(buf, ok)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(res.Value))
-	}
-	return buf, nil
-}
-
-// AppendResponseVar appends one variable-length response frame carrying
-// results (scan results with their Values, or any mix — a result
-// without values encodes with nvals 0). The encoding must fit in
-// MaxPayload; writers split larger batches, tracking size with
-// VarResultSize. Zero-alloc when buf has capacity.
-//
-//pimvet:nopark
-func AppendResponseVar(buf []byte, results []op.Result) ([]byte, error) {
-	if len(results) > MaxOpsPerFrame {
-		return buf, ErrTooManyOps
-	}
-	payload := headerSize
-	for _, res := range results {
-		if len(res.Values) > maxValsPerRecord {
-			return buf, ErrTooManyValues
-		}
-		payload += VarResultSize(res)
-	}
-	if payload > MaxPayload {
-		return buf, ErrFrameTooLarge
-	}
-	buf = appendFrameHeader(buf, payload, FrameResponseVar, len(results))
-	for _, res := range results {
-		buf = binary.LittleEndian.AppendUint64(buf, res.ID)
-		buf = append(buf, byte(res.Status))
-		ok := byte(0)
-		if res.OK {
-			ok = 1
-		}
-		buf = append(buf, ok)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(res.Value))
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(res.Values)))
-		for _, v := range res.Values {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-		}
-	}
-	return buf, nil
-}
-
 // AppendResponses encodes results into as many response frames as
 // needed, appended back to back to buf, and reports how many frames it
-// wrote. Chunks where no result carries values use the fixed encoding
-// (the point-op fast path, resultSize bytes per record); a chunk with
-// any values uses the variable encoding. Chunks are split so no frame
-// exceeds MaxPayload or MaxOpsPerFrame records. Zero-alloc when buf has
-// capacity.
+// wrote. Chunks are split so no frame exceeds MaxPayload or
+// MaxOpsPerFrame records. Zero-alloc when buf has capacity: the
+// server's writer goroutines reuse one buffer per connection.
 //
 //pimvet:nopark
 func AppendResponses(buf []byte, results []op.Result) ([]byte, int, error) {
 	frames := 0
 	for len(results) > 0 {
-		max := len(results)
-		if max > MaxOpsPerFrame {
-			max = MaxOpsPerFrame
-		}
-		size := headerSize
-		hasVals := false
-		end := 0
-		for end < max {
-			rs := VarResultSize(results[end])
-			if size+rs > MaxPayload {
-				break
-			}
+		limit := min(len(results), MaxOpsPerFrame)
+		payload, end := headerSize, 0
+		for ; end < limit; end++ {
 			if len(results[end].Values) > maxValsPerRecord {
 				return buf, frames, ErrTooManyValues
 			}
-			size += rs
-			if results[end].Values != nil {
-				hasVals = true
+			rs := resultSize + 8*len(results[end].Values)
+			if payload+rs > MaxPayload {
+				break
 			}
-			end++
+			payload += rs
 		}
 		if end == 0 {
 			// A single record larger than MaxPayload; unreachable while
@@ -354,14 +260,19 @@ func AppendResponses(buf []byte, results []op.Result) ([]byte, int, error) {
 			// ever diverge.
 			return buf, frames, ErrFrameTooLarge
 		}
-		var err error
-		if hasVals {
-			buf, err = AppendResponseVar(buf, results[:end])
-		} else {
-			buf, err = AppendResponse(buf, results[:end])
-		}
-		if err != nil {
-			return buf, frames, err
+		buf = appendFrameHeader(buf, payload, FrameResponse, end)
+		for _, res := range results[:end] {
+			buf = binary.LittleEndian.AppendUint64(buf, res.ID)
+			ok := byte(0)
+			if res.OK {
+				ok = 1
+			}
+			buf = append(buf, byte(res.Status), ok)
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(res.Value))
+			buf = binary.LittleEndian.AppendUint16(buf, uint16(len(res.Values)))
+			for _, v := range res.Values {
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+			}
 		}
 		frames++
 		results = results[end:]
@@ -465,111 +376,75 @@ func DecodeRequestAny(payload []byte, dst []op.Op) ([]op.Op, TraceContext, error
 	return dst, tc, nil
 }
 
-// DecodeResponse decodes a response-frame payload, appending the
-// results to dst. Records are validated strictly — an undefined status
-// or a non-canonical ok byte (anything but 0/1) is ErrMalformed — so
+// DecodeResponseAny decodes a response-frame payload, appending the
+// results to dst. Each record's values are appended to the vals arena
+// and the result's Values field is a subslice of it, so callers reuse
+// one arena per connection; the returned arena replaces vals. A record
+// without values decodes with nil Values and leaves the arena alone.
+// Validation is strict: an undefined status, an ok byte other than 0 or
+// 1, a truncated record, trailing bytes, or a record-count mismatch is
+// ErrMalformed, and dst and vals come back at their input lengths — so
 // every accepted payload re-encodes byte-identically. Zero-alloc when
-// dst has capacity: this is the client reader's per-frame fast path.
-//
-//pimvet:nopark
-func DecodeResponse(payload []byte, dst []op.Result) ([]op.Result, error) {
-	body, count, err := checkHeader(payload, FrameResponse, resultSize, 0)
-	if err != nil {
-		return dst, err
-	}
-	for i := 0; i < count; i++ {
-		rec := body[i*resultSize:]
-		if rec[8] > uint8(op.StatusBadKey) {
-			return dst, errBadStatus
-		}
-		if rec[9] > 1 {
-			return dst, errBadOKByte
-		}
-		dst = append(dst, op.Result{
-			ID:     binary.LittleEndian.Uint64(rec),
-			Status: op.Status(rec[8]),
-			OK:     rec[9] == 1,
-			Value:  int64(binary.LittleEndian.Uint64(rec[10:])),
-		})
-	}
-	return dst, nil
-}
-
-// DecodeResponseAny decodes a response-frame payload of either type,
-// appending the results to dst. For FrameResponseVar, each record's
-// values are appended to the vals arena and the result's Values field
-// is a subslice of it, so callers reuse one arena per connection; the
-// returned arena replaces vals. Validation
-// is strict: the variable records must walk the payload exactly — a
-// truncated record, trailing bytes, or a record-count mismatch is
-// ErrMalformed — so every accepted payload re-encodes byte-identically.
-// Zero-alloc when dst and vals have capacity.
+// dst and vals have capacity: this is the client reader's per-frame
+// fast path.
 //
 //pimvet:nopark
 func DecodeResponseAny(payload []byte, dst []op.Result, vals []int64) ([]op.Result, []int64, error) {
-	if len(payload) >= 1 && payload[0] == FrameResponse {
-		dst, err := DecodeResponse(payload, dst)
-		return dst, vals, err
-	}
 	if len(payload) < headerSize {
 		return dst, vals, errTruncatedHeader
 	}
-	if payload[0] != FrameResponseVar {
+	if payload[0] != FrameResponse {
 		return dst, vals, errWrongFrameType
 	}
 	count := int(binary.LittleEndian.Uint16(payload[1:]))
 	if count > MaxOpsPerFrame {
 		return dst, vals, errCountRange
 	}
-	// Pass 1: validate the record walk and total the values, so the
-	// arena grows at most once — appending mid-decode could move the
-	// arena and dangle the Values subslices already handed out.
 	body := payload[headerSize:]
-	total, off := 0, 0
-	for i := 0; i < count; i++ {
-		if len(body)-off < varBaseSize {
-			return dst, vals, errVarTruncated
-		}
-		rec := body[off:]
-		if rec[8] > uint8(op.StatusBadKey) {
-			return dst, vals, errBadStatus
-		}
-		if rec[9] > 1 {
-			return dst, vals, errBadOKByte
-		}
-		n := int(binary.LittleEndian.Uint16(rec[18:]))
-		if len(body)-off-varBaseSize < 8*n {
-			return dst, vals, errVarTruncated
-		}
-		total += n
-		off += varBaseSize + 8*n
+	if len(body) < count*resultSize {
+		return dst, vals, errRecTruncated
 	}
-	if off != len(body) {
-		return dst, vals, errVarTrailing
-	}
-	if cap(vals)-len(vals) < total {
-		grown := make([]int64, len(vals), len(vals)+total) // amortized arena grow to the largest response seen; steady state reuses the arena
+	// Any record walk that fits the body holds at most this many values,
+	// so the arena grows once, up front: growing mid-decode could move
+	// it and dangle the Values subslices already handed out.
+	if bound := (len(body) - count*resultSize) / 8; cap(vals)-len(vals) < bound {
+		grown := make([]int64, len(vals), len(vals)+bound) // amortized arena grow to the largest response seen; steady state reuses the arena
 		copy(grown, vals)
 		vals = grown
 	}
-	// Pass 2: decode. The arena has capacity, so the subslices are
-	// stable.
-	off = 0
+	dst0, vals0 := len(dst), len(vals)
 	for i := 0; i < count; i++ {
-		rec := body[off:]
-		n := int(binary.LittleEndian.Uint16(rec[18:]))
-		start := len(vals)
-		for j := 0; j < n; j++ {
-			vals = append(vals, int64(binary.LittleEndian.Uint64(rec[varBaseSize+8*j:])))
+		if len(body) < resultSize {
+			return dst[:dst0], vals[:vals0], errRecTruncated
 		}
-		dst = append(dst, op.Result{
-			ID:     binary.LittleEndian.Uint64(rec),
-			Status: op.Status(rec[8]),
-			OK:     rec[9] == 1,
-			Value:  int64(binary.LittleEndian.Uint64(rec[10:])),
-			Values: vals[start:len(vals):len(vals)],
-		})
-		off += varBaseSize + 8*n
+		if body[8] > uint8(op.StatusBadKey) {
+			return dst[:dst0], vals[:vals0], errBadStatus
+		}
+		if body[9] > 1 {
+			return dst[:dst0], vals[:vals0], errBadOKByte
+		}
+		n := int(binary.LittleEndian.Uint16(body[18:]))
+		if len(body)-resultSize < 8*n {
+			return dst[:dst0], vals[:vals0], errRecTruncated
+		}
+		res := op.Result{
+			ID:     binary.LittleEndian.Uint64(body),
+			Status: op.Status(body[8]),
+			OK:     body[9] == 1,
+			Value:  int64(binary.LittleEndian.Uint64(body[10:])),
+		}
+		if n > 0 {
+			start := len(vals)
+			for j := 0; j < n; j++ {
+				vals = append(vals, int64(binary.LittleEndian.Uint64(body[resultSize+8*j:])))
+			}
+			res.Values = vals[start:len(vals):len(vals)]
+		}
+		dst = append(dst, res)
+		body = body[resultSize+8*n:]
+	}
+	if len(body) != 0 {
+		return dst[:dst0], vals[:vals0], errRecTrailing
 	}
 	return dst, vals, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"testing"
@@ -49,15 +50,15 @@ func TestResponseRoundTrip(t *testing.T) {
 		{ID: 8, Status: op.StatusBadKind, OK: false, Value: 0},
 		{ID: 9, Status: op.StatusBadKey, OK: false, Value: -1},
 	}
-	buf, err := AppendResponse(nil, results)
-	if err != nil {
-		t.Fatal(err)
-	}
+	buf := appendOneFrame(t, results)
 	payload, err := ReadFrame(bytes.NewReader(buf), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeResponse(payload, nil)
+	if want := headerSize + len(results)*resultSize; len(payload) != want {
+		t.Errorf("payload of %d point results is %d bytes, want %d", len(results), len(payload), want)
+	}
+	got, _, err := DecodeResponseAny(payload, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,6 +70,17 @@ func TestResponseRoundTrip(t *testing.T) {
 			t.Errorf("result %d: got %+v, want %+v", i, got[i], results[i])
 		}
 	}
+}
+
+// appendOneFrame encodes results with AppendResponses and fails the
+// test unless they fit one frame.
+func appendOneFrame(t *testing.T, results []op.Result) []byte {
+	t.Helper()
+	buf, frames, err := AppendResponses(nil, results)
+	if err != nil || frames != 1 {
+		t.Fatalf("AppendResponses: %d frames, err %v; want 1 frame", frames, err)
+	}
+	return buf
 }
 
 // resultEq compares results field-wise; Result carries a slice and is
@@ -137,12 +149,6 @@ func TestRequestV2RoundTrip(t *testing.T) {
 	}
 }
 
-func TestFixedEncodersRejectOrderedFields(t *testing.T) {
-	if _, err := AppendResponse(nil, []op.Result{{ID: 1, Values: []int64{}}}); !errors.Is(err, ErrNeedsVar) {
-		t.Errorf("AppendResponse with Values: got %v, want ErrNeedsVar", err)
-	}
-}
-
 func TestRequestV2CanonicalTraceSlot(t *testing.T) {
 	// A sampled context with a zero id is rejected at encode time…
 	if _, err := AppendRequestV2(nil, nil, TraceContext{Sampled: true}); !errors.Is(err, ErrBadTrace) {
@@ -180,10 +186,7 @@ func TestResponseVarRoundTrip(t *testing.T) {
 		{ID: 4, Status: op.StatusBadKind},
 		{ID: 5, Status: op.StatusOK, OK: false, Value: math.MinInt64, Values: []int64{math.MaxInt64, math.MinInt64}},
 	}
-	buf, err := AppendResponseVar(nil, results)
-	if err != nil {
-		t.Fatal(err)
-	}
+	buf := appendOneFrame(t, results)
 	payload, err := ReadFrame(bytes.NewReader(buf), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -201,21 +204,19 @@ func TestResponseVarRoundTrip(t *testing.T) {
 		}
 	}
 	// Accepted payloads re-encode byte-identically.
-	again, err := AppendResponseVar(nil, got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again, buf) {
-		t.Error("var response decode/re-encode is not canonical")
+	if again := appendOneFrame(t, got); !bytes.Equal(again, buf) {
+		t.Error("response decode/re-encode is not canonical")
 	}
 }
 
+// TestDecodeResponseAnyAcceptsFixedFrames: what the retired fixed-size
+// frame guaranteed still holds — a frame of point results decodes with
+// nil Values and leaves the arena untouched.
 func TestDecodeResponseAnyAcceptsFixedFrames(t *testing.T) {
-	buf, err := AppendResponse(nil, []op.Result{{ID: 6, Status: op.StatusOK, OK: true, Value: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := ReadFrame(bytes.NewReader(buf), nil)
+	payload, err := ReadFrame(bytes.NewReader(appendOneFrame(t, []op.Result{
+		{ID: 6, Status: op.StatusOK, OK: true, Value: 1},
+		{ID: 7, Status: op.StatusBadKey, Value: -3},
+	})), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,77 +224,93 @@ func TestDecodeResponseAnyAcceptsFixedFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].ID != 6 || got[0].Values != nil {
+	if len(got) != 2 || got[0].ID != 6 || got[1].ID != 7 || got[0].Values != nil || got[1].Values != nil {
 		t.Fatalf("got %+v", got)
 	}
 	if vals != nil {
-		t.Fatalf("fixed frame touched the arena: %v", vals)
+		t.Fatalf("point frame touched the arena: %v", vals)
+	}
+	arena := append(make([]int64, 0, 4), 42)
+	if _, vals, err = DecodeResponseAny(payload, nil, arena); err != nil {
+		t.Fatal(err)
+	}
+	if len(vals) != 1 || cap(vals) != 4 || &vals[0] != &arena[0] {
+		t.Fatalf("point frame touched the arena: len %d cap %d", len(vals), cap(vals))
 	}
 }
 
 func TestDecodeResponseVarRejectsMalformed(t *testing.T) {
-	buf, err := AppendResponseVar(nil, []op.Result{
+	buf := appendOneFrame(t, []op.Result{
 		{ID: 1, Status: op.StatusOK, OK: true, Value: 3, Values: []int64{1, 2}},
 		{ID: 2, Status: op.StatusOK, OK: true, Value: 0, Values: []int64{}},
+		{ID: 3, Status: op.StatusOK, OK: true, Value: 5, Values: []int64{9}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	payload, err := ReadFrame(bytes.NewReader(buf), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Truncating anywhere inside the body must be caught.
-	for cut := headerSize; cut < len(payload); cut++ {
-		if _, _, err := DecodeResponseAny(payload[:cut], nil, nil); !errors.Is(err, ErrMalformed) {
-			t.Errorf("truncated at %d: got %v, want ErrMalformed", cut, err)
+	// Every rejection must hand dst and vals back at their input
+	// lengths, with nothing of the bad frame appended. Both start
+	// non-empty so a reset to zero would show too.
+	reject := func(what string, bad []byte) {
+		t.Helper()
+		dst := append(make([]op.Result, 0, 8), op.Result{ID: 99})
+		vals := append(make([]int64, 0, 8), 77)
+		gotDst, gotVals, err := DecodeResponseAny(bad, dst, vals)
+		if !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: got %v, want ErrMalformed", what, err)
+		}
+		if len(gotDst) != 1 || gotDst[0].ID != 99 || len(gotVals) != 1 || gotVals[0] != 77 {
+			t.Errorf("%s: rejection left dst %+v, vals %v; want them at their input lengths", what, gotDst, gotVals)
 		}
 	}
-	// Trailing bytes after the last record must be caught.
-	trailing := append(append([]byte(nil), payload...), 0)
-	if _, _, err := DecodeResponseAny(trailing, nil, nil); !errors.Is(err, ErrMalformed) {
-		t.Errorf("trailing byte: got %v, want ErrMalformed", err)
+	// Truncating anywhere inside the body must be caught.
+	for cut := headerSize; cut < len(payload); cut++ {
+		reject(fmt.Sprintf("truncated at %d", cut), payload[:cut])
 	}
+	// Trailing bytes after the last record must be caught.
+	reject("trailing byte", append(append([]byte(nil), payload...), 0))
+	reject("trailing value", append(append([]byte(nil), payload...), make([]byte, 8)...))
 	// An inflated per-record value count must be caught.
 	inflated := append([]byte(nil), payload...)
 	binary.LittleEndian.PutUint16(inflated[headerSize+18:], 1000)
-	if _, _, err := DecodeResponseAny(inflated, nil, nil); !errors.Is(err, ErrMalformed) {
-		t.Errorf("inflated nvals: got %v, want ErrMalformed", err)
+	reject("inflated nvals", inflated)
+	// A deflated count leaves the values it no longer covers as a
+	// misaligned walk.
+	deflated := append([]byte(nil), payload...)
+	binary.LittleEndian.PutUint16(deflated[headerSize+18:], 1)
+	reject("deflated nvals", deflated)
+	// Bad status / ok bytes are rejected, in the last record as well,
+	// after earlier records were decoded.
+	last := len(payload) - resultSize - 8
+	for _, off := range []int{headerSize, last} {
+		badStatus := append([]byte(nil), payload...)
+		badStatus[off+8] = 200
+		reject(fmt.Sprintf("bad status at %d", off), badStatus)
+		badOK := append([]byte(nil), payload...)
+		badOK[off+9] = 7
+		reject(fmt.Sprintf("bad ok byte at %d", off), badOK)
 	}
-	// Bad status / ok bytes are rejected, same as the fixed decoder.
-	badStatus := append([]byte(nil), payload...)
-	badStatus[headerSize+8] = 200
-	if _, _, err := DecodeResponseAny(badStatus, nil, nil); !errors.Is(err, ErrMalformed) {
-		t.Errorf("bad status: got %v, want ErrMalformed", err)
-	}
-	badOK := append([]byte(nil), payload...)
-	badOK[headerSize+9] = 7
-	if _, _, err := DecodeResponseAny(badOK, nil, nil); !errors.Is(err, ErrMalformed) {
-		t.Errorf("bad ok byte: got %v, want ErrMalformed", err)
-	}
+	// A count past MaxOpsPerFrame is rejected before any record.
+	tooMany := append([]byte(nil), payload...)
+	binary.LittleEndian.PutUint16(tooMany[1:], MaxOpsPerFrame+1)
+	reject("count over MaxOpsPerFrame", tooMany)
 }
 
 func TestAppendResponseVarLimits(t *testing.T) {
 	// One record with more values than the uint16 prefix can hold.
 	big := []op.Result{{ID: 1, Values: make([]int64, 1<<16)}}
-	if _, err := AppendResponseVar(nil, big); !errors.Is(err, ErrTooManyValues) {
+	if _, _, err := AppendResponses(nil, big); !errors.Is(err, ErrTooManyValues) {
 		t.Fatalf("got %v, want ErrTooManyValues", err)
 	}
-	// A batch whose encoding exceeds MaxPayload is refused whole.
+	// A full frame of MaxScanLimit-sized scans under the budget is one
+	// frame and round-trips.
 	results := make([]op.Result, MaxOpsPerFrame)
 	for i := range results {
 		results[i] = op.Result{ID: uint64(i), Values: make([]int64, MaxScanLimit)}
 	}
-	if _, err := AppendResponseVar(nil, results); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("got %v, want ErrFrameTooLarge", err)
-	}
-	// A full frame of MaxScanLimit-sized scans under the budget round-trips.
-	n := (MaxPayload - headerSize) / (varBaseSize + 8*MaxScanLimit)
-	fit, err := AppendResponseVar(nil, results[:n])
-	if err != nil {
-		t.Fatalf("frame of %d max scans: %v", n, err)
-	}
-	payload, err := ReadFrame(bytes.NewReader(fit), nil)
+	n := (MaxPayload - headerSize) / (resultSize + 8*MaxScanLimit)
+	payload, err := ReadFrame(bytes.NewReader(appendOneFrame(t, results[:n])), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,13 +321,35 @@ func TestAppendResponseVarLimits(t *testing.T) {
 	if len(got) != n {
 		t.Fatalf("decoded %d results, want %d", len(got), n)
 	}
-}
-
-func TestArenaReuseAcrossDecodes(t *testing.T) {
-	buf, err := AppendResponseVar(nil, []op.Result{{ID: 1, Status: op.StatusOK, OK: true, Value: 4, Values: []int64{1, 2, 3}}})
+	// A batch whose encoding exceeds MaxPayload splits into frames that
+	// each stay under it.
+	buf, frames, err := AppendResponses(nil, results)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if want := (len(results) + n - 1) / n; frames != want {
+		t.Fatalf("%d max scans: %d frames, want %d", len(results), frames, want)
+	}
+	r := bytes.NewReader(buf)
+	decoded := 0
+	for i := 0; i < frames; i++ {
+		payload, err := ReadFrame(r, nil)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		got, _, err := DecodeResponseAny(payload, nil, nil)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		decoded += len(got)
+	}
+	if decoded != len(results) {
+		t.Fatalf("decoded %d results across %d frames, want %d", decoded, frames, len(results))
+	}
+}
+
+func TestArenaReuseAcrossDecodes(t *testing.T) {
+	buf := appendOneFrame(t, []op.Result{{ID: 1, Status: op.StatusOK, OK: true, Value: 4, Values: []int64{1, 2, 3}}})
 	payload, err := ReadFrame(bytes.NewReader(buf), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -351,6 +390,15 @@ func TestEmptyFrames(t *testing.T) {
 	}
 	if len(ops) != 0 {
 		t.Fatalf("decoded %d ops from empty frame", len(ops))
+	}
+	// No results encode as no frame at all; an empty response frame
+	// still decodes, to nothing.
+	if buf, frames, err := AppendResponses(nil, nil); err != nil || frames != 0 || len(buf) != 0 {
+		t.Fatalf("AppendResponses(nil): %d frames, %d bytes, err %v; want none", frames, len(buf), err)
+	}
+	results, vals, err := DecodeResponseAny(appendFrameHeader(nil, headerSize, FrameResponse, 0)[4:], nil, nil)
+	if err != nil || len(results) != 0 || vals != nil {
+		t.Fatalf("empty response frame: %d results, arena %v, err %v", len(results), vals, err)
 	}
 }
 
@@ -455,17 +503,48 @@ func retiredRequest(typ uint8, ops []op.Op) []byte {
 	return append(appendFrameHeader(nil, headerSize+len(body), typ, len(ops)), body...)
 }
 
-func TestDecodeRejectsWrongFrameType(t *testing.T) {
-	buf, err := AppendResponse(nil, []op.Result{{ID: 1}})
-	if err != nil {
-		t.Fatal(err)
+// retiredResponse frames results the way the retired fixed-size
+// response encoding (type 2) did — 18-byte records without a value
+// count — so tests can show well-formed old replies are rejected.
+func retiredResponse(results []op.Result) []byte {
+	var body []byte
+	for _, res := range results {
+		body = binary.LittleEndian.AppendUint64(body, res.ID)
+		ok := byte(0)
+		if res.OK {
+			ok = 1
+		}
+		body = append(body, byte(res.Status), ok)
+		body = binary.LittleEndian.AppendUint64(body, uint64(res.Value))
 	}
-	payload, err := ReadFrame(bytes.NewReader(buf), nil)
+	return append(appendFrameHeader(nil, headerSize+len(body), 2, len(results)), body...)
+}
+
+func TestDecodeRejectsWrongFrameType(t *testing.T) {
+	payload, err := ReadFrame(bytes.NewReader(appendOneFrame(t, []op.Result{{ID: 1}})), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := DecodeRequestAny(payload, nil); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("decoding a response as a request: got %v, want ErrMalformed", err)
+	}
+	req, err := AppendRequestV2(nil, []op.Op{{ID: 1, Kind: op.Add, Key: 2}}, TraceContext{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := DecodeResponseAny(req[4:], nil, nil); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("decoding a request as a response: got %v, want ErrMalformed", err)
+	}
+	// Type byte 2 is retired: frames well-formed under the fixed-size
+	// response layout are rejected, whatever their record count.
+	for _, results := range [][]op.Result{nil, {{ID: 1, Status: op.StatusOK, OK: true, Value: 5}}, {{ID: 1}, {ID: 2, Status: op.StatusBadKey, Value: -7}}} {
+		payload, err := ReadFrame(bytes.NewReader(retiredResponse(results)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, vals, err := DecodeResponseAny(payload, nil, nil); !errors.Is(err, ErrMalformed) || len(got) != 0 || vals != nil {
+			t.Errorf("retired type 2, %d results: got %d results, err %v; want ErrMalformed", len(results), len(got), err)
+		}
 	}
 	// Type bytes 1 and 3 are retired: frames well-formed under the old
 	// layouts are rejected, whatever their record count.
@@ -487,9 +566,11 @@ func TestEncodeRejectsTooManyOps(t *testing.T) {
 	if _, err := AppendRequestV2(nil, ops, TraceContext{TraceID: 1}); !errors.Is(err, ErrTooManyOps) {
 		t.Fatalf("got %v, want ErrTooManyOps", err)
 	}
+	// Responses are never refused for their count: AppendResponses
+	// splits them at MaxOpsPerFrame.
 	results := make([]op.Result, MaxOpsPerFrame+1)
-	if _, err := AppendResponse(nil, results); !errors.Is(err, ErrTooManyOps) {
-		t.Fatalf("got %v, want ErrTooManyOps", err)
+	if _, frames, err := AppendResponses(nil, results); err != nil || frames != 2 {
+		t.Fatalf("%d results: %d frames, err %v; want 2 frames", len(results), frames, err)
 	}
 }
 
